@@ -46,17 +46,7 @@ from .fluid import (
     two_priority_incast,
 )
 from .metrics import RunMetrics, compare, compute
-from .policies import (
-    AdmissionDecision,
-    AlphaTable,
-    Policy,
-    PolicyKind,
-    admit,
-    dt_threshold,
-    fb_single_queue_threshold,
-    fb_threshold,
-    fba_recompute_alphas,
-)
+from .policies import PolicyKind
 from .workloads import (
     Burst,
     ConstantRate,

@@ -47,6 +47,28 @@ def _jsonable(x):
     return x
 
 
+def _number(name: str, text: str, kind=Fraction):
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise ScenarioParseError(f"--{name.replace('_', '-')}: not a number: {text!r}") from None
+
+
+def _parse_numbers(args) -> None:
+    """Turn the text of the numeric flags into numbers, in place.
+
+    The rational flags become Fractions and the comma-separated lists become
+    lists; malformed text raises ScenarioParseError (exit code 2), while
+    range checks stay with the analysis (exit code 3).
+    """
+    for name in ("r", "t", "alpha_l", "alpha_h"):
+        if getattr(args, name, None) is not None:
+            setattr(args, name, _number(name, getattr(args, name)))
+    for name, kind in (("alphas", Fraction), ("r_values", Fraction), ("counts", int)):
+        if getattr(args, name, None) is not None:
+            setattr(args, name, [_number(name, v, kind) for v in getattr(args, name).split(",")])
+
+
 def _load_config(args) -> workloads.ScenarioConfig:
     if getattr(args, "scenario", None):
         cfg = workloads.load_scenario(args.scenario)
@@ -136,7 +158,7 @@ def _inline_transient(args) -> fluid.TransientScenario:
         if getattr(args, name) is None:
             raise ConfigError(f"inline analysis needs --{name.replace('_', '-')}")
     return fluid.two_priority_incast(
-        args.buffer, Fraction(args.alpha_l), Fraction(args.alpha_h), Fraction(args.r),
+        args.buffer, args.alpha_l, args.alpha_h, args.r,
         n_low_ports=args.n_low, low_queues_per_port=args.low_per_port,
         n_new=args.n_new, scheme=args.scheme,
     )
@@ -168,7 +190,7 @@ def cmd_analyze(args) -> int:
         "feasible": result.feasible,
     }
     if ts is not None and args.t is not None:
-        bounds = fluid.alpha_bounds_general(ts, Fraction(args.t))
+        bounds = fluid.alpha_bounds_general(ts, args.t)
         payload["alpha_bounds"] = {
             "case": bounds.case,
             "alpha_L_case_bound": bounds.alpha_L_case_bound,
@@ -183,11 +205,9 @@ def cmd_analyze(args) -> int:
     if args.curve:
         if args.alpha_l is None or args.alpha_h is None or args.buffer is None:
             raise ConfigError("--curve needs --buffer, --alpha-l and --alpha-h")
-        r_values = [Fraction(v) for v in args.r_values.split(",")]
-        counts = [int(v) for v in args.counts.split(",")]
         points = fluid.burst_absorption_curve(
-            args.buffer, Fraction(args.alpha_l), Fraction(args.alpha_h),
-            r_values, counts, scheme=args.scheme,
+            args.buffer, args.alpha_l, args.alpha_h,
+            args.r_values, args.counts, scheme=args.scheme,
         )
         os.makedirs(args.out, exist_ok=True)
         fluid.curve_to_csv(points, os.path.join(args.out, "curve.csv"))
@@ -213,22 +233,20 @@ def cmd_analyze(args) -> int:
 def cmd_configure_alpha(args) -> int:
     if args.buffer is None or args.r is None:
         raise ConfigError("configure-alpha needs --buffer and --r")
-    r = Fraction(args.r)
+    r, t = args.r, args.t
     payload: dict = {"buffer": args.buffer, "r": r}
     payload["alpha_L_zero_transient"] = fluid.alpha_L_for_zero_transient(r, args.num)
     payload["num_congested_ports"] = args.num
-    if args.t is not None:
-        t = Fraction(args.t)
+    if t is not None:
         payload["t"] = t
         alpha_l_bound = fluid.alpha_L_for_burst(args.buffer, r, t)
         payload["alpha_L_max_for_burst"] = alpha_l_bound
         if args.alphas:
-            lowers = [Fraction(v) for v in args.alphas.split(",")]
-            payload["alpha_H_min"] = fluid.multi_priority_alpha_H(lowers, args.buffer, r, t)
-            payload["lower_priority_alphas"] = lowers
+            payload["alpha_H_min"] = fluid.multi_priority_alpha_H(args.alphas, args.buffer, r, t)
+            payload["lower_priority_alphas"] = args.alphas
         else:
             if args.alpha_l is not None:
-                chosen = Fraction(args.alpha_l)
+                chosen = args.alpha_l
             elif isinstance(alpha_l_bound, Fraction):
                 # a sound default: also satisfy the zero-transient bound
                 zt = payload["alpha_L_zero_transient"]
@@ -317,6 +335,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _parse_numbers(args)
         return args.func(args)
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

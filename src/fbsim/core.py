@@ -124,9 +124,6 @@ class BufferSnapshot:
     def is_congested(self, queue: QueueId) -> bool:
         return queue in self.congested
 
-    def length(self, queue: QueueId) -> int:
-        return self.lengths.get(queue, 0)
-
 
 def derive_aggregates(
     lengths: Mapping[QueueId, int],

@@ -25,8 +25,8 @@ from typing import NamedTuple, Optional
 from .core import QueueId, derive_aggregates
 from .policies import (
     SHARED_QUEUE_CLASS,
-    THRESHOLD_EPS,
     PolicyKind,
+    below_threshold,
     fb_effective_alpha,
 )
 from .workloads import ScenarioConfig, build_sources, source_spans
@@ -66,52 +66,49 @@ class EventTrace:
     ``records`` rows are (time, port, class_id, action, queue_len,
     threshold, occupancy_after, source_id); queue_len is the length after
     the action for admits/departs and the length at the decision for drops.
-    ``ticks`` holds (time, {queue: effective alpha}) controller emissions.
+    ``queue_of`` maps a record's (port, class_id) to its engine queue (the
+    shared per-port queue in single-queue mode).  ``ticks`` holds (time,
+    {queue: effective alpha}) controller emissions.  ``counts`` holds the
+    engine's per-queue arrival/admit/drop/departure totals.
     """
 
     queue_ids: tuple[QueueId, ...]
+    queue_of: dict[tuple[int, int], QueueId] = field(default_factory=dict)
     records: list[tuple] = field(default_factory=list)
     ticks: list[tuple[float, dict[QueueId, float]]] = field(default_factory=list)
     samples: list[tuple[float, int]] = field(default_factory=list)
     initial_lengths: dict[QueueId, int] = field(default_factory=dict)
     final_lengths: dict[QueueId, int] = field(default_factory=dict)
+    counts: dict[QueueId, dict[str, int]] = field(default_factory=dict)
     horizon: float = 0.0
 
-    def queue_counts(self) -> dict[QueueId, dict[str, int]]:
-        """Per-queue arrival/admit/drop/departure totals."""
-        counts = {
+    def verify_conservation(self) -> None:
+        """Check the engine's per-queue counters against an independent
+        rescan of the records, then arrivals = admitted + dropped and
+        admitted + initial = departed + final length, per queue.  Raises
+        EngineInvariantError on mismatch."""
+        rescan = {
             q: {"arrivals": 0, "admitted": 0, "dropped": 0, "departed": 0}
             for q in self.queue_ids
         }
-        for time, port, class_id, action, *_ in self.records:
+        for _time, port, class_id, action, *_ in self.records:
             if action == ACTION_SOURCE:
                 continue
-            q = self._record_queue(port, class_id)
+            c = rescan[self.queue_of[port, class_id]]
             if action == ACTION_ADMIT:
-                counts[q]["arrivals"] += 1
-                counts[q]["admitted"] += 1
+                c["arrivals"] += 1
+                c["admitted"] += 1
             elif action == ACTION_DROP:
-                counts[q]["arrivals"] += 1
-                counts[q]["dropped"] += 1
+                c["arrivals"] += 1
+                c["dropped"] += 1
             elif action == ACTION_DEPART:
-                counts[q]["departed"] += 1
-        return counts
-
-    def _record_queue(self, port: int, class_id: int) -> QueueId:
-        q = QueueId(port, class_id)
-        return q if q in self._queue_set() else QueueId(port, SHARED_QUEUE_CLASS)
-
-    def _queue_set(self) -> frozenset[QueueId]:
-        if not hasattr(self, "_qset"):
-            self._qset = frozenset(self.queue_ids)
-        return self._qset
-
-    def verify_conservation(self) -> None:
-        """arrivals = admitted + dropped and admitted + initial = departed +
-        final length, per queue.  Raises EngineInvariantError on mismatch."""
-        counts = self.queue_counts()
+                c["departed"] += 1
         for q in self.queue_ids:
-            c = counts[q]
+            c = self.counts.get(q)
+            if c != rescan[q]:
+                raise EngineInvariantError(
+                    f"{q}: engine counters {c} disagree with the records {rescan[q]}"
+                )
             if c["arrivals"] != c["admitted"] + c["dropped"]:
                 raise EngineInvariantError(f"{q}: arrivals != admitted + dropped: {c}")
             residue = self.initial_lengths.get(q, 0) + c["admitted"] - c["departed"]
@@ -124,7 +121,8 @@ class EventTrace:
 
 class SwitchState:
     """Mutable per-run switch state: queue lengths, congestion counters,
-    round-robin cursors, the FBA table in force, and the clock.
+    per-queue admitted/dropped/departed totals, round-robin cursors, the FBA
+    table in force, and the clock.
 
     Counters are maintained incrementally; ``snapshot()`` rebuilds the same
     aggregates through core.derive_aggregates for cross-checking.
@@ -156,6 +154,14 @@ class SwitchState:
                 for c in config.classes
             )
         self.q_index = {q: i for i, q in enumerate(self.queue_ids)}
+        # queue index of a packet by (port, class_id)
+        self.slot = {
+            (p, c.class_id): self.q_index[
+                QueueId(p, SHARED_QUEUE_CLASS if self.single else c.class_id)
+            ]
+            for p in range(config.n_ports)
+            for c in config.classes
+        }
         n = len(self.queue_ids)
         self.q_prio = [
             self.prio_index[
@@ -166,6 +172,9 @@ class SwitchState:
 
         self.lengths = [0] * n
         self.total = 0
+        self.admitted = [0] * n
+        self.dropped = [0] * n
+        self.departed = [0] * n
         self.cong_prio = [0] * len(prios)
         self.total_congested = 0
         self.active_port = [0] * config.n_ports
@@ -180,8 +189,7 @@ class SwitchState:
         )
 
         for q, length in sorted(config.initial_lengths.items()):
-            target = QueueId(q.port, SHARED_QUEUE_CLASS) if self.single else q
-            qi = self.q_index[target]
+            qi = self.slot[q.port, q.class_id]
             for _ in range(length):
                 self._bump(qi, +1)
             if self.single and length:
@@ -288,8 +296,7 @@ def enqueue_arrival(
     trace: EventTrace,
 ) -> bool:
     """Admit or drop one arriving packet; returns True when admitted."""
-    queue_class = SHARED_QUEUE_CLASS if state.single else class_id
-    qi = state.q_index[QueueId(port, queue_class)]
+    qi = state.slot[port, class_id]
     view = state._view(time)
     lengths_v, total_v = view[0], view[1]
     length = lengths_v[qi]
@@ -312,17 +319,19 @@ def enqueue_arrival(
             else:
                 a_eff = state.effective_alpha(qi, class_id, view)
         threshold = a_eff * remaining
-        admit = threshold - length > THRESHOLD_EPS
+        admit = below_threshold(length, threshold)
     admit = admit and state.total < state.buffer_size
 
     if admit:
         state._bump(qi, +1)
+        state.admitted[qi] += 1
         if state.single:
             state.fifo[port].append(class_id)
         trace.records.append(
             (time, port, class_id, ACTION_ADMIT, state.lengths[qi], threshold, state.total, source_id)
         )
     else:
+        state.dropped[qi] += 1
         trace.records.append(
             (time, port, class_id, ACTION_DROP, length, threshold, state.total, source_id)
         )
@@ -350,6 +359,7 @@ def service_port(state: SwitchState, port: int, time: float, trace: EventTrace) 
                 break
         class_id = state.queue_ids[qi].class_id
     state._bump(qi, -1)
+    state.departed[qi] += 1
     trace.records.append(
         (time, port, class_id, ACTION_DEPART, state.lengths[qi], None, state.total, -1)
     )
@@ -375,15 +385,11 @@ def controller_tick(state: SwitchState, time: float, trace: EventTrace) -> None:
 def run(config: ScenarioConfig) -> EventTrace:
     """Simulate the scenario to its horizon and return the full trace."""
     state = SwitchState(config)
-    # key initial fills by the engine's queue ids (the shared per-port queue
-    # aggregates per-class fills in single-queue mode)
-    initial: dict[QueueId, int] = {}
-    for q, length in config.initial_lengths.items():
-        target = QueueId(q.port, SHARED_QUEUE_CLASS) if state.single else q
-        initial[target] = initial.get(target, 0) + length
+    queues = state.queue_ids
     trace = EventTrace(
-        queue_ids=state.queue_ids,
-        initial_lengths=initial,
+        queue_ids=queues,
+        queue_of={key: queues[qi] for key, qi in state.slot.items()},
+        initial_lengths={q: n for q, n in zip(queues, state.lengths) if n},
         horizon=config.horizon,
     )
 
@@ -440,15 +446,23 @@ def run(config: ScenarioConfig) -> EventTrace:
             controller_tick(state, ev.time, trace)
         else:  # SOURCE_STATE_CHANGE: bookkeeping only
             class_id, port, source_id, _flag = ev.payload
-            queue_class = SHARED_QUEUE_CLASS if state.single else class_id
-            qi = state.q_index[QueueId(port, queue_class)]
+            qi = state.slot[port, class_id]
             trace.records.append(
                 (ev.time, port, class_id, ACTION_SOURCE, state.lengths[qi], None, state.total, source_id)
             )
 
-    trace.final_lengths = {q: state.lengths[i] for i, q in enumerate(state.queue_ids)}
+    trace.final_lengths = dict(zip(queues, state.lengths))
+    trace.counts = {
+        q: {
+            "arrivals": state.admitted[i] + state.dropped[i],
+            "admitted": state.admitted[i],
+            "dropped": state.dropped[i],
+            "departed": state.departed[i],
+        }
+        for i, q in enumerate(queues)
+    }
     trace.samples = _sample_occupancy(
-        trace.records, config.sample_interval, config.horizon, sum(config.initial_lengths.values())
+        trace.records, config.sample_interval, config.horizon, sum(trace.initial_lengths.values())
     )
     return trace
 
@@ -495,12 +509,11 @@ def write_samples_csv(trace: EventTrace, path) -> None:
 
 def run_summary(trace: EventTrace) -> dict:
     """JSON-ready per-queue totals."""
-    counts = trace.queue_counts()
     return {
         "horizon": trace.horizon,
         "queues": {
             str(q): {
-                **counts[q],
+                **trace.counts[q],
                 "initial": trace.initial_lengths.get(q, 0),
                 "final": trace.final_lengths.get(q, 0),
             }

@@ -16,7 +16,14 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import QueueId
-from .engine import ACTION_ADMIT, ACTION_DEPART, ACTION_DROP, ACTION_SOURCE, EventTrace
+from .engine import (
+    ACTION_ADMIT,
+    ACTION_DEPART,
+    ACTION_DROP,
+    ACTION_SOURCE,
+    EventTrace,
+    run_summary,
+)
 from .workloads import Burst, ScenarioConfig
 
 
@@ -59,7 +66,6 @@ def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
     the last admitted burst packet (inf, and the partial flag, if the run
     ended first).
     """
-    counts = trace.queue_counts()
     burst_ids = {i for i, s in enumerate(scenario.sources) if isinstance(s, Burst)}
     burst_start = min(
         (float(s.start) for s in scenario.sources if isinstance(s, Burst)), default=None
@@ -68,7 +74,7 @@ def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
     first_drop: dict[str, float] = {str(q): math.inf for q in trace.queue_ids}
     fifos: dict[QueueId, deque] = {q: deque() for q in trace.queue_ids}
     for q, length in trace.initial_lengths.items():
-        fifos[trace._record_queue(q.port, q.class_id)].extend([-1] * length)
+        fifos[q].extend([-1] * length)
     burst_arrivals = 0
     burst_admitted = 0
     burst_in_buffer = 0
@@ -78,7 +84,7 @@ def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
     for time, port, class_id, action, _qlen, _thr, _occ, source_id in trace.records:
         if action == ACTION_SOURCE:
             continue
-        q = trace._record_queue(port, class_id)
+        q = trace.queue_of[port, class_id]
         if action == ACTION_ADMIT:
             tag = source_id if source_id in burst_ids else -1
             fifos[q].append(tag)
@@ -120,17 +126,9 @@ def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
     )
     occ_max = max(occ_max, sum(trace.initial_lengths.values()))
 
-    per_queue = {
-        str(q): {
-            **counts[q],
-            "initial": trace.initial_lengths.get(q, 0),
-            "final": trace.final_lengths.get(q, 0),
-        }
-        for q in trace.queue_ids
-    }
     ports = sorted({q.port for q in trace.queue_ids})
     return RunMetrics(
-        per_queue=per_queue,
+        per_queue=run_summary(trace)["queues"],
         first_drop_time=first_drop,
         burst_admitted_fraction=fraction,
         burst_drain_completion_time=drain_time,
@@ -190,15 +188,6 @@ def compare(
     return out
 
 
-def queue_length_series(trace: EventTrace, queue: QueueId) -> list[tuple[float, int]]:
-    """(time, length) step points for one queue, starting at its initial fill."""
-    series = [(0.0, trace.initial_lengths.get(queue, 0))]
-    for time, port, class_id, action, qlen, *_ in trace.records:
-        if action in (ACTION_ADMIT, ACTION_DEPART) and trace._record_queue(port, class_id) == queue:
-            series.append((time, qlen))
-    return series
-
-
 def trailing_steady_lengths(
     trace: EventTrace, window: float
 ) -> tuple[dict[QueueId, int], int]:
@@ -220,7 +209,7 @@ def trailing_steady_lengths(
         if time >= t0 and maxima is None:
             maxima = dict(current)
             occ_max = occupancy
-        q = trace._record_queue(port, class_id)
+        q = trace.queue_of[port, class_id]
         current[q] = qlen
         occupancy = occ
         if maxima is not None:
@@ -248,7 +237,7 @@ def trailing_group_max(
             continue
         if time >= t0 and best is None:
             best = sum(current[q] for q in group)
-        current[trace._record_queue(port, class_id)] = qlen
+        current[trace.queue_of[port, class_id]] = qlen
         if best is not None:
             total = sum(current[q] for q in group)
             if total > best:

@@ -1,7 +1,6 @@
 """Admission policies: Complete Sharing, Dynamic Thresholds, FB, and FBA.
 
-A policy turns a buffer snapshot into a per-packet admit/drop decision by
-comparing the target queue's length against a threshold:
+Every policy compares the target queue's length against a threshold:
 
 - Complete Sharing admits while any buffer remains.
 - Dynamic Thresholds caps a queue at ``alpha * (B - Q)``.
@@ -14,19 +13,17 @@ comparing the target queue's length against a threshold:
 - FBA approximates FB on DT-only hardware by periodically re-emitting DT
   alphas equal to FB's correction factors.
 
-Thresholds are real-valued, queue lengths are integers, and the admission
-comparison is strict ("below the threshold") using double precision with a
-1e-9 tolerance: lengths within 1e-9 of the threshold count as *not* below.
+The engine (``engine.enqueue_arrival`` and ``engine.controller_tick``) is
+the one place that dispatches on the policy kind; this module holds the
+pieces that dispatch shares.  Thresholds are real-valued, queue lengths are
+integers, and the admission comparison is strict ("below the threshold")
+using double precision with a 1e-9 tolerance: lengths within 1e-9 of the
+threshold count as *not* below.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional
-
-from .core import BufferSnapshot, QueueId
 
 #: Comparison tolerance for "length below threshold" in double precision.
 THRESHOLD_EPS = 1e-9
@@ -41,45 +38,6 @@ class PolicyKind(Enum):
     FB = "fb"
     FB_SINGLE_QUEUE = "fb_single"
     FBA = "fba"
-
-
-@dataclass(frozen=True)
-class AlphaTable:
-    """Per-class alphas with optional per-(port, class) overrides."""
-
-    by_class: Mapping[int, float]
-    by_queue: Mapping[QueueId, float] = field(default_factory=dict)
-
-    def lookup(self, class_id: int, port: int) -> float:
-        override = self.by_queue.get(QueueId(port, class_id))
-        if override is not None:
-            return override
-        return self.by_class[class_id]
-
-
-@dataclass(frozen=True)
-class AdmissionDecision:
-    admit: bool
-    threshold_used: float
-    queue_length_at_decision: int
-
-
-@dataclass(frozen=True)
-class Policy:
-    """A policy kind bound to its configuration.
-
-    ``class_priorities`` maps class id -> priority id.  ``queue_mode`` is
-    ``"multi"`` (one queue per (port, class)) or ``"single"`` (one shared
-    queue per port).  ``fba_period`` is the FBA controller period in time
-    units; 0 means the continuous limit (recompute at every decision).
-    """
-
-    kind: PolicyKind
-    alphas: AlphaTable
-    class_priorities: Mapping[int, int]
-    queue_mode: str = "multi"
-    congestion_threshold: int = 0
-    fba_period: float = 1.0
 
 
 def below_threshold(length: int, threshold: float) -> bool:
@@ -98,129 +56,3 @@ def fb_effective_alpha(alpha: float, n_p: int, gamma: float) -> float:
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     return alpha * (1.0 / n_p) * gamma
-
-
-def dt_threshold(alpha, snapshot: BufferSnapshot) -> float:
-    """Dynamic Thresholds cap: ``alpha * (B - Q(t))``; 0 when the buffer is full."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    return float(alpha) * snapshot.remaining
-
-
-def fb_threshold(alpha_c, n_p: int, gamma: float, snapshot: BufferSnapshot) -> float:
-    """FB cap: ``alpha_c * (1/N_p) * gamma * (B - Q(t))``."""
-    if alpha_c <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha_c}")
-    return fb_effective_alpha(float(alpha_c), n_p, gamma) * snapshot.remaining
-
-
-def fb_single_queue_threshold(alpha_c, n_total_congested: int, snapshot: BufferSnapshot) -> float:
-    """Per-class FB cap on a shared per-port queue (gamma fixed to 1).
-
-    ``n_total_congested`` counts congested queues across the whole buffer,
-    including the target queue when it is receiving.
-    """
-    return fb_threshold(alpha_c, n_total_congested, 1.0, snapshot)
-
-
-def _arrival_adjusted_counts(
-    snapshot: BufferSnapshot, queue: QueueId, priority: int
-) -> tuple[int, float]:
-    """(N_p, gamma) for a packet arriving at ``queue``, counting the queue itself.
-
-    An empty queue receiving its first packet counts as congested, both in
-    its priority's N_p and in its port's service-share denominator.
-    """
-    target_congested = snapshot.is_congested(queue)
-    n_p = snapshot.congested_per_priority.get(priority, 0) + (0 if target_congested else 1)
-    port_active = sum(1 for q in snapshot.congested if q.port == queue.port)
-    gamma = 1.0 / (port_active + (0 if target_congested else 1))
-    return n_p, gamma
-
-
-def admit(
-    policy: Policy,
-    class_id: int,
-    port: int,
-    snapshot: BufferSnapshot,
-    fba_table: Optional[AlphaTable] = None,
-) -> AdmissionDecision:
-    """Decide admission of one packet of ``class_id`` arriving at ``port``.
-
-    Every policy additionally requires free buffer (Q < B).  For FBA,
-    ``fba_table`` is the table last emitted by the controller; passing None
-    selects the continuous limit, where the effective alpha is recomputed
-    from the snapshot at every decision (identical to FB in multi-queue
-    mode, identical to DT in single-queue mode).
-    """
-    single = policy.queue_mode == "single"
-    if class_id not in policy.class_priorities:
-        raise KeyError(f"unknown class {class_id}")
-    queue = QueueId(port, SHARED_QUEUE_CLASS if single else class_id)
-    if queue not in snapshot.lengths:
-        raise KeyError(f"no queue {queue} in snapshot")
-    length = snapshot.length(queue)
-    has_room = snapshot.occupancy < snapshot.buffer_size
-
-    kind = policy.kind
-    if kind is PolicyKind.COMPLETE_SHARING:
-        return AdmissionDecision(has_room, math.inf, length)
-
-    if kind is PolicyKind.DYNAMIC_THRESHOLDS:
-        threshold = policy.alphas.lookup(class_id, port) * snapshot.remaining
-    elif kind is PolicyKind.FB and not single:
-        n_p, gamma = _arrival_adjusted_counts(
-            snapshot, queue, policy.class_priorities[class_id]
-        )
-        alpha_eff = fb_effective_alpha(policy.alphas.lookup(class_id, port), n_p, gamma)
-        threshold = alpha_eff * snapshot.remaining
-    elif kind is PolicyKind.FB_SINGLE_QUEUE or (kind is PolicyKind.FB and single):
-        n_total = len(snapshot.congested) + (0 if snapshot.is_congested(queue) else 1)
-        alpha_eff = fb_effective_alpha(policy.alphas.lookup(class_id, port), n_total, 1.0)
-        threshold = alpha_eff * snapshot.remaining
-    elif kind is PolicyKind.FBA:
-        if single:
-            threshold = policy.alphas.lookup(class_id, port) * snapshot.remaining
-        elif fba_table is not None:
-            threshold = fba_table.lookup(class_id, port) * snapshot.remaining
-        else:
-            n_p, gamma = _arrival_adjusted_counts(
-                snapshot, queue, policy.class_priorities[class_id]
-            )
-            alpha_eff = fb_effective_alpha(policy.alphas.lookup(class_id, port), n_p, gamma)
-            threshold = alpha_eff * snapshot.remaining
-    else:  # pragma: no cover - exhaustive over PolicyKind
-        raise ValueError(f"unsupported policy kind {kind}")
-
-    return AdmissionDecision(
-        admit=has_room and below_threshold(length, threshold),
-        threshold_used=threshold,
-        queue_length_at_decision=length,
-    )
-
-
-def fba_recompute_alphas(
-    snapshot: BufferSnapshot,
-    base: AlphaTable,
-    class_priorities: Mapping[int, int],
-    queue_mode: str = "multi",
-) -> AlphaTable:
-    """One FBA controller tick: emit DT alphas equal to FB's correction.
-
-    For every queue, ``alpha_dt = alpha_c * (1/N_p) * gamma`` evaluated on
-    the given snapshot with the arriving queue counted (so N_p >= 1 and the
-    emitted table reproduces FB's thresholds exactly until the state
-    changes).  In single-queue mode the shared queue cannot carry per-class
-    thresholds, so the base table is returned unchanged and FBA behaves as
-    DT.
-    """
-    if queue_mode == "single":
-        return base
-    emitted: dict[QueueId, float] = {}
-    for queue in sorted(snapshot.lengths):
-        priority = class_priorities[queue.class_id]
-        n_p, gamma = _arrival_adjusted_counts(snapshot, queue, priority)
-        emitted[queue] = fb_effective_alpha(
-            base.lookup(queue.class_id, queue.port), n_p, gamma
-        )
-    return AlphaTable(by_class=dict(base.by_class), by_queue=emitted)

@@ -54,6 +54,24 @@ def test_bad_alpha_exits_3_with_field_message(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["configure-alpha", "--buffer", "100", "--r", "abc"],
+    ["configure-alpha", "--buffer", "100", "--r", "1/0"],
+    ["configure-alpha", "--buffer", "60", "--r", "4", "--t", "5", "--alphas", "2,x"],
+    ["analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "0/0"],
+    ["analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "4",
+     "--curve", "--counts", "x"],
+], ids=["abc", "one_over_zero", "alphas", "zero_over_zero", "counts"])
+def test_malformed_number_exits_2(argv, tmp_path, capsys):
+    assert main(argv + (["--out", str(tmp_path)] if "--curve" in argv else [])) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_out_of_range_r_exits_3(capsys):
+    assert main(["configure-alpha", "--buffer", "100", "--r", "1", "--t", "5"]) == 3
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_missing_scenario_exits_3(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o")]) == 3
 

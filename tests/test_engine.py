@@ -1,13 +1,15 @@
 """Packet engine: determinism, conservation, scheduling, policy consistency."""
 
+import math
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from fbsim.core import QueueId, TrafficClass
+from fbsim.core import QueueId, TrafficClass, derive_aggregates
 from fbsim.engine import EngineInvariantError, SwitchState, run
-from fbsim.policies import Policy, PolicyKind, AlphaTable, admit
+from fbsim.policies import PolicyKind, fb_effective_alpha
 from fbsim.workloads import Burst, ConstantRate, ScenarioConfig, preset
 
 F = Fraction
@@ -83,7 +85,7 @@ def test_round_robin_shares_equally_across_five_queues():
         initial_lengths={QueueId(0, c): 10 for c in range(5)},
         horizon=25.0,
     )
-    counts = run(cfg).queue_counts()
+    counts = run(cfg).counts
     assert [counts[QueueId(0, c)]["departed"] for c in range(5)] == [5] * 5
 
 
@@ -96,13 +98,13 @@ def test_round_robin_skips_empty_queues():
         initial_lengths={QueueId(0, 1): 20, QueueId(0, 3): 20},
         horizon=30.0,
     )
-    counts = run(cfg).queue_counts()
+    counts = run(cfg).counts
     assert counts[QueueId(0, 1)]["departed"] == 15
     assert counts[QueueId(0, 3)]["departed"] == 15
 
 
-def test_single_queue_mode_applies_class_thresholds_to_shared_queue():
-    cfg = ScenarioConfig(
+def single_queue_config(**kw):
+    defaults = dict(
         buffer_size=60, n_ports=1,
         classes=(TrafficClass(0, F(1, 2), LOW), TrafficClass(1, F(20), HIGH)),
         policy=PolicyKind.FB_SINGLE_QUEUE, queue_mode="single",
@@ -112,9 +114,14 @@ def test_single_queue_mode_applies_class_thresholds_to_shared_queue():
         ),
         horizon=60.0,
     )
-    trace = run(cfg)
+    defaults.update(kw)
+    return ScenarioConfig(**defaults)
+
+
+def test_single_queue_mode_applies_class_thresholds_to_shared_queue():
+    trace = run(single_queue_config())
     trace.verify_conservation()
-    counts = trace.queue_counts()
+    counts = trace.counts
     shared = QueueId(0, -1)
     assert counts[shared]["dropped"] > 0
     # low-class packets drop once the shared queue passes the low threshold
@@ -126,35 +133,118 @@ def test_single_queue_mode_applies_class_thresholds_to_shared_queue():
     assert low_drops > 0 and high_admits_after > 0
 
 
-def test_engine_decisions_match_policy_module():
-    # replay every admission decision through policies.admit on a snapshot
-    # rebuilt from the trace and demand exact agreement
-    cfg = preset("fig5_incast")
-    trace = run(cfg)
-    policy = Policy(
-        kind=PolicyKind.FB,
-        alphas=AlphaTable(by_class={c.class_id: float(c.alpha) for c in cfg.classes}),
-        class_priorities={c.class_id: c.priority_id for c in cfg.classes},
-    )
-    from fbsim.core import derive_aggregates
+def _oracle_alpha(cfg, snap, queue, class_id):
+    """FB's effective alpha for a packet of ``class_id`` arriving at ``queue``,
+    from a snapshot, counting the arriving queue as congested."""
+    alpha = float(cfg.alpha_of(QueueId(queue.port, class_id)))
+    joins = 0 if snap.is_congested(queue) else 1
+    if cfg.queue_mode == "single":
+        return fb_effective_alpha(alpha, len(snap.congested) + joins, 1.0)
+    n_p = snap.congested_per_priority[cfg.class_by_id(class_id).priority_id] + joins
+    port_active = sum(1 for q in snap.congested if q.port == queue.port)
+    return fb_effective_alpha(alpha, n_p, 1.0 / (port_active + joins))
 
-    lengths = {q: cfg.initial_lengths.get(q, 0) for q in trace.queue_ids}
-    checked = 0
-    for time, port, cls, action, qlen, thr, occ, src in trace.records:
+
+def _oracle_threshold(cfg, snap, queue, class_id, fba_table):
+    kind = cfg.policy
+    if kind is PolicyKind.COMPLETE_SHARING:
+        return math.inf
+    if kind is PolicyKind.DYNAMIC_THRESHOLDS or (
+        kind is PolicyKind.FBA and cfg.queue_mode == "single"
+    ):
+        alpha = float(cfg.alpha_of(QueueId(queue.port, class_id)))
+    elif kind is PolicyKind.FBA and fba_table is not None:
+        alpha = fba_table[queue]
+    else:
+        alpha = _oracle_alpha(cfg, snap, queue, class_id)
+    return alpha * snap.remaining
+
+
+def _replay(cfg, trace):
+    """Replay every decision and controller tick against thresholds computed
+    from a derive_aggregates snapshot rebuilt from the trace; returns how
+    many admits, drops and ticks were checked."""
+    single = cfg.queue_mode == "single"
+    prios = {-1: -1} if single else {c.class_id: c.priority_id for c in cfg.classes}
+    lengths = dict.fromkeys(trace.queue_ids, 0)
+    for q, n in cfg.initial_lengths.items():
+        lengths[QueueId(q.port, -1) if single else q] += n
+
+    def snapshot(time):
+        return derive_aggregates(
+            lengths, prios, cfg.buffer_size, cfg.congestion_threshold, time
+        )
+
+    pending = deque(trace.ticks)
+    table = None
+    checked = {"admit": 0, "drop": 0, "tick": 0}
+
+    def check_tick():
+        nonlocal table
+        time, emitted = pending.popleft()
+        snap = snapshot(time)
+        table = {} if single else {
+            q: _oracle_alpha(cfg, snap, q, q.class_id) for q in trace.queue_ids
+        }
+        assert emitted == table
+        checked["tick"] += 1
+
+    if pending:  # the table in force from t = 0 precedes every event
+        check_tick()
+    for time, port, cls, action, _qlen, thr, _occ, _src in trace.records:
+        while pending and pending[0][0] < time:  # ticks follow equal-time events
+            check_tick()
+        queue = QueueId(port, -1 if single else cls)
         if action in ("admit", "drop"):
-            snap = derive_aggregates(
-                lengths, {c.class_id: c.priority_id for c in cfg.classes},
-                cfg.buffer_size, cfg.congestion_threshold, time,
-            )
-            decision = admit(policy, cls, port, snap)
-            assert decision.admit == (action == "admit")
-            assert decision.threshold_used == thr
-            checked += 1
+            snap = snapshot(time)
+            expected = _oracle_threshold(cfg, snap, queue, cls, table)
+            admit = snap.occupancy < cfg.buffer_size and expected - lengths[queue] > 1e-9
+            assert thr == expected
+            assert (action == "admit") == admit
+            checked[action] += 1
         if action == "admit":
-            lengths[QueueId(port, cls)] += 1
+            lengths[queue] += 1
         elif action == "depart":
-            lengths[QueueId(port, cls)] -= 1
-    assert checked > 100
+            lengths[queue] -= 1
+    while pending:
+        check_tick()
+    return checked
+
+
+REPLAY_CASES = {
+    "cs": two_class_config(
+        policy=PolicyKind.COMPLETE_SHARING,
+        sources=(
+            ConstantRate(class_id=0, port=1, rate=F(5)),
+            ConstantRate(class_id=1, port=0, rate=F(5)),
+        ),
+    ),
+    "dt": preset("fig4_incast"),
+    "fb": preset("fig5_incast"),
+    "fb_single": single_queue_config(),
+    "fba_period_0": replace(preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=0.0),
+    "fba_single": single_queue_config(policy=PolicyKind.FBA, fba_period=1.0),
+    "fba_period_2": replace(preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_engine_decisions_match_policy_module(case):
+    # every admission decision and FBA tick agrees exactly (thresholds
+    # bitwise) with an independent computation on a rebuilt snapshot
+    cfg = REPLAY_CASES[case]
+    checked = _replay(cfg, run(cfg))
+    assert checked["admit"] > 20 and checked["drop"] > 0
+    if cfg.policy is PolicyKind.FBA and cfg.fba_period > 0:
+        assert checked["tick"] == 1 + int(cfg.horizon / cfg.fba_period)
+
+
+def test_conservation_check_catches_counter_drift():
+    trace = run(preset("fig2"))
+    trace.verify_conservation()
+    trace.counts[QueueId(0, 0)]["admitted"] += 1
+    with pytest.raises(EngineInvariantError, match="disagree"):
+        trace.verify_conservation()
 
 
 def test_engine_snapshot_matches_incremental_counters():

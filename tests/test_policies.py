@@ -1,214 +1,229 @@
-"""Admission policies: thresholds, decisions, FBA tables."""
+"""Admission policies: the engine's thresholds, decisions and FBA tables.
+
+Each test pre-fills a buffer, sends one packet through the engine's single
+policy dispatch (``enqueue_arrival``) or runs one controller tick, and
+checks the threshold, decision or emitted table against the paper's rule
+``alpha * (1/N_p) * gamma * (B - Q(t))``.
+"""
+
+import math
+from fractions import Fraction
 
 import pytest
-from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from fbsim.core import QueueId, derive_aggregates
-from fbsim.policies import (
-    AlphaTable,
-    Policy,
-    PolicyKind,
-    admit,
-    dt_threshold,
-    fb_single_queue_threshold,
-    fb_threshold,
-    fba_recompute_alphas,
-)
+from fbsim.core import QueueId, TrafficClass
+from fbsim.engine import EventTrace, SwitchState, controller_tick, enqueue_arrival
+from fbsim.policies import PolicyKind, below_threshold, fb_effective_alpha
+from fbsim.workloads import ScenarioConfig
 
 LOW, HIGH = 0, 1
 
 
-def snap(lengths, priorities=None, buffer_size=60, congestion_threshold=0):
-    return derive_aggregates(
-        lengths, priorities or {0: LOW, 1: HIGH}, buffer_size, congestion_threshold
+def state(kind, lengths, alphas=None, priorities=None, queue_mode="multi"):
+    """A 60-packet, 4-port switch pre-filled with ``lengths`` (keyed by
+    (port, class) queue; the class picks the shared queue's port in
+    single-queue mode).  Classes 0 (low, alpha 1) and 1 (high, alpha 2)
+    unless ``alphas``/``priorities`` say otherwise."""
+    alphas = {0: 1, 1: 2, **(alphas or {})}
+    priorities = {0: LOW, 1: HIGH, **(priorities or {})}
+    cfg = ScenarioConfig(
+        buffer_size=60, n_ports=4,
+        classes=tuple(TrafficClass(c, Fraction(a), priorities[c]) for c, a in alphas.items()),
+        policy=kind, queue_mode=queue_mode, sources=(),
+        initial_lengths=lengths, horizon=1.0,
     )
+    return SwitchState(cfg)
+
+
+def decide(switch, class_id, port):
+    """(admitted, threshold, queue length in the record) for one packet."""
+    trace = EventTrace(queue_ids=switch.queue_ids)
+    admitted = enqueue_arrival(switch, class_id, port, 0.0, 0, trace)
+    _time, _port, _cls, _action, qlen, threshold, _occ, _src = trace.records[-1]
+    return admitted, threshold, qlen
+
+
+def threshold(kind, lengths, class_id, port, **kw):
+    return decide(state(kind, lengths, **kw), class_id, port)[1]
+
+
+def tick(switch):
+    trace = EventTrace(queue_ids=switch.queue_ids)
+    controller_tick(switch, 0.0, trace)
+    return trace.ticks[-1][1]
+
+
+DT = PolicyKind.DYNAMIC_THRESHOLDS
+FB = PolicyKind.FB
 
 
 class TestDtThreshold:
     def test_half_full_unit_alpha(self):
-        assert dt_threshold(1, snap({QueueId(0, 0): 30})) == 30
+        assert threshold(DT, {QueueId(0, 0): 30}, 0, 0) == 30
 
     def test_remaining_ten_alpha_two(self):
         lengths = {QueueId(0, 1): 20, QueueId(1, 0): 10, QueueId(2, 0): 10, QueueId(3, 0): 10}
-        assert dt_threshold(2, snap(lengths)) == 20
+        assert threshold(DT, lengths, 1, 0) == 20
 
     def test_full_buffer_gives_zero(self):
-        assert dt_threshold(7, snap({QueueId(0, 0): 60})) == 0
+        assert threshold(DT, {QueueId(0, 0): 60}, 0, 0, alphas={0: 7}) == 0
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
-            dt_threshold(0, snap({}))
+            TrafficClass(0, Fraction(0), LOW)
 
     @given(st.integers(0, 59), st.integers(1, 59))
     def test_strictly_decreasing_in_occupancy(self, q, delta):
         q2 = min(60, q + delta)
-        lo = dt_threshold(1.5, snap({QueueId(0, 0): q}))
-        hi = dt_threshold(1.5, snap({QueueId(0, 0): q2}))
+        lo = threshold(DT, {QueueId(0, 0): q}, 0, 0, alphas={0: Fraction(3, 2)})
+        hi = threshold(DT, {QueueId(0, 0): q2}, 0, 0, alphas={0: Fraction(3, 2)})
         assert hi < lo
 
 
 class TestFbThreshold:
+    LENGTHS = {QueueId(0, 1): 15, QueueId(1, 0): 10, QueueId(2, 0): 10, QueueId(3, 0): 10}
+
     def test_lone_high_queue_gets_double_share(self):
         # one congested high queue, buffer at 45 of 60
-        s = snap({QueueId(0, 1): 15, QueueId(1, 0): 10, QueueId(2, 0): 10, QueueId(3, 0): 10})
-        assert fb_threshold(2, 1, 1.0, s) == 30
+        assert threshold(FB, self.LENGTHS, 1, 0) == 30
 
     def test_three_low_queues_share_fifteen(self):
-        s = snap({QueueId(0, 1): 15, QueueId(1, 0): 10, QueueId(2, 0): 10, QueueId(3, 0): 10})
-        assert fb_threshold(1, 3, 1.0, s) == 5
+        assert threshold(FB, self.LENGTHS, 0, 1) == 5
 
     def test_empty_buffer_reduces_to_alpha_b(self):
-        assert fb_threshold(1, 1, 1.0, snap({})) == 60
+        assert threshold(FB, {}, 0, 0) == 60
 
     def test_degenerates_to_dt_for_lone_full_rate_queue(self):
-        s = snap({QueueId(0, 0): 23, QueueId(1, 1): 9})
-        for alpha in (0.5, 1, 2, 20):
-            assert fb_threshold(alpha, 1, 1.0, s) == dt_threshold(alpha, s)
+        lengths = {QueueId(0, 0): 23, QueueId(1, 1): 9}
+        for alpha in (Fraction(1, 2), 1, 2, 20):
+            assert threshold(FB, lengths, 0, 0, alphas={0: alpha}) == threshold(
+                DT, lengths, 0, 0, alphas={0: alpha}
+            )
 
     def test_counts_must_include_target(self):
         with pytest.raises(ValueError):
-            fb_threshold(1, 0, 1.0, snap({}))
+            fb_effective_alpha(1.0, 0, 1.0)
         with pytest.raises(ValueError):
-            fb_threshold(1, 1, 0.0, snap({}))
+            fb_effective_alpha(1.0, 1, 0.0)
 
 
 class TestFbSingleQueue:
+    def single(self, lengths, alpha):
+        return threshold(
+            PolicyKind.FB_SINGLE_QUEUE, lengths, 1, 0, alphas={1: alpha}, queue_mode="single"
+        )
+
     def test_large_alpha_uncapped_value(self):
-        s = snap({QueueId(0, 0): 20, QueueId(1, 0): 10})
-        assert fb_single_queue_threshold(20, 2, s) == 300
+        # two congested shared queues, 30 packets queued
+        assert self.single({QueueId(0, 0): 20, QueueId(1, 0): 10}, 20) == 300
 
     def test_small_alpha_empty_buffer(self):
-        assert fb_single_queue_threshold(Fraction(1, 2), 1, snap({})) == 30
+        assert self.single({}, Fraction(1, 2)) == 30
 
     def test_full_buffer(self):
-        assert fb_single_queue_threshold(20, 1, snap({QueueId(0, 0): 60})) == 0
-
-
-def _policy(kind, queue_mode="multi", alphas=None):
-    by_class = {0: 1.0, 1: 2.0}
-    by_class.update(alphas or {})
-    return Policy(
-        kind=kind,
-        alphas=AlphaTable(by_class=by_class),
-        class_priorities={0: LOW, 1: HIGH},
-        queue_mode=queue_mode,
-    )
+        assert self.single({QueueId(0, 0): 60}, 20) == 0
 
 
 class TestAdmit:
     def test_complete_sharing_admits_while_space_remains(self):
-        p = _policy(PolicyKind.COMPLETE_SHARING)
-        s = snap({QueueId(0, 0): 59, QueueId(0, 1): 0})
-        assert admit(p, 1, 0, s).admit
+        admitted, thr, _ = decide(state(PolicyKind.COMPLETE_SHARING, {QueueId(0, 0): 59}), 1, 0)
+        assert admitted and thr == math.inf
 
     def test_complete_sharing_drops_on_full_buffer(self):
-        p = _policy(PolicyKind.COMPLETE_SHARING)
-        s = snap({QueueId(0, 0): 60, QueueId(0, 1): 0})
-        assert not admit(p, 1, 0, s).admit
+        admitted, _, _ = decide(state(PolicyKind.COMPLETE_SHARING, {QueueId(0, 0): 60}), 1, 0)
+        assert not admitted
 
     def test_dt_at_threshold_drops(self):
         # queue pinned at its own threshold: 30 = 1 * (60 - 30)
-        p = _policy(PolicyKind.DYNAMIC_THRESHOLDS)
-        s = snap({QueueId(0, 0): 30, QueueId(0, 1): 0})
-        d = admit(p, 0, 0, s)
-        assert d.threshold_used == 30 and d.queue_length_at_decision == 30
-        assert not d.admit
+        admitted, thr, qlen = decide(state(DT, {QueueId(0, 0): 30}), 0, 0)
+        assert thr == 30 and qlen == 30
+        assert not admitted
 
     def test_fb_below_threshold_admits(self):
-        s = snap({QueueId(0, 1): 29, QueueId(1, 0): 8, QueueId(2, 0): 8})
-        d = admit(_policy(PolicyKind.FB), 1, 0, s)
-        assert d.threshold_used == pytest.approx(2 * (60 - 45))
-        assert d.admit
+        lengths = {QueueId(0, 1): 29, QueueId(1, 0): 8, QueueId(2, 0): 8}
+        admitted, thr, _ = decide(state(FB, lengths), 1, 0)
+        assert thr == 2 * (60 - 45)
+        assert admitted
 
     def test_fb_counts_arriving_queue_when_empty(self):
         # empty high queue arriving: N_high includes it, gamma = 1
-        s = snap({QueueId(0, 1): 0, QueueId(1, 0): 10})
-        d = admit(_policy(PolicyKind.FB), 1, 0, s)
-        assert d.threshold_used == 2 * (60 - 10)
+        assert threshold(FB, {QueueId(1, 0): 10}, 1, 0) == 2 * (60 - 10)
 
     def test_single_queue_mode_differs_per_class(self):
         # same shared queue, class-specific thresholds
-        p = _policy(PolicyKind.FB_SINGLE_QUEUE, queue_mode="single", alphas={0: 0.5, 1: 20.0})
-        s = derive_aggregates({QueueId(0, -1): 20}, {-1: -1}, 60)
-        low = admit(p, 0, 0, s)
-        high = admit(p, 1, 0, s)
-        assert not low.admit and low.threshold_used == 0.5 * 40
-        assert high.admit and high.threshold_used == 20 * 40
+        def shared(class_id):
+            switch = state(PolicyKind.FB_SINGLE_QUEUE, {QueueId(0, 0): 20},
+                           alphas={0: Fraction(1, 2), 1: 20}, queue_mode="single")
+            return decide(switch, class_id, 0)
+
+        low, high = shared(0), shared(1)
+        assert not low[0] and low[1] == 0.5 * 40
+        assert high[0] and high[1] == 20 * 40
 
     def test_unknown_class_raises(self):
         with pytest.raises(KeyError):
-            admit(_policy(PolicyKind.FB), 9, 0, snap({QueueId(0, 0): 0}))
+            decide(state(FB, {}), 9, 0)
 
 
 class TestFba:
-    def _snapshot(self):
-        # two congested low queues sharing port 1, one congested high on port 0
-        return snap({QueueId(0, 1): 10, QueueId(1, 0): 10, QueueId(1, 2): 10, QueueId(0, 0): 0},
-                    priorities={0: LOW, 1: HIGH, 2: LOW})
+    # two congested low queues sharing port 1, one congested high on port 0
+    LENGTHS = {QueueId(0, 1): 10, QueueId(1, 0): 10, QueueId(1, 2): 10}
+    PRIORITIES = {2: LOW}
+
+    def fba(self, alphas, kind=PolicyKind.FBA):
+        return state(kind, self.LENGTHS, alphas=alphas, priorities=self.PRIORITIES)
 
     def test_emitted_alphas_match_fb_factors(self):
-        s = self._snapshot()
-        base = AlphaTable(by_class={0: 20.0, 1: 2.0, 2: 1.0})
-        table = fba_recompute_alphas(s, base, {0: LOW, 1: HIGH, 2: LOW})
+        table = tick(self.fba({0: 20, 1: 2, 2: 1}))
         # congested low on shared port: N_p=2, gamma=1/2
-        assert table.lookup(2, 1) == 1.0 * (1.0 / 2) * 0.5
+        assert table[QueueId(1, 2)] == 1.0 * (1.0 / 2) * 0.5
         # congested lone high: identity
-        assert table.lookup(1, 0) == 2.0
+        assert table[QueueId(0, 1)] == 2.0
         # empty low queue on port 0: would join N_p=3, gamma shares with high
-        assert table.lookup(0, 0) == 20.0 * (1.0 / 3) * 0.5
+        assert table[QueueId(0, 0)] == 20.0 * (1.0 / 3) * 0.5
 
     def test_example_values(self):
-        s = self._snapshot()
-        base = AlphaTable(by_class={0: 20.0, 1: 1.0, 2: 1.0})
-        table = fba_recompute_alphas(s, base, {0: LOW, 1: HIGH, 2: LOW})
-        assert table.lookup(2, 1) == pytest.approx(1 / 2 * 0.5)  # alpha=1, N=2, g=.5
-        assert fba_recompute_alphas(
-            snap({QueueId(0, 0): 5}), AlphaTable(by_class={0: 0.5, 1: 1.0}), {0: LOW, 1: HIGH}
-        ).lookup(0, 0) == 0.5  # N_p=1, gamma=1: identity
+        table = tick(self.fba({0: 20, 1: 1, 2: 1}))
+        assert table[QueueId(1, 2)] == pytest.approx(1 / 2 * 0.5)  # alpha=1, N=2, g=.5
+        lone = tick(state(PolicyKind.FBA, {QueueId(0, 0): 5}, alphas={0: Fraction(1, 2), 1: 1}))
+        assert lone[QueueId(0, 0)] == 0.5  # N_p=1, gamma=1: identity
 
     def test_single_queue_mode_returns_base(self):
-        base = AlphaTable(by_class={0: 0.5})
-        s = derive_aggregates({QueueId(0, -1): 3}, {-1: -1}, 60)
-        assert fba_recompute_alphas(s, base, {0: LOW}, queue_mode="single") is base
+        # a shared queue cannot carry per-class thresholds: the tick emits
+        # nothing and admission keeps the configured (DT) alphas
+        switch = state(PolicyKind.FBA, {QueueId(0, 0): 3}, alphas={0: Fraction(1, 2)},
+                       queue_mode="single")
+        assert tick(switch) == {}
+        assert switch.fba_table is None
+        assert decide(switch, 0, 0)[1] == 0.5 * 57
 
     def test_fba_table_reproduces_fb_thresholds_exactly(self):
-        s = self._snapshot()
-        prios = {0: LOW, 1: HIGH, 2: LOW}
-        base = AlphaTable(by_class={0: 1.5, 1: 2.0, 2: 1.0})
-        table = fba_recompute_alphas(s, base, prios)
-        fb = Policy(PolicyKind.FB, base, prios)
-        fba = Policy(PolicyKind.FBA, base, prios)
-        for q in s.lengths:
-            d_fb = admit(fb, q.class_id, q.port, s)
-            d_fba = admit(fba, q.class_id, q.port, s, fba_table=table)
-            assert d_fb.threshold_used == d_fba.threshold_used  # bitwise
-            assert d_fb.admit == d_fba.admit
+        alphas = {0: Fraction(3, 2), 1: 2, 2: 1}
+        for q in list(self.LENGTHS) + [QueueId(0, 0)]:
+            fb = decide(self.fba(alphas, kind=FB), q.class_id, q.port)
+            fba = self.fba(alphas)
+            tick(fba)
+            assert fb[:2] == decide(fba, q.class_id, q.port)[:2]  # thresholds bitwise
 
     def test_fba_without_table_is_continuous_fb(self):
-        s = self._snapshot()
-        prios = {0: LOW, 1: HIGH, 2: LOW}
-        base = AlphaTable(by_class={0: 1.5, 1: 2.0, 2: 1.0})
-        fb = Policy(PolicyKind.FB, base, prios)
-        fba = Policy(PolicyKind.FBA, base, prios)
-        for q in s.lengths:
-            assert (
-                admit(fb, q.class_id, q.port, s).threshold_used
-                == admit(fba, q.class_id, q.port, s).threshold_used
-            )
+        alphas = {0: Fraction(3, 2), 1: 2, 2: 1}
+        for q in list(self.LENGTHS) + [QueueId(0, 0)]:
+            fb = decide(self.fba(alphas, kind=FB), q.class_id, q.port)
+            assert fb[1] == decide(self.fba(alphas), q.class_id, q.port)[1]
 
 
 def test_threshold_comparison_is_strict_with_tolerance():
-    p = _policy(PolicyKind.DYNAMIC_THRESHOLDS)
+    assert not below_threshold(30, 30.0)
+    assert not below_threshold(30, 30.0 + 1e-10)  # within the tolerance
+    assert below_threshold(29, 30.0)
     # pinned exactly at threshold: 30 < 1 * (60 - 30) is false
-    s = snap({QueueId(0, 0): 30, QueueId(0, 1): 0})
-    assert not admit(p, 0, 0, s).admit
+    assert not decide(state(DT, {QueueId(0, 0): 30}), 0, 0)[0]
     # one packet below: 29 < 1 * (60 - 30) admits
-    s2 = snap({QueueId(0, 0): 29, QueueId(0, 1): 1})
-    assert admit(p, 0, 0, s2).admit
+    assert decide(state(DT, {QueueId(0, 0): 29, QueueId(0, 1): 1}), 0, 0)[0]
 
 
 def test_every_policy_requires_free_buffer():
-    full_multi = snap({QueueId(0, 0): 40, QueueId(0, 1): 20})
-    for kind in (PolicyKind.DYNAMIC_THRESHOLDS, PolicyKind.FB, PolicyKind.FBA):
-        assert not admit(_policy(kind), 1, 0, full_multi).admit
+    full = {QueueId(0, 0): 40, QueueId(0, 1): 20}
+    for kind in (DT, FB, PolicyKind.FBA):
+        assert not decide(state(kind, full), 1, 0)[0]
