@@ -10,6 +10,8 @@ only 8 packets.  FB prices the shared drain into each queue's threshold
 whole burst.
 """
 
+import numpy as np
+
 from fbsim import compute, preset, run, transient_scenario
 from fbsim.fluid import analyze_transient, integrate_transient
 
@@ -34,13 +36,17 @@ for name, label in (("fig4_incast", "DT"), ("fig5_incast", "FB")):
               f"drained in {m.burst_drain_completion_time:.0f} time units")
     print()
 
-print("threshold race for the DT case, from the fluid integrator:")
+print("threshold race for the DT case, from the exact fluid solver:")
 ts = transient_scenario(preset("fig4_incast"))
-traj = integrate_transient(ts, step=0.01, horizon=2.6)
+traj = integrate_transient(ts, horizon=2.6)
 burst_q = ts.new[0].queue
-for i, t in enumerate(traj.times):
-    if abs(t * 2 - round(t * 2)) < 1e-9:  # every half time unit
-        print(f"  t={t:4.1f}  burst queue {traj.lengths[burst_q][i]:5.2f}  "
-              f"threshold {traj.thresholds[burst_q][i]:5.2f}")
-print(f"  queue meets threshold at t={min(traj.first_crossing.values()):.3f} "
-      f"holding {4 * min(traj.first_crossing.values()):.1f} packets")
+# the trajectory is linear between breakpoints, so interpolation is exact
+times = [float(t) for t in traj.times]
+grid = np.arange(0.0, 2.6, 0.5)  # every half time unit
+queue = np.interp(grid, times, [float(v) for v in traj.lengths[burst_q]])
+threshold = np.interp(grid, times, [float(v) for v in traj.thresholds[burst_q]])
+for t, q, thr in zip(grid, queue, threshold):
+    print(f"  t={t:4.1f}  burst queue {q:5.2f}  threshold {thr:5.2f}")
+t1 = min(traj.first_crossing.values())
+print(f"  queue meets threshold at t={float(t1):.3f} "
+      f"holding {float(4 * t1):.1f} packets")

@@ -3,8 +3,8 @@
 A packet-level discrete-event simulator of one shared-memory switch under
 pluggable admission policies (Complete Sharing, Dynamic Thresholds, FB and
 its DT-based approximation FBA), plus exact closed-form steady-state and
-transient analysis of the same policies with an independent ODE integrator
-for cross-validation.
+transient analysis of the same policies with an independent exact
+event-driven fluid solver for cross-validation.
 """
 
 from .core import (

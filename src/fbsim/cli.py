@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: run (simulate one scenario), sweep (a family along one axis),
-analyze (fluid closed forms, optionally the integrator and burst curves),
-configure-alpha (alpha bounds for a target burst), preset-list.
+analyze (fluid closed forms cross-checked by the exact fluid solver, and
+burst curves), configure-alpha (alpha bounds for a target burst),
+preset-list.
 
 Exit codes: 0 success, 2 parse error, 3 validation error.  Every output is
 reproducible from the scenario file and seed; each run directory holds
@@ -198,9 +199,8 @@ def cmd_analyze(args) -> int:
             "alpha_L_max_for_burst": bounds.alpha_L_max_for_burst,
             "alpha_H_min": bounds.alpha_H_min,
         }
-    if ts is not None and args.step is not None:
-        trajectories = fluid.integrate_transient(ts, step=args.step, record=False)
-        payload["ode_t1"] = min(trajectories.first_crossing.values())
+    if ts is not None:
+        payload["ode_t1"] = min(fluid.integrate_transient(ts).first_crossing.values())
 
     if args.curve:
         if args.alpha_l is None or args.alpha_h is None or args.buffer is None:
@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--low-per-port", dest="low_per_port", type=int, default=1)
     p_an.add_argument("--n-new", dest="n_new", type=int, default=1)
     p_an.add_argument("--scheme", choices=("fb", "dt"), default="fb")
-    p_an.add_argument("--step", type=float, help="also integrate with this step")
     p_an.add_argument("--curve", action="store_true",
                       help="emit the burst-absorption curve CSV")
     p_an.add_argument("--r-values", dest="r_values",

@@ -20,8 +20,11 @@ queue meets its own falling threshold -- the first instant a drop becomes
 possible -- and ``r * t1`` is the largest burst at rate ``r`` admitted
 without loss.
 
-Closed forms are evaluated in exact rational arithmetic; the fixed-step
-integrator (the independent numerical cross-check) uses doubles.
+Between regime changes every queue drains, tracks or fills at a constant
+rate, so the transient trajectory is piecewise linear.  The event-driven
+solver (``integrate_transient``) follows it from breakpoint to breakpoint
+and is the closed forms' independent cross-check.  Both the closed forms
+and the solver use exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -158,7 +161,7 @@ class OldQueue:
     ``omega`` is the weight during the transient; ``omega_before`` the weight
     in the preceding steady state (defaults to ``omega``; a smaller pre/post
     difference marks the queue as omega-affected, i.e. a member of G_e).
-    ``fill_rate`` is the queue's own arrival rate for the integrator; None
+    ``fill_rate`` is the queue's own arrival rate for the solver; None
     means fully backlogged (it can always refill up to its threshold).
     """
 
@@ -171,8 +174,9 @@ class OldQueue:
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", _frac(self.omega))
         object.__setattr__(self, "gamma", _frac(self.gamma))
-        if self.omega_before is not None:
-            object.__setattr__(self, "omega_before", _frac(self.omega_before))
+        for name in ("omega_before", "fill_rate"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frac(getattr(self, name)))
         if self.omega <= 0 or not 0 < self.gamma <= 1:
             raise ValueError(f"{self.queue}: need omega > 0 and gamma in (0,1]")
 
@@ -275,22 +279,26 @@ def two_priority_incast(
     ``scheme`` selects FB weights (alpha * beta * gamma) or DT weights
     (omega = alpha).
     """
+    if n_low_ports < 0 or low_queues_per_port < 1 or n_new < 1:
+        raise ValueError(
+            "need n_low_ports >= 0, low_queues_per_port >= 1 and n_new >= 1"
+        )
+    if scheme not in ("fb", "dt"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     a_low, a_high, rf = _frac(alpha_low), _frac(alpha_high), _frac(r)
     m = low_queues_per_port
     n_low = n_low_ports * m
     gamma_low = Fraction(1, m)
-    old = []
-    for i in range(n_low):
-        port = 100 + i // m
-        if scheme == "fb":
-            omega = a_low * Fraction(1, n_low) * gamma_low
-        elif scheme == "dt":
-            omega = a_low
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        # queues sharing a port carry distinct class ids (one queue per
-        # (port, class) pair)
-        old.append(OldQueue(QueueId(port, low_class + i % m), omega=omega, gamma=gamma_low))
+    # queues sharing a port carry distinct class ids (one queue per
+    # (port, class) pair)
+    old = [
+        OldQueue(
+            QueueId(100 + i // m, low_class + i % m),
+            omega=a_low * Fraction(1, n_low) * gamma_low if scheme == "fb" else a_low,
+            gamma=gamma_low,
+        )
+        for i in range(n_low)
+    ]
     beta_new = Fraction(1, n_new) if scheme == "fb" else Fraction(1)
     g_new = _frac(new_gamma)
     new = [
@@ -335,7 +343,11 @@ def classify_case(ts: TransientScenario) -> CaseKind:
     With no old queues at all, the scenario is Case-1 by definition (the
     new queues simply fill toward their thresholds).  The aggregate bound
     assumes the unaffected old queues share one gamma/omega ratio, which
-    holds for all the symmetric scenarios built here.
+    holds for all the symmetric scenarios built here.  Outside that
+    assumption the closed-form t1 can be wrong: on 300 random scenarios
+    with unequal old-queue ratios (2-4 old queues, omega in [1/4, 3], gamma
+    in {1, 1/2, 1/3}, r in [1.1, 8], B in 50-200, seed 3) it differs from
+    the exact solver by more than 1% in 57, by up to 32%.
     """
     return CaseKind.CASE1 if ts.r <= case_rate_bound(ts) else CaseKind.CASE2
 
@@ -575,41 +587,46 @@ def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds
 
 
 # ---------------------------------------------------------------------------
-# fixed-step integrator (independent numerical oracle)
+# exact event-driven solver (independent oracle)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class TransientTrajectories:
-    times: list[float]
-    lengths: dict[QueueId, list[float]]
-    thresholds: dict[QueueId, list[float]]
-    first_crossing: dict[QueueId, float]
-    step: float
-    warnings: tuple[str, ...] = ()
+    """The exact fluid trajectory at its breakpoints.
+
+    Between consecutive ``times`` every length and threshold is linear in t,
+    so the lists pin the whole piecewise-linear trajectory.
+    ``first_crossing`` holds each new queue's first fill-to-threshold hit
+    (+inf when it never happens).
+    """
+
+    times: list[Fraction]
+    lengths: dict[QueueId, list[Fraction]]
+    thresholds: dict[QueueId, list[Fraction]]
+    first_crossing: dict[QueueId, Value]
 
 
-def _solve_total_rate(base: float, tracked: list[tuple[float, float, float]]) -> float:
+def _solve_total_rate(base: Number, tracked: list[tuple[Number, Number, Number]]) -> Number:
     """Solve S = base + sum_i clamp(-omega_i*S, lo_i, hi_i).
 
     The right side is piecewise linear and non-increasing in S, so the root
     is unique; walk the clamp breakpoints to find the containing segment.
+    The arithmetic keeps the type of its inputs (Fractions stay exact).
     """
     if not tracked:
         return base
 
-    def rhs(s: float) -> float:
+    def rhs(s: Number) -> Number:
         acc = base
         for omega, lo, hi in tracked:
             v = -omega * s
             acc += lo if v < lo else (hi if v > hi else v)
         return acc
 
-    points: list[float] = []
-    for omega, lo, hi in tracked:
-        points.append(-lo / omega)
-        if math.isfinite(hi):
-            points.append(-hi / omega)
+    points: list[Number] = [
+        -bound / omega for omega, lo, hi in tracked for bound in (lo, hi) if math.isfinite(bound)
+    ]
     points.sort()
     lower = None  # largest breakpoint with rhs(p) >= p
     upper = None  # smallest breakpoint with rhs(p) <= p
@@ -622,13 +639,13 @@ def _solve_total_rate(base: float, tracked: list[tuple[float, float, float]]) ->
     if lower is None:
         # root lies below every breakpoint: all contributions at hi (finite
         # ones) plus linear parts of unbounded ones
-        probe = points[0] - 1.0 if points else 0.0
+        probe = points[0] - 1
     elif upper is None:
-        probe = points[-1] + 1.0
+        probe = points[-1] + 1
     else:
-        probe = 0.5 * (lower + upper)
+        probe = (lower + upper) / 2
     const = base
-    slope_w = 0.0
+    slope_w = 0
     for omega, lo, hi in tracked:
         v = -omega * probe
         if v < lo:
@@ -637,177 +654,119 @@ def _solve_total_rate(base: float, tracked: list[tuple[float, float, float]]) ->
             const += hi
         else:
             slope_w += omega
-    return const / (1.0 + slope_w)
+    return const / (1 + slope_w)
 
 
 def integrate_transient(
-    ts: TransientScenario,
-    horizon: Optional[float] = None,
-    step: Optional[float] = None,
-    record: bool = True,
+    ts: TransientScenario, horizon: Optional[Number] = None
 ) -> TransientTrajectories:
-    """Explicit fixed-step integration of the threshold/queue dynamics.
+    """Exact breakpoint-to-breakpoint solution of the threshold/queue dynamics.
 
-    Thresholds are evaluated directly as ``omega * (B - Q_total)`` each step
-    (equivalently dT/dt = -omega * sum dQ/dt).  Per step every queue is in
-    one of three regimes: above its threshold it drains at gamma; at its
-    threshold it tracks the threshold's rate clamped to [-gamma, fill-gamma];
-    below it, new queues fill at r - gamma and backlogged old queues snap up
-    to the threshold.  Crossing times of new queues are refined by linear
-    interpolation inside the step.
+    Thresholds are ``omega * (B - Q_total)``.  Between regime changes every
+    queue is in one of three regimes: above its threshold it drains at
+    gamma; at its threshold it tracks the threshold's rate clamped to
+    [-gamma, fill - gamma]; below it, new and rate-limited old queues fill
+    at their fill rate.  Backlogged old queues (no ``fill_rate``) below
+    their thresholds snap up to them at t = 0 and never fall below again.
+    All rates are then constant and the thresholds linear in t, so each
+    pass solves the total rate once and jumps to the next instant at which
+    a closing gap reaches zero.  Everything is exact rational arithmetic.
+
+    Without a ``horizon`` the solve stops at the last new queue's first
+    crossing, or as soon as no gap is closing; with one it runs to the
+    horizon.
     """
-    b = float(ts.buffer_size)
-    if step is None:
-        step = ts.buffer_size / 1e4
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    band = 1e-9 * b
-
+    b = Fraction(ts.buffer_size)
+    end = None if horizon is None else _frac(horizon)
     entries = list(ts.old) + list(ts.new)
     n_old = len(ts.old)
-    omega = [float(q.omega) for q in entries]
-    gamma = [float(q.gamma) for q in entries]
-    fill_cap: list[float] = []
-    for q in ts.old:
-        cap = math.inf if q.fill_rate is None else float(q.fill_rate - q.gamma)
-        fill_cap.append(cap)
-    for q in ts.new:
-        fill_cap.append(float(ts.r - q.gamma))
+    omega = [q.omega for q in entries]
+    gamma = [q.gamma for q in entries]
+    fill_cap: list[Value] = [
+        math.inf if q.fill_rate is None else q.fill_rate - q.gamma for q in ts.old
+    ] + [ts.r - q.gamma for q in ts.new]
+    backlogged = [i for i in range(n_old) if math.isinf(fill_cap[i])]
 
-    w_pre = float(ts._w_old_pre())
-    lengths = [float(q.pre_omega) * b / (1.0 + w_pre) for q in ts.old] + [0.0] * len(ts.new)
+    share = b / (1 + ts._w_old_pre())
+    lengths = [q.pre_omega * share for q in ts.old] + [Fraction(0)] * len(ts.new)
+    remaining = b - sum(lengths)
+    if any(lengths[i] < omega[i] * remaining for i in backlogged):
+        # backlogged old queues below their thresholds fill up to them at
+        # once; the thresholds fall as they fill, so solve for the remaining
+        # space R in R = B - Q_others - sum_i max(L_i, omega_i * R)
+        others = sum(lengths[i] for i in range(len(entries)) if i not in backlogged)
+        remaining = _solve_total_rate(
+            b - others, [(omega[i], -math.inf, -lengths[i]) for i in backlogged]
+        )
+        for i in backlogged:
+            lengths[i] = max(lengths[i], omega[i] * remaining)
 
-    if horizon is None:
-        fills = [float(ts.r - q.gamma) for q in ts.new]
-        best = max(fills) if fills else 0.0
-        horizon = 1.1 * b / best + 20 * step if best > 0 else 50 * step
-
-    crossing: dict[QueueId, float] = {q.queue: math.inf for q in ts.new}
-    crossed = [False] * len(entries)
-    times: list[float] = []
-    traj_q: list[list[float]] = [[] for _ in entries]
-    traj_t: list[list[float]] = [[] for _ in entries]
-
-    t = 0.0
+    crossing: dict[QueueId, Value] = {q.queue: math.inf for q in ts.new}
     pending = len(ts.new)
-    while t < horizon - 1e-15:
-        total = sum(lengths)
-        remaining = b - total
-        thr = [omega[i] * remaining for i in range(len(entries))]
+    times: list[Fraction] = []
+    traj_q: list[list[Fraction]] = [[] for _ in entries]
+    traj_t: list[list[Fraction]] = [[] for _ in entries]
 
-        if record:
-            times.append(t)
-            for i in range(len(entries)):
-                traj_q[i].append(lengths[i])
-                traj_t[i].append(thr[i])
-
-        regimes: list[int] = []  # 0=drain, 1=track, 2=fill
+    t = Fraction(0)
+    while True:
+        remaining = b - sum(lengths)
+        thr = [w * remaining for w in omega]
+        times.append(t)
         for i in range(len(entries)):
-            gap = lengths[i] - thr[i]
-            if gap > band:
-                regimes.append(0)
-            elif gap < -band:
-                if i < n_old and math.isinf(fill_cap[i]):
-                    lengths[i] = thr[i]  # backlogged: instant refill
-                    regimes.append(1)
-                else:
-                    regimes.append(2)
-            else:
-                regimes.append(1)
-
-        base = 0.0
-        tracked: list[tuple[float, float, float]] = []
-        for i, regime in enumerate(regimes):
-            if regime == 0:
-                base += -gamma[i]
-            elif regime == 2:
-                base += fill_cap[i]
-            else:
-                tracked.append((omega[i], -gamma[i], fill_cap[i]))
-        s_total = _solve_total_rate(base, tracked)
-
-        rates = [0.0] * len(entries)
-        for i, regime in enumerate(regimes):
-            if regime == 0:
-                rates[i] = -gamma[i]
-            elif regime == 2:
-                rates[i] = fill_cap[i]
-            else:
-                v = -omega[i] * s_total
-                lo, hi = -gamma[i], fill_cap[i]
-                rates[i] = lo if v < lo else (hi if v > hi else v)
-
-        h = min(step, horizon - t)
-        d_thr = -s_total  # d(remaining)/dt; dT_i/dt = omega_i * d_thr
-        for i in range(n_old, len(entries)):
-            if crossed[i - n_old] or regimes[i] != 2:
-                continue
-            q_next = lengths[i] + rates[i] * h
-            t_next = thr[i] + omega[i] * d_thr * h
-            if q_next >= t_next - band:
-                rel = rates[i] - omega[i] * d_thr
-                dt_hit = (thr[i] - lengths[i]) / rel if rel > 0 else h
-                crossing[entries[i].queue] = t + min(max(dt_hit, 0.0), h)
-                crossed[i - n_old] = True
-                pending -= 1
-
-        for i in range(len(entries)):
-            lengths[i] += rates[i] * h
-        t += h
-
-        if pending == 0 and not record:
+            traj_q[i].append(lengths[i])
+            traj_t[i].append(thr[i])
+        if (pending == 0 and end is None) or (end is not None and t >= end):
             break
 
-    warnings: tuple[str, ...] = ()
-    finite = [v for v in crossing.values() if math.isfinite(v)]
-    if finite and min(finite) < 5 * step:
-        warnings = (
-            f"step {step} is coarse relative to the earliest crossing "
-            f"{min(finite):.6g}; halve the step to resolve it",
+        gaps = [lengths[i] - thr[i] for i in range(len(entries))]
+        # drain and fill rates are fixed; tracked queues (None) follow S
+        rates = [-gamma[i] if gap > 0 else fill_cap[i] if gap < 0 else None
+                 for i, gap in enumerate(gaps)]
+        s_total = _solve_total_rate(
+            sum((v for v in rates if v is not None), Fraction(0)),
+            [(omega[i], -gamma[i], fill_cap[i]) for i, v in enumerate(rates) if v is None],
         )
+        for i, v in enumerate(rates):
+            if v is None:
+                rates[i] = min(max(-omega[i] * s_total, -gamma[i]), fill_cap[i])
+
+        # gap_i changes at rate_i + omega_i * S; it closes when that slope
+        # has the opposite sign of the gap
+        hits = {}
+        for i, gap in enumerate(gaps):
+            slope = rates[i] + omega[i] * s_total
+            if gap * slope < 0:
+                hits[i] = -gap / slope
+        dt = min(hits.values(), default=None)
+        if end is not None and (dt is None or t + dt > end):
+            dt = end - t
+        elif dt is None:
+            break
+
+        for i in range(len(entries)):
+            lengths[i] += rates[i] * dt
+        t += dt
+        for i, hit in hits.items():
+            if hit == dt and i >= n_old and crossing[entries[i].queue] == math.inf:
+                crossing[entries[i].queue] = t
+                pending -= 1
 
     return TransientTrajectories(
         times=times,
         lengths={entries[i].queue: traj_q[i] for i in range(len(entries))},
         thresholds={entries[i].queue: traj_t[i] for i in range(len(entries))},
         first_crossing=crossing,
-        step=step,
-        warnings=warnings,
     )
 
 
-def integrate_first_crossing(
-    ts: TransientScenario,
-    step: Optional[float] = None,
-    rel_tol: float = 1e-3,
-    max_halvings: int = 6,
-) -> tuple[float, float]:
-    """Earliest crossing time from the integrator, halving the step until the
-    estimate moves by less than ``rel_tol``.  Returns (t1, step used).
+def integrate_first_crossing(ts: TransientScenario) -> tuple[float, float]:
+    """Earliest crossing time from the exact solver, as (t1, resolution).
 
-    When no step is given, a coarse pass (step = B/200) locates the crossing
-    first and the refinement step is scaled to that rough estimate, so the
-    work per scenario is independent of how far out the crossing lies.
+    The solver has no step, so the resolution is 0; the pair keeps the
+    shape of the criterion-06 tolerance ``max(2*resolution, 1e-3*t1)``.
     """
-    if step is None:
-        coarse = integrate_transient(ts, step=ts.buffer_size / 200, record=False)
-        rough = min(coarse.first_crossing.values())
-        if not math.isfinite(rough):
-            return rough, coarse.step
-        s = rough / 400
-    else:
-        s = step
-    prev = None
-    for _ in range(max_halvings + 1):
-        result = integrate_transient(ts, step=s, record=False)
-        t1 = min(result.first_crossing.values())
-        if not math.isfinite(t1):
-            return t1, s
-        if prev is not None and abs(t1 - prev) <= rel_tol * t1:
-            return t1, s
-        prev = t1
-        s *= 0.5
-    return prev if prev is not None else math.inf, s * 2
+    t1 = min(integrate_transient(ts).first_crossing.values())
+    return float(t1), 0.0
 
 
 # ---------------------------------------------------------------------------

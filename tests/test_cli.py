@@ -72,6 +72,17 @@ def test_out_of_range_r_exits_3(capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--low-per-port", "0"), ("--n-new", "0"), ("--n-low", "-1"), ("--low-per-port", "-2"),
+])
+def test_degenerate_queue_counts_exit_3(flag, value, capsys):
+    assert main([
+        "analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "4",
+        flag, value,
+    ]) == 3
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_missing_scenario_exits_3(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o")]) == 3
 
@@ -95,13 +106,14 @@ def test_analyze_preset_steady_values(capsys):
 
 
 def test_analyze_with_integrator_cross_check(capsys):
-    assert main([
-        "analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2",
-        "--r", "4", "--n-low", "3", "--step", "0.01",
-    ]) == 0
+    argv = ["analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2",
+            "--r", "4", "--n-low", "3"]
+    assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["t1"] == 10
-    assert abs(payload["ode_t1"] - 10) < 0.05
+    assert payload["t1"] == payload["ode_t1"] == 10
+    with pytest.raises(SystemExit) as exc:  # the step knob is gone
+        main(argv + ["--step", "0.01"])
+    assert exc.value.code == 2
 
 
 def test_analyze_curve(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Transient analysis: case classification, t1 closed forms, alpha bounds,
-and the fixed-step integrator as the independent cross-check."""
+and the exact event-driven solver as the independent cross-check."""
 
 import math
 import random
@@ -25,7 +25,6 @@ from fbsim.fluid import (
     burst_tolerance,
     case_rate_bound,
     classify_case,
-    first_threshold_crossing,
     integrate_first_crossing,
     integrate_transient,
     multi_priority_alpha_H,
@@ -33,6 +32,7 @@ from fbsim.fluid import (
     t1_case2,
     two_priority_incast,
 )
+from fbsim.workloads import preset, transient_scenario
 
 F = Fraction
 
@@ -70,6 +70,10 @@ class TestClassification:
         bare = TransientScenario(ts.buffer_size, ts.old, (), ts.r)
         with pytest.raises(ValueError):
             classify_case(bare)
+
+    def test_unknown_scheme_rejected_without_old_queues(self):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            two_priority_incast(60, 1, 2, 4, n_low_ports=0, scheme="fq")
 
 
 class TestT1:
@@ -226,29 +230,79 @@ class TestAlphaBoundsGeneral:
         assert bounds.alpha_L_case_bound == F(1, 2)
 
 
+def check_breakpoints(ts, res):
+    """The recorded breakpoints are consistent: every threshold is
+    omega * remaining with sum(lengths) + remaining == B, and no new queue
+    is above its threshold before its first crossing, where it meets it."""
+    omega = {q.queue: q.omega for q in (*ts.old, *ts.new)}
+    for k, t in enumerate(res.times):
+        total = sum(series[k] for series in res.lengths.values())
+        for q, w in omega.items():
+            assert total + res.thresholds[q][k] / w == ts.buffer_size
+        for q in ts.new:
+            crossing = res.first_crossing[q.queue]
+            if t < crossing:
+                assert res.lengths[q.queue][k] < res.thresholds[q.queue][k]
+            elif t == crossing:
+                assert res.lengths[q.queue][k] == res.thresholds[q.queue][k]
+
+
+def check_segments(ts, res):
+    """Between breakpoints every queue obeys its regime: above its threshold
+    it drains at gamma, below it fills at its fill rate, at it it moves with
+    the threshold inside [-gamma, fill - gamma], and it leaves the threshold
+    only when the threshold outruns that range."""
+    fill = {q.queue: ts.r - q.gamma for q in ts.new}
+    fill.update({q.queue: q.fill_rate - q.gamma for q in ts.old if q.fill_rate is not None})
+    entries = (*ts.old, *ts.new)
+    for k in range(len(res.times) - 1):
+        dt = res.times[k + 1] - res.times[k]
+        assert dt > 0
+        for q in entries:
+            lengths, thresholds = res.lengths[q.queue], res.thresholds[q.queue]
+            slope = (lengths[k + 1] - lengths[k]) / dt
+            thr_slope = (thresholds[k + 1] - thresholds[k]) / dt
+            start = lengths[k] - thresholds[k]
+            mid = start + (lengths[k + 1] - thresholds[k + 1])  # 2 * midpoint gap
+            cap = fill.get(q.queue, math.inf)
+            if mid > 0:
+                assert slope == -q.gamma
+                assert start > 0 or thr_slope < -q.gamma
+            elif mid < 0:
+                assert slope == cap
+                assert start < 0 or thr_slope > cap
+            else:
+                assert slope == thr_slope and -q.gamma <= slope <= cap
+
+
 class TestIntegrator:
     def test_dt_incast_replay_first_drop_at_eight(self):
         # five alpha=1 queues at 10 on one port (gamma 1/5), alpha=2 burst at
         # r=5 on an empty port, DT weights
         ts = two_priority_incast(60, 1, 2, 5, n_low_ports=1, low_queues_per_port=5, scheme="dt")
         assert classify_case(ts) is CaseKind.CASE2
-        assert min(t1_case2(ts).values()) == 2
-        res = integrate_transient(ts, step=0.006, record=True)
-        t1 = min(res.first_crossing.values())
-        assert t1 == pytest.approx(2.0, abs=1e-6)
+        res = integrate_transient(ts)
+        assert res.first_crossing == t1_case2(ts) == {ts.new[0].queue: 2}
+        check_breakpoints(ts, res)
         # burst queue holds (r - gamma) * t1 = 8 packets at the crossing
-        burst_q = ts.new[0].queue
-        idx = next(i for i, t in enumerate(res.times) if t >= t1 - 1e-9)
-        assert res.lengths[burst_q][idx] == pytest.approx(8.0, abs=0.05)
+        assert res.times[-1] == 2
+        assert res.lengths[ts.new[0].queue][-1] == 8
+
+    def test_incast_presets_cross_exactly(self):
+        for name, t1 in (("fig4_incast", 2), ("fig5_incast", F(75, 8))):
+            ts = transient_scenario(preset(name))
+            res = integrate_transient(ts)
+            assert min(res.first_crossing.values()) == t1
+            check_breakpoints(ts, res)
 
     def test_case1_crossing_matches_closed_form(self):
         ts = scenario_case1()
-        res = integrate_transient(ts, step=0.01, record=False)
-        assert min(res.first_crossing.values()) == pytest.approx(10.0, abs=0.02)
+        res = integrate_transient(ts)
+        assert res.first_crossing == t1_case1(ts) == {ts.new[0].queue: 10}
 
     def test_rate_equal_to_drain_never_crosses(self):
         ts = two_priority_incast(60, 1, 2, 1, n_low_ports=3)
-        res = integrate_transient(ts, step=0.05, record=False)
+        res = integrate_transient(ts)
         assert min(res.first_crossing.values()) == math.inf
 
     def test_steady_state_is_a_fixpoint(self):
@@ -257,18 +311,34 @@ class TestIntegrator:
             OldQueue(QueueId(100 + i, 0), omega=F(1, 3), gamma=1) for i in range(3)
         )
         ts = TransientScenario(60, old, (), F(1))
-        res = integrate_transient(ts, horizon=5.0, step=0.01, record=True)
-        for q in res.lengths:
-            series = res.lengths[q]
-            assert max(series) - min(series) < 1e-9
+        res = integrate_transient(ts, horizon=5)
+        assert res.times == [0, 5]
+        for series in res.lengths.values():
+            assert series == [10, 10]
 
-    def test_adaptive_refinement_converges(self):
-        t1, step = integrate_first_crossing(scenario_case2())
-        assert t1 == pytest.approx(20 / 7, rel=1e-3)
+    def test_case2_settles_to_the_closed_form_steady_state(self):
+        # after t1 the old queues drain down to their thresholds; the run
+        # past t1 ends exactly at the steady state of all queues
+        ts = scenario_case2()
+        res = integrate_transient(ts, horizon=40)
+        assert res.times == [0, F(20, 7), 5, 40]
+        check_breakpoints(ts, res)
+        check_segments(ts, res)
+        steady = analyze_transient(ts).steady_thresholds
+        assert {q: series[-1] for q, series in res.lengths.items()} == steady
 
-    def test_resolution_warning_on_coarse_step(self):
-        res = integrate_transient(scenario_case2(), step=2.0, record=False)
-        assert res.warnings
+    def test_float_fill_rate_stays_exact(self):
+        old = (OldQueue(QueueId(9, 0), omega=1, gamma=1, fill_rate=0.7),
+               OldQueue(QueueId(8, 0), omega=F(1, 2), gamma=F(1, 3)))
+        ts = TransientScenario(60, old, (NewQueue(QueueId(0, 1), omega=2, gamma=1),), F(4))
+        res = integrate_transient(ts, horizon=100)
+        assert all(isinstance(v, Fraction) for series in res.lengths.values() for v in series)
+        check_breakpoints(ts, res)
+        check_segments(ts, res)
+
+    def test_first_crossing_is_exact(self):
+        t1, resolution = integrate_first_crossing(scenario_case2())
+        assert (t1, resolution) == (20 / 7, 0.0)
 
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(42)
@@ -291,9 +361,38 @@ class TestIntegrator:
                 60, a_low, a_high, r, n_low_ports=num,
                 low_queues_per_port=per_port, n_new=n_new,
             )
-            closed = float(first_threshold_crossing(ts))
-            ode, step = integrate_first_crossing(ts)
-            assert abs(ode - closed) <= max(2 * step, 1e-3 * closed)
+            closed = (t1_case1 if classify_case(ts) is CaseKind.CASE1 else t1_case2)(ts)
+            res = integrate_transient(ts)
+            assert res.first_crossing == closed
+            check_breakpoints(ts, res)
+
+    def test_trajectory_solves_the_dynamics_randomized(self):
+        # affected old queues that drain first, old queues that start below
+        # their thresholds (omega_before < omega) and rate-limited old queues
+        # that fall behind their thresholds: several regime changes per run
+        rng = random.Random(7)
+        changes = 0
+        for _ in range(60):
+            old = []
+            for i in range(rng.randint(1, 4)):
+                omega = F(rng.randint(1, 12), 4)
+                before = omega * F(rng.randint(5, 30), 10) if rng.random() < 0.6 else None
+                fill = F(rng.randint(1, 30), 10) if rng.random() < 0.3 else None
+                old.append(OldQueue(QueueId(100 + i, 0), omega=omega,
+                                    gamma=F(1, rng.choice((1, 2, 3))),
+                                    omega_before=before, fill_rate=fill))
+            new = tuple(
+                NewQueue(QueueId(j, 1), omega=F(rng.randint(1, 12), 4),
+                         gamma=F(1, rng.choice((1, 2))))
+                for j in range(rng.randint(1, 2))
+            )
+            ts = TransientScenario(rng.randint(50, 200), tuple(old), new,
+                                   F(rng.randint(11, 80), 10))
+            res = integrate_transient(ts, horizon=400)
+            check_breakpoints(ts, res)
+            check_segments(ts, res)
+            changes += len(res.times) - 2
+        assert changes > 60
 
 
 class TestBurstAbsorptionCurve:
