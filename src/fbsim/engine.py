@@ -3,9 +3,14 @@
 One event loop per run: packet arrivals consult the configured admission
 policy against the live buffer state, every port serves its queues
 round-robin at one packet per time unit, and (for FBA) a controller
-periodically re-emits effective alphas.  Simultaneous events are ordered
-arrivals -> service completions -> controller ticks, then by sequence
-number, so identical configurations always produce bit-identical traces.
+periodically re-emits effective alphas.  Arrivals are drawn lazily from
+one ``workloads.source_stream`` per source, with exactly one pending
+arrival per source on the event heap, so memory grows with the number of
+sources, not of arrivals.  Simultaneous events are ordered arrivals ->
+service completions -> controller ticks; equal-time arrivals then go in
+source order (the order of ``workloads.build_sources``) and other events
+by sequence number, so identical configurations always produce
+bit-identical traces.
 
 The trace records every admit/drop/departure with the threshold used, plus
 controller ticks and periodic occupancy samples.
@@ -29,7 +34,7 @@ from .policies import (
     below_threshold,
     fb_effective_alpha,
 )
-from .workloads import ScenarioConfig, build_sources, source_spans
+from .workloads import ScenarioConfig, source_spans, source_stream
 
 ACTION_ADMIT = "admit"
 ACTION_DROP = "drop"
@@ -137,9 +142,7 @@ class SwitchState:
         self.policy_kind = config.policy
         self.clock = 0.0
 
-        self.class_alpha = {c.class_id: float(c.alpha) for c in config.classes}
         self.class_prio = {c.class_id: c.priority_id for c in config.classes}
-        self.alpha_override = {q: float(a) for q, a in config.alpha_overrides.items()}
         prios = sorted(set(self.class_prio.values()))
         if self.single:
             prios.append(SHARED_QUEUE_CLASS)
@@ -159,6 +162,12 @@ class SwitchState:
             (p, c.class_id): self.q_index[
                 QueueId(p, SHARED_QUEUE_CLASS if self.single else c.class_id)
             ]
+            for p in range(config.n_ports)
+            for c in config.classes
+        }
+        # alpha of a packet by (port, class_id), overrides applied
+        self.slot_alpha = {
+            (p, c.class_id): float(config.alpha_of(QueueId(p, c.class_id)))
             for p in range(config.n_ports)
             for c in config.classes
         }
@@ -257,7 +266,7 @@ class SwitchState:
     # -- policy-facing helpers ----------------------------------------------
 
     def alpha_of(self, class_id: int, port: int) -> float:
-        return self.alpha_override.get(QueueId(port, class_id), self.class_alpha[class_id])
+        return self.slot_alpha[port, class_id]
 
     def effective_alpha(self, qi: int, class_id: int, view: tuple) -> float:
         """FB's effective alpha for a packet of ``class_id`` arriving at
@@ -393,13 +402,19 @@ def run(config: ScenarioConfig) -> EventTrace:
         horizon=config.horizon,
     )
 
+    # one pending arrival per source, its seq the source index: at equal
+    # times arrivals pop in source order, as in workloads.build_sources
+    streams = [
+        source_stream(src, idx, config.seed, config.horizon)
+        for idx, src in enumerate(config.sources)
+    ]
     events: list[Event] = []
+    for stream in streams:
+        first = next(stream, None)
+        if first is not None:
+            time, class_id, port, source_id = first
+            events.append(Event(time, EventKind.ARRIVAL, source_id, (class_id, port)))
     seq = 0
-    for time, class_id, port, source_id in build_sources(
-        config.sources, config.seed, config.horizon
-    ):
-        events.append(Event(time, EventKind.ARRIVAL, seq, (class_id, port, source_id)))
-        seq += 1
     for source_id, class_id, port, start, stop in source_spans(config.sources, config.horizon):
         events.append(Event(start, EventKind.SOURCE_STATE_CHANGE, seq, (class_id, port, source_id, "on")))
         seq += 1
@@ -425,7 +440,11 @@ def run(config: ScenarioConfig) -> EventTrace:
             break
         state.clock = ev.time
         if ev.kind == EventKind.ARRIVAL:
-            class_id, port, source_id = ev.payload
+            class_id, port = ev.payload
+            source_id = ev.seq
+            following = next(streams[source_id], None)
+            if following is not None:
+                heapq.heappush(events, Event(following[0], EventKind.ARRIVAL, source_id, ev.payload))
             admitted = enqueue_arrival(state, class_id, port, ev.time, source_id, trace)
             if admitted and not state.port_busy[port]:
                 state.port_busy[port] = True

@@ -15,11 +15,14 @@ consume the same description.
 from __future__ import annotations
 
 import configparser
+import heapq
 import io
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -89,6 +92,8 @@ class ConstantRate:
             object.__setattr__(self, "stop", _frac(self.stop))
         if self.rate <= 0 or self.start < 0:
             raise ConfigError("constant source needs rate > 0 and start >= 0")
+        if self.stop is not None and self.stop <= self.start:
+            raise ConfigError(f"constant source stop {self.stop} must be after its start {self.start}")
 
 
 @dataclass(frozen=True)
@@ -134,6 +139,8 @@ class PoissonFlows:
             object.__setattr__(self, "stop", _frac(self.stop))
         if self.mean_interarrival <= 0 or self.flow_rate <= 0 or self.start < 0:
             raise ConfigError("poisson source needs positive interarrival and flow_rate")
+        if self.stop is not None and self.stop <= self.start:
+            raise ConfigError(f"poisson source stop {self.stop} must be after its start {self.start}")
 
 
 SourceSpec = Union[ConstantRate, Burst, PoissonFlows]
@@ -147,53 +154,92 @@ def _resolved_cdf(source: PoissonFlows) -> tuple[tuple[int, float], ...]:
     return source.size_cdf
 
 
-def _count_below(limit: Fraction) -> int:
-    """Number of integers k >= 0 with k < limit."""
-    return max(0, math.ceil(limit))
+def _rational_times(start: Fraction, rate: Fraction, end: Fraction) -> Iterator[float]:
+    """float(start + k/rate) for k < ceil((end - start) * rate), in integer
+    arithmetic.
+
+    Over the common denominator D the k-th time is (A + k*C) / D, and int/int
+    true division is correctly rounded, exactly as Fraction.__float__ is, so
+    every time is bitwise equal to the Fraction route."""
+    spacing = 1 / rate
+    denom = start.denominator * spacing.denominator
+    a = start.numerator * spacing.denominator
+    c = spacing.numerator * start.denominator
+    for k in range(max(0, math.ceil((end - start) * rate))):
+        yield (a + k * c) / denom
+
+
+def _poisson_flows(
+    src: PoissonFlows, seed: int, idx: int, end: float
+) -> Iterator[tuple[float, int]]:
+    """(start, size) of each flow that starts before ``end``, in draw order:
+    an exponential gap, then a size, from ``np.random.default_rng([seed, idx])``."""
+    rng = np.random.default_rng([seed, idx])
+    cdf = _resolved_cdf(src)
+    mean = float(src.mean_interarrival)
+    t = float(src.start)
+    while True:
+        t += rng.exponential(mean)
+        if t >= end:
+            return
+        u = rng.random()
+        yield t, next(s for s, p in cdf if u <= p)
+
+
+def _poisson_times(src: PoissonFlows, seed: int, idx: int, end: float) -> Iterator[float]:
+    """Packet times of a Poisson flow source, in time order.
+
+    Each flow emits its packets at ``1/flow_rate`` spacing while they fall
+    before ``end``.  Overlapping flows are merged through a heap keyed
+    (time, flow number), so equal times keep draw order.  Flows are drawn
+    one ahead of the packets yielded, so the heap holds just the flows in
+    flight."""
+    spacing = 1.0 / float(src.flow_rate)
+    in_flight: list[tuple[float, int, int, float, int]] = []  # (time, flow, j, t0, size)
+    flows = itertools.chain(_poisson_flows(src, seed, idx, end), [(math.inf, 0)])
+    for flow, (t0, size) in enumerate(flows):
+        while in_flight and in_flight[0][0] <= t0:
+            pt, f, j, start, n = in_flight[0]
+            j += 1
+            if j < n and start + j * spacing < end:
+                heapq.heapreplace(in_flight, (start + j * spacing, f, j, start, n))
+            else:
+                heapq.heappop(in_flight)
+            yield pt
+        if size > 0:
+            heapq.heappush(in_flight, (t0, flow, 0, t0, size))
+
+
+def source_stream(
+    src: SourceSpec, idx: int, seed: int, horizon: float
+) -> Iterator[tuple[float, int, int, int]]:
+    """The arrivals of source ``idx`` as (time, class_id, port, idx), in time
+    order, realized lazily.  Constant and burst times are exactly
+    float(start + k/rate) for k < ceil(span * rate), the span ending at the
+    source's stop clipped to the horizon; Poisson times are float sums of
+    the seeded draws of ``np.random.default_rng([seed, idx])``."""
+    hz = Fraction(horizon)
+    if isinstance(src, ConstantRate):
+        times = _rational_times(src.start, src.rate, hz if src.stop is None else min(src.stop, hz))
+    elif isinstance(src, Burst):
+        times = _rational_times(src.start, src.r, min(src.start + src.duration, hz))
+    elif isinstance(src, PoissonFlows):
+        times = _poisson_times(src, seed, idx, float(hz if src.stop is None else min(src.stop, hz)))
+    else:
+        raise ConfigError(f"unknown source spec {src!r}")
+    class_id, port = src.class_id, src.port
+    return ((t, class_id, port, idx) for t in times)
 
 
 def build_sources(
     sources: Sequence[SourceSpec], seed: int, horizon: float
 ) -> list[tuple[float, int, int, int]]:
-    """Realize the sources into a deterministic arrival schedule.
-
-    Returns (time, class_id, port, source_index) tuples sorted by time with
-    ties broken by source order; identical inputs yield identical schedules.
-    """
-    hz = Fraction(horizon)
-    arrivals: list[tuple[float, int, int, int]] = []
-    for idx, src in enumerate(sources):
-        if isinstance(src, ConstantRate):
-            end = hz if src.stop is None else min(src.stop, hz)
-            span = end - src.start
-            for k in range(_count_below(span * src.rate)):
-                arrivals.append((float(src.start + Fraction(k) / src.rate), src.class_id, src.port, idx))
-        elif isinstance(src, Burst):
-            end = min(src.start + src.duration, hz)
-            span = end - src.start
-            for k in range(_count_below(span * src.r)):
-                arrivals.append((float(src.start + Fraction(k) / src.r), src.class_id, src.port, idx))
-        elif isinstance(src, PoissonFlows):
-            rng = np.random.default_rng([seed, idx])
-            cdf = _resolved_cdf(src)
-            end = float(hz if src.stop is None else min(src.stop, hz))
-            t = float(src.start)
-            mean = float(src.mean_interarrival)
-            spacing = 1.0 / float(src.flow_rate)
-            while True:
-                t += rng.exponential(mean)
-                if t >= end:
-                    break
-                u = rng.random()
-                size = next(s for s, p in cdf if u <= p)
-                for j in range(size):
-                    pt = t + j * spacing
-                    if pt < end:
-                        arrivals.append((pt, src.class_id, src.port, idx))
-        else:
-            raise ConfigError(f"unknown source spec {src!r}")
-    arrivals.sort(key=lambda a: (a[0], a[3]))
-    return arrivals
+    """The whole arrival schedule: the per-source streams of
+    ``source_stream`` merged into one list of (time, class_id, port,
+    source_index), sorted by time with ties broken by source order.
+    Identical inputs yield identical schedules."""
+    streams = [source_stream(src, idx, seed, horizon) for idx, src in enumerate(sources)]
+    return list(heapq.merge(*streams, key=itemgetter(0)))
 
 
 def source_spans(

@@ -83,6 +83,23 @@ def test_degenerate_queue_counts_exit_3(flag, value, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", [
+    "constant class=0 port=0 rate=1 start=5 stop=2",
+    "constant class=0 port=0 rate=1 start=5 stop=5",
+    "poisson class=0 port=0 mean_interarrival=2 start=5 stop=2",
+    "poisson class=0 port=0 mean_interarrival=2 start=5 stop=5",
+], ids=["constant_before", "constant_equal", "poisson_before", "poisson_equal"])
+def test_source_stopping_before_it_starts_exits_3(source, tmp_path, capsys):
+    text = dumps_scenario(preset("fig2")).replace(
+        "0 = constant class=0 port=0 rate=2 start=0 stop=inf", f"0 = {source}"
+    )
+    assert source in text
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 3
+    assert "must be after its start" in capsys.readouterr().err
+
+
 def test_missing_scenario_exits_3(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o")]) == 3
 

@@ -10,7 +10,7 @@ import pytest
 from fbsim.core import QueueId, TrafficClass, derive_aggregates
 from fbsim.engine import EngineInvariantError, SwitchState, run
 from fbsim.policies import PolicyKind, fb_effective_alpha
-from fbsim.workloads import Burst, ConstantRate, ScenarioConfig, preset
+from fbsim.workloads import Burst, ConstantRate, ScenarioConfig, build_sources, preset
 
 F = Fraction
 LOW, HIGH = 0, 1
@@ -211,6 +211,8 @@ def _replay(cfg, trace):
     return checked
 
 
+_OVERRIDES = {QueueId(0, 5): F(5, 2), QueueId(1, 2): F(1, 2)}
+
 REPLAY_CASES = {
     "cs": two_class_config(
         policy=PolicyKind.COMPLETE_SHARING,
@@ -225,6 +227,10 @@ REPLAY_CASES = {
     "fba_period_0": replace(preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=0.0),
     "fba_single": single_queue_config(policy=PolicyKind.FBA, fba_period=1.0),
     "fba_period_2": replace(preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=2.0),
+    "dt_override": replace(preset("fig4_incast"), alpha_overrides=_OVERRIDES),
+    "fb_override": replace(
+        preset("fig4_incast"), policy=PolicyKind.FB, alpha_overrides=_OVERRIDES
+    ),
 }
 
 
@@ -237,6 +243,29 @@ def test_engine_decisions_match_policy_module(case):
     assert checked["admit"] > 20 and checked["drop"] > 0
     if cfg.policy is PolicyKind.FBA and cfg.fba_period > 0:
         assert checked["tick"] == 1 + int(cfg.horizon / cfg.fba_period)
+
+
+def test_coinciding_sources_arrive_in_source_order():
+    # rate 1 and rate 2 from 0 and a rate-2 burst from 1 coincide at every
+    # whole and half instant; the engine's lazy merge must replay the
+    # (time, source)-sorted schedule of build_sources exactly
+    cfg = two_class_config(
+        buffer_size=4,
+        n_ports=1,
+        sources=(
+            ConstantRate(class_id=0, port=0, rate=F(1)),
+            ConstantRate(class_id=1, port=0, rate=F(2)),
+            Burst(class_id=0, port=0, r=F(2), duration=F(3), start=F(1)),
+        ),
+        horizon=12.0,
+    )
+    trace = run(cfg)
+    got = [(r[0], r[7]) for r in trace.records if r[3] in ("admit", "drop")]
+    schedule = build_sources(cfg.sources, cfg.seed, cfg.horizon)
+    assert got == [(t, idx) for t, _c, _p, idx in schedule if t <= cfg.horizon]
+    assert any(r[3] == "drop" for r in trace.records)
+    ties = [(a, b) for a, b in zip(got, got[1:]) if a[0] == b[0]]
+    assert len(ties) > 12 and all(a[1] < b[1] for a, b in ties)
 
 
 def test_conservation_check_catches_counter_drift():

@@ -1,15 +1,19 @@
 """Sources, scenario configs, presets, sweeps, file round-trips."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fbsim.core import QueueId, TrafficClass
 from fbsim.engine import run
 from fbsim.fluid import CaseKind, classify_case, first_threshold_crossing
 from fbsim.policies import PolicyKind
 from fbsim.workloads import (
+    DEFAULT_SIZE_CDF,
     Burst,
     ConfigError,
     ConstantRate,
@@ -22,6 +26,7 @@ from fbsim.workloads import (
     loads_scenario,
     preset,
     preset_names,
+    source_stream,
     steady_omegas,
     sweep,
     transient_scenario,
@@ -76,6 +81,57 @@ class TestBuildSources:
         trace = run(cfg)
         assert all(occ <= 1 for _, occ in trace.samples)
         assert max(trace.final_lengths.values()) <= 1
+
+
+def _eager_poisson(src, seed, idx, horizon):
+    """The Poisson schedule drawn whole, then stably sorted by time: the
+    order the per-source stream must reproduce lazily."""
+    rng = np.random.default_rng([seed, idx])
+    end = float(min(src.stop, F(horizon)) if src.stop is not None else horizon)
+    t, spacing, drawn = float(src.start), 1.0 / float(src.flow_rate), []
+    while True:
+        t += rng.exponential(float(src.mean_interarrival))
+        if t >= end:
+            break
+        u = rng.random()
+        size = next(s for s, p in DEFAULT_SIZE_CDF if u <= p)
+        drawn.extend(t + j * spacing for j in range(size) if t + j * spacing < end)
+    return drawn
+
+
+class TestSourceStream:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.builds(F, st.integers(0, 30000), st.integers(1, 12)),
+        rate=st.one_of(
+            st.sampled_from([F(11, 4), F(6), F(7, 3), F(1, 10)]),
+            st.builds(F, st.integers(1, 60), st.integers(1, 12)),
+        ),
+        span=st.builds(F, st.integers(1, 400), st.integers(1, 7)),
+        kind=st.sampled_from(["stop", "horizon", "burst"]),
+    )
+    @example(start=F(3073, 3), rate=F(11, 4), span=F(300), kind="stop")
+    @example(start=F(1025), rate=F(6), span=F(100), kind="burst")
+    def test_times_are_bitwise_the_fraction_route(self, start, rate, span, kind):
+        if kind == "burst":
+            src, horizon = Burst(0, 0, r=rate, duration=span, start=start), float(start + 2 * span)
+        elif kind == "stop":
+            src, horizon = ConstantRate(0, 0, rate, start, start + span), float(start + 2 * span)
+        else:
+            src, horizon = ConstantRate(0, 0, rate, start), float(start + span)
+        end = F(horizon) if kind == "horizon" else start + span
+        expected = [float(start + F(k) / rate) for k in range(math.ceil((end - start) * rate))]
+        got = [t for t, *_ in source_stream(src, 0, 1, horizon)]
+        assert [t.hex() for t in got] == [t.hex() for t in expected]
+
+    def test_overlapping_poisson_flows_merge_in_draw_order(self):
+        src = PoissonFlows(class_id=0, port=0, mean_interarrival=F(1, 2), flow_rate=F(1, 3))
+        stream = [t for t, *_ in source_stream(src, 1, 7, 300.0)]
+        drawn = _eager_poisson(src, 7, 1, 300.0)
+        assert drawn != sorted(drawn)  # flows do overlap
+        assert stream == sorted(drawn)
+        schedule = build_sources([ConstantRate(1, 1, F(3)), src], 7, 300.0)
+        assert [t for t, _c, _p, idx in schedule if idx == 1] == stream
 
 
 class TestSizeCdf:
