@@ -10,12 +10,9 @@ event-driven fluid solver for cross-validation.
 from .core import (
     BufferSnapshot,
     CapacityError,
-    PriorityGroup,
     QueueId,
     TrafficClass,
-    UnitsConvention,
     derive_aggregates,
-    priority_groups,
 )
 from .engine import EventTrace, SwitchState, run
 from .fluid import (
@@ -45,7 +42,7 @@ from .fluid import (
     t1_case2,
     two_priority_incast,
 )
-from .metrics import RunMetrics, compare, compute
+from .metrics import RunMetrics, compute
 from .policies import PolicyKind
 from .workloads import (
     Burst,

@@ -26,21 +26,6 @@ class CapacityError(ValueError):
 
 
 @dataclass(frozen=True)
-class UnitsConvention:
-    """Capacity plus the normalization rules stated in the module docstring.
-
-    ``buffer_size`` is in packets; port drain rate is fixed at one packet per
-    time unit and all configured rates are dimensionless multiples of it.
-    """
-
-    buffer_size: int
-
-    def __post_init__(self) -> None:
-        if self.buffer_size < 1:
-            raise ValueError(f"buffer size must be >= 1 packet, got {self.buffer_size}")
-
-
-@dataclass(frozen=True)
 class TrafficClass:
     """A traffic class: its admission weight alpha and its priority group."""
 
@@ -52,34 +37,6 @@ class TrafficClass:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.alpha <= 0:
             raise ValueError(f"class {self.class_id}: alpha must be > 0, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class PriorityGroup:
-    """A set of classes sharing one congested-queue count N_p.
-
-    ``alpha_max`` is the largest alpha among member classes; it bounds the
-    group's total buffer share (see fluid.occupancy_bound).
-    """
-
-    priority_id: int
-    class_ids: tuple[int, ...]
-    alpha_max: Fraction
-
-
-def priority_groups(classes: Mapping[int, TrafficClass]) -> dict[int, PriorityGroup]:
-    """Partition classes into their priority groups."""
-    members: dict[int, list[int]] = {}
-    for cls in classes.values():
-        members.setdefault(cls.priority_id, []).append(cls.class_id)
-    return {
-        pid: PriorityGroup(
-            priority_id=pid,
-            class_ids=tuple(sorted(ids)),
-            alpha_max=max(classes[c].alpha for c in ids),
-        )
-        for pid, ids in sorted(members.items())
-    }
 
 
 @dataclass(frozen=True, order=True)

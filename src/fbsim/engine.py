@@ -12,8 +12,8 @@ source order (the order of ``workloads.build_sources``) and other events
 by sequence number, so identical configurations always produce
 bit-identical traces.
 
-The trace records every admit/drop/departure with the threshold used, plus
-controller ticks and periodic occupancy samples.
+The trace records every admit/drop/departure with the threshold used and
+the packet's source, plus controller ticks and periodic occupancy samples.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class EventTrace:
     ``records`` rows are (time, port, class_id, action, queue_len,
     threshold, occupancy_after, source_id); queue_len is the length after
     the action for admits/departs and the length at the decision for drops.
+    A departure row carries the source of the packet that left, or -1 for
+    a packet pre-filled from ``initial_lengths``.
     ``queue_of`` maps a record's (port, class_id) to its engine queue (the
     shared per-port queue in single-queue mode).  ``ticks`` holds (time,
     {queue: effective alpha}) controller emissions.  ``counts`` holds the
@@ -126,8 +128,12 @@ class EventTrace:
 
 class SwitchState:
     """Mutable per-run switch state: queue lengths, congestion counters,
-    per-queue admitted/dropped/departed totals, round-robin cursors, the FBA
+    per-queue admitted/dropped/departed totals, one packet FIFO per queue
+    of (class_id, source_id) in service order, round-robin cursors, the FBA
     table in force, and the clock.
+
+    Single-queue mode is the same model with one shared queue per port, all
+    in one priority group: N counts every congested queue and gamma is 1.
 
     Counters are maintained incrementally; ``snapshot()`` rebuilds the same
     aggregates through core.derive_aggregates for cross-checking.
@@ -185,24 +191,19 @@ class SwitchState:
         self.dropped = [0] * n
         self.departed = [0] * n
         self.cong_prio = [0] * len(prios)
-        self.total_congested = 0
         self.active_port = [0] * config.n_ports
         self.nonempty_port = [0] * config.n_ports
         self.port_queues = [[] for _ in range(config.n_ports)]
         for i, q in enumerate(self.queue_ids):
             self.port_queues[q.port].append(i)
         self.rr_cursor = [0] * config.n_ports
-        self.port_busy = [False] * config.n_ports
-        self.fifo: Optional[list[deque]] = (
-            [deque() for _ in range(config.n_ports)] if self.single else None
-        )
+        self.fifo = [deque() for _ in range(n)]
 
         for q, length in sorted(config.initial_lengths.items()):
             qi = self.slot[q.port, q.class_id]
             for _ in range(length):
                 self._bump(qi, +1)
-            if self.single and length:
-                self.fifo[q.port].extend([q.class_id] * length)
+            self.fifo[qi].extend([(q.class_id, -1)] * length)
 
         # FBA controller table (per queue index); None means no table yet /
         # continuous recomputation (period == 0)
@@ -228,14 +229,12 @@ class SwitchState:
                 self.nonempty_port[port] += 1
             if old == self.cong_thr:
                 self.cong_prio[self.q_prio[qi]] += 1
-                self.total_congested += 1
                 self.active_port[port] += 1
         else:
             if new == 0:
                 self.nonempty_port[port] -= 1
             if new == self.cong_thr:
                 self.cong_prio[self.q_prio[qi]] -= 1
-                self.total_congested -= 1
                 self.active_port[port] -= 1
         if self.total > self.buffer_size:
             raise EngineInvariantError(
@@ -247,17 +246,15 @@ class SwitchState:
             list(self.lengths),
             self.total,
             list(self.cong_prio),
-            self.total_congested,
             list(self.active_port),
         )
         self._sync_time = time
 
     def _view(self, time: float) -> tuple:
-        """(lengths, total, cong_prio, total_congested, active_port) as seen
-        by the admission logic: live, or the last synced copy under a
-        positive staleness."""
+        """(lengths, total, cong_prio, active_port) as seen by the admission
+        logic: live, or the last synced copy under a positive staleness."""
         if self.staleness <= 0:
-            return (self.lengths, self.total, self.cong_prio, self.total_congested, self.active_port)
+            return (self.lengths, self.total, self.cong_prio, self.active_port)
         due = math.floor(time / self.staleness) * self.staleness
         if due > self._sync_time:
             self._sync(due)
@@ -271,14 +268,11 @@ class SwitchState:
     def effective_alpha(self, qi: int, class_id: int, view: tuple) -> float:
         """FB's effective alpha for a packet of ``class_id`` arriving at
         queue index ``qi``, counting the arriving queue as congested."""
-        lengths, _, cong_prio, total_congested, active_port = view
+        lengths, _, cong_prio, active_port = view
         congested = lengths[qi] > self.cong_thr
-        alpha = self.alpha_of(class_id, self.queue_ids[qi].port)
-        if self.single:
-            n = total_congested + (0 if congested else 1)
-            return fb_effective_alpha(alpha, n, 1.0)
-        n_p = cong_prio[self.q_prio[qi]] + (0 if congested else 1)
         port = self.queue_ids[qi].port
+        alpha = self.alpha_of(class_id, port)
+        n_p = cong_prio[self.q_prio[qi]] + (0 if congested else 1)
         gamma = 1.0 / (active_port[port] + (0 if congested else 1))
         return fb_effective_alpha(alpha, n_p, gamma)
 
@@ -334,8 +328,7 @@ def enqueue_arrival(
     if admit:
         state._bump(qi, +1)
         state.admitted[qi] += 1
-        if state.single:
-            state.fifo[port].append(class_id)
+        state.fifo[qi].append((class_id, source_id))
         trace.records.append(
             (time, port, class_id, ACTION_ADMIT, state.lengths[qi], threshold, state.total, source_id)
         )
@@ -350,27 +343,22 @@ def enqueue_arrival(
 def service_port(state: SwitchState, port: int, time: float, trace: EventTrace) -> bool:
     """Serve one packet from the round-robin-next nonempty queue of ``port``.
 
-    Empty queues are skipped without consuming a turn.  Returns True when
+    Empty queues are skipped without consuming a turn.  The port must hold
+    a packet: a completion is pending only while it does.  Returns True when
     the port still has packets afterwards (caller reschedules)."""
-    if state.nonempty_port[port] == 0:
-        return False
-    if state.single:
-        qi = state.port_queues[port][0]
-        class_id = state.fifo[port].popleft()
-    else:
-        queues = state.port_queues[port]
-        cursor = state.rr_cursor[port]
-        for off in range(len(queues)):
-            j = (cursor + off) % len(queues)
-            if state.lengths[queues[j]] > 0:
-                qi = queues[j]
-                state.rr_cursor[port] = (j + 1) % len(queues)
-                break
-        class_id = state.queue_ids[qi].class_id
+    queues = state.port_queues[port]
+    cursor = state.rr_cursor[port]
+    for off in range(len(queues)):
+        j = (cursor + off) % len(queues)
+        if state.lengths[queues[j]] > 0:
+            qi = queues[j]
+            state.rr_cursor[port] = (j + 1) % len(queues)
+            break
+    class_id, source_id = state.fifo[qi].popleft()
     state._bump(qi, -1)
     state.departed[qi] += 1
     trace.records.append(
-        (time, port, class_id, ACTION_DEPART, state.lengths[qi], None, state.total, -1)
+        (time, port, class_id, ACTION_DEPART, state.lengths[qi], None, state.total, source_id)
     )
     return state.nonempty_port[port] > 0
 
@@ -431,7 +419,6 @@ def run(config: ScenarioConfig) -> EventTrace:
         if state.nonempty_port[port] > 0:
             events.append(Event(1.0, EventKind.SERVICE_COMPLETION, seq, (port,)))
             seq += 1
-            state.port_busy[port] = True
     heapq.heapify(events)
 
     while events:
@@ -445,9 +432,8 @@ def run(config: ScenarioConfig) -> EventTrace:
             following = next(streams[source_id], None)
             if following is not None:
                 heapq.heappush(events, Event(following[0], EventKind.ARRIVAL, source_id, ev.payload))
-            admitted = enqueue_arrival(state, class_id, port, ev.time, source_id, trace)
-            if admitted and not state.port_busy[port]:
-                state.port_busy[port] = True
+            idle = state.nonempty_port[port] == 0
+            if enqueue_arrival(state, class_id, port, ev.time, source_id, trace) and idle:
                 heapq.heappush(
                     events, Event(ev.time + 1.0, EventKind.SERVICE_COMPLETION, seq, (port,))
                 )
@@ -459,8 +445,6 @@ def run(config: ScenarioConfig) -> EventTrace:
                     events, Event(ev.time + 1.0, EventKind.SERVICE_COMPLETION, seq, (port,))
                 )
                 seq += 1
-            else:
-                state.port_busy[port] = False
         elif ev.kind == EventKind.CONTROLLER_TICK:
             controller_tick(state, ev.time, trace)
         else:  # SOURCE_STATE_CHANGE: bookkeeping only

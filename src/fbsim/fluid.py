@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import QueueId
@@ -611,50 +612,30 @@ def _solve_total_rate(base: Number, tracked: list[tuple[Number, Number, Number]]
     """Solve S = base + sum_i clamp(-omega_i*S, lo_i, hi_i).
 
     The right side is piecewise linear and non-increasing in S, so the root
-    is unique; walk the clamp breakpoints to find the containing segment.
-    The arithmetic keeps the type of its inputs (Fractions stay exact).
+    is unique.  Sweep the sorted clamp breakpoints from S = -inf, where every
+    finite ``hi`` applies and every unbounded one is linear, keeping the
+    segment's right side as ``const - slope * S``; the root lies in the
+    first segment whose right end p has ``const - slope * p <= p``.  The
+    arithmetic keeps the type of its inputs (Fractions stay exact).
     """
-    if not tracked:
-        return base
-
-    def rhs(s: Number) -> Number:
-        acc = base
-        for omega, lo, hi in tracked:
-            v = -omega * s
-            acc += lo if v < lo else (hi if v > hi else v)
-        return acc
-
-    points: list[Number] = [
-        -bound / omega for omega, lo, hi in tracked for bound in (lo, hi) if math.isfinite(bound)
-    ]
-    points.sort()
-    lower = None  # largest breakpoint with rhs(p) >= p
-    upper = None  # smallest breakpoint with rhs(p) <= p
-    for p in points:
-        if rhs(p) >= p:
-            lower = p
-        else:
-            upper = p
-            break
-    if lower is None:
-        # root lies below every breakpoint: all contributions at hi (finite
-        # ones) plus linear parts of unbounded ones
-        probe = points[0] - 1
-    elif upper is None:
-        probe = points[-1] + 1
-    else:
-        probe = (lower + upper) / 2
     const = base
-    slope_w = 0
+    slope = 0
+    steps = []  # (breakpoint, slope change, const change), as S increases
     for omega, lo, hi in tracked:
-        v = -omega * probe
-        if v < lo:
-            const += lo
-        elif v > hi:
+        if math.isfinite(hi):
             const += hi
+            steps.append((-hi / omega, omega, -hi))
         else:
-            slope_w += omega
-    return const / (1 + slope_w)
+            slope += omega
+        if math.isfinite(lo):
+            steps.append((-lo / omega, -omega, lo))
+    steps.sort(key=itemgetter(0))
+    for p, d_slope, d_const in steps:
+        if const <= (1 + slope) * p:
+            break
+        slope += d_slope
+        const += d_const
+    return const / (1 + slope)
 
 
 def integrate_transient(

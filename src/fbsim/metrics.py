@@ -9,9 +9,8 @@ query-completion proxy), per-port throughput, and occupancy statistics
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,12 +58,13 @@ def _nearest_rank(values: Sequence[int], quantile: float) -> int:
 
 
 def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
-    """All run metrics from one trace.
+    """All run metrics from one trace, in one pass over its records.
 
-    Burst packets are identified by their source; the drain-completion time
-    is the gap between the first burst source's start and the departure of
-    the last admitted burst packet (inf, and the partial flag, if the run
-    ended first).
+    Burst packets are identified by their source, which the engine records
+    on every admit, drop and departure; the drain-completion time is the
+    gap between the first burst source's start and the departure of the
+    last admitted burst packet (inf, and the partial flag, if the run ended
+    first).
     """
     burst_ids = {i for i, s in enumerate(scenario.sources) if isinstance(s, Burst)}
     burst_start = min(
@@ -72,38 +72,29 @@ def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
     )
 
     first_drop: dict[str, float] = {str(q): math.inf for q in trace.queue_ids}
-    fifos: dict[QueueId, deque] = {q: deque() for q in trace.queue_ids}
-    for q, length in trace.initial_lengths.items():
-        fifos[q].extend([-1] * length)
+    occ_max = sum(trace.initial_lengths.values())
     burst_arrivals = 0
     burst_admitted = 0
-    burst_in_buffer = 0
+    burst_departed = 0
     last_burst_departure: Optional[float] = None
-    departures_per_port: dict[int, int] = {}
 
-    for time, port, class_id, action, _qlen, _thr, _occ, source_id in trace.records:
+    for time, port, class_id, action, _qlen, _thr, occ, source_id in trace.records:
         if action == ACTION_SOURCE:
             continue
-        q = trace.queue_of[port, class_id]
-        if action == ACTION_ADMIT:
-            tag = source_id if source_id in burst_ids else -1
-            fifos[q].append(tag)
-            if tag >= 0:
-                burst_arrivals += 1
-                burst_admitted += 1
-                burst_in_buffer += 1
-        elif action == ACTION_DROP:
-            if source_id in burst_ids:
-                burst_arrivals += 1
-            key = str(q)
+        if occ > occ_max:
+            occ_max = occ
+        if action == ACTION_DROP:
+            key = str(trace.queue_of[port, class_id])
             if time < first_drop[key]:
                 first_drop[key] = time
-        elif action == ACTION_DEPART:
-            departures_per_port[port] = departures_per_port.get(port, 0) + 1
-            tag = fifos[q].popleft()
-            if tag >= 0:
-                burst_in_buffer -= 1
+        if source_id in burst_ids:
+            if action == ACTION_DEPART:
+                burst_departed += 1
                 last_burst_departure = time
+            else:
+                burst_arrivals += 1
+                if action == ACTION_ADMIT:
+                    burst_admitted += 1
 
     partial = False
     if burst_start is None:
@@ -113,79 +104,27 @@ def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
         fraction = burst_admitted / burst_arrivals if burst_arrivals else 1.0
         if burst_admitted == 0:
             drain_time = 0.0
-        elif burst_in_buffer > 0:
+        elif burst_departed < burst_admitted:
             drain_time = math.inf
             partial = True
         else:
             drain_time = last_burst_departure - burst_start
 
+    departed: dict[int, int] = {}
+    for q in trace.queue_ids:
+        departed[q.port] = departed.get(q.port, 0) + trace.counts[q]["departed"]
     occupancies = [occ for _, occ in trace.samples]
-    occ_max = max(
-        (rec[6] for rec in trace.records if rec[3] != ACTION_SOURCE),
-        default=0,
-    )
-    occ_max = max(occ_max, sum(trace.initial_lengths.values()))
-
-    ports = sorted({q.port for q in trace.queue_ids})
     return RunMetrics(
         per_queue=run_summary(trace)["queues"],
         first_drop_time=first_drop,
         burst_admitted_fraction=fraction,
         burst_drain_completion_time=drain_time,
-        throughput_per_port={
-            p: departures_per_port.get(p, 0) / trace.horizon for p in ports
-        },
+        throughput_per_port={p: departed[p] / trace.horizon for p in sorted(departed)},
         occupancy_mean=float(np.mean(occupancies)) if occupancies else 0.0,
         occupancy_p99=_nearest_rank(occupancies, 0.99) if occupancies else 0,
         occupancy_max=occ_max,
         partial=partial,
     )
-
-
-_COMPARED = (
-    "total_drops",
-    "total_admitted",
-    "burst_admitted_fraction",
-    "burst_drain_completion_time",
-    "throughput_total",
-    "occupancy_mean",
-    "occupancy_p99",
-    "occupancy_max",
-)
-
-
-def compare(
-    metric_sets: Mapping[str, RunMetrics], baseline: str
-) -> dict[str, dict[str, float]]:
-    """Percentage deltas of each labeled run versus the baseline label."""
-    if baseline not in metric_sets:
-        raise ValueError(f"baseline label {baseline!r} missing from metric sets")
-    if len(metric_sets) < 2:
-        raise ValueError("need at least two runs to compare")
-    base = metric_sets[baseline]
-    base_queues = set(base.per_queue)
-    for label, m in metric_sets.items():
-        if set(m.per_queue) != base_queues:
-            raise ValueError(f"axis mismatch: run {label!r} covers different queues")
-
-    out: dict[str, dict[str, float]] = {}
-    for label, m in metric_sets.items():
-        if label == baseline:
-            continue
-        deltas: dict[str, float] = {}
-        for key in _COMPARED:
-            value = getattr(m, key)
-            ref = getattr(base, key)
-            if value is None or ref is None:
-                continue
-            if math.isinf(ref) or math.isinf(value):
-                deltas[key] = 0.0 if value == ref else math.inf
-            elif ref == 0:
-                deltas[key] = 0.0 if value == 0 else math.inf
-            else:
-                deltas[key] = 100.0 * (value - ref) / ref
-        out[label] = deltas
-    return out
 
 
 def trailing_steady_lengths(

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import QueueId, TrafficClass, UnitsConvention
+from .core import QueueId, TrafficClass
 from .fluid import NewQueue, OldQueue, OmegaVector, TransientScenario
 from .policies import PolicyKind
 
@@ -289,10 +289,13 @@ class ScenarioConfig:
         return override if override is not None else self.class_by_id(queue.class_id).alpha
 
     def validate(self) -> None:
-        try:
-            UnitsConvention(self.buffer_size)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if self.buffer_size < 1:
+            raise ConfigError(f"buffer size must be >= 1 packet, got {self.buffer_size}")
+        controls = (self.horizon, self.fba_period, self.sample_interval, self.snapshot_staleness)
+        if not all(math.isfinite(v) for v in controls):
+            raise ConfigError(
+                "horizon, fba_period, sample_interval and snapshot_staleness must be finite"
+            )
         if self.n_ports < 1:
             raise ConfigError("need at least one port")
         if not self.classes:

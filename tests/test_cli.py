@@ -100,6 +100,23 @@ def test_source_stopping_before_it_starts_exits_3(source, tmp_path, capsys):
     assert "must be after its start" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,replacement,flags", [
+    ("horizon = 60.0", "horizon = inf", []),
+    ("fba_period = 1.0", "fba_period = nan", []),
+    ("sample_interval = 0.1", "sample_interval = inf", []),
+    ("snapshot_staleness = 0.0", "snapshot_staleness = nan", []),
+    ("kind = dt", "kind = fba", ["--fba-period", "nan"]),
+], ids=["horizon_inf", "fba_period_nan", "sample_interval_inf", "staleness_nan", "flag_fba_period_nan"])
+def test_non_finite_run_control_exits_3(line, replacement, flags, tmp_path, capsys):
+    text = dumps_scenario(preset("fig2"))
+    assert line in text
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text.replace(line, replacement))
+    argv = ["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]
+    assert main(argv + flags) == 3
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_missing_scenario_exits_3(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o")]) == 3
 

@@ -9,18 +9,26 @@ from fbsim.core import (
     CapacityError,
     QueueId,
     TrafficClass,
-    UnitsConvention,
     derive_aggregates,
-    priority_groups,
 )
+from fbsim.policies import PolicyKind
+from fbsim.workloads import ConfigError, ScenarioConfig
 
 LOW, HIGH = 0, 1
 
 
 def test_units_convention_requires_positive_buffer():
-    UnitsConvention(1)
-    with pytest.raises(ValueError):
-        UnitsConvention(0)
+    # the buffer is counted in whole packets; ScenarioConfig enforces B >= 1
+    def config(buffer_size):
+        return ScenarioConfig(
+            buffer_size=buffer_size, n_ports=1, classes=(TrafficClass(0, Fraction(1), LOW),),
+            policy=PolicyKind.DYNAMIC_THRESHOLDS,
+        )
+
+    config(1).validate()
+    for bad in (0, -1):
+        with pytest.raises(ConfigError, match="buffer size must be >= 1 packet"):
+            config(bad).validate()
 
 
 def test_traffic_class_requires_positive_alpha():
@@ -28,19 +36,6 @@ def test_traffic_class_requires_positive_alpha():
         TrafficClass(0, Fraction(0), LOW)
     with pytest.raises(ValueError):
         TrafficClass(0, Fraction(-1), LOW)
-
-
-def test_priority_groups_partition_and_alpha_max():
-    classes = {
-        0: TrafficClass(0, Fraction(1), LOW),
-        1: TrafficClass(1, Fraction(3), LOW),
-        2: TrafficClass(2, Fraction(2), HIGH),
-    }
-    groups = priority_groups(classes)
-    assert set(groups) == {LOW, HIGH}
-    assert groups[LOW].class_ids == (0, 1)
-    assert groups[LOW].alpha_max == 3
-    assert groups[HIGH].alpha_max == 2
 
 
 def test_empty_buffer_snapshot():

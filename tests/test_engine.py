@@ -339,6 +339,55 @@ def test_single_queue_prefill_conservation():
     trace.verify_conservation()
 
 
+DEPARTURE_CASES = {
+    # a constant source and a burst share one queue (and drop some packets)
+    "multi": ScenarioConfig(
+        buffer_size=12, n_ports=2, classes=(TrafficClass(0, F(1), LOW),),
+        policy=PolicyKind.DYNAMIC_THRESHOLDS,
+        sources=(
+            ConstantRate(class_id=0, port=0, rate=F(1)),
+            Burst(class_id=0, port=0, r=F(3), duration=F(4), start=F(5, 2)),
+        ),
+        horizon=30.0,
+    ),
+    # two classes interleave in the shared queue behind a two-class pre-fill
+    "single": ScenarioConfig(
+        buffer_size=20, n_ports=1,
+        classes=(TrafficClass(0, F(1), LOW), TrafficClass(1, F(2), HIGH)),
+        policy=PolicyKind.FB_SINGLE_QUEUE, queue_mode="single",
+        sources=(
+            ConstantRate(class_id=0, port=0, rate=F(1, 2)),
+            Burst(class_id=1, port=0, r=F(3), duration=F(4), start=F(3, 2)),
+        ),
+        initial_lengths={QueueId(0, 0): 3, QueueId(0, 1): 2},
+        horizon=30.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEPARTURE_CASES))
+def test_departures_name_their_packet(case):
+    # per queue, departures are the pre-filled packets (source -1) and then
+    # the admitted ones, in order, each with its class and source
+    cfg = DEPARTURE_CASES[case]
+    trace = run(cfg)
+    queued = {q: [] for q in trace.queue_ids}
+    for q, n in sorted(cfg.initial_lengths.items()):
+        queued[trace.queue_of[q.port, q.class_id]] += [(q.class_id, -1)] * n
+    departed = {q: [] for q in trace.queue_ids}
+    for _time, port, cls, action, *_rest, source_id in trace.records:
+        if action == "admit":
+            queued[trace.queue_of[port, cls]].append((cls, source_id))
+        elif action == "depart":
+            departed[trace.queue_of[port, cls]].append((cls, source_id))
+    for q in trace.queue_ids:
+        assert departed[q] == queued[q][: len(departed[q])]
+    sources = {source_id for packets in departed.values() for _cls, source_id in packets}
+    assert sources >= {0, 1}
+    assert (-1 in sources) == bool(cfg.initial_lengths)
+    assert any(a == "drop" for _t, _p, _c, a, *_ in trace.records)
+
+
 def test_fb_single_policy_requires_single_mode():
     cfg = replace(preset("fig4_steady"), policy=PolicyKind.FB_SINGLE_QUEUE)
     with pytest.raises(Exception):

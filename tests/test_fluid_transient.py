@@ -6,6 +6,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
 from fbsim.core import QueueId
 from fbsim.fluid import (
@@ -16,6 +17,7 @@ from fbsim.fluid import (
     OldQueue,
     TransientScenario,
     WrongCaseError,
+    _solve_total_rate,
     alpha_H_for_burst,
     alpha_L_for_burst,
     alpha_L_for_zero_transient,
@@ -273,6 +275,72 @@ def check_segments(ts, res):
                 assert start < 0 or thr_slope > cap
             else:
                 assert slope == thr_slope and -q.gamma <= slope <= cap
+
+
+def clamp_walk(base, tracked):
+    """Independent oracle for _solve_total_rate: evaluate the right side at
+    every sorted breakpoint, bracket the root and solve on its segment."""
+    def rhs(s):
+        acc = base
+        for omega, lo, hi in tracked:
+            v = -omega * s
+            acc += lo if v < lo else (hi if v > hi else v)
+        return acc
+
+    points = sorted(
+        -bound / omega for omega, lo, hi in tracked for bound in (lo, hi) if math.isfinite(bound)
+    )
+    if not points:
+        probe = F(0)
+    elif rhs(points[0]) < points[0]:
+        probe = points[0] - 1
+    else:
+        lower = max(p for p in points if rhs(p) >= p)
+        above = [p for p in points if p > lower]
+        probe = (lower + above[0]) / 2 if above else lower + 1
+    const, slope = base, 0
+    for omega, lo, hi in tracked:
+        v = -omega * probe
+        if v < lo:
+            const += lo
+        elif v > hi:
+            const += hi
+        else:
+            slope += omega
+    return const / (1 + slope), rhs
+
+
+# small grids so that breakpoints -lo/omega and -hi/omega often coincide
+_omegas = st.sampled_from([F(1, 3), F(1, 2), F(1), F(2), F(3)])
+_bounds = st.integers(-6, 6).map(F)
+
+
+@st.composite
+def _clamps(draw):
+    omega = draw(_omegas)
+    lo, hi = sorted((draw(_bounds), draw(_bounds)))
+    if draw(st.booleans()):
+        lo = -math.inf
+    if draw(st.booleans()):
+        hi = math.inf
+    return omega, lo, hi
+
+
+class TestSolveTotalRate:
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.integers(-20, 20).map(F), tracked=st.lists(_clamps(), max_size=6))
+    @example(base=F(0), tracked=[])
+    @example(base=F(3), tracked=[(F(1), F(-2), F(2)), (F(2), F(-4), F(4)), (F(1, 2), F(-1), F(1))])
+    @example(base=F(-5), tracked=[(F(1), -math.inf, F(0)), (F(2), -math.inf, F(0))])
+    @example(base=F(7), tracked=[(F(1), F(-1), math.inf), (F(3), -math.inf, math.inf)])
+    def test_sweep_matches_the_breakpoint_walk(self, base, tracked):
+        # the root is unique, so the exact sweep equals the walk and solves
+        # S = base + sum clamp(-omega * S, lo, hi) exactly
+        s = _solve_total_rate(base, tracked)
+        expected, rhs = clamp_walk(base, tracked)
+        assert isinstance(s, Fraction)
+        assert s == expected
+        assert rhs(s) == s
 
 
 class TestIntegrator:

@@ -8,7 +8,7 @@ import pytest
 
 from fbsim.core import QueueId, TrafficClass
 from fbsim.engine import run
-from fbsim.metrics import compare, compute, trailing_steady_lengths
+from fbsim.metrics import compute, trailing_steady_lengths
 from fbsim.policies import PolicyKind
 from fbsim.workloads import Burst, ConstantRate, ScenarioConfig, preset
 
@@ -98,36 +98,6 @@ def test_p99_at_least_mean():
     m = compute(run(cfg), cfg)
     assert m.occupancy_p99 >= m.occupancy_mean
     assert m.occupancy_max >= m.occupancy_p99
-
-
-def test_compare_identical_runs_zero_deltas():
-    cfg = preset("fig4_incast")
-    m = compute(run(cfg), cfg)
-    deltas = compare({"a": m, "b": m}, baseline="a")
-    assert all(v == 0.0 for v in deltas["b"].values())
-
-
-def test_compare_fb_beats_dt_on_incast():
-    dt_cfg = preset("fig4_incast")
-    fb_cfg = replace(dt_cfg, policy=PolicyKind.FB, initial_lengths=preset("fig5_incast").initial_lengths)
-    dt_m = compute(run(dt_cfg), dt_cfg)
-    fb_m = compute(run(fb_cfg), fb_cfg)
-    assert fb_m.burst_admitted_fraction >= dt_m.burst_admitted_fraction
-    deltas = compare({"dt": dt_m, "fb": fb_m}, baseline="dt")
-    assert deltas["fb"]["burst_admitted_fraction"] > 0
-
-
-def test_compare_requires_baseline_and_matching_axes():
-    cfg = preset("fig4_incast")
-    m = compute(run(cfg), cfg)
-    with pytest.raises(ValueError):
-        compare({"a": m}, baseline="a")
-    with pytest.raises(ValueError):
-        compare({"a": m, "b": m}, baseline="missing")
-    other_cfg = preset("fig2")
-    other = compute(run(other_cfg), other_cfg)
-    with pytest.raises(ValueError):
-        compare({"a": m, "b": other}, baseline="a")
 
 
 def test_trailing_steady_lengths_on_converged_run():
