@@ -14,18 +14,21 @@ bit-identical traces.
 
 The trace records every admit/drop/departure with the threshold used and
 the packet's source, plus controller ticks and periodic occupancy samples.
+``write_trace_csv`` and ``write_samples_csv`` stream it to CSV in chunks of
+EXPORT_CHUNK_ROWS preformatted rows, so export memory does not grow with
+the trace; ``write_run_summary`` writes the per-queue totals as JSON.
 """
 
 from __future__ import annotations
 
-import csv
 import heapq
 import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import NamedTuple, Optional
+from itertools import islice
+from typing import Iterable, NamedTuple, Optional
 
 from .core import QueueId, derive_aggregates
 from .policies import (
@@ -42,6 +45,10 @@ ACTION_DEPART = "depart"
 ACTION_SOURCE = "source_change"
 
 TRACE_COLUMNS = ("time", "port", "class", "queue_len", "action", "threshold")
+
+#: Rows formatted and written per chunk by the CSV writers: the file is
+#: streamed, so export memory stays flat however long the trace is.
+EXPORT_CHUNK_ROWS = 2048
 
 
 class EngineInvariantError(RuntimeError):
@@ -75,8 +82,10 @@ class EventTrace:
     a packet pre-filled from ``initial_lengths``.
     ``queue_of`` maps a record's (port, class_id) to its engine queue (the
     shared per-port queue in single-queue mode).  ``ticks`` holds (time,
-    {queue: effective alpha}) controller emissions.  ``counts`` holds the
-    engine's per-queue arrival/admit/drop/departure totals.
+    {queue: effective alpha}) controller emissions, one per tick; while the
+    table is unchanged consecutive ticks share one dict object, so the
+    tables are read-only.  ``counts`` holds the engine's per-queue
+    arrival/admit/drop/departure totals.
     """
 
     queue_ids: tuple[QueueId, ...]
@@ -130,7 +139,7 @@ class SwitchState:
     """Mutable per-run switch state: queue lengths, congestion counters,
     per-queue admitted/dropped/departed totals, one packet FIFO per queue
     of (class_id, source_id) in service order, round-robin cursors, the FBA
-    table in force, and the clock.
+    table in force (as a list and as the dict last emitted), and the clock.
 
     Single-queue mode is the same model with one shared queue per port, all
     in one priority group: N counts every congested queue and gamma is 1.
@@ -184,6 +193,12 @@ class SwitchState:
             ]
             for q in self.queue_ids
         ]
+        # (alpha, priority index, port) per queue index, the inputs of an
+        # FBA table (none in single-queue mode, where FBA is DT)
+        self.fba_inputs = [] if self.single else [
+            (self.slot_alpha[q.port, q.class_id], self.q_prio[i], q.port)
+            for i, q in enumerate(self.queue_ids)
+        ]
 
         self.lengths = [0] * n
         self.total = 0
@@ -206,8 +221,10 @@ class SwitchState:
             self.fifo[qi].extend([(q.class_id, -1)] * length)
 
         # FBA controller table (per queue index); None means no table yet /
-        # continuous recomputation (period == 0)
+        # continuous recomputation (period == 0).  fba_emitted is the same
+        # table keyed by QueueId, as last appended to trace.ticks.
         self.fba_table: Optional[list[float]] = None
+        self.fba_emitted: dict[QueueId, float] = {}
 
         # optional fixed snapshot staleness (hardware-sync modelling)
         self.staleness = config.snapshot_staleness
@@ -364,19 +381,26 @@ def service_port(state: SwitchState, port: int, time: float, trace: EventTrace) 
 
 
 def controller_tick(state: SwitchState, time: float, trace: EventTrace) -> None:
-    """Recompute the FBA alpha table from the instantaneous state."""
-    if state.single:
-        trace.ticks.append((time, {}))
+    """Recompute the FBA alpha table from the instantaneous state.
+
+    Each queue gets ``effective_alpha``'s value for a packet of its own
+    class.  A new ``{QueueId: alpha}`` dict is built only when the table
+    changed; otherwise the tick re-emits the dict already in force."""
+    if state.single:  # FBA in single-queue mode is DT: the table stays empty
+        trace.ticks.append((time, state.fba_emitted))
         return
-    view = state._view(time)
-    table = [
-        state.effective_alpha(qi, state.queue_ids[qi].class_id, view)
-        for qi in range(len(state.queue_ids))
-    ]
-    state.fba_table = table
-    trace.ticks.append(
-        (time, {q: table[i] for i, q in enumerate(state.queue_ids)})
-    )
+    lengths, _, cong_prio, active_port = state._view(time)
+    thr = state.cong_thr
+    table = []
+    for qi, (alpha, prio, port) in enumerate(state.fba_inputs):
+        joins = 0 if lengths[qi] > thr else 1
+        table.append(
+            fb_effective_alpha(alpha, cong_prio[prio] + joins, 1.0 / (active_port[port] + joins))
+        )
+    if table != state.fba_table:
+        state.fba_table = table
+        state.fba_emitted = dict(zip(state.queue_ids, table))
+    trace.ticks.append((time, state.fba_emitted))
 
 
 def run(config: ScenarioConfig) -> EventTrace:
@@ -474,40 +498,53 @@ def _sample_occupancy(
     records: list[tuple], interval: float, horizon: float, initial: int
 ) -> list[tuple[float, int]]:
     """Occupancy at 0, interval, 2*interval, ... horizon (step function of
-    the recorded events)."""
+    the recorded events).  One pass: the sample at t sees every record up
+    to the first one later than t + 1e-12."""
     samples: list[tuple[float, int]] = []
     occupancy = initial
-    idx = 0
     steps = int(math.floor(horizon / interval + 1e-9))
-    for k in range(steps + 1):
-        t = k * interval
-        while idx < len(records) and records[idx][0] <= t + 1e-12:
-            if records[idx][3] != ACTION_SOURCE:
-                occupancy = records[idx][6]
-            idx += 1
-        samples.append((t, occupancy))
+    k = 0
+    t = k * interval
+    for time, _port, _cls, action, _qlen, _thr, occ, _src in records:
+        while time > t + 1e-12:
+            samples.append((t, occupancy))
+            k += 1
+            if k > steps:
+                return samples
+            t = k * interval
+        if action != ACTION_SOURCE:
+            occupancy = occ
+    while k <= steps:
+        samples.append((k * interval, occupancy))
+        k += 1
     return samples
 
 
 # -- export ------------------------------------------------------------------
 
 
-def write_trace_csv(trace: EventTrace, path) -> None:
-    """Trace rows as CSV: time, port, class, queue_len, action, threshold."""
+def _write_csv(path, columns: Iterable[str], rows: Iterable[str]) -> None:
+    """A header and preformatted ``\r\n``-terminated rows (the csv module's
+    default dialect), written EXPORT_CHUNK_ROWS rows at a time."""
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for time, port, class_id, action, qlen, threshold, _occ, _src in trace.records:
-            thr = "" if threshold is None else ("inf" if threshold == math.inf else repr(threshold))
-            writer.writerow([repr(time), port, class_id, qlen, action, thr])
+        fh.write(",".join(columns) + "\r\n")
+        while chunk := "".join(islice(rows, EXPORT_CHUNK_ROWS)):
+            fh.write(chunk)
+
+
+def write_trace_csv(trace: EventTrace, path) -> None:
+    """Trace rows as CSV: time, port, class, queue_len, action, threshold
+    (floats as ``repr``, no threshold on departures and source changes)."""
+    _write_csv(path, TRACE_COLUMNS, (
+        f"{time!r},{port},{class_id},{qlen},{action},{'' if thr is None else repr(thr)}\r\n"
+        for time, port, class_id, action, qlen, thr, _occ, _src in trace.records
+    ))
 
 
 def write_samples_csv(trace: EventTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("time", "occupancy"))
-        for t, occ in trace.samples:
-            writer.writerow([repr(t), occ])
+    """Occupancy samples as CSV: time, occupancy."""
+    _write_csv(path, ("time", "occupancy"), (f"{t!r},{occ}\r\n" for t, occ in trace.samples))
 
 
 def run_summary(trace: EventTrace) -> dict:

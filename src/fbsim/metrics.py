@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .core import QueueId
 from .engine import (
     ACTION_ADMIT,
@@ -72,6 +70,7 @@ def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
     )
 
     first_drop: dict[str, float] = {str(q): math.inf for q in trace.queue_ids}
+    slot_key = {slot: str(q) for slot, q in trace.queue_of.items()}
     occ_max = sum(trace.initial_lengths.values())
     burst_arrivals = 0
     burst_admitted = 0
@@ -84,7 +83,7 @@ def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
         if occ > occ_max:
             occ_max = occ
         if action == ACTION_DROP:
-            key = str(trace.queue_of[port, class_id])
+            key = slot_key[port, class_id]
             if time < first_drop[key]:
                 first_drop[key] = time
         if source_id in burst_ids:
@@ -120,7 +119,7 @@ def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
         burst_admitted_fraction=fraction,
         burst_drain_completion_time=drain_time,
         throughput_per_port={p: departed[p] / trace.horizon for p in sorted(departed)},
-        occupancy_mean=float(np.mean(occupancies)) if occupancies else 0.0,
+        occupancy_mean=sum(occupancies) / len(occupancies) if occupancies else 0.0,
         occupancy_p99=_nearest_rank(occupancies, 0.99) if occupancies else 0,
         occupancy_max=occ_max,
         partial=partial,
@@ -160,28 +159,6 @@ def trailing_steady_lengths(
         maxima = dict(current)
         occ_max = occupancy
     return maxima, occ_max
-
-
-def trailing_group_max(
-    trace: EventTrace, queues: Sequence[QueueId], window: float
-) -> int:
-    """Maximum summed length of a queue group over the run's last ``window``
-    time units (e.g. a priority group's pinned aggregate)."""
-    group = set(queues)
-    t0 = trace.horizon - window
-    current = {q: trace.initial_lengths.get(q, 0) for q in trace.queue_ids}
-    best: Optional[int] = None
-    for time, port, class_id, action, qlen, *_ in trace.records:
-        if action not in (ACTION_ADMIT, ACTION_DEPART):
-            continue
-        if time >= t0 and best is None:
-            best = sum(current[q] for q in group)
-        current[trace.queue_of[port, class_id]] = qlen
-        if best is not None:
-            total = sum(current[q] for q in group)
-            if total > best:
-                best = total
-    return best if best is not None else sum(current[q] for q in group)
 
 
 def to_jsonable(metrics: RunMetrics) -> dict:

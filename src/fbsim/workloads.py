@@ -24,8 +24,6 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from .core import QueueId, TrafficClass
 from .fluid import NewQueue, OldQueue, OmegaVector, TransientScenario
 from .policies import PolicyKind
@@ -173,7 +171,10 @@ def _poisson_flows(
     src: PoissonFlows, seed: int, idx: int, end: float
 ) -> Iterator[tuple[float, int]]:
     """(start, size) of each flow that starts before ``end``, in draw order:
-    an exponential gap, then a size, from ``np.random.default_rng([seed, idx])``."""
+    an exponential gap, then a size, from ``np.random.default_rng([seed, idx])``.
+    numpy is imported here, so runs without Poisson sources never load it."""
+    import numpy as np
+
     rng = np.random.default_rng([seed, idx])
     cdf = _resolved_cdf(src)
     mean = float(src.mean_interarrival)

@@ -1,6 +1,10 @@
 """CLI: subcommands, artifacts, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +207,14 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (serial / "index.csv").read_text() == (parallel / "index.csv").read_text()
     for sub in ("run_000", "run_001"):
         assert (serial / sub / "trace.csv").read_bytes() == (parallel / sub / "trace.csv").read_bytes()
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is imported only where Poisson flows are drawn, so a cold start
+    # of the CLI (and every run without Poisson sources) skips its import
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fbsim.cli, sys; assert 'numpy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

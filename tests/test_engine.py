@@ -1,14 +1,28 @@
 """Packet engine: determinism, conservation, scheduling, policy consistency."""
 
+import csv
 import math
+import tempfile
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fbsim.core import QueueId, TrafficClass, derive_aggregates
-from fbsim.engine import EngineInvariantError, SwitchState, run
+from fbsim.engine import (
+    EXPORT_CHUNK_ROWS,
+    EngineInvariantError,
+    EventTrace,
+    SwitchState,
+    run,
+    _sample_occupancy,
+    write_samples_csv,
+    write_trace_csv,
+)
 from fbsim.policies import PolicyKind, fb_effective_alpha
 from fbsim.workloads import Burst, ConstantRate, ScenarioConfig, build_sources, preset
 
@@ -293,6 +307,19 @@ def test_fba_controller_ticks_recorded():
     assert len(times) == 1 + int(cfg.horizon / 2.0)
 
 
+@pytest.mark.parametrize("name", ["fig5_steady", "fig5_incast"])
+def test_fba_ticks_share_unchanged_tables(name):
+    # a tick that leaves the table unchanged re-emits the dict in force, so
+    # there is one dict object per table change plus the initial one
+    trace = run(replace(preset(name), policy=PolicyKind.FBA, fba_period=2.0))
+    tables = [table for _t, table in trace.ticks]
+    changes = sum(a != b for a, b in zip(tables, tables[1:]))
+    assert 0 < changes < len(tables) - 1
+    for a, b in zip(tables, tables[1:]):
+        assert (a is b) == (a == b)
+    assert len({id(table) for table in tables}) == changes + 1
+
+
 def test_fba_period_beyond_horizon_keeps_initial_table():
     cfg = replace(preset("fig5_steady"), policy=PolicyKind.FBA, fba_period=1000.0)
     trace = run(cfg)
@@ -443,3 +470,135 @@ def test_capacity_invariant_error_is_guarded():
     with pytest.raises(EngineInvariantError):
         for _ in range(61):
             state._bump(qi, +1)
+
+
+ACTIONS = ("admit", "drop", "depart", "source_change")
+
+
+def _samples_oracle(records, interval, horizon, initial):
+    """Occupancy samples with one record scan per sample instant."""
+    samples, occupancy, idx = [], initial, 0
+    for k in range(int(math.floor(horizon / interval + 1e-9)) + 1):
+        t = k * interval
+        while idx < len(records) and records[idx][0] <= t + 1e-12:
+            if records[idx][3] != "source_change":
+                occupancy = records[idx][6]
+            idx += 1
+        samples.append((t, occupancy))
+    return samples
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(
+            st.integers(0, 60),
+            # offsets around a sample instant, on both sides of the 1e-12 rule
+            st.sampled_from([-2e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12, 0.04]),
+            st.sampled_from(ACTIONS),
+            st.integers(0, 99),
+        ),
+        max_size=80,
+    ),
+    interval=st.sampled_from([0.1, 0.25, 0.3, 1.0]),
+    horizon=st.floats(0.0, 6.0),
+    initial=st.integers(0, 9),
+)
+def test_occupancy_samples_match_a_scan_per_instant(points, interval, horizon, initial):
+    records = sorted(
+        (k * interval + off, 0, 0, action, 0, None, occ, 0) for k, off, action, occ in points
+    )
+    assert _sample_occupancy(records, interval, horizon, initial) == _samples_oracle(
+        records, interval, horizon, initial
+    )
+
+
+# -- export ------------------------------------------------------------------
+
+# floats whose repr uses an exponent, a negative zero and plain values
+SPECIAL_FLOATS = (1e-07, 1e+16, -0.0, 0.0, 0.1, 2.5e-300, 1.7976931348623157e+308)
+
+
+def _csv_writer_oracle(path, header, rows):
+    """The writers' reference route: csv.writer, one row per record."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _oracle_trace_rows(records):
+    for time, port, class_id, action, qlen, threshold, _occ, _src in records:
+        thr = "" if threshold is None else ("inf" if threshold == math.inf else repr(threshold))
+        yield [repr(time), port, class_id, qlen, action, thr]
+
+
+_times = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
+_thresholds = st.one_of(
+    st.none(), st.just(math.inf), st.sampled_from(SPECIAL_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_records = st.tuples(
+    _times, st.integers(0, 63), st.integers(-1, 63), st.integers(0, 10**6),
+    st.sampled_from(ACTIONS), _thresholds, st.integers(0, 10**6), st.integers(-1, 99),
+)
+# row counts below, at and above one chunk, and across several chunks
+_counts = st.one_of(
+    st.sampled_from([0, 1, EXPORT_CHUNK_ROWS - 1, EXPORT_CHUNK_ROWS, EXPORT_CHUNK_ROWS + 1,
+                     2 * EXPORT_CHUNK_ROWS, 2 * EXPORT_CHUNK_ROWS + 1]),
+    st.integers(0, 3 * EXPORT_CHUNK_ROWS),
+)
+
+_PINNED = [
+    (t, p, c, q, a, thr, 0, 0)
+    for t, thr in zip(SPECIAL_FLOATS, (None, math.inf, 1e-07, 1e+16, -0.0, 3.0, 0.1))
+    for p, c, q in [(0, -1, 0), (5, 8, 1999)]
+    for a in ACTIONS
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    distinct=st.lists(_records, min_size=1, max_size=40),
+    samples=st.lists(st.tuples(_times, st.integers(0, 10**6)), min_size=1, max_size=40),
+    n=_counts,
+)
+@example(distinct=_PINNED, samples=[(t, 7) for t in SPECIAL_FLOATS], n=EXPORT_CHUNK_ROWS)
+@example(distinct=_PINNED, samples=[(t, 0) for t in SPECIAL_FLOATS], n=EXPORT_CHUNK_ROWS - 1)
+@example(distinct=_PINNED, samples=[(t, 3) for t in SPECIAL_FLOATS], n=EXPORT_CHUNK_ROWS + 1)
+def test_csv_writers_match_the_csv_module(distinct, samples, n):
+    trace = EventTrace(
+        queue_ids=(),
+        records=[distinct[i % len(distinct)] for i in range(n)],
+        samples=[samples[i % len(samples)] for i in range(n)],
+    )
+    with tempfile.TemporaryDirectory() as d:
+        out = Path(d)
+        write_trace_csv(trace, out / "trace.csv")
+        _csv_writer_oracle(out / "trace_oracle.csv",
+                           ("time", "port", "class", "queue_len", "action", "threshold"),
+                           _oracle_trace_rows(trace.records))
+        assert (out / "trace.csv").read_bytes() == (out / "trace_oracle.csv").read_bytes()
+
+        write_samples_csv(trace, out / "samples.csv")
+        _csv_writer_oracle(out / "samples_oracle.csv", ("time", "occupancy"),
+                           ([repr(t), occ] for t, occ in trace.samples))
+        assert (out / "samples.csv").read_bytes() == (out / "samples_oracle.csv").read_bytes()
+
+
+def test_trace_export_streams_in_bounded_memory(tmp_path):
+    # the file is larger than the bound, so a writer that builds the whole
+    # text in memory before writing it cannot pass
+    records = [
+        (i * 0.1, i % 6, i % 9, i % 50, ACTIONS[i % 4], i * 0.37, i % 2000, i % 10)
+        for i in range(40_000)
+    ]
+    trace = EventTrace(queue_ids=(), records=records)
+    tracemalloc.start()
+    try:
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "trace.csv").stat().st_size > 1_000_000
+    assert peak < 1_000_000
