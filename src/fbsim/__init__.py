@@ -49,7 +49,6 @@ from .workloads import (
     ConstantRate,
     PoissonFlows,
     ScenarioConfig,
-    build_sources,
     dump_scenario,
     load_scenario,
     preset,

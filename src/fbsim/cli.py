@@ -59,8 +59,10 @@ def _parse_numbers(args) -> None:
     """Turn the text of the numeric flags into numbers, in place.
 
     The rational flags become Fractions and the comma-separated lists become
-    lists; malformed text raises ScenarioParseError (exit code 2), while
-    range checks stay with the analysis (exit code 3).
+    lists; sweep ``--values`` become ints on the n_low_queues axis and
+    Fractions on the others, their text kept in ``value_texts`` for the
+    index.  Malformed text raises ScenarioParseError (exit code 2), while
+    range checks stay with the analysis and the sweep (exit code 3).
     """
     for name in ("r", "t", "alpha_l", "alpha_h"):
         if getattr(args, name, None) is not None:
@@ -68,6 +70,10 @@ def _parse_numbers(args) -> None:
     for name, kind in (("alphas", Fraction), ("r_values", Fraction), ("counts", int)):
         if getattr(args, name, None) is not None:
             setattr(args, name, [_number(name, v, kind) for v in getattr(args, name).split(",")])
+    if getattr(args, "values", None) is not None:
+        kind = int if args.axis == "n_low_queues" else Fraction
+        args.value_texts = [v for v in args.values.split(",") if v]
+        args.values = [_number("values", v, kind) for v in args.value_texts]
 
 
 def _load_config(args) -> workloads.ScenarioConfig:
@@ -125,10 +131,9 @@ def _sweep_worker(item):
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = [v for v in args.values.split(",") if v]
-    configs = workloads.sweep(cfg, args.axis, values)
+    configs = workloads.sweep(cfg, args.axis, args.values)
     jobs = []
-    for i, (value, sub) in enumerate(zip(values, configs)):
+    for i, sub in enumerate(configs):
         sub.validate()
         jobs.append((sub, os.path.join(args.out, f"run_{i:03d}"), args.format))
     if args.parallel > 1:
@@ -144,7 +149,7 @@ def cmd_sweep(args) -> int:
             ("run", "axis", "value", "dir", "total_admitted", "total_drops",
              "burst_admitted_fraction", "throughput_total", "occupancy_p99")
         )
-        for i, (value, row) in enumerate(zip(values, results)):
+        for i, (value, row) in enumerate(zip(args.value_texts, results)):
             writer.writerow(
                 (i, args.axis, value, f"run_{i:03d}", row["total_admitted"],
                  row["total_drops"], row["burst_admitted_fraction"],

@@ -1,16 +1,23 @@
 """Deterministic discrete-event packet simulator of one shared-buffer switch.
 
-One event loop per run: packet arrivals consult the configured admission
-policy against the live buffer state, every port serves its queues
-round-robin at one packet per time unit, and (for FBA) a controller
-periodically re-emits effective alphas.  Arrivals are drawn lazily from
-one ``workloads.source_stream`` per source, with exactly one pending
-arrival per source on the event heap, so memory grows with the number of
-sources, not of arrivals.  Simultaneous events are ordered arrivals ->
-service completions -> controller ticks; equal-time arrivals then go in
-source order (the order of ``workloads.build_sources``) and other events
-by sequence number, so identical configurations always produce
-bit-identical traces.
+One event loop per run: packet arrivals consult the run's admission rule
+against the live buffer state, every port serves its queues round-robin at
+one packet per time unit, and (for FBA) a controller periodically re-emits
+effective alphas.  Arrivals are drawn lazily from one
+``workloads.source_stream`` per source, with exactly one pending arrival
+per source on the event heap, so memory grows with the number of sources,
+not of arrivals.  Simultaneous events are ordered arrivals -> service
+completions -> controller ticks; equal-time arrivals then go in source
+order (their index in the config) and other events by sequence number, so
+identical configurations always produce bit-identical traces.
+
+``SwitchState`` resolves each run's admission rule once, and ``queue_mode``
+only shapes the queue layout.  ``cs``, ``dt`` and ``fb`` (in either mode)
+are their own rules.  ``fba`` is DT in single-queue mode (one shared queue
+cannot carry per-class DT alphas, so no controller runs), FB at
+``fba_period = 0`` (the alpha is recomputed at every decision), and FBA
+otherwise: admission reads the table in force, built from the state at
+construction and recomputed by every controller tick.
 
 The trace records every admit/drop/departure with the threshold used and
 the packet's source, plus controller ticks and periodic occupancy samples.
@@ -141,8 +148,10 @@ class SwitchState:
     of (class_id, source_id) in service order, round-robin cursors, the FBA
     table in force (as a list and as the dict last emitted), and the clock.
 
-    Single-queue mode is the same model with one shared queue per port, all
-    in one priority group: N counts every congested queue and gamma is 1.
+    ``rule`` is the run's admission rule, resolved once from the policy, the
+    queue mode and the FBA period (see the module docstring).  Single-queue
+    mode is the same model with one shared queue per port, all in one
+    priority group: N counts every congested queue and gamma is 1.
 
     Counters are maintained incrementally; ``snapshot()`` rebuilds the same
     aggregates through core.derive_aggregates for cross-checking.
@@ -153,29 +162,30 @@ class SwitchState:
         self.config = config
         self.buffer_size = config.buffer_size
         self.cong_thr = config.congestion_threshold
-        self.single = config.queue_mode == "single"
-        self.policy_kind = config.policy
+        single = config.queue_mode == "single"
+        rule = config.policy
+        if rule is PolicyKind.FBA and single:
+            rule = PolicyKind.DYNAMIC_THRESHOLDS
+        elif rule is PolicyKind.FBA and config.fba_period == 0:
+            rule = PolicyKind.FB
+        self.rule = rule
         self.clock = 0.0
 
+        # priority of a queue's class, the shared queue in its own group
         self.class_prio = {c.class_id: c.priority_id for c in config.classes}
-        prios = sorted(set(self.class_prio.values()))
-        if self.single:
-            prios.append(SHARED_QUEUE_CLASS)
-        self.prio_index = {p: i for i, p in enumerate(prios)}
+        if single:
+            self.class_prio[SHARED_QUEUE_CLASS] = SHARED_QUEUE_CLASS
+        prio_index = {p: i for i, p in enumerate(sorted(set(self.class_prio.values())))}
 
-        if self.single:
-            self.queue_ids = tuple(QueueId(p, SHARED_QUEUE_CLASS) for p in range(config.n_ports))
-        else:
-            self.queue_ids = tuple(
-                QueueId(p, c.class_id)
-                for p in range(config.n_ports)
-                for c in config.classes
-            )
+        queue_classes = (SHARED_QUEUE_CLASS,) if single else [c.class_id for c in config.classes]
+        self.queue_ids = tuple(
+            QueueId(p, qc) for p in range(config.n_ports) for qc in queue_classes
+        )
         self.q_index = {q: i for i, q in enumerate(self.queue_ids)}
         # queue index of a packet by (port, class_id)
         self.slot = {
             (p, c.class_id): self.q_index[
-                QueueId(p, SHARED_QUEUE_CLASS if self.single else c.class_id)
+                QueueId(p, SHARED_QUEUE_CLASS if single else c.class_id)
             ]
             for p in range(config.n_ports)
             for c in config.classes
@@ -187,25 +197,14 @@ class SwitchState:
             for c in config.classes
         }
         n = len(self.queue_ids)
-        self.q_prio = [
-            self.prio_index[
-                SHARED_QUEUE_CLASS if self.single else self.class_prio[q.class_id]
-            ]
-            for q in self.queue_ids
-        ]
-        # (alpha, priority index, port) per queue index, the inputs of an
-        # FBA table (none in single-queue mode, where FBA is DT)
-        self.fba_inputs = [] if self.single else [
-            (self.slot_alpha[q.port, q.class_id], self.q_prio[i], q.port)
-            for i, q in enumerate(self.queue_ids)
-        ]
+        self.q_prio = [prio_index[self.class_prio[q.class_id]] for q in self.queue_ids]
 
         self.lengths = [0] * n
         self.total = 0
         self.admitted = [0] * n
         self.dropped = [0] * n
         self.departed = [0] * n
-        self.cong_prio = [0] * len(prios)
+        self.cong_prio = [0] * len(prio_index)
         self.active_port = [0] * config.n_ports
         self.nonempty_port = [0] * config.n_ports
         self.port_queues = [[] for _ in range(config.n_ports)]
@@ -220,18 +219,25 @@ class SwitchState:
                 self._bump(qi, +1)
             self.fifo[qi].extend([(q.class_id, -1)] * length)
 
-        # FBA controller table (per queue index); None means no table yet /
-        # continuous recomputation (period == 0).  fba_emitted is the same
-        # table keyed by QueueId, as last appended to trace.ticks.
-        self.fba_table: Optional[list[float]] = None
-        self.fba_emitted: dict[QueueId, float] = {}
-
         # optional fixed snapshot staleness (hardware-sync modelling)
         self.staleness = config.snapshot_staleness
         self._sync_time = -math.inf
         self._stale: Optional[tuple] = None
         if self.staleness > 0:
             self._sync(0.0)
+
+        # FBA: (alpha, priority index, port) per queue index, and the table
+        # in force per queue index, also keyed by QueueId as last emitted
+        self.fba_inputs: list[tuple[float, int, int]] = []
+        self.fba_table: list[float] = []
+        self.fba_emitted: dict[QueueId, float] = {}
+        if rule is PolicyKind.FBA:
+            self.fba_inputs = [
+                (self.slot_alpha[q.port, q.class_id], self.q_prio[i], q.port)
+                for i, q in enumerate(self.queue_ids)
+            ]
+            self.fba_table = self.fba_alphas(self._view(0.0))
+            self.fba_emitted = dict(zip(self.queue_ids, self.fba_table))
 
     # -- incremental counter maintenance ------------------------------------
 
@@ -293,14 +299,24 @@ class SwitchState:
         gamma = 1.0 / (active_port[port] + (0 if congested else 1))
         return fb_effective_alpha(alpha, n_p, gamma)
 
+    def fba_alphas(self, view: tuple) -> list[float]:
+        """The FBA table on ``view``: per queue index, ``effective_alpha``'s
+        value for a packet of the queue's own class."""
+        lengths, _, cong_prio, active_port = view
+        thr = self.cong_thr
+        table = []
+        for qi, (alpha, prio, port) in enumerate(self.fba_inputs):
+            joins = 0 if lengths[qi] > thr else 1
+            table.append(
+                fb_effective_alpha(alpha, cong_prio[prio] + joins, 1.0 / (active_port[port] + joins))
+            )
+        return table
+
     def snapshot(self, time: Optional[float] = None):
         """Rebuild a BufferSnapshot from raw lengths (cross-check path)."""
-        class_prios = dict(self.class_prio)
-        if self.single:
-            class_prios[SHARED_QUEUE_CLASS] = SHARED_QUEUE_CLASS
         return derive_aggregates(
             {q: self.lengths[i] for i, q in enumerate(self.queue_ids)},
-            class_prios,
+            dict(self.class_prio),
             self.buffer_size,
             self.cong_thr,
             self.clock if time is None else time,
@@ -321,23 +337,18 @@ def enqueue_arrival(
     lengths_v, total_v = view[0], view[1]
     length = lengths_v[qi]
 
-    kind = state.policy_kind
-    if kind is PolicyKind.COMPLETE_SHARING:
+    rule = state.rule
+    if rule is PolicyKind.COMPLETE_SHARING:
         threshold = math.inf
         admit = total_v < state.buffer_size
     else:
         remaining = state.buffer_size - total_v
-        if kind is PolicyKind.DYNAMIC_THRESHOLDS:
+        if rule is PolicyKind.DYNAMIC_THRESHOLDS:
             a_eff = state.alpha_of(class_id, port)
-        elif kind is PolicyKind.FB or kind is PolicyKind.FB_SINGLE_QUEUE:
+        elif rule is PolicyKind.FB:
             a_eff = state.effective_alpha(qi, class_id, view)
-        else:  # FBA
-            if state.single:
-                a_eff = state.alpha_of(class_id, port)
-            elif state.fba_table is not None:
-                a_eff = state.fba_table[qi]
-            else:
-                a_eff = state.effective_alpha(qi, class_id, view)
+        else:  # FBA: the table in force
+            a_eff = state.fba_table[qi]
         threshold = a_eff * remaining
         admit = below_threshold(length, threshold)
     admit = admit and state.total < state.buffer_size
@@ -381,22 +392,11 @@ def service_port(state: SwitchState, port: int, time: float, trace: EventTrace) 
 
 
 def controller_tick(state: SwitchState, time: float, trace: EventTrace) -> None:
-    """Recompute the FBA alpha table from the instantaneous state.
+    """Recompute the FBA alpha table from the state at ``time``.
 
-    Each queue gets ``effective_alpha``'s value for a packet of its own
-    class.  A new ``{QueueId: alpha}`` dict is built only when the table
-    changed; otherwise the tick re-emits the dict already in force."""
-    if state.single:  # FBA in single-queue mode is DT: the table stays empty
-        trace.ticks.append((time, state.fba_emitted))
-        return
-    lengths, _, cong_prio, active_port = state._view(time)
-    thr = state.cong_thr
-    table = []
-    for qi, (alpha, prio, port) in enumerate(state.fba_inputs):
-        joins = 0 if lengths[qi] > thr else 1
-        table.append(
-            fb_effective_alpha(alpha, cong_prio[prio] + joins, 1.0 / (active_port[port] + joins))
-        )
+    A new ``{QueueId: alpha}`` dict is built only when the table changed;
+    otherwise the tick re-emits the dict already in force."""
+    table = state.fba_alphas(state._view(time))
     if table != state.fba_table:
         state.fba_table = table
         state.fba_emitted = dict(zip(state.queue_ids, table))
@@ -415,7 +415,7 @@ def run(config: ScenarioConfig) -> EventTrace:
     )
 
     # one pending arrival per source, its seq the source index: at equal
-    # times arrivals pop in source order, as in workloads.build_sources
+    # times arrivals pop in source order
     streams = [
         source_stream(src, idx, config.seed, config.horizon)
         for idx, src in enumerate(config.sources)
@@ -433,8 +433,8 @@ def run(config: ScenarioConfig) -> EventTrace:
         if stop is not None and stop <= config.horizon:
             events.append(Event(stop, EventKind.SOURCE_STATE_CHANGE, seq, (class_id, port, source_id, "off")))
             seq += 1
-    if config.policy is PolicyKind.FBA and config.fba_period > 0:
-        controller_tick(state, 0.0, trace)  # table in force from the start
+    if state.rule is PolicyKind.FBA:
+        trace.ticks.append((0.0, state.fba_emitted))  # table in force from the start
         ticks = int(math.floor(config.horizon / config.fba_period))
         for k in range(1, ticks + 1):
             events.append(Event(k * config.fba_period, EventKind.CONTROLLER_TICK, seq, ()))

@@ -7,18 +7,19 @@ Every policy compares the target queue's length against a threshold:
 - FB scales that cap by ``1/N_p`` (congested queues of the class's priority)
   and by ``gamma`` (the queue's per-port-normalized dequeue rate), so a
   priority group cannot monopolize the buffer and slow-draining queues get
-  less of it.
-- FB single-queue applies FB per packet class on a shared per-port queue,
-  with ``gamma = 1`` and ``N`` counting all congested queues in the buffer.
+  less of it.  With ``queue_mode = single`` (scenario files may also say
+  ``kind = fb_single``) FB applies per packet class on a shared per-port
+  queue, with ``gamma = 1`` and ``N`` counting all congested queues.
 - FBA approximates FB on DT-only hardware by periodically re-emitting DT
-  alphas equal to FB's correction factors.
+  alphas equal to FB's correction factors.  At period 0 it is FB; on a
+  shared queue, which cannot carry per-class DT alphas, it is DT.
 
-The engine (``engine.enqueue_arrival`` and ``engine.controller_tick``) is
-the one place that dispatches on the policy kind; this module holds the
-pieces that dispatch shares.  Thresholds are real-valued, queue lengths are
-integers, and the admission comparison is strict ("below the threshold")
-using double precision with a 1e-9 tolerance: lengths within 1e-9 of the
-threshold count as *not* below.
+``engine.SwitchState`` resolves each run's policy to one of these rules
+once, and ``engine.enqueue_arrival`` and ``engine.controller_tick`` are the
+one place that acts on it; this module holds the pieces they share.
+Thresholds are real-valued, queue lengths are integers, and the admission
+comparison is strict ("below the threshold") using double precision with a
+1e-9 tolerance: lengths within 1e-9 of the threshold count as *not* below.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class PolicyKind(Enum):
     COMPLETE_SHARING = "cs"
     DYNAMIC_THRESHOLDS = "dt"
     FB = "fb"
-    FB_SINGLE_QUEUE = "fb_single"
     FBA = "fba"
 
 

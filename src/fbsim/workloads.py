@@ -19,9 +19,9 @@ import heapq
 import io
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import QueueId, TrafficClass
@@ -232,17 +232,6 @@ def source_stream(
     return ((t, class_id, port, idx) for t in times)
 
 
-def build_sources(
-    sources: Sequence[SourceSpec], seed: int, horizon: float
-) -> list[tuple[float, int, int, int]]:
-    """The whole arrival schedule: the per-source streams of
-    ``source_stream`` merged into one list of (time, class_id, port,
-    source_index), sorted by time with ties broken by source order.
-    Identical inputs yield identical schedules."""
-    streams = [source_stream(src, idx, seed, horizon) for idx, src in enumerate(sources)]
-    return list(heapq.merge(*streams, key=itemgetter(0)))
-
-
 def source_spans(
     sources: Sequence[SourceSpec], horizon: float
 ) -> list[tuple[int, int, int, float, Optional[float]]]:
@@ -308,8 +297,6 @@ class ScenarioConfig:
             raise ConfigError("class ids must be >= 0")
         if self.queue_mode not in ("multi", "single"):
             raise ConfigError(f"queue_mode must be multi or single, got {self.queue_mode!r}")
-        if self.policy is PolicyKind.FB_SINGLE_QUEUE and self.queue_mode != "single":
-            raise ConfigError("fb_single policy requires queue_mode = single")
         if self.horizon <= 0:
             raise ConfigError("horizon must be > 0")
         if self.congestion_threshold < 0 or self.fba_period < 0 or self.snapshot_staleness < 0:
@@ -335,9 +322,11 @@ class ScenarioConfig:
             raise ConfigError(
                 f"initial lengths sum to {total0} > buffer size {self.buffer_size}"
             )
-        for q in self.alpha_overrides:
+        for q, alpha in self.alpha_overrides.items():
             if q.class_id not in known or not 0 <= q.port < self.n_ports:
                 raise ConfigError(f"alpha override references unknown queue {q}")
+            if alpha <= 0:
+                raise ConfigError(f"alpha override for {q} must be > 0, got {alpha}")
 
 
 # -- text format -------------------------------------------------------------
@@ -442,6 +431,12 @@ def loads_scenario(text: str) -> ScenarioConfig:
             classes.append(TrafficClass(int(cid), alpha, int(kv["priority"])))
         classes = tuple(classes)
         pol = parser["policy"]
+        queue_mode = sw.get("queue_mode", "multi")
+        kind = pol["kind"]
+        if kind == "fb_single":  # FB on a shared per-port queue
+            if queue_mode != "single":
+                raise ConfigError("fb_single policy requires queue_mode = single")
+            kind = PolicyKind.FB.value
         sources = tuple(_parse_source(v) for _, v in parser["sources"].items()) if parser.has_section("sources") else ()
         initial = {}
         if parser.has_section("initial"):
@@ -455,10 +450,10 @@ def loads_scenario(text: str) -> ScenarioConfig:
             buffer_size=int(sw["buffer"]),
             n_ports=int(sw["ports"]),
             classes=classes,
-            policy=PolicyKind(pol["kind"]),
+            policy=PolicyKind(kind),
             sources=sources,
             horizon=float(sw.get("horizon", "100")),
-            queue_mode=sw.get("queue_mode", "multi"),
+            queue_mode=queue_mode,
             seed=int(sw.get("seed", "1")),
             congestion_threshold=int(sw.get("congestion_threshold", "0")),
             fba_period=float(pol.get("fba_period", "1")),
@@ -745,26 +740,17 @@ def _check_analyzable(cfg: ScenarioConfig) -> None:
         raise ConfigError("complete sharing has no thresholds to analyze")
 
 
-def _weights(
-    cfg: ScenarioConfig, congested: Sequence[QueueId]
-) -> dict[QueueId, Fraction]:
-    """omega per queue, treating exactly ``congested`` as congested."""
-    dt_like = cfg.policy is PolicyKind.DYNAMIC_THRESHOLDS
-    prio_counts: dict[int, int] = {}
-    port_counts: dict[int, int] = {}
-    for q in congested:
-        prio = cfg.class_by_id(q.class_id).priority_id
-        prio_counts[prio] = prio_counts.get(prio, 0) + 1
-        port_counts[q.port] = port_counts.get(q.port, 0) + 1
-    out: dict[QueueId, Fraction] = {}
-    for q in congested:
-        alpha = cfg.alpha_of(q)
-        if dt_like:
-            out[q] = alpha
-        else:
-            prio = cfg.class_by_id(q.class_id).priority_id
-            out[q] = alpha * Fraction(1, prio_counts[prio]) * Fraction(1, port_counts[q.port])
-    return out
+def _weights(cfg: ScenarioConfig, congested: Sequence[QueueId]) -> OmegaVector:
+    """omega per queue, treating exactly ``congested`` as congested: the raw
+    alphas under DT, FB's weights (gamma from the congested queues sharing
+    each port) under FB and FBA."""
+    if cfg.policy is PolicyKind.DYNAMIC_THRESHOLDS:
+        return OmegaVector.for_dt({q: cfg.alpha_of(q) for q in congested})
+    per_port = Counter(q.port for q in congested)
+    return OmegaVector.for_fb({
+        q: (cfg.alpha_of(q), cfg.class_by_id(q.class_id).priority_id, Fraction(1, per_port[q.port]))
+        for q in congested
+    })
 
 
 def steady_omegas(cfg: ScenarioConfig, include_bursts: bool = False) -> OmegaVector:
@@ -775,7 +761,7 @@ def steady_omegas(cfg: ScenarioConfig, include_bursts: bool = False) -> OmegaVec
     congested = old + (new if include_bursts else [])
     if not congested:
         raise ConfigError("no congested queues to analyze (no sources or initial lengths)")
-    return OmegaVector(_weights(cfg, congested))
+    return _weights(cfg, congested)
 
 
 def transient_scenario(cfg: ScenarioConfig) -> TransientScenario:
@@ -793,14 +779,10 @@ def transient_scenario(cfg: ScenarioConfig) -> TransientScenario:
     if len(rates) != 1:
         raise ConfigError("transient analysis needs a single burst rate")
     old_ids, new_ids = _congested_sets(cfg)
-    pre = _weights(cfg, old_ids)
-    post = _weights(cfg, old_ids + new_ids)
-    port_counts: dict[int, int] = {}
-    prio_counts: dict[int, int] = {}
-    for q in old_ids + new_ids:
-        port_counts[q.port] = port_counts.get(q.port, 0) + 1
-        prio = cfg.class_by_id(q.class_id).priority_id
-        prio_counts[prio] = prio_counts.get(prio, 0) + 1
+    pre = _weights(cfg, old_ids).entries
+    post = _weights(cfg, old_ids + new_ids).entries
+    port_counts = Counter(q.port for q in old_ids + new_ids)
+    prio_counts = Counter(cfg.class_by_id(q.class_id).priority_id for q in old_ids + new_ids)
 
     fill: dict[QueueId, Fraction] = {}
     for s in cfg.sources:

@@ -11,6 +11,8 @@ import pytest
 from fbsim.cli import main
 from fbsim.workloads import dumps_scenario, preset
 
+GOLDEN_SCENARIOS = Path(__file__).parent / "golden" / "scenarios"
+
 
 def test_preset_list(capsys):
     assert main(["preset-list"]) == 0
@@ -65,10 +67,24 @@ def test_bad_alpha_exits_3_with_field_message(tmp_path, capsys):
     ["analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "0/0"],
     ["analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "4",
      "--curve", "--counts", "x"],
-], ids=["abc", "one_over_zero", "alphas", "zero_over_zero", "counts"])
+    ["sweep", "--preset", "fig4_incast", "--axis", "load", "--values", "1/0"],
+    ["sweep", "--preset", "fig4_incast", "--axis", "load", "--values", "1,abc"],
+    ["sweep", "--preset", "dt_scaling", "--axis", "n_low_queues", "--values", "2.5"],
+], ids=["abc", "one_over_zero", "alphas", "zero_over_zero", "counts",
+        "sweep_one_over_zero", "sweep_abc", "sweep_fractional_count"])
 def test_malformed_number_exits_2(argv, tmp_path, capsys):
-    assert main(argv + (["--out", str(tmp_path)] if "--curve" in argv else [])) == 2
+    needs_out = argv[0] == "sweep" or "--curve" in argv
+    assert main(argv + (["--out", str(tmp_path)] if needs_out else [])) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis,value,preset_name", [
+    ("load", "0", "fig4_incast"), ("n_low_queues", "0", "dt_scaling"),
+])
+def test_out_of_range_sweep_value_exits_3(axis, value, preset_name, tmp_path, capsys):
+    argv = ["sweep", "--preset", preset_name, "--axis", axis, "--values", f"1,{value}"]
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert "validation error" in capsys.readouterr().err
 
 
 def test_out_of_range_r_exits_3(capsys):
@@ -119,6 +135,43 @@ def test_non_finite_run_control_exits_3(line, replacement, flags, tmp_path, caps
     argv = ["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]
     assert main(argv + flags) == 3
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0"])
+def test_nonpositive_alpha_override_exits_3(alpha, tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(dumps_scenario(preset("fig2")) + f"\n[alpha_overrides]\n0:0 = {alpha}\n")
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 3
+    assert f"alpha override for 0:0 must be > 0, got {alpha}" in capsys.readouterr().err
+
+
+def _fb_single_mode_text(kind: str, queue_mode_line: str = "queue_mode = single\n") -> str:
+    """The golden single-queue FB scenario under ``kind`` and queue mode line."""
+    text = (GOLDEN_SCENARIOS / "fb_single_mode.ini").read_text()
+    assert "kind = fb\n" in text and "queue_mode = single\n" in text
+    return text.replace("kind = fb\n", f"kind = {kind}\n").replace(
+        "queue_mode = single\n", queue_mode_line
+    )
+
+
+def test_fb_single_is_fb_on_a_shared_queue(tmp_path):
+    for kind in ("fb", "fb_single"):
+        path = tmp_path / f"{kind}.ini"
+        path.write_text(_fb_single_mode_text(kind))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / kind)]) == 0
+    for artifact in ("trace.csv", "samples.csv", "summary.json", "metrics.json", "scenario.lock"):
+        fb, alias = (tmp_path / kind / artifact for kind in ("fb", "fb_single"))
+        assert fb.read_bytes() == alias.read_bytes(), artifact
+    lock = (tmp_path / "fb_single" / "scenario.lock").read_text()
+    assert "kind = fb\n" in lock and "queue_mode = single\n" in lock
+
+
+@pytest.mark.parametrize("queue_mode_line", ["queue_mode = multi\n", ""], ids=["multi", "absent"])
+def test_fb_single_outside_single_mode_exits_3(queue_mode_line, tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(_fb_single_mode_text("fb_single", queue_mode_line))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 3
+    assert "fb_single policy requires queue_mode = single" in capsys.readouterr().err
 
 
 def test_missing_scenario_exits_3(tmp_path):
@@ -197,6 +250,18 @@ def test_sweep_writes_index_and_run_dirs(tmp_path):
     assert len(index) == 3
     assert (out / "run_000" / "trace.csv").exists()
     assert (out / "run_001" / "metrics.json").exists()
+
+
+def test_sweep_index_keeps_the_value_text(tmp_path):
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", "--preset", "fig4_incast", "--axis", "load",
+        "--values", "1/2,0.50,,2", "--out", str(out),
+    ]) == 0
+    rows = (out / "index.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["1/2", "0.50", "2"]
+    # equal values give byte-identical runs, whatever their text
+    assert (out / "run_000" / "trace.csv").read_bytes() == (out / "run_001" / "trace.csv").read_bytes()
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -1,12 +1,14 @@
 """Packet engine: determinism, conservation, scheduling, policy consistency."""
 
 import csv
+import heapq
 import math
 import tempfile
 import tracemalloc
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,16 @@ from fbsim.engine import (
     write_trace_csv,
 )
 from fbsim.policies import PolicyKind, fb_effective_alpha
-from fbsim.workloads import Burst, ConstantRate, ScenarioConfig, build_sources, preset
+from fbsim.workloads import (
+    Burst,
+    ConfigError,
+    ConstantRate,
+    ScenarioConfig,
+    dumps_scenario,
+    loads_scenario,
+    preset,
+    source_stream,
+)
 
 F = Fraction
 LOW, HIGH = 0, 1
@@ -121,7 +132,7 @@ def single_queue_config(**kw):
     defaults = dict(
         buffer_size=60, n_ports=1,
         classes=(TrafficClass(0, F(1, 2), LOW), TrafficClass(1, F(20), HIGH)),
-        policy=PolicyKind.FB_SINGLE_QUEUE, queue_mode="single",
+        policy=PolicyKind.FB, queue_mode="single",
         sources=(
             ConstantRate(class_id=0, port=0, rate=F(2)),
             ConstantRate(class_id=1, port=0, rate=F(2), start=F(20)),
@@ -255,14 +266,18 @@ def test_engine_decisions_match_policy_module(case):
     cfg = REPLAY_CASES[case]
     checked = _replay(cfg, run(cfg))
     assert checked["admit"] > 20 and checked["drop"] > 0
-    if cfg.policy is PolicyKind.FBA and cfg.fba_period > 0:
+    # a controller runs only for FBA at a positive period on per-class
+    # queues: at period 0 it is FB, and on a shared queue it is DT
+    if cfg.policy is PolicyKind.FBA and cfg.fba_period > 0 and cfg.queue_mode == "multi":
         assert checked["tick"] == 1 + int(cfg.horizon / cfg.fba_period)
+    else:
+        assert checked["tick"] == 0
 
 
 def test_coinciding_sources_arrive_in_source_order():
     # rate 1 and rate 2 from 0 and a rate-2 burst from 1 coincide at every
     # whole and half instant; the engine's lazy merge must replay the
-    # (time, source)-sorted schedule of build_sources exactly
+    # (time, source)-sorted merge of the per-source streams exactly
     cfg = two_class_config(
         buffer_size=4,
         n_ports=1,
@@ -275,7 +290,8 @@ def test_coinciding_sources_arrive_in_source_order():
     )
     trace = run(cfg)
     got = [(r[0], r[7]) for r in trace.records if r[3] in ("admit", "drop")]
-    schedule = build_sources(cfg.sources, cfg.seed, cfg.horizon)
+    streams = [source_stream(s, i, cfg.seed, cfg.horizon) for i, s in enumerate(cfg.sources)]
+    schedule = heapq.merge(*streams, key=itemgetter(0))
     assert got == [(t, idx) for t, _c, _p, idx in schedule if t <= cfg.horizon]
     assert any(r[3] == "drop" for r in trace.records)
     ties = [(a, b) for a, b in zip(got, got[1:]) if a[0] == b[0]]
@@ -356,7 +372,7 @@ def test_single_queue_prefill_conservation():
     cfg = ScenarioConfig(
         buffer_size=60, n_ports=1,
         classes=(TrafficClass(0, F(1), LOW), TrafficClass(1, F(2), HIGH)),
-        policy=PolicyKind.FB_SINGLE_QUEUE, queue_mode="single",
+        policy=PolicyKind.FB, queue_mode="single",
         sources=(ConstantRate(class_id=1, port=0, rate=F(2)),),
         initial_lengths={QueueId(0, 0): 7, QueueId(0, 1): 4},
         horizon=30.0,
@@ -381,7 +397,7 @@ DEPARTURE_CASES = {
     "single": ScenarioConfig(
         buffer_size=20, n_ports=1,
         classes=(TrafficClass(0, F(1), LOW), TrafficClass(1, F(2), HIGH)),
-        policy=PolicyKind.FB_SINGLE_QUEUE, queue_mode="single",
+        policy=PolicyKind.FB, queue_mode="single",
         sources=(
             ConstantRate(class_id=0, port=0, rate=F(1, 2)),
             Burst(class_id=1, port=0, r=F(3), duration=F(4), start=F(3, 2)),
@@ -416,9 +432,9 @@ def test_departures_name_their_packet(case):
 
 
 def test_fb_single_policy_requires_single_mode():
-    cfg = replace(preset("fig4_steady"), policy=PolicyKind.FB_SINGLE_QUEUE)
-    with pytest.raises(Exception):
-        run(cfg)
+    text = dumps_scenario(preset("fig4_steady")).replace("kind = dt", "kind = fb_single")
+    with pytest.raises(ConfigError, match="fb_single policy requires queue_mode = single"):
+        loads_scenario(text)
 
 
 def test_snapshot_staleness_changes_decisions():

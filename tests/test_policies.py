@@ -111,7 +111,7 @@ class TestFbThreshold:
 class TestFbSingleQueue:
     def single(self, lengths, alpha):
         return threshold(
-            PolicyKind.FB_SINGLE_QUEUE, lengths, 1, 0, alphas={1: alpha}, queue_mode="single"
+            PolicyKind.FB, lengths, 1, 0, alphas={1: alpha}, queue_mode="single"
         )
 
     def test_large_alpha_uncapped_value(self):
@@ -153,7 +153,7 @@ class TestAdmit:
     def test_single_queue_mode_differs_per_class(self):
         # same shared queue, class-specific thresholds
         def shared(class_id):
-            switch = state(PolicyKind.FB_SINGLE_QUEUE, {QueueId(0, 0): 20},
+            switch = state(PolicyKind.FB, {QueueId(0, 0): 20},
                            alphas={0: Fraction(1, 2), 1: 20}, queue_mode="single")
             return decide(switch, class_id, 0)
 
@@ -190,12 +190,11 @@ class TestFba:
         assert lone[QueueId(0, 0)] == 0.5  # N_p=1, gamma=1: identity
 
     def test_single_queue_mode_returns_base(self):
-        # a shared queue cannot carry per-class thresholds: the tick emits
-        # nothing and admission keeps the configured (DT) alphas
+        # a shared queue cannot carry per-class thresholds: the run's rule
+        # is DT and admission keeps the configured alphas
         switch = state(PolicyKind.FBA, {QueueId(0, 0): 3}, alphas={0: Fraction(1, 2)},
                        queue_mode="single")
-        assert tick(switch) == {}
-        assert switch.fba_table is None
+        assert switch.rule is PolicyKind.DYNAMIC_THRESHOLDS
         assert decide(switch, 0, 0)[1] == 0.5 * 57
 
     def test_fba_table_reproduces_fb_thresholds_exactly(self):

@@ -1,8 +1,10 @@
 """Sources, scenario configs, presets, sweeps, file round-trips."""
 
+import heapq
 import math
 from dataclasses import replace
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from fbsim.workloads import (
     PoissonFlows,
     ScenarioConfig,
     ScenarioParseError,
-    build_sources,
     dumps_scenario,
     load_size_cdf,
     loads_scenario,
@@ -36,10 +37,16 @@ F = Fraction
 LOW, HIGH = 0, 1
 
 
+def merged_arrivals(sources, seed, horizon):
+    """Every source's stream merged by time, equal times in source order."""
+    streams = [source_stream(src, idx, seed, horizon) for idx, src in enumerate(sources)]
+    return list(heapq.merge(*streams, key=itemgetter(0)))
+
+
 class TestBuildSources:
     def test_burst_count_is_rate_times_duration(self):
         src = Burst(class_id=0, port=0, r=F(5), duration=F(4), start=F(3))
-        arrivals = build_sources([src], seed=1, horizon=100.0)
+        arrivals = merged_arrivals([src], seed=1, horizon=100.0)
         assert len(arrivals) == 20
         times = [a[0] for a in arrivals]
         assert times[0] == 3.0
@@ -47,26 +54,26 @@ class TestBuildSources:
 
     def test_constant_rate_exact_intervals(self):
         src = ConstantRate(class_id=0, port=0, rate=F(2), start=F(0), stop=F(5))
-        times = [a[0] for a in build_sources([src], 1, 100.0)]
+        times = [a[0] for a in merged_arrivals([src], 1, 100.0)]
         assert times == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5]
 
     def test_horizon_clips_open_ended_sources(self):
         src = ConstantRate(class_id=0, port=0, rate=F(1))
-        assert len(build_sources([src], 1, 10.0)) == 10
+        assert len(merged_arrivals([src], 1, 10.0)) == 10
 
     def test_identical_seeds_identical_schedules(self):
         src = PoissonFlows(class_id=0, port=0, mean_interarrival=F(2))
-        a = build_sources([src], seed=9, horizon=200.0)
-        b = build_sources([src], seed=9, horizon=200.0)
+        a = merged_arrivals([src], seed=9, horizon=200.0)
+        b = merged_arrivals([src], seed=9, horizon=200.0)
         assert a == b
 
     def test_different_seeds_differ(self):
         src = PoissonFlows(class_id=0, port=0, mean_interarrival=F(2))
-        assert build_sources([src], 1, 200.0) != build_sources([src], 2, 200.0)
+        assert merged_arrivals([src], 1, 200.0) != merged_arrivals([src], 2, 200.0)
 
     def test_poisson_respects_stop(self):
         src = PoissonFlows(class_id=0, port=0, mean_interarrival=F(1), stop=F(20))
-        assert all(t < 20 for t, *_ in build_sources([src], 3, 100.0))
+        assert all(t < 20 for t, *_ in merged_arrivals([src], 3, 100.0))
 
     def test_constant_rate_queue_stays_short(self):
         # arrivals at the drain rate: the queue never builds up (arrivals tie
@@ -130,7 +137,7 @@ class TestSourceStream:
         drawn = _eager_poisson(src, 7, 1, 300.0)
         assert drawn != sorted(drawn)  # flows do overlap
         assert stream == sorted(drawn)
-        schedule = build_sources([ConstantRate(1, 1, F(3)), src], 7, 300.0)
+        schedule = merged_arrivals([ConstantRate(1, 1, F(3)), src], 7, 300.0)
         assert [t for t, _c, _p, idx in schedule if idx == 1] == stream
 
 
@@ -239,6 +246,14 @@ class TestConfigFile:
                             size_cdf=((2, 0.5), (8, 1.0))),),
         )
         assert loads_scenario(dumps_scenario(cfg)) == cfg
+
+    def test_fb_single_lock_loads_as_fb(self):
+        # scenario.lock files written before fb_single became an alias of
+        # fb say kind = fb_single; they load to the fb config
+        cfg = replace(preset("fig5_incast"), queue_mode="single")
+        text = dumps_scenario(cfg)
+        assert "kind = fb\n" in text
+        assert loads_scenario(text.replace("kind = fb\n", "kind = fb_single\n")) == cfg
 
     def test_parse_error_on_garbage(self):
         with pytest.raises(ScenarioParseError):
