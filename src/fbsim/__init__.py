@@ -30,7 +30,6 @@ from .fluid import (
     alpha_bounds_general,
     analyze_transient,
     burst_absorption_curve,
-    burst_tolerance,
     classify_case,
     first_threshold_crossing,
     integrate_first_crossing,

@@ -64,18 +64,14 @@ class BufferSnapshot:
     count of queues of that priority deemed congested under
     ``congestion_threshold`` (a queue is congested when its length exceeds
     the threshold; the default threshold 0 means "non-empty").
-    ``dequeue_share`` maps each queue to its per-port-normalized dequeue
-    rate gamma in [0, 1] under round-robin service.
     """
 
-    timestamp: float
     buffer_size: int
     congestion_threshold: int
     lengths: Mapping[QueueId, int]
     occupancy: int
     remaining: int
     congested_per_priority: Mapping[int, int]
-    dequeue_share: Mapping[QueueId, float]
     congested: frozenset[QueueId] = field(default_factory=frozenset)
 
     def is_congested(self, queue: QueueId) -> bool:
@@ -87,27 +83,19 @@ def derive_aggregates(
     class_priorities: Mapping[int, int],
     buffer_size: int,
     congestion_threshold: int = 0,
-    timestamp: float = 0.0,
 ) -> BufferSnapshot:
-    """Compute a BufferSnapshot from raw per-queue lengths.
-
-    Round-robin with unit packets gives every served queue an equal share of
-    its port: gamma = 1/n over the port's congested queues.  If a nonempty
-    port has no queue above the congestion threshold (possible only when the
-    threshold is > 0), the share falls back to the nonempty queues so that a
-    serving port always has shares summing to 1.
+    """Compute a BufferSnapshot from raw per-queue lengths: the occupancy,
+    the remaining space, the congested set and N_p per priority.
 
     Raises CapacityError if the lengths sum beyond the buffer size.
     """
     total = 0
-    per_port: dict[int, list[QueueId]] = {}
     for q, length in lengths.items():
         if length < 0:
             raise ValueError(f"queue {q}: negative length {length}")
         if q.class_id not in class_priorities:
             raise ValueError(f"queue {q}: unknown class {q.class_id}")
         total += length
-        per_port.setdefault(q.port, []).append(q)
     if total > buffer_size:
         raise CapacityError(f"total occupancy {total} exceeds buffer size {buffer_size}")
 
@@ -118,23 +106,12 @@ def derive_aggregates(
     for q in congested:
         n_per_priority[class_priorities[q.class_id]] += 1
 
-    share: dict[QueueId, float] = {}
-    for port, queues in per_port.items():
-        active = [q for q in queues if q in congested]
-        if not active:
-            active = [q for q in queues if lengths[q] > 0]
-        n = len(active)
-        for q in queues:
-            share[q] = 1.0 / n if q in active else 0.0
-
     return BufferSnapshot(
-        timestamp=timestamp,
         buffer_size=buffer_size,
         congestion_threshold=congestion_threshold,
         lengths=dict(lengths),
         occupancy=total,
         remaining=buffer_size - total,
         congested_per_priority=n_per_priority,
-        dequeue_share=share,
         congested=frozenset(congested),
     )

@@ -44,7 +44,7 @@ from .policies import (
     below_threshold,
     fb_effective_alpha,
 )
-from .workloads import ScenarioConfig, source_spans, source_stream
+from .workloads import ScenarioConfig, source_stream
 
 ACTION_ADMIT = "admit"
 ACTION_DROP = "drop"
@@ -145,8 +145,8 @@ class EventTrace:
 class SwitchState:
     """Mutable per-run switch state: queue lengths, congestion counters,
     per-queue admitted/dropped/departed totals, one packet FIFO per queue
-    of (class_id, source_id) in service order, round-robin cursors, the FBA
-    table in force (as a list and as the dict last emitted), and the clock.
+    of (class_id, source_id) in service order, round-robin cursors, and the
+    FBA table in force (as a list and as the dict last emitted).
 
     ``rule`` is the run's admission rule, resolved once from the policy, the
     queue mode and the FBA period (see the module docstring).  Single-queue
@@ -159,7 +159,6 @@ class SwitchState:
 
     def __init__(self, config: ScenarioConfig):
         config.validate()
-        self.config = config
         self.buffer_size = config.buffer_size
         self.cong_thr = config.congestion_threshold
         single = config.queue_mode == "single"
@@ -169,7 +168,6 @@ class SwitchState:
         elif rule is PolicyKind.FBA and config.fba_period == 0:
             rule = PolicyKind.FB
         self.rule = rule
-        self.clock = 0.0
 
         # priority of a queue's class, the shared queue in its own group
         self.class_prio = {c.class_id: c.priority_id for c in config.classes}
@@ -285,16 +283,13 @@ class SwitchState:
 
     # -- policy-facing helpers ----------------------------------------------
 
-    def alpha_of(self, class_id: int, port: int) -> float:
-        return self.slot_alpha[port, class_id]
-
     def effective_alpha(self, qi: int, class_id: int, view: tuple) -> float:
         """FB's effective alpha for a packet of ``class_id`` arriving at
         queue index ``qi``, counting the arriving queue as congested."""
         lengths, _, cong_prio, active_port = view
         congested = lengths[qi] > self.cong_thr
         port = self.queue_ids[qi].port
-        alpha = self.alpha_of(class_id, port)
+        alpha = self.slot_alpha[port, class_id]
         n_p = cong_prio[self.q_prio[qi]] + (0 if congested else 1)
         gamma = 1.0 / (active_port[port] + (0 if congested else 1))
         return fb_effective_alpha(alpha, n_p, gamma)
@@ -312,14 +307,13 @@ class SwitchState:
             )
         return table
 
-    def snapshot(self, time: Optional[float] = None):
+    def snapshot(self):
         """Rebuild a BufferSnapshot from raw lengths (cross-check path)."""
         return derive_aggregates(
             {q: self.lengths[i] for i, q in enumerate(self.queue_ids)},
             dict(self.class_prio),
             self.buffer_size,
             self.cong_thr,
-            self.clock if time is None else time,
         )
 
 
@@ -344,7 +338,7 @@ def enqueue_arrival(
     else:
         remaining = state.buffer_size - total_v
         if rule is PolicyKind.DYNAMIC_THRESHOLDS:
-            a_eff = state.alpha_of(class_id, port)
+            a_eff = state.slot_alpha[port, class_id]
         elif rule is PolicyKind.FB:
             a_eff = state.effective_alpha(qi, class_id, view)
         else:  # FBA: the table in force
@@ -427,11 +421,12 @@ def run(config: ScenarioConfig) -> EventTrace:
             time, class_id, port, source_id = first
             events.append(Event(time, EventKind.ARRIVAL, source_id, (class_id, port)))
     seq = 0
-    for source_id, class_id, port, start, stop in source_spans(config.sources, config.horizon):
-        events.append(Event(start, EventKind.SOURCE_STATE_CHANGE, seq, (class_id, port, source_id, "on")))
+    for source_id, src in enumerate(config.sources):
+        payload = (src.class_id, src.port, source_id)
+        events.append(Event(float(src.start), EventKind.SOURCE_STATE_CHANGE, seq, payload))
         seq += 1
-        if stop is not None and stop <= config.horizon:
-            events.append(Event(stop, EventKind.SOURCE_STATE_CHANGE, seq, (class_id, port, source_id, "off")))
+        if src.stop is not None and float(src.stop) <= config.horizon:
+            events.append(Event(float(src.stop), EventKind.SOURCE_STATE_CHANGE, seq, payload))
             seq += 1
     if state.rule is PolicyKind.FBA:
         trace.ticks.append((0.0, state.fba_emitted))  # table in force from the start
@@ -449,7 +444,6 @@ def run(config: ScenarioConfig) -> EventTrace:
         ev = heapq.heappop(events)
         if ev.time > config.horizon + 1e-12:
             break
-        state.clock = ev.time
         if ev.kind == EventKind.ARRIVAL:
             class_id, port = ev.payload
             source_id = ev.seq
@@ -472,7 +466,7 @@ def run(config: ScenarioConfig) -> EventTrace:
         elif ev.kind == EventKind.CONTROLLER_TICK:
             controller_tick(state, ev.time, trace)
         else:  # SOURCE_STATE_CHANGE: bookkeeping only
-            class_id, port, source_id, _flag = ev.payload
+            class_id, port, source_id = ev.payload
             qi = state.slot[port, class_id]
             trace.records.append(
                 (ev.time, port, class_id, ACTION_SOURCE, state.lengths[qi], None, state.total, source_id)

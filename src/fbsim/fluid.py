@@ -18,7 +18,11 @@ thresholds (Case-1) or drain at full service rate because the thresholds
 fall faster than they can empty (Case-2).  ``t1`` is the first time a new
 queue meets its own falling threshold -- the first instant a drop becomes
 possible -- and ``r * t1`` is the largest burst at rate ``r`` admitted
-without loss.
+without loss.  In both cases a new queue starts ``omega * B / (1 + W_old)``
+below its threshold and closes that gap at ``(r - gamma) + omega * Q'``;
+only ``Q'``, the rate at which the buffer fills, depends on the case:
+
+    t1 = omega * B / (1 + W_old) / ((r - gamma) + omega * Q')
 
 Between regime changes every queue drains, tracks or fills at a constant
 rate, so the transient trajectory is piecewise linear.  The event-driven
@@ -254,9 +258,6 @@ class TransientScenario:
     def _w_ne(self) -> Fraction:
         return sum((q.omega for q in self.g_ne), Fraction(0))
 
-    def _fill_total(self) -> Fraction:
-        return sum((self.r - q.gamma for q in self.new), Fraction(0))
-
 
 def two_priority_incast(
     buffer_size: Number,
@@ -353,6 +354,35 @@ def classify_case(ts: TransientScenario) -> CaseKind:
     return CaseKind.CASE1 if ts.r <= case_rate_bound(ts) else CaseKind.CASE2
 
 
+def _fill_rate(ts: TransientScenario, case: CaseKind) -> Fraction:
+    """Q', the rate at which the buffer fills while the new queues grow.
+
+    The new queues add F = sum(r - gamma).  In Case-2 every old queue drains
+    at gamma, so Q' = F - NUM.  In Case-1 the affected old queues (G_e)
+    drain at gamma, while each unaffected one tracks omega * (B - Q) and so
+    sheds omega * Q' itself: Q' = F - G_e_drain - W_ne * Q', that is
+    Q' = (F - G_e_drain) / (1 + W_ne).  Dividing the paper's Case-1 t1
+    through by (1 + W_ne) leaves exactly the Case-2 expression in this Q'.
+    """
+    fill = sum((ts.r - q.gamma for q in ts.new), Fraction(0))
+    if case is CaseKind.CASE2:
+        return fill - ts.num_congested_ports
+    drain_e = sum((q.gamma for q in ts.g_e), Fraction(0))
+    return (fill - drain_e) / (1 + ts._w_ne())
+
+
+def _t1(ts: TransientScenario, case: CaseKind) -> dict[QueueId, Value]:
+    """Per new queue: its starting gap omega * B / (1 + W_old) over its
+    closing speed (r - gamma) + omega * Q'; +inf when that speed is <= 0."""
+    fill = _fill_rate(ts, case)
+    gap = ts.buffer_size / (1 + ts._w_old_pre())
+    out: dict[QueueId, Value] = {}
+    for q in ts.new:
+        speed = (ts.r - q.gamma) + q.omega * fill
+        out[q.queue] = q.omega * gap / speed if speed > 0 else math.inf
+    return out
+
+
 def t1_case1(ts: TransientScenario) -> dict[QueueId, Value]:
     """Case-1 first threshold crossing per new queue.
 
@@ -366,18 +396,7 @@ def t1_case1(ts: TransientScenario) -> dict[QueueId, Value]:
     """
     if classify_case(ts) is CaseKind.CASE2:
         raise WrongCaseError("scenario is Case-2; use t1_case2")
-    w_old = ts._w_old_pre()
-    w_ne = ts._w_ne()
-    drain_e = sum((q.gamma for q in ts.g_e), Fraction(0))
-    fill = ts._fill_total()
-    out: dict[QueueId, Value] = {}
-    for q in ts.new:
-        denom = (ts.r - q.gamma) * (1 + w_ne) + q.omega * (fill - drain_e)
-        if denom <= 0:
-            out[q.queue] = math.inf
-        else:
-            out[q.queue] = q.omega * ts.buffer_size * (1 + w_ne) / ((1 + w_old) * denom)
-    return out
+    return _t1(ts, CaseKind.CASE1)
 
 
 def t1_case2(ts: TransientScenario) -> dict[QueueId, Value]:
@@ -391,29 +410,12 @@ def t1_case2(ts: TransientScenario) -> dict[QueueId, Value]:
     """
     if ts.old and ts.r < case_rate_bound(ts):
         raise WrongCaseError("scenario is strictly Case-1; use t1_case1")
-    w_old = ts._w_old_pre()
-    num = ts.num_congested_ports
-    fill = ts._fill_total()
-    out: dict[QueueId, Value] = {}
-    for q in ts.new:
-        denom = (ts.r - q.gamma) + q.omega * (fill - num)
-        if denom <= 0:
-            out[q.queue] = math.inf
-        else:
-            out[q.queue] = q.omega * ts.buffer_size / ((1 + w_old) * denom)
-    return out
+    return _t1(ts, CaseKind.CASE2)
 
 
 def first_threshold_crossing(ts: TransientScenario) -> Value:
     """Earliest t1 over the new queues, using the scenario's case."""
-    values = (t1_case1 if classify_case(ts) is CaseKind.CASE1 else t1_case2)(ts)
-    return min(values.values())
-
-
-def burst_tolerance(ts: TransientScenario) -> Value:
-    """Largest burst at rate r admitted without drops: r * t1 (+inf propagates)."""
-    t1 = first_threshold_crossing(ts)
-    return math.inf if t1 == math.inf else ts.r * t1
+    return min(_t1(ts, classify_case(ts)).values())
 
 
 def analyze_transient(ts: TransientScenario) -> AnalysisResult:
@@ -423,7 +425,7 @@ def analyze_transient(ts: TransientScenario) -> AnalysisResult:
     )
     steady = steady_state(omegas, ts.buffer_size)
     case = classify_case(ts)
-    per_queue = (t1_case1 if case is CaseKind.CASE1 else t1_case2)(ts)
+    per_queue = _t1(ts, case)
     t1 = min(per_queue.values())
     return replace(
         steady,
@@ -511,7 +513,8 @@ class GeneralAlphaBounds:
     '<=' -- and is Case-2 above it -- relation '>').
     ``alpha_L_max_for_burst`` is the feasibility frontier as alpha_H grows
     without bound (the duration-aware alpha_L limit).
-    ``alpha_H_min`` inverts t <= t1 for the scenario's case.
+    ``alpha_H_min`` inverts t <= t1 for the scenario's case:
+    t * (r-gamma) * (1+W_old) / (B - t * (1+W_old) * Q') / (beta * gamma).
     """
 
     case: CaseKind
@@ -551,32 +554,22 @@ def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds
         boundary = 1 / inner if inner > 0 else UNCONSTRAINED
 
     w_old = ts._w_old_pre()
-    w_ne = ts._w_ne()
-    fill = ts._fill_total()
+    fill = _fill_rate(ts, case)
     target = ts.new[0]
     share = target.beta * target.gamma  # omega = alpha_H * share
-
+    denom = ts.buffer_size - tf * (1 + w_old) * fill
+    alpha_h: Bound = (
+        tf * (ts.r - target.gamma) * (1 + w_old) / denom / share if denom > 0 else INFEASIBLE
+    )
+    # the alpha_L frontier: Case-2 solves denom > 0 for W_old = alpha_L,
+    # Case-1 keeps only the sign of denom
     if case is CaseKind.CASE1:
-        drain_e = sum((q.gamma for q in ts.g_e), Fraction(0))
-        denom = ts.buffer_size * (1 + w_ne) - tf * (1 + w_old) * (fill - drain_e)
         frontier: Bound = UNCONSTRAINED if denom > 0 else INFEASIBLE
-        if denom <= 0:
-            alpha_h: Bound = INFEASIBLE
-        else:
-            alpha_h = (tf * (ts.r - target.gamma) * (1 + w_old) * (1 + w_ne) / denom) / share
+    elif fill <= 0:
+        frontier = UNCONSTRAINED
     else:
-        num = ts.num_congested_ports
-        drift = fill - num
-        if drift <= 0:
-            frontier = UNCONSTRAINED
-        else:
-            limit = ts.buffer_size / (tf * drift) - 1
-            frontier = limit if limit > 0 else INFEASIBLE
-        denom = ts.buffer_size - tf * (1 + w_old) * drift
-        if denom <= 0:
-            alpha_h = INFEASIBLE
-        else:
-            alpha_h = (tf * (ts.r - target.gamma) * (1 + w_old) / denom) / share
+        limit = ts.buffer_size / (tf * fill) - 1
+        frontier = limit if limit > 0 else INFEASIBLE
 
     return GeneralAlphaBounds(
         case=case,
@@ -790,7 +783,7 @@ def burst_absorption_curve(
                 buffer_size, alpha_low, alpha_high, r, n_low_ports=count, scheme=scheme
             )
             case = classify_case(ts)
-            t1 = first_threshold_crossing(ts)
+            t1 = min(_t1(ts, case).values())
             points.append(
                 CurvePoint(
                     scheme=scheme,

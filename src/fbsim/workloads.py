@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import QueueId, TrafficClass
-from .fluid import NewQueue, OldQueue, OmegaVector, TransientScenario
+from .fluid import NewQueue, OldQueue, OmegaVector, TransientScenario, _frac
 from .policies import PolicyKind
 
 
@@ -35,10 +35,6 @@ class ConfigError(ValueError):
 
 class ScenarioParseError(ValueError):
     """Scenario file could not be parsed (CLI exit code 2)."""
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +61,13 @@ def load_size_cdf(path) -> tuple[tuple[int, float], ...]:
             if len(parts) != 2:
                 raise ScenarioParseError(f"size CDF line needs two columns: {line!r}")
             rows.append((int(parts[0]), float(parts[1])))
+    return _checked_cdf(rows)
+
+
+def _checked_cdf(rows: Sequence[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
+    """The one rule for every size CDF, from a file or inline: sizes
+    increase, cumulative probabilities do not decrease, and the table ends
+    at 1.0."""
     if not rows or abs(rows[-1][1] - 1.0) > 1e-9:
         raise ScenarioParseError("size CDF must end at cumulative probability 1.0")
     for (s0, p0), (s1, p1) in zip(rows, rows[1:]):
@@ -107,6 +110,10 @@ class Burst:
     duration: Fraction
     start: Fraction = Fraction(0)
 
+    @property
+    def stop(self) -> Fraction:
+        return self.start + self.duration
+
     def __post_init__(self):
         object.__setattr__(self, "r", _frac(self.r))
         object.__setattr__(self, "duration", _frac(self.duration))
@@ -119,7 +126,9 @@ class Burst:
 class PoissonFlows:
     """Flows arriving as a Poisson process; each flow emits its sampled size
     back-to-back at ``flow_rate``.  ``size_cdf`` is None (the shipped
-    default), a file path, or an inline ((size, cumprob), ...) table."""
+    default), a file path, or an inline ((size, cumprob), ...) table; a
+    file is read and either table checked here, when the source is built,
+    so a bad table fails before a run starts."""
 
     class_id: int
     port: int
@@ -139,6 +148,10 @@ class PoissonFlows:
             raise ConfigError("poisson source needs positive interarrival and flow_rate")
         if self.stop is not None and self.stop <= self.start:
             raise ConfigError(f"poisson source stop {self.stop} must be after its start {self.start}")
+        if isinstance(self.size_cdf, str):
+            load_size_cdf(self.size_cdf)
+        elif self.size_cdf is not None:
+            _checked_cdf(self.size_cdf)
 
 
 SourceSpec = Union[ConstantRate, Burst, PoissonFlows]
@@ -219,31 +232,18 @@ def source_stream(
     float(start + k/rate) for k < ceil(span * rate), the span ending at the
     source's stop clipped to the horizon; Poisson times are float sums of
     the seeded draws of ``np.random.default_rng([seed, idx])``."""
-    hz = Fraction(horizon)
-    if isinstance(src, ConstantRate):
-        times = _rational_times(src.start, src.rate, hz if src.stop is None else min(src.stop, hz))
-    elif isinstance(src, Burst):
-        times = _rational_times(src.start, src.r, min(src.start + src.duration, hz))
-    elif isinstance(src, PoissonFlows):
-        times = _poisson_times(src, seed, idx, float(hz if src.stop is None else min(src.stop, hz)))
-    else:
+    if not isinstance(src, (ConstantRate, Burst, PoissonFlows)):
         raise ConfigError(f"unknown source spec {src!r}")
+    hz = Fraction(horizon)
+    end = hz if src.stop is None else min(src.stop, hz)
+    if isinstance(src, ConstantRate):
+        times = _rational_times(src.start, src.rate, end)
+    elif isinstance(src, Burst):
+        times = _rational_times(src.start, src.r, end)
+    else:
+        times = _poisson_times(src, seed, idx, float(end))
     class_id, port = src.class_id, src.port
     return ((t, class_id, port, idx) for t in times)
-
-
-def source_spans(
-    sources: Sequence[SourceSpec], horizon: float
-) -> list[tuple[int, int, int, float, Optional[float]]]:
-    """(index, class, port, start, stop) per source; stop None = open-ended."""
-    spans = []
-    for idx, src in enumerate(sources):
-        if isinstance(src, Burst):
-            stop: Optional[float] = float(src.start + src.duration)
-        else:
-            stop = None if src.stop is None else float(src.stop)
-        spans.append((idx, src.class_id, src.port, float(src.start), stop))
-    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -753,12 +753,11 @@ def _weights(cfg: ScenarioConfig, congested: Sequence[QueueId]) -> OmegaVector:
     })
 
 
-def steady_omegas(cfg: ScenarioConfig, include_bursts: bool = False) -> OmegaVector:
-    """Omega vector for the scenario's congested set (FB and FBA use FB
-    weights; DT uses the raw alphas)."""
+def steady_omegas(cfg: ScenarioConfig) -> OmegaVector:
+    """Omega vector for the scenario's pre-burst congested set (FB and FBA
+    use FB weights; DT uses the raw alphas)."""
     _check_analyzable(cfg)
-    old, new = _congested_sets(cfg)
-    congested = old + (new if include_bursts else [])
+    congested, _ = _congested_sets(cfg)
     if not congested:
         raise ConfigError("no congested queues to analyze (no sources or initial lengths)")
     return _weights(cfg, congested)

@@ -52,6 +52,30 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def _poisson_scenario_text(cdf):
+    return (
+        "[switch]\nbuffer = 20\nports = 1\nhorizon = 50.0\n\n"
+        "[classes]\n0 = alpha=1 priority=0\n\n[policy]\nkind = dt\n\n"
+        f"[sources]\n0 = poisson class=0 port=0 mean_interarrival=2 cdf={cdf}\n"
+    )
+
+
+@pytest.mark.parametrize("cdf", ["2:0.5,8:0.9", "8:0.5,2:1.0", "2:0.5,8:1.5", "file"])
+def test_bad_size_cdf_exits_2_before_the_run(cdf, tmp_path, capsys):
+    # an inline table gets the same checks as a file, and both fail before
+    # the run directory is written
+    if cdf == "file":
+        table = tmp_path / "cdf.txt"
+        table.write_text("8 0.5\n2 1.0\n")
+        cdf = str(table)
+    path = tmp_path / "poisson.ini"
+    path.write_text(_poisson_scenario_text(cdf))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "parse error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_alpha_exits_3_with_field_message(tmp_path, capsys):
     text = dumps_scenario(preset("fig2")).replace("alpha=1 ", "alpha=-1 ")
     bad = tmp_path / "bad.ini"

@@ -49,8 +49,6 @@ def test_five_low_queues_share_one_port():
     lengths = {QueueId(2, c): 10 for c in range(5)}
     snap = derive_aggregates(lengths, {c: LOW for c in range(5)}, buffer_size=60)
     assert snap.congested_per_priority[LOW] == 5
-    for q in lengths:
-        assert snap.dequeue_share[q] == pytest.approx(1 / 5)
 
 
 def test_queues_on_distinct_ports_get_full_rate():
@@ -58,25 +56,13 @@ def test_queues_on_distinct_ports_get_full_rate():
     lengths[QueueId(0, 1)] = 7
     snap = derive_aggregates(lengths, {0: LOW, 1: HIGH}, buffer_size=60)
     assert snap.congested_per_priority == {LOW: 3, HIGH: 1}
-    assert all(snap.dequeue_share[q] == 1.0 for q in lengths)
 
 
 def test_inactive_queue_next_to_active_gets_zero_share():
     lengths = {QueueId(0, 0): 5, QueueId(0, 1): 1}
     snap = derive_aggregates(lengths, {0: LOW, 1: HIGH}, buffer_size=60,
                              congestion_threshold=2)
-    assert snap.dequeue_share[QueueId(0, 0)] == 1.0
-    assert snap.dequeue_share[QueueId(0, 1)] == 0.0
     assert snap.congested_per_priority == {LOW: 1, HIGH: 0}
-
-
-def test_nonempty_port_without_congested_queues_still_serves():
-    # with a nonzero congestion threshold, the share falls back to the
-    # nonempty queues so a serving port's shares still sum to 1
-    lengths = {QueueId(0, 0): 1, QueueId(0, 1): 1}
-    snap = derive_aggregates(lengths, {0: LOW, 1: HIGH}, buffer_size=60,
-                             congestion_threshold=5)
-    assert sum(snap.dequeue_share.values()) == pytest.approx(1.0)
 
 
 def test_capacity_violation():
@@ -109,12 +95,6 @@ def test_snapshot_invariants_hold(entries):
     assert snap.occupancy == sum(lengths.values())
     assert 0 <= snap.occupancy <= 60
     assert snap.remaining == 60 - snap.occupancy
-    for port in {q.port for q in lengths}:
-        share = sum(v for q, v in snap.dequeue_share.items() if q.port == port)
-        if any(lengths[q] > 0 for q in lengths if q.port == port):
-            assert share == pytest.approx(1.0)
-        else:
-            assert share == 0.0
     for prio, n in snap.congested_per_priority.items():
         assert n == sum(
             1 for q, ln in lengths.items() if priorities[q.class_id] == prio and ln > 0
@@ -127,4 +107,3 @@ def test_derive_is_idempotent():
     second = derive_aggregates(dict(first.lengths), {0: LOW, 1: HIGH}, 60)
     assert first.occupancy == second.occupancy
     assert first.congested_per_priority == second.congested_per_priority
-    assert first.dequeue_share == second.dequeue_share

@@ -195,10 +195,8 @@ def _replay(cfg, trace):
     for q, n in cfg.initial_lengths.items():
         lengths[QueueId(q.port, -1) if single else q] += n
 
-    def snapshot(time):
-        return derive_aggregates(
-            lengths, prios, cfg.buffer_size, cfg.congestion_threshold, time
-        )
+    def snapshot():
+        return derive_aggregates(lengths, prios, cfg.buffer_size, cfg.congestion_threshold)
 
     pending = deque(trace.ticks)
     table = None
@@ -206,8 +204,8 @@ def _replay(cfg, trace):
 
     def check_tick():
         nonlocal table
-        time, emitted = pending.popleft()
-        snap = snapshot(time)
+        _, emitted = pending.popleft()
+        snap = snapshot()
         table = {} if single else {
             q: _oracle_alpha(cfg, snap, q, q.class_id) for q in trace.queue_ids
         }
@@ -221,7 +219,7 @@ def _replay(cfg, trace):
             check_tick()
         queue = QueueId(port, -1 if single else cls)
         if action in ("admit", "drop"):
-            snap = snapshot(time)
+            snap = snapshot()
             expected = _oracle_threshold(cfg, snap, queue, cls, table)
             admit = snap.occupancy < cfg.buffer_size and expected - lengths[queue] > 1e-9
             assert thr == expected

@@ -3,6 +3,7 @@ and the exact event-driven solver as the independent cross-check."""
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from fractions import Fraction
@@ -24,9 +25,9 @@ from fbsim.fluid import (
     alpha_bounds_general,
     analyze_transient,
     burst_absorption_curve,
-    burst_tolerance,
     case_rate_bound,
     classify_case,
+    first_threshold_crossing,
     integrate_first_crossing,
     integrate_transient,
     multi_priority_alpha_H,
@@ -131,14 +132,14 @@ class TestT1:
 
 class TestBurstTolerance:
     def test_case1_example(self):
-        assert burst_tolerance(scenario_case1()) == 40
+        assert analyze_transient(scenario_case1()).burst_tolerance == 40
 
     def test_case2_example(self):
-        assert burst_tolerance(scenario_case2()) == F(200, 7)
+        assert analyze_transient(scenario_case2()).burst_tolerance == F(200, 7)
 
     def test_infinite_propagates(self):
         ts = two_priority_incast(60, 1, 2, 1, n_low_ports=3)
-        assert burst_tolerance(ts) == math.inf
+        assert analyze_transient(ts).burst_tolerance == math.inf
 
     def test_analyze_bundles_everything(self):
         res = analyze_transient(scenario_case2())
@@ -146,6 +147,23 @@ class TestBurstTolerance:
         assert res.t1 == F(20, 7)
         assert res.burst_tolerance == F(200, 7)
         assert res.steady_occupancy + res.steady_remaining == 60
+
+
+def test_each_closed_form_call_classifies_once(monkeypatch):
+    import fbsim.fluid as fluid
+
+    calls = []
+    classify = fluid.classify_case
+    monkeypatch.setattr(fluid, "classify_case", lambda ts: calls.append(ts) or classify(ts))
+    for ts in (scenario_case1(), scenario_case2()):
+        for route in (first_threshold_crossing, analyze_transient,
+                      lambda ts: alpha_bounds_general(ts, 3)):
+            calls.clear()
+            route(ts)
+            assert len(calls) == 1
+    calls.clear()
+    points = burst_absorption_curve(60, 1, 2, [2, 4, 10], [1, 3])
+    assert len(calls) == len(points) == 6
 
 
 class TestAlphaSolvers:
@@ -494,3 +512,126 @@ class TestBurstAbsorptionCurve:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "scheme,r,n_low_queues,case,t1,burst_tolerance"
         assert len(lines) == 5
+
+
+# ---------------------------------------------------------------------------
+# the paper's t1 and alpha_H formulas, restated term by term
+# ---------------------------------------------------------------------------
+
+
+def _paper_t1(ts, case):
+    """Case-1: omega*B*(1+W_ne) / ((1+W_old) * ((r-gamma)*(1+W_ne) + omega*(F - G_e drain)));
+    Case-2: omega*B / ((1+W_old) * ((r-gamma) + omega*(F - NUM))).  +inf when
+    the bracket is not positive."""
+    w_old = sum((q.pre_omega for q in ts.old), F(0))
+    w_ne = sum((q.omega for q in ts.old if not q.affected), F(0))
+    drain_e = sum((q.gamma for q in ts.old if q.affected), F(0))
+    num = sum((q.gamma for q in ts.old), F(0))
+    fill = sum((ts.r - q.gamma for q in ts.new), F(0))
+    out = {}
+    for q in ts.new:
+        if case is CaseKind.CASE1:
+            denom = (ts.r - q.gamma) * (1 + w_ne) + q.omega * (fill - drain_e)
+            top = q.omega * ts.buffer_size * (1 + w_ne)
+        else:
+            denom = (ts.r - q.gamma) + q.omega * (fill - num)
+            top = q.omega * ts.buffer_size
+        out[q.queue] = top / ((1 + w_old) * denom) if denom > 0 else math.inf
+    return out
+
+
+def _paper_alpha_bounds(ts, t, case):
+    """(alpha_L_max_for_burst, alpha_H_min): Case-1 inverts its t1 formula
+    with the (1+W_ne) factors; Case-2 inverts its own and keeps the frontier
+    B / (t*(F - NUM)) - 1."""
+    w_old = sum((q.pre_omega for q in ts.old), F(0))
+    w_ne = sum((q.omega for q in ts.old if not q.affected), F(0))
+    drain_e = sum((q.gamma for q in ts.old if q.affected), F(0))
+    num = sum((q.gamma for q in ts.old), F(0))
+    fill = sum((ts.r - q.gamma for q in ts.new), F(0))
+    target = ts.new[0]
+    share = target.beta * target.gamma
+    b = ts.buffer_size
+    if case is CaseKind.CASE1:
+        denom = b * (1 + w_ne) - t * (1 + w_old) * (fill - drain_e)
+        if denom <= 0:
+            return INFEASIBLE, INFEASIBLE
+        return UNCONSTRAINED, t * (ts.r - target.gamma) * (1 + w_old) * (1 + w_ne) / denom / share
+    drift = fill - num
+    if drift <= 0:
+        frontier = UNCONSTRAINED
+    else:
+        limit = b / (t * drift) - 1
+        frontier = limit if limit > 0 else INFEASIBLE
+    denom = b - t * (1 + w_old) * drift
+    if denom <= 0:
+        return frontier, INFEASIBLE
+    return frontier, t * (ts.r - target.gamma) * (1 + w_old) / denom / share
+
+
+def _formula_scenario(rng):
+    """A random transient scenario: the canonical incast under DT or FB
+    (sometimes without old queues), or a general one with affected and
+    rate-limited old queues and 1-3 new queues."""
+    r = F(rng.randint(1, 96), rng.choice([4, 8]))
+    if rng.random() < 0.4:
+        return two_priority_incast(
+            rng.randint(20, 200), F(rng.randint(1, 8), 4), F(rng.randint(1, 16), 4), r,
+            n_low_ports=rng.randint(0, 4), low_queues_per_port=rng.randint(1, 3),
+            n_new=rng.randint(1, 3), scheme=rng.choice(["dt", "fb"]),
+            new_gamma=rng.choice([1, F(1, 2)]),
+        )
+    old = []
+    for i in range(rng.randint(0, 5)):
+        omega = F(rng.randint(1, 12), 4)
+        old.append(OldQueue(
+            QueueId(100 + i, 0), omega=omega, gamma=rng.choice([1, F(1, 2), F(1, 3)]),
+            omega_before=omega * rng.choice([2, 3]) if rng.random() < 0.4 else None,
+            fill_rate=F(rng.randint(1, 12), 4) if rng.random() < 0.4 else None,
+        ))
+    new = [
+        NewQueue(QueueId(i, 1), omega=F(rng.randint(1, 16), 4),
+                 gamma=rng.choice([1, F(1, 2)]), beta=rng.choice([1, F(1, 2)]))
+        for i in range(rng.randint(1, 3))
+    ]
+    return TransientScenario(rng.randint(20, 200), tuple(old), tuple(new), r)
+
+
+def test_closed_forms_match_the_paper_formulas():
+    """Every closed-form route to t1 and the alpha bounds equals the paper's
+    formulas exactly, as Fractions, on each scenario's own case."""
+    rng = random.Random(8)
+    seen = set()
+    for k in range(600):
+        ts = _formula_scenario(rng)
+        if k % 3 == 0 and ts.old:  # exactly at the case boundary
+            ts = replace(ts, r=case_rate_bound(ts))
+        case = classify_case(ts)
+        at_bound = ts.old and ts.r == case_rate_bound(ts)
+        expected = _paper_t1(ts, case)
+        t1 = min(expected.values())
+        seen.update({case, ("old", bool(ts.old)), ("g_e", bool(ts.g_e)), ("inf", t1 == math.inf),
+                     ("boundary", bool(at_bound))})
+        if case is CaseKind.CASE1:
+            assert t1_case1(ts) == expected
+            if at_bound:
+                assert t1_case2(ts) == _paper_t1(ts, CaseKind.CASE2)
+            elif ts.old:
+                with pytest.raises(WrongCaseError):
+                    t1_case2(ts)
+        else:
+            assert t1_case2(ts) == expected
+            with pytest.raises(WrongCaseError):
+                t1_case1(ts)
+        assert first_threshold_crossing(ts) == t1
+        res = analyze_transient(ts)
+        assert res.case is case
+        assert res.t1_per_queue == expected
+        assert res.burst_tolerance == (math.inf if t1 == math.inf else ts.r * t1)
+        for t in (F(1, 2), F(3), F(40)):
+            bounds = alpha_bounds_general(ts, t)
+            assert bounds.case is case
+            assert (bounds.alpha_L_max_for_burst, bounds.alpha_H_min) == \
+                _paper_alpha_bounds(ts, t, case)
+    assert seen >= {CaseKind.CASE1, CaseKind.CASE2, ("old", False), ("g_e", True),
+                    ("inf", True), ("inf", False), ("boundary", True)}

@@ -160,6 +160,19 @@ class TestSizeCdf:
         with pytest.raises(ScenarioParseError):
             load_size_cdf(path)
 
+    @pytest.mark.parametrize("table", [
+        ((2, 0.5), (8, 0.9)), ((8, 0.5), (2, 1.0)), ((2, 0.5), (8, 1.5)), (),
+    ])
+    def test_inline_table_checked_when_built(self, table):
+        with pytest.raises(ScenarioParseError):
+            PoissonFlows(class_id=0, port=0, mean_interarrival=2, size_cdf=table)
+
+    def test_file_table_checked_when_built(self, tmp_path):
+        path = tmp_path / "cdf.txt"
+        path.write_text("4 0.9\n2 1.0\n")
+        with pytest.raises(ScenarioParseError):
+            PoissonFlows(class_id=0, port=0, mean_interarrival=2, size_cdf=str(path))
+
 
 class TestPresets:
     def test_all_presets_validate(self):
