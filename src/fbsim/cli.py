@@ -5,7 +5,8 @@ analyze (fluid closed forms cross-checked by the exact fluid solver, and
 burst curves), configure-alpha (alpha bounds for a target burst),
 preset-list.
 
-Exit codes: 0 success, 2 parse error, 3 validation error.  Every output is
+Exit codes: 0 success, 2 parse error (an unreadable file too), 3
+validation error, 1 when a reader closes stdout early.  Every output is
 reproducible from the scenario file and seed; each run directory holds
 scenario.lock (the resolved config), trace.csv, samples.csv, metrics.json
 and summary.json.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import math
 import os
@@ -335,9 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built once per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _parse_numbers(args)
         return args.func(args)
@@ -350,7 +354,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:  # Python's recipe: stdout to devnull, exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

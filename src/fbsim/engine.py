@@ -3,13 +3,14 @@
 One event loop per run: packet arrivals consult the run's admission rule
 against the live buffer state, every port serves its queues round-robin at
 one packet per time unit, and (for FBA) a controller periodically re-emits
-effective alphas.  Arrivals are drawn lazily from one
-``workloads.source_stream`` per source, with exactly one pending arrival
-per source on the event heap, so memory grows with the number of sources,
-not of arrivals.  Simultaneous events are ordered arrivals -> service
-completions -> controller ticks; equal-time arrivals then go in source
-order (their index in the config) and other events by sequence number, so
-identical configurations always produce bit-identical traces.
+effective alphas.  Events are plain tuples; arrivals are drawn lazily from
+one ``workloads.source_stream`` per source, with one pending arrival per
+source and one pending tick on the event heap, so memory grows with the
+number of sources, not of arrivals.  Simultaneous events are ordered
+arrivals -> service completions -> controller ticks; equal-time arrivals
+then go in source order (their index in the config) and other events by
+sequence number, so identical configurations always produce bit-identical
+traces.
 
 ``SwitchState`` resolves each run's admission rule once, and ``queue_mode``
 only shapes the queue layout.  ``cs``, ``dt`` and ``fb`` (in either mode)
@@ -17,7 +18,8 @@ are their own rules.  ``fba`` is DT in single-queue mode (one shared queue
 cannot carry per-class DT alphas, so no controller runs), FB at
 ``fba_period = 0`` (the alpha is recomputed at every decision), and FBA
 otherwise: admission reads the table in force, built from the state at
-construction and recomputed by every controller tick.
+construction and recomputed by a controller tick only after a queue
+crossed the congestion threshold (it depends on nothing else).
 
 The trace records every admit/drop/departure with the threshold used and
 the packet's source, plus controller ticks and periodic occupancy samples.
@@ -33,9 +35,8 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from enum import IntEnum
 from itertools import islice
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .core import QueueId, derive_aggregates
 from .policies import (
@@ -62,20 +63,17 @@ class EngineInvariantError(RuntimeError):
     """An internal invariant (e.g. buffer capacity) was violated."""
 
 
-class EventKind(IntEnum):
-    """Tie-break rank at equal timestamps is the enum value."""
+#: Ranks of ``(time, rank, seq, payload)`` events: equal times pop in rank
+#: order, then by seq (source index, tick number or a running count).
+_SOURCE_CHANGE = 0
+_ARRIVAL = 1
+_COMPLETION = 2
+_TICK = 3
 
-    SOURCE_STATE_CHANGE = 0
-    ARRIVAL = 1
-    SERVICE_COMPLETION = 2
-    CONTROLLER_TICK = 3
-
-
-class Event(NamedTuple):
-    time: float
-    kind: int
-    seq: int
-    payload: tuple
+# the admission rules, bound once for the per-packet comparisons
+_CS = PolicyKind.COMPLETE_SHARING
+_DT = PolicyKind.DYNAMIC_THRESHOLDS
+_FBA = PolicyKind.FBA
 
 
 @dataclass
@@ -155,6 +153,8 @@ class SwitchState:
 
     Counters are maintained incrementally; ``snapshot()`` rebuilds the same
     aggregates through core.derive_aggregates for cross-checking.
+    ``cong_changes`` counts congestion-threshold crossings; every view
+    carries it, and ``fba_built_at`` is its value in the FBA table's view.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -196,6 +196,7 @@ class SwitchState:
         }
         n = len(self.queue_ids)
         self.q_prio = [prio_index[self.class_prio[q.class_id]] for q in self.queue_ids]
+        self.q_port = [q.port for q in self.queue_ids]
 
         self.lengths = [0] * n
         self.total = 0
@@ -204,11 +205,13 @@ class SwitchState:
         self.departed = [0] * n
         self.cong_prio = [0] * len(prio_index)
         self.active_port = [0] * config.n_ports
+        self.cong_changes = 0
         self.nonempty_port = [0] * config.n_ports
         self.port_queues = [[] for _ in range(config.n_ports)]
         for i, q in enumerate(self.queue_ids):
             self.port_queues[q.port].append(i)
-        self.rr_cursor = [0] * config.n_ports
+        # next queue to try, a negative index: counting up past -1 wraps
+        self.rr_cursor = [-len(qs) for qs in self.port_queues]
         self.fifo = [deque() for _ in range(n)]
 
         for q, length in sorted(config.initial_lengths.items()):
@@ -234,7 +237,9 @@ class SwitchState:
                 (self.slot_alpha[q.port, q.class_id], self.q_prio[i], q.port)
                 for i, q in enumerate(self.queue_ids)
             ]
-            self.fba_table = self.fba_alphas(self._view(0.0))
+            view = self._view(0.0)
+            self.fba_built_at = view[4]
+            self.fba_table = self.fba_alphas(view)
             self.fba_emitted = dict(zip(self.queue_ids, self.fba_table))
 
     # -- incremental counter maintenance ------------------------------------
@@ -244,19 +249,21 @@ class SwitchState:
         new = old + delta
         self.lengths[qi] = new
         self.total += delta
-        port = self.queue_ids[qi].port
+        port = self.q_port[qi]
         if delta > 0:
             if old == 0:
                 self.nonempty_port[port] += 1
             if old == self.cong_thr:
                 self.cong_prio[self.q_prio[qi]] += 1
                 self.active_port[port] += 1
+                self.cong_changes += 1
         else:
             if new == 0:
                 self.nonempty_port[port] -= 1
             if new == self.cong_thr:
                 self.cong_prio[self.q_prio[qi]] -= 1
                 self.active_port[port] -= 1
+                self.cong_changes += 1
         if self.total > self.buffer_size:
             raise EngineInvariantError(
                 f"occupancy {self.total} exceeds buffer {self.buffer_size}"
@@ -268,14 +275,15 @@ class SwitchState:
             self.total,
             list(self.cong_prio),
             list(self.active_port),
+            self.cong_changes,
         )
         self._sync_time = time
 
     def _view(self, time: float) -> tuple:
-        """(lengths, total, cong_prio, active_port) as seen by the admission
-        logic: live, or the last synced copy under a positive staleness."""
+        """(lengths, total, cong_prio, active_port, cong_changes) as seen by
+        the admission logic: live, or the synced copy under a staleness."""
         if self.staleness <= 0:
-            return (self.lengths, self.total, self.cong_prio, self.active_port)
+            return (self.lengths, self.total, self.cong_prio, self.active_port, self.cong_changes)
         due = math.floor(time / self.staleness) * self.staleness
         if due > self._sync_time:
             self._sync(due)
@@ -283,12 +291,16 @@ class SwitchState:
 
     # -- policy-facing helpers ----------------------------------------------
 
-    def effective_alpha(self, qi: int, class_id: int, view: tuple) -> float:
+    def effective_alpha(self, qi: int, class_id: int, view: Optional[tuple]) -> float:
         """FB's effective alpha for a packet of ``class_id`` arriving at
-        queue index ``qi``, counting the arriving queue as congested."""
-        lengths, _, cong_prio, active_port = view
+        queue index ``qi`` on ``view`` (None: the live state), counting the
+        arriving queue as congested."""
+        if view is None:
+            lengths, cong_prio, active_port = self.lengths, self.cong_prio, self.active_port
+        else:
+            lengths, _, cong_prio, active_port, _ = view
         congested = lengths[qi] > self.cong_thr
-        port = self.queue_ids[qi].port
+        port = self.q_port[qi]
         alpha = self.slot_alpha[port, class_id]
         n_p = cong_prio[self.q_prio[qi]] + (0 if congested else 1)
         gamma = 1.0 / (active_port[port] + (0 if congested else 1))
@@ -297,7 +309,7 @@ class SwitchState:
     def fba_alphas(self, view: tuple) -> list[float]:
         """The FBA table on ``view``: per queue index, ``effective_alpha``'s
         value for a packet of the queue's own class."""
-        lengths, _, cong_prio, active_port = view
+        lengths, _, cong_prio, active_port, _ = view
         thr = self.cong_thr
         table = []
         for qi, (alpha, prio, port) in enumerate(self.fba_inputs):
@@ -327,23 +339,24 @@ def enqueue_arrival(
 ) -> bool:
     """Admit or drop one arriving packet; returns True when admitted."""
     qi = state.slot[port, class_id]
-    view = state._view(time)
-    lengths_v, total_v = view[0], view[1]
-    length = lengths_v[qi]
+    if state.staleness > 0:
+        view = state._view(time)
+        length, total_v = view[0][qi], view[1]
+    else:
+        view, length, total_v = None, state.lengths[qi], state.total
 
     rule = state.rule
-    if rule is PolicyKind.COMPLETE_SHARING:
+    if rule is _CS:
         threshold = math.inf
         admit = total_v < state.buffer_size
     else:
-        remaining = state.buffer_size - total_v
-        if rule is PolicyKind.DYNAMIC_THRESHOLDS:
+        if rule is _DT:
             a_eff = state.slot_alpha[port, class_id]
-        elif rule is PolicyKind.FB:
-            a_eff = state.effective_alpha(qi, class_id, view)
-        else:  # FBA: the table in force
+        elif rule is _FBA:  # the table in force
             a_eff = state.fba_table[qi]
-        threshold = a_eff * remaining
+        else:  # FB
+            a_eff = state.effective_alpha(qi, class_id, view)
+        threshold = a_eff * (state.buffer_size - total_v)
         admit = below_threshold(length, threshold)
     admit = admit and state.total < state.buffer_size
 
@@ -369,31 +382,35 @@ def service_port(state: SwitchState, port: int, time: float, trace: EventTrace) 
     a packet: a completion is pending only while it does.  Returns True when
     the port still has packets afterwards (caller reschedules)."""
     queues = state.port_queues[port]
-    cursor = state.rr_cursor[port]
-    for off in range(len(queues)):
-        j = (cursor + off) % len(queues)
-        if state.lengths[queues[j]] > 0:
-            qi = queues[j]
-            state.rr_cursor[port] = (j + 1) % len(queues)
-            break
+    lengths = state.lengths
+    j = state.rr_cursor[port]
+    while not lengths[queues[j]]:
+        j += 1
+    qi = queues[j]
+    j += 1
+    state.rr_cursor[port] = j - len(queues) if j >= 0 else j
     class_id, source_id = state.fifo[qi].popleft()
     state._bump(qi, -1)
     state.departed[qi] += 1
     trace.records.append(
-        (time, port, class_id, ACTION_DEPART, state.lengths[qi], None, state.total, source_id)
+        (time, port, class_id, ACTION_DEPART, lengths[qi], None, state.total, source_id)
     )
     return state.nonempty_port[port] > 0
 
 
 def controller_tick(state: SwitchState, time: float, trace: EventTrace) -> None:
-    """Recompute the FBA alpha table from the state at ``time``.
+    """Emit the FBA alpha table in force at ``time``.
 
-    A new ``{QueueId: alpha}`` dict is built only when the table changed;
-    otherwise the tick re-emits the dict already in force."""
-    table = state.fba_alphas(state._view(time))
-    if table != state.fba_table:
-        state.fba_table = table
-        state.fba_emitted = dict(zip(state.queue_ids, table))
+    The table depends only on which queues are congested, so it is
+    recomputed only when the view's ``cong_changes`` moved since it was
+    built; an unchanged table re-emits the dict already in force."""
+    view = state._view(time)
+    if view[4] != state.fba_built_at:
+        state.fba_built_at = view[4]
+        table = state.fba_alphas(view)
+        if table != state.fba_table:
+            state.fba_table = table
+            state.fba_emitted = dict(zip(state.queue_ids, table))
     trace.ticks.append((time, state.fba_emitted))
 
 
@@ -414,62 +431,63 @@ def run(config: ScenarioConfig) -> EventTrace:
         source_stream(src, idx, config.seed, config.horizon)
         for idx, src in enumerate(config.sources)
     ]
-    events: list[Event] = []
+    events: list[tuple] = []
     for stream in streams:
         first = next(stream, None)
         if first is not None:
             time, class_id, port, source_id = first
-            events.append(Event(time, EventKind.ARRIVAL, source_id, (class_id, port)))
+            events.append((time, _ARRIVAL, source_id, (class_id, port)))
     seq = 0
     for source_id, src in enumerate(config.sources):
         payload = (src.class_id, src.port, source_id)
-        events.append(Event(float(src.start), EventKind.SOURCE_STATE_CHANGE, seq, payload))
+        events.append((float(src.start), _SOURCE_CHANGE, seq, payload))
         seq += 1
         if src.stop is not None and float(src.stop) <= config.horizon:
-            events.append(Event(float(src.stop), EventKind.SOURCE_STATE_CHANGE, seq, payload))
+            events.append((float(src.stop), _SOURCE_CHANGE, seq, payload))
             seq += 1
+    period = config.fba_period  # one pending tick, k at k * period
+    ticks = 0
     if state.rule is PolicyKind.FBA:
         trace.ticks.append((0.0, state.fba_emitted))  # table in force from the start
-        ticks = int(math.floor(config.horizon / config.fba_period))
-        for k in range(1, ticks + 1):
-            events.append(Event(k * config.fba_period, EventKind.CONTROLLER_TICK, seq, ()))
-            seq += 1
+        ticks = int(math.floor(config.horizon / period))
+        if ticks:
+            events.append((period, _TICK, 1, None))
     for port in range(config.n_ports):
         if state.nonempty_port[port] > 0:
-            events.append(Event(1.0, EventKind.SERVICE_COMPLETION, seq, (port,)))
+            events.append((1.0, _COMPLETION, seq, port))
             seq += 1
     heapq.heapify(events)
 
+    # the three layer functions stay module-global lookups (so wrappable)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    end = config.horizon + 1e-12
+    nonempty_port = state.nonempty_port
     while events:
-        ev = heapq.heappop(events)
-        if ev.time > config.horizon + 1e-12:
+        time, rank, key, payload = heappop(events)
+        if time > end:
             break
-        if ev.kind == EventKind.ARRIVAL:
-            class_id, port = ev.payload
-            source_id = ev.seq
-            following = next(streams[source_id], None)
+        if rank == _ARRIVAL:
+            following = next(streams[key], None)
             if following is not None:
-                heapq.heappush(events, Event(following[0], EventKind.ARRIVAL, source_id, ev.payload))
-            idle = state.nonempty_port[port] == 0
-            if enqueue_arrival(state, class_id, port, ev.time, source_id, trace) and idle:
-                heapq.heappush(
-                    events, Event(ev.time + 1.0, EventKind.SERVICE_COMPLETION, seq, (port,))
-                )
+                heappush(events, (following[0], _ARRIVAL, key, payload))
+            class_id, port = payload
+            idle = nonempty_port[port] == 0
+            if enqueue_arrival(state, class_id, port, time, key, trace) and idle:
+                heappush(events, (time + 1.0, _COMPLETION, seq, port))
                 seq += 1
-        elif ev.kind == EventKind.SERVICE_COMPLETION:
-            (port,) = ev.payload
-            if service_port(state, port, ev.time, trace):
-                heapq.heappush(
-                    events, Event(ev.time + 1.0, EventKind.SERVICE_COMPLETION, seq, (port,))
-                )
+        elif rank == _COMPLETION:
+            if service_port(state, payload, time, trace):
+                heappush(events, (time + 1.0, _COMPLETION, seq, payload))
                 seq += 1
-        elif ev.kind == EventKind.CONTROLLER_TICK:
-            controller_tick(state, ev.time, trace)
-        else:  # SOURCE_STATE_CHANGE: bookkeeping only
-            class_id, port, source_id = ev.payload
+        elif rank == _TICK:
+            controller_tick(state, time, trace)
+            if key < ticks:
+                heappush(events, ((key + 1) * period, _TICK, key + 1, None))
+        else:  # source on/off: bookkeeping only
+            class_id, port, source_id = payload
             qi = state.slot[port, class_id]
             trace.records.append(
-                (ev.time, port, class_id, ACTION_SOURCE, state.lengths[qi], None, state.total, source_id)
+                (time, port, class_id, ACTION_SOURCE, state.lengths[qi], None, state.total, source_id)
             )
 
     trace.final_lengths = dict(zip(queues, state.lengths))

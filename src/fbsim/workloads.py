@@ -49,18 +49,26 @@ DEFAULT_SIZE_CDF: tuple[tuple[int, float], ...] = (
 )
 
 
+def _read_text(path) -> str:
+    """An input file's text; an unreadable file is a parse error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ScenarioParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def load_size_cdf(path) -> tuple[tuple[int, float], ...]:
     """Read an empirical size CDF: two columns (size, cumulative probability)."""
     rows: list[tuple[int, float]] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ScenarioParseError(f"size CDF line needs two columns: {line!r}")
-            rows.append((int(parts[0]), float(parts[1])))
+    for line in _read_text(path).split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.replace(",", " ").split()
+        if len(parts) != 2:
+            raise ScenarioParseError(f"size CDF line needs two columns: {line!r}")
+        rows.append((int(parts[0]), float(parts[1])))
     return _checked_cdf(rows)
 
 
@@ -500,8 +508,7 @@ def dumps_scenario(cfg: ScenarioConfig) -> str:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path) as fh:
-        return loads_scenario(fh.read())
+    return loads_scenario(_read_text(path))
 
 
 def dump_scenario(cfg: ScenarioConfig, path) -> None:

@@ -76,6 +76,74 @@ def test_bad_size_cdf_exits_2_before_the_run(cdf, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("missing", ["scenario", "cdf"])
+def test_unreadable_input_file_exits_2_before_the_run(missing, tmp_path, capsys):
+    # a scenario file or a size-CDF file that cannot be read is a parse
+    # error, reported before the run directory is created (a source's
+    # error names the source line first)
+    absent = tmp_path / "missing.txt"
+    path = absent
+    if missing == "cdf":
+        path = tmp_path / "poisson.ini"
+        path.write_text(_poisson_scenario_text(absent))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    assert f"cannot read {absent}: " in err
+    assert not out.exists()
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of ``fbsim <argv>`` in a new interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fbsim.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src), COLUMNS="80"),
+        capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_reuses_its_parser_across_calls(monkeypatch, capsys):
+    # main builds its parser once per process; calls after an argparse
+    # error print exactly what a fresh process prints
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["preset-list"],
+        ["run", "--preset", "fig2", "--bogus"],
+        ["configure-alpha", "--buffer", "60", "--r", "4", "--t", "5"],
+        ["analyze", "--scheme", "qq"],
+        ["preset-list"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_process(argv)
+    assert [_fresh_process(argv)[0] for argv in calls[1::2]] == [2, 2]
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader closes the pipe after one line while the CLI still has
+    # some 200 kB to write: no traceback, exit code 1
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fbsim.cli", "analyze", "--buffer", "100000",
+         "--alpha-l", "1", "--alpha-h", "2", "--r", "4", "--n-new", "4000"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_bad_alpha_exits_3_with_field_message(tmp_path, capsys):
     text = dumps_scenario(preset("fig2")).replace("alpha=1 ", "alpha=-1 ")
     bad = tmp_path / "bad.ini"

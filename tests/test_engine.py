@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fbsim import engine
 from fbsim.core import QueueId, TrafficClass, derive_aggregates
 from fbsim.engine import (
     EXPORT_CHUNK_ROWS,
@@ -250,6 +251,9 @@ REPLAY_CASES = {
     "fba_period_0": replace(preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=0.0),
     "fba_single": single_queue_config(policy=PolicyKind.FBA, fba_period=1.0),
     "fba_period_2": replace(preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=2.0),
+    "fba_congestion_threshold": replace(
+        preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=1.0, congestion_threshold=2
+    ),
     "dt_override": replace(preset("fig4_incast"), alpha_overrides=_OVERRIDES),
     "fb_override": replace(
         preset("fig4_incast"), policy=PolicyKind.FB, alpha_overrides=_OVERRIDES
@@ -270,6 +274,33 @@ def test_engine_decisions_match_policy_module(case):
         assert checked["tick"] == 1 + int(cfg.horizon / cfg.fba_period)
     else:
         assert checked["tick"] == 0
+
+
+def test_run_calls_the_traced_layers_by_module_name(monkeypatch):
+    # run looks enqueue_arrival, service_port and controller_tick up as
+    # module globals, once per arrival, departure and tick after t = 0, so
+    # a wrapper placed on the module sees every call
+    calls = {}
+
+    def counting(name):
+        original = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, wrapper)
+
+    for name in ("enqueue_arrival", "service_port", "controller_tick"):
+        counting(name)
+    trace = run(replace(preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=2.0))
+    actions = [r[3] for r in trace.records]
+    assert calls == {
+        "enqueue_arrival": actions.count("admit") + actions.count("drop"),
+        "service_port": actions.count("depart"),
+        "controller_tick": len(trace.ticks) - 1,
+    }
+    assert min(calls.values()) > 20
 
 
 def test_coinciding_sources_arrive_in_source_order():
