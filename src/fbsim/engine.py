@@ -1,25 +1,28 @@
 """Deterministic discrete-event packet simulator of one shared-buffer switch.
 
 One event loop per run: packet arrivals consult the run's admission rule
-against the live buffer state, every port serves its queues round-robin at
-one packet per time unit, and (for FBA) a controller periodically re-emits
+against the buffer state, every port serves its queues round-robin at one
+packet per time unit, and (for FBA) a controller periodically re-emits
 effective alphas.  Events are plain tuples; arrivals are drawn lazily from
 one ``workloads.source_stream`` per source, with one pending arrival per
-source and one pending tick on the event heap, so memory grows with the
-number of sources, not of arrivals.  Simultaneous events are ordered
-arrivals -> service completions -> controller ticks; equal-time arrivals
-then go in source order (their index in the config) and other events by
-sequence number, so identical configurations always produce bit-identical
-traces.
+source and one pending tick and snapshot sync on the event heap, so memory
+grows with the number of sources, not of arrivals.  Simultaneous events
+are ordered snapshot syncs -> arrivals -> service completions ->
+controller ticks; equal-time arrivals then go in source order (their index
+in the config) and other events by sequence number, so identical
+configurations always produce bit-identical traces.
 
 ``SwitchState`` resolves each run's admission rule once, and ``queue_mode``
-only shapes the queue layout.  ``cs``, ``dt`` and ``fb`` (in either mode)
-are their own rules.  ``fba`` is DT in single-queue mode (one shared queue
-cannot carry per-class DT alphas, so no controller runs), FB at
-``fba_period = 0`` (the alpha is recomputed at every decision), and FBA
-otherwise: admission reads the table in force, built from the state at
-construction and recomputed by a controller tick only after a queue
-crossed the congestion threshold (it depends on nothing else).
+only shapes the queue layout.  ``cs`` admits while the buffer has room;
+every other rule admits below ``alphas[port, class] * (B - Q)`` from the
+run's one alpha table.  ``dt`` reads the configured alphas.  ``fb`` (in
+either mode) reads FB's factors ``alpha * (1/N_p) * gamma``, refreshed
+before a decision after any congestion-threshold crossing (they depend on
+nothing else), and ``fba`` the same table refreshed at its controller
+ticks.  So ``fba`` at ``fba_period = 0`` is ``fb`` by construction, and in
+single-queue mode it is ``dt`` (one shared queue cannot carry per-class DT
+alphas, so no controller runs).  Under ``snapshot_staleness = s``
+admission and ticks see the state just before the last k * s.
 
 The trace records every admit/drop/departure with the threshold used and
 the packet's source, plus controller ticks and periodic occupancy samples.
@@ -64,16 +67,18 @@ class EngineInvariantError(RuntimeError):
 
 
 #: Ranks of ``(time, rank, seq, payload)`` events: equal times pop in rank
-#: order, then by seq (source index, tick number or a running count).
-_SOURCE_CHANGE = 0
-_ARRIVAL = 1
-_COMPLETION = 2
-_TICK = 3
+#: order, then by seq (source index, sync or tick number, or a running
+#: count).  A snapshot sync pops first, so it copies the state just before
+#: its instant.
+_SYNC = 0
+_SOURCE_CHANGE = 1
+_ARRIVAL = 2
+_COMPLETION = 3
+_TICK = 4
 
 # the admission rules, bound once for the per-packet comparisons
 _CS = PolicyKind.COMPLETE_SHARING
-_DT = PolicyKind.DYNAMIC_THRESHOLDS
-_FBA = PolicyKind.FBA
+_FB = PolicyKind.FB
 
 
 @dataclass
@@ -144,17 +149,24 @@ class SwitchState:
     """Mutable per-run switch state: queue lengths, congestion counters,
     per-queue admitted/dropped/departed totals, one packet FIFO per queue
     of (class_id, source_id) in service order, round-robin cursors, and the
-    FBA table in force (as a list and as the dict last emitted).
+    run's one alpha table.
 
     ``rule`` is the run's admission rule, resolved once from the policy, the
     queue mode and the FBA period (see the module docstring).  Single-queue
     mode is the same model with one shared queue per port, all in one
     priority group: N counts every congested queue and gamma is 1.
 
-    Counters are maintained incrementally; ``snapshot()`` rebuilds the same
-    aggregates through core.derive_aggregates for cross-checking.
-    ``cong_changes`` counts congestion-threshold crossings; every view
-    carries it, and ``fba_built_at`` is its value in the FBA table's view.
+    ``alphas`` maps a packet's (port, class_id) to its threshold's alpha.
+    Under DT it *is* ``slot_alpha``, the configured alphas.  Under FB and
+    FBA ``refresh`` rebuilds it from a view; ``built_at`` is the view's
+    ``cong_changes`` (congestion-threshold crossings so far) it was built
+    at, and ``emitted`` the FBA table keyed by QueueId as last emitted.
+
+    ``stale`` is None, or under a snapshot staleness s the copy ``sync``
+    took just before the last k * s, which admission sees instead of the
+    live state.  Counters are maintained incrementally; ``snapshot()``
+    rebuilds the same aggregates through core.derive_aggregates for
+    cross-checking.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -220,27 +232,17 @@ class SwitchState:
                 self._bump(qi, +1)
             self.fifo[qi].extend([(q.class_id, -1)] * length)
 
-        # optional fixed snapshot staleness (hardware-sync modelling)
-        self.staleness = config.snapshot_staleness
-        self._sync_time = -math.inf
-        self._stale: Optional[tuple] = None
-        if self.staleness > 0:
-            self._sync(0.0)
+        # optional fixed snapshot staleness (hardware-sync modelling): the
+        # copy due at k = 0 is the state at construction
+        self.stale: Optional[tuple] = None
+        if config.snapshot_staleness > 0:
+            self.sync()
 
-        # FBA: (alpha, priority index, port) per queue index, and the table
-        # in force per queue index, also keyed by QueueId as last emitted
-        self.fba_inputs: list[tuple[float, int, int]] = []
-        self.fba_table: list[float] = []
-        self.fba_emitted: dict[QueueId, float] = {}
-        if rule is PolicyKind.FBA:
-            self.fba_inputs = [
-                (self.slot_alpha[q.port, q.class_id], self.q_prio[i], q.port)
-                for i, q in enumerate(self.queue_ids)
-            ]
-            view = self._view(0.0)
-            self.fba_built_at = view[4]
-            self.fba_table = self.fba_alphas(view)
-            self.fba_emitted = dict(zip(self.queue_ids, self.fba_table))
+        self.alphas = self.slot_alpha
+        self.built_at: Optional[int] = None
+        if rule is PolicyKind.FB or rule is PolicyKind.FBA:
+            self.refresh(self.view())
+        self.emitted: dict[QueueId, float] = self._emit() if rule is PolicyKind.FBA else {}
 
     # -- incremental counter maintenance ------------------------------------
 
@@ -269,55 +271,51 @@ class SwitchState:
                 f"occupancy {self.total} exceeds buffer {self.buffer_size}"
             )
 
-    def _sync(self, time: float) -> None:
-        self._stale = (
+    def sync(self) -> None:
+        """Take the stale copy of the state as it is now."""
+        self.stale = (
             list(self.lengths),
             self.total,
             list(self.cong_prio),
             list(self.active_port),
             self.cong_changes,
         )
-        self._sync_time = time
 
-    def _view(self, time: float) -> tuple:
+    def view(self) -> tuple:
         """(lengths, total, cong_prio, active_port, cong_changes) as seen by
-        the admission logic: live, or the synced copy under a staleness."""
-        if self.staleness <= 0:
-            return (self.lengths, self.total, self.cong_prio, self.active_port, self.cong_changes)
-        due = math.floor(time / self.staleness) * self.staleness
-        if due > self._sync_time:
-            self._sync(due)
-        return self._stale
+        the admission logic: the last synced copy, or the live state."""
+        if self.stale is not None:
+            return self.stale
+        return (self.lengths, self.total, self.cong_prio, self.active_port, self.cong_changes)
 
-    # -- policy-facing helpers ----------------------------------------------
+    # -- the alpha table ----------------------------------------------------
 
-    def effective_alpha(self, qi: int, class_id: int, view: Optional[tuple]) -> float:
-        """FB's effective alpha for a packet of ``class_id`` arriving at
-        queue index ``qi`` on ``view`` (None: the live state), counting the
-        arriving queue as congested."""
-        if view is None:
-            lengths, cong_prio, active_port = self.lengths, self.cong_prio, self.active_port
-        else:
-            lengths, _, cong_prio, active_port, _ = view
-        congested = lengths[qi] > self.cong_thr
-        port = self.q_port[qi]
-        alpha = self.slot_alpha[port, class_id]
-        n_p = cong_prio[self.q_prio[qi]] + (0 if congested else 1)
-        gamma = 1.0 / (active_port[port] + (0 if congested else 1))
-        return fb_effective_alpha(alpha, n_p, gamma)
-
-    def fba_alphas(self, view: tuple) -> list[float]:
-        """The FBA table on ``view``: per queue index, ``effective_alpha``'s
-        value for a packet of the queue's own class."""
-        lengths, _, cong_prio, active_port, _ = view
-        thr = self.cong_thr
-        table = []
-        for qi, (alpha, prio, port) in enumerate(self.fba_inputs):
+    def refresh(self, view: tuple) -> bool:
+        """Rebuild ``alphas`` as FB's factor ``alpha * (1/N_p) * gamma`` per
+        slot on ``view``, counting the slot's queue as congested; returns
+        whether any value changed.  The table depends only on which queues
+        are congested, so it returns at once when the view's
+        ``cong_changes`` is the one the table was built at."""
+        lengths, _, cong_prio, active_port, changes = view
+        if changes == self.built_at:
+            return False
+        self.built_at = changes
+        thr, q_prio, slot_alpha = self.cong_thr, self.q_prio, self.slot_alpha
+        table = {}
+        for (port, class_id), qi in self.slot.items():
             joins = 0 if lengths[qi] > thr else 1
-            table.append(
-                fb_effective_alpha(alpha, cong_prio[prio] + joins, 1.0 / (active_port[port] + joins))
+            table[port, class_id] = fb_effective_alpha(
+                slot_alpha[port, class_id],
+                cong_prio[q_prio[qi]] + joins,
+                1.0 / (active_port[port] + joins),
             )
-        return table
+        changed = table != self.alphas
+        self.alphas = table
+        return changed
+
+    def _emit(self) -> dict[QueueId, float]:
+        """The FBA table as emitted: the alpha of each queue's own class."""
+        return {q: self.alphas[q.port, q.class_id] for q in self.queue_ids}
 
     def snapshot(self):
         """Rebuild a BufferSnapshot from raw lengths (cross-check path)."""
@@ -339,24 +337,20 @@ def enqueue_arrival(
 ) -> bool:
     """Admit or drop one arriving packet; returns True when admitted."""
     qi = state.slot[port, class_id]
-    if state.staleness > 0:
-        view = state._view(time)
-        length, total_v = view[0][qi], view[1]
+    stale = state.stale
+    if stale is None:
+        length, total_v, changes = state.lengths[qi], state.total, state.cong_changes
     else:
-        view, length, total_v = None, state.lengths[qi], state.total
+        length, total_v, changes = stale[0][qi], stale[1], stale[4]
 
     rule = state.rule
     if rule is _CS:
         threshold = math.inf
         admit = total_v < state.buffer_size
     else:
-        if rule is _DT:
-            a_eff = state.slot_alpha[port, class_id]
-        elif rule is _FBA:  # the table in force
-            a_eff = state.fba_table[qi]
-        else:  # FB
-            a_eff = state.effective_alpha(qi, class_id, view)
-        threshold = a_eff * (state.buffer_size - total_v)
+        if rule is _FB and changes != state.built_at:
+            state.refresh(state.view())
+        threshold = state.alphas[port, class_id] * (state.buffer_size - total_v)
         admit = below_threshold(length, threshold)
     admit = admit and state.total < state.buffer_size
 
@@ -399,19 +393,12 @@ def service_port(state: SwitchState, port: int, time: float, trace: EventTrace) 
 
 
 def controller_tick(state: SwitchState, time: float, trace: EventTrace) -> None:
-    """Emit the FBA alpha table in force at ``time``.
-
-    The table depends only on which queues are congested, so it is
-    recomputed only when the view's ``cong_changes`` moved since it was
-    built; an unchanged table re-emits the dict already in force."""
-    view = state._view(time)
-    if view[4] != state.fba_built_at:
-        state.fba_built_at = view[4]
-        table = state.fba_alphas(view)
-        if table != state.fba_table:
-            state.fba_table = table
-            state.fba_emitted = dict(zip(state.queue_ids, table))
-    trace.ticks.append((time, state.fba_emitted))
+    """Emit the FBA alpha table in force at ``time``: the run's table,
+    refreshed on the view.  An unchanged table re-emits the dict already in
+    force."""
+    if state.refresh(state.view()):
+        state.emitted = state._emit()
+    trace.ticks.append((time, state.emitted))
 
 
 def run(config: ScenarioConfig) -> EventTrace:
@@ -432,13 +419,11 @@ def run(config: ScenarioConfig) -> EventTrace:
         for idx, src in enumerate(config.sources)
     ]
     events: list[tuple] = []
-    for stream in streams:
+    seq = 0
+    for source_id, (stream, src) in enumerate(zip(streams, config.sources)):
         first = next(stream, None)
         if first is not None:
-            time, class_id, port, source_id = first
-            events.append((time, _ARRIVAL, source_id, (class_id, port)))
-    seq = 0
-    for source_id, src in enumerate(config.sources):
+            events.append((first, _ARRIVAL, source_id, (src.class_id, src.port)))
         payload = (src.class_id, src.port, source_id)
         events.append((float(src.start), _SOURCE_CHANGE, seq, payload))
         seq += 1
@@ -448,10 +433,13 @@ def run(config: ScenarioConfig) -> EventTrace:
     period = config.fba_period  # one pending tick, k at k * period
     ticks = 0
     if state.rule is PolicyKind.FBA:
-        trace.ticks.append((0.0, state.fba_emitted))  # table in force from the start
+        trace.ticks.append((0.0, state.emitted))  # table in force from the start
         ticks = int(math.floor(config.horizon / period))
         if ticks:
             events.append((period, _TICK, 1, None))
+    staleness = config.snapshot_staleness  # one pending sync, k at k * staleness
+    if staleness > 0:
+        events.append((staleness, _SYNC, 1, None))
     for port in range(config.n_ports):
         if state.nonempty_port[port] > 0:
             events.append((1.0, _COMPLETION, seq, port))
@@ -469,7 +457,7 @@ def run(config: ScenarioConfig) -> EventTrace:
         if rank == _ARRIVAL:
             following = next(streams[key], None)
             if following is not None:
-                heappush(events, (following[0], _ARRIVAL, key, payload))
+                heappush(events, (following, _ARRIVAL, key, payload))
             class_id, port = payload
             idle = nonempty_port[port] == 0
             if enqueue_arrival(state, class_id, port, time, key, trace) and idle:
@@ -483,6 +471,13 @@ def run(config: ScenarioConfig) -> EventTrace:
             controller_tick(state, time, trace)
             if key < ticks:
                 heappush(events, ((key + 1) * period, _TICK, key + 1, None))
+        elif rank == _SYNC:
+            state.sync()
+            # nothing changes before the next event, so the syncs due up to
+            # it would copy this state: skip to the last one due at or before it
+            if events:
+                k = max(key + 1, int(events[0][0] / staleness))
+                heappush(events, (k * staleness, _SYNC, k, None))
         else:  # source on/off: bookkeeping only
             class_id, port, source_id = payload
             qi = state.slot[port, class_id]

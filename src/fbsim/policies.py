@@ -11,12 +11,16 @@ Every policy compares the target queue's length against a threshold:
   ``kind = fb_single``) FB applies per packet class on a shared per-port
   queue, with ``gamma = 1`` and ``N`` counting all congested queues.
 - FBA approximates FB on DT-only hardware by periodically re-emitting DT
-  alphas equal to FB's correction factors.  At period 0 it is FB; on a
-  shared queue, which cannot carry per-class DT alphas, it is DT.
+  alphas equal to FB's correction factors.  So DT, FB and FBA all read one
+  alpha table per run: DT's never changes, FB's is refreshed before every
+  decision and FBA's at each controller tick.  At period 0 FBA is
+  therefore FB by construction; on a shared queue, which cannot carry
+  per-class DT alphas, it is DT.
 
 ``engine.SwitchState`` resolves each run's policy to one of these rules
-once, and ``engine.enqueue_arrival`` and ``engine.controller_tick`` are the
-one place that acts on it; this module holds the pieces they share.
+once and holds the table, and ``engine.enqueue_arrival`` and
+``engine.controller_tick`` are the one place that acts on it; this module
+holds the pieces they share.
 Thresholds are real-valued, queue lengths are integers, and the admission
 comparison is strict ("below the threshold") using double precision with a
 1e-9 tolerance: lengths within 1e-9 of the threshold count as *not* below.
@@ -48,8 +52,8 @@ def below_threshold(length: int, threshold: float) -> bool:
 def fb_effective_alpha(alpha: float, n_p: int, gamma: float) -> float:
     """FB's correction of a DT alpha: ``alpha * (1/N_p) * gamma``.
 
-    This single expression is shared by FB admission and by FBA's emitted
-    tables so that the two produce bit-identical thresholds.
+    The engine builds its one alpha table for FB and FBA from this single
+    expression, so the two produce bit-identical thresholds.
     """
     if n_p < 1:
         raise ValueError(f"N_p must be >= 1 (the target queue counts itself), got {n_p}")

@@ -234,24 +234,21 @@ def _poisson_times(src: PoissonFlows, seed: int, idx: int, end: float) -> Iterat
 
 def source_stream(
     src: SourceSpec, idx: int, seed: int, horizon: float
-) -> Iterator[tuple[float, int, int, int]]:
-    """The arrivals of source ``idx`` as (time, class_id, port, idx), in time
-    order, realized lazily.  Constant and burst times are exactly
-    float(start + k/rate) for k < ceil(span * rate), the span ending at the
-    source's stop clipped to the horizon; Poisson times are float sums of
-    the seeded draws of ``np.random.default_rng([seed, idx])``."""
+) -> Iterator[float]:
+    """The arrival times of source ``idx`` as bare floats, in time order,
+    realized lazily.  Constant and burst times are exactly float(start +
+    k/rate) for k < ceil(span * rate), the span ending at the source's stop
+    clipped to the horizon; Poisson times are float sums of the seeded draws
+    of ``np.random.default_rng([seed, idx])``."""
     if not isinstance(src, (ConstantRate, Burst, PoissonFlows)):
         raise ConfigError(f"unknown source spec {src!r}")
     hz = Fraction(horizon)
     end = hz if src.stop is None else min(src.stop, hz)
     if isinstance(src, ConstantRate):
-        times = _rational_times(src.start, src.rate, end)
-    elif isinstance(src, Burst):
-        times = _rational_times(src.start, src.r, end)
-    else:
-        times = _poisson_times(src, seed, idx, float(end))
-    class_id, port = src.class_id, src.port
-    return ((t, class_id, port, idx) for t in times)
+        return _rational_times(src.start, src.rate, end)
+    if isinstance(src, Burst):
+        return _rational_times(src.start, src.r, end)
+    return _poisson_times(src, seed, idx, float(end))
 
 
 # ---------------------------------------------------------------------------

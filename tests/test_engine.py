@@ -8,7 +8,7 @@ import tracemalloc
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
-from operator import itemgetter
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -189,15 +189,23 @@ def _oracle_threshold(cfg, snap, queue, class_id, fba_table):
 def _replay(cfg, trace):
     """Replay every decision and controller tick against thresholds computed
     from a derive_aggregates snapshot rebuilt from the trace; returns how
-    many admits, drops and ticks were checked."""
+    many admits, drops and ticks were checked.  Under a staleness s the
+    snapshot is of the lengths copied just before each k * s."""
     single = cfg.queue_mode == "single"
     prios = {-1: -1} if single else {c.class_id: c.priority_id for c in cfg.classes}
     lengths = dict.fromkeys(trace.queue_ids, 0)
     for q, n in cfg.initial_lengths.items():
         lengths[QueueId(q.port, -1) if single else q] += n
+    staleness = cfg.snapshot_staleness
+    seen = dict(lengths) if staleness > 0 else lengths
+    due = 1
 
-    def snapshot():
-        return derive_aggregates(lengths, prios, cfg.buffer_size, cfg.congestion_threshold)
+    def snapshot(time):
+        nonlocal seen, due
+        while staleness > 0 and due * staleness <= time:
+            seen = dict(lengths)
+            due += 1
+        return derive_aggregates(seen, prios, cfg.buffer_size, cfg.congestion_threshold)
 
     pending = deque(trace.ticks)
     table = None
@@ -205,8 +213,8 @@ def _replay(cfg, trace):
 
     def check_tick():
         nonlocal table
-        _, emitted = pending.popleft()
-        snap = snapshot()
+        time, emitted = pending.popleft()
+        snap = snapshot(time)
         table = {} if single else {
             q: _oracle_alpha(cfg, snap, q, q.class_id) for q in trace.queue_ids
         }
@@ -220,9 +228,13 @@ def _replay(cfg, trace):
             check_tick()
         queue = QueueId(port, -1 if single else cls)
         if action in ("admit", "drop"):
-            snap = snapshot()
+            snap = snapshot(time)
             expected = _oracle_threshold(cfg, snap, queue, cls, table)
-            admit = snap.occupancy < cfg.buffer_size and expected - lengths[queue] > 1e-9
+            admit = (
+                sum(lengths.values()) < cfg.buffer_size
+                and snap.occupancy < cfg.buffer_size
+                and expected - seen[queue] > 1e-9
+            )
             assert thr == expected
             assert (action == "admit") == admit
             checked[action] += 1
@@ -237,14 +249,16 @@ def _replay(cfg, trace):
 
 _OVERRIDES = {QueueId(0, 5): F(5, 2), QueueId(1, 2): F(1, 2)}
 
-REPLAY_CASES = {
-    "cs": two_class_config(
-        policy=PolicyKind.COMPLETE_SHARING,
-        sources=(
-            ConstantRate(class_id=0, port=1, rate=F(5)),
-            ConstantRate(class_id=1, port=0, rate=F(5)),
-        ),
+_CS_CASE = two_class_config(
+    policy=PolicyKind.COMPLETE_SHARING,
+    sources=(
+        ConstantRate(class_id=0, port=1, rate=F(5)),
+        ConstantRate(class_id=1, port=0, rate=F(5)),
     ),
+)
+
+REPLAY_CASES = {
+    "cs": _CS_CASE,
     "dt": preset("fig4_incast"),
     "fb": preset("fig5_incast"),
     "fb_single": single_queue_config(),
@@ -257,6 +271,16 @@ REPLAY_CASES = {
     "dt_override": replace(preset("fig4_incast"), alpha_overrides=_OVERRIDES),
     "fb_override": replace(
         preset("fig4_incast"), policy=PolicyKind.FB, alpha_overrides=_OVERRIDES
+    ),
+    # stalenesses at which some state change falls between a due instant
+    # and the next decision, so a copy taken late would show
+    "cs_stale": replace(_CS_CASE, snapshot_staleness=1.3),
+    "dt_stale": replace(preset("fig4_incast"), snapshot_staleness=1.3),
+    "fb_stale": replace(preset("fig5_incast"), snapshot_staleness=1.3),
+    "fb_single_stale": single_queue_config(snapshot_staleness=1.1),
+    "fba_stale": replace(
+        preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=1.0,
+        congestion_threshold=2, snapshot_staleness=1.3,
     ),
 }
 
@@ -319,9 +343,10 @@ def test_coinciding_sources_arrive_in_source_order():
     )
     trace = run(cfg)
     got = [(r[0], r[7]) for r in trace.records if r[3] in ("admit", "drop")]
-    streams = [source_stream(s, i, cfg.seed, cfg.horizon) for i, s in enumerate(cfg.sources)]
-    schedule = heapq.merge(*streams, key=itemgetter(0))
-    assert got == [(t, idx) for t, _c, _p, idx in schedule if t <= cfg.horizon]
+    streams = [
+        zip(source_stream(s, i, cfg.seed, cfg.horizon), repeat(i)) for i, s in enumerate(cfg.sources)
+    ]
+    assert got == [(t, idx) for t, idx in heapq.merge(*streams) if t <= cfg.horizon]
     assert any(r[3] == "drop" for r in trace.records)
     ties = [(a, b) for a, b in zip(got, got[1:]) if a[0] == b[0]]
     assert len(ties) > 12 and all(a[1] < b[1] for a, b in ties)
@@ -474,6 +499,63 @@ def test_snapshot_staleness_changes_decisions():
     occ = [r[6] for r in stale.records if r[3] != "source_change"]
     assert max(occ) <= base.buffer_size
     assert fresh.records != stale.records
+
+
+def test_stale_snapshot_is_the_state_just_before_its_due_instant():
+    # 3 pre-filled packets leave at 1 and 2 (and 3); the arrival at 2.5 sees
+    # the copy due at 1.5, total 2, not the state after the departure at 2
+    cfg = ScenarioConfig(
+        buffer_size=10, n_ports=1, classes=(TrafficClass(0, F(1), LOW),),
+        policy=PolicyKind.DYNAMIC_THRESHOLDS,
+        sources=(Burst(class_id=0, port=0, r=F(1), duration=F(1), start=F(5, 2)),),
+        initial_lengths={QueueId(0, 0): 3},
+        snapshot_staleness=1.5,
+        horizon=3.0,
+    )
+    decisions = [r for r in run(cfg).records if r[3] in ("admit", "drop")]
+    assert [(r[0], r[5]) for r in decisions] == [(2.5, 8.0)]
+
+
+def test_fine_staleness_syncs_only_around_events(monkeypatch):
+    # the syncs due between two events would copy the same state, so their
+    # number follows the events, not horizon / staleness (here 20,000)
+    syncs = 0
+    sync = SwitchState.sync
+
+    def counting(self):
+        nonlocal syncs
+        syncs += 1
+        sync(self)
+
+    monkeypatch.setattr(SwitchState, "sync", counting)
+    cfg = replace(preset("fig4_incast"), snapshot_staleness=1e-3)
+    trace = run(cfg)
+    assert _replay(cfg, trace)["drop"] > 0
+    instants = len({r[0] for r in trace.records})
+    assert syncs <= 2 * instants + 2 < cfg.horizon / cfg.snapshot_staleness
+
+
+def test_fb_refreshes_its_table_only_after_a_congestion_change(monkeypatch):
+    # FB's factors depend only on which queues are congested, so the table
+    # is rebuilt (one factor per slot) at most once per threshold crossing
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return fb_effective_alpha(*args)
+
+    monkeypatch.setattr(engine, "fb_effective_alpha", counting)
+    cfg = replace(preset("fig5_steady"), policy=PolicyKind.FB)
+    trace = run(cfg)
+    thr = cfg.congestion_threshold
+    crossings = sum(
+        1 for r in trace.records
+        if (r[3] == "admit" and r[4] == thr + 1) or (r[3] == "depart" and r[4] == thr)
+    )
+    slots = cfg.n_ports * len(cfg.classes)
+    decisions = sum(1 for r in trace.records if r[3] in ("admit", "drop"))
+    assert 0 < calls <= (crossings + 1) * slots < decisions
 
 
 def test_initial_lengths_respected():

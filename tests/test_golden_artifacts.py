@@ -14,7 +14,8 @@ every written file of the ``analyze`` and ``configure-alpha`` commands in
 Case-1 and a Case-2 rate, an inline DT scenario, both curve schemes and
 both ``configure-alpha`` forms.  A change that moves an artifact says why
 in CHANGES.md before the files are regenerated with
-``PYTHONPATH=src python tests/test_golden_artifacts.py``.
+``PYTHONPATH=src python tests/test_golden_artifacts.py``, which prints
+every entry whose digest changed, appeared or vanished, one per line.
 """
 
 import contextlib
@@ -103,6 +104,21 @@ def golden_digests(path: Path, *run: str) -> dict[str, str]:
     return golden
 
 
+def golden_changes(path: Path, written: list[str]) -> list[str]:
+    """One line per entry of ``path`` whose digest ``written`` changes, adds
+    or drops: ``changed``, ``appeared`` or ``vanished``, then the file and
+    entry names."""
+    def entries(lines):
+        return {entry: digest for digest, entry in (line.split("  ") for line in lines)}
+
+    old = entries(path.read_text().splitlines()) if path.exists() else {}
+    new = entries(written)
+    status = {e: "vanished" for e in old.keys() - new.keys()}
+    status.update({e: "appeared" for e in new.keys() - old.keys()})
+    status.update({e: "changed" for e in old.keys() & new.keys() if old[e] != new[e]})
+    return [f"{status[e]}  {path.name}  {e}" for e in sorted(status)]
+
+
 def runs():
     """(golden file, run name, CLI flags) of every pinned run."""
     for name in preset_names():
@@ -136,7 +152,7 @@ def test_analyzer_outputs_match_golden_digests(name, tmp_path):
 
 if __name__ == "__main__":
     lines: dict[Path, list[str]] = {GOLDEN: [], SCENARIO_GOLDEN: [], ANALYZER_GOLDEN: []}
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         for golden, name, source in runs():
             for fmt in FORMATS:
                 digests = artifact_digests(source, fmt, Path(tmp) / f"{name}_{fmt}")
@@ -147,5 +163,7 @@ if __name__ == "__main__":
             digests = analyzer_digests(argv, cwd)
             lines[ANALYZER_GOLDEN] += [f"{d}  {name}/{f}" for f, d in digests.items()]
     for golden, written in lines.items():
+        for line in golden_changes(golden, written):
+            print(line)
         golden.write_text("\n".join(written) + "\n")
         print(f"wrote {len(written)} digests to {golden}", file=sys.stderr)

@@ -4,7 +4,7 @@ import heapq
 import math
 from dataclasses import replace
 from fractions import Fraction
-from operator import itemgetter
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -38,9 +38,12 @@ LOW, HIGH = 0, 1
 
 
 def merged_arrivals(sources, seed, horizon):
-    """Every source's stream merged by time, equal times in source order."""
-    streams = [source_stream(src, idx, seed, horizon) for idx, src in enumerate(sources)]
-    return list(heapq.merge(*streams, key=itemgetter(0)))
+    """(time, source index) of every source's arrivals merged by time, equal
+    times in source order."""
+    streams = [
+        zip(source_stream(src, idx, seed, horizon), repeat(idx)) for idx, src in enumerate(sources)
+    ]
+    return list(heapq.merge(*streams))
 
 
 class TestBuildSources:
@@ -128,17 +131,17 @@ class TestSourceStream:
             src, horizon = ConstantRate(0, 0, rate, start), float(start + span)
         end = F(horizon) if kind == "horizon" else start + span
         expected = [float(start + F(k) / rate) for k in range(math.ceil((end - start) * rate))]
-        got = [t for t, *_ in source_stream(src, 0, 1, horizon)]
+        got = list(source_stream(src, 0, 1, horizon))
         assert [t.hex() for t in got] == [t.hex() for t in expected]
 
     def test_overlapping_poisson_flows_merge_in_draw_order(self):
         src = PoissonFlows(class_id=0, port=0, mean_interarrival=F(1, 2), flow_rate=F(1, 3))
-        stream = [t for t, *_ in source_stream(src, 1, 7, 300.0)]
+        stream = list(source_stream(src, 1, 7, 300.0))
         drawn = _eager_poisson(src, 7, 1, 300.0)
         assert drawn != sorted(drawn)  # flows do overlap
         assert stream == sorted(drawn)
         schedule = merged_arrivals([ConstantRate(1, 1, F(3)), src], 7, 300.0)
-        assert [t for t, _c, _p, idx in schedule if idx == 1] == stream
+        assert [t for t, idx in schedule if idx == 1] == stream
 
 
 class TestSizeCdf:
