@@ -10,7 +10,8 @@ only 8 packets.  FB prices the shared drain into each queue's threshold
 whole burst.
 """
 
-import numpy as np
+from bisect import bisect_right
+from fractions import Fraction
 
 from fbsim import compute, preset, run, transient_scenario
 from fbsim.fluid import analyze_transient, integrate_transient
@@ -40,13 +41,18 @@ print("threshold race for the DT case, from the exact fluid solver:")
 ts = transient_scenario(preset("fig4_incast"))
 traj = integrate_transient(ts, horizon=2.6)
 burst_q = ts.new[0].queue
-# the trajectory is linear between breakpoints, so interpolation is exact
-times = [float(t) for t in traj.times]
-grid = np.arange(0.0, 2.6, 0.5)  # every half time unit
-queue = np.interp(grid, times, [float(v) for v in traj.lengths[burst_q]])
-threshold = np.interp(grid, times, [float(v) for v in traj.thresholds[burst_q]])
-for t, q, thr in zip(grid, queue, threshold):
-    print(f"  t={t:4.1f}  burst queue {q:5.2f}  threshold {thr:5.2f}")
+
+
+def at(t, values):
+    """values at time t, exactly: the trajectory is linear between breakpoints."""
+    i = min(bisect_right(traj.times, t), len(traj.times) - 1)
+    a, b = traj.times[i - 1], traj.times[i]
+    return values[i - 1] + (values[i] - values[i - 1]) * (t - a) / (b - a)
+
+
+for t in (Fraction(k, 2) for k in range(6)):  # every half time unit
+    q, thr = at(t, traj.lengths[burst_q]), at(t, traj.thresholds[burst_q])
+    print(f"  t={float(t):4.1f}  burst queue {float(q):5.2f}  threshold {float(thr):5.2f}")
 t1 = min(traj.first_crossing.values())
 print(f"  queue meets threshold at t={float(t1):.3f} "
       f"holding {float(4 * t1):.1f} packets")

@@ -39,9 +39,7 @@ def _jsonable(x):
         return float(x)
     if isinstance(x, float) and math.isinf(x):
         return "inf"
-    if isinstance(x, BoundStatus):
-        return x.value
-    if isinstance(x, fluid.CaseKind):
+    if isinstance(x, (BoundStatus, fluid.CaseKind)):
         return x.value
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
@@ -93,8 +91,8 @@ def _load_config(args) -> workloads.ScenarioConfig:
 
 
 def _run_one(cfg: workloads.ScenarioConfig, out_dir: str, fmt: str) -> metrics.RunMetrics:
-    os.makedirs(out_dir, exist_ok=True)
     cfg.validate()
+    os.makedirs(out_dir, exist_ok=True)
     workloads.dump_scenario(cfg, os.path.join(out_dir, "scenario.lock"))
     trace = engine.run(cfg)
     engine.write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
@@ -138,8 +136,9 @@ def cmd_sweep(args) -> int:
     for i, sub in enumerate(configs):
         sub.validate()
         jobs.append((sub, os.path.join(args.out, f"run_{i:03d}"), args.format))
-    if args.parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
+    workers = min(args.parallel, len(jobs))  # the pool forks all its workers up front
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:
         results = [_sweep_worker(job) for job in jobs]
@@ -210,8 +209,8 @@ def cmd_analyze(args) -> int:
         payload["ode_t1"] = min(fluid.integrate_transient(ts).first_crossing.values())
 
     if args.curve:
-        if args.alpha_l is None or args.alpha_h is None or args.buffer is None:
-            raise ConfigError("--curve needs --buffer, --alpha-l and --alpha-h")
+        if None in (args.alpha_l, args.alpha_h, args.buffer, args.out):
+            raise ConfigError("--curve needs --buffer, --alpha-l, --alpha-h and --out")
         points = fluid.burst_absorption_curve(
             args.buffer, args.alpha_l, args.alpha_h,
             args.r_values, args.counts, scheme=args.scheme,

@@ -19,6 +19,7 @@ import heapq
 import io
 import itertools
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -76,10 +77,10 @@ def _checked_cdf(rows: Sequence[tuple[int, float]]) -> tuple[tuple[int, float], 
     """The one rule for every size CDF, from a file or inline: sizes
     increase, cumulative probabilities do not decrease, and the table ends
     at 1.0."""
-    if not rows or abs(rows[-1][1] - 1.0) > 1e-9:
+    if not rows or not abs(rows[-1][1] - 1.0) <= 1e-9:  # a NaN fails both checks
         raise ScenarioParseError("size CDF must end at cumulative probability 1.0")
     for (s0, p0), (s1, p1) in zip(rows, rows[1:]):
-        if s1 <= s0 or p1 < p0:
+        if not (s1 > s0 and p1 >= p0):
             raise ScenarioParseError("size CDF must be increasing")
     return tuple(rows)
 
@@ -192,30 +193,28 @@ def _poisson_flows(
     src: PoissonFlows, seed: int, idx: int, end: float
 ) -> Iterator[tuple[float, int]]:
     """(start, size) of each flow that starts before ``end``, in draw order:
-    an exponential gap, then a size, from ``np.random.default_rng([seed, idx])``.
-    numpy is imported here, so runs without Poisson sources never load it."""
-    import numpy as np
-
-    rng = np.random.default_rng([seed, idx])
+    a gap -mean * log(1 - u), then the first size whose cumulative
+    probability is >= u, each u the next random() of Random(f"{seed}:{idx}")."""
+    draw = random.Random(f"{seed}:{idx}").random
     cdf = _resolved_cdf(src)
     mean = float(src.mean_interarrival)
     t = float(src.start)
     while True:
-        t += rng.exponential(mean)
+        t += -mean * math.log(1.0 - draw())
         if t >= end:
             return
-        u = rng.random()
+        u = draw()
         yield t, next(s for s, p in cdf if u <= p)
 
 
 def _poisson_times(src: PoissonFlows, seed: int, idx: int, end: float) -> Iterator[float]:
     """Packet times of a Poisson flow source, in time order.
 
-    Each flow emits its packets at ``1/flow_rate`` spacing while they fall
-    before ``end``.  Overlapping flows are merged through a heap keyed
-    (time, flow number), so equal times keep draw order.  Flows are drawn
-    one ahead of the packets yielded, so the heap holds just the flows in
-    flight."""
+    Each flow drawn by _poisson_flows emits its packets at ``1/flow_rate``
+    spacing while they fall before ``end``.  Overlapping flows are merged
+    through a heap keyed (time, flow number), so equal times keep draw order.
+    Flows are drawn one ahead of the packets yielded, so the heap holds just
+    the flows in flight."""
     spacing = 1.0 / float(src.flow_rate)
     in_flight: list[tuple[float, int, int, float, int]] = []  # (time, flow, j, t0, size)
     flows = itertools.chain(_poisson_flows(src, seed, idx, end), [(math.inf, 0)])
@@ -238,8 +237,8 @@ def source_stream(
     """The arrival times of source ``idx`` as bare floats, in time order,
     realized lazily.  Constant and burst times are exactly float(start +
     k/rate) for k < ceil(span * rate), the span ending at the source's stop
-    clipped to the horizon; Poisson times are float sums of the seeded draws
-    of ``np.random.default_rng([seed, idx])``."""
+    clipped to the horizon; Poisson times use Random.seed and .random alone,
+    whose sequence Python keeps in every version (see _poisson_flows)."""
     if not isinstance(src, (ConstantRate, Burst, PoissonFlows)):
         raise ConfigError(f"unknown source spec {src!r}")
     hz = Fraction(horizon)
@@ -286,6 +285,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.buffer_size < 1:
             raise ConfigError(f"buffer size must be >= 1 packet, got {self.buffer_size}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         controls = (self.horizon, self.fba_period, self.sample_interval, self.snapshot_staleness)
         if not all(math.isfinite(v) for v in controls):
             raise ConfigError(

@@ -1,5 +1,6 @@
 """CLI: subcommands, artifacts, exit codes, reproducibility."""
 
+import ast
 import json
 import os
 import subprocess
@@ -8,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from fbsim import cli
 from fbsim.cli import main
 from fbsim.workloads import dumps_scenario, preset
 
 GOLDEN_SCENARIOS = Path(__file__).parent / "golden" / "scenarios"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_preset_list(capsys):
@@ -60,19 +63,35 @@ def _poisson_scenario_text(cdf):
     )
 
 
-@pytest.mark.parametrize("cdf", ["2:0.5,8:0.9", "8:0.5,2:1.0", "2:0.5,8:1.5", "file"])
+@pytest.mark.parametrize("cdf", [
+    "2:0.5,8:0.9", "8:0.5,2:1.0", "2:0.5,8:1.5", "file", "1:0.5,4:nan", "1:nan,4:1.0", "nan_file",
+])
 def test_bad_size_cdf_exits_2_before_the_run(cdf, tmp_path, capsys):
     # an inline table gets the same checks as a file, and both fail before
-    # the run directory is written
-    if cdf == "file":
+    # the run directory is written; a NaN probability fails them too
+    files = {"file": "8 0.5\n2 1.0\n", "nan_file": "1 0.5\n4 nan\n"}
+    if cdf in files:
         table = tmp_path / "cdf.txt"
-        table.write_text("8 0.5\n2 1.0\n")
+        table.write_text(files[cdf])
         cdf = str(table)
     path = tmp_path / "poisson.ini"
     path.write_text(_poisson_scenario_text(cdf))
     out = tmp_path / "o"
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert "parse error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where,seed", [("file", -3), ("flag", -3), ("flag", 2**64)])
+def test_seed_outside_u64_exits_3_before_the_run(where, seed, tmp_path, capsys):
+    text, flags = _poisson_scenario_text("default"), ["--seed", str(seed)]
+    if where == "file":
+        text, flags = text.replace("horizon = 50.0\n", f"horizon = 50.0\nseed = {seed}\n"), []
+    path = tmp_path / "poisson.ini"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out), *flags]) == 3
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -96,10 +115,9 @@ def test_unreadable_input_file_exits_2_before_the_run(missing, tmp_path, capsys)
 
 def _fresh_process(argv):
     """(exit code, stdout, stderr) of ``fbsim <argv>`` in a new interpreter."""
-    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "fbsim.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=str(src), COLUMNS="80"),
+        env=dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80"),
         capture_output=True, text=True, timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -193,6 +211,13 @@ def test_degenerate_queue_counts_exit_3(flag, value, capsys):
         flag, value,
     ]) == 3
     assert "validation error" in capsys.readouterr().err
+
+
+def test_curve_without_out_exits_3(capsys):
+    assert main([
+        "analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "4", "--curve",
+    ]) == 3
+    assert "--curve needs --buffer, --alpha-l, --alpha-h and --out" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", [
@@ -366,12 +391,61 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert (serial / sub / "trace.csv").read_bytes() == (parallel / sub / "trace.csv").read_bytes()
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy is imported only where Poisson flows are drawn, so a cold start
-    # of the CLI (and every run without Poisson sources) skips its import
-    src = Path(__file__).resolve().parent.parent / "src"
+def test_sweep_pool_has_no_more_workers_than_runs(monkeypatch, tmp_path):
+    # the pool starts every worker at its first submit, so 64 asked for two
+    # runs must start two; the fake maps in this process and starts none
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert main([
+        "sweep", "--preset", "fig4_incast", "--axis", "r", "--values", "2,6",
+        "--parallel", "64", "--out", str(tmp_path / "p"),
+    ]) == 0
+    assert sizes == [2]
+
+
+def test_sources_import_only_the_standard_library():
+    for path in sorted((SRC / "fbsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "fbsim", f"{path.name}: {name}"
+
+
+def test_poisson_run_loads_only_the_standard_library(tmp_path):
+    # a cold start that runs a Poisson scenario adds no module from outside
+    # the standard library and fbsim to the interpreter
+    scenario = tmp_path / "poisson.ini"
+    scenario.write_text(_poisson_scenario_text("default"))
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "from fbsim.cli import main\n"
+        f"assert main(['run', '--scenario', {str(scenario)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "added = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(added - sys.stdlib_module_names - {'fbsim'}))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import fbsim.cli, sys; assert 'numpy' not in sys.modules"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

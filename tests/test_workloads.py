@@ -2,11 +2,11 @@
 
 import heapq
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -94,13 +94,14 @@ class TestBuildSources:
 
 
 def _eager_poisson(src, seed, idx, horizon):
-    """The Poisson schedule drawn whole, then stably sorted by time: the
-    order the per-source stream must reproduce lazily."""
-    rng = np.random.default_rng([seed, idx])
+    """The Poisson schedule drawn whole by the documented recipe (one gap,
+    then one size, from ``random.Random(f"{seed}:{idx}")``), then stably
+    sorted by time: the order the per-source stream must reproduce lazily."""
+    rng = random.Random(f"{seed}:{idx}")
     end = float(min(src.stop, F(horizon)) if src.stop is not None else horizon)
     t, spacing, drawn = float(src.start), 1.0 / float(src.flow_rate), []
     while True:
-        t += rng.exponential(float(src.mean_interarrival))
+        t += -float(src.mean_interarrival) * math.log(1.0 - rng.random())
         if t >= end:
             break
         u = rng.random()
@@ -142,6 +143,24 @@ class TestSourceStream:
         assert stream == sorted(drawn)
         schedule = merged_arrivals([ConstantRate(1, 1, F(3)), src], 7, 300.0)
         assert [t for t, idx in schedule if idx == 1] == stream
+
+    @pytest.mark.parametrize("seed,idx,first", [
+        (1, 0, ["0x1.4b66ad993e763p+1", "0x1.c1ec8c7e21aa5p+1", "0x1.cb66ad993e763p+1",
+                "0x1.20f6463f10d52p+2", "0x1.60f6463f10d52p+2"]),
+        (2**64 - 1, 5, ["0x1.31a97f0fc187ap-1", "0x1.2f1bab6cd99b1p+2", "0x1.6f1bab6cd99b1p+2",
+                        "0x1.af1bab6cd99b1p+2", "0x1.ef1bab6cd99b1p+2"]),
+    ], ids=["seed1_idx0", "seed_max_idx5"])
+    def test_poisson_stream_is_pinned(self, seed, idx, first):
+        # the first five packet times of one source: the stream is frozen,
+        # across Python versions too
+        src = PoissonFlows(class_id=0, port=0, mean_interarrival=F(2))
+        times = list(islice(source_stream(src, idx, seed, 1000.0), 5))
+        assert [t.hex() for t in times] == first
+
+    def test_seed_and_index_give_distinct_streams(self):
+        src = PoissonFlows(class_id=0, port=0, mean_interarrival=F(2))
+        streams = {tuple(source_stream(src, idx, seed, 200.0)) for seed, idx in ((3, 0), (0, 3), (3, 1))}
+        assert len(streams) == 3
 
 
 class TestSizeCdf:
