@@ -26,6 +26,12 @@ admission and ticks see the state just before the last k * s.
 
 The trace records every admit/drop/departure with the threshold used and
 the packet's source, plus controller ticks and periodic occupancy samples.
+Each record is one 40-byte ``RECORD`` in one bytearray: time, threshold,
+port, class, action code (ADMIT 0, DROP 1, DEPART 2, SOURCE_CHANGE 3),
+queue_len, occupancy, source; the loop stores the occupancy at each
+sample instant as it passes.  ``EventTrace.rows()`` decodes the records
+(``rows(RECORD_SKIM)`` without threshold and queue_len), and the
+``records`` and ``samples`` views decode to tuples.
 ``write_trace_csv`` and ``write_samples_csv`` stream it to CSV in chunks of
 EXPORT_CHUNK_ROWS preformatted rows, so export memory does not grow with
 the trace; ``write_run_summary`` writes the per-queue totals as JSON.
@@ -36,10 +42,12 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import struct
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable, Optional
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Optional
 
 from .core import QueueId, derive_aggregates
 from .policies import (
@@ -50,10 +58,15 @@ from .policies import (
 )
 from .workloads import ScenarioConfig, source_stream
 
-ACTION_ADMIT = "admit"
-ACTION_DROP = "drop"
-ACTION_DEPART = "depart"
-ACTION_SOURCE = "source_change"
+#: Action codes of trace records, and their names in the CSV and ``records``.
+ADMIT, DROP, DEPART, SOURCE_CHANGE = range(4)
+ACTIONS = ("admit", "drop", "depart", "source_change")
+#: One trace record: time, threshold, port, class_id, action code, queue_len,
+#: occupancy, source_id; validation keeps every int within MAX_RECORD_INT.
+RECORD = struct.Struct("<2d6i")
+_pack = RECORD.pack
+#: RECORD with the threshold and queue_len skipped, for readers that need neither.
+RECORD_SKIM = struct.Struct("<d8x3i4x2i")
 
 TRACE_COLUMNS = ("time", "port", "class", "queue_len", "action", "threshold")
 
@@ -85,11 +98,15 @@ _FB = PolicyKind.FB
 class EventTrace:
     """Time-ordered record of everything a run did.
 
-    ``records`` rows are (time, port, class_id, action, queue_len,
-    threshold, occupancy_after, source_id); queue_len is the length after
-    the action for admits/departs and the length at the decision for drops.
-    A departure row carries the source of the packet that left, or -1 for
-    a packet pre-filled from ``initial_lengths``.
+    ``packed`` holds one 40-byte ``RECORD`` per admit, drop, departure and
+    source on/off, in event order, and ``rows()`` decodes them.  queue_len
+    is the length after an admit/depart and at the decision for a drop; the
+    threshold means nothing for DEPART and SOURCE_CHANGE.  A departure names
+    the packet's source, or -1 for one pre-filled from ``initial_lengths``.
+    ``occupancy[k]`` is the occupancy at k * ``sample_interval``.  The
+    ``records`` view decodes to (time, port, class_id, action name,
+    queue_len, threshold or None, occupancy_after, source_id) tuples, and
+    ``samples`` to (time, occupancy).
     ``queue_of`` maps a record's (port, class_id) to its engine queue (the
     shared per-port queue in single-queue mode).  ``ticks`` holds (time,
     {queue: effective alpha}) controller emissions, one per tick; while the
@@ -100,13 +117,35 @@ class EventTrace:
 
     queue_ids: tuple[QueueId, ...]
     queue_of: dict[tuple[int, int], QueueId] = field(default_factory=dict)
-    records: list[tuple] = field(default_factory=list)
+    packed: bytearray = field(default_factory=bytearray)
     ticks: list[tuple[float, dict[QueueId, float]]] = field(default_factory=list)
-    samples: list[tuple[float, int]] = field(default_factory=list)
+    occupancy: array = field(default_factory=lambda: array("q"))
+    sample_interval: float = 0.1
     initial_lengths: dict[QueueId, int] = field(default_factory=dict)
     final_lengths: dict[QueueId, int] = field(default_factory=dict)
     counts: dict[QueueId, dict[str, int]] = field(default_factory=dict)
     horizon: float = 0.0
+
+    @classmethod
+    def from_rows(cls, records: Iterable[tuple] = (), occupancy=(), **fields) -> EventTrace:
+        """A trace of ``records`` view rows and ``occupancy`` samples."""
+        packed = bytearray().join(
+            _pack(t, 0.0 if thr is None else thr, port, c, ACTIONS.index(action), qlen, occ, src)
+            for t, port, c, action, qlen, thr, occ, src in records)
+        return cls(packed=packed, occupancy=array("q", occupancy), **fields)
+
+    def rows(self, layout: struct.Struct = RECORD) -> Iterator[tuple]:
+        """The records decoded, in order, as RECORD (or RECORD_SKIM) tuples."""
+        return layout.iter_unpack(self.packed)
+
+    @property
+    def records(self) -> list[tuple]:
+        return [(t, port, c, ACTIONS[code], qlen, thr if code < DEPART else None, occ, src)
+                for t, thr, port, c, code, qlen, occ, src in self.rows()]
+
+    @property
+    def samples(self) -> list[tuple[float, int]]:
+        return [(k * self.sample_interval, occ) for k, occ in enumerate(self.occupancy)]
 
     def verify_conservation(self) -> None:
         """Check the engine's per-queue counters against an independent
@@ -117,18 +156,11 @@ class EventTrace:
             q: {"arrivals": 0, "admitted": 0, "dropped": 0, "departed": 0}
             for q in self.queue_ids
         }
-        for _time, port, class_id, action, *_ in self.records:
-            if action == ACTION_SOURCE:
-                continue
-            c = rescan[self.queue_of[port, class_id]]
-            if action == ACTION_ADMIT:
-                c["arrivals"] += 1
-                c["admitted"] += 1
-            elif action == ACTION_DROP:
-                c["arrivals"] += 1
-                c["dropped"] += 1
-            elif action == ACTION_DEPART:
-                c["departed"] += 1
+        for _time, _thr, port, class_id, code, *_ in self.rows():
+            if code != SOURCE_CHANGE:
+                c = rescan[self.queue_of[port, class_id]]
+                c[("admitted", "dropped", "departed")[code]] += 1
+                c["arrivals"] += code < DEPART
         for q in self.queue_ids:
             c = self.counts.get(q)
             if c != rescan[q]:
@@ -358,14 +390,11 @@ def enqueue_arrival(
         state._bump(qi, +1)
         state.admitted[qi] += 1
         state.fifo[qi].append((class_id, source_id))
-        trace.records.append(
-            (time, port, class_id, ACTION_ADMIT, state.lengths[qi], threshold, state.total, source_id)
-        )
+        code, length = ADMIT, state.lengths[qi]
     else:
         state.dropped[qi] += 1
-        trace.records.append(
-            (time, port, class_id, ACTION_DROP, length, threshold, state.total, source_id)
-        )
+        code = DROP
+    trace.packed += _pack(time, threshold, port, class_id, code, length, state.total, source_id)
     return admit
 
 
@@ -386,9 +415,7 @@ def service_port(state: SwitchState, port: int, time: float, trace: EventTrace) 
     class_id, source_id = state.fifo[qi].popleft()
     state._bump(qi, -1)
     state.departed[qi] += 1
-    trace.records.append(
-        (time, port, class_id, ACTION_DEPART, lengths[qi], None, state.total, source_id)
-    )
+    trace.packed += _pack(time, 0.0, port, class_id, DEPART, lengths[qi], state.total, source_id)
     return state.nonempty_port[port] > 0
 
 
@@ -409,6 +436,7 @@ def run(config: ScenarioConfig) -> EventTrace:
         queue_ids=queues,
         queue_of={key: queues[qi] for key, qi in state.slot.items()},
         initial_lengths={q: n for q, n in zip(queues, state.lengths) if n},
+        sample_interval=config.sample_interval,
         horizon=config.horizon,
     )
 
@@ -450,10 +478,18 @@ def run(config: ScenarioConfig) -> EventTrace:
     heappop, heappush = heapq.heappop, heapq.heappush
     end = config.horizon + 1e-12
     nonempty_port = state.nonempty_port
+    # sample k, due at k * interval, sees every event up to 1e-12 after it
+    occupancy, interval = trace.occupancy, config.sample_interval
+    steps = int(math.floor(config.horizon / interval + 1e-9))
+    sample, due = 0, 1e-12
     while events:
         time, rank, key, payload = heappop(events)
         if time > end:
             break
+        while time > due:
+            occupancy.append(state.total)
+            sample += 1
+            due = sample * interval + 1e-12 if sample <= steps else math.inf
         if rank == _ARRIVAL:
             following = next(streams[key], None)
             if following is not None:
@@ -481,10 +517,10 @@ def run(config: ScenarioConfig) -> EventTrace:
         else:  # source on/off: bookkeeping only
             class_id, port, source_id = payload
             qi = state.slot[port, class_id]
-            trace.records.append(
-                (time, port, class_id, ACTION_SOURCE, state.lengths[qi], None, state.total, source_id)
-            )
+            trace.packed += _pack(time, 0.0, port, class_id, SOURCE_CHANGE,
+                                  state.lengths[qi], state.total, source_id)
 
+    occupancy.extend(repeat(state.total, steps + 1 - sample))
     trace.final_lengths = dict(zip(queues, state.lengths))
     trace.counts = {
         q: {
@@ -495,36 +531,7 @@ def run(config: ScenarioConfig) -> EventTrace:
         }
         for i, q in enumerate(queues)
     }
-    trace.samples = _sample_occupancy(
-        trace.records, config.sample_interval, config.horizon, sum(trace.initial_lengths.values())
-    )
     return trace
-
-
-def _sample_occupancy(
-    records: list[tuple], interval: float, horizon: float, initial: int
-) -> list[tuple[float, int]]:
-    """Occupancy at 0, interval, 2*interval, ... horizon (step function of
-    the recorded events).  One pass: the sample at t sees every record up
-    to the first one later than t + 1e-12."""
-    samples: list[tuple[float, int]] = []
-    occupancy = initial
-    steps = int(math.floor(horizon / interval + 1e-9))
-    k = 0
-    t = k * interval
-    for time, _port, _cls, action, _qlen, _thr, occ, _src in records:
-        while time > t + 1e-12:
-            samples.append((t, occupancy))
-            k += 1
-            if k > steps:
-                return samples
-            t = k * interval
-        if action != ACTION_SOURCE:
-            occupancy = occ
-    while k <= steps:
-        samples.append((k * interval, occupancy))
-        k += 1
-    return samples
 
 
 # -- export ------------------------------------------------------------------
@@ -544,14 +551,16 @@ def write_trace_csv(trace: EventTrace, path) -> None:
     """Trace rows as CSV: time, port, class, queue_len, action, threshold
     (floats as ``repr``, no threshold on departures and source changes)."""
     _write_csv(path, TRACE_COLUMNS, (
-        f"{time!r},{port},{class_id},{qlen},{action},{'' if thr is None else repr(thr)}\r\n"
-        for time, port, class_id, action, qlen, thr, _occ, _src in trace.records
+        f"{time!r},{port},{class_id},{qlen},{ACTIONS[code]},{'' if code > DROP else repr(thr)}\r\n"
+        for time, thr, port, class_id, code, qlen, _occ, _src in trace.rows()
     ))
 
 
 def write_samples_csv(trace: EventTrace, path) -> None:
     """Occupancy samples as CSV: time, occupancy."""
-    _write_csv(path, ("time", "occupancy"), (f"{t!r},{occ}\r\n" for t, occ in trace.samples))
+    interval = trace.sample_interval
+    rows = (f"{k * interval!r},{occ}\r\n" for k, occ in enumerate(trace.occupancy))
+    _write_csv(path, ("time", "occupancy"), rows)
 
 
 def run_summary(trace: EventTrace) -> dict:

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import QueueId
-from .engine import (
-    ACTION_ADMIT,
-    ACTION_DEPART,
-    ACTION_DROP,
-    ACTION_SOURCE,
-    EventTrace,
-    run_summary,
-)
+from .engine import ADMIT, DEPART, DROP, RECORD_SKIM, SOURCE_CHANGE, EventTrace, run_summary
 from .workloads import Burst, ScenarioConfig
 
 
@@ -77,22 +70,22 @@ def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
     burst_departed = 0
     last_burst_departure: Optional[float] = None
 
-    for time, port, class_id, action, _qlen, _thr, occ, source_id in trace.records:
-        if action == ACTION_SOURCE:
+    for time, port, class_id, code, occ, source_id in trace.rows(RECORD_SKIM):
+        if code == SOURCE_CHANGE:
             continue
         if occ > occ_max:
             occ_max = occ
-        if action == ACTION_DROP:
+        if code == DROP:
             key = slot_key[port, class_id]
             if time < first_drop[key]:
                 first_drop[key] = time
         if source_id in burst_ids:
-            if action == ACTION_DEPART:
+            if code == DEPART:
                 burst_departed += 1
                 last_burst_departure = time
             else:
                 burst_arrivals += 1
-                if action == ACTION_ADMIT:
+                if code == ADMIT:
                     burst_admitted += 1
 
     partial = False
@@ -112,7 +105,7 @@ def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
     departed: dict[int, int] = {}
     for q in trace.queue_ids:
         departed[q.port] = departed.get(q.port, 0) + trace.counts[q]["departed"]
-    occupancies = [occ for _, occ in trace.samples]
+    occupancies = trace.occupancy
     return RunMetrics(
         per_queue=run_summary(trace)["queues"],
         first_drop_time=first_drop,
@@ -141,8 +134,8 @@ def trailing_steady_lengths(
     occupancy = sum(current.values())
     maxima: Optional[dict[QueueId, int]] = None
     occ_max = 0
-    for time, port, class_id, action, qlen, _thr, occ, _src in trace.records:
-        if action not in (ACTION_ADMIT, ACTION_DEPART):
+    for time, _thr, port, class_id, code, qlen, occ, _src in trace.rows():
+        if code != ADMIT and code != DEPART:
             continue
         if time >= t0 and maxima is None:
             maxima = dict(current)

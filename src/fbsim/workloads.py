@@ -137,7 +137,9 @@ class PoissonFlows:
     back-to-back at ``flow_rate``.  ``size_cdf`` is None (the shipped
     default), a file path, or an inline ((size, cumprob), ...) table; a
     file is read and either table checked here, when the source is built,
-    so a bad table fails before a run starts."""
+    so a bad table fails before a run starts.  A path is replaced by its
+    table, so the run never reads the file again and scenario.lock carries
+    the table itself."""
 
     class_id: int
     port: int
@@ -158,20 +160,12 @@ class PoissonFlows:
         if self.stop is not None and self.stop <= self.start:
             raise ConfigError(f"poisson source stop {self.stop} must be after its start {self.start}")
         if isinstance(self.size_cdf, str):
-            load_size_cdf(self.size_cdf)
+            object.__setattr__(self, "size_cdf", load_size_cdf(self.size_cdf))
         elif self.size_cdf is not None:
             _checked_cdf(self.size_cdf)
 
 
 SourceSpec = Union[ConstantRate, Burst, PoissonFlows]
-
-
-def _resolved_cdf(source: PoissonFlows) -> tuple[tuple[int, float], ...]:
-    if source.size_cdf is None:
-        return DEFAULT_SIZE_CDF
-    if isinstance(source.size_cdf, str):
-        return load_size_cdf(source.size_cdf)
-    return source.size_cdf
 
 
 def _rational_times(start: Fraction, rate: Fraction, end: Fraction) -> Iterator[float]:
@@ -196,7 +190,7 @@ def _poisson_flows(
     a gap -mean * log(1 - u), then the first size whose cumulative
     probability is >= u, each u the next random() of Random(f"{seed}:{idx}")."""
     draw = random.Random(f"{seed}:{idx}").random
-    cdf = _resolved_cdf(src)
+    cdf = src.size_cdf or DEFAULT_SIZE_CDF
     mean = float(src.mean_interarrival)
     t = float(src.start)
     while True:
@@ -254,6 +248,11 @@ def source_stream(
 # scenario configuration
 # ---------------------------------------------------------------------------
 
+#: Most samples or FBA ticks (horizon over either period) a valid run implies.
+MAX_RUN_STEPS = 10**7
+#: Largest buffer size, port or source count and class id: the trace stores 4-byte ints.
+MAX_RECORD_INT = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -301,6 +300,8 @@ class ScenarioConfig:
             raise ConfigError("duplicate class ids")
         if any(i < 0 for i in ids):
             raise ConfigError("class ids must be >= 0")
+        if max(self.buffer_size, self.n_ports, len(self.sources), *ids) > MAX_RECORD_INT:
+            raise ConfigError(f"buffer size, ports, sources or a class id above {MAX_RECORD_INT}")
         if self.queue_mode not in ("multi", "single"):
             raise ConfigError(f"queue_mode must be multi or single, got {self.queue_mode!r}")
         if self.horizon <= 0:
@@ -309,6 +310,9 @@ class ScenarioConfig:
             raise ConfigError("congestion_threshold, fba_period, snapshot_staleness must be >= 0")
         if self.sample_interval <= 0:
             raise ConfigError("sample_interval must be > 0")
+        periods = [self.sample_interval] + [self.fba_period] * (self.policy is PolicyKind.FBA)
+        if any(self.horizon / p + 1e-9 >= MAX_RUN_STEPS for p in periods if p):
+            raise ConfigError(f"horizon implies more than {MAX_RUN_STEPS} samples or ticks")
         known = set(ids)
         for src in self.sources:
             if src.class_id not in known:
@@ -408,10 +412,8 @@ def _dump_source(src: SourceSpec) -> str:
     stop = "inf" if src.stop is None else str(src.stop)
     if src.size_cdf is None:
         cdf = "default"
-    elif isinstance(src.size_cdf, str):
-        cdf = src.size_cdf
     else:
-        cdf = ",".join(f"{s}:{p}" for s, p in src.size_cdf)
+        cdf = ",".join(f"{s}:{p!r}" for s, p in src.size_cdf)
     return (
         f"poisson class={src.class_id} port={src.port} "
         f"mean_interarrival={src.mean_interarrival} flow_rate={src.flow_rate} "

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from fbsim import cli
+from fbsim import cli, engine, workloads
 from fbsim.cli import main
-from fbsim.workloads import dumps_scenario, preset
+from fbsim.workloads import MAX_RUN_STEPS, dumps_scenario, preset
 
 GOLDEN_SCENARIOS = Path(__file__).parent / "golden" / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -110,6 +111,59 @@ def test_unreadable_input_file_exits_2_before_the_run(missing, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("parse error: ")
     assert f"cannot read {absent}: " in err
+    assert not out.exists()
+
+
+def test_cdf_file_is_read_once_and_the_lock_carries_its_table(tmp_path, monkeypatch):
+    table = tmp_path / "cdf.txt"
+    table.write_text("# size cumprob\n1 0.25\n3 0.75\n6 1.0\n")
+    path = tmp_path / "poisson.ini"
+    path.write_text(_poisson_scenario_text(table))
+    reads = Counter()
+    read_text = workloads._read_text
+
+    def counting(p):
+        reads[str(p)] += 1
+        return read_text(p)
+
+    monkeypatch.setattr(workloads, "_read_text", counting)
+    first = tmp_path / "first"
+    assert main(["run", "--scenario", str(path), "--out", str(first)]) == 0
+    assert reads[str(table)] == 1
+    lock = (first / "scenario.lock").read_text()
+    assert "cdf=1:0.25,3:0.75,6:1.0" in lock and str(table) not in lock
+
+    # the loaded scenario holds the table: editing the file changes nothing
+    cfg = workloads.load_scenario(path)
+    before = engine.run(cfg).records
+    table.write_text("40 1.0\n")
+    assert engine.run(cfg).records == before
+    # and the lock alone reproduces the run
+    again = tmp_path / "again"
+    assert main(["run", "--scenario", str(first / "scenario.lock"), "--out", str(again)]) == 0
+    assert (again / "trace.csv").read_bytes() == (first / "trace.csv").read_bytes()
+    assert engine.run(workloads.load_scenario(first / "scenario.lock")).records == before
+
+
+@pytest.mark.parametrize("line,replacement,flags", [
+    ("sample_interval = 0.1", "sample_interval = 1e-09", []),
+    ("kind = dt", "kind = fba", ["--fba-period", "1e-9"]),
+], ids=["sample_interval", "flag_fba_period"])
+def test_implied_samples_or_ticks_past_the_bound_exit_3(
+    line, replacement, flags, tmp_path, capsys, monkeypatch
+):
+    # the config would store 6e10 samples or tables: rejected before a run
+    def no_run(config):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli.engine, "run", no_run)
+    text = dumps_scenario(preset("fig2"))
+    assert line in text
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text.replace(line, replacement))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(bad), "--out", str(out), *flags]) == 3
+    assert f"more than {MAX_RUN_STEPS} samples or ticks" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -429,6 +483,15 @@ def test_sources_import_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "fbsim", f"{path.name}: {name}"
+
+
+def test_sources_never_read_the_decoded_trace_views():
+    # records and samples decode the whole packed trace into tuples; the
+    # package reads it through EventTrace.rows() and the occupancy array
+    for path in sorted((SRC / "fbsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("records", "samples"), f"{path.name}:{node.lineno}"
 
 
 def test_poisson_run_loads_only_the_standard_library(tmp_path):

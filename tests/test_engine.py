@@ -3,6 +3,7 @@
 import csv
 import heapq
 import math
+import struct
 import tempfile
 import tracemalloc
 from collections import deque
@@ -18,16 +19,17 @@ from fbsim import engine
 from fbsim.core import QueueId, TrafficClass, derive_aggregates
 from fbsim.engine import (
     EXPORT_CHUNK_ROWS,
+    RECORD,
     EngineInvariantError,
     EventTrace,
     SwitchState,
     run,
-    _sample_occupancy,
     write_samples_csv,
     write_trace_csv,
 )
 from fbsim.policies import PolicyKind, fb_effective_alpha
 from fbsim.workloads import (
+    MAX_RECORD_INT,
     Burst,
     ConfigError,
     ConstantRate,
@@ -615,29 +617,59 @@ def _samples_oracle(records, interval, horizon, initial):
     return samples
 
 
+# offsets around a sample instant, on both sides of the 1e-12 rule
+_OFFSETS = st.sampled_from([-2e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12, 0.04])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     points=st.lists(
-        st.tuples(
-            st.integers(0, 60),
-            # offsets around a sample instant, on both sides of the 1e-12 rule
-            st.sampled_from([-2e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12, 0.04]),
-            st.sampled_from(ACTIONS),
-            st.integers(0, 99),
-        ),
+        st.tuples(st.integers(0, 60), _OFFSETS, st.integers(0, 1), st.integers(1, 3)),
         max_size=80,
     ),
+    windows=st.lists(
+        st.tuples(
+            st.integers(0, 60), _OFFSETS, st.integers(1, 20), _OFFSETS,
+            st.integers(0, 1), st.integers(1, 3),
+        ),
+        max_size=8,
+    ),
     interval=st.sampled_from([0.1, 0.25, 0.3, 1.0]),
-    horizon=st.floats(0.0, 6.0),
+    horizon=st.floats(0.01, 6.0),
     initial=st.integers(0, 9),
 )
-def test_occupancy_samples_match_a_scan_per_instant(points, interval, horizon, initial):
-    records = sorted(
-        (k * interval + off, 0, 0, action, 0, None, occ, 0) for k, off, action, occ in points
+# three sources switch on just before the sample at 0.9 while a burst starts
+# just after it, and two switch off together just after the sample at 1.5
+@example(
+    points=[(3, 5e-13, 0, 2)],
+    windows=[(3, -5e-13, 2, 1e-12, 0, 1), (3, -5e-13, 2, 1e-12, 1, 2), (3, -5e-13, 4, 0.0, 0, 3)],
+    interval=0.3, horizon=5.0, initial=4,
+)
+def test_occupancy_samples_match_a_scan_per_instant(points, windows, interval, horizon, initial):
+    # each point starts a one-unit burst of 1-3 packets on a port just around
+    # a sample instant, and each window a constant source that starts and
+    # stops just around sample instants, so source changes (several at one
+    # instant when windows share it) straddle the 1e-12 rule too;
+    # pre-filled packets depart at integer times, later departures at whole
+    # units after arrivals, and the 12-packet buffer drops
+    bursts = tuple(
+        Burst(class_id=0, port=port, r=F(r), duration=F(1), start=F(k * interval + off))
+        for k, off, port, r in points
+        if 0 <= k * interval + off < horizon
     )
-    assert _sample_occupancy(records, interval, horizon, initial) == _samples_oracle(
-        records, interval, horizon, initial
+    constants = tuple(
+        ConstantRate(class_id=0, port=port, rate=F(rate), start=F(k * interval + off),
+                     stop=F((k + j) * interval + off_stop))
+        for k, off, j, off_stop, port, rate in windows
+        if 0 <= k * interval + off < horizon
     )
+    cfg = ScenarioConfig(
+        buffer_size=12, n_ports=2, classes=(TrafficClass(0, F(1), LOW),),
+        policy=PolicyKind.DYNAMIC_THRESHOLDS, sources=bursts + constants, horizon=horizon,
+        sample_interval=interval, initial_lengths={QueueId(0, 0): initial},
+    )
+    trace = run(cfg)
+    assert trace.samples == _samples_oracle(trace.records, interval, horizon, initial)
 
 
 # -- export ------------------------------------------------------------------
@@ -666,8 +698,8 @@ _thresholds = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 _records = st.tuples(
-    _times, st.integers(0, 63), st.integers(-1, 63), st.integers(0, 10**6),
-    st.sampled_from(ACTIONS), _thresholds, st.integers(0, 10**6), st.integers(-1, 99),
+    _times, st.integers(0, 63), st.integers(-1, 63), st.sampled_from(ACTIONS),
+    st.integers(0, 10**6), _thresholds, st.integers(0, 10**6), st.integers(-1, 99),
 )
 # row counts below, at and above one chunk, and across several chunks
 _counts = st.one_of(
@@ -677,7 +709,7 @@ _counts = st.one_of(
 )
 
 _PINNED = [
-    (t, p, c, q, a, thr, 0, 0)
+    (t, p, c, a, q, thr, 0, 0)
     for t, thr in zip(SPECIAL_FLOATS, (None, math.inf, 1e-07, 1e+16, -0.0, 3.0, 0.1))
     for p, c, q in [(0, -1, 0), (5, 8, 1999)]
     for a in ACTIONS
@@ -693,11 +725,16 @@ _PINNED = [
 @example(distinct=_PINNED, samples=[(t, 7) for t in SPECIAL_FLOATS], n=EXPORT_CHUNK_ROWS)
 @example(distinct=_PINNED, samples=[(t, 0) for t in SPECIAL_FLOATS], n=EXPORT_CHUNK_ROWS - 1)
 @example(distinct=_PINNED, samples=[(t, 3) for t in SPECIAL_FLOATS], n=EXPORT_CHUNK_ROWS + 1)
+# a 0.0 threshold after -0.0: the two are equal as floats but print apart
+@example(distinct=_PINNED + [(0.5, 1, 1, "drop", 3, 0.0, 0, 0)], samples=[(0.5, 1)],
+         n=len(_PINNED) + 1)
 def test_csv_writers_match_the_csv_module(distinct, samples, n):
-    trace = EventTrace(
+    # sample times are k * interval, the interval the first drawn time
+    trace = EventTrace.from_rows(
+        [distinct[i % len(distinct)] for i in range(n)],
+        [samples[i % len(samples)][1] for i in range(n)],
         queue_ids=(),
-        records=[distinct[i % len(distinct)] for i in range(n)],
-        samples=[samples[i % len(samples)] for i in range(n)],
+        sample_interval=samples[0][0],
     )
     with tempfile.TemporaryDirectory() as d:
         out = Path(d)
@@ -717,10 +754,10 @@ def test_trace_export_streams_in_bounded_memory(tmp_path):
     # the file is larger than the bound, so a writer that builds the whole
     # text in memory before writing it cannot pass
     records = [
-        (i * 0.1, i % 6, i % 9, i % 50, ACTIONS[i % 4], i * 0.37, i % 2000, i % 10)
+        (i * 0.1, i % 6, i % 9, ACTIONS[i % 4], i % 50, i * 0.37, i % 2000, i % 10)
         for i in range(40_000)
     ]
-    trace = EventTrace(queue_ids=(), records=records)
+    trace = EventTrace.from_rows(records, queue_ids=())
     tracemalloc.start()
     try:
         write_trace_csv(trace, tmp_path / "trace.csv")
@@ -729,3 +766,66 @@ def test_trace_export_streams_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "trace.csv").stat().st_size > 1_000_000
     assert peak < 1_000_000
+
+
+# -- the packed trace --------------------------------------------------------
+
+_ints = st.one_of(st.sampled_from([-1, 0, MAX_RECORD_INT]), st.integers(-1, MAX_RECORD_INT))
+# decisions carry a threshold, inf under CS; departures and source changes none
+_stored = st.one_of(
+    st.tuples(_times, _ints, _ints, st.sampled_from(ACTIONS[:2]), _ints,
+              st.one_of(st.just(math.inf), _times), _ints, _ints),
+    st.tuples(_times, _ints, _ints, st.sampled_from(ACTIONS[2:]), _ints,
+              st.none(), _ints, _ints),
+)
+
+
+def _bits(rows):
+    """Rows with every float replaced by its IEEE 754 bytes."""
+    return [
+        tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in row) for row in rows
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(_stored, max_size=20))
+@example(rows=[
+    (t, MAX_RECORD_INT, MAX_RECORD_INT, a, MAX_RECORD_INT, thr, MAX_RECORD_INT, -1)
+    for t in SPECIAL_FLOATS
+    for a, thr in (("admit", math.inf), ("drop", -0.0), ("depart", None), ("source_change", None))
+])
+def test_records_view_returns_the_stored_values_bitwise(rows):
+    assert _bits(EventTrace.from_rows(rows, queue_ids=()).records) == _bits(rows)
+
+
+def test_complete_sharing_run_at_the_largest_buffer_round_trips():
+    # CS thresholds are inf, pre-filled packets depart with source -1, and
+    # departures and source changes carry no threshold
+    cfg = ScenarioConfig(
+        buffer_size=MAX_RECORD_INT, n_ports=1, classes=(TrafficClass(0, F(1), LOW),),
+        policy=PolicyKind.COMPLETE_SHARING,
+        sources=(ConstantRate(class_id=0, port=0, rate=F(2), start=F(1, 2), stop=F(5)),),
+        horizon=8.0, initial_lengths={QueueId(0, 0): 3},
+    )
+    with pytest.raises(ConfigError):
+        replace(cfg, buffer_size=MAX_RECORD_INT + 1).validate()
+    trace = run(cfg)
+    records = trace.records
+    assert {r[5] for r in records if r[3] in ("admit", "drop")} == {math.inf}
+    assert [r[7] for r in records if r[3] == "depart"][:4] == [-1, -1, -1, 0]
+    assert {r[5] for r in records if r[3] in ("depart", "source_change")} == {None}
+    assert sum(r[3] == "source_change" for r in records) == 2
+    assert EventTrace.from_rows(records, queue_ids=()).packed == trace.packed
+
+
+def test_trace_holds_at_most_80_bytes_per_record():
+    cfg = two_class_config(horizon=4000.0, sample_interval=10.0)
+    tracemalloc.start()
+    try:
+        trace = run(cfg)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_records = len(trace.packed) // RECORD.size
+    assert n_records >= 20_000
+    assert held / n_records <= 80

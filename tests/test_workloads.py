@@ -16,6 +16,8 @@ from fbsim.fluid import CaseKind, classify_case, first_threshold_crossing
 from fbsim.policies import PolicyKind
 from fbsim.workloads import (
     DEFAULT_SIZE_CDF,
+    MAX_RECORD_INT,
+    MAX_RUN_STEPS,
     Burst,
     ConfigError,
     ConstantRate,
@@ -311,6 +313,30 @@ class TestConfigFile:
             replace(cfg, initial_lengths={QueueId(0, 0): 100}).validate()
         with pytest.raises(ConfigError):
             replace(cfg, horizon=5.0).validate()  # source starts at 10
+
+
+    @pytest.mark.parametrize("changes", [
+        dict(sample_interval=1e-9),
+        dict(sample_interval=60.0 / (MAX_RUN_STEPS + 1)),
+        dict(policy=PolicyKind.FBA, fba_period=1e-9),
+        dict(policy=PolicyKind.FBA, fba_period=60.0 / (MAX_RUN_STEPS + 1)),
+        dict(buffer_size=MAX_RECORD_INT + 1),
+        dict(n_ports=MAX_RECORD_INT + 1),
+        dict(classes=preset("fig2").classes + (TrafficClass(MAX_RECORD_INT + 1, F(1), LOW),)),
+    ], ids=["samples", "samples_at_bound", "ticks", "ticks_at_bound", "buffer", "ports", "class"])
+    def test_validation_bounds_what_a_run_stores(self, changes):
+        # fig2 runs 60 time units; no config here is ever run
+        with pytest.raises(ConfigError):
+            replace(preset("fig2"), **changes).validate()
+
+    @pytest.mark.parametrize("changes", [
+        dict(sample_interval=60.0 / (MAX_RUN_STEPS - 2)),
+        dict(policy=PolicyKind.FBA, fba_period=60.0 / (MAX_RUN_STEPS - 2)),
+        dict(fba_period=1e-9),  # no controller ticks under DT
+        dict(buffer_size=MAX_RECORD_INT),
+    ], ids=["samples", "ticks", "dt_period", "buffer"])
+    def test_validation_admits_up_to_the_bounds(self, changes):
+        replace(preset("fig2"), **changes).validate()
 
 
 class TestFluidBridges:
