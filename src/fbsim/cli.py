@@ -130,6 +130,8 @@ def _sweep_worker(item):
 
 
 def cmd_sweep(args) -> int:
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
     cfg = _load_config(args)
     configs = workloads.sweep(cfg, args.axis, args.values)
     jobs = []

@@ -27,8 +27,9 @@ only ``Q'``, the rate at which the buffer fills, depends on the case:
 Between regime changes every queue drains, tracks or fills at a constant
 rate, so the transient trajectory is piecewise linear.  The event-driven
 solver (``integrate_transient``) follows it from breakpoint to breakpoint
-and is the closed forms' independent cross-check.  Both the closed forms
-and the solver use exact rational arithmetic.
+and is the closed forms' independent cross-check.  Both are exact: the
+closed forms on Fraction, the solver on the private rational ``_Q``, whose
+results it returns as Fractions, so the two routes share no arithmetic.
 """
 
 from __future__ import annotations
@@ -585,6 +586,61 @@ def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds
 # ---------------------------------------------------------------------------
 
 
+class _Q:
+    """The solver's exact rational: a reduced int numerator over a positive
+    int denominator, with only what the solver uses (``+ - * /``, unary minus,
+    ``< <= ==`` between _Q values; the sign is the numerator's) and none of
+    Fraction's operator dispatch.  ``_Q(x)`` converts an int or a Fraction."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, value: Union[int, Fraction]) -> None:
+        self.numerator = value.numerator
+        self.denominator = value.denominator
+
+    def __add__(self, other: _Q) -> _Q:
+        return _reduced(self.numerator * other.denominator + other.numerator * self.denominator,
+                        self.denominator * other.denominator)
+
+    def __sub__(self, other: _Q) -> _Q:
+        return _reduced(self.numerator * other.denominator - other.numerator * self.denominator,
+                        self.denominator * other.denominator)
+
+    def __mul__(self, other: _Q) -> _Q:
+        return _reduced(self.numerator * other.numerator, self.denominator * other.denominator)
+
+    def __truediv__(self, other: _Q) -> _Q:
+        n, d = self.numerator * other.denominator, self.denominator * other.numerator
+        if d == 0:
+            raise ZeroDivisionError("division by zero")
+        return _reduced(n, d) if d > 0 else _reduced(-n, -d)
+
+    def __neg__(self) -> _Q:
+        return _reduced(-self.numerator, self.denominator)
+
+    def __lt__(self, other: _Q) -> bool:
+        return self.numerator * other.denominator < other.numerator * self.denominator
+
+    def __le__(self, other: _Q) -> bool:
+        return self.numerator * other.denominator <= other.numerator * self.denominator
+
+    def __eq__(self, other: _Q) -> bool:
+        return self.numerator == other.numerator and self.denominator == other.denominator
+
+
+def _reduced(n: int, d: int) -> _Q:
+    """The _Q n/d for d > 0, reduced by one gcd."""
+    q = object.__new__(_Q)
+    g = math.gcd(n, d)
+    q.numerator, q.denominator = n // g, d // g
+    return q
+
+
+#: The solver's number type, chosen in this one place: a test sets it to
+#: Fraction to run the very same solver as its reference.
+_EXACT = _Q
+
+
 @dataclass
 class TransientTrajectories:
     """The exact fluid trajectory at its breakpoints.
@@ -592,7 +648,7 @@ class TransientTrajectories:
     Between consecutive ``times`` every length and threshold is linear in t,
     so the lists pin the whole piecewise-linear trajectory.
     ``first_crossing`` holds each new queue's first fill-to-threshold hit
-    (+inf when it never happens).
+    (+inf when it never happens).  Every finite value is a Fraction.
     """
 
     times: list[Fraction]
@@ -601,34 +657,35 @@ class TransientTrajectories:
     first_crossing: dict[QueueId, Value]
 
 
-def _solve_total_rate(base: Number, tracked: list[tuple[Number, Number, Number]]) -> Number:
-    """Solve S = base + sum_i clamp(-omega_i*S, lo_i, hi_i).
+def _solve_total_rate(base, tracked: list[tuple]):
+    """Solve S = base + sum_i clamp(-omega_i*S, lo_i, hi_i); a bound of None
+    leaves that side unbounded.
 
     The right side is piecewise linear and non-increasing in S, so the root
     is unique.  Sweep the sorted clamp breakpoints from S = -inf, where every
     finite ``hi`` applies and every unbounded one is linear, keeping the
     segment's right side as ``const - slope * S``; the root lies in the
     first segment whose right end p has ``const - slope * p <= p``.  The
-    arithmetic keeps the type of its inputs (Fractions stay exact).
+    arithmetic keeps the exact type of its inputs (``_Q`` in the solver).
     """
     const = base
-    slope = 0
+    scale = type(base)(1)  # 1 + slope
     steps = []  # (breakpoint, slope change, const change), as S increases
     for omega, lo, hi in tracked:
-        if math.isfinite(hi):
+        if hi is None:
+            scale += omega
+        else:
             const += hi
             steps.append((-hi / omega, omega, -hi))
-        else:
-            slope += omega
-        if math.isfinite(lo):
+        if lo is not None:
             steps.append((-lo / omega, -omega, lo))
     steps.sort(key=itemgetter(0))
     for p, d_slope, d_const in steps:
-        if const <= (1 + slope) * p:
+        if const <= scale * p:
             break
-        slope += d_slope
+        scale += d_slope
         const += d_const
-    return const / (1 + slope)
+    return const / scale
 
 
 def integrate_transient(
@@ -644,75 +701,82 @@ def integrate_transient(
     their thresholds snap up to them at t = 0 and never fall below again.
     All rates are then constant and the thresholds linear in t, so each
     pass solves the total rate once and jumps to the next instant at which
-    a closing gap reaches zero.  Everything is exact rational arithmetic.
+    a closing gap reaches zero.
+
+    The solve runs on ``_EXACT`` (``_Q``), converting the scenario once on
+    entry and every result back to Fraction on exit: the values are exactly
+    those of the same solve on Fraction.
 
     Without a ``horizon`` the solve stops at the last new queue's first
     crossing, or as soon as no gap is closing; with one it runs to the
     horizon.
     """
-    b = Fraction(ts.buffer_size)
-    end = None if horizon is None else _frac(horizon)
-    entries = list(ts.old) + list(ts.new)
+    num = _EXACT
+    zero = num(0)
+    b = num(ts.buffer_size)
+    end = None if horizon is None else num(_frac(horizon))
+    entries = (*ts.old, *ts.new)
     n_old = len(ts.old)
-    omega = [q.omega for q in entries]
-    gamma = [q.gamma for q in entries]
-    fill_cap: list[Value] = [
-        math.inf if q.fill_rate is None else q.fill_rate - q.gamma for q in ts.old
-    ] + [ts.r - q.gamma for q in ts.new]
-    backlogged = [i for i in range(n_old) if math.isinf(fill_cap[i])]
+    omega = [num(q.omega) for q in entries]
+    drain = [-num(q.gamma) for q in entries]  # the rate above the threshold
+    r = num(ts.r)
+    fill_cap = [None if q.fill_rate is None else num(q.fill_rate) + drain[i]
+                for i, q in enumerate(ts.old)] + [r + v for v in drain[n_old:]]
+    backlogged = [i for i in range(n_old) if fill_cap[i] is None]
 
-    share = b / (1 + ts._w_old_pre())
-    lengths = [q.pre_omega * share for q in ts.old] + [Fraction(0)] * len(ts.new)
-    remaining = b - sum(lengths)
+    pre = [num(q.pre_omega) for q in ts.old]
+    share = b / sum(pre, num(1))
+    lengths = [w * share for w in pre] + [zero] * len(ts.new)
+    remaining = b - sum(lengths, zero)
     if any(lengths[i] < omega[i] * remaining for i in backlogged):
         # backlogged old queues below their thresholds fill up to them at
         # once; the thresholds fall as they fill, so solve for the remaining
         # space R in R = B - Q_others - sum_i max(L_i, omega_i * R)
-        others = sum(lengths[i] for i in range(len(entries)) if i not in backlogged)
+        others = sum((lengths[i] for i in range(len(entries)) if i not in backlogged), zero)
         remaining = _solve_total_rate(
-            b - others, [(omega[i], -math.inf, -lengths[i]) for i in backlogged]
+            b - others, [(omega[i], None, -lengths[i]) for i in backlogged]
         )
         for i in backlogged:
             lengths[i] = max(lengths[i], omega[i] * remaining)
 
-    crossing: dict[QueueId, Value] = {q.queue: math.inf for q in ts.new}
-    pending = len(ts.new)
-    times: list[Fraction] = []
-    traj_q: list[list[Fraction]] = [[] for _ in entries]
-    traj_t: list[list[Fraction]] = [[] for _ in entries]
+    crossing: dict[int, _Q] = {}  # entry index of a new queue -> first crossing
+    times: list[_Q] = []
+    traj_q: list[list[_Q]] = [[] for _ in entries]
+    traj_t: list[list[_Q]] = [[] for _ in entries]
 
-    t = Fraction(0)
+    t = zero
     while True:
-        remaining = b - sum(lengths)
+        remaining = b - sum(lengths, zero)
         thr = [w * remaining for w in omega]
         times.append(t)
         for i in range(len(entries)):
             traj_q[i].append(lengths[i])
             traj_t[i].append(thr[i])
-        if (pending == 0 and end is None) or (end is not None and t >= end):
+        if (len(crossing) == len(ts.new) and end is None) or (end is not None and end <= t):
             break
 
         gaps = [lengths[i] - thr[i] for i in range(len(entries))]
         # drain and fill rates are fixed; tracked queues (None) follow S
-        rates = [-gamma[i] if gap > 0 else fill_cap[i] if gap < 0 else None
+        rates = [drain[i] if gap.numerator > 0 else fill_cap[i] if gap.numerator < 0 else None
                  for i, gap in enumerate(gaps)]
         s_total = _solve_total_rate(
-            sum((v for v in rates if v is not None), Fraction(0)),
-            [(omega[i], -gamma[i], fill_cap[i]) for i, v in enumerate(rates) if v is None],
+            sum((v for v in rates if v is not None), zero),
+            [(omega[i], drain[i], fill_cap[i]) for i, v in enumerate(rates) if v is None],
         )
         for i, v in enumerate(rates):
-            if v is None:
-                rates[i] = min(max(-omega[i] * s_total, -gamma[i]), fill_cap[i])
+            if v is None:  # clamp(-omega * S, -gamma, fill cap)
+                v = max(-omega[i] * s_total, drain[i])
+                rates[i] = v if fill_cap[i] is None else min(v, fill_cap[i])
 
         # gap_i changes at rate_i + omega_i * S; it closes when that slope
         # has the opposite sign of the gap
         hits = {}
         for i, gap in enumerate(gaps):
             slope = rates[i] + omega[i] * s_total
-            if gap * slope < 0:
+            if gap.numerator * slope.numerator < 0:
                 hits[i] = -gap / slope
         dt = min(hits.values(), default=None)
-        if end is not None and (dt is None or t + dt > end):
+        if end is not None and (dt is None or end < t + dt):
             dt = end - t
         elif dt is None:
             break
@@ -721,15 +785,18 @@ def integrate_transient(
             lengths[i] += rates[i] * dt
         t += dt
         for i, hit in hits.items():
-            if hit == dt and i >= n_old and crossing[entries[i].queue] == math.inf:
-                crossing[entries[i].queue] = t
-                pending -= 1
+            if hit == dt and i >= n_old and i not in crossing:
+                crossing[i] = t
+
+    def out(v: _Q) -> Fraction:
+        return Fraction(v.numerator, v.denominator)
 
     return TransientTrajectories(
-        times=times,
-        lengths={entries[i].queue: traj_q[i] for i in range(len(entries))},
-        thresholds={entries[i].queue: traj_t[i] for i in range(len(entries))},
-        first_crossing=crossing,
+        times=[out(v) for v in times],
+        lengths={q.queue: [out(v) for v in traj_q[i]] for i, q in enumerate(entries)},
+        thresholds={q.queue: [out(v) for v in traj_t[i]] for i, q in enumerate(entries)},
+        first_crossing={q.queue: out(crossing[i]) if i in crossing else math.inf
+                        for i, q in enumerate(ts.new, n_old)},
     )
 
 

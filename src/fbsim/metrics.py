@@ -8,6 +8,7 @@ query-completion proxy), per-port throughput, and occupancy statistics
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -43,9 +44,9 @@ class RunMetrics:
 
 
 def _nearest_rank(values: Sequence[int], quantile: float) -> int:
-    ordered = sorted(values)
-    idx = max(0, math.ceil(quantile * len(ordered)) - 1)
-    return ordered[idx]
+    """The nearest-rank quantile, selected without sorting every sample."""
+    idx = max(0, math.ceil(quantile * len(values)) - 1)
+    return heapq.nlargest(len(values) - idx, values)[-1]
 
 
 def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:

@@ -378,6 +378,16 @@ def test_analyze_with_integrator_cross_check(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("name,t1", [("fig4_incast", 2.0), ("fig5_incast", 75 / 8)])
+def test_analyze_scenario_reports_a_plain_ode_t1(name, t1, tmp_path, capsys):
+    # the solver's private rational never reaches the JSON: ode_t1 is a number
+    path = tmp_path / f"{name}.ini"
+    path.write_text(dumps_scenario(preset(name)))
+    assert main(["analyze", "--scenario", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert type(payload["ode_t1"]) is float and payload["ode_t1"] == payload["t1"] == t1
+
+
 def test_analyze_curve(tmp_path, capsys):
     assert main([
         "analyze", "--buffer", "60", "--alpha-l", "0.5", "--alpha-h", "20",
@@ -445,6 +455,15 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert (serial / sub / "trace.csv").read_bytes() == (parallel / sub / "trace.csv").read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_parallel_below_one_exits_3(workers, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--preset", "fig2", "--axis", "load", "--values", "1,2",
+                 "--parallel", workers, "--out", str(out)]) == 3
+    assert "--parallel must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_pool_has_no_more_workers_than_runs(monkeypatch, tmp_path):
     # the pool starts every worker at its first submit, so 64 asked for two
     # runs must start two; the fake maps in this process and starts none
@@ -483,6 +502,20 @@ def test_sources_import_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "fbsim", f"{path.name}: {name}"
+
+
+def test_only_the_fluid_module_names_the_solver_rational():
+    # fluid._Q stays inside the solver: every other module sees Fractions
+    for path in sorted((SRC / "fbsim").glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+        assert ("_Q" in names) == (path.name == "fluid.py"), path.name
 
 
 def test_sources_never_read_the_decoded_trace_views():

@@ -9,6 +9,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
+from fbsim import fluid
 from fbsim.core import QueueId
 from fbsim.fluid import (
     INFEASIBLE,
@@ -18,6 +19,7 @@ from fbsim.fluid import (
     OldQueue,
     TransientScenario,
     WrongCaseError,
+    _Q,
     _solve_total_rate,
     alpha_H_for_burst,
     alpha_L_for_burst,
@@ -297,16 +299,17 @@ def check_segments(ts, res):
 
 def clamp_walk(base, tracked):
     """Independent oracle for _solve_total_rate: evaluate the right side at
-    every sorted breakpoint, bracket the root and solve on its segment."""
+    every sorted breakpoint, bracket the root and solve on its segment.  A
+    bound of None is unbounded."""
     def rhs(s):
         acc = base
         for omega, lo, hi in tracked:
             v = -omega * s
-            acc += lo if v < lo else (hi if v > hi else v)
+            acc += lo if lo is not None and v < lo else (hi if hi is not None and v > hi else v)
         return acc
 
     points = sorted(
-        -bound / omega for omega, lo, hi in tracked for bound in (lo, hi) if math.isfinite(bound)
+        -bound / omega for omega, lo, hi in tracked for bound in (lo, hi) if bound is not None
     )
     if not points:
         probe = F(0)
@@ -319,9 +322,9 @@ def clamp_walk(base, tracked):
     const, slope = base, 0
     for omega, lo, hi in tracked:
         v = -omega * probe
-        if v < lo:
+        if lo is not None and v < lo:
             const += lo
-        elif v > hi:
+        elif hi is not None and v > hi:
             const += hi
         else:
             slope += omega
@@ -338,9 +341,9 @@ def _clamps(draw):
     omega = draw(_omegas)
     lo, hi = sorted((draw(_bounds), draw(_bounds)))
     if draw(st.booleans()):
-        lo = -math.inf
+        lo = None
     if draw(st.booleans()):
-        hi = math.inf
+        hi = None
     return omega, lo, hi
 
 
@@ -349,16 +352,20 @@ class TestSolveTotalRate:
     @given(base=st.integers(-20, 20).map(F), tracked=st.lists(_clamps(), max_size=6))
     @example(base=F(0), tracked=[])
     @example(base=F(3), tracked=[(F(1), F(-2), F(2)), (F(2), F(-4), F(4)), (F(1, 2), F(-1), F(1))])
-    @example(base=F(-5), tracked=[(F(1), -math.inf, F(0)), (F(2), -math.inf, F(0))])
-    @example(base=F(7), tracked=[(F(1), F(-1), math.inf), (F(3), -math.inf, math.inf)])
+    @example(base=F(-5), tracked=[(F(1), None, F(0)), (F(2), None, F(0))])
+    @example(base=F(7), tracked=[(F(1), F(-1), None), (F(3), None, None)])
     def test_sweep_matches_the_breakpoint_walk(self, base, tracked):
         # the root is unique, so the exact sweep equals the walk and solves
-        # S = base + sum clamp(-omega * S, lo, hi) exactly
+        # S = base + sum clamp(-omega * S, lo, hi) exactly, on Fraction and
+        # on the solver's _Q alike
         s = _solve_total_rate(base, tracked)
         expected, rhs = clamp_walk(base, tracked)
         assert isinstance(s, Fraction)
         assert s == expected
         assert rhs(s) == s
+        q = _solve_total_rate(_Q(base), [tuple(v if v is None else _Q(v) for v in clamp)
+                                         for clamp in tracked])
+        assert type(q) is _Q and F(q.numerator, q.denominator) == expected
 
 
 class TestIntegrator:
@@ -456,29 +463,140 @@ class TestIntegrator:
         # affected old queues that drain first, old queues that start below
         # their thresholds (omega_before < omega) and rate-limited old queues
         # that fall behind their thresholds: several regime changes per run
-        rng = random.Random(7)
         changes = 0
-        for _ in range(60):
-            old = []
-            for i in range(rng.randint(1, 4)):
-                omega = F(rng.randint(1, 12), 4)
-                before = omega * F(rng.randint(5, 30), 10) if rng.random() < 0.6 else None
-                fill = F(rng.randint(1, 30), 10) if rng.random() < 0.3 else None
-                old.append(OldQueue(QueueId(100 + i, 0), omega=omega,
-                                    gamma=F(1, rng.choice((1, 2, 3))),
-                                    omega_before=before, fill_rate=fill))
-            new = tuple(
-                NewQueue(QueueId(j, 1), omega=F(rng.randint(1, 12), 4),
-                         gamma=F(1, rng.choice((1, 2))))
-                for j in range(rng.randint(1, 2))
-            )
-            ts = TransientScenario(rng.randint(50, 200), tuple(old), new,
-                                   F(rng.randint(11, 80), 10))
+        for ts in dynamics_recipe(random.Random(7), 60):
             res = integrate_transient(ts, horizon=400)
             check_breakpoints(ts, res)
             check_segments(ts, res)
             changes += len(res.times) - 2
         assert changes > 60
+
+
+def symmetric_recipe(rng, n):
+    """The benchmark's symmetric family: FB incasts, half of them Case-1."""
+    done = {CaseKind.CASE1: 0, CaseKind.CASE2: 0}
+    out = []
+    while min(done.values()) < n // 2:
+        a_low = F(rng.randint(1, 8), rng.randint(1, 4))
+        a_high = F(rng.randint(1, 12), rng.randint(1, 3))
+        shape = dict(n_low_ports=rng.randint(1, 6), low_queues_per_port=rng.choice([1, 1, 2, 3]),
+                     n_new=rng.randint(1, 3))
+        buffer = rng.randint(40, 200)
+        bound = case_rate_bound(two_priority_incast(buffer, a_low, a_high, 2, **shape))
+        if done[CaseKind.CASE1] <= done[CaseKind.CASE2]:
+            r = 1 + (bound - 1) * F(rng.randint(10, 99), 100)
+        else:
+            r = bound * F(rng.randint(105, 400), 100)
+        ts = two_priority_incast(buffer, a_low, a_high, r, **shape)
+        case = classify_case(ts)
+        if done[case] < n // 2:
+            done[case] += 1
+            out.append(ts)
+    return out
+
+
+def asymmetric_recipe(rng, n):
+    """The benchmark's asymmetric family: unequal old-queue omega/gamma ratios."""
+    return [
+        TransientScenario(
+            rng.randint(50, 200),
+            tuple(OldQueue(QueueId(100 + i, 0), omega=F(rng.randint(1, 12), 4),
+                           gamma=F(1, rng.choice((1, 2, 3))))
+                  for i in range(rng.randint(2, 4))),
+            (NewQueue(QueueId(0, 1), omega=F(rng.randint(1, 12), 4), gamma=F(1)),),
+            F(rng.randint(11, 80), 10),
+        )
+        for _ in range(n)
+    ]
+
+
+def dynamics_recipe(rng, n):
+    """Old queues that start below their thresholds (omega_before < omega)
+    and snap up at t = 0 when backlogged, rate-limited old queues and
+    affected old queues that drain first; solved to a horizon."""
+    out = []
+    for _ in range(n):
+        old = []
+        for i in range(rng.randint(1, 4)):
+            omega = F(rng.randint(1, 12), 4)
+            before = omega * F(rng.randint(5, 30), 10) if rng.random() < 0.6 else None
+            fill = F(rng.randint(1, 30), 10) if rng.random() < 0.3 else None
+            old.append(OldQueue(QueueId(100 + i, 0), omega=omega, gamma=F(1, rng.choice((1, 2, 3))),
+                                omega_before=before, fill_rate=fill))
+        new = tuple(NewQueue(QueueId(j, 1), omega=F(rng.randint(1, 12), 4),
+                             gamma=F(1, rng.choice((1, 2))))
+                    for j in range(rng.randint(1, 2)))
+        out.append(TransientScenario(rng.randint(50, 200), tuple(old), new,
+                                     F(rng.randint(11, 80), 10)))
+    return out
+
+
+def assert_all_fractions(res):
+    series = [res.times, *res.lengths.values(), *res.thresholds.values()]
+    assert all(type(v) is Fraction for values in series for v in values)
+    assert all(type(v) is Fraction or v == math.inf for v in res.first_crossing.values())
+
+
+# signed numerators, zero included, over small and very large denominators
+_rationals = st.builds(F, st.integers(-10**6, 10**6),
+                       st.one_of(st.integers(1, 12), st.integers(1, 10**30)))
+
+
+class TestSolverRational:
+    @settings(max_examples=400, deadline=None)
+    @given(a=_rationals, b=_rationals)
+    @example(a=F(0), b=F(0))
+    @example(a=F(-3, 7), b=F(3, 7))
+    @example(a=F(5, 10**30 - 1), b=F(-5, 10**30 - 1))
+    def test_every_operation_matches_fraction(self, a, b):
+        qa, qb = _Q(a), _Q(b)
+        results = {"+": (qa + qb, a + b), "-": (qa - qb, a - b), "*": (qa * qb, a * b),
+                   "neg": (-qa, -a), "convert": (qa, a)}
+        if b:
+            results["/"] = (qa / qb, a / b)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                qa / qb
+        for name, (q, expected) in results.items():
+            # reduced, with a positive denominator: the same pair as Fraction's
+            assert type(q) is _Q, name
+            assert (q.numerator, q.denominator) == (expected.numerator, expected.denominator), name
+        assert (qa < qb, qa <= qb, qa == qb) == (a < b, a <= b, a == b)
+        # > and >= (reached through min and max) reflect onto < and <=
+        assert (qa > qb, qa >= qb, qa != qb) == (a > b, a >= b, a != b)
+        for pick in (max, min):
+            q = pick(qa, qb)
+            assert F(q.numerator, q.denominator) == pick(a, b)
+
+    def test_solver_on_q_equals_the_same_solver_on_fraction(self, monkeypatch):
+        # the very same solver body, once on Fraction (the reference) and
+        # once on _Q: every breakpoint, length, threshold and crossing agrees
+        rng = random.Random(14)
+        runs = [(ts, None) for ts in symmetric_recipe(rng, 100) + asymmetric_recipe(rng, 80)]
+        runs += [(ts, 400) for ts in dynamics_recipe(rng, 120)]
+        runs += [(ts, F(rng.randint(1, 40), 4)) for ts in symmetric_recipe(rng, 20)]
+        snapped = limited = 0
+        for ts, horizon in runs:
+            with monkeypatch.context() as m:
+                m.setattr(fluid, "_EXACT", Fraction)
+                reference = integrate_transient(ts, horizon)
+            res = integrate_transient(ts, horizon)
+            assert res.times == reference.times
+            assert res.lengths == reference.lengths
+            assert res.thresholds == reference.thresholds
+            assert res.first_crossing == reference.first_crossing
+            assert_all_fractions(res)
+            share = ts.buffer_size / (1 + ts._w_old_pre())
+            snapped += any(q.fill_rate is None and res.lengths[q.queue][0] > q.pre_omega * share
+                           for q in ts.old)
+            limited += any(q.fill_rate is not None for q in ts.old)
+        assert len(runs) >= 300 and snapped >= 20 and limited >= 20
+
+    def test_trajectories_hold_only_fractions(self):
+        for ts, horizon in ((scenario_case2(), 40), (scenario_case1(), None),
+                            (transient_scenario(preset("fig5_incast")), None),
+                            (two_priority_incast(60, 1, 2, 1, n_low_ports=3), None)):
+            assert_all_fractions(integrate_transient(ts, horizon))
 
 
 class TestBurstAbsorptionCurve:

@@ -5,10 +5,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fbsim.core import QueueId, TrafficClass
 from fbsim.engine import run
-from fbsim.metrics import compute, trailing_steady_lengths
+from fbsim.metrics import _nearest_rank, compute, trailing_steady_lengths
 from fbsim.policies import PolicyKind
 from fbsim.workloads import Burst, ConstantRate, ScenarioConfig, preset
 
@@ -98,6 +99,23 @@ def test_p99_at_least_mean():
     m = compute(run(cfg), cfg)
     assert m.occupancy_p99 >= m.occupancy_mean
     assert m.occupancy_max >= m.occupancy_p99
+
+
+def sorted_nearest_rank(values, quantile):
+    """Oracle: the nearest-rank quantile read off the fully sorted samples."""
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(quantile * len(ordered)) - 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(0, 12), min_size=1, max_size=300),
+       quantile=st.one_of(st.just(0.99), st.floats(0.001, 1.0)))
+@example(values=[7], quantile=0.99)  # n = 1
+@example(values=[4] * 250, quantile=0.99)  # all samples equal
+@example(values=[1] * 198 + [5, 5, 5], quantile=0.99)  # ties around the rank
+@example(values=list(range(100)), quantile=1.0)
+def test_p99_selection_matches_the_sorted_oracle(values, quantile):
+    assert _nearest_rank(values, quantile) == sorted_nearest_rank(values, quantile)
 
 
 def test_trailing_steady_lengths_on_converged_run():
