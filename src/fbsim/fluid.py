@@ -28,8 +28,9 @@ Between regime changes every queue drains, tracks or fills at a constant
 rate, so the transient trajectory is piecewise linear.  The event-driven
 solver (``integrate_transient``) follows it from breakpoint to breakpoint
 and is the closed forms' independent cross-check.  Both are exact: the
-closed forms on Fraction, the solver on the private rational ``_Q``, whose
-results it returns as Fractions, so the two routes share no arithmetic.
+closed forms on Fraction, the solver on the private rational ``_Q``, so the
+two routes share no arithmetic.  The solver returns its first crossings as
+Fractions and builds the Fraction series from its breakpoints when read.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -641,20 +643,44 @@ def _reduced(n: int, d: int) -> _Q:
 _EXACT = _Q
 
 
-@dataclass
+def _fraction(v: _Q) -> Fraction:
+    return Fraction(v.numerator, v.denominator)
+
+
 class TransientTrajectories:
     """The exact fluid trajectory at its breakpoints.
 
     Between consecutive ``times`` every length and threshold is linear in t,
-    so the lists pin the whole piecewise-linear trajectory.
+    so the series pin the whole piecewise-linear trajectory.
     ``first_crossing`` holds each new queue's first fill-to-threshold hit
-    (+inf when it never happens).  Every finite value is a Fraction.
+    (+inf when it never happens).  Every finite value is a Fraction.  The
+    solver keeps one ``(t, lengths, thresholds)`` row per breakpoint;
+    ``times``, ``lengths`` and ``thresholds`` are built from those rows on
+    first read, so a caller that reads only ``first_crossing`` never pays
+    for them.
     """
 
-    times: list[Fraction]
-    lengths: dict[QueueId, list[Fraction]]
-    thresholds: dict[QueueId, list[Fraction]]
-    first_crossing: dict[QueueId, Value]
+    def __init__(self, queues: Sequence[QueueId], rows: list[tuple],
+                 first_crossing: dict[QueueId, Value]) -> None:
+        self.first_crossing = first_crossing
+        self._queues = queues
+        self._rows = rows
+
+    @cached_property
+    def times(self) -> list[Fraction]:
+        return [_fraction(row[0]) for row in self._rows]
+
+    @cached_property
+    def lengths(self) -> dict[QueueId, list[Fraction]]:
+        return self._series(1)
+
+    @cached_property
+    def thresholds(self) -> dict[QueueId, list[Fraction]]:
+        return self._series(2)
+
+    def _series(self, column: int) -> dict[QueueId, list[Fraction]]:
+        per_queue = zip(*(row[column] for row in self._rows))
+        return {q: [_fraction(v) for v in values] for q, values in zip(self._queues, per_queue)}
 
 
 def _solve_total_rate(base, tracked: list[tuple]):
@@ -704,13 +730,17 @@ def integrate_transient(
     a closing gap reaches zero.
 
     The solve runs on ``_EXACT`` (``_Q``), converting the scenario once on
-    entry and every result back to Fraction on exit: the values are exactly
-    those of the same solve on Fraction.
+    entry.  It keeps one row of lengths and thresholds per breakpoint and
+    returns the first crossings as Fractions; the series are converted to
+    Fraction when first read.  The values are exactly those of the same
+    solve on Fraction.
 
     Without a ``horizon`` the solve stops at the last new queue's first
     crossing, or as soon as no gap is closing; with one it runs to the
-    horizon.
+    horizon, which must be a finite number >= 0.
     """
+    if horizon is not None and not 0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be None or a finite number >= 0, got {horizon!r}")
     num = _EXACT
     zero = num(0)
     b = num(ts.buffer_size)
@@ -740,18 +770,13 @@ def integrate_transient(
             lengths[i] = max(lengths[i], omega[i] * remaining)
 
     crossing: dict[int, _Q] = {}  # entry index of a new queue -> first crossing
-    times: list[_Q] = []
-    traj_q: list[list[_Q]] = [[] for _ in entries]
-    traj_t: list[list[_Q]] = [[] for _ in entries]
+    rows: list[tuple] = []  # (t, lengths, thresholds) per breakpoint
 
     t = zero
     while True:
         remaining = b - sum(lengths, zero)
         thr = [w * remaining for w in omega]
-        times.append(t)
-        for i in range(len(entries)):
-            traj_q[i].append(lengths[i])
-            traj_t[i].append(thr[i])
+        rows.append((t, lengths, thr))
         if (len(crossing) == len(ts.new) and end is None) or (end is not None and end <= t):
             break
 
@@ -781,22 +806,17 @@ def integrate_transient(
         elif dt is None:
             break
 
-        for i in range(len(entries)):
-            lengths[i] += rates[i] * dt
+        # a new list, so the row just kept stays as it was
+        lengths = [q + v * dt for q, v in zip(lengths, rates)]
         t += dt
         for i, hit in hits.items():
             if hit == dt and i >= n_old and i not in crossing:
                 crossing[i] = t
 
-    def out(v: _Q) -> Fraction:
-        return Fraction(v.numerator, v.denominator)
-
     return TransientTrajectories(
-        times=[out(v) for v in times],
-        lengths={q.queue: [out(v) for v in traj_q[i]] for i, q in enumerate(entries)},
-        thresholds={q.queue: [out(v) for v in traj_t[i]] for i, q in enumerate(entries)},
-        first_crossing={q.queue: out(crossing[i]) if i in crossing else math.inf
-                        for i, q in enumerate(ts.new, n_old)},
+        [q.queue for q in entries], rows,
+        {q.queue: _fraction(crossing[i]) if i in crossing else math.inf
+         for i, q in enumerate(ts.new, n_old)},
     )
 
 
@@ -841,24 +861,27 @@ def burst_absorption_curve(
     FB the single-low-queue state is the pointwise lower bound of the
     family; under DT the family is unbounded in both directions.
     """
+    rates = tuple(r_values)  # read once: every count walks the same rates
     points: list[CurvePoint] = []
     for count in low_queue_counts:
         if count < 1:
             raise ValueError("low-queue count must be >= 1")
-        for r in r_values:
-            ts = two_priority_incast(
-                buffer_size, alpha_low, alpha_high, r, n_low_ports=count, scheme=scheme
-            )
+        # the queues depend on the count only; each rate reuses them
+        shape = two_priority_incast(
+            buffer_size, alpha_low, alpha_high, 1, n_low_ports=count, scheme=scheme
+        )
+        for r in rates:
+            ts = TransientScenario(shape.buffer_size, shape.old, shape.new, r)
             case = classify_case(ts)
             t1 = min(_t1(ts, case).values())
             points.append(
                 CurvePoint(
                     scheme=scheme,
-                    r=_frac(r),
+                    r=ts.r,
                     n_low_queues=count,
                     case=case,
                     t1=t1,
-                    burst=math.inf if t1 == math.inf else _frac(r) * t1,
+                    burst=math.inf if t1 == math.inf else ts.r * t1,
                 )
             )
     return points

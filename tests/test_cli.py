@@ -188,14 +188,22 @@ def test_main_reuses_its_parser_across_calls(monkeypatch, capsys):
         ["analyze", "--scheme", "qq"],
         ["preset-list"],
     ]
+    fresh = {}  # one new interpreter per distinct argv
+
+    def fresh_process(argv):
+        key = tuple(argv)
+        if key not in fresh:
+            fresh[key] = _fresh_process(argv)
+        return fresh[key]
+
     for argv in calls:
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == _fresh_process(argv)
-    assert [_fresh_process(argv)[0] for argv in calls[1::2]] == [2, 2]
+        assert (code, captured.out, captured.err) == fresh_process(argv)
+    assert [fresh_process(argv)[0] for argv in calls[1::2]] == [2, 2]
 
 
 def test_closed_stdout_ends_quietly():

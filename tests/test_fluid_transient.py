@@ -429,6 +429,17 @@ class TestIntegrator:
         check_breakpoints(ts, res)
         check_segments(ts, res)
 
+    @pytest.mark.parametrize("horizon", [-1, F(-1, 2), -0.5, math.inf, -math.inf, math.nan])
+    def test_bad_horizon_is_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            integrate_transient(scenario_case2(), horizon)
+
+    @pytest.mark.parametrize("horizon", [0, 0.0, F(0)])
+    def test_zero_horizon_keeps_only_the_start(self, horizon):
+        res = integrate_transient(scenario_case2(), horizon)
+        assert res.times == [0]
+        assert res.first_crossing == {QueueId(0, 1): math.inf}
+
     def test_first_crossing_is_exact(self):
         t1, resolution = integrate_first_crossing(scenario_case2())
         assert (t1, resolution) == (20 / 7, 0.0)
@@ -599,6 +610,30 @@ class TestSolverRational:
             assert_all_fractions(integrate_transient(ts, horizon))
 
 
+class TestLazySeries:
+    def test_series_read_in_any_order_and_twice_agree(self):
+        ts = scenario_case2()
+        names = ("times", "lengths", "thresholds")
+        first = {name: getattr(integrate_transient(ts, 40), name) for name in names}
+        res = integrate_transient(ts, 40)
+        for name in reversed(names):
+            assert getattr(res, name) == first[name]
+            assert getattr(res, name) == first[name]
+        assert_all_fractions(res)
+        assert res.times == [0, F(20, 7), 5, 40]
+
+    def test_reading_only_the_crossing_builds_no_series(self):
+        res = integrate_transient(scenario_case1())
+        assert res.first_crossing == {QueueId(0, 1): 10}
+        assert not {"times", "lengths", "thresholds"} & set(vars(res))
+
+    def test_first_crossing_route_matches_the_full_result(self):
+        rng = random.Random(15)
+        for ts in symmetric_recipe(rng, 30) + asymmetric_recipe(rng, 30):
+            full = integrate_transient(ts)
+            assert integrate_first_crossing(ts)[0] == float(min(full.first_crossing.values()))
+
+
 class TestBurstAbsorptionCurve:
     def test_fb_single_queue_state_is_lower_bound(self):
         points = burst_absorption_curve(
@@ -620,6 +655,12 @@ class TestBurstAbsorptionCurve:
             60, F(1, 2), 20, r_values=[F(101, 100)], low_queue_counts=[1]
         )
         assert points[0].burst > 1000
+
+    def test_rates_from_a_generator_reach_every_count(self):
+        points = burst_absorption_curve(300, 1, 8, (r for r in (2, 3, 4)), [1, 2, 4])
+        assert points == burst_absorption_curve(300, 1, 8, [2, 3, 4], [1, 2, 4])
+        assert [(p.n_low_queues, p.r) for p in points] == [
+            (n, r) for n in (1, 2, 4) for r in (2, 3, 4)]
 
     def test_csv_export(self, tmp_path):
         points = burst_absorption_curve(60, 1, 2, [2, 4], [1, 2])
