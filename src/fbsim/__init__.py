@@ -37,8 +37,6 @@ from .fluid import (
     multi_priority_alpha_H,
     occupancy_bound,
     steady_state,
-    t1_case1,
-    t1_case2,
     two_priority_incast,
 )
 from .metrics import RunMetrics, compute

@@ -29,9 +29,11 @@ the packet's source, plus controller ticks and periodic occupancy samples.
 Each record is one 40-byte ``RECORD`` in one bytearray: time, threshold,
 port, class, action code (ADMIT 0, DROP 1, DEPART 2, SOURCE_CHANGE 3),
 queue_len, occupancy, source; the loop stores the occupancy at each
-sample instant as it passes.  ``EventTrace.rows()`` decodes the records
-(``rows(RECORD_SKIM)`` without threshold and queue_len), and the
-``records`` and ``samples`` views decode to tuples.
+sample instant as it passes.  ``EventTrace.rows()`` decodes the records,
+and the ``records`` and ``samples`` views decode to tuples.  The loop also
+keeps each fact ``metrics.compute`` reads as it happens (first drops,
+occupancy peak, per-source counts), and ``verify_conservation`` checks
+them against a rescan of the records.
 ``write_trace_csv`` and ``write_samples_csv`` stream it to CSV in chunks of
 EXPORT_CHUNK_ROWS preformatted rows, so export memory does not grow with
 the trace; ``write_run_summary`` writes the per-queue totals as JSON.
@@ -65,8 +67,6 @@ ACTIONS = ("admit", "drop", "depart", "source_change")
 #: occupancy, source_id; validation keeps every int within MAX_RECORD_INT.
 RECORD = struct.Struct("<2d6i")
 _pack = RECORD.pack
-#: RECORD with the threshold and queue_len skipped, for readers that need neither.
-RECORD_SKIM = struct.Struct("<d8x3i4x2i")
 
 TRACE_COLUMNS = ("time", "port", "class", "queue_len", "action", "threshold")
 
@@ -112,7 +112,10 @@ class EventTrace:
     {queue: effective alpha}) controller emissions, one per tick; while the
     table is unchanged consecutive ticks share one dict object, so the
     tables are read-only.  ``counts`` holds the engine's per-queue
-    arrival/admit/drop/departure totals.
+    arrival/admit/drop/departure totals, ``first_drop`` each queue's first
+    drop time (inf without one), ``occupancy_peak`` the highest occupancy
+    reached, and ``source_counts`` one row per configured source: admitted,
+    dropped and departed packets and the last departure time (or None).
     """
 
     queue_ids: tuple[QueueId, ...]
@@ -124,6 +127,9 @@ class EventTrace:
     initial_lengths: dict[QueueId, int] = field(default_factory=dict)
     final_lengths: dict[QueueId, int] = field(default_factory=dict)
     counts: dict[QueueId, dict[str, int]] = field(default_factory=dict)
+    first_drop: dict[QueueId, float] = field(default_factory=dict)
+    occupancy_peak: int = 0
+    source_counts: list[dict] = field(default_factory=list)
     horizon: float = 0.0
 
     @classmethod
@@ -134,9 +140,9 @@ class EventTrace:
             for t, port, c, action, qlen, thr, occ, src in records)
         return cls(packed=packed, occupancy=array("q", occupancy), **fields)
 
-    def rows(self, layout: struct.Struct = RECORD) -> Iterator[tuple]:
-        """The records decoded, in order, as RECORD (or RECORD_SKIM) tuples."""
-        return layout.iter_unpack(self.packed)
+    def rows(self) -> Iterator[tuple]:
+        """The records decoded, in order, as RECORD tuples."""
+        return RECORD.iter_unpack(self.packed)
 
     @property
     def records(self) -> list[tuple]:
@@ -148,25 +154,39 @@ class EventTrace:
         return [(k * self.sample_interval, occ) for k, occ in enumerate(self.occupancy)]
 
     def verify_conservation(self) -> None:
-        """Check the engine's per-queue counters against an independent
-        rescan of the records, then arrivals = admitted + dropped and
-        admitted + initial = departed + final length, per queue.  Raises
+        """Check the engine's facts (per-queue counters and first drops,
+        occupancy peak, per-source rows) against an independent rescan of
+        the records, then arrivals = admitted + dropped and admitted +
+        initial = departed + final length, per queue.  Raises
         EngineInvariantError on mismatch."""
-        rescan = {
-            q: {"arrivals": 0, "admitted": 0, "dropped": 0, "departed": 0}
-            for q in self.queue_ids
-        }
-        for _time, _thr, port, class_id, code, *_ in self.rows():
-            if code != SOURCE_CHANGE:
-                c = rescan[self.queue_of[port, class_id]]
-                c[("admitted", "dropped", "departed")[code]] += 1
-                c["arrivals"] += code < DEPART
-        for q in self.queue_ids:
-            c = self.counts.get(q)
-            if c != rescan[q]:
+        counts = {q: dict.fromkeys(("arrivals", "admitted", "dropped", "departed"), 0)
+                  for q in self.queue_ids}
+        first_drop = dict.fromkeys(self.queue_ids, math.inf)
+        peak = sum(self.initial_lengths.values())
+        sources = [{"admitted": 0, "dropped": 0, "departed": 0, "last_departure": None}
+                   for _ in self.source_counts]
+        for time, _thr, port, class_id, code, _qlen, occ, src in self.rows():
+            if code == SOURCE_CHANGE:
+                continue
+            q = self.queue_of[port, class_id]
+            action = ("admitted", "dropped", "departed")[code]
+            counts[q][action] += 1
+            counts[q]["arrivals"] += code < DEPART
+            if code == DROP:
+                first_drop[q] = min(first_drop[q], time)
+            peak = max(peak, occ)
+            if src >= 0:  # -1 is a pre-filled packet
+                sources[src][action] += 1
+                if code == DEPART:
+                    sources[src]["last_departure"] = time
+        for name, kept, scanned in (("counters", self.counts, counts),
+                                    ("first drops", self.first_drop, first_drop),
+                                    ("occupancy peak", self.occupancy_peak, peak),
+                                    ("source rows", self.source_counts, sources)):
+            if kept != scanned:
                 raise EngineInvariantError(
-                    f"{q}: engine counters {c} disagree with the records {rescan[q]}"
-                )
+                    f"engine {name} {kept} disagree with the records {scanned}")
+        for q, c in self.counts.items():
             if c["arrivals"] != c["admitted"] + c["dropped"]:
                 raise EngineInvariantError(f"{q}: arrivals != admitted + dropped: {c}")
             residue = self.initial_lengths.get(q, 0) + c["admitted"] - c["departed"]
@@ -179,9 +199,11 @@ class EventTrace:
 
 class SwitchState:
     """Mutable per-run switch state: queue lengths, congestion counters,
-    per-queue admitted/dropped/departed totals, one packet FIFO per queue
-    of (class_id, source_id) in service order, round-robin cursors, and the
-    run's one alpha table.
+    the run's facts as they happen (per-queue departures and first drop,
+    occupancy peak, per-source counts and last departure; departures of
+    pre-filled packets, source -1, land in an extra last row), one packet
+    FIFO per queue of (class_id, source_id) in service order, round-robin
+    cursors, and the run's one alpha table.
 
     ``rule`` is the run's admission rule, resolved once from the policy, the
     queue mode and the FBA period (see the module docstring).  Single-queue
@@ -244,9 +266,13 @@ class SwitchState:
 
         self.lengths = [0] * n
         self.total = 0
-        self.admitted = [0] * n
-        self.dropped = [0] * n
+        self.peak = 0
         self.departed = [0] * n
+        self.first_drop = [math.inf] * n
+        self.src_admitted = [0] * len(config.sources)
+        self.src_dropped = [0] * len(config.sources)
+        self.src_departed = [0] * (len(config.sources) + 1)
+        self.src_last_departure: list[Optional[float]] = [None] * (len(config.sources) + 1)
         self.cong_prio = [0] * len(prio_index)
         self.active_port = [0] * config.n_ports
         self.cong_changes = 0
@@ -291,6 +317,13 @@ class SwitchState:
                 self.cong_prio[self.q_prio[qi]] += 1
                 self.active_port[port] += 1
                 self.cong_changes += 1
+            # occupancy can pass the buffer only by rising past its peak
+            if self.total > self.peak:
+                self.peak = self.total
+                if self.peak > self.buffer_size:
+                    raise EngineInvariantError(
+                        f"occupancy {self.total} exceeds buffer {self.buffer_size}"
+                    )
         else:
             if new == 0:
                 self.nonempty_port[port] -= 1
@@ -298,10 +331,6 @@ class SwitchState:
                 self.cong_prio[self.q_prio[qi]] -= 1
                 self.active_port[port] -= 1
                 self.cong_changes += 1
-        if self.total > self.buffer_size:
-            raise EngineInvariantError(
-                f"occupancy {self.total} exceeds buffer {self.buffer_size}"
-            )
 
     def sync(self) -> None:
         """Take the stale copy of the state as it is now."""
@@ -388,11 +417,13 @@ def enqueue_arrival(
 
     if admit:
         state._bump(qi, +1)
-        state.admitted[qi] += 1
+        state.src_admitted[source_id] += 1
         state.fifo[qi].append((class_id, source_id))
         code, length = ADMIT, state.lengths[qi]
     else:
-        state.dropped[qi] += 1
+        state.src_dropped[source_id] += 1
+        if time < state.first_drop[qi]:
+            state.first_drop[qi] = time
         code = DROP
     trace.packed += _pack(time, threshold, port, class_id, code, length, state.total, source_id)
     return admit
@@ -415,6 +446,8 @@ def service_port(state: SwitchState, port: int, time: float, trace: EventTrace) 
     class_id, source_id = state.fifo[qi].popleft()
     state._bump(qi, -1)
     state.departed[qi] += 1
+    state.src_departed[source_id] += 1
+    state.src_last_departure[source_id] = time
     trace.packed += _pack(time, 0.0, port, class_id, DEPART, lengths[qi], state.total, source_id)
     return state.nonempty_port[port] > 0
 
@@ -522,15 +555,21 @@ def run(config: ScenarioConfig) -> EventTrace:
 
     occupancy.extend(repeat(state.total, steps + 1 - sample))
     trace.final_lengths = dict(zip(queues, state.lengths))
-    trace.counts = {
-        q: {
-            "arrivals": state.admitted[i] + state.dropped[i],
-            "admitted": state.admitted[i],
-            "dropped": state.dropped[i],
-            "departed": state.departed[i],
-        }
-        for i, q in enumerate(queues)
-    }
+    trace.first_drop = dict(zip(queues, state.first_drop))
+    trace.occupancy_peak = state.peak
+    trace.source_counts = [  # zip drops the pre-filled packets' row
+        {"admitted": a, "dropped": d, "departed": p, "last_departure": t}
+        for a, d, p, t in zip(state.src_admitted, state.src_dropped, state.src_departed,
+                              state.src_last_departure)
+    ]
+    # each source feeds one queue, so a queue's totals sum its sources' rows
+    counts = [{"arrivals": 0, "admitted": 0, "dropped": 0, "departed": d} for d in state.departed]
+    for src, a, d in zip(config.sources, state.src_admitted, state.src_dropped):
+        c = counts[state.slot[src.port, src.class_id]]
+        c["arrivals"] += a + d
+        c["admitted"] += a
+        c["dropped"] += d
+    trace.counts = dict(zip(queues, counts))
     return trace
 
 

@@ -66,9 +66,9 @@ INFEASIBLE = BoundStatus.INFEASIBLE
 
 Bound = Union[Fraction, BoundStatus]
 
-
-class WrongCaseError(ValueError):
-    """A t1 closed form was applied to a scenario of the other case."""
+#: Class ids of ``two_priority_incast``'s queues: low queues count up from
+#: _LOW_CLASS on their port, new queues are _HIGH_CLASS.
+_LOW_CLASS, _HIGH_CLASS = 0, 1
 
 
 def _frac(x: Number) -> Fraction:
@@ -272,8 +272,6 @@ def two_priority_incast(
     n_new: int = 1,
     scheme: str = "fb",
     new_gamma: Number = 1,
-    low_class: int = 0,
-    high_class: int = 1,
 ) -> TransientScenario:
     """Canonical burst scenario: low-priority queues congested, a high burst
     arrives on empty ports.
@@ -298,7 +296,7 @@ def two_priority_incast(
     # (port, class) pair)
     old = [
         OldQueue(
-            QueueId(100 + i // m, low_class + i % m),
+            QueueId(100 + i // m, _LOW_CLASS + i % m),
             omega=a_low * Fraction(1, n_low) * gamma_low if scheme == "fb" else a_low,
             gamma=gamma_low,
         )
@@ -308,7 +306,7 @@ def two_priority_incast(
     g_new = _frac(new_gamma)
     new = [
         NewQueue(
-            QueueId(i, high_class),
+            QueueId(i, _HIGH_CLASS),
             omega=a_high * beta_new * g_new if scheme == "fb" else a_high,
             gamma=g_new,
             beta=beta_new,
@@ -376,7 +374,16 @@ def _fill_rate(ts: TransientScenario, case: CaseKind) -> Fraction:
 
 def _t1(ts: TransientScenario, case: CaseKind) -> dict[QueueId, Value]:
     """Per new queue: its starting gap omega * B / (1 + W_old) over its
-    closing speed (r - gamma) + omega * Q'; +inf when that speed is <= 0."""
+    closing speed (r - gamma) + omega * Q'; +inf when that speed is <= 0.
+
+    That is the paper's Case-1 form
+    omega*B*(1+W_ne) / ((1+W_old) * ((r-gamma)*(1+W_ne) + omega*(F - G_e_drain)))
+    and its Case-2 form omega*B / ((1+W_old) * ((r-gamma) + omega*(F - NUM))),
+    where W_ne sums the unaffected old omegas, W_old the pre-transient old
+    omegas, F the new queues' total net fill, G_e_drain the affected old
+    queues' total drain and NUM all old queues' drain (their congested port
+    count).  At the case boundary the two agree.
+    """
     fill = _fill_rate(ts, case)
     gap = ts.buffer_size / (1 + ts._w_old_pre())
     out: dict[QueueId, Value] = {}
@@ -384,36 +391,6 @@ def _t1(ts: TransientScenario, case: CaseKind) -> dict[QueueId, Value]:
         speed = (ts.r - q.gamma) + q.omega * fill
         out[q.queue] = q.omega * gap / speed if speed > 0 else math.inf
     return out
-
-
-def t1_case1(ts: TransientScenario) -> dict[QueueId, Value]:
-    """Case-1 first threshold crossing per new queue.
-
-    t1 = omega*B*(1+W_ne) / ((1+W_old) * ((r-gamma)*(1+W_ne) + omega*(F - G_e_drain)))
-
-    where W_ne sums unaffected old omegas, W_old the pre-transient old
-    omegas, F the new queues' total net fill and G_e_drain the affected old
-    queues' total drain.  With G_e empty this is
-    omega*B / ((r-gamma) * (1 + W_old + omega*|S_new|)) for symmetric new
-    queues.  +inf when the queue never grows (r <= gamma).
-    """
-    if classify_case(ts) is CaseKind.CASE2:
-        raise WrongCaseError("scenario is Case-2; use t1_case2")
-    return _t1(ts, CaseKind.CASE1)
-
-
-def t1_case2(ts: TransientScenario) -> dict[QueueId, Value]:
-    """Case-2 first threshold crossing per new queue.
-
-    t1 = omega*B / ((1+W_old) * ((r-gamma) + omega*(F - NUM)))
-
-    where NUM is the old queues' total drain (their congested port count).
-    Raising NUM only raises t1.  Accepts scenarios at the exact case
-    boundary so continuity with t1_case1 can be checked.
-    """
-    if ts.old and ts.r < case_rate_bound(ts):
-        raise WrongCaseError("scenario is strictly Case-1; use t1_case1")
-    return _t1(ts, CaseKind.CASE2)
 
 
 def first_threshold_crossing(ts: TransientScenario) -> Value:

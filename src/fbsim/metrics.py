@@ -4,6 +4,8 @@ Covers per-queue drop/admission accounting, first-drop times, burst
 absorption (admitted fraction and open-loop drain-completion time, the
 query-completion proxy), per-port throughput, and occupancy statistics
 (mean, nearest-rank 99th percentile over the periodic samples, true max).
+``compute`` reads the facts the event loop kept on the trace, not its
+records.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import QueueId
-from .engine import ADMIT, DEPART, DROP, RECORD_SKIM, SOURCE_CHANGE, EventTrace, run_summary
+from .engine import ADMIT, DEPART, EventTrace, run_summary
 from .workloads import Burst, ScenarioConfig
 
 
@@ -50,47 +52,25 @@ def _nearest_rank(values: Sequence[int], quantile: float) -> int:
 
 
 def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
-    """All run metrics from one trace, in one pass over its records.
+    """All run metrics from the facts the engine kept on ``trace``.
 
-    Burst packets are identified by their source, which the engine records
-    on every admit, drop and departure; the drain-completion time is the
-    gap between the first burst source's start and the departure of the
-    last admitted burst packet (inf, and the partial flag, if the run ended
-    first).
+    Burst packets are identified by their source, whose admitted, dropped
+    and departed counts and last departure the engine keeps; the
+    drain-completion time is the gap between the first burst source's start
+    and the departure of the last admitted burst packet (inf, and the
+    partial flag, if the run ended first).
     """
-    burst_ids = {i for i, s in enumerate(scenario.sources) if isinstance(s, Burst)}
-    burst_start = min(
-        (float(s.start) for s in scenario.sources if isinstance(s, Burst)), default=None
-    )
-
-    first_drop: dict[str, float] = {str(q): math.inf for q in trace.queue_ids}
-    slot_key = {slot: str(q) for slot, q in trace.queue_of.items()}
-    occ_max = sum(trace.initial_lengths.values())
-    burst_arrivals = 0
-    burst_admitted = 0
-    burst_departed = 0
-    last_burst_departure: Optional[float] = None
-
-    for time, port, class_id, code, occ, source_id in trace.rows(RECORD_SKIM):
-        if code == SOURCE_CHANGE:
-            continue
-        if occ > occ_max:
-            occ_max = occ
-        if code == DROP:
-            key = slot_key[port, class_id]
-            if time < first_drop[key]:
-                first_drop[key] = time
-        if source_id in burst_ids:
-            if code == DEPART:
-                burst_departed += 1
-                last_burst_departure = time
-            else:
-                burst_arrivals += 1
-                if code == ADMIT:
-                    burst_admitted += 1
+    bursts = [
+        (float(s.start), row)
+        for s, row in zip(scenario.sources, trace.source_counts)
+        if isinstance(s, Burst)
+    ]
+    burst_admitted = sum(row["admitted"] for _, row in bursts)
+    burst_arrivals = burst_admitted + sum(row["dropped"] for _, row in bursts)
+    burst_departed = sum(row["departed"] for _, row in bursts)
 
     partial = False
-    if burst_start is None:
+    if not bursts:
         fraction = 1.0
         drain_time: Optional[float] = None
     else:
@@ -101,7 +81,8 @@ def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
             drain_time = math.inf
             partial = True
         else:
-            drain_time = last_burst_departure - burst_start
+            last_departure = max(row["last_departure"] for _, row in bursts if row["departed"])
+            drain_time = last_departure - min(start for start, _ in bursts)
 
     departed: dict[int, int] = {}
     for q in trace.queue_ids:
@@ -109,13 +90,13 @@ def compute(trace: EventTrace, scenario: ScenarioConfig) -> RunMetrics:
     occupancies = trace.occupancy
     return RunMetrics(
         per_queue=run_summary(trace)["queues"],
-        first_drop_time=first_drop,
+        first_drop_time={str(q): t for q, t in trace.first_drop.items()},
         burst_admitted_fraction=fraction,
         burst_drain_completion_time=drain_time,
         throughput_per_port={p: departed[p] / trace.horizon for p in sorted(departed)},
         occupancy_mean=sum(occupancies) / len(occupancies) if occupancies else 0.0,
         occupancy_p99=_nearest_rank(occupancies, 0.99) if occupancies else 0,
-        occupancy_max=occ_max,
+        occupancy_max=trace.occupancy_peak,
         partial=partial,
     )
 

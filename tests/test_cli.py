@@ -535,6 +535,21 @@ def test_sources_never_read_the_decoded_trace_views():
                 assert node.attr not in ("records", "samples"), f"{path.name}:{node.lineno}"
 
 
+def test_metrics_compute_reads_no_trace_record():
+    # compute reads the facts the event loop kept on the trace: it neither
+    # decodes the records nor touches their buffer
+    tree = ast.parse((SRC / "fbsim" / "metrics.py").read_text())
+    compute = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "compute")
+    names = set()
+    for node in ast.walk(compute):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"rows", "packed"}
+
+
 def test_poisson_run_loads_only_the_standard_library(tmp_path):
     # a cold start that runs a Poisson scenario adds no module from outside
     # the standard library and fbsim to the interpreter

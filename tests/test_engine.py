@@ -354,12 +354,32 @@ def test_coinciding_sources_arrive_in_source_order():
     assert len(ties) > 12 and all(a[1] < b[1] for a, b in ties)
 
 
+def _later_first_drop(trace):
+    queue = next(q for q, t in trace.first_drop.items() if t < math.inf)
+    trace.first_drop[queue] += 0.5
+
+
+def _higher_peak(trace):
+    trace.occupancy_peak += 1
+
+
+def _one_departure_less(trace):
+    trace.source_counts[-1]["departed"] -= 1
+
+
 def test_conservation_check_catches_counter_drift():
     trace = run(preset("fig2"))
     trace.verify_conservation()
     trace.counts[QueueId(0, 0)]["admitted"] += 1
     with pytest.raises(EngineInvariantError, match="disagree"):
         trace.verify_conservation()
+    # every fact the engine keeps for metrics.compute is checked as well
+    for corrupt in (_later_first_drop, _higher_peak, _one_departure_less):
+        trace = run(preset("fig4_incast"))
+        trace.verify_conservation()
+        corrupt(trace)
+        with pytest.raises(EngineInvariantError, match="disagree"):
+            trace.verify_conservation()
 
 
 def test_engine_snapshot_matches_incremental_counters():

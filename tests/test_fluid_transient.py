@@ -18,7 +18,6 @@ from fbsim.fluid import (
     NewQueue,
     OldQueue,
     TransientScenario,
-    WrongCaseError,
     _Q,
     _solve_total_rate,
     alpha_H_for_burst,
@@ -33,8 +32,6 @@ from fbsim.fluid import (
     integrate_first_crossing,
     integrate_transient,
     multi_priority_alpha_H,
-    t1_case1,
-    t1_case2,
     two_priority_incast,
 )
 from fbsim.workloads import preset, transient_scenario
@@ -81,55 +78,69 @@ class TestClassification:
             two_priority_incast(60, 1, 2, 4, n_low_ports=0, scheme="fq")
 
 
+def t1_in(ts, case):
+    """The closed-form t1 per new queue, with the scenario asserted to be
+    in ``case``."""
+    res = analyze_transient(ts)
+    assert res.case is case
+    return res.t1_per_queue
+
+
 class TestT1:
     def test_case1_example(self):
-        assert min(t1_case1(scenario_case1()).values()) == 10
+        assert min(t1_in(scenario_case1(), CaseKind.CASE1).values()) == 10
 
     def test_case1_infinite_when_rate_below_drain(self):
         ts = two_priority_incast(60, 1, 2, 1, n_low_ports=3)
-        assert min(t1_case1(ts).values()) == math.inf
+        assert min(t1_in(ts, CaseKind.CASE1).values()) == math.inf
 
     def test_case1_two_new_queues(self):
         # two new high queues split their group's share: omega = 1 each
         ts = two_priority_incast(60, 1, 2, 4, n_low_ports=3, n_new=2)
-        assert set(t1_case1(ts).values()) == {5}
+        assert set(t1_in(ts, CaseKind.CASE1).values()) == {5}
 
     def test_case1_rejects_case2_scenario(self):
-        with pytest.raises(WrongCaseError):
-            t1_case1(scenario_case2())
+        # a Case-2 scenario gets the Case-2 form, not Case-1's other value
+        ts = scenario_case2()
+        assert (t1_in(ts, CaseKind.CASE2) == _paper_t1(ts, CaseKind.CASE2)
+                != _paper_t1(ts, CaseKind.CASE1))
 
     def test_case2_example(self):
-        assert min(t1_case2(scenario_case2()).values()) == F(20, 7)
+        assert min(t1_in(scenario_case2(), CaseKind.CASE2).values()) == F(20, 7)
 
     def test_case2_single_port(self):
         ts = two_priority_incast(60, 1, 2, 10, n_low_ports=1)
-        assert min(t1_case2(ts).values()) == F(12, 5)
+        assert min(t1_in(ts, CaseKind.CASE2).values()) == F(12, 5)
 
     def test_case2_t1_grows_with_congested_ports(self):
         previous = None
         for num in range(1, 8):
             ts = two_priority_incast(60, 1, 2, 30, n_low_ports=num)
-            t1 = min(t1_case2(ts).values())
+            t1 = min(t1_in(ts, CaseKind.CASE2).values())
             if previous is not None:
                 assert t1 > previous
             previous = t1
 
     def test_case2_rejects_strict_case1_scenario(self):
-        with pytest.raises(WrongCaseError):
-            t1_case2(scenario_case1())
+        # a strictly Case-1 scenario gets the Case-1 form, not Case-2's
+        ts = scenario_case1()
+        assert (t1_in(ts, CaseKind.CASE1) == _paper_t1(ts, CaseKind.CASE1)
+                != _paper_t1(ts, CaseKind.CASE2))
 
     def test_case_boundary_continuity(self):
         ts = scenario_case1()
         boundary = case_rate_bound(ts)
         at_boundary = two_priority_incast(60, 1, 2, boundary, n_low_ports=3)
         assert classify_case(at_boundary) is CaseKind.CASE1
-        assert t1_case1(at_boundary) == t1_case2(at_boundary)
+        assert t1_in(at_boundary, CaseKind.CASE1) == _paper_t1(at_boundary, CaseKind.CASE2)
+        assert first_threshold_crossing(at_boundary) == min(
+            _paper_t1(at_boundary, CaseKind.CASE2).values())
 
     def test_no_old_queues_direct_fill(self):
         # omega*B / ((r-gamma) * (1 + omega*|S_new|))
         ts = two_priority_incast(60, 1, 2, 4, n_low_ports=1)
         bare = TransientScenario(ts.buffer_size, (), ts.new, ts.r)
-        assert min(t1_case1(bare).values()) == F(2 * 60, 3 * (1 + 2))
+        assert min(t1_in(bare, CaseKind.CASE1).values()) == F(2 * 60, 3 * (1 + 2))
 
 
 class TestBurstTolerance:
@@ -375,7 +386,7 @@ class TestIntegrator:
         ts = two_priority_incast(60, 1, 2, 5, n_low_ports=1, low_queues_per_port=5, scheme="dt")
         assert classify_case(ts) is CaseKind.CASE2
         res = integrate_transient(ts)
-        assert res.first_crossing == t1_case2(ts) == {ts.new[0].queue: 2}
+        assert res.first_crossing == t1_in(ts, CaseKind.CASE2) == {ts.new[0].queue: 2}
         check_breakpoints(ts, res)
         # burst queue holds (r - gamma) * t1 = 8 packets at the crossing
         assert res.times[-1] == 2
@@ -391,7 +402,7 @@ class TestIntegrator:
     def test_case1_crossing_matches_closed_form(self):
         ts = scenario_case1()
         res = integrate_transient(ts)
-        assert res.first_crossing == t1_case1(ts) == {ts.new[0].queue: 10}
+        assert res.first_crossing == t1_in(ts, CaseKind.CASE1) == {ts.new[0].queue: 10}
 
     def test_rate_equal_to_drain_never_crosses(self):
         ts = two_priority_incast(60, 1, 2, 1, n_low_ports=3)
@@ -465,9 +476,8 @@ class TestIntegrator:
                 60, a_low, a_high, r, n_low_ports=num,
                 low_queues_per_port=per_port, n_new=n_new,
             )
-            closed = (t1_case1 if classify_case(ts) is CaseKind.CASE1 else t1_case2)(ts)
             res = integrate_transient(ts)
-            assert res.first_crossing == closed
+            assert res.first_crossing == analyze_transient(ts).t1_per_queue
             check_breakpoints(ts, res)
 
     def test_trajectory_solves_the_dynamics_randomized(self):
@@ -771,18 +781,9 @@ def test_closed_forms_match_the_paper_formulas():
         t1 = min(expected.values())
         seen.update({case, ("old", bool(ts.old)), ("g_e", bool(ts.g_e)), ("inf", t1 == math.inf),
                      ("boundary", bool(at_bound))})
-        if case is CaseKind.CASE1:
-            assert t1_case1(ts) == expected
-            if at_bound:
-                assert t1_case2(ts) == _paper_t1(ts, CaseKind.CASE2)
-            elif ts.old:
-                with pytest.raises(WrongCaseError):
-                    t1_case2(ts)
-        else:
-            assert t1_case2(ts) == expected
-            with pytest.raises(WrongCaseError):
-                t1_case1(ts)
         assert first_threshold_crossing(ts) == t1
+        if at_bound:  # where the two cases meet, their forms agree
+            assert first_threshold_crossing(ts) == min(_paper_t1(ts, CaseKind.CASE2).values())
         res = analyze_transient(ts)
         assert res.case is case
         assert res.t1_per_queue == expected

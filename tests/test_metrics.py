@@ -1,17 +1,23 @@
 """Trace post-processing: counts, burst metrics, occupancy statistics."""
 
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fbsim.core import QueueId, TrafficClass
-from fbsim.engine import run
-from fbsim.metrics import _nearest_rank, compute, trailing_steady_lengths
+from fbsim.engine import ADMIT, DEPART, DROP, SOURCE_CHANGE, run, run_summary
+from fbsim.metrics import (
+    RunMetrics, _nearest_rank, compute, trailing_steady_lengths,
+)
 from fbsim.policies import PolicyKind
-from fbsim.workloads import Burst, ConstantRate, ScenarioConfig, preset
+from fbsim.workloads import (
+    Burst, ConstantRate, ScenarioConfig, load_scenario, preset, preset_names,
+)
 
 F = Fraction
 LOW, HIGH = 0, 1
@@ -123,3 +129,120 @@ def test_trailing_steady_lengths_on_converged_run():
     lengths, occ_max = trailing_steady_lengths(run(cfg), 20.0)
     assert lengths[QueueId(0, 1)] == 20
     assert occ_max == 50
+
+
+def scanned_metrics(trace, scenario):
+    """Reference: every run metric found again by one pass over the trace's
+    records, as ``compute`` did before the engine kept the facts itself."""
+    burst_ids = {i for i, s in enumerate(scenario.sources) if isinstance(s, Burst)}
+    burst_start = min(
+        (float(s.start) for s in scenario.sources if isinstance(s, Burst)), default=None
+    )
+    first_drop = {str(q): math.inf for q in trace.queue_ids}
+    occ_max = sum(trace.initial_lengths.values())
+    arrivals = admitted = departed = 0
+    last_departure = None
+    for time, _thr, port, class_id, code, _qlen, occ, source_id in trace.rows():
+        if code == SOURCE_CHANGE:
+            continue
+        occ_max = max(occ_max, occ)
+        if code == DROP:
+            key = str(trace.queue_of[port, class_id])
+            first_drop[key] = min(first_drop[key], time)
+        if source_id in burst_ids:
+            if code == DEPART:
+                departed += 1
+                last_departure = time
+            else:
+                arrivals += 1
+                admitted += code == ADMIT
+    partial = False
+    if burst_start is None:
+        fraction, drain_time = 1.0, None
+    else:
+        fraction = admitted / arrivals if arrivals else 1.0
+        if admitted == 0:
+            drain_time = 0.0
+        elif departed < admitted:
+            drain_time, partial = math.inf, True
+        else:
+            drain_time = last_departure - burst_start
+    departed_per_port = {}
+    for q in trace.queue_ids:
+        departed_per_port[q.port] = departed_per_port.get(q.port, 0) + trace.counts[q]["departed"]
+    samples = list(trace.occupancy)
+    return RunMetrics(
+        per_queue=run_summary(trace)["queues"],
+        first_drop_time=first_drop,
+        burst_admitted_fraction=fraction,
+        burst_drain_completion_time=drain_time,
+        throughput_per_port={p: departed_per_port[p] / trace.horizon
+                             for p in sorted(departed_per_port)},
+        occupancy_mean=sum(samples) / len(samples) if samples else 0.0,
+        occupancy_p99=sorted_nearest_rank(samples, 0.99) if samples else 0,
+        occupancy_max=occ_max,
+        partial=partial,
+    )
+
+
+GOLDEN_SCENARIOS = sorted((Path(__file__).parent / "golden" / "scenarios").glob("*.ini"))
+
+
+@pytest.mark.parametrize("cfg", [preset(name) for name in preset_names()]
+                         + [load_scenario(path) for path in GOLDEN_SCENARIOS],
+                         ids=list(preset_names()) + [path.stem for path in GOLDEN_SCENARIOS])
+def test_compute_matches_a_scan_of_the_records_on_presets_and_goldens(cfg):
+    trace = run(cfg)
+    assert compute(trace, cfg) == scanned_metrics(trace, cfg)
+
+
+def family_config(rng):
+    """A small random run: pre-filled queues, constant background, and one
+    or two bursts with a burst as the last source, under every policy, in
+    either queue mode, with or without a stale snapshot; the horizon
+    sometimes ends before the bursts drain."""
+    n_ports = rng.randint(1, 3)
+    classes = (TrafficClass(0, F(rng.randint(1, 4), 2), LOW),
+               TrafficClass(1, F(rng.randint(1, 8), 2), HIGH))
+    buffer_size = rng.randint(8, 40)
+    sources = [
+        ConstantRate(class_id=rng.randint(0, 1), port=rng.randrange(n_ports),
+                     rate=F(rng.randint(1, 6), 2), start=F(rng.randint(0, 8), 4))
+        for _ in range(rng.randint(0, 3))
+    ]
+    sources += [
+        Burst(class_id=rng.randint(0, 1), port=rng.randrange(n_ports),
+              r=F(rng.randint(2, 12), 2), duration=F(rng.randint(1, 8), 2),
+              start=F(rng.randint(0, 12), 2))
+        for _ in range(rng.randint(1, 2))
+    ]
+    initial = {}
+    for port in range(n_ports):
+        for class_id in (0, 1):
+            if rng.random() < 0.4:
+                room = buffer_size - sum(initial.values())
+                initial[QueueId(port, class_id)] = rng.randint(0, min(room, 10))
+    return ScenarioConfig(
+        buffer_size=buffer_size, n_ports=n_ports, classes=classes,
+        policy=rng.choice(list(PolicyKind)), sources=tuple(sources),
+        horizon=float(rng.choice([6.5, 12, 40])),
+        queue_mode=rng.choice(["multi", "single"]),
+        seed=rng.randint(0, 99), congestion_threshold=rng.randint(0, 2),
+        fba_period=rng.choice([0.0, 1.0, 2.5]), sample_interval=0.5,
+        snapshot_staleness=rng.choice([0.0, 0.0, 1.5]), initial_lengths=initial,
+    )
+
+
+def test_compute_matches_a_scan_of_the_records_on_a_seeded_family():
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(150):
+        cfg = family_config(rng)
+        trace = run(cfg)
+        m = compute(trace, cfg)
+        assert m == scanned_metrics(trace, cfg), cfg
+        seen.update({cfg.policy, cfg.queue_mode, ("stale", cfg.snapshot_staleness > 0),
+                     ("partial", m.partial), ("drops", m.total_drops > 0),
+                     ("prefill", any(cfg.initial_lengths.values()))})
+    assert seen >= {*PolicyKind, "multi", "single", ("stale", True), ("partial", True),
+                    ("partial", False), ("drops", True), ("prefill", True)}

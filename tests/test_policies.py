@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from fbsim.core import QueueId, TrafficClass
 from fbsim.engine import EventTrace, SwitchState, controller_tick, enqueue_arrival
 from fbsim.policies import PolicyKind, below_threshold, fb_effective_alpha
-from fbsim.workloads import ScenarioConfig
+from fbsim.workloads import ConstantRate, ScenarioConfig
 
 LOW, HIGH = 0, 1
 
@@ -24,13 +24,15 @@ def state(kind, lengths, alphas=None, priorities=None, queue_mode="multi"):
     """A 60-packet, 4-port switch pre-filled with ``lengths`` (keyed by
     (port, class) queue; the class picks the shared queue's port in
     single-queue mode).  Classes 0 (low, alpha 1) and 1 (high, alpha 2)
-    unless ``alphas``/``priorities`` say otherwise."""
+    unless ``alphas``/``priorities`` say otherwise.  Its one source, 0, is
+    the one ``decide`` names."""
     alphas = {0: 1, 1: 2, **(alphas or {})}
     priorities = {0: LOW, 1: HIGH, **(priorities or {})}
     cfg = ScenarioConfig(
         buffer_size=60, n_ports=4,
         classes=tuple(TrafficClass(c, Fraction(a), priorities[c]) for c, a in alphas.items()),
-        policy=kind, queue_mode=queue_mode, sources=(),
+        policy=kind, queue_mode=queue_mode,
+        sources=(ConstantRate(class_id=0, port=0, rate=Fraction(1)),),
         initial_lengths=lengths, horizon=1.0,
     )
     return SwitchState(cfg)
