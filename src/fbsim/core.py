@@ -74,9 +74,6 @@ class BufferSnapshot:
     congested_per_priority: Mapping[int, int]
     congested: frozenset[QueueId] = field(default_factory=frozenset)
 
-    def is_congested(self, queue: QueueId) -> bool:
-        return queue in self.congested
-
 
 def derive_aggregates(
     lengths: Mapping[QueueId, int],

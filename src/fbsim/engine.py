@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional
 
-from .core import QueueId, derive_aggregates
+from .core import QueueId
 from .policies import (
     SHARED_QUEUE_CLASS,
     PolicyKind,
@@ -218,9 +218,8 @@ class SwitchState:
 
     ``stale`` is None, or under a snapshot staleness s the copy ``sync``
     took just before the last k * s, which admission sees instead of the
-    live state.  Counters are maintained incrementally; ``snapshot()``
-    rebuilds the same aggregates through core.derive_aggregates for
-    cross-checking.
+    live state.  Counters are maintained incrementally; the engine tests
+    check them against core.derive_aggregates over the raw lengths.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -377,15 +376,6 @@ class SwitchState:
     def _emit(self) -> dict[QueueId, float]:
         """The FBA table as emitted: the alpha of each queue's own class."""
         return {q: self.alphas[q.port, q.class_id] for q in self.queue_ids}
-
-    def snapshot(self):
-        """Rebuild a BufferSnapshot from raw lengths (cross-check path)."""
-        return derive_aggregates(
-            {q: self.lengths[i] for i, q in enumerate(self.queue_ids)},
-            dict(self.class_prio),
-            self.buffer_size,
-            self.cong_thr,
-        )
 
 
 def enqueue_arrival(

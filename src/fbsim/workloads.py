@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import configparser
 import heapq
-import io
 import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import QueueId, TrafficClass
 from .fluid import NewQueue, OldQueue, OmegaVector, TransientScenario, _frac
@@ -60,16 +59,19 @@ def _read_text(path) -> str:
 
 
 def load_size_cdf(path) -> tuple[tuple[int, float], ...]:
-    """Read an empirical size CDF: two columns (size, cumulative probability)."""
+    """Read an empirical size CDF: two columns (size, cumulative probability).
+    A malformed line is a parse error naming the file and the line."""
     rows: list[tuple[int, float]] = []
-    for line in _read_text(path).split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in enumerate(_read_text(path).split("\n"), 1):
         parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ScenarioParseError(f"size CDF line needs two columns: {line!r}")
-        rows.append((int(parts[0]), float(parts[1])))
+        if not parts or parts[0].startswith("#"):
+            continue
+        try:
+            if len(parts) != 2:
+                raise ValueError(f"needs two columns, got {line.strip()!r}")
+            rows.append((int(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise ScenarioParseError(f"size CDF {path} line {number}: {exc}") from None
     return _checked_cdf(rows)
 
 
@@ -340,171 +342,180 @@ class ScenarioConfig:
 
 
 # -- text format -------------------------------------------------------------
+# Stated once: _SETTINGS holds the [switch] and [policy] keys, and a [classes]
+# or [sources] line is its dataclass's fields in field order.  Parse and dump
+# both walk these tables; a section or key they do not name, or text that
+# does not convert, is a ScenarioParseError (exit 2), and a converted value
+# that a constructor or validate() rejects is a ConfigError (exit 3).
+
+#: (section, key, ScenarioConfig field, parse) in file order.  A key left
+#: out takes the field's default; a field without one must be given.
+_SETTINGS = (
+    ("switch", "buffer", "buffer_size", int),
+    ("switch", "ports", "n_ports", int),
+    ("switch", "queue_mode", "queue_mode", str),
+    ("switch", "congestion_threshold", "congestion_threshold", int),
+    ("switch", "horizon", "horizon", float),
+    ("switch", "seed", "seed", int),
+    ("switch", "sample_interval", "sample_interval", float),
+    ("switch", "snapshot_staleness", "snapshot_staleness", float),
+    ("policy", "kind", "policy", PolicyKind),
+    ("policy", "fba_period", "fba_period", float),
+)
+_REQUIRED = {f.name for f in fields(ScenarioConfig) if f.default is f.default_factory is MISSING}
+#: Every section in file order; the last two are written only when non-empty.
+_SECTIONS = ("switch", "classes", "policy", "sources", "initial", "alpha_overrides")
 
 
-def _kv(text: str, what: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for token in text.split():
-        key, sep, value = token.partition("=")
+def _size_cdf(text: str) -> Union[str, tuple[tuple[int, float], ...]]:
+    """An inline ``size:prob,...`` table, or else a file path."""
+    if ":" not in text:
+        return text
+    return tuple((int(s), float(p)) for s, _, p in (pair.partition(":") for pair in text.split(",")))
+
+
+#: Each line field other than an exact rational under its own name:
+#: (key, parse, show, the text that stands for None).
+_FIELD_TEXT = {
+    "class_id": ("class", int, str, None),
+    "port": ("port", int, str, None),
+    "priority_id": ("priority", int, str, None),
+    "stop": ("stop", Fraction, str, "inf"),
+    "size_cdf": ("cdf", _size_cdf, lambda cdf: ",".join(f"{s}:{p!r}" for s, p in cdf), "default"),
+}
+
+
+def _line_format(cls, skip: int = 0) -> tuple[dict[str, tuple], frozenset[str]]:
+    """({key: (field, parse, show, text of None)} in field order, the fields
+    a line must give) for a line of ``cls``'s fields after the first ``skip``."""
+    kept = fields(cls)[skip:]
+    keys = {}
+    for f in kept:
+        key, *codec = _FIELD_TEXT.get(f.name, (f.name, Fraction, str, None))
+        keys[key] = (f.name, *codec)
+    return keys, frozenset(f.name for f in kept if f.default is MISSING)
+
+
+_SOURCE_KINDS = {"constant": ConstantRate, "burst": Burst, "poisson": PoissonFlows}
+_KIND_OF = {cls: kind for kind, cls in _SOURCE_KINDS.items()}
+#: Each line's format, built once; a class line's own key is its class id.
+_LINES = {cls: _line_format(cls) for cls in _KIND_OF} | {TrafficClass: _line_format(TrafficClass, 1)}
+
+
+def _convert(parse: Callable, text: str, what: str):
+    """parse(text); text that does not convert is a parse error naming ``what``."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScenarioParseError(f"{what}: {exc}") from None
+
+
+def _parse_line(cls, tokens: Sequence[str], what: str, **values):
+    """A ``cls`` from its ``key=value`` tokens and the given ``values``."""
+    keys, required = _LINES[cls]
+    for token in tokens:
+        key, sep, text = token.partition("=")
         if not sep:
             raise ScenarioParseError(f"{what}: expected key=value, got {token!r}")
-        out[key] = value
-    return out
-
-
-def _parse_source(kind_and_args: str) -> SourceSpec:
-    parts = kind_and_args.split(None, 1)
-    if len(parts) != 2:
-        raise ScenarioParseError(f"source needs a kind and arguments: {kind_and_args!r}")
-    kind, rest = parts
-    kv = _kv(rest, f"source {kind}")
+        if key not in keys:
+            raise ScenarioParseError(f"{what}: unknown key {key!r}")
+        name, parse, _, none = keys[key]
+        if name in values:
+            raise ScenarioParseError(f"{what}: key {key!r} given twice")
+        values[name] = None if text == none else _convert(parse, text, f"{what} {key}")
+    if not required <= values.keys():
+        missing = [key for key, (name, *_) in keys.items() if name in required - values.keys()]
+        raise ScenarioParseError(f"{what}: missing key {', '.join(map(repr, missing))}")
     try:
-        return _build_source(kind, kv)
-    except ConfigError:
-        raise
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
-        raise ScenarioParseError(f"bad source {kind_and_args!r}: {exc}") from exc
+        return cls(**values)
+    except ScenarioParseError as exc:  # a size-CDF file, read as the source is built
+        raise ScenarioParseError(f"{what}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _build_source(kind: str, kv: dict[str, str]) -> SourceSpec:
-    if kind == "constant":
-        return ConstantRate(
-            class_id=int(kv["class"]), port=int(kv["port"]), rate=Fraction(kv["rate"]),
-            start=Fraction(kv.get("start", "0")),
-            stop=None if kv.get("stop", "inf") == "inf" else Fraction(kv["stop"]),
-        )
-    if kind == "burst":
-        return Burst(
-            class_id=int(kv["class"]), port=int(kv["port"]), r=Fraction(kv["r"]),
-            duration=Fraction(kv["duration"]), start=Fraction(kv.get("start", "0")),
-        )
-    if kind == "poisson":
-        cdf_text = kv.get("cdf", "default")
-        if cdf_text == "default":
-            cdf: Union[None, str, tuple] = None
-        elif ":" in cdf_text:
-            cdf = tuple(
-                (int(pair.split(":")[0]), float(pair.split(":")[1]))
-                for pair in cdf_text.split(",")
-            )
-        else:
-            cdf = cdf_text
-        return PoissonFlows(
-            class_id=int(kv["class"]), port=int(kv["port"]),
-            mean_interarrival=Fraction(kv["mean_interarrival"]),
-            flow_rate=Fraction(kv.get("flow_rate", "1")),
-            start=Fraction(kv.get("start", "0")),
-            stop=None if kv.get("stop", "inf") == "inf" else Fraction(kv["stop"]),
-            size_cdf=cdf,
-        )
-    raise ScenarioParseError(f"unknown source kind {kind!r}")
+def _parse_source(key: str, text: str) -> SourceSpec:
+    what = f"[sources] {key}"
+    kind, *tokens = text.split() or [""]
+    if kind not in _SOURCE_KINDS:
+        raise ScenarioParseError(f"{what}: unknown source kind {kind!r}")
+    return _parse_line(_SOURCE_KINDS[kind], tokens, what)
 
 
-def _dump_source(src: SourceSpec) -> str:
-    if isinstance(src, ConstantRate):
-        stop = "inf" if src.stop is None else str(src.stop)
-        return f"constant class={src.class_id} port={src.port} rate={src.rate} start={src.start} stop={stop}"
-    if isinstance(src, Burst):
-        return (
-            f"burst class={src.class_id} port={src.port} r={src.r} "
-            f"duration={src.duration} start={src.start}"
-        )
-    stop = "inf" if src.stop is None else str(src.stop)
-    if src.size_cdf is None:
-        cdf = "default"
-    else:
-        cdf = ",".join(f"{s}:{p!r}" for s, p in src.size_cdf)
-    return (
-        f"poisson class={src.class_id} port={src.port} "
-        f"mean_interarrival={src.mean_interarrival} flow_rate={src.flow_rate} "
-        f"start={src.start} stop={stop} cdf={cdf}"
-    )
+def _dump_line(obj) -> str:
+    keys, _ = _LINES[type(obj)]
+    return " ".join([
+        f"{key}={none if (value := getattr(obj, name)) is None else show(value)}"
+        for key, (name, _, show, none) in keys.items()
+    ])
 
 
 def loads_scenario(text: str) -> ScenarioConfig:
-    parser = configparser.ConfigParser(delimiters=("=",), interpolation=None)
+    parser = configparser.ConfigParser(
+        delimiters=("=",), inline_comment_prefixes=("#",), interpolation=None,
+        default_section="",  # so [DEFAULT] is an unknown section, not keys every section shares
+    )
     parser.optionxform = str
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ScenarioParseError(f"bad scenario file: {exc}") from exc
-    try:
-        sw = parser["switch"]
-        classes = []
-        for cid, spec in parser["classes"].items():
-            kv = _kv(spec, f"class {cid}")
-            alpha = Fraction(kv["alpha"])
-            if alpha <= 0:
-                raise ConfigError(f"class {cid}: alpha must be > 0, got {alpha}")
-            classes.append(TrafficClass(int(cid), alpha, int(kv["priority"])))
-        classes = tuple(classes)
-        pol = parser["policy"]
-        queue_mode = sw.get("queue_mode", "multi")
-        kind = pol["kind"]
-        if kind == "fb_single":  # FB on a shared per-port queue
-            if queue_mode != "single":
-                raise ConfigError("fb_single policy requires queue_mode = single")
-            kind = PolicyKind.FB.value
-        sources = tuple(_parse_source(v) for _, v in parser["sources"].items()) if parser.has_section("sources") else ()
-        initial = {}
-        if parser.has_section("initial"):
-            for key, val in parser["initial"].items():
-                initial[QueueId.parse(key)] = int(val)
-        overrides = {}
-        if parser.has_section("alpha_overrides"):
-            for key, val in parser["alpha_overrides"].items():
-                overrides[QueueId.parse(key)] = Fraction(val)
-        return ScenarioConfig(
-            buffer_size=int(sw["buffer"]),
-            n_ports=int(sw["ports"]),
-            classes=classes,
-            policy=PolicyKind(kind),
-            sources=sources,
-            horizon=float(sw.get("horizon", "100")),
-            queue_mode=queue_mode,
-            seed=int(sw.get("seed", "1")),
-            congestion_threshold=int(sw.get("congestion_threshold", "0")),
-            fba_period=float(pol.get("fba_period", "1")),
-            sample_interval=float(sw.get("sample_interval", "0.1")),
-            snapshot_staleness=float(sw.get("snapshot_staleness", "0")),
-            initial_lengths=initial,
-            alpha_overrides=overrides,
-        )
-    except (ScenarioParseError, ConfigError):
-        raise
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
-        raise ScenarioParseError(f"bad scenario file: {exc}") from exc
+    sections = {name: {} for name in _SECTIONS}
+    for name in parser.sections():
+        if name not in sections:
+            raise ScenarioParseError(f"unknown section [{name}]")
+        sections[name] = dict(parser.items(name, raw=True))
+    if not parser.has_section("classes"):
+        raise ScenarioParseError("missing section [classes]")
+    alias = sections["policy"].get("kind") == "fb_single"  # FB on a shared per-port queue
+    if alias:
+        sections["policy"]["kind"] = PolicyKind.FB.value
+    settings = {}
+    for section, key, name, parse in _SETTINGS:
+        text = sections[section].pop(key, None)
+        if text is not None:
+            settings[name] = _convert(parse, text, f"[{section}] {key}")
+        elif name in _REQUIRED:
+            raise ScenarioParseError(f"[{section}]: missing key {key!r}")
+    for section in ("switch", "policy"):
+        for key in sections[section]:
+            raise ScenarioParseError(f"[{section}]: unknown key {key!r}")
+    cfg = ScenarioConfig(
+        classes=tuple(
+            _parse_line(TrafficClass, spec.split(), f"[classes] {cid}",
+                        class_id=_convert(int, cid, "[classes]"))
+            for cid, spec in sections["classes"].items()
+        ),
+        sources=tuple(_parse_source(key, spec) for key, spec in sections["sources"].items()),
+        initial_lengths={
+            _convert(QueueId.parse, q, "[initial]"): _convert(int, n, f"[initial] {q}")
+            for q, n in sections["initial"].items()
+        },
+        alpha_overrides={
+            _convert(QueueId.parse, q, "[alpha_overrides]"): _convert(Fraction, a, f"[alpha_overrides] {q}")
+            for q, a in sections["alpha_overrides"].items()
+        },
+        **settings,
+    )
+    if alias and cfg.queue_mode != "single":
+        raise ConfigError("fb_single policy requires queue_mode = single")
+    return cfg
 
 
 def dumps_scenario(cfg: ScenarioConfig) -> str:
-    out = io.StringIO()
-    out.write("[switch]\n")
-    out.write(f"buffer = {cfg.buffer_size}\n")
-    out.write(f"ports = {cfg.n_ports}\n")
-    out.write(f"queue_mode = {cfg.queue_mode}\n")
-    out.write(f"congestion_threshold = {cfg.congestion_threshold}\n")
-    out.write(f"horizon = {cfg.horizon!r}\n")
-    out.write(f"seed = {cfg.seed}\n")
-    out.write(f"sample_interval = {cfg.sample_interval!r}\n")
-    out.write(f"snapshot_staleness = {cfg.snapshot_staleness!r}\n")
-    out.write("\n[classes]\n")
-    for c in cfg.classes:
-        out.write(f"{c.class_id} = alpha={c.alpha} priority={c.priority_id}\n")
-    out.write("\n[policy]\n")
-    out.write(f"kind = {cfg.policy.value}\n")
-    out.write(f"fba_period = {cfg.fba_period!r}\n")
-    out.write("\n[sources]\n")
-    for i, src in enumerate(cfg.sources):
-        out.write(f"{i} = {_dump_source(src)}\n")
-    if cfg.initial_lengths:
-        out.write("\n[initial]\n")
-        for q in sorted(cfg.initial_lengths):
-            out.write(f"{q} = {cfg.initial_lengths[q]}\n")
-    if cfg.alpha_overrides:
-        out.write("\n[alpha_overrides]\n")
-        for q in sorted(cfg.alpha_overrides):
-            out.write(f"{q} = {cfg.alpha_overrides[q]}\n")
-    return out.getvalue()
+    lines = {
+        "classes": [f"{c.class_id} = {_dump_line(c)}" for c in cfg.classes],
+        "sources": [f"{i} = {_KIND_OF[type(s)]} {_dump_line(s)}" for i, s in enumerate(cfg.sources)],
+        "initial": [f"{q} = {cfg.initial_lengths[q]}" for q in sorted(cfg.initial_lengths)],
+        "alpha_overrides": [f"{q} = {cfg.alpha_overrides[q]}" for q in sorted(cfg.alpha_overrides)],
+    }
+    for section, key, name, _ in _SETTINGS:
+        value = getattr(cfg, name)
+        lines.setdefault(section, []).append(f"{key} = {value.value if isinstance(value, PolicyKind) else value}")
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{line}\n" for line in lines[section])
+        for section in _SECTIONS if lines[section] or section in _SECTIONS[:4]
+    )
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -15,7 +16,8 @@ from fbsim.cli import main
 from fbsim.workloads import MAX_RUN_STEPS, dumps_scenario, preset
 
 GOLDEN_SCENARIOS = Path(__file__).parent / "golden" / "scenarios"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_preset_list(capsys):
@@ -54,6 +56,36 @@ def test_parse_error_exits_2(tmp_path, capsys):
     bad.write_text("this is not a scenario file")
     assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new,named", [
+    ("[sources]", "[traffic]\n0 = constant class=0 port=0 rate=2\n\n[sources]", "[traffic]"),
+    ("horizon = 60.0", "horizn = 5.0", "'horizn'"),
+    ("fba_period = 1.0", "fba_perod = 1.0", "'fba_perod'"),
+    ("rate=2 start=0", "rate=2 strat=5", "'strat'"),
+    ("alpha=1 priority=0", "alpha=1 prio=0", "'prio'"),
+    ("rate=2 start=0", "rate=2 start=0 start=5", "'start' given twice"),
+], ids=["section", "switch_key", "policy_key", "source_key", "class_key", "repeated_key"])
+def test_input_the_format_does_not_name_exits_2_before_the_run(old, new, named, tmp_path, capsys):
+    text = dumps_scenario(preset("fig2"))
+    assert old in text
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text.replace(old, new, 1))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and named in err
+    assert not out.exists()
+
+
+def test_readme_scenario_example_loads_and_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    [block] = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    lock = (tmp_path / "o" / "scenario.lock").read_text()
+    assert "buffer = 60\n" in lock and "1:1 = 3/2\n" in lock
 
 
 def _poisson_scenario_text(cdf):

@@ -165,7 +165,7 @@ def _oracle_alpha(cfg, snap, queue, class_id):
     """FB's effective alpha for a packet of ``class_id`` arriving at ``queue``,
     from a snapshot, counting the arriving queue as congested."""
     alpha = float(cfg.alpha_of(QueueId(queue.port, class_id)))
-    joins = 0 if snap.is_congested(queue) else 1
+    joins = 0 if queue in snap.congested else 1
     if cfg.queue_mode == "single":
         return fb_effective_alpha(alpha, len(snap.congested) + joins, 1.0)
     n_p = snap.congested_per_priority[cfg.class_by_id(class_id).priority_id] + joins
@@ -385,7 +385,9 @@ def test_conservation_check_catches_counter_drift():
 def test_engine_snapshot_matches_incremental_counters():
     cfg = preset("fig4_incast")
     state = SwitchState(cfg)
-    snap = state.snapshot()
+    snap = derive_aggregates(
+        dict(zip(state.queue_ids, state.lengths)), state.class_prio, state.buffer_size, state.cong_thr
+    )
     assert snap.occupancy == state.total == 50
     assert snap.congested_per_priority[LOW] == 5
 

@@ -3,7 +3,7 @@
 import heapq
 import math
 import random
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from fractions import Fraction
 from itertools import islice, repeat
 
@@ -191,6 +191,14 @@ class TestSizeCdf:
         with pytest.raises(ScenarioParseError):
             PoissonFlows(class_id=0, port=0, mean_interarrival=2, size_cdf=table)
 
+    @pytest.mark.parametrize("line", ["abc 1.0", "10 x", "10 1.0 7", "10"])
+    def test_malformed_line_names_file_and_line(self, line, tmp_path):
+        path = tmp_path / "cdf.txt"
+        path.write_text(f"# size cumprob\n2 0.5\n{line}\n")
+        with pytest.raises(ScenarioParseError) as exc:
+            load_size_cdf(path)
+        assert str(exc.value).startswith(f"size CDF {path} line 3: ")
+
     def test_file_table_checked_when_built(self, tmp_path):
         path = tmp_path / "cdf.txt"
         path.write_text("4 0.9\n2 1.0\n")
@@ -265,7 +273,70 @@ class TestSweep:
             sweep(preset("fig2"), "bogus", [1])
 
 
+def _non_default(default, values):
+    return values.filter(lambda v: v != default)
+
+
+_FRACS = st.builds(F, st.integers(1, 400), st.integers(1, 12))
+_TIMES = st.floats(1e-3, 1e4)
+
+
+@st.composite
+def every_field_set(draw) -> ScenarioConfig:
+    """A config with every ScenarioConfig field away from its default and a
+    source of each kind, the Poisson one with an inline CDF and a stop."""
+    n_ports = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True))
+    queues = st.builds(QueueId, st.integers(0, n_ports - 1), st.sampled_from(ids))
+    start = st.builds(F, st.integers(0, 100), st.integers(1, 8))
+
+    def where():
+        return draw(st.sampled_from(ids)), draw(st.integers(0, n_ports - 1))
+
+    sizes = sorted(draw(st.sets(st.integers(1, 500), min_size=1, max_size=5)))
+    probs = sorted(draw(st.lists(st.floats(1e-6, 1.0), min_size=len(sizes) - 1,
+                                 max_size=len(sizes) - 1))) + [1.0]
+    t0 = draw(start)
+    sources = (
+        ConstantRate(*where(), rate=draw(_FRACS), start=draw(start)),
+        Burst(*where(), r=draw(_FRACS), duration=draw(_FRACS), start=draw(start)),
+        PoissonFlows(*where(), mean_interarrival=draw(_FRACS), flow_rate=draw(_FRACS), start=t0,
+                     stop=t0 + draw(_FRACS), size_cdf=tuple(zip(sizes, probs))),
+    )
+    return ScenarioConfig(
+        buffer_size=draw(st.integers(1, 10**6)), n_ports=n_ports,
+        classes=tuple(TrafficClass(c, draw(_FRACS), draw(st.integers(0, 3))) for c in ids),
+        policy=draw(st.sampled_from(PolicyKind)),
+        sources=sources + tuple(draw(st.permutations(sources))[: draw(st.integers(0, 3))]),
+        horizon=draw(_non_default(100.0, st.floats(1e-3, 1e6))),
+        queue_mode="single",
+        seed=draw(st.integers(2, 2**64 - 1)),
+        congestion_threshold=draw(st.integers(1, 100)),
+        fba_period=draw(_non_default(1.0, _TIMES)),
+        sample_interval=draw(_non_default(0.1, _TIMES)),
+        snapshot_staleness=draw(_TIMES),
+        initial_lengths=draw(st.dictionaries(queues, st.integers(1, 100), min_size=1)),
+        alpha_overrides=draw(st.dictionaries(queues, _FRACS, min_size=1)),
+    )
+
+
 class TestConfigFile:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=every_field_set())
+    def test_round_trip_over_every_field(self, cfg):
+        # a field left at its default would read back equal without being
+        # written, so every field is set, and a field added to ScenarioConfig
+        # fails here until the draw and the file format both cover it
+        text = dumps_scenario(cfg)
+        assert loads_scenario(text) == cfg
+        assert dumps_scenario(loads_scenario(text)) == text
+        for f in fields(ScenarioConfig):
+            if f.default is MISSING and f.default_factory is MISSING:
+                continue  # a required field the round trip above already needs
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            assert getattr(cfg, f.name) != default, f.name
+            assert dumps_scenario(replace(cfg, **{f.name: default})) != text, f.name
+
     def test_round_trip_is_identity(self):
         for name in preset_names():
             cfg = preset(name)
