@@ -23,10 +23,10 @@ import math
 import os
 import sys
 from dataclasses import replace
+from enum import Enum
 from fractions import Fraction
 
 from . import engine, fluid, metrics, workloads
-from .fluid import BoundStatus
 from .workloads import ConfigError, ScenarioParseError
 
 EXIT_OK = 0
@@ -39,7 +39,7 @@ def _jsonable(x):
         return float(x)
     if isinstance(x, float) and math.isinf(x):
         return "inf"
-    if isinstance(x, (BoundStatus, fluid.CaseKind)):
+    if isinstance(x, Enum):
         return x.value
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
@@ -108,9 +108,8 @@ def _run_one(cfg: workloads.ScenarioConfig, out_dir: str, fmt: str) -> metrics.R
             writer = csv.writer(fh)
             writer.writerow(("metric", "value"))
             for key in sorted(payload):
-                if key in ("per_queue", "first_drop_time", "throughput_per_port"):
-                    continue
-                writer.writerow((key, payload[key]))
+                if not isinstance(payload[key], dict):  # the nested fields live in metrics.json
+                    writer.writerow((key, payload[key]))
     return m
 
 
@@ -188,25 +187,9 @@ def cmd_analyze(args) -> int:
         ts = _inline_transient(args)
         result = fluid.analyze_transient(ts)
 
-    payload = {
-        "steady_occupancy": result.steady_occupancy,
-        "steady_remaining": result.steady_remaining,
-        "steady_thresholds": dict(result.steady_thresholds),
-        "case": result.case,
-        "t1": result.t1,
-        "t1_per_queue": dict(result.t1_per_queue) if result.t1_per_queue else None,
-        "burst_tolerance": result.burst_tolerance,
-        "feasible": result.feasible,
-    }
+    payload = dict(vars(result))  # a copy: the keys below are added to it
     if ts is not None and args.t is not None:
-        bounds = fluid.alpha_bounds_general(ts, args.t)
-        payload["alpha_bounds"] = {
-            "case": bounds.case,
-            "alpha_L_case_bound": bounds.alpha_L_case_bound,
-            "alpha_L_relation": bounds.alpha_L_relation,
-            "alpha_L_max_for_burst": bounds.alpha_L_max_for_burst,
-            "alpha_H_min": bounds.alpha_H_min,
-        }
+        payload["alpha_bounds"] = vars(fluid.alpha_bounds_general(ts, args.t))
     if ts is not None:
         payload["ode_t1"] = min(fluid.integrate_transient(ts).first_crossing.values())
 

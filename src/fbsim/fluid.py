@@ -1,10 +1,11 @@
 """Fluid-model analysis of threshold-managed shared buffers.
 
-Everything here works on the weight ``omega = alpha * beta * gamma`` of a
-queue, where ``beta`` is the inverse congested-queue count of the queue's
-priority group and ``gamma`` its per-port-normalized dequeue rate.  With
-``beta = gamma = 1`` (i.e. ``omega = alpha``) the same formulas describe
-plain Dynamic Thresholds, so one machinery covers both schemes.
+Everything here works on the weight ``omega = alpha * factor`` of a queue.
+Under FB the factor is ``beta * gamma`` (``fb_factors``), where ``beta`` is
+the inverse congested-queue count of the queue's priority group and
+``gamma`` its per-port-normalized dequeue rate.  Under plain Dynamic
+Thresholds the factor is 1 (``omega = alpha``), while ``gamma`` stays the
+queue's drain rate, so one machinery covers both schemes.
 
 Steady state (all congested queues pinned at their thresholds):
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -80,9 +82,20 @@ def _frac(x: Number) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def fb_factors(queues: Mapping[QueueId, tuple[int, Number]]) -> dict[QueueId, Fraction]:
+    """FB's weight factor beta * gamma per queue, from {queue: (priority_id,
+    gamma)}; DT's factor is 1.
+
+    All listed queues are taken as congested, so beta for a priority is
+    1 / (number of listed queues of that priority).
+    """
+    counts = Counter(prio for prio, _ in queues.values())
+    return {q: Fraction(1, counts[prio]) * _frac(gamma) for q, (prio, gamma) in queues.items()}
+
+
 @dataclass(frozen=True)
 class OmegaVector:
-    """Per-queue weights omega = alpha * beta * gamma."""
+    """Per-queue weights omega = alpha * factor."""
 
     entries: Mapping[QueueId, Fraction]
 
@@ -91,27 +104,17 @@ class OmegaVector:
 
     @staticmethod
     def for_dt(alphas: Mapping[QueueId, Number]) -> "OmegaVector":
-        """DT is the beta = gamma = 1 special case: omega = alpha."""
+        """DT's factor is 1: omega = alpha."""
         return OmegaVector({q: _frac(a) for q, a in alphas.items()})
 
     @staticmethod
     def for_fb(
         queues: Mapping[QueueId, tuple[Number, int, Number]],
     ) -> "OmegaVector":
-        """Build FB omegas from {queue: (alpha, priority_id, gamma)}.
-
-        All listed queues are taken as congested, so beta for a priority is
-        1 / (number of listed queues of that priority).
-        """
-        counts: dict[int, int] = {}
-        for _, prio, _ in queues.values():
-            counts[prio] = counts.get(prio, 0) + 1
-        return OmegaVector(
-            {
-                q: _frac(alpha) * Fraction(1, counts[prio]) * _frac(gamma)
-                for q, (alpha, prio, gamma) in queues.items()
-            }
-        )
+        """Build FB omegas from {queue: (alpha, priority_id, gamma)}, all
+        listed queues congested."""
+        factors = fb_factors({q: (prio, gamma) for q, (_, prio, gamma) in queues.items()})
+        return OmegaVector({q: _frac(queues[q][0]) * f for q, f in factors.items()})
 
 
 @dataclass(frozen=True)
@@ -202,21 +205,22 @@ class OldQueue:
 class NewQueue:
     """A newly arriving queue (empty at t = 0, filling at the burst rate).
 
-    ``beta`` is the queue's priority-share factor 1/N_p, kept separate from
-    ``omega`` so alpha bounds can be solved for (omega = alpha * beta * gamma).
+    ``factor`` is the queue's weight factor omega / alpha: ``beta * gamma``
+    under FB (``fb_factors``), 1 under DT.  It is kept beside ``omega`` so
+    alpha bounds can be solved for; ``gamma`` is the drain rate under both.
     """
 
     queue: QueueId
     omega: Fraction
     gamma: Fraction
-    beta: Fraction = Fraction(1)
+    factor: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", _frac(self.omega))
         object.__setattr__(self, "gamma", _frac(self.gamma))
-        object.__setattr__(self, "beta", _frac(self.beta))
-        if self.omega <= 0 or not 0 < self.gamma <= 1 or not 0 < self.beta <= 1:
-            raise ValueError(f"{self.queue}: need omega > 0, gamma and beta in (0,1]")
+        object.__setattr__(self, "factor", _frac(self.factor))
+        if self.omega <= 0 or not 0 < self.gamma <= 1 or not 0 < self.factor <= 1:
+            raise ValueError(f"{self.queue}: need omega > 0, gamma and factor in (0,1]")
 
 
 @dataclass(frozen=True)
@@ -280,7 +284,7 @@ def two_priority_incast(
     queues each (gamma = 1/m); the ``n_new`` new queues land on otherwise
     empty ports (gamma = ``new_gamma``) and form their own priority group.
     ``scheme`` selects FB weights (alpha * beta * gamma) or DT weights
-    (omega = alpha).
+    (omega = alpha).  Low queues form priority 0, new queues priority 1.
     """
     if n_low_ports < 0 or low_queues_per_port < 1 or n_new < 1:
         raise ValueError(
@@ -291,34 +295,35 @@ def two_priority_incast(
     a_low, a_high, rf = _frac(alpha_low), _frac(alpha_high), _frac(r)
     m = low_queues_per_port
     n_low = n_low_ports * m
-    gamma_low = Fraction(1, m)
+    gamma_low, g_new = Fraction(1, m), _frac(new_gamma)
     # queues sharing a port carry distinct class ids (one queue per
     # (port, class) pair)
-    old = [
-        OldQueue(
-            QueueId(100 + i // m, _LOW_CLASS + i % m),
-            omega=a_low * Fraction(1, n_low) * gamma_low if scheme == "fb" else a_low,
-            gamma=gamma_low,
-        )
-        for i in range(n_low)
-    ]
-    beta_new = Fraction(1, n_new) if scheme == "fb" else Fraction(1)
-    g_new = _frac(new_gamma)
-    new = [
-        NewQueue(
-            QueueId(i, _HIGH_CLASS),
-            omega=a_high * beta_new * g_new if scheme == "fb" else a_high,
-            gamma=g_new,
-            beta=beta_new,
-        )
-        for i in range(n_new)
-    ]
-    return TransientScenario(int(buffer_size), tuple(old), tuple(new), rf)
+    low = [QueueId(100 + i // m, _LOW_CLASS + i % m) for i in range(n_low)]
+    high = [QueueId(i, _HIGH_CLASS) for i in range(n_new)]
+    layout = {**dict.fromkeys(low, (0, gamma_low)), **dict.fromkeys(high, (1, g_new))}
+    factor = fb_factors(layout) if scheme == "fb" else dict.fromkeys(layout, Fraction(1))
+    return TransientScenario(
+        int(buffer_size),
+        tuple(OldQueue(q, omega=a_low * factor[q], gamma=gamma_low) for q in low),
+        tuple(NewQueue(q, omega=a_high * factor[q], gamma=g_new, factor=factor[q]) for q in high),
+        rf,
+    )
 
 
 # ---------------------------------------------------------------------------
 # case classification and t1 closed forms
 # ---------------------------------------------------------------------------
+
+
+def _rate_bound_sums(ts: TransientScenario) -> tuple[Fraction, Fraction, Fraction]:
+    """(first, G*, W*) of the Case-1 rate bound
+    r* = first + G* * (1 + W_ne) / (W* * n_new), for a scenario with old
+    queues: first = (new gammas + G_e gammas) / n_new, and G* and W* sum the
+    gammas and omegas of G_ne, or of G_e when G_ne is empty."""
+    g_e = ts.g_e
+    first = (sum((q.gamma for q in ts.new), Fraction(0)) + sum((q.gamma for q in g_e), Fraction(0))) / len(ts.new)
+    starred = ts.g_ne or g_e
+    return first, sum((q.gamma for q in starred), Fraction(0)), sum((q.omega for q in starred), Fraction(0))
 
 
 def case_rate_bound(ts: TransientScenario) -> Value:
@@ -331,17 +336,14 @@ def case_rate_bound(ts: TransientScenario) -> Value:
         raise ValueError("scenario has no new queues, nothing transient to classify")
     if not ts.old:
         return math.inf
-    n_new = len(ts.new)
-    first = (sum((q.gamma for q in ts.new), Fraction(0)) + sum((q.gamma for q in ts.g_e), Fraction(0))) / n_new
-    starred = ts.g_ne if ts.g_ne else ts.g_e
-    g_star = sum((q.gamma for q in starred), Fraction(0))
-    w_star = sum((q.omega for q in starred), Fraction(0))
-    w_ne = ts._w_ne()
-    return first + g_star * (1 + w_ne) / (w_star * n_new)
+    first, g_star, w_star = _rate_bound_sums(ts)
+    return first + g_star * (1 + ts._w_ne()) / (w_star * len(ts.new))
 
 
 def classify_case(ts: TransientScenario) -> CaseKind:
     """Case-1 when r is at or below the tracking bound, Case-2 above.
+
+    The closed forms read the case through ``_closed_form`` only.
 
     With no old queues at all, the scenario is Case-1 by definition (the
     new queues simply fill toward their thresholds).  The aggregate bound
@@ -372,10 +374,11 @@ def _fill_rate(ts: TransientScenario, case: CaseKind) -> Fraction:
     return (fill - drain_e) / (1 + ts._w_ne())
 
 
-def _t1(ts: TransientScenario, case: CaseKind) -> dict[QueueId, Value]:
-    """Per new queue: its starting gap omega * B / (1 + W_old) over its
-    closing speed (r - gamma) + omega * Q'; +inf when that speed is <= 0.
+def _closed_form(ts: TransientScenario) -> tuple[CaseKind, Fraction, dict[QueueId, Value]]:
+    """(case, Q', {new queue: t1}): the one closed-form evaluation.
 
+    Each new queue's t1 is its starting gap omega * B / (1 + W_old) over its
+    closing speed (r - gamma) + omega * Q'; +inf when that speed is <= 0.
     That is the paper's Case-1 form
     omega*B*(1+W_ne) / ((1+W_old) * ((r-gamma)*(1+W_ne) + omega*(F - G_e_drain)))
     and its Case-2 form omega*B / ((1+W_old) * ((r-gamma) + omega*(F - NUM))),
@@ -384,18 +387,19 @@ def _t1(ts: TransientScenario, case: CaseKind) -> dict[QueueId, Value]:
     queues' total drain and NUM all old queues' drain (their congested port
     count).  At the case boundary the two agree.
     """
+    case = classify_case(ts)
     fill = _fill_rate(ts, case)
     gap = ts.buffer_size / (1 + ts._w_old_pre())
-    out: dict[QueueId, Value] = {}
+    t1: dict[QueueId, Value] = {}
     for q in ts.new:
         speed = (ts.r - q.gamma) + q.omega * fill
-        out[q.queue] = q.omega * gap / speed if speed > 0 else math.inf
-    return out
+        t1[q.queue] = q.omega * gap / speed if speed > 0 else math.inf
+    return case, fill, t1
 
 
 def first_threshold_crossing(ts: TransientScenario) -> Value:
     """Earliest t1 over the new queues, using the scenario's case."""
-    return min(_t1(ts, classify_case(ts)).values())
+    return min(_closed_form(ts)[2].values())
 
 
 def analyze_transient(ts: TransientScenario) -> AnalysisResult:
@@ -404,8 +408,7 @@ def analyze_transient(ts: TransientScenario) -> AnalysisResult:
         {**{q.queue: q.omega for q in ts.old}, **{q.queue: q.omega for q in ts.new}}
     )
     steady = steady_state(omegas, ts.buffer_size)
-    case = classify_case(ts)
-    per_queue = _t1(ts, case)
+    case, _, per_queue = _closed_form(ts)
     t1 = min(per_queue.values())
     return replace(
         steady,
@@ -494,7 +497,8 @@ class GeneralAlphaBounds:
     ``alpha_L_max_for_burst`` is the feasibility frontier as alpha_H grows
     without bound (the duration-aware alpha_L limit).
     ``alpha_H_min`` inverts t <= t1 for the scenario's case:
-    t * (r-gamma) * (1+W_old) / (B - t * (1+W_old) * Q') / (beta * gamma).
+    t * (r-gamma) * (1+W_old) / (B - t * (1+W_old) * Q') / factor, with the
+    first new queue's weight factor (omega = alpha_H * factor).
     """
 
     case: CaseKind
@@ -508,38 +512,28 @@ def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds
     """Generalized alpha bounds for an arbitrary transient scenario.
 
     On the canonical worst case (one congested low port, one new queue with
-    gamma = beta = 1, Case-2 rate) these reduce exactly to the two-priority
-    closed forms of alpha_L_for_burst / alpha_H_for_burst.
+    factor 1 and gamma 1, Case-2 rate) these reduce exactly to the
+    two-priority closed forms of alpha_L_for_burst / alpha_H_for_burst.
     """
     tf = _frac(t)
     if tf <= 0:
         raise ValueError("t must be > 0")
-    case = classify_case(ts)
-    n_new = len(ts.new)
+    case, fill, _ = _closed_form(ts)
 
-    # case-boundary alpha_L: invert the rate bound for the starred omega sum
+    # case-boundary alpha_L: solve r = r* for the starred omega sum W*, which
+    # is W_ne itself when G_ne is not empty and leaves W_ne = 0 otherwise
     if not ts.old:
         boundary: Bound = UNCONSTRAINED
     else:
-        starred = ts.g_ne if ts.g_ne else ts.g_e
-        g_star = sum((q.gamma for q in starred), Fraction(0))
-        inner = (n_new / g_star) * (
-            ts.r
-            - (
-                sum((q.gamma for q in ts.new), Fraction(0))
-                + sum((q.gamma for q in ts.g_e), Fraction(0))
-            )
-            / n_new
-        ) - (1 if ts.g_ne else 0)
+        first, g_star, _ = _rate_bound_sums(ts)
+        inner = len(ts.new) / g_star * (ts.r - first) - (1 if ts.g_ne else 0)
         boundary = 1 / inner if inner > 0 else UNCONSTRAINED
 
     w_old = ts._w_old_pre()
-    fill = _fill_rate(ts, case)
     target = ts.new[0]
-    share = target.beta * target.gamma  # omega = alpha_H * share
     denom = ts.buffer_size - tf * (1 + w_old) * fill
     alpha_h: Bound = (
-        tf * (ts.r - target.gamma) * (1 + w_old) / denom / share if denom > 0 else INFEASIBLE
+        tf * (ts.r - target.gamma) * (1 + w_old) / denom / target.factor if denom > 0 else INFEASIBLE
     )
     # the alpha_L frontier: Case-2 solves denom > 0 for W_old = alpha_L,
     # Case-1 keeps only the sign of denom
@@ -849,8 +843,8 @@ def burst_absorption_curve(
         )
         for r in rates:
             ts = TransientScenario(shape.buffer_size, shape.old, shape.new, r)
-            case = classify_case(ts)
-            t1 = min(_t1(ts, case).values())
+            case, _, per_queue = _closed_form(ts)
+            t1 = min(per_queue.values())
             points.append(
                 CurvePoint(
                     scheme=scheme,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import QueueId, TrafficClass
-from .fluid import NewQueue, OldQueue, OmegaVector, TransientScenario, _frac
+from .fluid import NewQueue, OldQueue, OmegaVector, TransientScenario, _frac, fb_factors
 from .policies import PolicyKind
 
 
@@ -60,8 +60,10 @@ def _read_text(path) -> str:
 
 def load_size_cdf(path) -> tuple[tuple[int, float], ...]:
     """Read an empirical size CDF: two columns (size, cumulative probability).
-    A malformed line is a parse error naming the file and the line."""
+    A malformed line, or a table that breaks the CDF rule, is a parse error
+    naming the file and the offending line."""
     rows: list[tuple[int, float]] = []
+    numbers: list[int] = []  # the file line of each row
     for number, line in enumerate(_read_text(path).split("\n"), 1):
         parts = line.replace(",", " ").split()
         if not parts or parts[0].startswith("#"):
@@ -70,21 +72,26 @@ def load_size_cdf(path) -> tuple[tuple[int, float], ...]:
             if len(parts) != 2:
                 raise ValueError(f"needs two columns, got {line.strip()!r}")
             rows.append((int(parts[0]), float(parts[1])))
+            numbers.append(number)
         except ValueError as exc:
             raise ScenarioParseError(f"size CDF {path} line {number}: {exc}") from None
-    return _checked_cdf(rows)
+    if fault := _cdf_fault(rows):
+        index, problem = fault
+        where = f" line {numbers[index]}" if rows else ""
+        raise ScenarioParseError(f"size CDF {path}{where}: {problem}")
+    return tuple(rows)
 
 
-def _checked_cdf(rows: Sequence[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
+def _cdf_fault(rows: Sequence[tuple[int, float]]) -> Optional[tuple[int, str]]:
     """The one rule for every size CDF, from a file or inline: sizes
     increase, cumulative probabilities do not decrease, and the table ends
-    at 1.0."""
+    at 1.0.  (index of the row that breaks it, the rule broken), or None."""
     if not rows or not abs(rows[-1][1] - 1.0) <= 1e-9:  # a NaN fails both checks
-        raise ScenarioParseError("size CDF must end at cumulative probability 1.0")
-    for (s0, p0), (s1, p1) in zip(rows, rows[1:]):
+        return len(rows) - 1, "must end at cumulative probability 1.0"
+    for index, ((s0, p0), (s1, p1)) in enumerate(zip(rows, rows[1:]), 1):
         if not (s1 > s0 and p1 >= p0):
-            raise ScenarioParseError("size CDF must be increasing")
-    return tuple(rows)
+            return index, "must be increasing"
+    return None
 
 
 @dataclass(frozen=True)
@@ -163,8 +170,8 @@ class PoissonFlows:
             raise ConfigError(f"poisson source stop {self.stop} must be after its start {self.start}")
         if isinstance(self.size_cdf, str):
             object.__setattr__(self, "size_cdf", load_size_cdf(self.size_cdf))
-        elif self.size_cdf is not None:
-            _checked_cdf(self.size_cdf)
+        elif self.size_cdf is not None and (fault := _cdf_fault(self.size_cdf)):
+            raise ScenarioParseError(f"size CDF {fault[1]}")
 
 
 SourceSpec = Union[ConstantRate, Burst, PoissonFlows]
@@ -450,6 +457,19 @@ def _dump_line(obj) -> str:
     ])
 
 
+def _queue_table(section: str, items: Mapping[str, str], parse: Callable) -> dict[QueueId, object]:
+    """A ``port:class = value`` section; two keys that name one queue (``1:0``
+    and ``01:0``) are a parse error, like a key given twice on one line."""
+    table, keys = {}, {}
+    for key, text in items.items():
+        q = _convert(QueueId.parse, key, f"[{section}]")
+        if q in keys:
+            raise ScenarioParseError(f"[{section}]: keys {keys[q]!r} and {key!r} both name queue {q}")
+        keys[q] = key
+        table[q] = _convert(parse, text, f"[{section}] {key}")
+    return table
+
+
 def loads_scenario(text: str) -> ScenarioConfig:
     parser = configparser.ConfigParser(
         delimiters=("=",), inline_comment_prefixes=("#",), interpolation=None,
@@ -487,14 +507,8 @@ def loads_scenario(text: str) -> ScenarioConfig:
             for cid, spec in sections["classes"].items()
         ),
         sources=tuple(_parse_source(key, spec) for key, spec in sections["sources"].items()),
-        initial_lengths={
-            _convert(QueueId.parse, q, "[initial]"): _convert(int, n, f"[initial] {q}")
-            for q, n in sections["initial"].items()
-        },
-        alpha_overrides={
-            _convert(QueueId.parse, q, "[alpha_overrides]"): _convert(Fraction, a, f"[alpha_overrides] {q}")
-            for q, a in sections["alpha_overrides"].items()
-        },
+        initial_lengths=_queue_table("initial", sections["initial"], int),
+        alpha_overrides=_queue_table("alpha_overrides", sections["alpha_overrides"], Fraction),
         **settings,
     )
     if alias and cfg.queue_mode != "single":
@@ -758,17 +772,25 @@ def _check_analyzable(cfg: ScenarioConfig) -> None:
         raise ConfigError("complete sharing has no thresholds to analyze")
 
 
-def _weights(cfg: ScenarioConfig, congested: Sequence[QueueId]) -> OmegaVector:
-    """omega per queue, treating exactly ``congested`` as congested: the raw
-    alphas under DT, FB's weights (gamma from the congested queues sharing
-    each port) under FB and FBA."""
-    if cfg.policy is PolicyKind.DYNAMIC_THRESHOLDS:
-        return OmegaVector.for_dt({q: cfg.alpha_of(q) for q in congested})
+def _gammas(congested: Sequence[QueueId]) -> dict[QueueId, Fraction]:
+    """Each queue's drain rate: its port's share among the congested queues."""
     per_port = Counter(q.port for q in congested)
-    return OmegaVector.for_fb({
-        q: (cfg.alpha_of(q), cfg.class_by_id(q.class_id).priority_id, Fraction(1, per_port[q.port]))
-        for q in congested
+    return {q: Fraction(1, per_port[q.port]) for q in congested}
+
+
+def _factors(cfg: ScenarioConfig, congested: Sequence[QueueId]) -> dict[QueueId, Fraction]:
+    """omega / alpha per queue, treating exactly ``congested`` as congested:
+    1 under DT, FB's beta * gamma under FB and FBA."""
+    if cfg.policy is PolicyKind.DYNAMIC_THRESHOLDS:
+        return dict.fromkeys(congested, Fraction(1))
+    return fb_factors({
+        q: (cfg.class_by_id(q.class_id).priority_id, gamma) for q, gamma in _gammas(congested).items()
     })
+
+
+def _weights(cfg: ScenarioConfig, factors: Mapping[QueueId, Fraction]) -> dict[QueueId, Fraction]:
+    """omega = alpha * factor per queue."""
+    return {q: cfg.alpha_of(q) * f for q, f in factors.items()}
 
 
 def steady_omegas(cfg: ScenarioConfig) -> OmegaVector:
@@ -778,7 +800,7 @@ def steady_omegas(cfg: ScenarioConfig) -> OmegaVector:
     congested, _ = _congested_sets(cfg)
     if not congested:
         raise ConfigError("no congested queues to analyze (no sources or initial lengths)")
-    return _weights(cfg, congested)
+    return OmegaVector(_weights(cfg, _factors(cfg, congested)))
 
 
 def transient_scenario(cfg: ScenarioConfig) -> TransientScenario:
@@ -796,10 +818,10 @@ def transient_scenario(cfg: ScenarioConfig) -> TransientScenario:
     if len(rates) != 1:
         raise ConfigError("transient analysis needs a single burst rate")
     old_ids, new_ids = _congested_sets(cfg)
-    pre = _weights(cfg, old_ids).entries
-    post = _weights(cfg, old_ids + new_ids).entries
-    port_counts = Counter(q.port for q in old_ids + new_ids)
-    prio_counts = Counter(cfg.class_by_id(q.class_id).priority_id for q in old_ids + new_ids)
+    pre = _weights(cfg, _factors(cfg, old_ids))
+    factor = _factors(cfg, old_ids + new_ids)
+    post = _weights(cfg, factor)
+    gamma = _gammas(old_ids + new_ids)
 
     fill: dict[QueueId, Fraction] = {}
     for s in cfg.sources:
@@ -811,23 +833,14 @@ def transient_scenario(cfg: ScenarioConfig) -> TransientScenario:
         OldQueue(
             queue=q,
             omega=post[q],
-            gamma=Fraction(1, port_counts[q.port]),
+            gamma=gamma[q],
             omega_before=pre[q] if pre[q] != post[q] else None,
             fill_rate=fill.get(q),
         )
         for q in old_ids
     )
     new = tuple(
-        NewQueue(
-            queue=q,
-            omega=post[q],
-            gamma=Fraction(1, port_counts[q.port]),
-            beta=(
-                Fraction(1, prio_counts[cfg.class_by_id(q.class_id).priority_id])
-                if cfg.policy is not PolicyKind.DYNAMIC_THRESHOLDS
-                else Fraction(1)
-            ),
-        )
+        NewQueue(queue=q, omega=post[q], gamma=gamma[q], factor=factor[q])
         for q in new_ids
     )
     return TransientScenario(cfg.buffer_size, old, new, bursts[0].r)

@@ -65,7 +65,9 @@ def test_parse_error_exits_2(tmp_path, capsys):
     ("rate=2 start=0", "rate=2 strat=5", "'strat'"),
     ("alpha=1 priority=0", "alpha=1 prio=0", "'prio'"),
     ("rate=2 start=0", "rate=2 start=0 start=5", "'start' given twice"),
-], ids=["section", "switch_key", "policy_key", "source_key", "class_key", "repeated_key"])
+    ("0:0 = 30", "0:0 = 30\n00:0 = 7", "'0:0' and '00:0'"),
+], ids=["section", "switch_key", "policy_key", "source_key", "class_key", "repeated_key",
+        "repeated_queue"])
 def test_input_the_format_does_not_name_exits_2_before_the_run(old, new, named, tmp_path, capsys):
     text = dumps_scenario(preset("fig2"))
     assert old in text

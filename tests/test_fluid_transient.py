@@ -34,7 +34,7 @@ from fbsim.fluid import (
     multi_priority_alpha_H,
     two_priority_incast,
 )
-from fbsim.workloads import preset, transient_scenario
+from fbsim.workloads import loads_scenario, preset, transient_scenario
 
 F = Fraction
 
@@ -261,6 +261,45 @@ class TestAlphaBoundsGeneral:
         bounds = alpha_bounds_general(ts, 2)
         # 1 / ((n/Gamma_e) * (r - (sum_new gamma + Gamma_e)/n)), no -1 term
         assert bounds.alpha_L_case_bound == F(1, 2)
+
+    @pytest.mark.parametrize("scheme", ["dt", "fb"])
+    @pytest.mark.parametrize("new_gamma", [1, F(1, 2)])
+    @pytest.mark.parametrize("shape,r,t", [
+        (dict(n_low_ports=1), 4, 3),
+        (dict(n_low_ports=3), 4, 5),
+        (dict(n_low_ports=3, n_new=2), 10, F(1, 2)),
+        (dict(n_low_ports=2, low_queues_per_port=2), 3, 2),
+    ], ids=["one_low", "case1", "two_new", "shared_low"])
+    def test_alpha_h_min_plugged_back_crosses_at_t(self, scheme, new_gamma, shape, r, t):
+        # the incast built with alpha_H = alpha_H_min first meets its
+        # threshold exactly at t, whatever the scheme and the new gamma
+        def incast(alpha_h):
+            return two_priority_incast(60, 1, alpha_h, r, scheme=scheme, new_gamma=new_gamma, **shape)
+
+        alpha_h = alpha_bounds_general(incast(2), t).alpha_H_min
+        assert isinstance(alpha_h, F)
+        assert first_threshold_crossing(incast(alpha_h)) == t
+
+    @pytest.mark.parametrize("kind", ["dt", "fb"])
+    @pytest.mark.parametrize("port,gamma", [(0, F(1, 2)), (2, 1)], ids=["shared_port", "own_port"])
+    def test_scenario_alpha_h_min_plugged_back_crosses_at_t(self, kind, port, gamma):
+        # the same through a scenario file: a burst that shares port 0 with
+        # a congested low queue drains at gamma 1/2, which under DT leaves
+        # its weight at alpha_H
+        text = (
+            "[switch]\nbuffer = 60\nports = 3\nhorizon = 20\n\n"
+            "[classes]\n0 = alpha=1 priority=0\n1 = alpha={alpha} priority=1\n\n"
+            f"[policy]\nkind = {kind}\n\n"
+            "[sources]\n0 = constant class=0 port=0 rate=2\n1 = constant class=0 port=1 rate=2\n"
+            f"2 = burst class=1 port={port} r=4 duration=8 start=2\n"
+        )
+        ts = transient_scenario(loads_scenario(text.format(alpha=2)))
+        assert ts.new[0].gamma == gamma
+        alpha_h = alpha_bounds_general(ts, 3).alpha_H_min
+        assert isinstance(alpha_h, F)
+        assert first_threshold_crossing(transient_scenario(loads_scenario(text.format(alpha=alpha_h)))) == 3
+        if (kind, port) == ("dt", 0):
+            assert alpha_h == F(3, 4)
 
 
 def check_breakpoints(ts, res):
@@ -712,14 +751,15 @@ def _paper_t1(ts, case):
 def _paper_alpha_bounds(ts, t, case):
     """(alpha_L_max_for_burst, alpha_H_min): Case-1 inverts its t1 formula
     with the (1+W_ne) factors; Case-2 inverts its own and keeps the frontier
-    B / (t*(F - NUM)) - 1."""
+    B / (t*(F - NUM)) - 1.  alpha_H is omega over the first new queue's
+    weight factor: beta * gamma under FB, 1 under DT."""
     w_old = sum((q.pre_omega for q in ts.old), F(0))
     w_ne = sum((q.omega for q in ts.old if not q.affected), F(0))
     drain_e = sum((q.gamma for q in ts.old if q.affected), F(0))
     num = sum((q.gamma for q in ts.old), F(0))
     fill = sum((ts.r - q.gamma for q in ts.new), F(0))
     target = ts.new[0]
-    share = target.beta * target.gamma
+    share = target.factor
     b = ts.buffer_size
     if case is CaseKind.CASE1:
         denom = b * (1 + w_ne) - t * (1 + w_old) * (fill - drain_e)
@@ -760,7 +800,7 @@ def _formula_scenario(rng):
         ))
     new = [
         NewQueue(QueueId(i, 1), omega=F(rng.randint(1, 16), 4),
-                 gamma=rng.choice([1, F(1, 2)]), beta=rng.choice([1, F(1, 2)]))
+                 gamma=rng.choice([1, F(1, 2)]), factor=rng.choice([1, F(1, 2)]))
         for i in range(rng.randint(1, 3))
     ]
     return TransientScenario(rng.randint(20, 200), tuple(old), tuple(new), r)

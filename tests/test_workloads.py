@@ -199,6 +199,20 @@ class TestSizeCdf:
             load_size_cdf(path)
         assert str(exc.value).startswith(f"size CDF {path} line 3: ")
 
+    @pytest.mark.parametrize("text,where,problem", [
+        ("4 0.9\n2 1.0\n", " line 2", "must be increasing"),
+        ("# size cumprob\n2 0.5\n\n2 1.0\n", " line 4", "must be increasing"),
+        ("2 0.5\n8 0.4\n16 1.0\n", " line 2", "must be increasing"),
+        ("2 0.5\n\n8 0.9\n", " line 3", "must end at cumulative probability 1.0"),
+        ("# no rows\n", "", "must end at cumulative probability 1.0"),
+    ])
+    def test_rule_violation_names_file_and_line(self, text, where, problem, tmp_path):
+        path = tmp_path / "cdf.txt"
+        path.write_text(text)
+        with pytest.raises(ScenarioParseError) as exc:
+            load_size_cdf(path)
+        assert str(exc.value) == f"size CDF {path}{where}: {problem}"
+
     def test_file_table_checked_when_built(self, tmp_path):
         path = tmp_path / "cdf.txt"
         path.write_text("4 0.9\n2 1.0\n")
@@ -362,6 +376,18 @@ class TestConfigFile:
         text = dumps_scenario(cfg)
         assert "kind = fb\n" in text
         assert loads_scenario(text.replace("kind = fb\n", "kind = fb_single\n")) == cfg
+
+    @pytest.mark.parametrize("section,first,second", [
+        ("initial", "0:0 = 30", "00:0 = 7"),
+        ("alpha_overrides", "1:1 = 3/2", "1:01 = 5"),
+    ])
+    def test_one_queue_spelled_twice_is_a_parse_error(self, section, first, second):
+        text = dumps_scenario(replace(preset("fig2"), alpha_overrides={QueueId(1, 1): F(3, 2)}))
+        assert f"\n{first}\n" in text
+        with pytest.raises(ScenarioParseError) as exc:
+            loads_scenario(text.replace(f"\n{first}\n", f"\n{first}\n{second}\n"))
+        key, other = first.split()[0], second.split()[0]
+        assert str(exc.value).startswith(f"[{section}]: keys {key!r} and {other!r} both name queue")
 
     def test_parse_error_on_garbage(self):
         with pytest.raises(ScenarioParseError):
