@@ -16,36 +16,19 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import functools
-import json
-import math
 import os
 import sys
 from dataclasses import replace
-from enum import Enum
 from fractions import Fraction
 
 from . import engine, fluid, metrics, workloads
+from .core import json_text, write_json, write_table
 from .workloads import ConfigError, ScenarioParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
-
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return float(x)
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    if isinstance(x, Enum):
-        return x.value
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
 
 
 def _number(name: str, text: str, kind=Fraction):
@@ -100,16 +83,11 @@ def _run_one(cfg: workloads.ScenarioConfig, out_dir: str, fmt: str) -> metrics.R
     engine.write_run_summary(trace, os.path.join(out_dir, "summary.json"))
     m = metrics.compute(trace, cfg)
     payload = metrics.to_jsonable(m)
-    with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if fmt == "csv":
-        with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("metric", "value"))
-            for key in sorted(payload):
-                if not isinstance(payload[key], dict):  # the nested fields live in metrics.json
-                    writer.writerow((key, payload[key]))
+    write_json(os.path.join(out_dir, "metrics.json"), payload)
+    if fmt == "csv":  # the nested fields live in metrics.json only
+        write_table(os.path.join(out_dir, "metrics.csv"), ("metric", "value"), (
+            (key, payload[key]) for key in sorted(payload) if not isinstance(payload[key], dict)
+        ))
     return m
 
 
@@ -145,18 +123,12 @@ def cmd_sweep(args) -> int:
         results = [_sweep_worker(job) for job in jobs]
     os.makedirs(args.out, exist_ok=True)
     index = os.path.join(args.out, "index.csv")
-    with open(index, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ("run", "axis", "value", "dir", "total_admitted", "total_drops",
-             "burst_admitted_fraction", "throughput_total", "occupancy_p99")
-        )
-        for i, (value, row) in enumerate(zip(args.value_texts, results)):
-            writer.writerow(
-                (i, args.axis, value, f"run_{i:03d}", row["total_admitted"],
-                 row["total_drops"], row["burst_admitted_fraction"],
-                 row["throughput_total"], row["occupancy_p99"])
-            )
+    columns = ("total_admitted", "total_drops", "burst_admitted_fraction",
+               "throughput_total", "occupancy_p99")
+    write_table(index, ("run", "axis", "value", "dir", *columns), (
+        (i, args.axis, value, f"run_{i:03d}", *(row[c] for c in columns))
+        for i, (value, row) in enumerate(zip(args.value_texts, results))
+    ))
     print(f"sweep complete: {len(configs)} runs -> {index}")
     return EXIT_OK
 
@@ -204,26 +176,19 @@ def cmd_analyze(args) -> int:
         fluid.curve_to_csv(points, os.path.join(args.out, "curve.csv"))
         payload["curve"] = os.path.join(args.out, "curve.csv")
 
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         if args.format == "json":
-            with open(os.path.join(args.out, "analysis.json"), "w") as fh:
-                fh.write(text + "\n")
+            write_json(os.path.join(args.out, "analysis.json"), payload)
         else:
-            with open(os.path.join(args.out, "analysis.csv"), "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("key", "value"))
-                flat = _jsonable(payload)
-                for key in sorted(flat):
-                    writer.writerow((key, json.dumps(flat[key])))
-    print(text)
+            write_table(os.path.join(args.out, "analysis.csv"), ("key", "value"), (
+                (key, json_text(payload[key], compact=True)) for key in sorted(payload)
+            ))
+    print(json_text(payload))
     return EXIT_OK
 
 
 def cmd_configure_alpha(args) -> int:
-    if args.buffer is None or args.r is None:
-        raise ConfigError("configure-alpha needs --buffer and --r")
     r, t = args.r, args.t
     payload: dict = {"buffer": args.buffer, "r": r}
     payload["alpha_L_zero_transient"] = fluid.alpha_L_for_zero_transient(r, args.num)
@@ -246,13 +211,13 @@ def cmd_configure_alpha(args) -> int:
                 chosen = Fraction(0)
             payload["alpha_L_used"] = chosen
             payload["alpha_H_min"] = fluid.alpha_H_for_burst(args.buffer, r, t, chosen)
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+    print(json_text(payload))
     return EXIT_OK
 
 
 def cmd_preset_list(args) -> int:
     for name in workloads.preset_names():
-        print(f"{name:14s} {workloads.PRESET_DESCRIPTIONS[name]}")
+        print(f"{name:14s} {workloads.PRESETS[name][1]}")
     return EXIT_OK
 
 

@@ -11,14 +11,19 @@ Unit conventions used throughout the package:
   exists per pair.
 
 All types in this module are immutable value objects and safe to share
-across threads.
+across threads.  The module also owns how a result is written out: the
+value-to-JSON rule ``jsonable``, the JSON text and files, and CSV tables.
 """
 
 from __future__ import annotations
 
+import csv
+import json
+import math
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class CapacityError(ValueError):
@@ -112,3 +117,45 @@ def derive_aggregates(
         congested_per_priority=n_per_priority,
         congested=frozenset(congested),
     )
+
+
+# -- result files --------------------------------------------------------------
+
+
+def jsonable(x):
+    """A value as JSON sees it: a Fraction becomes a float, +-inf becomes
+    "inf", an Enum its value, dict keys strings and tuples lists."""
+    if isinstance(x, Fraction):
+        return float(x)
+    if isinstance(x, float) and math.isinf(x):
+        return "inf"
+    if isinstance(x, Enum):
+        return x.value
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    return x
+
+
+def json_text(value, compact: bool = False) -> str:
+    """``value`` as JSON text: indented with sorted keys, or compact (one
+    line, keys in insertion order) for a table cell."""
+    if compact:
+        return json.dumps(jsonable(value))
+    return json.dumps(jsonable(value), indent=2, sort_keys=True)
+
+
+def write_json(path, value) -> None:
+    """Write ``json_text(value)`` and a trailing newline to ``path``."""
+    with open(path, "w") as fh:
+        fh.write(json_text(value) + "\n")
+
+
+def write_table(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a CSV table (the csv module's default dialect): the header row,
+    then every row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -42,7 +42,6 @@ the trace; ``write_run_summary`` writes the per-queue totals as JSON.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import struct
 from array import array
@@ -51,14 +50,14 @@ from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional
 
-from .core import QueueId
+from .core import QueueId, write_json
 from .policies import (
     SHARED_QUEUE_CLASS,
     PolicyKind,
     below_threshold,
     fb_effective_alpha,
 )
-from .workloads import ScenarioConfig, source_stream
+from .workloads import ScenarioConfig, grid_steps, source_stream
 
 #: Action codes of trace records, and their names in the CSV and ``records``.
 ADMIT, DROP, DEPART, SOURCE_CHANGE = range(4)
@@ -485,7 +484,7 @@ def run(config: ScenarioConfig) -> EventTrace:
     ticks = 0
     if state.rule is PolicyKind.FBA:
         trace.ticks.append((0.0, state.emitted))  # table in force from the start
-        ticks = int(math.floor(config.horizon / period))
+        ticks = grid_steps(config.horizon, period)
         if ticks:
             events.append((period, _TICK, 1, None))
     staleness = config.snapshot_staleness  # one pending sync, k at k * staleness
@@ -503,7 +502,7 @@ def run(config: ScenarioConfig) -> EventTrace:
     nonempty_port = state.nonempty_port
     # sample k, due at k * interval, sees every event up to 1e-12 after it
     occupancy, interval = trace.occupancy, config.sample_interval
-    steps = int(math.floor(config.horizon / interval + 1e-9))
+    steps = grid_steps(config.horizon, interval)
     sample, due = 0, 1e-12
     while events:
         time, rank, key, payload = heappop(events)
@@ -608,6 +607,4 @@ def run_summary(trace: EventTrace) -> dict:
 
 
 def write_run_summary(trace: EventTrace, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(run_summary(trace), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, run_summary(trace))

@@ -36,7 +36,6 @@ Fractions and builds the Fraction series from its breakpoints when read.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -46,7 +45,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .core import QueueId
+from .core import QueueId, jsonable, write_table
 
 Number = Union[int, float, Fraction]
 #: t1 values may be +inf (queue never meets its threshold).
@@ -297,8 +296,10 @@ def two_priority_incast(
     n_low = n_low_ports * m
     gamma_low, g_new = Fraction(1, m), _frac(new_gamma)
     # queues sharing a port carry distinct class ids (one queue per
-    # (port, class) pair)
-    low = [QueueId(100 + i // m, _LOW_CLASS + i % m) for i in range(n_low)]
+    # (port, class) pair); new queues sit on ports 0..n_new-1, low ports
+    # from 100 on, or past the new ports if there are more than 100
+    first_low = max(100, n_new)
+    low = [QueueId(first_low + i // m, _LOW_CLASS + i % m) for i in range(n_low)]
     high = [QueueId(i, _HIGH_CLASS) for i in range(n_new)]
     layout = {**dict.fromkeys(low, (0, gamma_low)), **dict.fromkeys(high, (1, g_new))}
     factor = fb_factors(layout) if scheme == "fb" else dict.fromkeys(layout, Fraction(1))
@@ -496,9 +497,10 @@ class GeneralAlphaBounds:
     '<=' -- and is Case-2 above it -- relation '>').
     ``alpha_L_max_for_burst`` is the feasibility frontier as alpha_H grows
     without bound (the duration-aware alpha_L limit).
-    ``alpha_H_min`` inverts t <= t1 for the scenario's case:
-    t * (r-gamma) * (1+W_old) / (B - t * (1+W_old) * Q') / factor, with the
-    first new queue's weight factor (omega = alpha_H * factor).
+    ``alpha_H_min`` inverts t <= t1 for the scenario's case: the largest
+    t * (r-gamma_q) * (1+W_old) / (B - t * (1+W_old) * Q') / factor_q over
+    the new queues q (omega_q = alpha_H * factor_q), so no new queue
+    crosses before t.
     """
 
     case: CaseKind
@@ -530,11 +532,10 @@ def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds
         boundary = 1 / inner if inner > 0 else UNCONSTRAINED
 
     w_old = ts._w_old_pre()
-    target = ts.new[0]
     denom = ts.buffer_size - tf * (1 + w_old) * fill
-    alpha_h: Bound = (
-        tf * (ts.r - target.gamma) * (1 + w_old) / denom / target.factor if denom > 0 else INFEASIBLE
-    )
+    alpha_h: Bound = max(
+        tf * (ts.r - q.gamma) * (1 + w_old) / denom / q.factor for q in ts.new
+    ) if denom > 0 else INFEASIBLE
     # the alpha_L frontier: Case-2 solves denom > 0 for W_old = alpha_L,
     # Case-1 keeps only the sign of denom
     if case is CaseKind.CASE1:
@@ -860,14 +861,6 @@ def burst_absorption_curve(
 
 def curve_to_csv(points: Sequence[CurvePoint], path) -> None:
     """Write curve points as CSV with the documented header row."""
-
-    def fmt(value: Value) -> str:
-        return "inf" if value == math.inf else repr(float(value))
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_COLUMNS)
-        for p in points:
-            writer.writerow(
-                [p.scheme, repr(float(p.r)), p.n_low_queues, p.case.value, fmt(p.t1), fmt(p.burst)]
-            )
+    write_table(path, CURVE_COLUMNS, (
+        jsonable([p.scheme, p.r, p.n_low_queues, p.case, p.t1, p.burst]) for p in points
+    ))

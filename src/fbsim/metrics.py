@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import QueueId
+from .core import QueueId, jsonable
 from .engine import ADMIT, DEPART, EventTrace, run_summary
 from .workloads import Burst, ScenarioConfig
 
@@ -137,22 +137,10 @@ def trailing_steady_lengths(
 
 
 def to_jsonable(metrics: RunMetrics) -> dict:
-    def conv(x):
-        if isinstance(x, float) and math.isinf(x):
-            return "inf"
-        return x
-
-    return {
-        "per_queue": metrics.per_queue,
-        "first_drop_time": {k: conv(v) for k, v in metrics.first_drop_time.items()},
-        "burst_admitted_fraction": metrics.burst_admitted_fraction,
-        "burst_drain_completion_time": conv(metrics.burst_drain_completion_time),
-        "throughput_per_port": {str(k): v for k, v in metrics.throughput_per_port.items()},
+    """The metrics.json payload: every field plus the three totals."""
+    return jsonable({
+        **vars(metrics),
         "throughput_total": metrics.throughput_total,
-        "occupancy_mean": metrics.occupancy_mean,
-        "occupancy_p99": metrics.occupancy_p99,
-        "occupancy_max": metrics.occupancy_max,
         "total_drops": metrics.total_drops,
         "total_admitted": metrics.total_admitted,
-        "partial": metrics.partial,
-    }
+    })

@@ -263,6 +263,13 @@ MAX_RUN_STEPS = 10**7
 MAX_RECORD_INT = 2**31 - 1
 
 
+def grid_steps(horizon: float, period: float) -> int:
+    """The largest k with k * period at most ``horizon`` (1e-9 of a period
+    of slack): the number of occupancy samples after time 0, and of FBA
+    ticks, in a run."""
+    return int(math.floor(horizon / period + 1e-9))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     buffer_size: int
@@ -320,7 +327,7 @@ class ScenarioConfig:
         if self.sample_interval <= 0:
             raise ConfigError("sample_interval must be > 0")
         periods = [self.sample_interval] + [self.fba_period] * (self.policy is PolicyKind.FBA)
-        if any(self.horizon / p + 1e-9 >= MAX_RUN_STEPS for p in periods if p):
+        if any(grid_steps(self.horizon, p) >= MAX_RUN_STEPS for p in periods if p):
             raise ConfigError(f"horizon implies more than {MAX_RUN_STEPS} samples or ticks")
         known = set(ids)
         for src in self.sources:
@@ -629,35 +636,33 @@ def _dt_scaling() -> ScenarioConfig:
     )
 
 
-_PRESETS = {
-    "fig2": _fig2,
-    "fig4_steady": _fig4_steady,
-    "fig4_incast": _fig4_incast,
-    "fig5_steady": _fig5_steady,
-    "fig5_incast": _fig5_incast,
-    "dt_scaling": _dt_scaling,
-}
-
-PRESET_DESCRIPTIONS = {
-    "fig2": "two-queue DT transient: settled 30-packet queue meets a persistent 2x-alpha arrival",
-    "fig4_steady": "DT steady split across four overloaded single-queue ports (20/10/10/10)",
-    "fig4_incast": "DT 5:1 incast into a buffer pre-filled by five shared-port queues",
-    "fig5_steady": "FB steady split on the fig4 layout (high queue gets 30, lows 5 each)",
-    "fig5_incast": "FB 5:1 incast on the fig4 layout (burst absorbed without drops)",
-    "dt_scaling": "base scenario for sweeping the number of low-priority queues",
+PRESETS = {  # name -> (builder, description)
+    "fig2": (_fig2,
+             "two-queue DT transient: settled 30-packet queue meets a persistent 2x-alpha arrival"),
+    "fig4_steady": (_fig4_steady,
+                    "DT steady split across four overloaded single-queue ports (20/10/10/10)"),
+    "fig4_incast": (_fig4_incast,
+                    "DT 5:1 incast into a buffer pre-filled by five shared-port queues"),
+    "fig5_steady": (_fig5_steady,
+                    "FB steady split on the fig4 layout (high queue gets 30, lows 5 each)"),
+    "fig5_incast": (_fig5_incast,
+                    "FB 5:1 incast on the fig4 layout (burst absorbed without drops)"),
+    "dt_scaling": (_dt_scaling,
+                   "base scenario for sweeping the number of low-priority queues"),
 }
 
 
 def preset(name: str) -> ScenarioConfig:
     """Named scenario presets for the worked examples."""
     try:
-        return _PRESETS[name]()
+        build, _ = PRESETS[name]
     except KeyError:
-        raise ConfigError(f"unknown preset {name!r}; known: {', '.join(sorted(_PRESETS))}")
+        raise ConfigError(f"unknown preset {name!r}; known: {', '.join(sorted(PRESETS))}")
+    return build()
 
 
 def preset_names() -> tuple[str, ...]:
-    return tuple(sorted(_PRESETS))
+    return tuple(sorted(PRESETS))
 
 
 # ---------------------------------------------------------------------------

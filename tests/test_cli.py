@@ -309,6 +309,15 @@ def test_degenerate_queue_counts_exit_3(flag, value, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_analyze_more_new_queues_than_the_first_low_port(capsys):
+    # 101 new queues take ports 0..100, so the low ports start past them
+    assert main([
+        "analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "4",
+        "--n-new", "101", "--low-per-port", "2",
+    ]) == 0
+    assert len(json.loads(capsys.readouterr().out)["t1_per_queue"]) == 101
+
+
 def test_curve_without_out_exits_3(capsys):
     assert main([
         "analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "4", "--curve",
@@ -582,6 +591,21 @@ def test_metrics_compute_reads_no_trace_record():
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert not names & {"rows", "packed"}
+
+
+def test_only_the_core_module_writes_json_and_csv():
+    # core owns how a result is spelled: jsonable, the JSON text and files,
+    # and the csv.writer tables (engine's streamed trace CSV uses no csv)
+    banned = {("json", "dump"), ("json", "dumps"), ("csv", "writer")}
+    for path in sorted((SRC / "fbsim").glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert (node.value.id, node.attr) not in banned, f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.ImportFrom) and node.module in ("json", "csv"):
+                names = {(node.module, alias.name) for alias in node.names}
+                assert not names & banned, f"{path.name}:{node.lineno}"
 
 
 def test_poisson_run_loads_only_the_standard_library(tmp_path):

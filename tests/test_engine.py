@@ -414,6 +414,20 @@ def test_fba_ticks_share_unchanged_tables(name):
     assert len({id(table) for table in tables}) == changes + 1
 
 
+@pytest.mark.parametrize("horizon", [0.3, 0.7, 2.3])
+def test_fba_ticks_and_samples_share_one_grid(horizon):
+    # tick k and sample k are both due at k * 0.1, and here the horizon over
+    # the period falls a rounding error short of a whole number
+    base = preset("fig5_steady")
+    cfg = replace(base, policy=PolicyKind.FBA, fba_period=0.1, sample_interval=0.1,
+                  horizon=horizon, sources=tuple(s for s in base.sources if s.start < horizon))
+    cfg.validate()
+    trace = run(cfg)
+    grid = [k * 0.1 for k in range(round(horizon / 0.1) + 1)]
+    assert [t for t, _ in trace.ticks] == grid
+    assert len(trace.occupancy) == len(grid)
+
+
 def test_fba_period_beyond_horizon_keeps_initial_table():
     cfg = replace(preset("fig5_steady"), policy=PolicyKind.FBA, fba_period=1000.0)
     trace = run(cfg)

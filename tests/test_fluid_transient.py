@@ -301,6 +301,24 @@ class TestAlphaBoundsGeneral:
         if (kind, port) == ("dt", 0):
             assert alpha_h == F(3, 4)
 
+    def test_alpha_h_min_bounds_every_new_queue(self):
+        # two DT bursts, the first on its own port (gamma 1, bound 9/5) and
+        # the second sharing port 0 with a low queue (gamma 1/2, bound
+        # 21/10): the larger bound keeps both from crossing before t = 3
+        text = (
+            "[switch]\nbuffer = 60\nports = 3\nhorizon = 20\n\n"
+            "[classes]\n0 = alpha=1 priority=0\n1 = alpha={alpha} priority=1\n\n"
+            "[policy]\nkind = dt\n\n"
+            "[sources]\n0 = constant class=0 port=0 rate=2\n1 = constant class=0 port=1 rate=2\n"
+            "2 = burst class=1 port=2 r=4 duration=8 start=2\n"
+            "3 = burst class=1 port=0 r=4 duration=8 start=2\n"
+        )
+        ts = transient_scenario(loads_scenario(text.format(alpha=2)))
+        assert [q.gamma for q in ts.new] == [1, F(1, 2)]
+        alpha_h = alpha_bounds_general(ts, 3).alpha_H_min
+        assert alpha_h == F(21, 10)
+        assert first_threshold_crossing(transient_scenario(loads_scenario(text.format(alpha=alpha_h)))) == 3
+
 
 def check_breakpoints(ts, res):
     """The recorded breakpoints are consistent: every threshold is
@@ -751,21 +769,21 @@ def _paper_t1(ts, case):
 def _paper_alpha_bounds(ts, t, case):
     """(alpha_L_max_for_burst, alpha_H_min): Case-1 inverts its t1 formula
     with the (1+W_ne) factors; Case-2 inverts its own and keeps the frontier
-    B / (t*(F - NUM)) - 1.  alpha_H is omega over the first new queue's
-    weight factor: beta * gamma under FB, 1 under DT."""
+    B / (t*(F - NUM)) - 1.  alpha_H is the largest over the new queues of
+    the queue's omega bound over its weight factor (beta * gamma under FB,
+    1 under DT), so that no new queue crosses before t."""
     w_old = sum((q.pre_omega for q in ts.old), F(0))
     w_ne = sum((q.omega for q in ts.old if not q.affected), F(0))
     drain_e = sum((q.gamma for q in ts.old if q.affected), F(0))
     num = sum((q.gamma for q in ts.old), F(0))
     fill = sum((ts.r - q.gamma for q in ts.new), F(0))
-    target = ts.new[0]
-    share = target.factor
     b = ts.buffer_size
     if case is CaseKind.CASE1:
         denom = b * (1 + w_ne) - t * (1 + w_old) * (fill - drain_e)
         if denom <= 0:
             return INFEASIBLE, INFEASIBLE
-        return UNCONSTRAINED, t * (ts.r - target.gamma) * (1 + w_old) * (1 + w_ne) / denom / share
+        return UNCONSTRAINED, max(
+            t * (ts.r - q.gamma) * (1 + w_old) * (1 + w_ne) / denom / q.factor for q in ts.new)
     drift = fill - num
     if drift <= 0:
         frontier = UNCONSTRAINED
@@ -775,7 +793,7 @@ def _paper_alpha_bounds(ts, t, case):
     denom = b - t * (1 + w_old) * drift
     if denom <= 0:
         return frontier, INFEASIBLE
-    return frontier, t * (ts.r - target.gamma) * (1 + w_old) / denom / share
+    return frontier, max(t * (ts.r - q.gamma) * (1 + w_old) / denom / q.factor for q in ts.new)
 
 
 def _formula_scenario(rng):
