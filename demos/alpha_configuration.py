@@ -11,7 +11,7 @@ both makes the burst provably loss-free in the worst buffer state.
 from fractions import Fraction
 
 from fbsim import compute, run
-from fbsim.core import QueueId, TrafficClass
+from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.fluid import (
     alpha_H_for_burst,
     alpha_L_for_burst,
@@ -19,7 +19,6 @@ from fbsim.fluid import (
     first_threshold_crossing,
     two_priority_incast,
 )
-from fbsim.policies import PolicyKind
 from fbsim.workloads import Burst, ConstantRate, ScenarioConfig
 
 B, r, t = 2000, Fraction(4), Fraction(150)

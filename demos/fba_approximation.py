@@ -16,8 +16,7 @@ them bloat before the burst lands.
 from dataclasses import replace
 from fractions import Fraction
 
-from fbsim import compute, preset, run
-from fbsim.policies import PolicyKind
+from fbsim import PolicyKind, compute, preset, run
 from fbsim.workloads import ConstantRate
 
 base = preset("fig5_incast")

@@ -1,15 +1,16 @@
 """Shared-buffer switch simulator and fluid-model analyzer.
 
 A packet-level discrete-event simulator of one shared-memory switch under
-pluggable admission policies (Complete Sharing, Dynamic Thresholds, FB and
-its DT-based approximation FBA), plus exact closed-form steady-state and
-transient analysis of the same policies with an independent exact
-event-driven fluid solver for cross-validation.
+pluggable admission policies (``PolicyKind``: Complete Sharing, Dynamic
+Thresholds, FB and its DT-based approximation FBA), plus exact closed-form
+steady-state and transient analysis of the same policies with an
+independent exact event-driven fluid solver for cross-validation.
 """
 
 from .core import (
     BufferSnapshot,
     CapacityError,
+    PolicyKind,
     QueueId,
     TrafficClass,
     derive_aggregates,
@@ -40,7 +41,6 @@ from .fluid import (
     two_priority_incast,
 )
 from .metrics import RunMetrics, compute
-from .policies import PolicyKind
 from .workloads import (
     Burst,
     ConstantRate,

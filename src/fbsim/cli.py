@@ -231,18 +231,22 @@ def build_parser() -> argparse.ArgumentParser:
     def add_scenario_args(p):
         p.add_argument("--scenario", help="scenario file path")
         p.add_argument("--preset", help="preset name (see preset-list)")
+
+    def add_run_overrides(p):  # read by the simulator only, not by analyze
         p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument("--fba-period", dest="fba_period", type=float,
                        help="override the FBA controller period")
 
     p_run = sub.add_parser("run", help="simulate one scenario")
     add_scenario_args(p_run)
+    add_run_overrides(p_run)
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--format", choices=("csv", "json"), default="json")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a scenario family along one axis")
     add_scenario_args(p_sweep)
+    add_run_overrides(p_sweep)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--axis", required=True, choices=workloads.SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")

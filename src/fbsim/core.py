@@ -10,9 +10,11 @@ Unit conventions used throughout the package:
 - A queue is identified by the pair (port, traffic class); at most one queue
   exists per pair.
 
-All types in this module are immutable value objects and safe to share
-across threads.  The module also owns how a result is written out: the
-value-to-JSON rule ``jsonable``, the JSON text and files, and CSV tables.
+All types in this module, ``PolicyKind`` (the four admission policies a
+scenario can name; their rules live in ``fbsim.engine``) among them, are
+immutable value objects and safe to share across threads.  The module
+also owns how a result is written out: the value-to-JSON rule
+``jsonable``, the JSON text and files, and CSV tables.
 """
 
 from __future__ import annotations
@@ -28,6 +30,15 @@ from typing import Iterable, Mapping, Sequence
 
 class CapacityError(ValueError):
     """Total queued packets exceed the buffer capacity."""
+
+
+class PolicyKind(Enum):
+    """An admission policy, by its scenario-file name."""
+
+    COMPLETE_SHARING = "cs"
+    DYNAMIC_THRESHOLDS = "dt"
+    FB = "fb"
+    FBA = "fba"
 
 
 @dataclass(frozen=True)

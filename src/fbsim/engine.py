@@ -13,16 +13,25 @@ in the config) and other events by sequence number, so identical
 configurations always produce bit-identical traces.
 
 ``SwitchState`` resolves each run's admission rule once, and ``queue_mode``
-only shapes the queue layout.  ``cs`` admits while the buffer has room;
-every other rule admits below ``alphas[port, class] * (B - Q)`` from the
-run's one alpha table.  ``dt`` reads the configured alphas.  ``fb`` (in
-either mode) reads FB's factors ``alpha * (1/N_p) * gamma``, refreshed
-before a decision after any congestion-threshold crossing (they depend on
-nothing else), and ``fba`` the same table refreshed at its controller
-ticks.  So ``fba`` at ``fba_period = 0`` is ``fb`` by construction, and in
-single-queue mode it is ``dt`` (one shared queue cannot carry per-class DT
-alphas, so no controller runs).  Under ``snapshot_staleness = s``
-admission and ticks see the state just before the last k * s.
+only shapes the queue layout.  ``cs`` (Complete Sharing) admits while the
+buffer has room; every other rule admits below ``alphas[port, class] *
+(B - Q)`` from the run's one alpha table.  Thresholds are real-valued and
+queue lengths integers, and the comparison is strict in double precision
+with a ``THRESHOLD_EPS`` = 1e-9 tolerance: a length within 1e-9 of its
+threshold is *not* below it.  ``dt`` (Dynamic Thresholds) reads the
+configured alphas.  ``fb`` (in either mode; scenario files may also say
+``fb_single``) reads FB's factors ``alpha * (1/N_p) * gamma``: N_p counts
+the congested queues of the class's priority and gamma is 1 over the
+congested queues on the port, both counting the target queue, so a
+priority group cannot monopolize the buffer and slow-draining queues get
+less of it.  The table is refreshed before a decision after any
+congestion-threshold crossing (it depends on nothing else).  ``fba`` runs
+FB on DT-only hardware: a controller re-emits FB's factors as DT alphas,
+so it reads the same table refreshed at its ticks.  So ``fba`` at
+``fba_period = 0`` is ``fb`` by construction, and in single-queue mode it
+is ``dt`` (one shared queue cannot carry per-class DT alphas, so no
+controller runs).  Under ``snapshot_staleness = s`` admission and ticks
+see the state just before the last k * s.
 
 The trace records every admit/drop/departure with the threshold used and
 the packet's source, plus controller ticks and periodic occupancy samples.
@@ -50,14 +59,14 @@ from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional
 
-from .core import QueueId, write_json
-from .policies import (
-    SHARED_QUEUE_CLASS,
-    PolicyKind,
-    below_threshold,
-    fb_effective_alpha,
-)
+from .core import PolicyKind, QueueId, write_json
 from .workloads import ScenarioConfig, grid_steps, source_stream
+
+#: Tolerance of the strict "length below threshold" comparison.
+THRESHOLD_EPS = 1e-9
+
+#: Pseudo class id of the shared per-port queue in single-queue mode.
+SHARED_QUEUE_CLASS = -1
 
 #: Action codes of trace records, and their names in the CSV and ``records``.
 ADMIT, DROP, DEPART, SOURCE_CHANGE = range(4)
@@ -362,12 +371,12 @@ class SwitchState:
         thr, q_prio, slot_alpha = self.cong_thr, self.q_prio, self.slot_alpha
         table = {}
         for (port, class_id), qi in self.slot.items():
+            # both counts include the slot's own queue, so n_p >= 1 and
+            # gamma lies in (0, 1]
             joins = 0 if lengths[qi] > thr else 1
-            table[port, class_id] = fb_effective_alpha(
-                slot_alpha[port, class_id],
-                cong_prio[q_prio[qi]] + joins,
-                1.0 / (active_port[port] + joins),
-            )
+            n_p = cong_prio[q_prio[qi]] + joins
+            gamma = 1.0 / (active_port[port] + joins)
+            table[port, class_id] = slot_alpha[port, class_id] * (1.0 / n_p) * gamma
         changed = table != self.alphas
         self.alphas = table
         return changed
@@ -401,7 +410,7 @@ def enqueue_arrival(
         if rule is _FB and changes != state.built_at:
             state.refresh(state.view())
         threshold = state.alphas[port, class_id] * (state.buffer_size - total_v)
-        admit = below_threshold(length, threshold)
+        admit = threshold - length > THRESHOLD_EPS
     admit = admit and state.total < state.buffer_size
 
     if admit:
@@ -542,7 +551,13 @@ def run(config: ScenarioConfig) -> EventTrace:
             trace.packed += _pack(time, 0.0, port, class_id, SOURCE_CHANGE,
                                   state.lengths[qi], state.total, source_id)
 
+    # the grid allows 1e-9 of a period past the horizon, beyond ``end``: the
+    # samples and ticks still due there see the final state (``ticks`` holds
+    # tick 0 and each tick fired so far)
     occupancy.extend(repeat(state.total, steps + 1 - sample))
+    if state.rule is PolicyKind.FBA:
+        for k in range(len(trace.ticks), ticks + 1):
+            controller_tick(state, k * period, trace)
     trace.final_lengths = dict(zip(queues, state.lengths))
     trace.first_drop = dict(zip(queues, state.first_drop))
     trace.occupancy_peak = state.peak

@@ -24,9 +24,8 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .core import QueueId, TrafficClass
+from .core import PolicyKind, QueueId, TrafficClass
 from .fluid import NewQueue, OldQueue, OmegaVector, TransientScenario, _frac, fb_factors
-from .policies import PolicyKind
 
 
 class ConfigError(ValueError):
@@ -688,6 +687,8 @@ def sweep(base: ScenarioConfig, axis: str, values: Iterable) -> list[ScenarioCon
             v = _frac(value)
             if v <= 0:
                 raise ConfigError("load multiplier must be > 0")
+            if not any(isinstance(s, ConstantRate) for s in base.sources):
+                raise ConfigError("load axis needs at least one constant-rate source")
             sources = tuple(
                 replace(s, rate=s.rate * v) if isinstance(s, ConstantRate) else s
                 for s in base.sources

@@ -11,7 +11,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from fbsim.core import QueueId, TrafficClass
+from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.engine import run
 from fbsim.fluid import (
     CaseKind,
@@ -30,7 +30,6 @@ from fbsim.fluid import (
     two_priority_incast,
 )
 from fbsim.metrics import compute, trailing_steady_lengths
-from fbsim.policies import PolicyKind
 from fbsim.workloads import (
     Burst,
     ConstantRate,

@@ -240,6 +240,16 @@ def test_main_reuses_its_parser_across_calls(monkeypatch, capsys):
     assert [fresh_process(argv)[0] for argv in calls[1::2]] == [2, 2]
 
 
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--fba-period", "1.0"]])
+def test_analyze_takes_no_run_overrides(flag, capsys):
+    # neither the fluid bridges nor the closed forms read a seed or an FBA
+    # period, so analyze rejects both flags as argparse errors
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--preset", "fig5_incast", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_closed_stdout_ends_quietly():
     # the reader closes the pipe after one line while the CLI still has
     # some 200 kB to write: no traceback, exit code 1
@@ -606,6 +616,16 @@ def test_only_the_core_module_writes_json_and_csv():
             elif isinstance(node, ast.ImportFrom) and node.module in ("json", "csv"):
                 names = {(node.module, alias.name) for alias in node.names}
                 assert not names & banned, f"{path.name}:{node.lineno}"
+
+
+def test_library_layout_names_exactly_the_modules():
+    # README's module table lists every module of the package and no other,
+    # so a retired module cannot linger in the docs
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## Library layout\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `fbsim\.(\w+)` \|", table, re.MULTILINE)
+    modules = sorted(p.stem for p in (SRC / "fbsim").glob("*.py") if p.name != "__init__.py")
+    assert len(listed) == len(set(listed)) and sorted(listed) == modules
 
 
 def test_poisson_run_loads_only_the_standard_library(tmp_path):

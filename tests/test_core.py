@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from fbsim.core import (
     CapacityError,
+    PolicyKind,
     QueueId,
     TrafficClass,
     derive_aggregates,
 )
-from fbsim.policies import PolicyKind
 from fbsim.workloads import ConfigError, ScenarioConfig
 
 LOW, HIGH = 0, 1

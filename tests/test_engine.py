@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fbsim import engine
-from fbsim.core import QueueId, TrafficClass, derive_aggregates
+from fbsim.core import PolicyKind, QueueId, TrafficClass, derive_aggregates
 from fbsim.engine import (
     EXPORT_CHUNK_ROWS,
     RECORD,
@@ -27,7 +27,6 @@ from fbsim.engine import (
     write_samples_csv,
     write_trace_csv,
 )
-from fbsim.policies import PolicyKind, fb_effective_alpha
 from fbsim.workloads import (
     MAX_RECORD_INT,
     Burst,
@@ -162,15 +161,17 @@ def test_single_queue_mode_applies_class_thresholds_to_shared_queue():
 
 
 def _oracle_alpha(cfg, snap, queue, class_id):
-    """FB's effective alpha for a packet of ``class_id`` arriving at ``queue``,
-    from a snapshot, counting the arriving queue as congested."""
+    """FB's effective alpha ``alpha * (1/N_p) * gamma`` for a packet of
+    ``class_id`` arriving at ``queue``, from a snapshot, counting the
+    arriving queue as congested; evaluated left to right in floats, as the
+    paper writes it, so a threshold compares bitwise."""
     alpha = float(cfg.alpha_of(QueueId(queue.port, class_id)))
     joins = 0 if queue in snap.congested else 1
-    if cfg.queue_mode == "single":
-        return fb_effective_alpha(alpha, len(snap.congested) + joins, 1.0)
+    if cfg.queue_mode == "single":  # one priority group, gamma = 1
+        return alpha * (1.0 / (len(snap.congested) + joins)) * 1.0
     n_p = snap.congested_per_priority[cfg.class_by_id(class_id).priority_id] + joins
     port_active = sum(1 for q in snap.congested if q.port == queue.port)
-    return fb_effective_alpha(alpha, n_p, 1.0 / (port_active + joins))
+    return alpha * (1.0 / n_p) * (1.0 / (port_active + joins))
 
 
 def _oracle_threshold(cfg, snap, queue, class_id, fba_table):
@@ -428,6 +429,18 @@ def test_fba_ticks_and_samples_share_one_grid(horizon):
     assert len(trace.occupancy) == len(grid)
 
 
+@pytest.mark.parametrize("horizon", [2.99999999999, 2.9999999995])
+def test_fba_fires_every_tick_the_grid_counts(horizon):
+    # the grid counts k = 3 within 1e-9 of a period, past the event loop's
+    # horizon + 1e-12: tick 3 fires on the final state, as sample 3 is taken
+    cfg = replace(preset("fig5_steady"), policy=PolicyKind.FBA, fba_period=1.0,
+                  sample_interval=1.0, horizon=horizon)
+    trace = run(cfg)
+    assert [t for t, _ in trace.ticks] == [0.0, 1.0, 2.0, 3.0]
+    assert len(trace.occupancy) == 4
+    assert _replay(cfg, trace)["tick"] == 4
+
+
 def test_fba_period_beyond_horizon_keeps_initial_table():
     cfg = replace(preset("fig5_steady"), policy=PolicyKind.FBA, fba_period=1000.0)
     trace = run(cfg)
@@ -577,13 +590,16 @@ def test_fb_refreshes_its_table_only_after_a_congestion_change(monkeypatch):
     # FB's factors depend only on which queues are congested, so the table
     # is rebuilt (one factor per slot) at most once per threshold crossing
     calls = 0
+    refresh = SwitchState.refresh
 
-    def counting(*args):
+    def counting(self, view):
         nonlocal calls
-        calls += 1
-        return fb_effective_alpha(*args)
+        built_at = self.built_at
+        changed = refresh(self, view)
+        calls += len(self.slot) * (self.built_at != built_at)  # factors computed
+        return changed
 
-    monkeypatch.setattr(engine, "fb_effective_alpha", counting)
+    monkeypatch.setattr(SwitchState, "refresh", counting)
     cfg = replace(preset("fig5_steady"), policy=PolicyKind.FB)
     trace = run(cfg)
     thr = cfg.congestion_threshold

@@ -9,12 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fbsim.core import QueueId, TrafficClass
+from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.engine import ADMIT, DEPART, DROP, SOURCE_CHANGE, run, run_summary
 from fbsim.metrics import (
     RunMetrics, _nearest_rank, compute, trailing_steady_lengths,
 )
-from fbsim.policies import PolicyKind
 from fbsim.workloads import (
     Burst, ConstantRate, ScenarioConfig, load_scenario, preset, preset_names,
 )

@@ -12,9 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fbsim.core import QueueId, TrafficClass
+from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.engine import EventTrace, SwitchState, controller_tick, enqueue_arrival
-from fbsim.policies import PolicyKind, below_threshold, fb_effective_alpha
 from fbsim.workloads import ConstantRate, ScenarioConfig
 
 LOW, HIGH = 0, 1
@@ -96,18 +95,24 @@ class TestFbThreshold:
     def test_empty_buffer_reduces_to_alpha_b(self):
         assert threshold(FB, {}, 0, 0) == 60
 
+    def test_factor_is_evaluated_left_to_right(self):
+        # alpha 1/3, N_p = 3 low queues, 5 congested queues on port 0: here
+        # ``alpha * (1/N_p) * gamma`` and ``alpha * gamma * (1/N_p)`` differ
+        # in the last bit, and the engine's thresholds are the former's
+        lengths = {QueueId(0, c): 2 for c in range(5)} | {QueueId(1, 0): 2, QueueId(2, 0): 2}
+        switch = state(FB, lengths, alphas={0: Fraction(1, 3), 2: 1, 3: 1, 4: 1},
+                       priorities={2: HIGH, 3: HIGH, 4: HIGH})
+        alpha, remaining = 1 / 3, 60 - 14
+        expected = alpha * (1.0 / 3) * (1.0 / 5) * remaining
+        assert expected != alpha * (1.0 / 5) * (1.0 / 3) * remaining
+        assert decide(switch, 0, 0)[1] == expected
+
     def test_degenerates_to_dt_for_lone_full_rate_queue(self):
         lengths = {QueueId(0, 0): 23, QueueId(1, 1): 9}
         for alpha in (Fraction(1, 2), 1, 2, 20):
             assert threshold(FB, lengths, 0, 0, alphas={0: alpha}) == threshold(
                 DT, lengths, 0, 0, alphas={0: alpha}
             )
-
-    def test_counts_must_include_target(self):
-        with pytest.raises(ValueError):
-            fb_effective_alpha(1.0, 0, 1.0)
-        with pytest.raises(ValueError):
-            fb_effective_alpha(1.0, 1, 0.0)
 
 
 class TestFbSingleQueue:
@@ -215,9 +220,16 @@ class TestFba:
 
 
 def test_threshold_comparison_is_strict_with_tolerance():
-    assert not below_threshold(30, 30.0)
-    assert not below_threshold(30, 30.0 + 1e-10)  # within the tolerance
-    assert below_threshold(29, 30.0)
+    # a DT threshold ``gap`` above a 30-packet queue, alpha (1 + gap/30) on
+    # B - Q = 30: a length within 1e-9 of it is not below, so the packet drops
+    for gap, admits in ((Fraction(3, 10**11), False),  # alpha 1 + 1e-12
+                        (Fraction(5, 10**10), False),
+                        (Fraction(2, 10**9), True),
+                        (Fraction(1, 10**6), True)):
+        switch = state(DT, {QueueId(0, 0): 30}, alphas={0: 1 + gap / 30})
+        admitted, thr, _ = decide(switch, 0, 0)
+        assert thr - 30 == pytest.approx(float(gap), rel=1e-3)
+        assert admitted is admits, gap
     # pinned exactly at threshold: 30 < 1 * (60 - 30) is false
     assert not decide(state(DT, {QueueId(0, 0): 30}), 0, 0)[0]
     # one packet below: 29 < 1 * (60 - 30) admits

@@ -10,10 +10,9 @@ from itertools import islice, repeat
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fbsim.core import QueueId, TrafficClass
+from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.engine import run
 from fbsim.fluid import CaseKind, classify_case, first_threshold_crossing
-from fbsim.policies import PolicyKind
 from fbsim.workloads import (
     DEFAULT_SIZE_CDF,
     MAX_RECORD_INT,
@@ -283,6 +282,10 @@ class TestSweep:
     def test_incompatible_axis(self):
         with pytest.raises(ConfigError):
             sweep(preset("fig4_steady"), "r", [2])
+        poisson_only = replace(preset("fig2"), sources=(
+            PoissonFlows(class_id=0, port=0, mean_interarrival=F(2)),))
+        with pytest.raises(ConfigError, match="load axis needs at least one constant-rate"):
+            sweep(poisson_only, "load", [2])
         with pytest.raises(ConfigError):
             sweep(preset("fig2"), "bogus", [1])
 
