@@ -1,5 +1,5 @@
-"""Smoke test: every narrative demo runs to completion; the incast story's
-output is pinned exactly."""
+"""Smoke test: every narrative demo runs to completion; the incast and
+steady-state stories' outputs are pinned exactly."""
 
 import os
 import subprocess
@@ -49,3 +49,26 @@ threshold race for the DT case, from the exact fluid solver:
 
 def test_incast_burst_stdout_is_pinned():
     assert _run_demo(ROOT / "demos" / "incast_burst.py") == INCAST_STDOUT
+
+
+STEADY_STATE_STDOUT = """\
+closed form, one high (alpha=2) + three lows (alpha=1), B=60
+  DT: occupancy 50, remaining 10, high queue 20, lows aggregate 30
+  FB: occupancy 45, remaining 15, high queue 30, lows aggregate 15
+
+the same split, grown packet by packet in the simulator
+  DT: pinned lengths high=20 lows=[11, 11, 11] remaining=10
+  FB: pinned lengths high=30 lows=[6, 6, 6] remaining=15
+
+how the DT high-queue share decays as low queues multiply (FB's stays put):
+   1 low queues: DT high share 30.00   FB high share 30
+   2 low queues: DT high share 24.00   FB high share 30
+   4 low queues: DT high share 17.14   FB high share 30
+   8 low queues: DT high share 10.91   FB high share 30
+  16 low queues: DT high share  6.32   FB high share 30
+  32 low queues: DT high share  3.43   FB high share 30
+"""
+
+
+def test_steady_state_story_stdout_is_pinned():
+    assert _run_demo(ROOT / "demos" / "steady_state_story.py") == STEADY_STATE_STDOUT
