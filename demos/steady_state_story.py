@@ -8,8 +8,9 @@ FB divides each group's claim by its congested-queue count, so the high
 queue keeps a guaranteed share no matter how many low queues pile in.
 """
 
-from fbsim import OmegaVector, preset, run, steady_state
+from fbsim import preset, run, steady_omegas, steady_state
 from fbsim.core import QueueId
+from fbsim.fluid import fb_factors
 from fbsim.metrics import trailing_steady_lengths
 
 HIGH_Q = QueueId(0, 1)
@@ -25,10 +26,8 @@ def show(label, result):
 
 
 print("closed form, one high (alpha=2) + three lows (alpha=1), B=60")
-show("DT", steady_state(
-    OmegaVector.for_dt({HIGH_Q: 2, **{q: 1 for q in LOW_QS}}), 60))
-show("FB", steady_state(
-    OmegaVector.for_fb({HIGH_Q: (2, 1, 1), **{q: (1, 0, 1) for q in LOW_QS}}), 60))
+show("DT", steady_state(steady_omegas(preset("fig4_steady")), 60))
+show("FB", steady_state(steady_omegas(preset("fig5_steady")), 60))
 
 print("\nthe same split, grown packet by packet in the simulator")
 for name, label in (("fig4_steady", "DT"), ("fig5_steady", "FB")):
@@ -41,12 +40,9 @@ for name, label in (("fig4_steady", "DT"), ("fig5_steady", "FB")):
 print("\nhow the DT high-queue share decays as low queues multiply "
       "(FB's stays put):")
 for n in (1, 2, 4, 8, 16, 32):
-    dt = steady_state(
-        OmegaVector.for_dt({HIGH_Q: 2, **{QueueId(1 + k, 0): 1 for k in range(n)}}), 60
-    ).steady_thresholds[HIGH_Q]
-    fb = steady_state(
-        OmegaVector.for_fb(
-            {HIGH_Q: (2, 1, 1), **{QueueId(1 + k, 0): (1, 0, 1) for k in range(n)}}
-        ), 60
-    ).steady_thresholds[HIGH_Q]
+    lows = [QueueId(1 + k, 0) for k in range(n)]
+    alphas = {HIGH_Q: 2, **dict.fromkeys(lows, 1)}  # DT's weights are the alphas
+    factors = fb_factors({HIGH_Q: (1, 1), **dict.fromkeys(lows, (0, 1))})  # (priority, gamma)
+    dt = steady_state(alphas, 60).steady_thresholds[HIGH_Q]
+    fb = steady_state({q: alphas[q] * factors[q] for q in alphas}, 60).steady_thresholds[HIGH_Q]
     print(f"  {n:2d} low queues: DT high share {float(dt):5.2f}   FB high share {float(fb):.0f}")

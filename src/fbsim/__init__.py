@@ -7,14 +7,7 @@ steady-state and transient analysis of the same policies with an
 independent exact event-driven fluid solver for cross-validation.
 """
 
-from .core import (
-    BufferSnapshot,
-    CapacityError,
-    PolicyKind,
-    QueueId,
-    TrafficClass,
-    derive_aggregates,
-)
+from .core import PolicyKind, QueueId, TrafficClass
 from .engine import EventTrace, SwitchState, run
 from .fluid import (
     INFEASIBLE,
@@ -23,7 +16,6 @@ from .fluid import (
     CaseKind,
     NewQueue,
     OldQueue,
-    OmegaVector,
     TransientScenario,
     alpha_H_for_burst,
     alpha_L_for_burst,
@@ -33,10 +25,8 @@ from .fluid import (
     burst_absorption_curve,
     classify_case,
     first_threshold_crossing,
-    integrate_first_crossing,
     integrate_transient,
     multi_priority_alpha_H,
-    occupancy_bound,
     steady_state,
     two_priority_incast,
 )

@@ -146,12 +146,16 @@ def _inline_transient(args) -> fluid.TransientScenario:
 
 def cmd_analyze(args) -> int:
     if args.scenario or args.preset:
+        if args.r is not None:
+            raise ConfigError("--r is the inline burst rate; a scenario's bursts set their own")
         cfg = _load_config(args)
         cfg.validate()
         has_burst = any(isinstance(s, workloads.Burst) for s in cfg.sources)
         if has_burst:
             ts = workloads.transient_scenario(cfg)
             result = fluid.analyze_transient(ts)
+        elif args.t is not None:
+            raise ConfigError("--t bounds the alphas for a burst; the scenario has none")
         else:
             ts = None
             result = fluid.steady_state(workloads.steady_omegas(cfg), cfg.buffer_size)

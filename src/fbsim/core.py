@@ -22,14 +22,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-
-class CapacityError(ValueError):
-    """Total queued packets exceed the buffer capacity."""
+from typing import Iterable, Sequence
 
 
 class PolicyKind(Enum):
@@ -69,65 +65,6 @@ class QueueId:
     def parse(text: str) -> "QueueId":
         port, _, cls = text.partition(":")
         return QueueId(int(port), int(cls))
-
-
-@dataclass(frozen=True)
-class BufferSnapshot:
-    """Instantaneous buffer state plus the aggregates the policies consume.
-
-    ``occupancy`` is the total queued packets Q(t), ``remaining`` is
-    B - Q(t).  ``congested_per_priority`` maps priority id -> N_p(t), the
-    count of queues of that priority deemed congested under
-    ``congestion_threshold`` (a queue is congested when its length exceeds
-    the threshold; the default threshold 0 means "non-empty").
-    """
-
-    buffer_size: int
-    congestion_threshold: int
-    lengths: Mapping[QueueId, int]
-    occupancy: int
-    remaining: int
-    congested_per_priority: Mapping[int, int]
-    congested: frozenset[QueueId] = field(default_factory=frozenset)
-
-
-def derive_aggregates(
-    lengths: Mapping[QueueId, int],
-    class_priorities: Mapping[int, int],
-    buffer_size: int,
-    congestion_threshold: int = 0,
-) -> BufferSnapshot:
-    """Compute a BufferSnapshot from raw per-queue lengths: the occupancy,
-    the remaining space, the congested set and N_p per priority.
-
-    Raises CapacityError if the lengths sum beyond the buffer size.
-    """
-    total = 0
-    for q, length in lengths.items():
-        if length < 0:
-            raise ValueError(f"queue {q}: negative length {length}")
-        if q.class_id not in class_priorities:
-            raise ValueError(f"queue {q}: unknown class {q.class_id}")
-        total += length
-    if total > buffer_size:
-        raise CapacityError(f"total occupancy {total} exceeds buffer size {buffer_size}")
-
-    congested: set[QueueId] = {
-        q for q, length in lengths.items() if length > congestion_threshold
-    }
-    n_per_priority: dict[int, int] = {pid: 0 for pid in set(class_priorities.values())}
-    for q in congested:
-        n_per_priority[class_priorities[q.class_id]] += 1
-
-    return BufferSnapshot(
-        buffer_size=buffer_size,
-        congestion_threshold=congestion_threshold,
-        lengths=dict(lengths),
-        occupancy=total,
-        remaining=buffer_size - total,
-        congested_per_priority=n_per_priority,
-        congested=frozenset(congested),
-    )
 
 
 # -- result files --------------------------------------------------------------

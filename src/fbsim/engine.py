@@ -227,7 +227,8 @@ class SwitchState:
     ``stale`` is None, or under a snapshot staleness s the copy ``sync``
     took just before the last k * s, which admission sees instead of the
     live state.  Counters are maintained incrementally; the engine tests
-    check them against core.derive_aggregates over the raw lengths.
+    check them against the aggregates that the independent oracle in
+    ``tests/oracles.py`` derives from the raw lengths.
     """
 
     def __init__(self, config: ScenarioConfig):

@@ -77,7 +77,7 @@ def _frac(x: Number) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# omega vectors and steady state
+# weights and steady state
 # ---------------------------------------------------------------------------
 
 
@@ -90,30 +90,6 @@ def fb_factors(queues: Mapping[QueueId, tuple[int, Number]]) -> dict[QueueId, Fr
     """
     counts = Counter(prio for prio, _ in queues.values())
     return {q: Fraction(1, counts[prio]) * _frac(gamma) for q, (prio, gamma) in queues.items()}
-
-
-@dataclass(frozen=True)
-class OmegaVector:
-    """Per-queue weights omega = alpha * factor."""
-
-    entries: Mapping[QueueId, Fraction]
-
-    def total(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
-
-    @staticmethod
-    def for_dt(alphas: Mapping[QueueId, Number]) -> "OmegaVector":
-        """DT's factor is 1: omega = alpha."""
-        return OmegaVector({q: _frac(a) for q, a in alphas.items()})
-
-    @staticmethod
-    def for_fb(
-        queues: Mapping[QueueId, tuple[Number, int, Number]],
-    ) -> "OmegaVector":
-        """Build FB omegas from {queue: (alpha, priority_id, gamma)}, all
-        listed queues congested."""
-        factors = fb_factors({q: (prio, gamma) for q, (_, prio, gamma) in queues.items()})
-        return OmegaVector({q: _frac(queues[q][0]) * f for q, f in factors.items()})
 
 
 @dataclass(frozen=True)
@@ -130,33 +106,21 @@ class AnalysisResult:
     feasible: bool = True
 
 
-def steady_state(omegas: OmegaVector, buffer_size: Number) -> AnalysisResult:
-    """Steady-state occupancy, remaining space and per-queue thresholds."""
-    if any(w <= 0 for w in omegas.entries.values()):
+def steady_state(omegas: Mapping[QueueId, Number], buffer_size: Number) -> AnalysisResult:
+    """Steady-state occupancy, remaining space and per-queue thresholds
+    from {queue: omega}, every queue congested; each weight becomes a
+    Fraction, so every result is exact."""
+    weights = {q: _frac(w) for q, w in omegas.items()}
+    if any(w <= 0 for w in weights.values()):
         raise ValueError("all omegas must be > 0 for congested queues")
     b = _frac(buffer_size)
-    w_total = omegas.total()
+    w_total = sum(weights.values(), Fraction(0))
     share = b / (1 + w_total)
     return AnalysisResult(
         steady_occupancy=b * w_total / (1 + w_total),
         steady_remaining=share,
-        steady_thresholds={q: w * share for q, w in omegas.entries.items()},
+        steady_thresholds={q: w * share for q, w in weights.items()},
     )
-
-
-def occupancy_bound(priority_alpha_maxes: Sequence[Number], buffer_size: Number) -> Fraction:
-    """Upper bound on total occupancy from the per-priority alpha maxima.
-
-    Each priority group's omegas sum to at most its largest alpha, so
-    occupancy never exceeds B * sum(alpha_max) / (1 + sum(alpha_max))
-    regardless of how many queues are congested.
-    """
-    if not priority_alpha_maxes:
-        raise ValueError("need at least one priority alpha")
-    total = sum((_frac(a) for a in priority_alpha_maxes), Fraction(0))
-    if total <= 0:
-        raise ValueError("alpha maxima must be > 0")
-    return _frac(buffer_size) * total / (1 + total)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +369,7 @@ def first_threshold_crossing(ts: TransientScenario) -> Value:
 
 def analyze_transient(ts: TransientScenario) -> AnalysisResult:
     """Full closed-form analysis: eventual steady state, case, t1, tolerance."""
-    omegas = OmegaVector(
-        {**{q.queue: q.omega for q in ts.old}, **{q.queue: q.omega for q in ts.new}}
-    )
-    steady = steady_state(omegas, ts.buffer_size)
+    steady = steady_state({q.queue: q.omega for q in (*ts.old, *ts.new)}, ts.buffer_size)
     case, _, per_queue = _closed_form(ts)
     t1 = min(per_queue.values())
     return replace(
@@ -797,6 +758,8 @@ def integrate_first_crossing(ts: TransientScenario) -> tuple[float, float]:
 
     The solver has no step, so the resolution is 0; the pair keeps the
     shape of the criterion-06 tolerance ``max(2*resolution, 1e-3*t1)``.
+    The package does not export it: the benchmark (``bench/cases.py`` and
+    ``bench/spans.py``) reaches it as ``fbsim.fluid.integrate_first_crossing``.
     """
     t1 = min(integrate_transient(ts).first_crossing.values())
     return float(t1), 0.0

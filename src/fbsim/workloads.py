@@ -7,8 +7,8 @@ Configs serialize to a sectioned text file ([switch] / [classes] /
 [policy] / [sources], plus optional [initial] and [alpha_overrides]);
 parse -> serialize -> parse is the identity.
 
-This module also bridges configs into the fluid model (steady-state omega
-vectors and transient scenarios), so the analyzer and the packet engine
+This module also bridges configs into the fluid model (steady-state
+weights and transient scenarios), so the analyzer and the packet engine
 consume the same description.
 """
 
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import PolicyKind, QueueId, TrafficClass
-from .fluid import NewQueue, OldQueue, OmegaVector, TransientScenario, _frac, fb_factors
+from .fluid import NewQueue, OldQueue, TransientScenario, _frac, fb_factors
 
 
 class ConfigError(ValueError):
@@ -799,14 +799,14 @@ def _weights(cfg: ScenarioConfig, factors: Mapping[QueueId, Fraction]) -> dict[Q
     return {q: cfg.alpha_of(q) * f for q, f in factors.items()}
 
 
-def steady_omegas(cfg: ScenarioConfig) -> OmegaVector:
-    """Omega vector for the scenario's pre-burst congested set (FB and FBA
-    use FB weights; DT uses the raw alphas)."""
+def steady_omegas(cfg: ScenarioConfig) -> dict[QueueId, Fraction]:
+    """{queue: omega} for the scenario's pre-burst congested set (FB and
+    FBA use FB weights; DT uses the raw alphas)."""
     _check_analyzable(cfg)
     congested, _ = _congested_sets(cfg)
     if not congested:
         raise ConfigError("no congested queues to analyze (no sources or initial lengths)")
-    return OmegaVector(_weights(cfg, _factors(cfg, congested)))
+    return _weights(cfg, _factors(cfg, congested))
 
 
 def transient_scenario(cfg: ScenarioConfig) -> TransientScenario:

@@ -1,0 +1,107 @@
+"""Test-only code that the package does not run: the independent oracles
+the tests check it against, and one helper the tests share.
+
+- ``derive_aggregates`` rebuilds a buffer's aggregates (occupancy,
+  remaining space, the congested set and N_p per priority) from raw
+  per-queue lengths.  The engine tests replay its decisions against them.
+- ``occupancy_bound`` is the paper's FB occupancy bound, which no FB steady
+  state may exceed (criterion 05).
+- ``fb_omegas`` builds FB weights from explicit (alpha, priority, gamma)
+  triples, as the scenario bridge does from a config.
+
+pytest's default import mode puts ``tests/`` on ``sys.path``, so a test
+file imports these with ``from oracles import ...``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Mapping, Sequence
+
+from fbsim.core import QueueId
+from fbsim.fluid import Number, _frac, fb_factors
+
+
+class CapacityError(ValueError):
+    """Total queued packets exceed the buffer capacity."""
+
+
+@dataclass(frozen=True)
+class BufferSnapshot:
+    """Instantaneous buffer state plus the aggregates the policies consume.
+
+    ``occupancy`` is the total queued packets Q(t), ``remaining`` is
+    B - Q(t).  ``congested_per_priority`` maps priority id -> N_p(t), the
+    count of queues of that priority deemed congested under
+    ``congestion_threshold`` (a queue is congested when its length exceeds
+    the threshold; the default threshold 0 means "non-empty").
+    """
+
+    buffer_size: int
+    congestion_threshold: int
+    lengths: Mapping[QueueId, int]
+    occupancy: int
+    remaining: int
+    congested_per_priority: Mapping[int, int]
+    congested: frozenset[QueueId] = field(default_factory=frozenset)
+
+
+def derive_aggregates(
+    lengths: Mapping[QueueId, int],
+    class_priorities: Mapping[int, int],
+    buffer_size: int,
+    congestion_threshold: int = 0,
+) -> BufferSnapshot:
+    """Compute a BufferSnapshot from raw per-queue lengths: the occupancy,
+    the remaining space, the congested set and N_p per priority.
+
+    Raises CapacityError if the lengths sum beyond the buffer size.
+    """
+    total = 0
+    for q, length in lengths.items():
+        if length < 0:
+            raise ValueError(f"queue {q}: negative length {length}")
+        if q.class_id not in class_priorities:
+            raise ValueError(f"queue {q}: unknown class {q.class_id}")
+        total += length
+    if total > buffer_size:
+        raise CapacityError(f"total occupancy {total} exceeds buffer size {buffer_size}")
+
+    congested: set[QueueId] = {
+        q for q, length in lengths.items() if length > congestion_threshold
+    }
+    n_per_priority: dict[int, int] = {pid: 0 for pid in set(class_priorities.values())}
+    for q in congested:
+        n_per_priority[class_priorities[q.class_id]] += 1
+
+    return BufferSnapshot(
+        buffer_size=buffer_size,
+        congestion_threshold=congestion_threshold,
+        lengths=dict(lengths),
+        occupancy=total,
+        remaining=buffer_size - total,
+        congested_per_priority=n_per_priority,
+        congested=frozenset(congested),
+    )
+
+
+def occupancy_bound(priority_alpha_maxes: Sequence[Number], buffer_size: Number) -> Fraction:
+    """Upper bound on total occupancy from the per-priority alpha maxima.
+
+    Each priority group's omegas sum to at most its largest alpha, so
+    occupancy never exceeds B * sum(alpha_max) / (1 + sum(alpha_max))
+    regardless of how many queues are congested.
+    """
+    if not priority_alpha_maxes:
+        raise ValueError("need at least one priority alpha")
+    total = sum((_frac(a) for a in priority_alpha_maxes), Fraction(0))
+    if total <= 0:
+        raise ValueError("alpha maxima must be > 0")
+    return _frac(buffer_size) * total / (1 + total)
+
+
+def fb_omegas(queues: Mapping[QueueId, tuple[Number, int, Number]]) -> dict[QueueId, Fraction]:
+    """FB weights from {queue: (alpha, priority_id, gamma)}, all listed queues congested."""
+    factors = fb_factors({q: (prio, gamma) for q, (_, prio, gamma) in queues.items()})
+    return {q: _frac(queues[q][0]) * f for q, f in factors.items()}

@@ -15,7 +15,6 @@ from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.engine import run
 from fbsim.fluid import (
     CaseKind,
-    OmegaVector,
     alpha_H_for_burst,
     alpha_L_for_burst,
     alpha_L_for_zero_transient,
@@ -25,7 +24,6 @@ from fbsim.fluid import (
     first_threshold_crossing,
     integrate_first_crossing,
     integrate_transient,
-    occupancy_bound,
     steady_state,
     two_priority_incast,
 )
@@ -37,6 +35,7 @@ from fbsim.workloads import (
     preset,
     transient_scenario,
 )
+from oracles import fb_omegas, occupancy_bound
 
 F = Fraction
 LOW, HIGH = 0, 1
@@ -67,9 +66,7 @@ def trailing_group_max(trace, queues, window):
 def test_criterion_01_dt_steady_state():
     started = time.monotonic()
     # fluid: alphas 2,1,1,1 -> T_high 20, remaining 10, T_low 10
-    omegas = OmegaVector.for_dt(
-        {QueueId(0, 1): 2, QueueId(1, 0): 1, QueueId(2, 0): 1, QueueId(3, 0): 1}
-    )
+    omegas = {QueueId(0, 1): 2, QueueId(1, 0): 1, QueueId(2, 0): 1, QueueId(3, 0): 1}
     res = steady_state(omegas, 60)
     assert res.steady_thresholds[QueueId(0, 1)] == 20
     assert res.steady_remaining == 10
@@ -89,7 +86,7 @@ def test_criterion_01_dt_steady_state():
 
 def test_criterion_02_fb_steady_state():
     # fluid: high omega 2, three lows at 1/3 -> T_high 30, lows 15 aggregate
-    omegas = OmegaVector.for_fb(
+    omegas = fb_omegas(
         {QueueId(0, 1): (2, HIGH, 1), QueueId(1, 0): (1, LOW, 1),
          QueueId(2, 0): (1, LOW, 1), QueueId(3, 0): (1, LOW, 1)}
     )
@@ -156,7 +153,7 @@ def test_criterion_05_occupancy_bound():
                 alpha = a_low if k == 0 else a_low * F(rng.randint(1, 4), 4)
                 queues[QueueId(100 + k // per_port, k)] = (alpha, LOW, F(1, per_port))
             queues[QueueId(0, 99)] = (a_high, HIGH, 1)
-        occupancy = steady_state(OmegaVector.for_fb(queues), 60).steady_occupancy
+        occupancy = steady_state(fb_omegas(queues), 60).steady_occupancy
         assert occupancy <= bound
         if i % 4 == 0:
             assert occupancy == bound
@@ -300,9 +297,7 @@ def test_criterion_08_dt_scaling_curve():
     fb_values = set()
     for n in range(1, 33):
         dt = steady_state(
-            OmegaVector.for_dt(
-                {QueueId(0, 1): 2, **{QueueId(1 + k, 0): 1 for k in range(n)}}
-            ),
+            {QueueId(0, 1): 2, **{QueueId(1 + k, 0): 1 for k in range(n)}},
             60,
         ).steady_thresholds[QueueId(0, 1)]
         if dt_previous is not None:
@@ -311,7 +306,7 @@ def test_criterion_08_dt_scaling_curve():
         if below_tenth is None and dt < F(60, 10):
             below_tenth = n
         fb = steady_state(
-            OmegaVector.for_fb(
+            fb_omegas(
                 {QueueId(0, 1): (2, HIGH, 1), **{QueueId(1 + k, 0): (1, LOW, 1) for k in range(n)}}
             ),
             60,

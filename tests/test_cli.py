@@ -250,6 +250,24 @@ def test_analyze_takes_no_run_overrides(flag, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--preset", "fig5_steady", "--t", "3"], "--t bounds the alphas for a burst"),
+    (["--preset", "fig5_incast", "--r", "99"], "--r is the inline burst rate"),
+])
+def test_analyze_refuses_flags_it_would_not_read(flags, message, capsys):
+    # a steady scenario has no burst to bound the alphas for, and a
+    # scenario's bursts carry their own rate: both flags would be dropped
+    assert main(["analyze", *flags]) == 3
+    assert f"validation error: {message}" in capsys.readouterr().err
+
+
+def test_analyze_scenario_file_refuses_an_inline_rate(tmp_path, capsys):
+    path = tmp_path / "fig4_incast.ini"
+    path.write_text(dumps_scenario(preset("fig4_incast")))
+    assert main(["analyze", "--scenario", str(path), "--r", "5"]) == 3
+    assert "--r is the inline burst rate" in capsys.readouterr().err
+
+
 def test_closed_stdout_ends_quietly():
     # the reader closes the pipe after one line while the CLI still has
     # some 200 kB to write: no traceback, exit code 1
@@ -565,18 +583,23 @@ def test_sources_import_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "fbsim", f"{path.name}: {name}"
 
 
+def _names_read(path):
+    """Every name a module reads: each ast Name, Attribute and import."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 def test_only_the_fluid_module_names_the_solver_rational():
     # fluid._Q stays inside the solver: every other module sees Fractions
     for path in sorted((SRC / "fbsim").glob("*.py")):
-        names = set()
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names.update(alias.name for alias in node.names)
-        assert ("_Q" in names) == (path.name == "fluid.py"), path.name
+        assert ("_Q" in _names_read(path)) == (path.name == "fluid.py"), path.name
 
 
 def test_sources_never_read_the_decoded_trace_views():
@@ -626,6 +649,17 @@ def test_library_layout_names_exactly_the_modules():
     listed = re.findall(r"^\| `fbsim\.(\w+)` \|", table, re.MULTILINE)
     modules = sorted(p.stem for p in (SRC / "fbsim").glob("*.py") if p.name != "__init__.py")
     assert len(listed) == len(set(listed)) and sorted(listed) == modules
+
+
+def test_every_export_has_a_caller():
+    # each name the package exports is read by another of its modules or by
+    # a demo, so the package holds no code that only the tests call
+    init = SRC / "fbsim" / "__init__.py"
+    exported = {alias.name for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    callers = [p for p in sorted((SRC / "fbsim").glob("*.py")) if p != init]
+    read = set().union(*map(_names_read, callers + sorted((ROOT / "demos").glob("*.py"))))
+    assert sorted(exported - read) == []
 
 
 def test_poisson_run_loads_only_the_standard_library(tmp_path):

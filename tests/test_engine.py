@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fbsim import engine
-from fbsim.core import PolicyKind, QueueId, TrafficClass, derive_aggregates
+from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.engine import (
     EXPORT_CHUNK_ROWS,
     RECORD,
@@ -38,6 +38,7 @@ from fbsim.workloads import (
     preset,
     source_stream,
 )
+from oracles import derive_aggregates
 
 F = Fraction
 LOW, HIGH = 0, 1
@@ -289,7 +290,7 @@ REPLAY_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
-def test_engine_decisions_match_policy_module(case):
+def test_engine_decisions_match_the_replayed_rule(case):
     # every admission decision and FBA tick agrees exactly (thresholds
     # bitwise) with an independent computation on a rebuilt snapshot
     cfg = REPLAY_CASES[case]

@@ -1,10 +1,13 @@
-"""Steady-state closed forms and the occupancy bound."""
+"""Steady-state closed forms.
+
+The occupancy-bound oracle's tests live in ``tests/test_oracles.py``."""
 
 import pytest
 from fractions import Fraction
 
 from fbsim.core import QueueId
-from fbsim.fluid import OmegaVector, occupancy_bound, steady_state
+from fbsim.fluid import steady_state
+from oracles import fb_omegas
 
 F = Fraction
 
@@ -16,7 +19,7 @@ def qid(port, cls=0):
 class TestSteadyState:
     def test_dt_four_queue_split(self):
         # alphas 2,1,1,1 on separate ports under DT (omega = alpha)
-        omegas = OmegaVector.for_dt({qid(0, 1): 2, qid(1): 1, qid(2): 1, qid(3): 1})
+        omegas = {qid(0, 1): 2, qid(1): 1, qid(2): 1, qid(3): 1}
         res = steady_state(omegas, 60)
         assert res.steady_occupancy == 50
         assert res.steady_remaining == 10
@@ -26,10 +29,10 @@ class TestSteadyState:
 
     def test_fb_bounds_low_aggregate(self):
         # high alone (omega 2), three lows of one class on own ports
-        omegas = OmegaVector.for_fb(
+        omegas = fb_omegas(
             {qid(0, 1): (2, 1, 1), qid(1): (1, 0, 1), qid(2): (1, 0, 1), qid(3): (1, 0, 1)}
         )
-        assert omegas.entries[qid(1)] == F(1, 3)
+        assert omegas[qid(1)] == F(1, 3)
         res = steady_state(omegas, 60)
         assert res.steady_occupancy == 45
         assert res.steady_remaining == 15
@@ -37,63 +40,24 @@ class TestSteadyState:
         assert sum(res.steady_thresholds[qid(p)] for p in (1, 2, 3)) == 15
 
     def test_single_queue_half_buffer(self):
-        res = steady_state(OmegaVector.for_dt({qid(0): 1}), 60)
+        res = steady_state({qid(0): 1}, 60)
         assert res.steady_occupancy == 30
         assert res.steady_remaining == 30
 
     def test_results_are_exact_rationals(self):
-        res = steady_state(OmegaVector.for_dt({qid(0): F(1, 3)}), 60)
+        res = steady_state({qid(0): F(1, 3)}, 60)
         assert res.steady_occupancy == F(60, 4)
 
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(ValueError):
-            steady_state(OmegaVector({qid(0): F(0)}), 60)
-
-
-class TestOccupancyBound:
-    def test_two_priority_example(self):
-        assert occupancy_bound([1, 2], 60) == 45
-
-    def test_skewed_alphas(self):
-        assert occupancy_bound([F(1, 2), 20], 86) == 86 * F(41, 2) / F(43, 2)
-
-    def test_single_priority_half_buffer(self):
-        assert occupancy_bound([1], 60) == 30
-
-    def test_validates_input(self):
-        with pytest.raises(ValueError):
-            occupancy_bound([], 60)
-        with pytest.raises(ValueError):
-            occupancy_bound([-1], 60)
-
-    def test_fb_steady_occupancy_never_exceeds_bound(self):
-        import random
-
-        rng = random.Random(7)
-        for _ in range(200):
-            a_low = F(rng.randint(1, 16), rng.randint(1, 4))
-            a_high = F(rng.randint(1, 32), rng.randint(1, 4))
-            n_low = rng.randint(1, 6)
-            per_port = rng.randint(1, 3)
-            queues = {}
-            for i in range(n_low * per_port):
-                queues[qid(100 + i // per_port, i)] = (a_low, 0, F(1, per_port))
-            queues[qid(0, 99)] = (a_high, 1, 1)
-            res = steady_state(OmegaVector.for_fb(queues), 60)
-            assert res.steady_occupancy <= occupancy_bound([a_low, a_high], 60)
-
-    def test_bound_attained_when_priorities_saturate(self):
-        # one queue per priority, gamma = 1: each group's omega sum hits its max
-        omegas = OmegaVector.for_fb({qid(0, 0): (F(1, 2), 0, 1), qid(1, 1): (20, 1, 1)})
-        res = steady_state(omegas, 60)
-        assert res.steady_occupancy == occupancy_bound([F(1, 2), 20], 60)
+            steady_state({qid(0): F(0)}, 60)
 
 
 class TestQueueCountDependence:
     def test_dt_remaining_shrinks_with_queue_count(self):
         previous = None
         for n in range(1, 33):
-            omegas = OmegaVector.for_dt({qid(p): 1 for p in range(n)})
+            omegas = {qid(p): 1 for p in range(n)}
             rem = steady_state(omegas, 60).steady_remaining
             assert rem == F(60, 1 + n)
             if previous is not None:
@@ -104,5 +68,5 @@ class TestQueueCountDependence:
         values = set()
         for n in range(1, 33):
             queues = {qid(p): (1, 0, 1) for p in range(n)}
-            values.add(steady_state(OmegaVector.for_fb(queues), 60).steady_remaining)
+            values.add(steady_state(fb_omegas(queues), 60).steady_remaining)
         assert values == {30}

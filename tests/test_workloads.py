@@ -453,11 +453,11 @@ class TestFluidBridges:
 
     def test_fig4_steady_omegas_are_alphas(self):
         omegas = steady_omegas(preset("fig4_steady"))
-        assert sorted(omegas.entries.values()) == [1, 1, 1, 2]
+        assert sorted(omegas.values()) == [1, 1, 1, 2]
 
     def test_fig5_steady_omegas_scaled(self):
         omegas = steady_omegas(preset("fig5_steady"))
-        assert sorted(omegas.entries.values()) == [F(1, 3), F(1, 3), F(1, 3), 2]
+        assert sorted(omegas.values()) == [F(1, 3), F(1, 3), F(1, 3), 2]
 
     def test_complete_sharing_not_analyzable(self):
         cfg = replace(preset("fig4_steady"), policy=PolicyKind.COMPLETE_SHARING)
