@@ -23,7 +23,6 @@ from .fluid import (
     alpha_bounds_general,
     analyze_transient,
     burst_absorption_curve,
-    classify_case,
     first_threshold_crossing,
     integrate_transient,
     multi_priority_alpha_H,

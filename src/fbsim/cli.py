@@ -109,6 +109,8 @@ def _sweep_worker(item):
 def cmd_sweep(args) -> int:
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
+    if not args.values:
+        raise ConfigError("--values lists no value to sweep")
     cfg = _load_config(args)
     configs = workloads.sweep(cfg, args.axis, args.values)
     jobs = []
@@ -194,6 +196,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_configure_alpha(args) -> int:
     r, t = args.r, args.t
+    if t is None and (args.alpha_l is not None or args.alphas is not None):
+        raise ConfigError("--alpha-l and --alphas apply only with --t")
+    if args.alpha_l is not None and args.alphas is not None:
+        raise ConfigError("give --alpha-l or --alphas, not both")
     payload: dict = {"buffer": args.buffer, "r": r}
     payload["alpha_L_zero_transient"] = fluid.alpha_L_for_zero_transient(r, args.num)
     payload["num_congested_ports"] = args.num

@@ -207,27 +207,6 @@ class TransientScenario:
                 raise ValueError(f"duplicate queue {entry.queue}")
             seen.add(entry.queue)
 
-    @property
-    def g_e(self) -> tuple[OldQueue, ...]:
-        return tuple(q for q in self.old if q.affected)
-
-    @property
-    def g_ne(self) -> tuple[OldQueue, ...]:
-        return tuple(q for q in self.old if not q.affected)
-
-    @property
-    def num_congested_ports(self) -> Fraction:
-        """NUM: the old queues' total drain, which sums to the congested
-        port count when every congested port's queues are all in S_old."""
-        return sum((q.gamma for q in self.old), Fraction(0))
-
-    # sum shorthands used by the closed forms
-    def _w_old_pre(self) -> Fraction:
-        return sum((q.pre_omega for q in self.old), Fraction(0))
-
-    def _w_ne(self) -> Fraction:
-        return sum((q.omega for q in self.g_ne), Fraction(0))
-
 
 def two_priority_incast(
     buffer_size: Number,
@@ -280,106 +259,101 @@ def two_priority_incast(
 # ---------------------------------------------------------------------------
 
 
-def _rate_bound_sums(ts: TransientScenario) -> tuple[Fraction, Fraction, Fraction]:
-    """(first, G*, W*) of the Case-1 rate bound
-    r* = first + G* * (1 + W_ne) / (W* * n_new), for a scenario with old
-    queues: first = (new gammas + G_e gammas) / n_new, and G* and W* sum the
-    gammas and omegas of G_ne, or of G_e when G_ne is empty."""
-    g_e = ts.g_e
-    first = (sum((q.gamma for q in ts.new), Fraction(0)) + sum((q.gamma for q in g_e), Fraction(0))) / len(ts.new)
-    starred = ts.g_ne or g_e
-    return first, sum((q.gamma for q in starred), Fraction(0)), sum((q.omega for q in starred), Fraction(0))
+@dataclass(frozen=True)
+class _ClosedForm:
+    """What ``_closed_form`` returns."""
+
+    case: CaseKind
+    rate_bound: Value  # r*, +inf without old queues
+    fill: Fraction  # Q'
+    w_old: Fraction  # the old queues' pre-transient omega sum
+    t1_per_queue: dict[QueueId, Value]
+    t1: Value  # the earliest t1
+    burst: Value  # r * t1
+    # r*'s terms that alpha_bounds_general inverts for its boundary alpha_L
+    first: Fraction
+    g_star: Fraction  # G*
+    ne_empty: bool  # G_ne is empty
 
 
-def case_rate_bound(ts: TransientScenario) -> Value:
-    """The arrival rate at or below which unaffected old queues can track
-    their thresholds (Case-1).  +inf when there are no old queues.
+def _closed_form(ts: TransientScenario) -> _ClosedForm:
+    """The one closed-form evaluation: one pass over the old queues and one
+    over the new ones, so each sum is taken once.
 
-    The second term sums over G_ne, or over G_e when G_ne is empty.
+    Case-1 holds while r <= r* = first + G* * (1 + W_ne) / (W* * n_new),
+    with first = (new gammas + G_e drain) / n_new and G*, W* the gamma and
+    omega sums of G_ne (of G_e when G_ne is empty); r* is +inf without old
+    queues.  The new queues add F = sum(r - gamma).  In Case-2 every old
+    queue drains, so Q' = F - NUM (NUM: all old drain, the congested port
+    count).  In Case-1 only G_e drains, while each unaffected queue tracks
+    omega * (B - Q) and so sheds omega * Q': Q' = (F - G_e_drain) / (1 + W_ne).
+    The module's t1 (+inf when the closing speed is <= 0) then gives the
+    paper's Case-1 form
+    omega*B*(1+W_ne) / ((1+W_old) * ((r-gamma)*(1+W_ne) + omega*(F - G_e_drain)))
+    and its Case-2 form omega*B / ((1+W_old) * ((r-gamma) + omega*(F - NUM))),
+    which agree at the case boundary.
+
+    The aggregate bound assumes the unaffected old queues share one
+    gamma/omega ratio, as every symmetric scenario built here does.  Outside
+    that assumption t1 can be wrong: on 300 random scenarios with unequal
+    ratios (2-4 old queues, omega in [1/4, 3], gamma in {1, 1/2, 1/3}, r in
+    [1.1, 8], B in 50-200, seed 3) it differs from the exact solver by more
+    than 1% in 57, by up to 32%.
     """
     if not ts.new:
         raise ValueError("scenario has no new queues, nothing transient to classify")
-    if not ts.old:
-        return math.inf
-    first, g_star, w_star = _rate_bound_sums(ts)
-    return first + g_star * (1 + ts._w_ne()) / (w_star * len(ts.new))
+    n_new = len(ts.new)
+    w_old = w_e = w_ne = drain_e = drain_ne = Fraction(0)
+    for q in ts.old:
+        w_old += q.pre_omega
+        if q.affected:
+            w_e += q.omega
+            drain_e += q.gamma
+        else:
+            w_ne += q.omega
+            drain_ne += q.gamma
+    new_gamma = sum((q.gamma for q in ts.new), Fraction(0))
+    first = (new_gamma + drain_e) / n_new
+    ne_empty = w_ne == 0  # every omega is > 0
+    g_star, w_star = (drain_e, w_e) if ne_empty else (drain_ne, w_ne)
+    rate_bound = first + g_star * (1 + w_ne) / (w_star * n_new) if ts.old else math.inf
+    case = CaseKind.CASE1 if ts.r <= rate_bound else CaseKind.CASE2
+
+    net_fill = n_new * ts.r - new_gamma  # F
+    fill = ((net_fill - drain_e) / (1 + w_ne) if case is CaseKind.CASE1
+            else net_fill - drain_e - drain_ne)
+    gap = ts.buffer_size / (1 + w_old)
+    per_queue: dict[QueueId, Value] = {}
+    for q in ts.new:
+        speed = (ts.r - q.gamma) + q.omega * fill
+        per_queue[q.queue] = q.omega * gap / speed if speed > 0 else math.inf
+    t1 = min(per_queue.values())
+    burst = math.inf if t1 == math.inf else ts.r * t1
+    return _ClosedForm(case, rate_bound, fill, w_old, per_queue, t1, burst, first, g_star, ne_empty)
+
+
+def case_rate_bound(ts: TransientScenario) -> Value:
+    """The arrival rate r* at or below which unaffected old queues can track
+    their thresholds (Case-1).  +inf when there are no old queues."""
+    return _closed_form(ts).rate_bound
 
 
 def classify_case(ts: TransientScenario) -> CaseKind:
-    """Case-1 when r is at or below the tracking bound, Case-2 above.
-
-    The closed forms read the case through ``_closed_form`` only.
-
-    With no old queues at all, the scenario is Case-1 by definition (the
-    new queues simply fill toward their thresholds).  The aggregate bound
-    assumes the unaffected old queues share one gamma/omega ratio, which
-    holds for all the symmetric scenarios built here.  Outside that
-    assumption the closed-form t1 can be wrong: on 300 random scenarios
-    with unequal old-queue ratios (2-4 old queues, omega in [1/4, 3], gamma
-    in {1, 1/2, 1/3}, r in [1.1, 8], B in 50-200, seed 3) it differs from
-    the exact solver by more than 1% in 57, by up to 32%.
-    """
-    return CaseKind.CASE1 if ts.r <= case_rate_bound(ts) else CaseKind.CASE2
-
-
-def _fill_rate(ts: TransientScenario, case: CaseKind) -> Fraction:
-    """Q', the rate at which the buffer fills while the new queues grow.
-
-    The new queues add F = sum(r - gamma).  In Case-2 every old queue drains
-    at gamma, so Q' = F - NUM.  In Case-1 the affected old queues (G_e)
-    drain at gamma, while each unaffected one tracks omega * (B - Q) and so
-    sheds omega * Q' itself: Q' = F - G_e_drain - W_ne * Q', that is
-    Q' = (F - G_e_drain) / (1 + W_ne).  Dividing the paper's Case-1 t1
-    through by (1 + W_ne) leaves exactly the Case-2 expression in this Q'.
-    """
-    fill = sum((ts.r - q.gamma for q in ts.new), Fraction(0))
-    if case is CaseKind.CASE2:
-        return fill - ts.num_congested_ports
-    drain_e = sum((q.gamma for q in ts.g_e), Fraction(0))
-    return (fill - drain_e) / (1 + ts._w_ne())
-
-
-def _closed_form(ts: TransientScenario) -> tuple[CaseKind, Fraction, dict[QueueId, Value]]:
-    """(case, Q', {new queue: t1}): the one closed-form evaluation.
-
-    Each new queue's t1 is its starting gap omega * B / (1 + W_old) over its
-    closing speed (r - gamma) + omega * Q'; +inf when that speed is <= 0.
-    That is the paper's Case-1 form
-    omega*B*(1+W_ne) / ((1+W_old) * ((r-gamma)*(1+W_ne) + omega*(F - G_e_drain)))
-    and its Case-2 form omega*B / ((1+W_old) * ((r-gamma) + omega*(F - NUM))),
-    where W_ne sums the unaffected old omegas, W_old the pre-transient old
-    omegas, F the new queues' total net fill, G_e_drain the affected old
-    queues' total drain and NUM all old queues' drain (their congested port
-    count).  At the case boundary the two agree.
-    """
-    case = classify_case(ts)
-    fill = _fill_rate(ts, case)
-    gap = ts.buffer_size / (1 + ts._w_old_pre())
-    t1: dict[QueueId, Value] = {}
-    for q in ts.new:
-        speed = (ts.r - q.gamma) + q.omega * fill
-        t1[q.queue] = q.omega * gap / speed if speed > 0 else math.inf
-    return case, fill, t1
+    """Case-1 when r is at or below the tracking bound, Case-2 above."""
+    return _closed_form(ts).case
 
 
 def first_threshold_crossing(ts: TransientScenario) -> Value:
     """Earliest t1 over the new queues, using the scenario's case."""
-    return min(_closed_form(ts)[2].values())
+    return _closed_form(ts).t1
 
 
 def analyze_transient(ts: TransientScenario) -> AnalysisResult:
     """Full closed-form analysis: eventual steady state, case, t1, tolerance."""
     steady = steady_state({q.queue: q.omega for q in (*ts.old, *ts.new)}, ts.buffer_size)
-    case, _, per_queue = _closed_form(ts)
-    t1 = min(per_queue.values())
-    return replace(
-        steady,
-        case=case,
-        t1=t1,
-        t1_per_queue=per_queue,
-        burst_tolerance=math.inf if t1 == math.inf else ts.r * t1,
-        feasible=True,
-    )
+    cf = _closed_form(ts)
+    return replace(steady, case=cf.case, t1=cf.t1, t1_per_queue=cf.t1_per_queue,
+                   burst_tolerance=cf.burst, feasible=True)
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +455,15 @@ def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds
     tf = _frac(t)
     if tf <= 0:
         raise ValueError("t must be > 0")
-    case, fill, _ = _closed_form(ts)
+    cf = _closed_form(ts)
+    case, fill, w_old = cf.case, cf.fill, cf.w_old
 
-    # case-boundary alpha_L: solve r = r* for the starred omega sum W*, which
-    # is W_ne itself when G_ne is not empty and leaves W_ne = 0 otherwise
-    if not ts.old:
-        boundary: Bound = UNCONSTRAINED
-    else:
-        first, g_star, _ = _rate_bound_sums(ts)
-        inner = len(ts.new) / g_star * (ts.r - first) - (1 if ts.g_ne else 0)
-        boundary = 1 / inner if inner > 0 else UNCONSTRAINED
+    # case-boundary alpha_L, unconstrained without old queues: solve r = r*
+    # for W*, which is W_ne when G_ne is not empty and leaves W_ne = 0 otherwise
+    inner = (len(ts.new) / cf.g_star * (ts.r - cf.first) - (0 if cf.ne_empty else 1)
+             if ts.old else 0)
+    boundary: Bound = 1 / inner if inner > 0 else UNCONSTRAINED
 
-    w_old = ts._w_old_pre()
     denom = ts.buffer_size - tf * (1 + w_old) * fill
     alpha_h: Bound = max(
         tf * (ts.r - q.gamma) * (1 + w_old) / denom / q.factor for q in ts.new
@@ -807,18 +778,8 @@ def burst_absorption_curve(
         )
         for r in rates:
             ts = TransientScenario(shape.buffer_size, shape.old, shape.new, r)
-            case, _, per_queue = _closed_form(ts)
-            t1 = min(per_queue.values())
-            points.append(
-                CurvePoint(
-                    scheme=scheme,
-                    r=ts.r,
-                    n_low_queues=count,
-                    case=case,
-                    t1=t1,
-                    burst=math.inf if t1 == math.inf else ts.r * t1,
-                )
-            )
+            cf = _closed_form(ts)
+            points.append(CurvePoint(scheme, ts.r, count, cf.case, cf.t1, cf.burst))
     return points
 
 

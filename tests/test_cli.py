@@ -500,6 +500,20 @@ def test_configure_alpha_multi_priority(capsys):
     assert payload["alpha_H_min"] == 3
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--alpha-l", "2"], "apply only with --t"),
+    (["--alphas", "1,2"], "apply only with --t"),
+    (["--alpha-l", "2", "--alphas", "1,2"], "apply only with --t"),
+    (["--t", "5", "--alpha-l", "2", "--alphas", "1,2"], "not both"),
+], ids=["alpha_l_without_t", "alphas_without_t", "both_without_t", "both_with_t"])
+def test_configure_alpha_refuses_flags_it_would_not_read(flags, message, capsys):
+    # without --t no high-alpha bound is solved, and --alphas would override
+    # --alpha-l, so either case would drop a flag without a word
+    assert main(["configure-alpha", "--buffer", "60", "--r", "4", *flags]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_sweep_writes_index_and_run_dirs(tmp_path):
     out = tmp_path / "sweep"
     assert main([
@@ -540,6 +554,15 @@ def test_sweep_parallel_below_one_exits_3(workers, tmp_path, capsys):
     assert main(["sweep", "--preset", "fig2", "--axis", "load", "--values", "1,2",
                  "--parallel", workers, "--out", str(out)]) == 3
     assert "--parallel must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", ["", ",", ",,"])
+def test_sweep_without_a_value_exits_3(values, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--preset", "fig4_incast", "--axis", "r", "--values", values,
+                 "--out", str(out)]) == 3
+    assert "--values lists no value" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -651,15 +674,42 @@ def test_library_layout_names_exactly_the_modules():
     assert len(listed) == len(set(listed)) and sorted(listed) == modules
 
 
+#: Exported names that no other module or demo reads: each is a type or value
+#: that a caller of an exported function only receives or builds.
+RECEIVED_ONLY = {
+    "SwitchState": "the state engine's event handlers step; a caller driving them builds it",
+    "AnalysisResult": "what steady_state and analyze_transient return",
+    "CaseKind": "the case in analyze_transient's result and in each curve point",
+    "INFEASIBLE": "a bound the alpha solvers return when no alpha works",
+    "UNCONSTRAINED": "a bound the alpha solvers return when any alpha works",
+    "PoissonFlows": "a source type a scenario is built from",
+}
+
+
 def test_every_export_has_a_caller():
-    # each name the package exports is read by another of its modules or by
-    # a demo, so the package holds no code that only the tests call
+    # each name the package exports is read by a demo or by a package module
+    # other than its own, so the package holds no code that only the tests
+    # call; the names in RECEIVED_ONLY are the listed exceptions
     init = SRC / "fbsim" / "__init__.py"
-    exported = {alias.name for node in ast.parse(init.read_text()).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    callers = [p for p in sorted((SRC / "fbsim").glob("*.py")) if p != init]
-    read = set().union(*map(_names_read, callers + sorted((ROOT / "demos").glob("*.py"))))
-    assert sorted(exported - read) == []
+    demos = set().union(*map(_names_read, sorted((ROOT / "demos").glob("*.py"))))
+    modules = {p.stem: _names_read(p) for p in sorted((SRC / "fbsim").glob("*.py")) if p != init}
+    uncalled = set()
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            read = demos.union(*(names for stem, names in modules.items() if stem != node.module))
+            uncalled.update(alias.name for alias in node.names if alias.name not in read)
+    assert sorted(uncalled) == sorted(RECEIVED_ONLY)
+
+
+def test_sources_parse_under_the_oldest_promised_python():
+    # the tests may run on a newer Python than the oldest that pyproject.toml
+    # promises (3.10), so every package module and demo is parsed under that
+    # version's grammar
+    promise = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    oldest = tuple(map(int, promise.groups()))
+    assert oldest == (3, 10)
+    for path in sorted((SRC / "fbsim").glob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=oldest)
 
 
 def test_poisson_run_loads_only_the_standard_library(tmp_path):

@@ -162,15 +162,15 @@ class TestBurstTolerance:
         assert res.steady_occupancy + res.steady_remaining == 60
 
 
-def test_each_closed_form_call_classifies_once(monkeypatch):
+def test_each_closed_form_call_evaluates_once(monkeypatch):
     import fbsim.fluid as fluid
 
     calls = []
-    classify = fluid.classify_case
-    monkeypatch.setattr(fluid, "classify_case", lambda ts: calls.append(ts) or classify(ts))
+    evaluate = fluid._closed_form
+    monkeypatch.setattr(fluid, "_closed_form", lambda ts: calls.append(ts) or evaluate(ts))
     for ts in (scenario_case1(), scenario_case2()):
         for route in (first_threshold_crossing, analyze_transient,
-                      lambda ts: alpha_bounds_general(ts, 3)):
+                      lambda ts: alpha_bounds_general(ts, 3), case_rate_bound, classify_case):
             calls.clear()
             route(ts)
             assert len(calls) == 1
@@ -255,7 +255,7 @@ class TestAlphaBoundsGeneral:
         old = (OldQueue(QueueId(9, 0), omega=F(1, 2), gamma=1, omega_before=F(1)),)
         new = (NewQueue(QueueId(0, 1), omega=F(2), gamma=1),)
         ts = TransientScenario(60, old, new, F(4))
-        assert ts.g_ne == ()
+        assert all(q.affected for q in ts.old)
         # bound = sum_new gamma / 1 + Gamma_e * (1 + W_e) / (W_e * 1)
         assert case_rate_bound(ts) == 1 + 1 * (1 + F(1, 2)) / F(1, 2)
         bounds = alpha_bounds_general(ts, 2)
@@ -664,7 +664,7 @@ class TestSolverRational:
             assert res.thresholds == reference.thresholds
             assert res.first_crossing == reference.first_crossing
             assert_all_fractions(res)
-            share = ts.buffer_size / (1 + ts._w_old_pre())
+            share = ts.buffer_size / (1 + sum((q.pre_omega for q in ts.old), F(0)))
             snapped += any(q.fill_rate is None and res.lengths[q.queue][0] > q.pre_omega * share
                            for q in ts.old)
             limited += any(q.fill_rate is not None for q in ts.old)
@@ -796,6 +796,22 @@ def _paper_alpha_bounds(ts, t, case):
     return frontier, max(t * (ts.r - q.gamma) * (1 + w_old) / denom / q.factor for q in ts.new)
 
 
+def _paper_rate_bound(ts, w):
+    """The Case-1 rate bound r*(W) over the starred omega sum W:
+    first + G* * (1 + W_ne) / (W * n_new), where first = (new gammas + G_e
+    gammas) / n_new, G* sums the gammas of G_ne, or of G_e when G_ne is
+    empty, and W_ne is W itself when G_ne is not empty and 0 otherwise.
+    r*(W) falls as W grows; ``w = math.inf`` gives its infimum."""
+    n = len(ts.new)
+    g_e = [q for q in ts.old if q.affected]
+    g_ne = [q for q in ts.old if not q.affected]
+    first = (sum((q.gamma for q in ts.new), F(0)) + sum((q.gamma for q in g_e), F(0))) / n
+    g_star = sum((q.gamma for q in g_ne or g_e), F(0))
+    if w == math.inf:
+        return first + (g_star / n if g_ne else 0)
+    return first + g_star * (1 + (w if g_ne else 0)) / (w * n)
+
+
 def _formula_scenario(rng):
     """A random transient scenario: the canonical incast under DT or FB
     (sometimes without old queues), or a general one with affected and
@@ -837,8 +853,8 @@ def test_closed_forms_match_the_paper_formulas():
         at_bound = ts.old and ts.r == case_rate_bound(ts)
         expected = _paper_t1(ts, case)
         t1 = min(expected.values())
-        seen.update({case, ("old", bool(ts.old)), ("g_e", bool(ts.g_e)), ("inf", t1 == math.inf),
-                     ("boundary", bool(at_bound))})
+        seen.update({case, ("old", bool(ts.old)), ("g_e", any(q.affected for q in ts.old)),
+                     ("inf", t1 == math.inf), ("boundary", bool(at_bound))})
         assert first_threshold_crossing(ts) == t1
         if at_bound:  # where the two cases meet, their forms agree
             assert first_threshold_crossing(ts) == min(_paper_t1(ts, CaseKind.CASE2).values())
@@ -851,5 +867,16 @@ def test_closed_forms_match_the_paper_formulas():
             assert bounds.case is case
             assert (bounds.alpha_L_max_for_burst, bounds.alpha_H_min) == \
                 _paper_alpha_bounds(ts, t, case)
+        if ts.old:  # the case-boundary alpha_L inverts r* = r
+            starred = [q for q in ts.old if not q.affected] or ts.old  # G_ne, else G_e
+            assert case_rate_bound(ts) == _paper_rate_bound(ts, sum(q.omega for q in starred))
+            w_bound = bounds.alpha_L_case_bound
+            if w_bound is UNCONSTRAINED:  # r <= r*(W) for every W, its infimum included
+                assert all(ts.r <= _paper_rate_bound(ts, w)
+                           for w in (F(1, 1000), F(1), F(1000), math.inf))
+            else:
+                assert _paper_rate_bound(ts, w_bound) == ts.r
+            seen.add(("case_bound", w_bound is UNCONSTRAINED))
     assert seen >= {CaseKind.CASE1, CaseKind.CASE2, ("old", False), ("g_e", True),
-                    ("inf", True), ("inf", False), ("boundary", True)}
+                    ("inf", True), ("inf", False), ("boundary", True),
+                    ("case_bound", True), ("case_bound", False)}
