@@ -66,44 +66,34 @@ def _load_config(args) -> workloads.ScenarioConfig:
         cfg = workloads.preset(args.preset)
     else:
         raise ConfigError("provide --scenario PATH or --preset NAME")
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "fba_period", None) is not None:
-        cfg = replace(cfg, fba_period=args.fba_period)
-    return cfg
+    overrides = {name: value for name in ("seed", "fba_period")
+                 if (value := getattr(args, name, None)) is not None}
+    return replace(cfg, **overrides)
 
 
-def _run_one(cfg: workloads.ScenarioConfig, out_dir: str, fmt: str) -> metrics.RunMetrics:
-    cfg.validate()
+def _run_one(cfg: workloads.ScenarioConfig, out_dir: str, fmt: str) -> dict:
+    """Run ``cfg`` into ``out_dir`` and return the metrics.json payload."""
     os.makedirs(out_dir, exist_ok=True)
     workloads.dump_scenario(cfg, os.path.join(out_dir, "scenario.lock"))
     trace = engine.run(cfg)
     engine.write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
     engine.write_samples_csv(trace, os.path.join(out_dir, "samples.csv"))
     engine.write_run_summary(trace, os.path.join(out_dir, "summary.json"))
-    m = metrics.compute(trace, cfg)
-    payload = metrics.to_jsonable(m)
+    payload = metrics.to_jsonable(metrics.compute(trace, cfg))
     write_json(os.path.join(out_dir, "metrics.json"), payload)
     if fmt == "csv":  # the nested fields live in metrics.json only
         write_table(os.path.join(out_dir, "metrics.csv"), ("metric", "value"), (
             (key, payload[key]) for key in sorted(payload) if not isinstance(payload[key], dict)
         ))
-    return m
+    return payload
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args)
-    m = _run_one(cfg, args.out, args.format)
+    m = _run_one(_load_config(args), args.out, args.format)
     print(f"run complete: {args.out}")
-    print(f"  admitted={m.total_admitted} dropped={m.total_drops} "
-          f"occupancy_max={m.occupancy_max} throughput={m.throughput_total:.3f}")
+    print(f"  admitted={m['total_admitted']} dropped={m['total_drops']} "
+          f"occupancy_max={m['occupancy_max']} throughput={m['throughput_total']:.3f}")
     return EXIT_OK
-
-
-def _sweep_worker(item):
-    cfg, out_dir, fmt = item
-    m = _run_one(cfg, out_dir, fmt)
-    return metrics.to_jsonable(m)
 
 
 def cmd_sweep(args) -> int:
@@ -113,16 +103,14 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values lists no value to sweep")
     cfg = _load_config(args)
     configs = workloads.sweep(cfg, args.axis, args.values)
-    jobs = []
-    for i, sub in enumerate(configs):
-        sub.validate()
-        jobs.append((sub, os.path.join(args.out, f"run_{i:03d}"), args.format))
-    workers = min(args.parallel, len(jobs))  # the pool forks all its workers up front
+    jobs = (configs, [os.path.join(args.out, f"run_{i:03d}") for i in range(len(configs))],
+            [args.format] * len(configs))
+    workers = min(args.parallel, len(configs))  # the pool forks all its workers up front
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+            results = list(pool.map(_run_one, *jobs))
     else:
-        results = [_sweep_worker(job) for job in jobs]
+        results = list(map(_run_one, *jobs))
     os.makedirs(args.out, exist_ok=True)
     index = os.path.join(args.out, "index.csv")
     columns = ("total_admitted", "total_drops", "burst_admitted_fraction",
@@ -150,8 +138,11 @@ def cmd_analyze(args) -> int:
     if args.scenario or args.preset:
         if args.r is not None:
             raise ConfigError("--r is the inline burst rate; a scenario's bursts set their own")
+        for name in ("buffer", "alpha_l", "alpha_h"):
+            if getattr(args, name) is not None and not args.curve:
+                flag = f"--{name.replace('_', '-')}"
+                raise ConfigError(f"{flag} sets the inline scenario or the --curve; a scenario sets its own")
         cfg = _load_config(args)
-        cfg.validate()
         has_burst = any(isinstance(s, workloads.Burst) for s in cfg.sources)
         if has_burst:
             ts = workloads.transient_scenario(cfg)

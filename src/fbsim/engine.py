@@ -232,7 +232,6 @@ class SwitchState:
     """
 
     def __init__(self, config: ScenarioConfig):
-        config.validate()
         self.buffer_size = config.buffer_size
         self.cong_thr = config.congestion_threshold
         single = config.queue_mode == "single"

@@ -103,7 +103,6 @@ class AnalysisResult:
     t1: Optional[Value] = None
     t1_per_queue: Optional[Mapping[QueueId, Value]] = None
     burst_tolerance: Optional[Value] = None
-    feasible: bool = True
 
 
 def steady_state(omegas: Mapping[QueueId, Number], buffer_size: Number) -> AnalysisResult:
@@ -353,7 +352,7 @@ def analyze_transient(ts: TransientScenario) -> AnalysisResult:
     steady = steady_state({q.queue: q.omega for q in (*ts.old, *ts.new)}, ts.buffer_size)
     cf = _closed_form(ts)
     return replace(steady, case=cf.case, t1=cf.t1, t1_per_queue=cf.t1_per_queue,
-                   burst_tolerance=cf.burst, feasible=True)
+                   burst_tolerance=cf.burst)
 
 
 # ---------------------------------------------------------------------------

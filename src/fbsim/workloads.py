@@ -271,6 +271,10 @@ def grid_steps(horizon: float, period: float) -> int:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One simulation, checked when it is built: the constructor, and so
+    ``dataclasses.replace``, ``loads_scenario``, ``preset`` and ``sweep``,
+    raise ConfigError for a config that no run or analysis could use."""
+
     buffer_size: int
     n_ports: int
     classes: tuple[TrafficClass, ...]
@@ -296,7 +300,7 @@ class ScenarioConfig:
         override = self.alpha_overrides.get(queue)
         return override if override is not None else self.class_by_id(queue.class_id).alpha
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.buffer_size < 1:
             raise ConfigError(f"buffer size must be >= 1 packet, got {self.buffer_size}")
         if not 0 <= self.seed < 2**64:
@@ -359,7 +363,7 @@ class ScenarioConfig:
 # or [sources] line is its dataclass's fields in field order.  Parse and dump
 # both walk these tables; a section or key they do not name, or text that
 # does not convert, is a ScenarioParseError (exit 2), and a converted value
-# that a constructor or validate() rejects is a ConfigError (exit 3).
+# that a constructor rejects is a ConfigError (exit 3).
 
 #: (section, key, ScenarioConfig field, parse) in file order.  A key left
 #: out takes the field's default; a field without one must be given.

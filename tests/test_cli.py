@@ -7,12 +7,14 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from fbsim import cli, engine, workloads
 from fbsim.cli import main
+from fbsim.core import QueueId
 from fbsim.workloads import MAX_RUN_STEPS, dumps_scenario, preset
 
 GOLDEN_SCENARIOS = Path(__file__).parent / "golden" / "scenarios"
@@ -253,12 +255,22 @@ def test_analyze_takes_no_run_overrides(flag, capsys):
 @pytest.mark.parametrize("flags,message", [
     (["--preset", "fig5_steady", "--t", "3"], "--t bounds the alphas for a burst"),
     (["--preset", "fig5_incast", "--r", "99"], "--r is the inline burst rate"),
+    *((["--preset", "fig4_incast", flag, "3"], f"{flag} sets the inline scenario or the --curve")
+      for flag in ("--buffer", "--alpha-l", "--alpha-h")),
 ])
 def test_analyze_refuses_flags_it_would_not_read(flags, message, capsys):
-    # a steady scenario has no burst to bound the alphas for, and a
-    # scenario's bursts carry their own rate: both flags would be dropped
+    # a steady scenario has no burst to bound the alphas for, a scenario's
+    # bursts carry their own rate, and its buffer and alphas are its own
+    # unless --curve reads them: each flag would be dropped
     assert main(["analyze", *flags]) == 3
     assert f"validation error: {message}" in capsys.readouterr().err
+
+
+def test_analyze_scenario_takes_curve_flags_with_curve(tmp_path, capsys):
+    assert main(["analyze", "--preset", "fig4_incast", "--buffer", "60", "--alpha-l", "1/2",
+                 "--alpha-h", "20", "--curve", "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["t1"] == 2 and (tmp_path / "out" / "curve.csv").exists()
 
 
 def test_analyze_scenario_file_refuses_an_inline_rate(tmp_path, capsys):
@@ -266,6 +278,25 @@ def test_analyze_scenario_file_refuses_an_inline_rate(tmp_path, capsys):
     path.write_text(dumps_scenario(preset("fig4_incast")))
     assert main(["analyze", "--scenario", str(path), "--r", "5"]) == 3
     assert "--r is the inline burst rate" in capsys.readouterr().err
+
+
+def test_an_invalid_config_cannot_be_built(tmp_path, capsys):
+    # a fluid bridge would take weights for queues 2:0 and 3:0 on a 2-port
+    # switch, and a t1 for 250 packets pre-filled into a 60-packet buffer;
+    # neither config can be built, so no bridge, dump or run ever sees one
+    with pytest.raises(workloads.ConfigError, match="source references invalid port 2"):
+        workloads.steady_omegas(replace(preset("fig4_steady"), n_ports=2))
+    overfull = {QueueId(1, c): 50 for c in range(5)}
+    with pytest.raises(workloads.ConfigError, match="initial lengths sum to 250 > buffer size 60"):
+        workloads.transient_scenario(replace(preset("fig4_incast"), initial_lengths=overfull))
+    path = tmp_path / "overfull.ini"
+    path.write_text(dumps_scenario(preset("fig4_incast")).replace("= 10\n", "= 50\n"))
+    with pytest.raises(workloads.ConfigError, match="initial lengths sum to 250"):
+        workloads.load_scenario(path)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 3
+    assert "validation error: initial lengths sum to 250" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_closed_stdout_ends_quietly():
@@ -581,8 +612,8 @@ def test_sweep_pool_has_no_more_workers_than_runs(monkeypatch, tmp_path):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
     assert main([
@@ -679,6 +710,7 @@ def test_library_layout_names_exactly_the_modules():
 RECEIVED_ONLY = {
     "SwitchState": "the state engine's event handlers step; a caller driving them builds it",
     "AnalysisResult": "what steady_state and analyze_transient return",
+    "RunMetrics": "what compute returns; the CLI reads its metrics.json payload",
     "CaseKind": "the case in analyze_transient's result and in each curve point",
     "INFEASIBLE": "a bound the alpha solvers return when no alpha works",
     "UNCONSTRAINED": "a bound the alpha solvers return when any alpha works",

@@ -20,10 +20,10 @@ def test_units_convention_requires_positive_buffer():
             policy=PolicyKind.DYNAMIC_THRESHOLDS,
         )
 
-    config(1).validate()
+    config(1)
     for bad in (0, -1):
         with pytest.raises(ConfigError, match="buffer size must be >= 1 packet"):
-            config(bad).validate()
+            config(bad)
 
 
 def test_traffic_class_requires_positive_alpha():

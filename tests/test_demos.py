@@ -2,6 +2,7 @@
 steady-state stories' outputs are pinned exactly."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,17 +17,20 @@ def test_all_demos_found():
     assert len(DEMOS) == 5
 
 
-def _run_demo(demo):
+def _run_demo(demo, tmp_path):
+    # a copy runs from tmp_path, so the files a demo writes next to itself
+    # stay out of the checkout
+    copy = shutil.copy(demo, tmp_path)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, copy], env=env, cwd=tmp_path, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_exits_0(demo):
-    _run_demo(demo)
+def test_demo_exits_0(demo, tmp_path):
+    _run_demo(demo, tmp_path)
 
 
 INCAST_STDOUT = """\
@@ -47,8 +51,8 @@ threshold race for the DT case, from the exact fluid solver:
 """
 
 
-def test_incast_burst_stdout_is_pinned():
-    assert _run_demo(ROOT / "demos" / "incast_burst.py") == INCAST_STDOUT
+def test_incast_burst_stdout_is_pinned(tmp_path):
+    assert _run_demo(ROOT / "demos" / "incast_burst.py", tmp_path) == INCAST_STDOUT
 
 
 STEADY_STATE_STDOUT = """\
@@ -70,5 +74,5 @@ how the DT high-queue share decays as low queues multiply (FB's stays put):
 """
 
 
-def test_steady_state_story_stdout_is_pinned():
-    assert _run_demo(ROOT / "demos" / "steady_state_story.py") == STEADY_STATE_STDOUT
+def test_steady_state_story_stdout_is_pinned(tmp_path):
+    assert _run_demo(ROOT / "demos" / "steady_state_story.py", tmp_path) == STEADY_STATE_STDOUT

@@ -423,7 +423,6 @@ def test_fba_ticks_and_samples_share_one_grid(horizon):
     base = preset("fig5_steady")
     cfg = replace(base, policy=PolicyKind.FBA, fba_period=0.1, sample_interval=0.1,
                   horizon=horizon, sources=tuple(s for s in base.sources if s.start < horizon))
-    cfg.validate()
     trace = run(cfg)
     grid = [k * 0.1 for k in range(round(horizon / 0.1) + 1)]
     assert [t for t, _ in trace.ticks] == grid
@@ -861,7 +860,7 @@ def test_complete_sharing_run_at_the_largest_buffer_round_trips():
         horizon=8.0, initial_lengths={QueueId(0, 0): 3},
     )
     with pytest.raises(ConfigError):
-        replace(cfg, buffer_size=MAX_RECORD_INT + 1).validate()
+        replace(cfg, buffer_size=MAX_RECORD_INT + 1)
     trace = run(cfg)
     records = trace.records
     assert {r[5] for r in records if r[3] in ("admit", "drop")} == {math.inf}

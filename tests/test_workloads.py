@@ -222,7 +222,7 @@ class TestSizeCdf:
 class TestPresets:
     def test_all_presets_validate(self):
         for name in preset_names():
-            preset(name).validate()
+            preset(name)
 
     def test_fig2_shape(self):
         cfg = preset("fig2")
@@ -301,11 +301,21 @@ _TIMES = st.floats(1e-3, 1e4)
 @st.composite
 def every_field_set(draw) -> ScenarioConfig:
     """A config with every ScenarioConfig field away from its default and a
-    source of each kind, the Poisson one with an inline CDF and a stop."""
+    source of each kind, the Poisson one with an inline CDF and a stop.
+
+    The constructor must accept it, and it again with any one field set back
+    to its default.  So each bound comes from values already drawn: every
+    source starts before the default horizon of 100, the horizon lies in
+    (100, 9e5) so the default sample interval stays under MAX_RUN_STEPS,
+    both periods are at least horizon / 10**6, and the buffer holds the
+    initial lengths."""
     n_ports = draw(st.integers(1, 6))
     ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True))
     queues = st.builds(QueueId, st.integers(0, n_ports - 1), st.sampled_from(ids))
-    start = st.builds(F, st.integers(0, 100), st.integers(1, 8))
+    start = st.builds(F, st.integers(0, 99), st.integers(1, 8))
+    horizon = draw(st.floats(100.0, 9e5, exclude_min=True, exclude_max=True))
+    periods = st.floats(max(1e-3, horizon / 10**6), 1e4)
+    initial = draw(st.dictionaries(queues, st.integers(1, 100), min_size=1))
 
     def where():
         return draw(st.sampled_from(ids)), draw(st.integers(0, n_ports - 1))
@@ -321,18 +331,18 @@ def every_field_set(draw) -> ScenarioConfig:
                      stop=t0 + draw(_FRACS), size_cdf=tuple(zip(sizes, probs))),
     )
     return ScenarioConfig(
-        buffer_size=draw(st.integers(1, 10**6)), n_ports=n_ports,
+        buffer_size=draw(st.integers(sum(initial.values()), 10**6)), n_ports=n_ports,
         classes=tuple(TrafficClass(c, draw(_FRACS), draw(st.integers(0, 3))) for c in ids),
         policy=draw(st.sampled_from(PolicyKind)),
         sources=sources + tuple(draw(st.permutations(sources))[: draw(st.integers(0, 3))]),
-        horizon=draw(_non_default(100.0, st.floats(1e-3, 1e6))),
+        horizon=horizon,
         queue_mode="single",
         seed=draw(st.integers(2, 2**64 - 1)),
         congestion_threshold=draw(st.integers(1, 100)),
-        fba_period=draw(_non_default(1.0, _TIMES)),
-        sample_interval=draw(_non_default(0.1, _TIMES)),
+        fba_period=draw(_non_default(1.0, periods)),
+        sample_interval=draw(_non_default(0.1, periods)),
         snapshot_staleness=draw(_TIMES),
-        initial_lengths=draw(st.dictionaries(queues, st.integers(1, 100), min_size=1)),
+        initial_lengths=initial,
         alpha_overrides=draw(st.dictionaries(queues, _FRACS, min_size=1)),
     )
 
@@ -406,13 +416,13 @@ class TestConfigFile:
     def test_validation_catches_bad_references(self):
         cfg = preset("fig2")
         with pytest.raises(ConfigError):
-            replace(cfg, sources=(ConstantRate(class_id=9, port=0, rate=F(1)),)).validate()
+            replace(cfg, sources=(ConstantRate(class_id=9, port=0, rate=F(1)),))
         with pytest.raises(ConfigError):
-            replace(cfg, sources=(ConstantRate(class_id=0, port=7, rate=F(1)),)).validate()
+            replace(cfg, sources=(ConstantRate(class_id=0, port=7, rate=F(1)),))
         with pytest.raises(ConfigError):
-            replace(cfg, initial_lengths={QueueId(0, 0): 100}).validate()
+            replace(cfg, initial_lengths={QueueId(0, 0): 100})
         with pytest.raises(ConfigError):
-            replace(cfg, horizon=5.0).validate()  # source starts at 10
+            replace(cfg, horizon=5.0)  # source starts at 10
 
 
     @pytest.mark.parametrize("changes", [
@@ -427,7 +437,7 @@ class TestConfigFile:
     def test_validation_bounds_what_a_run_stores(self, changes):
         # fig2 runs 60 time units; no config here is ever run
         with pytest.raises(ConfigError):
-            replace(preset("fig2"), **changes).validate()
+            replace(preset("fig2"), **changes)
 
     @pytest.mark.parametrize("changes", [
         dict(sample_interval=60.0 / (MAX_RUN_STEPS - 2)),
@@ -436,7 +446,7 @@ class TestConfigFile:
         dict(buffer_size=MAX_RECORD_INT),
     ], ids=["samples", "ticks", "dt_period", "buffer"])
     def test_validation_admits_up_to_the_bounds(self, changes):
-        replace(preset("fig2"), **changes).validate()
+        replace(preset("fig2"), **changes)
 
 
 class TestFluidBridges:
