@@ -38,14 +38,15 @@ the packet's source, plus controller ticks and periodic occupancy samples.
 Each record is one 40-byte ``RECORD`` in one bytearray: time, threshold,
 port, class, action code (ADMIT 0, DROP 1, DEPART 2, SOURCE_CHANGE 3),
 queue_len, occupancy, source; the loop stores the occupancy at each
-sample instant as it passes.  ``EventTrace.rows()`` decodes the records,
-and the ``records`` and ``samples`` views decode to tuples.  The loop also
-keeps each fact ``metrics.compute`` reads as it happens (first drops,
-occupancy peak, per-source counts), and ``verify_conservation`` checks
-them against a rescan of the records.
-``write_trace_csv`` and ``write_samples_csv`` stream it to CSV in chunks of
-EXPORT_CHUNK_ROWS preformatted rows, so export memory does not grow with
-the trace; ``write_run_summary`` writes the per-queue totals as JSON.
+sample instant as it passes, as one 4-byte int, and each tick's table,
+whose time k * ``fba_period`` is implied.  ``EventTrace.rows()`` decodes
+the records, and the ``records``, ``samples`` and ``ticks`` views decode
+to tuples.  The loop also keeps each fact ``metrics.compute`` reads as it
+happens (first drops, occupancy peak, per-source counts), and
+``verify_conservation`` checks them against a rescan of the records.
+``write_trace_csv`` and ``write_samples_csv`` stream it to CSV one
+preformatted row at a time, so export memory does not grow with the trace;
+``write_run_summary`` writes the per-queue totals as JSON.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
 from .core import PolicyKind, QueueId, write_json
@@ -77,10 +78,6 @@ RECORD = struct.Struct("<2d6i")
 _pack = RECORD.pack
 
 TRACE_COLUMNS = ("time", "port", "class", "queue_len", "action", "threshold")
-
-#: Rows formatted and written per chunk by the CSV writers: the file is
-#: streamed, so export memory stays flat however long the trace is.
-EXPORT_CHUNK_ROWS = 2048
 
 
 class EngineInvariantError(RuntimeError):
@@ -111,26 +108,29 @@ class EventTrace:
     is the length after an admit/depart and at the decision for a drop; the
     threshold means nothing for DEPART and SOURCE_CHANGE.  A departure names
     the packet's source, or -1 for one pre-filled from ``initial_lengths``.
-    ``occupancy[k]`` is the occupancy at k * ``sample_interval``.  The
-    ``records`` view decodes to (time, port, class_id, action name,
-    queue_len, threshold or None, occupancy_after, source_id) tuples, and
-    ``samples`` to (time, occupancy).
+    ``occupancy[k]``, a 4-byte int, is the occupancy at k *
+    ``sample_interval``, and ``tick_tables[k]`` the FBA controller's
+    {queue: effective alpha} emission at k * ``fba_period`` (none under
+    another rule); while the table is unchanged consecutive ticks share one
+    dict object, so the tables are read-only.  The ``records`` view decodes
+    to (time, port, class_id, action name, queue_len, threshold or None,
+    occupancy_after, source_id) tuples, ``samples`` to (time, occupancy)
+    and ``ticks`` to (time, table).
     ``queue_of`` maps a record's (port, class_id) to its engine queue (the
-    shared per-port queue in single-queue mode).  ``ticks`` holds (time,
-    {queue: effective alpha}) controller emissions, one per tick; while the
-    table is unchanged consecutive ticks share one dict object, so the
-    tables are read-only.  ``counts`` holds the engine's per-queue
-    arrival/admit/drop/departure totals, ``first_drop`` each queue's first
-    drop time (inf without one), ``occupancy_peak`` the highest occupancy
-    reached, and ``source_counts`` one row per configured source: admitted,
-    dropped and departed packets and the last departure time (or None).
+    shared per-port queue in single-queue mode).  ``counts`` holds the
+    engine's per-queue arrival/admit/drop/departure totals, ``first_drop``
+    each queue's first drop time (inf without one), ``occupancy_peak`` the
+    highest occupancy reached, and ``source_counts`` one row per configured
+    source: admitted, dropped and departed packets and the last departure
+    time (or None).
     """
 
     queue_ids: tuple[QueueId, ...]
     queue_of: dict[tuple[int, int], QueueId] = field(default_factory=dict)
     packed: bytearray = field(default_factory=bytearray)
-    ticks: list[tuple[float, dict[QueueId, float]]] = field(default_factory=list)
-    occupancy: array = field(default_factory=lambda: array("q"))
+    tick_tables: list[dict[QueueId, float]] = field(default_factory=list)
+    fba_period: float = 1.0
+    occupancy: array = field(default_factory=lambda: array("i"))
     sample_interval: float = 0.1
     initial_lengths: dict[QueueId, int] = field(default_factory=dict)
     final_lengths: dict[QueueId, int] = field(default_factory=dict)
@@ -146,7 +146,7 @@ class EventTrace:
         packed = bytearray().join(
             _pack(t, 0.0 if thr is None else thr, port, c, ACTIONS.index(action), qlen, occ, src)
             for t, port, c, action, qlen, thr, occ, src in records)
-        return cls(packed=packed, occupancy=array("q", occupancy), **fields)
+        return cls(packed=packed, occupancy=array("i", occupancy), **fields)
 
     def rows(self) -> Iterator[tuple]:
         """The records decoded, in order, as RECORD tuples."""
@@ -160,6 +160,10 @@ class EventTrace:
     @property
     def samples(self) -> list[tuple[float, int]]:
         return [(k * self.sample_interval, occ) for k, occ in enumerate(self.occupancy)]
+
+    @property
+    def ticks(self) -> list[tuple[float, dict[QueueId, float]]]:
+        return [(k * self.fba_period, table) for k, table in enumerate(self.tick_tables)]
 
     def verify_conservation(self) -> None:
         """Check the engine's facts (per-queue counters and first drops,
@@ -450,13 +454,13 @@ def service_port(state: SwitchState, port: int, time: float, trace: EventTrace) 
     return state.nonempty_port[port] > 0
 
 
-def controller_tick(state: SwitchState, time: float, trace: EventTrace) -> None:
-    """Emit the FBA alpha table in force at ``time``: the run's table,
+def controller_tick(state: SwitchState, trace: EventTrace) -> None:
+    """Emit the FBA alpha table in force at the next tick: the run's table,
     refreshed on the view.  An unchanged table re-emits the dict already in
     force."""
     if state.refresh(state.view()):
         state.emitted = state._emit()
-    trace.ticks.append((time, state.emitted))
+    trace.tick_tables.append(state.emitted)
 
 
 def run(config: ScenarioConfig) -> EventTrace:
@@ -468,6 +472,7 @@ def run(config: ScenarioConfig) -> EventTrace:
         queue_of={key: queues[qi] for key, qi in state.slot.items()},
         initial_lengths={q: n for q, n in zip(queues, state.lengths) if n},
         sample_interval=config.sample_interval,
+        fba_period=config.fba_period,
         horizon=config.horizon,
     )
 
@@ -492,7 +497,7 @@ def run(config: ScenarioConfig) -> EventTrace:
     period = config.fba_period  # one pending tick, k at k * period
     ticks = 0
     if state.rule is PolicyKind.FBA:
-        trace.ticks.append((0.0, state.emitted))  # table in force from the start
+        trace.tick_tables.append(state.emitted)  # table in force from the start
         ticks = grid_steps(config.horizon, period)
         if ticks:
             events.append((period, _TICK, 1, None))
@@ -535,7 +540,7 @@ def run(config: ScenarioConfig) -> EventTrace:
                 heappush(events, (time + 1.0, _COMPLETION, seq, payload))
                 seq += 1
         elif rank == _TICK:
-            controller_tick(state, time, trace)
+            controller_tick(state, trace)
             if key < ticks:
                 heappush(events, ((key + 1) * period, _TICK, key + 1, None))
         elif rank == _SYNC:
@@ -552,12 +557,12 @@ def run(config: ScenarioConfig) -> EventTrace:
                                   state.lengths[qi], state.total, source_id)
 
     # the grid allows 1e-9 of a period past the horizon, beyond ``end``: the
-    # samples and ticks still due there see the final state (``ticks`` holds
-    # tick 0 and each tick fired so far)
+    # samples and ticks still due there see the final state (``tick_tables``
+    # holds tick 0 and each tick fired so far)
     occupancy.extend(repeat(state.total, steps + 1 - sample))
     if state.rule is PolicyKind.FBA:
-        for k in range(len(trace.ticks), ticks + 1):
-            controller_tick(state, k * period, trace)
+        for _ in range(len(trace.tick_tables), ticks + 1):
+            controller_tick(state, trace)
     trace.final_lengths = dict(zip(queues, state.lengths))
     trace.first_drop = dict(zip(queues, state.first_drop))
     trace.occupancy_peak = state.peak
@@ -582,12 +587,10 @@ def run(config: ScenarioConfig) -> EventTrace:
 
 def _write_csv(path, columns: Iterable[str], rows: Iterable[str]) -> None:
     """A header and preformatted ``\r\n``-terminated rows (the csv module's
-    default dialect), written EXPORT_CHUNK_ROWS rows at a time."""
-    rows = iter(rows)
+    default dialect), streamed one row at a time."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
-        while chunk := "".join(islice(rows, EXPORT_CHUNK_ROWS)):
-            fh.write(chunk)
+        fh.writelines(rows)
 
 
 def write_trace_csv(trace: EventTrace, path) -> None:

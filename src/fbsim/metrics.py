@@ -112,27 +112,17 @@ def trailing_steady_lengths(
     next refill).
     """
     t0 = trace.horizon - window
-    current = {q: trace.initial_lengths.get(q, 0) for q in trace.queue_ids}
-    occupancy = sum(current.values())
-    maxima: Optional[dict[QueueId, int]] = None
-    occ_max = 0
+    # the state just before the window, then the highest values in it
+    maxima = {q: trace.initial_lengths.get(q, 0) for q in trace.queue_ids}
+    occ_max = sum(maxima.values())
     for time, _thr, port, class_id, code, qlen, occ, _src in trace.rows():
         if code != ADMIT and code != DEPART:
             continue
-        if time >= t0 and maxima is None:
-            maxima = dict(current)
-            occ_max = occupancy
         q = trace.queue_of[port, class_id]
-        current[q] = qlen
-        occupancy = occ
-        if maxima is not None:
-            if qlen > maxima[q]:
-                maxima[q] = qlen
-            if occ > occ_max:
-                occ_max = occ
-    if maxima is None:
-        maxima = dict(current)
-        occ_max = occupancy
+        if time < t0:
+            maxima[q], occ_max = qlen, occ
+        else:
+            maxima[q], occ_max = max(maxima[q], qlen), max(occ_max, occ)
     return maxima, occ_max
 
 

@@ -269,11 +269,26 @@ def grid_steps(horizon: float, period: float) -> int:
     return int(math.floor(horizon / period + 1e-9))
 
 
+class FrozenDict(dict):
+    """A dict that refuses every change.  It equals a plain dict and, unlike
+    ``types.MappingProxyType``, pickles (a parallel sweep pickles configs)."""
+
+    def _refuse(self, *_args, **_kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulation, checked when it is built: the constructor, and so
     ``dataclasses.replace``, ``loads_scenario``, ``preset`` and ``sweep``,
-    raise ConfigError for a config that no run or analysis could use."""
+    raise ConfigError for a config that no run or analysis could use.  The
+    constructor copies ``initial_lengths`` and ``alpha_overrides`` into
+    read-only ``FrozenDict`` maps, so a checked config cannot change."""
 
     buffer_size: int
     n_ports: int
@@ -301,6 +316,8 @@ class ScenarioConfig:
         return override if override is not None else self.class_by_id(queue.class_id).alpha
 
     def __post_init__(self) -> None:
+        for name in ("initial_lengths", "alpha_overrides"):
+            object.__setattr__(self, name, FrozenDict(getattr(self, name)))
         if self.buffer_size < 1:
             raise ConfigError(f"buffer size must be >= 1 packet, got {self.buffer_size}")
         if not 0 <= self.seed < 2**64:
@@ -756,23 +773,12 @@ def _with_n_low_queues(base: ScenarioConfig, n: int) -> ScenarioConfig:
 
 
 def _congested_sets(cfg: ScenarioConfig) -> tuple[list[QueueId], list[QueueId]]:
-    """(persistent congested queues, burst target queues) in stable order."""
-    new: list[QueueId] = []
-    for s in cfg.sources:
-        if isinstance(s, Burst):
-            q = QueueId(s.port, s.class_id)
-            if q not in new:
-                new.append(q)
-    old: list[QueueId] = []
-    for s in cfg.sources:
-        if not isinstance(s, Burst):
-            q = QueueId(s.port, s.class_id)
-            if q not in old and q not in new:
-                old.append(q)
-    for q in sorted(cfg.initial_lengths):
-        if cfg.initial_lengths[q] > 0 and q not in old and q not in new:
-            old.append(q)
-    return old, new
+    """(persistent congested queues, burst target queues) in stable order:
+    each queue once, where it first appears, and a burst target only as new."""
+    new = list(dict.fromkeys(QueueId(s.port, s.class_id) for s in cfg.sources if isinstance(s, Burst)))
+    fed = [QueueId(s.port, s.class_id) for s in cfg.sources if not isinstance(s, Burst)]
+    filled = [q for q in sorted(cfg.initial_lengths) if cfg.initial_lengths[q] > 0]
+    return [q for q in dict.fromkeys(fed + filled) if q not in new], new
 
 
 def _check_analyzable(cfg: ScenarioConfig) -> None:

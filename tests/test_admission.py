@@ -51,7 +51,7 @@ def threshold(kind, lengths, class_id, port, **kw):
 
 def tick(switch):
     trace = EventTrace(queue_ids=switch.queue_ids)
-    controller_tick(switch, 0.0, trace)
+    controller_tick(switch, trace)
     return trace.ticks[-1][1]
 
 

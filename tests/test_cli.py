@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -576,6 +577,22 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main(args + ["--out", str(parallel), "--parallel", "2"]) == 0
     assert (serial / "index.csv").read_text() == (parallel / "index.csv").read_text()
     for sub in ("run_000", "run_001"):
+        assert (serial / sub / "trace.csv").read_bytes() == (parallel / sub / "trace.csv").read_bytes()
+
+
+def test_sweep_parallel_runs_a_config_with_both_maps(tmp_path):
+    # each config, with its read-only initial lengths and alpha overrides,
+    # is pickled to a worker
+    path = tmp_path / "both.ini"
+    path.write_text(dumps_scenario(replace(
+        preset("fig4_incast"), alpha_overrides={QueueId(0, 5): Fraction(3)})))
+    serial, parallel = tmp_path / "s", tmp_path / "p"
+    args = ["sweep", "--scenario", str(path), "--axis", "r", "--values", "2,6"]
+    assert main(args + ["--out", str(serial)]) == 0
+    assert main(args + ["--out", str(parallel), "--parallel", "2"]) == 0
+    assert (serial / "index.csv").read_text() == (parallel / "index.csv").read_text()
+    for sub in ("run_000", "run_001"):
+        assert "[alpha_overrides]\n0:5 = 3\n" in (parallel / sub / "scenario.lock").read_text()
         assert (serial / sub / "trace.csv").read_bytes() == (parallel / sub / "trace.csv").read_bytes()
 
 

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 from fbsim import engine
 from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.engine import (
-    EXPORT_CHUNK_ROWS,
     RECORD,
     EngineInvariantError,
     EventTrace,
@@ -753,11 +752,10 @@ _records = st.tuples(
     _times, st.integers(0, 63), st.integers(-1, 63), st.sampled_from(ACTIONS),
     st.integers(0, 10**6), _thresholds, st.integers(0, 10**6), st.integers(-1, 99),
 )
-# row counts below, at and above one chunk, and across several chunks
+# row counts from none to a few thousand, around powers of two
 _counts = st.one_of(
-    st.sampled_from([0, 1, EXPORT_CHUNK_ROWS - 1, EXPORT_CHUNK_ROWS, EXPORT_CHUNK_ROWS + 1,
-                     2 * EXPORT_CHUNK_ROWS, 2 * EXPORT_CHUNK_ROWS + 1]),
-    st.integers(0, 3 * EXPORT_CHUNK_ROWS),
+    st.sampled_from([0, 1, 2047, 2048, 2049, 4096, 4097]),
+    st.integers(0, 6144),
 )
 
 _PINNED = [
@@ -774,9 +772,9 @@ _PINNED = [
     samples=st.lists(st.tuples(_times, st.integers(0, 10**6)), min_size=1, max_size=40),
     n=_counts,
 )
-@example(distinct=_PINNED, samples=[(t, 7) for t in SPECIAL_FLOATS], n=EXPORT_CHUNK_ROWS)
-@example(distinct=_PINNED, samples=[(t, 0) for t in SPECIAL_FLOATS], n=EXPORT_CHUNK_ROWS - 1)
-@example(distinct=_PINNED, samples=[(t, 3) for t in SPECIAL_FLOATS], n=EXPORT_CHUNK_ROWS + 1)
+@example(distinct=_PINNED, samples=[(t, 7) for t in SPECIAL_FLOATS], n=2048)
+@example(distinct=_PINNED, samples=[(t, 0) for t in SPECIAL_FLOATS], n=2047)
+@example(distinct=_PINNED, samples=[(t, 3) for t in SPECIAL_FLOATS], n=2049)
 # a 0.0 threshold after -0.0: the two are equal as floats but print apart
 @example(distinct=_PINNED + [(0.5, 1, 1, "drop", 3, 0.0, 0, 0)], samples=[(0.5, 1)],
          n=len(_PINNED) + 1)
@@ -802,22 +800,39 @@ def test_csv_writers_match_the_csv_module(distinct, samples, n):
         assert (out / "samples.csv").read_bytes() == (out / "samples_oracle.csv").read_bytes()
 
 
+def _export_peak(writer, trace, path) -> int:
+    """The peak heap, in bytes, of ``writer(trace, path)``."""
+    tracemalloc.start()
+    try:
+        writer(trace, path)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+# The writers stream one row at a time: the 40,000 rows below peak at about
+# 40 kB (trace) and 55 kB (samples), the text layer's pending buffer, while
+# a writer that joins 2048 rows before each write peaks at 230-330 kB.  Each
+# file is several times the bound, so neither can be built whole in memory.
+
+
 def test_trace_export_streams_in_bounded_memory(tmp_path):
-    # the file is larger than the bound, so a writer that builds the whole
-    # text in memory before writing it cannot pass
     records = [
         (i * 0.1, i % 6, i % 9, ACTIONS[i % 4], i % 50, i * 0.37, i % 2000, i % 10)
         for i in range(40_000)
     ]
     trace = EventTrace.from_rows(records, queue_ids=())
-    tracemalloc.start()
-    try:
-        write_trace_csv(trace, tmp_path / "trace.csv")
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _export_peak(write_trace_csv, trace, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").stat().st_size > 1_000_000
-    assert peak < 1_000_000
+    assert peak < 100_000
+
+
+def test_samples_export_streams_in_bounded_memory(tmp_path):
+    trace = EventTrace.from_rows((), [i % 2000 for i in range(40_000)], queue_ids=())
+    peak = _export_peak(write_samples_csv, trace, tmp_path / "samples.csv")
+    assert (tmp_path / "samples.csv").stat().st_size > 500_000
+    assert peak < 100_000
 
 
 # -- the packed trace --------------------------------------------------------
@@ -881,3 +896,30 @@ def test_trace_holds_at_most_80_bytes_per_record():
     n_records = len(trace.packed) // RECORD.size
     assert n_records >= 20_000
     assert held / n_records <= 80
+
+
+def test_occupancy_samples_are_4_byte_ints():
+    # validation keeps every occupancy within MAX_RECORD_INT
+    assert run(two_class_config()).occupancy.itemsize == 4
+    trace = EventTrace.from_rows((), [0, MAX_RECORD_INT], queue_ids=(), sample_interval=0.5)
+    assert trace.occupancy.itemsize == 4
+    assert trace.samples == [(0.0, 0), (0.5, MAX_RECORD_INT)]
+
+
+@pytest.mark.parametrize("period", [0.1, 1.0, 2.0, 2.5])
+@pytest.mark.parametrize("name", ["fig5_steady", "fig5_incast"])
+def test_fba_trace_keeps_one_table_per_tick_and_no_tick_time(name, period):
+    # tick k is due at exactly k * period, so the trace keeps the tables
+    # alone and ``ticks`` derives each time bit for bit
+    cfg = replace(preset(name), policy=PolicyKind.FBA, fba_period=period)
+    trace = run(cfg)
+    ticks = trace.ticks
+    grid = [0.0] + [k * period for k in range(1, round(cfg.horizon / period) + 1)]
+    assert _bits(ticks) == _bits(list(zip(grid, trace.tick_tables, strict=True)))
+    assert all(t is table for (_, t), table in zip(ticks, trace.tick_tables))
+    # unchanged tables stay one shared dict
+    assert len({id(table) for table in trace.tick_tables}) < len(trace.tick_tables)
+    # no field holds a float, or a tuple carrying one, per tick
+    for value in vars(trace).values():
+        if isinstance(value, list):
+            assert not any(isinstance(item, (float, tuple)) for item in value)

@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import pickle
 import random
 from dataclasses import MISSING, fields, replace
 from fractions import Fraction
@@ -423,6 +424,29 @@ class TestConfigFile:
             replace(cfg, initial_lengths={QueueId(0, 0): 100})
         with pytest.raises(ConfigError):
             replace(cfg, horizon=5.0)  # source starts at 10
+
+    def test_a_checked_config_cannot_change(self):
+        # the constructor keeps read-only copies of the two maps it checked:
+        # five queues at 50 would put 250 packets in a 60-packet buffer
+        initial, overrides = {QueueId(1, c): 10 for c in range(5)}, {QueueId(0, 5): F(3)}
+        cfg = replace(preset("fig4_incast"), initial_lengths=initial, alpha_overrides=overrides)
+        initial[QueueId(1, 0)] = overrides[QueueId(0, 5)] = 50
+        assert cfg.initial_lengths == {QueueId(1, c): 10 for c in range(5)}
+        assert cfg.alpha_overrides == {QueueId(0, 5): F(3)}
+        for table in (cfg.initial_lengths, cfg.alpha_overrides):
+            for change in (lambda m: m.__setitem__(QueueId(1, 0), 50),
+                           lambda m: m.__delitem__(QueueId(1, 0)), lambda m: m.__ior__({}),
+                           lambda m: m.update({}), lambda m: m.setdefault(QueueId(0, 0), 1),
+                           lambda m: m.pop(QueueId(1, 0), None), lambda m: m.popitem(),
+                           lambda m: m.clear()):
+                with pytest.raises(TypeError, match="read-only"):
+                    change(table)
+        assert sum(cfg.initial_lengths.values()) == 50
+        # a parallel sweep pickles each config
+        again = pickle.loads(pickle.dumps(cfg))
+        assert again == cfg and type(again.initial_lengths) is type(cfg.initial_lengths)
+        with pytest.raises(TypeError, match="read-only"):
+            again.alpha_overrides[QueueId(0, 5)] = F(9)
 
 
     @pytest.mark.parametrize("changes", [
