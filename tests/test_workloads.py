@@ -7,6 +7,7 @@ import random
 from dataclasses import MISSING, fields, replace
 from fractions import Fraction
 from itertools import islice, repeat
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from fbsim.workloads import (
     ScenarioConfig,
     ScenarioParseError,
     dumps_scenario,
+    load_scenario,
     load_size_cdf,
     loads_scenario,
     preset,
@@ -37,6 +39,7 @@ from fbsim.workloads import (
 
 F = Fraction
 LOW, HIGH = 0, 1
+GOLDEN_SCENARIOS = Path(__file__).parent / "golden" / "scenarios"
 
 
 def merged_arrivals(sources, seed, horizon):
@@ -501,3 +504,35 @@ class TestFluidBridges:
     def test_burst_required_for_transient(self):
         with pytest.raises(ConfigError):
             transient_scenario(preset("fig4_steady"))
+
+    #: Low queues 0:0 and 1:0 fed at rate 2, and a burst 0:1 that shares
+    #: port 0 with 0:0, so the burst halves 0:0's gamma.
+    SHARED_PORT = (
+        "[switch]\nbuffer = 60\nports = 3\nhorizon = 20\n\n"
+        "[classes]\n0 = alpha=1 priority=0\n1 = alpha=2 priority=1\n\n"
+        "[policy]\nkind = {kind}\n\n"
+        "[sources]\n0 = constant class=0 port=0 rate=2\n1 = constant class=0 port=1 rate=2\n"
+        "2 = burst class=1 port=0 r=4 duration=8 start=2\n"
+    )
+
+    @pytest.mark.parametrize("kind,old,new", [
+        # under FB the burst halves 0:0's beta * gamma and leaves 1:0's alone
+        ("fb", {QueueId(0, 0): (F(1, 4), F(1, 2), F(1, 2), 2), QueueId(1, 0): (F(1, 2), 1, None, 2)},
+         {QueueId(0, 1): (1, F(1, 2), F(1, 2))}),
+        # under DT every weight is its alpha, so no old queue is affected
+        ("dt", {QueueId(0, 0): (1, F(1, 2), None, 2), QueueId(1, 0): (1, 1, None, 2)},
+         {QueueId(0, 1): (2, F(1, 2), 1)}),
+    ])
+    def test_pre_and_post_burst_weights(self, kind, old, new):
+        ts = transient_scenario(loads_scenario(self.SHARED_PORT.format(kind=kind)))
+        assert ts.r == 4 and ts.buffer_size == 60
+        assert {q.queue: (q.omega, q.gamma, q.omega_before, q.fill_rate) for q in ts.old} == old
+        assert {q.queue: (q.omega, q.gamma, q.factor) for q in ts.new} == new
+        assert [q.queue for q in ts.old] == list(old)
+
+    @pytest.mark.parametrize("name", [
+        "fig4_incast", "fig5_incast", "fb_stale_override.ini", "fba_period_0.ini", "fba_period_2.ini",
+    ])
+    def test_steady_omegas_are_the_pre_burst_weights(self, name):
+        cfg = load_scenario(GOLDEN_SCENARIOS / name) if name.endswith(".ini") else preset(name)
+        assert steady_omegas(cfg) == {q.queue: q.pre_omega for q in transient_scenario(cfg).old}
