@@ -13,8 +13,9 @@ Unit conventions used throughout the package:
 All types in this module, ``PolicyKind`` (the four admission policies a
 scenario can name; their rules live in ``fbsim.engine``) among them, are
 immutable value objects and safe to share across threads.  The module
-also owns how a result is written out: the value-to-JSON rule
-``jsonable``, the JSON text and files, and CSV tables.
+also owns the exact-number coercion ``as_fraction`` and how a result is
+written out: the value-to-JSON rule ``jsonable``, the JSON text and files,
+and CSV tables.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
+
+Number = Union[int, float, Fraction]
+
+
+def as_fraction(x: Number) -> Fraction:
+    """``x`` as an exact Fraction; a Fraction is returned as it is."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class PolicyKind(Enum):
@@ -46,7 +54,7 @@ class TrafficClass:
     priority_id: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "alpha", as_fraction(self.alpha))
         if self.alpha <= 0:
             raise ValueError(f"class {self.class_id}: alpha must be > 0, got {self.alpha}")
 

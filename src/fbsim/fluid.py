@@ -45,9 +45,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .core import QueueId, jsonable, write_table
+from .core import Number, QueueId, as_fraction, jsonable, write_table
 
-Number = Union[int, float, Fraction]
 #: t1 values may be +inf (queue never meets its threshold).
 Value = Union[Fraction, float]
 
@@ -72,10 +71,6 @@ Bound = Union[Fraction, BoundStatus]
 _LOW_CLASS, _HIGH_CLASS = 0, 1
 
 
-def _frac(x: Number) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 # ---------------------------------------------------------------------------
 # weights and steady state
 # ---------------------------------------------------------------------------
@@ -89,7 +84,7 @@ def fb_factors(queues: Mapping[QueueId, tuple[int, Number]]) -> dict[QueueId, Fr
     1 / (number of listed queues of that priority).
     """
     counts = Counter(prio for prio, _ in queues.values())
-    return {q: Fraction(1, counts[prio]) * _frac(gamma) for q, (prio, gamma) in queues.items()}
+    return {q: Fraction(1, counts[prio]) * as_fraction(gamma) for q, (prio, gamma) in queues.items()}
 
 
 @dataclass(frozen=True)
@@ -109,10 +104,10 @@ def steady_state(omegas: Mapping[QueueId, Number], buffer_size: Number) -> Analy
     """Steady-state occupancy, remaining space and per-queue thresholds
     from {queue: omega}, every queue congested; each weight becomes a
     Fraction, so every result is exact."""
-    weights = {q: _frac(w) for q, w in omegas.items()}
+    weights = {q: as_fraction(w) for q, w in omegas.items()}
     if any(w <= 0 for w in weights.values()):
         raise ValueError("all omegas must be > 0 for congested queues")
-    b = _frac(buffer_size)
+    b = as_fraction(buffer_size)
     w_total = sum(weights.values(), Fraction(0))
     share = b / (1 + w_total)
     return AnalysisResult(
@@ -145,11 +140,11 @@ class OldQueue:
     fill_rate: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _frac(self.omega))
-        object.__setattr__(self, "gamma", _frac(self.gamma))
+        object.__setattr__(self, "omega", as_fraction(self.omega))
+        object.__setattr__(self, "gamma", as_fraction(self.gamma))
         for name in ("omega_before", "fill_rate"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _frac(getattr(self, name)))
+                object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if self.omega <= 0 or not 0 < self.gamma <= 1:
             raise ValueError(f"{self.queue}: need omega > 0 and gamma in (0,1]")
 
@@ -178,9 +173,9 @@ class NewQueue:
     factor: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _frac(self.omega))
-        object.__setattr__(self, "gamma", _frac(self.gamma))
-        object.__setattr__(self, "factor", _frac(self.factor))
+        object.__setattr__(self, "omega", as_fraction(self.omega))
+        object.__setattr__(self, "gamma", as_fraction(self.gamma))
+        object.__setattr__(self, "factor", as_fraction(self.factor))
         if self.omega <= 0 or not 0 < self.gamma <= 1 or not 0 < self.factor <= 1:
             raise ValueError(f"{self.queue}: need omega > 0, gamma and factor in (0,1]")
 
@@ -195,7 +190,7 @@ class TransientScenario:
     r: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r", _frac(self.r))
+        object.__setattr__(self, "r", as_fraction(self.r))
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
         if self.r <= 0:
@@ -233,10 +228,10 @@ def two_priority_incast(
         )
     if scheme not in ("fb", "dt"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    a_low, a_high, rf = _frac(alpha_low), _frac(alpha_high), _frac(r)
+    a_low, a_high, rf = as_fraction(alpha_low), as_fraction(alpha_high), as_fraction(r)
     m = low_queues_per_port
     n_low = n_low_ports * m
-    gamma_low, g_new = Fraction(1, m), _frac(new_gamma)
+    gamma_low, g_new = Fraction(1, m), as_fraction(new_gamma)
     # queues sharing a port carry distinct class ids (one queue per
     # (port, class) pair); new queues sit on ports 0..n_new-1, low ports
     # from 100 on, or past the new ports if there are more than 100
@@ -365,7 +360,7 @@ def alpha_L_for_zero_transient(r: Number, num_congested_ports: int = 1) -> Bound
     burst of rate r, given at least ``num_congested_ports`` congested ports:
     alpha_L <= 1 / (r - (NUM + 1)).  Unconstrained when r <= NUM + 1.
     """
-    rf = _frac(r)
+    rf = as_fraction(r)
     if rf <= 0:
         raise ValueError("r must be > 0")
     if num_congested_ports < 1:
@@ -380,7 +375,7 @@ def alpha_L_for_burst(buffer_size: Number, r: Number, t: Number) -> Bound:
     """Largest low-priority alpha allowing a worst-case (r, t) burst through:
     alpha_L <= B / ((r-2)*t) - 1.  Unconstrained for r <= 2; infeasible when
     the bound is not positive."""
-    b, rf, tf = _frac(buffer_size), _frac(r), _frac(t)
+    b, rf, tf = as_fraction(buffer_size), as_fraction(r), as_fraction(t)
     if b <= 0 or tf <= 0:
         raise ValueError("need B > 0 and t > 0")
     if rf <= 2:
@@ -397,7 +392,7 @@ def alpha_H_for_burst(buffer_size: Number, r: Number, t: Number, alpha_L: Number
 
     Infeasible when the inner denominator is not positive (no alpha_H works).
     """
-    b, rf, tf, al = _frac(buffer_size), _frac(r), _frac(t), _frac(alpha_L)
+    b, rf, tf, al = as_fraction(buffer_size), as_fraction(r), as_fraction(t), as_fraction(alpha_L)
     if rf <= 1:
         raise ValueError("r must exceed the port drain rate (r > 1)")
     if tf <= 0 or al < 0:
@@ -418,7 +413,7 @@ def multi_priority_alpha_H(
     alpha maxima simply sum into the alpha_L slot."""
     if not lower_priority_alpha_maxes:
         raise ValueError("need at least one lower-priority alpha")
-    alpha_x = sum((_frac(a) for a in lower_priority_alpha_maxes), Fraction(0))
+    alpha_x = sum((as_fraction(a) for a in lower_priority_alpha_maxes), Fraction(0))
     return alpha_H_for_burst(buffer_size, r, t, alpha_x)
 
 
@@ -451,7 +446,7 @@ def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds
     factor 1 and gamma 1, Case-2 rate) these reduce exactly to the
     two-priority closed forms of alpha_L_for_burst / alpha_H_for_burst.
     """
-    tf = _frac(t)
+    tf = as_fraction(t)
     if tf <= 0:
         raise ValueError("t must be > 0")
     cf = _closed_form(ts)
@@ -647,7 +642,7 @@ def integrate_transient(
     num = _EXACT
     zero = num(0)
     b = num(ts.buffer_size)
-    end = None if horizon is None else num(_frac(horizon))
+    end = None if horizon is None else num(as_fraction(horizon))
     entries = (*ts.old, *ts.new)
     n_old = len(ts.old)
     omega = [num(q.omega) for q in entries]

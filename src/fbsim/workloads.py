@@ -9,7 +9,10 @@ parse -> serialize -> parse is the identity.
 
 This module also bridges configs into the fluid model (steady-state
 weights and transient scenarios), so the analyzer and the packet engine
-consume the same description.
+consume the same description.  Both bridges read one derivation: one
+pass over the sources maps each queue to the sources that feed it, and
+one helper weighs the pre-burst and the post-burst congested set.  A
+layout that the fluid model does not describe is a ConfigError.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .core import PolicyKind, QueueId, TrafficClass
-from .fluid import NewQueue, OldQueue, TransientScenario, _frac, fb_factors
+from .core import PolicyKind, QueueId, TrafficClass, as_fraction
+from .fluid import NewQueue, OldQueue, TransientScenario, fb_factors
 
 
 class ConfigError(ValueError):
@@ -104,10 +107,10 @@ class ConstantRate:
     stop: Optional[Fraction] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", _frac(self.rate))
-        object.__setattr__(self, "start", _frac(self.start))
+        object.__setattr__(self, "rate", as_fraction(self.rate))
+        object.__setattr__(self, "start", as_fraction(self.start))
         if self.stop is not None:
-            object.__setattr__(self, "stop", _frac(self.stop))
+            object.__setattr__(self, "stop", as_fraction(self.stop))
         if self.rate <= 0 or self.start < 0:
             raise ConfigError("constant source needs rate > 0 and start >= 0")
         if self.stop is not None and self.stop <= self.start:
@@ -132,9 +135,9 @@ class Burst:
         return self.start + self.duration
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _frac(self.r))
-        object.__setattr__(self, "duration", _frac(self.duration))
-        object.__setattr__(self, "start", _frac(self.start))
+        object.__setattr__(self, "r", as_fraction(self.r))
+        object.__setattr__(self, "duration", as_fraction(self.duration))
+        object.__setattr__(self, "start", as_fraction(self.start))
         if self.r <= 0 or self.duration <= 0 or self.start < 0:
             raise ConfigError("burst needs r > 0, duration > 0, start >= 0")
 
@@ -158,11 +161,11 @@ class PoissonFlows:
     size_cdf: Union[None, str, tuple[tuple[int, float], ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "mean_interarrival", _frac(self.mean_interarrival))
-        object.__setattr__(self, "flow_rate", _frac(self.flow_rate))
-        object.__setattr__(self, "start", _frac(self.start))
+        object.__setattr__(self, "mean_interarrival", as_fraction(self.mean_interarrival))
+        object.__setattr__(self, "flow_rate", as_fraction(self.flow_rate))
+        object.__setattr__(self, "start", as_fraction(self.start))
         if self.stop is not None:
-            object.__setattr__(self, "stop", _frac(self.stop))
+            object.__setattr__(self, "stop", as_fraction(self.stop))
         if self.mean_interarrival <= 0 or self.flow_rate <= 0 or self.start < 0:
             raise ConfigError("poisson source needs positive interarrival and flow_rate")
         if self.stop is not None and self.stop <= self.start:
@@ -705,7 +708,7 @@ def sweep(base: ScenarioConfig, axis: str, values: Iterable) -> list[ScenarioCon
     out: list[ScenarioConfig] = []
     for value in values:
         if axis == "load":
-            v = _frac(value)
+            v = as_fraction(value)
             if v <= 0:
                 raise ConfigError("load multiplier must be > 0")
             if not any(isinstance(s, ConstantRate) for s in base.sources):
@@ -716,7 +719,7 @@ def sweep(base: ScenarioConfig, axis: str, values: Iterable) -> list[ScenarioCon
             )
             out.append(replace(base, sources=sources))
         elif axis == "burst_size":
-            v = _frac(value)
+            v = as_fraction(value)
             if not 0 < v <= 1:
                 raise ConfigError("burst_size fraction must be in (0, 1]")
             if not any(isinstance(s, Burst) for s in base.sources):
@@ -727,7 +730,7 @@ def sweep(base: ScenarioConfig, axis: str, values: Iterable) -> list[ScenarioCon
             )
             out.append(replace(base, sources=sources))
         elif axis == "r":
-            v = _frac(value)
+            v = as_fraction(value)
             if v <= 0:
                 raise ConfigError("burst rate must be > 0")
             if not any(isinstance(s, Burst) for s in base.sources):
@@ -737,7 +740,10 @@ def sweep(base: ScenarioConfig, axis: str, values: Iterable) -> list[ScenarioCon
             )
             out.append(replace(base, sources=sources))
         elif axis == "n_low_queues":
-            out.append(_with_n_low_queues(base, int(value)))
+            v = as_fraction(value)
+            if v.denominator != 1:
+                raise ConfigError(f"n_low_queues must be a whole number, got {value}")
+            out.append(_with_n_low_queues(base, int(v)))
         else:
             raise ConfigError(f"unknown sweep axis {axis!r}; known: {', '.join(SWEEP_AXES)}")
     return out
@@ -772,91 +778,74 @@ def _with_n_low_queues(base: ScenarioConfig, n: int) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _congested_sets(cfg: ScenarioConfig) -> tuple[list[QueueId], list[QueueId]]:
-    """(persistent congested queues, burst target queues) in stable order:
-    each queue once, where it first appears, and a burst target only as new."""
-    new = list(dict.fromkeys(QueueId(s.port, s.class_id) for s in cfg.sources if isinstance(s, Burst)))
-    fed = [QueueId(s.port, s.class_id) for s in cfg.sources if not isinstance(s, Burst)]
-    filled = [q for q in sorted(cfg.initial_lengths) if cfg.initial_lengths[q] > 0]
-    return [q for q in dict.fromkeys(fed + filled) if q not in new], new
+#: A queue's (omega, gamma, factor) for one congested set.
+Weight = tuple[Fraction, Fraction, Fraction]
 
 
-def _check_analyzable(cfg: ScenarioConfig) -> None:
+def _weights(cfg: ScenarioConfig, congested: Sequence[QueueId]) -> dict[QueueId, Weight]:
+    """(omega, gamma, factor) per queue, taking exactly ``congested`` as
+    congested: gamma is the queue's share of its port, and the factor
+    omega / alpha is 1 under DT and FB's beta * gamma under FB and FBA."""
+    per_port = Counter(q.port for q in congested)
+    gammas = {q: Fraction(1, per_port[q.port]) for q in congested}
+    if cfg.policy is PolicyKind.DYNAMIC_THRESHOLDS:
+        factors = dict.fromkeys(congested, Fraction(1))
+    else:
+        factors = fb_factors({q: (cfg.class_by_id(q.class_id).priority_id, g) for q, g in gammas.items()})
+    return {q: (cfg.alpha_of(q) * factors[q], gammas[q], factors[q]) for q in congested}
+
+
+def _layout(cfg: ScenarioConfig) -> tuple[dict[QueueId, list[SourceSpec]], dict[QueueId, Weight],
+                                          dict[QueueId, Burst]]:
+    """One pass over the sources: the sources that feed each queue, the old
+    queues' pre-burst weights and each burst target's burst.  The old queues
+    are the other sources' targets and the pre-filled queues, in order of
+    first appearance.  The fluid model starts each burst target empty and
+    fills it from one start at one rate; any other layout is refused."""
     if cfg.queue_mode != "multi":
         raise ConfigError("fluid analysis covers the multi-queue mode only")
     if cfg.policy is PolicyKind.COMPLETE_SHARING:
         raise ConfigError("complete sharing has no thresholds to analyze")
-
-
-def _gammas(congested: Sequence[QueueId]) -> dict[QueueId, Fraction]:
-    """Each queue's drain rate: its port's share among the congested queues."""
-    per_port = Counter(q.port for q in congested)
-    return {q: Fraction(1, per_port[q.port]) for q in congested}
-
-
-def _factors(cfg: ScenarioConfig, congested: Sequence[QueueId]) -> dict[QueueId, Fraction]:
-    """omega / alpha per queue, treating exactly ``congested`` as congested:
-    1 under DT, FB's beta * gamma under FB and FBA."""
-    if cfg.policy is PolicyKind.DYNAMIC_THRESHOLDS:
-        return dict.fromkeys(congested, Fraction(1))
-    return fb_factors({
-        q: (cfg.class_by_id(q.class_id).priority_id, gamma) for q, gamma in _gammas(congested).items()
-    })
-
-
-def _weights(cfg: ScenarioConfig, factors: Mapping[QueueId, Fraction]) -> dict[QueueId, Fraction]:
-    """omega = alpha * factor per queue."""
-    return {q: cfg.alpha_of(q) * f for q, f in factors.items()}
+    feeds: dict[QueueId, list[SourceSpec]] = {}
+    for s in cfg.sources:
+        feeds.setdefault(QueueId(s.port, s.class_id), []).append(s)
+    bursts: dict[QueueId, Burst] = {}
+    for q, srcs in feeds.items():
+        if any(isinstance(s, Burst) for s in srcs):
+            if len(srcs) > 1 or cfg.initial_lengths.get(q, 0) > 0:
+                raise ConfigError(f"burst target {q} must start empty and be fed by its one burst only")
+            bursts[q] = srcs[0]
+    if len({(b.start, b.r) for b in bursts.values()}) > 1:
+        raise ConfigError("fluid analysis needs every burst to have one start and one rate")
+    filled = [q for q in sorted(cfg.initial_lengths) if cfg.initial_lengths[q] > 0]
+    old = [q for q in dict.fromkeys([*feeds, *filled]) if q not in bursts]
+    return feeds, _weights(cfg, old), bursts
 
 
 def steady_omegas(cfg: ScenarioConfig) -> dict[QueueId, Fraction]:
     """{queue: omega} for the scenario's pre-burst congested set (FB and
     FBA use FB weights; DT uses the raw alphas)."""
-    _check_analyzable(cfg)
-    congested, _ = _congested_sets(cfg)
-    if not congested:
+    _, pre, _ = _layout(cfg)
+    if not pre:
         raise ConfigError("no congested queues to analyze (no sources or initial lengths)")
-    return _weights(cfg, _factors(cfg, congested))
+    return {q: omega for q, (omega, _, _) in pre.items()}
 
 
 def transient_scenario(cfg: ScenarioConfig) -> TransientScenario:
     """Map the scenario's burst event onto a fluid transient scenario.
 
-    Pre-existing congested queues (constant/poisson targets and pre-filled
-    queues) form the old set at their pre-burst weights; burst targets are
-    the new queues.  All bursts must share one rate.
+    The old queues move from their pre-burst weights to the weights they
+    share with the burst targets, the new queues; an old queue fills at
+    the summed rate of its constant sources (None: fully backlogged).
     """
-    _check_analyzable(cfg)
-    bursts = [s for s in cfg.sources if isinstance(s, Burst)]
+    feeds, pre, bursts = _layout(cfg)
     if not bursts:
         raise ConfigError("scenario has no burst source to analyze")
-    rates = {s.r for s in bursts}
-    if len(rates) != 1:
-        raise ConfigError("transient analysis needs a single burst rate")
-    old_ids, new_ids = _congested_sets(cfg)
-    pre = _weights(cfg, _factors(cfg, old_ids))
-    factor = _factors(cfg, old_ids + new_ids)
-    post = _weights(cfg, factor)
-    gamma = _gammas(old_ids + new_ids)
-
-    fill: dict[QueueId, Fraction] = {}
-    for s in cfg.sources:
-        if isinstance(s, ConstantRate):
-            q = QueueId(s.port, s.class_id)
-            fill[q] = fill.get(q, Fraction(0)) + s.rate
-
-    old = tuple(
-        OldQueue(
-            queue=q,
-            omega=post[q],
-            gamma=gamma[q],
-            omega_before=pre[q] if pre[q] != post[q] else None,
-            fill_rate=fill.get(q),
-        )
-        for q in old_ids
-    )
-    new = tuple(
-        NewQueue(queue=q, omega=post[q], gamma=gamma[q], factor=factor[q])
-        for q in new_ids
-    )
-    return TransientScenario(cfg.buffer_size, old, new, bursts[0].r)
+    post = _weights(cfg, [*pre, *bursts])
+    old = []
+    for q, (before, _, _) in pre.items():
+        omega, gamma, _ = post[q]
+        rates = [s.rate for s in feeds.get(q, ()) if isinstance(s, ConstantRate)]
+        old.append(OldQueue(q, omega, gamma, before if before != omega else None, sum(rates) if rates else None))
+    new = tuple(NewQueue(q, *post[q]) for q in bursts)
+    return TransientScenario(cfg.buffer_size, tuple(old), new, next(iter(bursts.values())).r)

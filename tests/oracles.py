@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from fbsim.core import QueueId
-from fbsim.fluid import Number, _frac, fb_factors
+from fbsim.core import Number, QueueId, as_fraction
+from fbsim.fluid import fb_factors
 
 
 class CapacityError(ValueError):
@@ -95,13 +95,13 @@ def occupancy_bound(priority_alpha_maxes: Sequence[Number], buffer_size: Number)
     """
     if not priority_alpha_maxes:
         raise ValueError("need at least one priority alpha")
-    total = sum((_frac(a) for a in priority_alpha_maxes), Fraction(0))
+    total = sum((as_fraction(a) for a in priority_alpha_maxes), Fraction(0))
     if total <= 0:
         raise ValueError("alpha maxima must be > 0")
-    return _frac(buffer_size) * total / (1 + total)
+    return as_fraction(buffer_size) * total / (1 + total)
 
 
 def fb_omegas(queues: Mapping[QueueId, tuple[Number, int, Number]]) -> dict[QueueId, Fraction]:
     """FB weights from {queue: (alpha, priority_id, gamma)}, all listed queues congested."""
     factors = fb_factors({q: (prio, gamma) for q, (_, prio, gamma) in queues.items()})
-    return {q: _frac(queues[q][0]) * f for q, f in factors.items()}
+    return {q: as_fraction(queues[q][0]) * f for q, f in factors.items()}

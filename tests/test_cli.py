@@ -281,6 +281,16 @@ def test_analyze_scenario_file_refuses_an_inline_rate(tmp_path, capsys):
     assert "--r is the inline burst rate" in capsys.readouterr().err
 
 
+def test_analyze_scenario_refuses_a_burst_target_with_a_second_feed(tmp_path, capsys):
+    # a constant source on the burst's queue 0:5 fills it before the burst
+    # does, which the fluid model does not describe
+    text = dumps_scenario(preset("fig4_incast"))
+    path = tmp_path / "co_fed.ini"
+    path.write_text(text.replace("5 = burst", "6 = constant class=5 port=0 rate=1 start=2\n5 = burst"))
+    assert main(["analyze", "--scenario", str(path)]) == 3
+    assert "burst target 0:5 must start empty and be fed by its one burst only" in capsys.readouterr().err
+
+
 def test_an_invalid_config_cannot_be_built(tmp_path, capsys):
     # a fluid bridge would take weights for queues 2:0 and 3:0 on a 2-port
     # switch, and a t1 for 250 packets pre-filled into a 60-packet buffer;
@@ -710,6 +720,22 @@ def test_only_the_core_module_writes_json_and_csv():
             elif isinstance(node, ast.ImportFrom) and node.module in ("json", "csv"):
                 names = {(node.module, alias.name) for alias in node.names}
                 assert not names & banned, f"{path.name}:{node.lineno}"
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # a _-prefixed name is its own module's: what two modules share has one
+    # public owner (the exact-number coercion is core's as_fraction)
+    modules = {p.stem for p in (SRC / "fbsim").glob("*.py")}
+    for path in sorted((SRC / "fbsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("fbsim")):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                names = [node.attr]
+            else:
+                continue
+            assert not [n for n in names if n.startswith("_")], f"{path.name}:{node.lineno}"
 
 
 def test_library_layout_names_exactly_the_modules():

@@ -280,6 +280,13 @@ class TestSweep:
             assert len(lows) == n
             assert len({s.port for s in lows}) == n
 
+    def test_n_low_queues_axis_takes_whole_counts_only(self):
+        base = preset("dt_scaling")
+        assert [c.n_ports for c in sweep(base, "n_low_queues", [4.0, F(6, 2)])] == [5, 4]
+        for value in (2.5, F(7, 2)):
+            with pytest.raises(ConfigError, match="n_low_queues must be a whole number"):
+                sweep(base, "n_low_queues", [value])
+
     def test_empty_values(self):
         assert sweep(preset("fig2"), "load", []) == []
 
@@ -476,6 +483,20 @@ class TestConfigFile:
         replace(preset("fig2"), **changes)
 
 
+def misfit_incast(layout: str) -> ScenarioConfig:
+    """fig4_incast in a layout that the fluid bridge cannot describe."""
+    base = preset("fig4_incast")
+    burst = next(s for s in base.sources if isinstance(s, Burst))
+    if layout == "prefilled":
+        return replace(base, initial_lengths={**base.initial_lengths, QueueId(0, 5): 8})
+    if layout == "co_fed":
+        return replace(base, sources=base.sources + (ConstantRate(5, 0, F(1), start=F(2)),))
+    if layout == "burst_twice":
+        return replace(base, sources=base.sources + (burst,))
+    late = replace(burst, port=2, start=F(15)) if layout == "two_starts" else replace(burst, port=2, r=F(4))
+    return replace(base, n_ports=3, sources=base.sources + (late,))
+
+
 class TestFluidBridges:
     def test_fig4_incast_transient(self):
         ts = transient_scenario(preset("fig4_incast"))
@@ -504,6 +525,22 @@ class TestFluidBridges:
     def test_burst_required_for_transient(self):
         with pytest.raises(ConfigError):
             transient_scenario(preset("fig4_steady"))
+
+    @pytest.mark.parametrize("layout,message", [
+        # fig4_incast's t1 stays 2 on each of the first three layouts, while
+        # the simulator's first drop at 0:5 moves from 3.8 to 2.4, 3.0, 2.6
+        ("prefilled", "burst target 0:5 must start empty"),
+        ("co_fed", "burst target 0:5 must start empty and be fed by its one burst only"),
+        ("burst_twice", "fed by its one burst only"),
+        # a late burst on port 2 would pull t1 to 10/9 with no earlier drop
+        ("two_starts", "one start and one rate"),
+        ("two_rates", "one start and one rate"),
+    ])
+    def test_layouts_outside_the_fluid_model_are_refused(self, layout, message):
+        cfg = misfit_incast(layout)
+        for bridge in (transient_scenario, steady_omegas):
+            with pytest.raises(ConfigError, match=message):
+                bridge(cfg)
 
     #: Low queues 0:0 and 1:0 fed at rate 2, and a burst 0:1 that shares
     #: port 0 with 0:0, so the burst halves 0:0's gamma.
