@@ -10,7 +10,7 @@ queue keeps a guaranteed share no matter how many low queues pile in.
 
 from fbsim import preset, run, steady_omegas, steady_state
 from fbsim.core import QueueId
-from fbsim.fluid import fb_factors
+from fbsim.fluid import congested_weights
 from fbsim.metrics import trailing_steady_lengths
 
 HIGH_Q = QueueId(0, 1)
@@ -42,7 +42,8 @@ print("\nhow the DT high-queue share decays as low queues multiply "
 for n in (1, 2, 4, 8, 16, 32):
     lows = [QueueId(1 + k, 0) for k in range(n)]
     alphas = {HIGH_Q: 2, **dict.fromkeys(lows, 1)}  # DT's weights are the alphas
-    factors = fb_factors({HIGH_Q: (1, 1), **dict.fromkeys(lows, (0, 1))})  # (priority, gamma)
+    # (priority, alpha) per queue
+    weights = congested_weights({HIGH_Q: (1, 2), **dict.fromkeys(lows, (0, 1))}, fb=True)
     dt = steady_state(alphas, 60).steady_thresholds[HIGH_Q]
-    fb = steady_state({q: alphas[q] * factors[q] for q in alphas}, 60).steady_thresholds[HIGH_Q]
+    fb = steady_state({q: omega for q, (omega, _, _) in weights.items()}, 60).steady_thresholds[HIGH_Q]
     print(f"  {n:2d} low queues: DT high share {float(dt):5.2f}   FB high share {float(fb):.0f}")

@@ -224,7 +224,7 @@ class SwitchState:
 
     ``alphas`` maps a packet's (port, class_id) to its threshold's alpha.
     Under DT it *is* ``slot_alpha``, the configured alphas.  Under FB and
-    FBA ``refresh`` rebuilds it from a view; ``built_at`` is the view's
+    FBA ``refresh`` rebuilds it from ``view()``; ``built_at`` is the view's
     ``cong_changes`` (congestion-threshold crossings so far) it was built
     at, and ``emitted`` the FBA table keyed by QueueId as last emitted.
 
@@ -310,7 +310,7 @@ class SwitchState:
         self.alphas = self.slot_alpha
         self.built_at: Optional[int] = None
         if rule is PolicyKind.FB or rule is PolicyKind.FBA:
-            self.refresh(self.view())
+            self.refresh()
         self.emitted: dict[QueueId, float] = self._emit() if rule is PolicyKind.FBA else {}
 
     # -- incremental counter maintenance ------------------------------------
@@ -362,13 +362,13 @@ class SwitchState:
 
     # -- the alpha table ----------------------------------------------------
 
-    def refresh(self, view: tuple) -> bool:
+    def refresh(self) -> bool:
         """Rebuild ``alphas`` as FB's factor ``alpha * (1/N_p) * gamma`` per
-        slot on ``view``, counting the slot's queue as congested; returns
+        slot on ``view()``, counting the slot's queue as congested; returns
         whether any value changed.  The table depends only on which queues
         are congested, so it returns at once when the view's
         ``cong_changes`` is the one the table was built at."""
-        lengths, _, cong_prio, active_port, changes = view
+        lengths, _, cong_prio, active_port, changes = self.view()
         if changes == self.built_at:
             return False
         self.built_at = changes
@@ -412,7 +412,7 @@ def enqueue_arrival(
         admit = total_v < state.buffer_size
     else:
         if rule is _FB and changes != state.built_at:
-            state.refresh(state.view())
+            state.refresh()
         threshold = state.alphas[port, class_id] * (state.buffer_size - total_v)
         admit = threshold - length > THRESHOLD_EPS
     admit = admit and state.total < state.buffer_size
@@ -458,7 +458,7 @@ def controller_tick(state: SwitchState, trace: EventTrace) -> None:
     """Emit the FBA alpha table in force at the next tick: the run's table,
     refreshed on the view.  An unchanged table re-emits the dict already in
     force."""
-    if state.refresh(state.view()):
+    if state.refresh():
         state.emitted = state._emit()
     trace.tick_tables.append(state.emitted)
 

@@ -1,11 +1,11 @@
 """Fluid-model analysis of threshold-managed shared buffers.
 
 Everything here works on the weight ``omega = alpha * factor`` of a queue.
-Under FB the factor is ``beta * gamma`` (``fb_factors``), where ``beta`` is
-the inverse congested-queue count of the queue's priority group and
-``gamma`` its per-port-normalized dequeue rate.  Under plain Dynamic
-Thresholds the factor is 1 (``omega = alpha``), while ``gamma`` stays the
-queue's drain rate, so one machinery covers both schemes.
+``congested_weights`` states the rule once: under FB the factor is
+``beta * gamma``, where ``beta`` is the inverse congested-queue count of the
+queue's priority group and ``gamma`` its per-port-normalized dequeue rate.
+Under plain Dynamic Thresholds the factor is 1 (``omega = alpha``), while
+``gamma`` stays the queue's drain rate, so one machinery covers both schemes.
 
 Steady state (all congested queues pinned at their thresholds):
 
@@ -76,15 +76,24 @@ _LOW_CLASS, _HIGH_CLASS = 0, 1
 # ---------------------------------------------------------------------------
 
 
-def fb_factors(queues: Mapping[QueueId, tuple[int, Number]]) -> dict[QueueId, Fraction]:
-    """FB's weight factor beta * gamma per queue, from {queue: (priority_id,
-    gamma)}; DT's factor is 1.
+def congested_weights(
+    queues: Mapping[QueueId, tuple[int, Number]], fb: bool
+) -> dict[QueueId, tuple[Fraction, Fraction, Fraction]]:
+    """FB's weight rule, stated once: {queue: (omega, gamma, factor)} from
+    {queue: (priority_id, alpha)}, every listed queue congested.
 
-    All listed queues are taken as congested, so beta for a priority is
-    1 / (number of listed queues of that priority).
+    ``gamma`` is 1 / (listed queues on the queue's port), its round-robin
+    share of the port.  The factor omega / alpha is ``beta * gamma`` under
+    FB (``fb`` true), with ``beta`` = 1 / (listed queues of its priority),
+    and 1 under DT.
     """
-    counts = Counter(prio for prio, _ in queues.values())
-    return {q: Fraction(1, counts[prio]) * as_fraction(gamma) for q, (prio, gamma) in queues.items()}
+    per_port = Counter(q.port for q in queues)
+    per_priority = Counter(prio for prio, _ in queues.values())
+    weights = {}
+    for q, (prio, alpha) in queues.items():
+        factor = Fraction(1, per_port[q.port] * per_priority[prio]) if fb else Fraction(1)
+        weights[q] = (as_fraction(alpha) * factor, Fraction(1, per_port[q.port]), factor)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -162,8 +171,8 @@ class OldQueue:
 class NewQueue:
     """A newly arriving queue (empty at t = 0, filling at the burst rate).
 
-    ``factor`` is the queue's weight factor omega / alpha: ``beta * gamma``
-    under FB (``fb_factors``), 1 under DT.  It is kept beside ``omega`` so
+    ``factor`` is the weight factor omega / alpha (``congested_weights``):
+    ``beta * gamma`` under FB, 1 under DT.  It is kept beside ``omega`` so
     alpha bounds can be solved for; ``gamma`` is the drain rate under both.
     """
 
@@ -211,16 +220,15 @@ def two_priority_incast(
     low_queues_per_port: int = 1,
     n_new: int = 1,
     scheme: str = "fb",
-    new_gamma: Number = 1,
 ) -> TransientScenario:
     """Canonical burst scenario: low-priority queues congested, a high burst
     arrives on empty ports.
 
     Low queues occupy ``n_low_ports`` ports with ``low_queues_per_port``
-    queues each (gamma = 1/m); the ``n_new`` new queues land on otherwise
-    empty ports (gamma = ``new_gamma``) and form their own priority group.
-    ``scheme`` selects FB weights (alpha * beta * gamma) or DT weights
-    (omega = alpha).  Low queues form priority 0, new queues priority 1.
+    queues each; the ``n_new`` new queues land on otherwise empty ports and
+    form their own priority group.  ``scheme`` selects FB weights
+    (alpha * beta * gamma) or DT weights (omega = alpha).  Low queues form
+    priority 0, new queues priority 1.
     """
     if n_low_ports < 0 or low_queues_per_port < 1 or n_new < 1:
         raise ValueError(
@@ -228,23 +236,22 @@ def two_priority_incast(
         )
     if scheme not in ("fb", "dt"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    a_low, a_high, rf = as_fraction(alpha_low), as_fraction(alpha_high), as_fraction(r)
     m = low_queues_per_port
-    n_low = n_low_ports * m
-    gamma_low, g_new = Fraction(1, m), as_fraction(new_gamma)
     # queues sharing a port carry distinct class ids (one queue per
     # (port, class) pair); new queues sit on ports 0..n_new-1, low ports
     # from 100 on, or past the new ports if there are more than 100
     first_low = max(100, n_new)
-    low = [QueueId(first_low + i // m, _LOW_CLASS + i % m) for i in range(n_low)]
+    low = [QueueId(first_low + i // m, _LOW_CLASS + i % m) for i in range(n_low_ports * m)]
     high = [QueueId(i, _HIGH_CLASS) for i in range(n_new)]
-    layout = {**dict.fromkeys(low, (0, gamma_low)), **dict.fromkeys(high, (1, g_new))}
-    factor = fb_factors(layout) if scheme == "fb" else dict.fromkeys(layout, Fraction(1))
+    weights = congested_weights(
+        {**dict.fromkeys(low, (0, alpha_low)), **dict.fromkeys(high, (1, alpha_high))},
+        scheme == "fb",
+    )
     return TransientScenario(
         int(buffer_size),
-        tuple(OldQueue(q, omega=a_low * factor[q], gamma=gamma_low) for q in low),
-        tuple(NewQueue(q, omega=a_high * factor[q], gamma=g_new, factor=factor[q]) for q in high),
-        rf,
+        tuple(OldQueue(q, *weights[q][:2]) for q in low),
+        tuple(NewQueue(q, *weights[q]) for q in high),
+        r,
     )
 
 
@@ -306,14 +313,14 @@ def _closed_form(ts: TransientScenario) -> _ClosedForm:
         else:
             w_ne += q.omega
             drain_ne += q.gamma
-    new_gamma = sum((q.gamma for q in ts.new), Fraction(0))
-    first = (new_gamma + drain_e) / n_new
+    drain_new = sum((q.gamma for q in ts.new), Fraction(0))
+    first = (drain_new + drain_e) / n_new
     ne_empty = w_ne == 0  # every omega is > 0
     g_star, w_star = (drain_e, w_e) if ne_empty else (drain_ne, w_ne)
     rate_bound = first + g_star * (1 + w_ne) / (w_star * n_new) if ts.old else math.inf
     case = CaseKind.CASE1 if ts.r <= rate_bound else CaseKind.CASE2
 
-    net_fill = n_new * ts.r - new_gamma  # F
+    net_fill = n_new * ts.r - drain_new  # F
     fill = ((net_fill - drain_e) / (1 + w_ne) if case is CaseKind.CASE1
             else net_fill - drain_e - drain_ne)
     gap = ts.buffer_size / (1 + w_old)

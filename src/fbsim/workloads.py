@@ -11,8 +11,9 @@ This module also bridges configs into the fluid model (steady-state
 weights and transient scenarios), so the analyzer and the packet engine
 consume the same description.  Both bridges read one derivation: one
 pass over the sources maps each queue to the sources that feed it, and
-one helper weighs the pre-burst and the post-burst congested set.  A
-layout that the fluid model does not describe is a ConfigError.
+one ``fluid.congested_weights`` call weighs the pre-burst and another the
+post-burst congested set.  A layout that the fluid model does not
+describe is a ConfigError.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ import heapq
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import PolicyKind, QueueId, TrafficClass, as_fraction
-from .fluid import NewQueue, OldQueue, TransientScenario, fb_factors
+from .fluid import NewQueue, OldQueue, TransientScenario, congested_weights
 
 
 class ConfigError(ValueError):
@@ -705,10 +705,14 @@ def sweep(base: ScenarioConfig, axis: str, values: Iterable) -> list[ScenarioCon
     n_low_queues: replicate the unique lowest-alpha-priority queue (and its
       source) across that many ports.
     """
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; known: {', '.join(SWEEP_AXES)}")
     out: list[ScenarioConfig] = []
     for value in values:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{axis} value must be finite, got {value}")
+        v = as_fraction(value)
         if axis == "load":
-            v = as_fraction(value)
             if v <= 0:
                 raise ConfigError("load multiplier must be > 0")
             if not any(isinstance(s, ConstantRate) for s in base.sources):
@@ -719,7 +723,6 @@ def sweep(base: ScenarioConfig, axis: str, values: Iterable) -> list[ScenarioCon
             )
             out.append(replace(base, sources=sources))
         elif axis == "burst_size":
-            v = as_fraction(value)
             if not 0 < v <= 1:
                 raise ConfigError("burst_size fraction must be in (0, 1]")
             if not any(isinstance(s, Burst) for s in base.sources):
@@ -730,7 +733,6 @@ def sweep(base: ScenarioConfig, axis: str, values: Iterable) -> list[ScenarioCon
             )
             out.append(replace(base, sources=sources))
         elif axis == "r":
-            v = as_fraction(value)
             if v <= 0:
                 raise ConfigError("burst rate must be > 0")
             if not any(isinstance(s, Burst) for s in base.sources):
@@ -739,13 +741,10 @@ def sweep(base: ScenarioConfig, axis: str, values: Iterable) -> list[ScenarioCon
                 replace(s, r=v) if isinstance(s, Burst) else s for s in base.sources
             )
             out.append(replace(base, sources=sources))
-        elif axis == "n_low_queues":
-            v = as_fraction(value)
+        else:  # n_low_queues
             if v.denominator != 1:
                 raise ConfigError(f"n_low_queues must be a whole number, got {value}")
             out.append(_with_n_low_queues(base, int(v)))
-        else:
-            raise ConfigError(f"unknown sweep axis {axis!r}; known: {', '.join(SWEEP_AXES)}")
     return out
 
 
@@ -778,24 +777,16 @@ def _with_n_low_queues(base: ScenarioConfig, n: int) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-#: A queue's (omega, gamma, factor) for one congested set.
-Weight = tuple[Fraction, Fraction, Fraction]
-
-
-def _weights(cfg: ScenarioConfig, congested: Sequence[QueueId]) -> dict[QueueId, Weight]:
+def _weights(cfg: ScenarioConfig, congested: Sequence[QueueId]) -> dict[QueueId, tuple]:
     """(omega, gamma, factor) per queue, taking exactly ``congested`` as
-    congested: gamma is the queue's share of its port, and the factor
-    omega / alpha is 1 under DT and FB's beta * gamma under FB and FBA."""
-    per_port = Counter(q.port for q in congested)
-    gammas = {q: Fraction(1, per_port[q.port]) for q in congested}
-    if cfg.policy is PolicyKind.DYNAMIC_THRESHOLDS:
-        factors = dict.fromkeys(congested, Fraction(1))
-    else:
-        factors = fb_factors({q: (cfg.class_by_id(q.class_id).priority_id, g) for q, g in gammas.items()})
-    return {q: (cfg.alpha_of(q) * factors[q], gammas[q], factors[q]) for q in congested}
+    congested; FB and FBA weigh by FB's rule, DT by the alphas alone."""
+    return congested_weights(
+        {q: (cfg.class_by_id(q.class_id).priority_id, cfg.alpha_of(q)) for q in congested},
+        cfg.policy is not PolicyKind.DYNAMIC_THRESHOLDS,
+    )
 
 
-def _layout(cfg: ScenarioConfig) -> tuple[dict[QueueId, list[SourceSpec]], dict[QueueId, Weight],
+def _layout(cfg: ScenarioConfig) -> tuple[dict[QueueId, list[SourceSpec]], dict[QueueId, tuple],
                                           dict[QueueId, Burst]]:
     """One pass over the sources: the sources that feed each queue, the old
     queues' pre-burst weights and each burst target's burst.  The old queues

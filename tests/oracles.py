@@ -7,7 +7,9 @@ the tests check it against, and one helper the tests share.
 - ``occupancy_bound`` is the paper's FB occupancy bound, which no FB steady
   state may exceed (criterion 05).
 - ``fb_omegas`` builds FB weights from explicit (alpha, priority, gamma)
-  triples, as the scenario bridge does from a config.
+  triples, written out here rather than read from ``fbsim.fluid``, so the
+  scenario bridge's weights are checked against a second statement of the
+  rule.
 
 pytest's default import mode puts ``tests/`` on ``sys.path``, so a test
 file imports these with ``from oracles import ...``.
@@ -15,12 +17,12 @@ file imports these with ``from oracles import ...``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from fbsim.core import Number, QueueId, as_fraction
-from fbsim.fluid import fb_factors
 
 
 class CapacityError(ValueError):
@@ -102,6 +104,8 @@ def occupancy_bound(priority_alpha_maxes: Sequence[Number], buffer_size: Number)
 
 
 def fb_omegas(queues: Mapping[QueueId, tuple[Number, int, Number]]) -> dict[QueueId, Fraction]:
-    """FB weights from {queue: (alpha, priority_id, gamma)}, all listed queues congested."""
-    factors = fb_factors({q: (prio, gamma) for q, (_, prio, gamma) in queues.items()})
-    return {q: as_fraction(queues[q][0]) * f for q, f in factors.items()}
+    """FB weights from {queue: (alpha, priority_id, gamma)}, all listed queues
+    congested: omega = alpha * gamma / (listed queues of that priority)."""
+    per_priority = Counter(prio for _, prio, _ in queues.values())
+    return {q: as_fraction(alpha) * as_fraction(gamma) / per_priority[prio]
+            for q, (alpha, prio, gamma) in queues.items()}

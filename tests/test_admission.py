@@ -181,7 +181,7 @@ class TestFba:
     def fba(self, alphas, kind=PolicyKind.FBA):
         return state(kind, self.LENGTHS, alphas=alphas, priorities=self.PRIORITIES)
 
-    def test_emitted_alphas_match_fb_factors(self):
+    def test_emitted_alphas_are_alpha_over_n_p_times_gamma(self):
         table = tick(self.fba({0: 20, 1: 2, 2: 1}))
         # congested low on shared port: N_p=2, gamma=1/2
         assert table[QueueId(1, 2)] == 1.0 * (1.0 / 2) * 0.5

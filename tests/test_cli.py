@@ -664,6 +664,21 @@ def test_sources_import_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "fbsim", f"{path.name}: {name}"
 
 
+def test_the_test_oracles_import_from_fbsim_core_only():
+    # an oracle that called the code it checks would check nothing: of the
+    # package, tests/oracles.py reads only the shared types of fbsim.core
+    path = ROOT / "tests" / "oracles.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            assert name.partition(".")[0] != "fbsim" or name == "fbsim.core", f"oracles.py:{node.lineno}"
+
+
 def _names_read(path):
     """Every name a module reads: each ast Name, Attribute and import."""
     names = set()

@@ -591,10 +591,10 @@ def test_fb_refreshes_its_table_only_after_a_congestion_change(monkeypatch):
     calls = 0
     refresh = SwitchState.refresh
 
-    def counting(self, view):
+    def counting(self):
         nonlocal calls
         built_at = self.built_at
-        changed = refresh(self, view)
+        changed = refresh(self)
         calls += len(self.slot) * (self.built_at != built_at)  # factors computed
         return changed
 

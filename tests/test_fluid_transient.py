@@ -39,6 +39,15 @@ from fbsim.workloads import loads_scenario, preset, transient_scenario
 F = Fraction
 
 
+def with_new_gamma(ts, gamma, scheme):
+    """``ts`` with its new queues draining at ``gamma``; under FB a new
+    queue's factor beta * gamma, and so its omega, scale with it."""
+    scale = gamma if scheme == "fb" else 1
+    return replace(ts, new=tuple(
+        replace(q, gamma=gamma, omega=q.omega * scale, factor=q.factor * scale) for q in ts.new
+    ))
+
+
 def scenario_case1():
     # three unaffected lows (gamma=1, omega=1/3 each), one new high (omega=2)
     return two_priority_incast(60, 1, 2, 4, n_low_ports=3)
@@ -274,7 +283,8 @@ class TestAlphaBoundsGeneral:
         # the incast built with alpha_H = alpha_H_min first meets its
         # threshold exactly at t, whatever the scheme and the new gamma
         def incast(alpha_h):
-            return two_priority_incast(60, 1, alpha_h, r, scheme=scheme, new_gamma=new_gamma, **shape)
+            return with_new_gamma(two_priority_incast(60, 1, alpha_h, r, scheme=scheme, **shape),
+                                  new_gamma, scheme)
 
         alpha_h = alpha_bounds_general(incast(2), t).alpha_H_min
         assert isinstance(alpha_h, F)
@@ -818,12 +828,11 @@ def _formula_scenario(rng):
     rate-limited old queues and 1-3 new queues."""
     r = F(rng.randint(1, 96), rng.choice([4, 8]))
     if rng.random() < 0.4:
-        return two_priority_incast(
-            rng.randint(20, 200), F(rng.randint(1, 8), 4), F(rng.randint(1, 16), 4), r,
-            n_low_ports=rng.randint(0, 4), low_queues_per_port=rng.randint(1, 3),
-            n_new=rng.randint(1, 3), scheme=rng.choice(["dt", "fb"]),
-            new_gamma=rng.choice([1, F(1, 2)]),
-        )
+        b, a_low, a_high = rng.randint(20, 200), F(rng.randint(1, 8), 4), F(rng.randint(1, 16), 4)
+        shape = dict(n_low_ports=rng.randint(0, 4), low_queues_per_port=rng.randint(1, 3),
+                     n_new=rng.randint(1, 3), scheme=rng.choice(["dt", "fb"]))
+        ts = two_priority_incast(b, a_low, a_high, r, **shape)
+        return with_new_gamma(ts, rng.choice([1, F(1, 2)]), shape["scheme"])
     old = []
     for i in range(rng.randint(0, 5)):
         omega = F(rng.randint(1, 12), 4)

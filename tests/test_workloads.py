@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.engine import run
-from fbsim.fluid import CaseKind, classify_case, first_threshold_crossing
+from fbsim.fluid import CaseKind, classify_case, first_threshold_crossing, two_priority_incast
 from fbsim.workloads import (
     DEFAULT_SIZE_CDF,
     MAX_RECORD_INT,
@@ -300,6 +300,12 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(preset("fig2"), "bogus", [1])
 
+    @pytest.mark.parametrize("axis", ["load", "burst_size", "r", "n_low_queues"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_are_refused_on_every_axis(self, axis, value):
+        with pytest.raises(ConfigError, match=f"{axis} value must be finite"):
+            sweep(preset("fig4_incast"), axis, [value])
+
 
 def _non_default(default, values):
     return values.filter(lambda v: v != default)
@@ -497,7 +503,50 @@ def misfit_incast(layout: str) -> ScenarioConfig:
     return replace(base, n_ports=3, sources=base.sources + (late,))
 
 
+def assert_same_fluid_scenario(bridged, built):
+    """The bridge and two_priority_incast built the same weights, drains
+    and first crossing (queue ids and old fill rates may differ)."""
+    assert (bridged.buffer_size, bridged.r) == (built.buffer_size, built.r)
+    assert sorted((q.omega, q.gamma) for q in bridged.old) == sorted((q.omega, q.gamma) for q in built.old)
+    assert [(q.omega, q.gamma, q.factor) for q in bridged.new] == \
+        [(q.omega, q.gamma, q.factor) for q in built.new]
+    assert first_threshold_crossing(bridged) == first_threshold_crossing(built)
+
+
 class TestFluidBridges:
+    @pytest.mark.parametrize("name,scheme,t1", [("fig4_incast", "dt", 2), ("fig5_incast", "fb", F(75, 8))])
+    def test_both_fluid_builders_give_the_incast_presets(self, name, scheme, t1):
+        built = two_priority_incast(60, 1, 2, 5, n_low_ports=1, low_queues_per_port=5, scheme=scheme)
+        assert_same_fluid_scenario(transient_scenario(preset(name)), built)
+        assert first_threshold_crossing(built) == t1
+
+    @pytest.mark.parametrize("kind", [PolicyKind.DYNAMIC_THRESHOLDS, PolicyKind.FB, PolicyKind.FBA])
+    def test_both_fluid_builders_agree_on_a_seeded_family(self, kind):
+        # two_priority_incast's layout written as a scenario: m low classes
+        # share each low port, and each new queue has a port of its own.
+        # Every low queue is fed above its 1/m share of its port, so it
+        # stays congested through the burst whatever rule weighs it.
+        rng = random.Random(4)
+        for _ in range(30):
+            n_low_ports, m, n_new = rng.randint(0, 4), rng.randint(1, 3), rng.randint(1, 3)
+            buffer, a_low, a_high = rng.randint(20, 200), F(rng.randint(1, 8), 4), F(rng.randint(1, 16), 4)
+            r = F(rng.randint(1, 40), 4)
+            lows = tuple(
+                ConstantRate(class_id=c, port=n_new + p, rate=F(1, m) + F(rng.randint(1, 8), 4))
+                for p in range(n_low_ports) for c in range(m)
+            )
+            bursts = tuple(Burst(class_id=m, port=p, r=r, duration=F(8), start=F(2)) for p in range(n_new))
+            cfg = ScenarioConfig(
+                buffer_size=buffer, n_ports=n_new + n_low_ports, policy=kind, horizon=20.0,
+                classes=tuple(TrafficClass(c, a_low, 0) for c in range(m)) + (TrafficClass(m, a_high, 1),),
+                sources=lows + bursts,
+            )
+            built = two_priority_incast(
+                buffer, a_low, a_high, r, n_low_ports=n_low_ports, low_queues_per_port=m, n_new=n_new,
+                scheme="dt" if kind is PolicyKind.DYNAMIC_THRESHOLDS else "fb",
+            )
+            assert_same_fluid_scenario(transient_scenario(cfg), built)
+
     def test_fig4_incast_transient(self):
         ts = transient_scenario(preset("fig4_incast"))
         assert classify_case(ts) is CaseKind.CASE2
