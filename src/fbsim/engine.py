@@ -44,8 +44,9 @@ the records, and the ``records``, ``samples`` and ``ticks`` views decode
 to tuples.  The loop also keeps each fact ``metrics.compute`` reads as it
 happens (first drops, occupancy peak, per-source counts), and
 ``verify_conservation`` checks them against a rescan of the records.
-``write_trace_csv`` and ``write_samples_csv`` stream it to CSV one
-preformatted row at a time, so export memory does not grow with the trace;
+``write_trace_csv`` and ``write_samples_csv`` stream it to CSV in writes of
+``EXPORT_CHUNK_ROWS`` rows, formatting each distinct text once (threshold
+texts from a bounded cache; zeros, which print two ways, never cached);
 ``write_run_summary`` writes the per-queue totals as JSON.
 """
 
@@ -57,7 +58,7 @@ import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional
 
 from .core import PolicyKind, QueueId, write_json
@@ -72,6 +73,7 @@ SHARED_QUEUE_CLASS = -1
 #: Action codes of trace records, and their names in the CSV and ``records``.
 ADMIT, DROP, DEPART, SOURCE_CHANGE = range(4)
 ACTIONS = ("admit", "drop", "depart", "source_change")
+_ACTION_FIELDS = tuple(f",{name}," for name in ACTIONS)
 #: One trace record: time, threshold, port, class_id, action code, queue_len,
 #: occupancy, source_id; validation keeps every int within MAX_RECORD_INT.
 RECORD = struct.Struct("<2d6i")
@@ -585,21 +587,43 @@ def run(config: ScenarioConfig) -> EventTrace:
 # -- export ------------------------------------------------------------------
 
 
-def _write_csv(path, columns: Iterable[str], rows: Iterable[str]) -> None:
+#: Rows joined per text-layer write, and entries of the threshold-text cache.
+EXPORT_CHUNK_ROWS = 256
+THRESHOLD_CACHE_SIZE = 64
+
+
+def _write_csv(path, columns: Iterable[str], rows: Iterator[str]) -> None:
     """A header and preformatted ``\r\n``-terminated rows (the csv module's
-    default dialect), streamed one row at a time."""
+    default dialect), written ``EXPORT_CHUNK_ROWS`` rows at a time."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
-        fh.writelines(rows)
+        while chunk := "".join(islice(rows, EXPORT_CHUNK_ROWS)):
+            fh.write(chunk)
+
+
+def _trace_lines(trace: EventTrace) -> Iterator[str]:
+    # equal times are adjacent (records are in time order) and thresholds
+    # few; 0.0 == -0.0 prints two ways, so a zero skips both caches
+    cache: dict[float, str] = {}
+    last = time_text = None
+    for time, thr, port, class_id, code, qlen, _occ, _src in trace.rows():
+        if time != last or not time:
+            last, time_text = time, repr(time)
+        if code > DROP:
+            thr_text = ""
+        elif not thr:
+            thr_text = repr(thr)
+        elif (thr_text := cache.get(thr)) is None:
+            if len(cache) == THRESHOLD_CACHE_SIZE:
+                cache.clear()
+            thr_text = cache[thr] = repr(thr)
+        yield f"{time_text},{port},{class_id},{qlen}{_ACTION_FIELDS[code]}{thr_text}\r\n"
 
 
 def write_trace_csv(trace: EventTrace, path) -> None:
     """Trace rows as CSV: time, port, class, queue_len, action, threshold
     (floats as ``repr``, no threshold on departures and source changes)."""
-    _write_csv(path, TRACE_COLUMNS, (
-        f"{time!r},{port},{class_id},{qlen},{ACTIONS[code]},{'' if code > DROP else repr(thr)}\r\n"
-        for time, thr, port, class_id, code, qlen, _occ, _src in trace.rows()
-    ))
+    _write_csv(path, TRACE_COLUMNS, _trace_lines(trace))
 
 
 def write_samples_csv(trace: EventTrace, path) -> None:

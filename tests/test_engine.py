@@ -743,6 +743,14 @@ def _oracle_trace_rows(records):
         yield [repr(time), port, class_id, qlen, action, thr]
 
 
+def _assert_trace_csv_matches_oracle(trace, out):
+    write_trace_csv(trace, out / "trace.csv")
+    _csv_writer_oracle(out / "trace_oracle.csv",
+                       ("time", "port", "class", "queue_len", "action", "threshold"),
+                       _oracle_trace_rows(trace.records))
+    assert (out / "trace.csv").read_bytes() == (out / "trace_oracle.csv").read_bytes()
+
+
 _times = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
 _thresholds = st.one_of(
     st.none(), st.just(math.inf), st.sampled_from(SPECIAL_FLOATS),
@@ -788,16 +796,47 @@ def test_csv_writers_match_the_csv_module(distinct, samples, n):
     )
     with tempfile.TemporaryDirectory() as d:
         out = Path(d)
-        write_trace_csv(trace, out / "trace.csv")
-        _csv_writer_oracle(out / "trace_oracle.csv",
-                           ("time", "port", "class", "queue_len", "action", "threshold"),
-                           _oracle_trace_rows(trace.records))
-        assert (out / "trace.csv").read_bytes() == (out / "trace_oracle.csv").read_bytes()
+        _assert_trace_csv_matches_oracle(trace, out)
 
         write_samples_csv(trace, out / "samples.csv")
         _csv_writer_oracle(out / "samples_oracle.csv", ("time", "occupancy"),
                            ([repr(t), occ] for t, occ in trace.samples))
         assert (out / "samples.csv").read_bytes() == (out / "samples_oracle.csv").read_bytes()
+
+
+def test_trace_csv_caches_only_what_prints_alike(tmp_path):
+    # the writer reuses the last time's text and keeps threshold texts in a
+    # cache cleared when full: cycle more thresholds than it holds, in pairs
+    # one ulp apart, three times, so evicted texts are needed again, then
+    # zeros of both signs (equal as floats, printed apart) inside runs of
+    # one time and as times, inf (CS) and NaN (never equal, so never a hit)
+    distinct = [x for k in range(engine.THRESHOLD_CACHE_SIZE // 2 + 5)
+                for x in (k * 0.37 + 1, math.nextafter(k * 0.37 + 1, math.inf))]
+    cycled = [(i // 3 * 0.25, i % 6, 0, ACTIONS[i % 2], i % 50, distinct[i % len(distinct)], 0, 0)
+              for i in range(3 * len(distinct))]
+    signed = [(t, 0, 1, a, 3, thr, 0, 0)
+              for t in (50.0, 50.5, -0.0, 0.0, -0.0)
+              for thr in (-0.0, 0.0, 0.0, -0.0, 1.5)
+              for a in ("admit", "drop")]
+    special = [(t, 2, 1, a, 4, thr, 0, 0)
+               for t in (60.0, math.nan, math.nan, 61.0)
+               for thr in (math.inf, math.nan, math.nan, math.inf, -0.0)
+               for a in ("drop", "admit")]
+    departures = [(62.0, 1, 1, a, 0, None, 0, 0) for a in ("depart", "source_change", "admit")]
+    trace = EventTrace.from_rows(cycled + signed + special + departures + cycled, queue_ids=())
+    _assert_trace_csv_matches_oracle(trace, tmp_path)
+
+
+def test_real_run_trace_csv_matches_the_csv_module(tmp_path):
+    # fig5_incast under FBA with twice the buffer: its decisions carry more
+    # distinct thresholds than the writer's cache holds, and some come back
+    # after the cache was cleared
+    cfg = replace(preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=1.0,
+                  buffer_size=120, horizon=F(100))
+    trace = run(cfg)
+    thresholds = {r[5] for r in trace.records if r[3] in ("admit", "drop")}
+    assert len(thresholds) > engine.THRESHOLD_CACHE_SIZE
+    _assert_trace_csv_matches_oracle(trace, tmp_path)
 
 
 def _export_peak(writer, trace, path) -> int:
@@ -811,10 +850,13 @@ def _export_peak(writer, trace, path) -> int:
     return peak
 
 
-# The writers stream one row at a time: the 40,000 rows below peak at about
-# 40 kB (trace) and 55 kB (samples), the text layer's pending buffer, while
-# a writer that joins 2048 rows before each write peaks at 230-330 kB.  Each
-# file is several times the bound, so neither can be built whole in memory.
+# The writers join 256 rows per write: the 40,000 rows below peak at about
+# 54 kB (trace) and 38 kB (samples).  That is one chunk's row strings, their
+# join and its encoded copy, plus, for the trace, the 64-entry threshold-text
+# cache, which these all-distinct thresholds keep refilling.  A write that
+# large skips the text layer's pending buffer of small rows; 2048-row chunks
+# would peak at 230-330 kB.  Each file is several times the bound, so
+# neither can be built whole in memory.
 
 
 def test_trace_export_streams_in_bounded_memory(tmp_path):
