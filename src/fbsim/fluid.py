@@ -29,8 +29,9 @@ Between regime changes every queue drains, tracks or fills at a constant
 rate, so the transient trajectory is piecewise linear.  The event-driven
 solver (``integrate_transient``) follows it from breakpoint to breakpoint
 and is the closed forms' independent cross-check.  Both are exact: the
-closed forms on Fraction, the solver on the private rational ``_Q``, so the
-two routes share no arithmetic.  The solver returns its first crossings as
+closed forms on Fraction, summing through ``_fsum``, the solver on the
+private rational ``_Q``, summing through ``_qsum``, so the two routes share
+no arithmetic.  The solver returns its first crossings as
 Fractions and builds the Fraction series from its breakpoints when read.
 """
 
@@ -96,6 +97,21 @@ def congested_weights(
     return weights
 
 
+def _fsum(values: Iterable[Fraction]) -> Fraction:
+    """The closed forms' exact sum, ``sum(values, Fraction(0))`` with one
+    normalization: the numerators are accumulated as ints over a running
+    common denominator in one pass, and Fraction reduces the result once."""
+    n, d = 0, 1
+    for v in values:
+        vd = v.denominator
+        if vd == d:
+            n += v.numerator
+        else:
+            n = n * vd + v.numerator * d
+            d *= vd
+    return Fraction(n, d)
+
+
 @dataclass(frozen=True)
 class AnalysisResult:
     """Closed-form outputs; transient fields are None for steady-only runs."""
@@ -117,7 +133,7 @@ def steady_state(omegas: Mapping[QueueId, Number], buffer_size: Number) -> Analy
     if any(w <= 0 for w in weights.values()):
         raise ValueError("all omegas must be > 0 for congested queues")
     b = as_fraction(buffer_size)
-    w_total = sum(weights.values(), Fraction(0))
+    w_total = _fsum(weights.values())
     share = b / (1 + w_total)
     return AnalysisResult(
         steady_occupancy=b * w_total / (1 + w_total),
@@ -278,8 +294,9 @@ class _ClosedForm:
 
 
 def _closed_form(ts: TransientScenario) -> _ClosedForm:
-    """The one closed-form evaluation: one pass over the old queues and one
-    over the new ones, so each sum is taken once.
+    """The one closed-form evaluation.  One pass splits the old queues into
+    G_e and G_ne; then each of the six sums (W_old, W_e, W_ne and the G_e,
+    G_ne and new-queue drains) is taken once, through ``_fsum``.
 
     Case-1 holds while r <= r* = first + G* * (1 + W_ne) / (W* * n_new),
     with first = (new gammas + G_e drain) / n_new and G*, W* the gamma and
@@ -304,16 +321,13 @@ def _closed_form(ts: TransientScenario) -> _ClosedForm:
     if not ts.new:
         raise ValueError("scenario has no new queues, nothing transient to classify")
     n_new = len(ts.new)
-    w_old = w_e = w_ne = drain_e = drain_ne = Fraction(0)
+    old_e, old_ne = [], []  # G_e and G_ne
     for q in ts.old:
-        w_old += q.pre_omega
-        if q.affected:
-            w_e += q.omega
-            drain_e += q.gamma
-        else:
-            w_ne += q.omega
-            drain_ne += q.gamma
-    drain_new = sum((q.gamma for q in ts.new), Fraction(0))
+        (old_e if q.affected else old_ne).append(q)
+    w_old = _fsum([q.pre_omega for q in ts.old])
+    w_e, drain_e = _fsum([q.omega for q in old_e]), _fsum([q.gamma for q in old_e])
+    w_ne, drain_ne = _fsum([q.omega for q in old_ne]), _fsum([q.gamma for q in old_ne])
+    drain_new = _fsum([q.gamma for q in ts.new])
     first = (drain_new + drain_e) / n_new
     ne_empty = w_ne == 0  # every omega is > 0
     g_star, w_star = (drain_e, w_e) if ne_empty else (drain_ne, w_ne)
@@ -420,7 +434,7 @@ def multi_priority_alpha_H(
     alpha maxima simply sum into the alpha_L slot."""
     if not lower_priority_alpha_maxes:
         raise ValueError("need at least one lower-priority alpha")
-    alpha_x = sum((as_fraction(a) for a in lower_priority_alpha_maxes), Fraction(0))
+    alpha_x = _fsum([as_fraction(a) for a in lower_priority_alpha_maxes])
     return alpha_H_for_burst(buffer_size, r, t, alpha_x)
 
 
@@ -493,37 +507,85 @@ def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds
 # ---------------------------------------------------------------------------
 
 
+# the _Q operators' two calls, bound once as module names
+_gcd = math.gcd
+_new = object.__new__
+
+
 class _Q:
     """The solver's exact rational: a reduced int numerator over a positive
     int denominator, with only what the solver uses (``+ - * /``, unary minus,
     ``< <= ==`` between _Q values; the sign is the numerator's) and none of
-    Fraction's operator dispatch.  ``_Q(x)`` converts an int or a Fraction."""
+    Fraction's operator dispatch.  ``_Q(x)`` converts an int or a Fraction;
+    ``_Q(n, d)`` takes Fraction's constructor shape, ints with d != 0, and
+    reduces them once.
+
+    Each operator computes its result and reduces it by one gcd inline.
+    ``+`` and ``-`` skip the cross products when the denominators are equal,
+    and unary minus copies the pair, which is already reduced.
+    """
 
     __slots__ = ("numerator", "denominator")
 
-    def __init__(self, value: Union[int, Fraction]) -> None:
-        self.numerator = value.numerator
-        self.denominator = value.denominator
+    def __init__(self, numerator: Union[int, Fraction], denominator: Optional[int] = None) -> None:
+        if denominator is None:
+            self.numerator, self.denominator = numerator.numerator, numerator.denominator
+            return
+        if denominator == 0:
+            raise ZeroDivisionError("division by zero")
+        g = _gcd(numerator, denominator)
+        if denominator < 0:
+            g = -g
+        self.numerator, self.denominator = numerator // g, denominator // g
 
     def __add__(self, other: _Q) -> _Q:
-        return _reduced(self.numerator * other.denominator + other.numerator * self.denominator,
-                        self.denominator * other.denominator)
+        d, od = self.denominator, other.denominator
+        if d == od:
+            n = self.numerator + other.numerator
+        else:
+            n = self.numerator * od + other.numerator * d
+            d *= od
+        g = _gcd(n, d)
+        q = _new(_Q)
+        q.numerator, q.denominator = n // g, d // g
+        return q
 
     def __sub__(self, other: _Q) -> _Q:
-        return _reduced(self.numerator * other.denominator - other.numerator * self.denominator,
-                        self.denominator * other.denominator)
+        d, od = self.denominator, other.denominator
+        if d == od:
+            n = self.numerator - other.numerator
+        else:
+            n = self.numerator * od - other.numerator * d
+            d *= od
+        g = _gcd(n, d)
+        q = _new(_Q)
+        q.numerator, q.denominator = n // g, d // g
+        return q
 
     def __mul__(self, other: _Q) -> _Q:
-        return _reduced(self.numerator * other.numerator, self.denominator * other.denominator)
+        n = self.numerator * other.numerator
+        d = self.denominator * other.denominator
+        g = _gcd(n, d)
+        q = _new(_Q)
+        q.numerator, q.denominator = n // g, d // g
+        return q
 
     def __truediv__(self, other: _Q) -> _Q:
-        n, d = self.numerator * other.denominator, self.denominator * other.numerator
-        if d == 0:
-            raise ZeroDivisionError("division by zero")
-        return _reduced(n, d) if d > 0 else _reduced(-n, -d)
+        n = self.numerator * other.denominator
+        d = self.denominator * other.numerator
+        if d <= 0:
+            if d == 0:
+                raise ZeroDivisionError("division by zero")
+            n, d = -n, -d
+        g = _gcd(n, d)
+        q = _new(_Q)
+        q.numerator, q.denominator = n // g, d // g
+        return q
 
     def __neg__(self) -> _Q:
-        return _reduced(-self.numerator, self.denominator)
+        q = _new(_Q)
+        q.numerator, q.denominator = -self.numerator, self.denominator
+        return q
 
     def __lt__(self, other: _Q) -> bool:
         return self.numerator * other.denominator < other.numerator * self.denominator
@@ -535,17 +597,24 @@ class _Q:
         return self.numerator == other.numerator and self.denominator == other.denominator
 
 
-def _reduced(n: int, d: int) -> _Q:
-    """The _Q n/d for d > 0, reduced by one gcd."""
-    q = object.__new__(_Q)
-    g = math.gcd(n, d)
-    q.numerator, q.denominator = n // g, d // g
-    return q
-
-
 #: The solver's number type, chosen in this one place: a test sets it to
 #: Fraction to run the very same solver as its reference.
 _EXACT = _Q
+
+
+def _qsum(values: Iterable) -> _Q:
+    """The solver's exact sum of ``_EXACT`` values: the numerators are
+    accumulated as ints over a running common denominator in one pass, and
+    the result is reduced once, by the ``_EXACT`` constructor."""
+    n, d = 0, 1
+    for v in values:
+        vd = v.denominator
+        if vd == d:
+            n += v.numerator
+        else:
+            n = n * vd + v.numerator * d
+            d *= vd
+    return _EXACT(n, d)
 
 
 def _fraction(v: _Q) -> Fraction:
@@ -635,10 +704,12 @@ def integrate_transient(
     a closing gap reaches zero.
 
     The solve runs on ``_EXACT`` (``_Q``), converting the scenario once on
-    entry.  It keeps one row of lengths and thresholds per breakpoint and
-    returns the first crossings as Fractions; the series are converted to
-    Fraction when first read.  The values are exactly those of the same
-    solve on Fraction.
+    entry.  Each sum over the queues (the pre-transient weights, the lengths
+    at every breakpoint, the fixed rates) is one ``_qsum``, and omega_i * S
+    is computed once per breakpoint for both the clamp and the slope.  It
+    keeps one row of lengths and thresholds per breakpoint and returns the
+    first crossings as Fractions; the series are converted to Fraction when
+    first read.  The values are exactly those of the same solve on Fraction.
 
     Without a ``horizon`` the solve stops at the last new queue's first
     crossing, or as soon as no gap is closing; with one it runs to the
@@ -660,14 +731,14 @@ def integrate_transient(
     backlogged = [i for i in range(n_old) if fill_cap[i] is None]
 
     pre = [num(q.pre_omega) for q in ts.old]
-    share = b / sum(pre, num(1))
+    share = b / (_qsum(pre) + num(1))
     lengths = [w * share for w in pre] + [zero] * len(ts.new)
-    remaining = b - sum(lengths, zero)
+    remaining = b - _qsum(lengths)
     if any(lengths[i] < omega[i] * remaining for i in backlogged):
         # backlogged old queues below their thresholds fill up to them at
         # once; the thresholds fall as they fill, so solve for the remaining
         # space R in R = B - Q_others - sum_i max(L_i, omega_i * R)
-        others = sum((lengths[i] for i in range(len(entries)) if i not in backlogged), zero)
+        others = _qsum(lengths[i] for i in range(len(entries)) if i not in backlogged)
         remaining = _solve_total_rate(
             b - others, [(omega[i], None, -lengths[i]) for i in backlogged]
         )
@@ -679,7 +750,7 @@ def integrate_transient(
 
     t = zero
     while True:
-        remaining = b - sum(lengths, zero)
+        remaining = b - _qsum(lengths)
         thr = [w * remaining for w in omega]
         rows.append((t, lengths, thr))
         if (len(crossing) == len(ts.new) and end is None) or (end is not None and end <= t):
@@ -690,19 +761,20 @@ def integrate_transient(
         rates = [drain[i] if gap.numerator > 0 else fill_cap[i] if gap.numerator < 0 else None
                  for i, gap in enumerate(gaps)]
         s_total = _solve_total_rate(
-            sum((v for v in rates if v is not None), zero),
+            _qsum(v for v in rates if v is not None),
             [(omega[i], drain[i], fill_cap[i]) for i, v in enumerate(rates) if v is None],
         )
+        shed = [w * s_total for w in omega]  # omega_i * S, for the clamp and the slope
         for i, v in enumerate(rates):
             if v is None:  # clamp(-omega * S, -gamma, fill cap)
-                v = max(-omega[i] * s_total, drain[i])
+                v = max(-shed[i], drain[i])
                 rates[i] = v if fill_cap[i] is None else min(v, fill_cap[i])
 
         # gap_i changes at rate_i + omega_i * S; it closes when that slope
         # has the opposite sign of the gap
         hits = {}
         for i, gap in enumerate(gaps):
-            slope = rates[i] + omega[i] * s_total
+            slope = rates[i] + shed[i]
             if gap.numerator * slope.numerator < 0:
                 hits[i] = -gap / slope
         dt = min(hits.values(), default=None)

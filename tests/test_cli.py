@@ -681,8 +681,13 @@ def test_the_test_oracles_import_from_fbsim_core_only():
 
 def _names_read(path):
     """Every name a module reads: each ast Name, Attribute and import."""
+    return _names_in(ast.parse(path.read_text(), str(path)))
+
+
+def _names_in(tree):
+    """Every name an ast tree reads: each Name, Attribute and import."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -696,6 +701,34 @@ def test_only_the_fluid_module_names_the_solver_rational():
     # fluid._Q stays inside the solver: every other module sees Fractions
     for path in sorted((SRC / "fbsim").glob("*.py")):
         assert ("_Q" in _names_read(path)) == (path.name == "fluid.py"), path.name
+
+
+def test_the_two_fluid_routes_share_no_arithmetic():
+    # the closed forms and the solver check each other only while neither
+    # computes through the other's code, so each has its own exact sum: no
+    # closed-form function reaches a solver name, through the module's
+    # functions it calls, and no solver function reaches _fsum
+    tree = ast.parse((SRC / "fbsim" / "fluid.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reached(name):
+        names, todo = set(), [name]
+        while todo:
+            read = _names_in(functions[todo.pop()])
+            todo += [n for n in read - names if n in functions]
+            names |= read
+        return names
+
+    closed_forms = ("_closed_form", "steady_state", "analyze_transient",
+                    "alpha_L_for_zero_transient", "alpha_L_for_burst", "alpha_H_for_burst",
+                    "multi_priority_alpha_H", "alpha_bounds_general", "burst_absorption_curve")
+    solver = {"_Q", "_EXACT", "_qsum", "_solve_total_rate", "integrate_transient"}
+    for name in closed_forms:
+        assert not reached(name) & solver, name
+    assert "_fsum" in reached("_closed_form")
+    for name in ("integrate_transient", "_solve_total_rate"):
+        assert "_fsum" not in reached(name), name
+    assert "_qsum" in reached("integrate_transient")
 
 
 def test_sources_never_read_the_decoded_trace_views():

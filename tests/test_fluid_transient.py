@@ -4,6 +4,7 @@ and the exact event-driven solver as the independent cross-check."""
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from fractions import Fraction
@@ -19,6 +20,8 @@ from fbsim.fluid import (
     OldQueue,
     TransientScenario,
     _Q,
+    _fsum,
+    _qsum,
     _solve_total_rate,
     alpha_H_for_burst,
     alpha_L_for_burst,
@@ -636,6 +639,9 @@ class TestSolverRational:
     @example(a=F(0), b=F(0))
     @example(a=F(-3, 7), b=F(3, 7))
     @example(a=F(5, 10**30 - 1), b=F(-5, 10**30 - 1))
+    @example(a=F(1, 6), b=F(5, 6))  # equal denominators, a sum that reduces to 1
+    @example(a=F(1, 6), b=F(1, 6))  # equal denominators, a difference of 0
+    @example(a=F(0), b=F(1, 6))  # -0 keeps the reduced pair (0, 1)
     def test_every_operation_matches_fraction(self, a, b):
         qa, qb = _Q(a), _Q(b)
         results = {"+": (qa + qb, a + b), "-": (qa - qb, a - b), "*": (qa * qb, a * b),
@@ -655,6 +661,38 @@ class TestSolverRational:
         for pick in (max, min):
             q = pick(qa, qb)
             assert F(q.numerator, q.denominator) == pick(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(-10**6, 10**6), d=st.integers(-10**30, 10**30))
+    @example(n=0, d=-7)
+    @example(n=6, d=-4)
+    @example(n=3, d=0)
+    def test_the_pair_constructor_reduces_as_fraction_does(self, n, d):
+        if d == 0:
+            with pytest.raises(ZeroDivisionError):
+                _Q(n, d)
+            return
+        q, expected = _Q(n, d), F(n, d)
+        assert (q.numerator, q.denominator) == (expected.numerator, expected.denominator)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(_rationals, max_size=8))
+    @example(values=[])
+    @example(values=[F(0), F(0)])
+    @example(values=[F(1, 6), F(-1, 6), F(5, 6), F(1, 6)])
+    @example(values=[F(1, 10**30), F(-3, 7), F(1, 10**30 - 1)])
+    def test_each_route_sums_to_the_reduced_fraction_sum(self, values):
+        # _fsum is the closed forms' sum and _qsum the solver's (on _Q, and
+        # on Fraction when the reference solve sets _EXACT to it); each
+        # gives sum(values, Fraction(0)) as the same reduced pair
+        expected = sum(values, F(0))
+        pair = (expected.numerator, expected.denominator)
+        with mock.patch.object(fluid, "_EXACT", Fraction):
+            reference = _qsum(values)
+        for total, kind in ((_fsum(values), Fraction), (_qsum([_Q(v) for v in values]), _Q),
+                            (reference, Fraction)):
+            assert type(total) is kind
+            assert (total.numerator, total.denominator) == pair
 
     def test_solver_on_q_equals_the_same_solver_on_fraction(self, monkeypatch):
         # the very same solver body, once on Fraction (the reference) and
