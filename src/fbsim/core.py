@@ -12,10 +12,10 @@ Unit conventions used throughout the package:
 
 All types in this module, ``PolicyKind`` (the four admission policies a
 scenario can name; their rules live in ``fbsim.engine``) among them, are
-immutable value objects and safe to share across threads.  The module
-also owns the exact-number coercion ``as_fraction`` and how a result is
-written out: the value-to-JSON rule ``jsonable``, the JSON text and files,
-and CSV tables.
+immutable value objects and safe to share across threads.  The module owns
+the one field rule ``convert_fields`` and its converters ``as_fraction``
+and ``as_whole``, and how a result is written out: the value-to-JSON rule
+``jsonable``, the JSON text and files, and CSV tables.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -34,6 +34,21 @@ Number = Union[int, float, Fraction]
 def as_fraction(x: Number) -> Fraction:
     """``x`` as an exact Fraction; a Fraction is returned as it is."""
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def as_whole(x: Number) -> int:
+    """``x`` as an int if it is a whole int, float or Fraction, else a ValueError."""
+    if isinstance(x, (int, float, Fraction)) and x == x // 1:  # inf // 1 and nan // 1 are nan
+        return int(x)
+    raise ValueError(f"expected a whole number, got {x!r}")
+
+
+def convert_fields(obj, convert: Callable, *names: str) -> None:
+    """The frozen value types' one field-conversion rule: each named field
+    of ``obj`` becomes ``convert(value)``, and None stays None."""
+    for name in names:
+        if (value := getattr(obj, name)) is not None:
+            object.__setattr__(obj, name, convert(value))
 
 
 class PolicyKind(Enum):
@@ -54,7 +69,8 @@ class TrafficClass:
     priority_id: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
+        convert_fields(self, as_whole, "class_id", "priority_id")
+        convert_fields(self, as_fraction, "alpha")
         if self.alpha <= 0:
             raise ValueError(f"class {self.class_id}: alpha must be > 0, got {self.alpha}")
 
@@ -65,6 +81,9 @@ class QueueId:
 
     port: int
     class_id: int
+
+    def __post_init__(self) -> None:
+        convert_fields(self, as_whole, "port", "class_id")
 
     def __str__(self) -> str:  # used in CSV/JSON keys
         return f"{self.port}:{self.class_id}"

@@ -5,7 +5,11 @@ layout, traffic classes with their alphas and priorities, the admission
 policy, open-loop sources, and run controls (horizon, seed, sampling).
 Configs serialize to a sectioned text file ([switch] / [classes] /
 [policy] / [sources], plus optional [initial] and [alpha_overrides]);
-parse -> serialize -> parse is the identity.
+parse -> serialize -> parse is the identity.  Every config and source
+converts its number fields through ``core.convert_fields`` when it is built
+(counts, ids and the seed whole ints, the run controls floats, rates, times
+and alphas Fractions), so a config built from any kind of number writes a
+file that reads back equal to it.
 
 This module also bridges configs into the fluid model (steady-state
 weights and transient scenarios), so the analyzer and the packet engine
@@ -27,7 +31,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .core import PolicyKind, QueueId, TrafficClass, as_fraction
+from .core import PolicyKind, QueueId, TrafficClass, as_fraction, as_whole, convert_fields
 from .fluid import NewQueue, OldQueue, TransientScenario, congested_weights
 
 
@@ -107,10 +111,8 @@ class ConstantRate:
     stop: Optional[Fraction] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", as_fraction(self.rate))
-        object.__setattr__(self, "start", as_fraction(self.start))
-        if self.stop is not None:
-            object.__setattr__(self, "stop", as_fraction(self.stop))
+        convert_fields(self, as_whole, "class_id", "port")
+        convert_fields(self, as_fraction, "rate", "start", "stop")
         if self.rate <= 0 or self.start < 0:
             raise ConfigError("constant source needs rate > 0 and start >= 0")
         if self.stop is not None and self.stop <= self.start:
@@ -135,9 +137,8 @@ class Burst:
         return self.start + self.duration
 
     def __post_init__(self):
-        object.__setattr__(self, "r", as_fraction(self.r))
-        object.__setattr__(self, "duration", as_fraction(self.duration))
-        object.__setattr__(self, "start", as_fraction(self.start))
+        convert_fields(self, as_whole, "class_id", "port")
+        convert_fields(self, as_fraction, "r", "duration", "start")
         if self.r <= 0 or self.duration <= 0 or self.start < 0:
             raise ConfigError("burst needs r > 0, duration > 0, start >= 0")
 
@@ -161,17 +162,14 @@ class PoissonFlows:
     size_cdf: Union[None, str, tuple[tuple[int, float], ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "mean_interarrival", as_fraction(self.mean_interarrival))
-        object.__setattr__(self, "flow_rate", as_fraction(self.flow_rate))
-        object.__setattr__(self, "start", as_fraction(self.start))
-        if self.stop is not None:
-            object.__setattr__(self, "stop", as_fraction(self.stop))
+        convert_fields(self, as_whole, "class_id", "port")
+        convert_fields(self, as_fraction, "mean_interarrival", "flow_rate", "start", "stop")
         if self.mean_interarrival <= 0 or self.flow_rate <= 0 or self.start < 0:
             raise ConfigError("poisson source needs positive interarrival and flow_rate")
         if self.stop is not None and self.stop <= self.start:
             raise ConfigError(f"poisson source stop {self.stop} must be after its start {self.start}")
         if isinstance(self.size_cdf, str):
-            object.__setattr__(self, "size_cdf", load_size_cdf(self.size_cdf))
+            convert_fields(self, load_size_cdf, "size_cdf")
         elif self.size_cdf is not None and (fault := _cdf_fault(self.size_cdf)):
             raise ScenarioParseError(f"size CDF {fault[1]}")
 
@@ -244,8 +242,6 @@ def source_stream(
     k/rate) for k < ceil(span * rate), the span ending at the source's stop
     clipped to the horizon; Poisson times use Random.seed and .random alone,
     whose sequence Python keeps in every version (see _poisson_flows)."""
-    if not isinstance(src, (ConstantRate, Burst, PoissonFlows)):
-        raise ConfigError(f"unknown source spec {src!r}")
     hz = Fraction(horizon)
     end = hz if src.stop is None else min(src.stop, hz)
     if isinstance(src, ConstantRate):
@@ -285,13 +281,36 @@ class FrozenDict(dict):
         return type(self), (dict(self),)
 
 
+def _known_sources(sources) -> tuple[SourceSpec, ...]:
+    """``sources`` as a tuple; anything that is not a source type is refused."""
+    sources = tuple(sources)
+    for src in sources:
+        if not isinstance(src, (ConstantRate, Burst, PoissonFlows)):
+            raise ConfigError(f"unknown source spec {src!r}")
+    return sources
+
+
+#: ScenarioConfig's converters: the counts and the seed are whole ints, the
+#: run controls floats, and the two maps read-only copies of whole initial
+#: lengths and Fraction alpha overrides.
+_CONFIG_FIELDS = (
+    (as_whole, ("buffer_size", "n_ports", "seed", "congestion_threshold")),
+    (float, ("horizon", "fba_period", "sample_interval", "snapshot_staleness")),
+    (_known_sources, ("sources",)),
+    (lambda table: FrozenDict({q: as_whole(n) for q, n in dict(table).items()}), ("initial_lengths",)),
+    (lambda table: FrozenDict({q: as_fraction(a) for q, a in dict(table).items()}), ("alpha_overrides",)),
+)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulation, checked when it is built: the constructor, and so
     ``dataclasses.replace``, ``loads_scenario``, ``preset`` and ``sweep``,
     raise ConfigError for a config that no run or analysis could use.  The
-    constructor copies ``initial_lengths`` and ``alpha_overrides`` into
-    read-only ``FrozenDict`` maps, so a checked config cannot change."""
+    constructor converts each number field by ``_CONFIG_FIELDS`` (a value
+    that does not convert is a ConfigError) and copies ``initial_lengths``
+    and ``alpha_overrides`` into read-only ``FrozenDict`` maps, so a checked
+    config cannot change."""
 
     buffer_size: int
     n_ports: int
@@ -319,8 +338,12 @@ class ScenarioConfig:
         return override if override is not None else self.class_by_id(queue.class_id).alpha
 
     def __post_init__(self) -> None:
-        for name in ("initial_lengths", "alpha_overrides"):
-            object.__setattr__(self, name, FrozenDict(getattr(self, name)))
+        for convert, names in _CONFIG_FIELDS:
+            for name in names:
+                try:
+                    convert_fields(self, convert, name)
+                except (TypeError, ValueError, ArithmeticError) as exc:
+                    raise ConfigError(f"{name}: {exc}") from None
         if self.buffer_size < 1:
             raise ConfigError(f"buffer size must be >= 1 packet, got {self.buffer_size}")
         if not 0 <= self.seed < 2**64:

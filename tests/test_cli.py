@@ -731,6 +731,19 @@ def test_the_two_fluid_routes_share_no_arithmetic():
     assert "_qsum" in reached("integrate_transient")
 
 
+def test_only_the_core_rule_sets_a_frozen_field():
+    # every frozen value type converts its fields through core.convert_fields,
+    # so __setattr__, the way round a frozen dataclass, is written there alone
+    writes = []
+    for path in sorted((SRC / "fbsim").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(node): fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        writes += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "__setattr__"]
+    assert writes == [("core.py", "convert_fields")]
+
+
 def test_sources_never_read_the_decoded_trace_views():
     # records and samples decode the whole packed trace into tuples; the
     # package reads it through EventTrace.rows() and the occupancy array

@@ -60,6 +60,25 @@ def scenario_case2(r=10):
     return two_priority_incast(60, 1, 2, r, n_low_ports=3)
 
 
+@pytest.mark.parametrize("buffer", [60.5, 60.9, F(121, 2), math.inf, math.nan])
+def test_a_buffer_that_is_not_whole_is_refused(buffer):
+    # 60.5 once gave the inexact t1 6.05 and broke the solver, and
+    # two_priority_incast truncated 60.9 to 60
+    ts = two_priority_incast(60, 1, 2, 5)
+    with pytest.raises(ValueError, match="expected a whole number"):
+        TransientScenario(buffer, ts.old, ts.new, ts.r)
+    with pytest.raises(ValueError, match="expected a whole number"):
+        two_priority_incast(buffer, 1, 2, 5)
+
+
+@pytest.mark.parametrize("buffer", [60.0, F(120, 2)])
+def test_a_whole_buffer_of_any_kind_is_an_int(buffer):
+    ts = two_priority_incast(60, 1, 2, 5)
+    for built in (TransientScenario(buffer, ts.old, ts.new, ts.r), two_priority_incast(buffer, 1, 2, 5)):
+        assert built == ts and type(built.buffer_size) is int
+        assert first_threshold_crossing(built) == min(integrate_transient(built).first_crossing.values())
+
+
 class TestClassification:
     def test_rate_bound_value(self):
         assert case_rate_bound(scenario_case1()) == 7

@@ -14,7 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.engine import run
-from fbsim.fluid import CaseKind, classify_case, first_threshold_crossing, two_priority_incast
+from fbsim.fluid import (
+    CaseKind, analyze_transient, classify_case, first_threshold_crossing, two_priority_incast,
+)
 from fbsim.workloads import (
     DEFAULT_SIZE_CDF,
     MAX_RECORD_INT,
@@ -389,15 +391,41 @@ class TestConfigFile:
             assert again == cfg
             assert dumps_scenario(again) == text
 
-    def test_round_trip_with_extras(self):
+    @pytest.mark.parametrize("whole,controls,override,rate", [
+        (int, (20.5, 2.0, 0.5, 1.5), F(3, 2), F(9, 2)),  # the kinds the package's builders give
+        (F, (F(41, 2), F(2), F(1, 2), F(3, 2)), 0.1, 4.5),
+        (float, (20, 2, 1, 3), 3, 4),
+    ], ids=["builders", "fraction_counts", "float_counts"])
+    def test_round_trip_with_extras(self, whole, controls, override, rate):
+        # an alpha override and a Poisson source with an inline CDF, and
+        # every number in another kind: counts and ids as int, Fraction or
+        # whole float, the run controls as float, Fraction or int, the
+        # override and the rates as Fraction, float or int.  Each converts
+        # when the config is built, so its lock reads back equal, and the
+        # re-read config analyzes and runs as it does (a whole-float seed
+        # once seeded the Poisson draws with "7.0" and its lock with "7")
+        base = preset("fig4_incast")
+        horizon, fba_period, sample_interval, staleness = controls
         cfg = replace(
-            preset("fig2"),
-            alpha_overrides={QueueId(1, 1): F(3, 2)},
-            sources=preset("fig2").sources
-            + (PoissonFlows(class_id=0, port=1, mean_interarrival=F(7, 2),
-                            size_cdf=((2, 0.5), (8, 1.0))),),
+            base, buffer_size=whole(90), n_ports=whole(3), seed=whole(7),
+            congestion_threshold=whole(2), horizon=horizon, fba_period=fba_period,
+            sample_interval=sample_interval, snapshot_staleness=staleness,
+            classes=tuple(TrafficClass(whole(c.class_id), c.alpha, whole(c.priority_id))
+                          for c in base.classes),
+            sources=tuple(
+                replace(s, class_id=whole(s.class_id), port=whole(s.port), rate=rate)
+                if isinstance(s, ConstantRate) else replace(s, port=whole(s.port), r=rate)
+                for s in base.sources
+            ) + (PoissonFlows(whole(0), whole(2), mean_interarrival=rate, flow_rate=rate,
+                              size_cdf=((2, 0.5), (8, 1.0))),),
+            initial_lengths={QueueId(whole(1), whole(c)): whole(10) for c in range(5)},
+            alpha_overrides={QueueId(whole(1), whole(0)): override},
         )
-        assert loads_scenario(dumps_scenario(cfg)) == cfg
+        text = dumps_scenario(cfg)
+        again = loads_scenario(text)
+        assert again == cfg and dumps_scenario(again) == text
+        assert analyze_transient(transient_scenario(again)) == analyze_transient(transient_scenario(cfg))
+        assert run(again).packed == run(cfg).packed
 
     def test_fb_single_lock_loads_as_fb(self):
         # scenario.lock files written before fb_single became an alias of
@@ -429,6 +457,27 @@ class TestConfigFile:
         text = dumps_scenario(preset("fig2")).replace("alpha=1 ", "alpha=0 ")
         with pytest.raises(ConfigError):
             loads_scenario(text)
+
+    @pytest.mark.parametrize("changes,message", [
+        # each of these once built, and failed in run or in its own lock
+        (dict(initial_lengths={QueueId(1, 0): 2.5}), "initial_lengths: expected a whole number, got 2.5"),
+        (dict(n_ports=2.5), "n_ports: expected a whole number, got 2.5"),
+        (dict(buffer_size=F(121, 2)), "buffer_size: expected a whole number"),
+        (dict(seed=math.nan), "seed: expected a whole number, got nan"),
+        (dict(congestion_threshold="2"), "congestion_threshold: expected a whole number"),
+        (dict(alpha_overrides={QueueId(1, 0): math.inf}), "alpha_overrides: cannot convert Infinity"),
+    ], ids=["initial_length", "ports", "buffer", "seed", "threshold", "override"])
+    def test_a_number_that_does_not_convert_is_refused(self, changes, message):
+        with pytest.raises(ConfigError, match=message):
+            replace(preset("fig4_incast"), **changes)
+
+    def test_a_source_of_no_source_type_is_refused_when_built(self):
+        # a stranger once raised AttributeError in the constructor, and a
+        # duck-typed source built and was refused only when the run started
+        duck = type("Duck", (), dict(class_id=0, port=0, rate=F(1), start=F(0), stop=None))()
+        for stranger in (object(), duck):
+            with pytest.raises(ConfigError, match="sources: unknown source spec"):
+                replace(preset("fig2"), sources=(stranger,))
 
     def test_validation_catches_bad_references(self):
         cfg = preset("fig2")
