@@ -127,10 +127,11 @@ def _inline_transient(args) -> fluid.TransientScenario:
     for name in ("buffer", "alpha_l", "alpha_h", "r"):
         if getattr(args, name) is None:
             raise ConfigError(f"inline analysis needs --{name.replace('_', '-')}")
+    shape = dict(n_low_ports=args.n_low, low_queues_per_port=args.low_per_port,
+                 n_new=args.n_new, scheme=args.scheme)  # an absent flag takes its default
     return fluid.two_priority_incast(
         args.buffer, args.alpha_l, args.alpha_h, args.r,
-        n_low_ports=args.n_low, low_queues_per_port=args.low_per_port,
-        n_new=args.n_new, scheme=args.scheme,
+        **{name: value for name, value in shape.items() if value is not None},
     )
 
 
@@ -138,10 +139,12 @@ def cmd_analyze(args) -> int:
     if args.scenario or args.preset:
         if args.r is not None:
             raise ConfigError("--r is the inline burst rate; a scenario's bursts set their own")
-        for name in ("buffer", "alpha_l", "alpha_h"):
-            if getattr(args, name) is not None and not args.curve:
+        curve_flags = ("buffer", "alpha_l", "alpha_h", "scheme")  # the --curve reads these
+        for name in (*curve_flags, "n_low", "low_per_port", "n_new"):
+            if getattr(args, name) is not None and not (args.curve and name in curve_flags):
                 flag = f"--{name.replace('_', '-')}"
-                raise ConfigError(f"{flag} sets the inline scenario or the --curve; a scenario sets its own")
+                read_by = " or the --curve" if name in curve_flags else ""
+                raise ConfigError(f"{flag} sets the inline scenario{read_by}; a scenario sets its own")
         cfg = _load_config(args)
         has_burst = any(isinstance(s, workloads.Burst) for s in cfg.sources)
         if has_burst:
@@ -167,7 +170,7 @@ def cmd_analyze(args) -> int:
             raise ConfigError("--curve needs --buffer, --alpha-l, --alpha-h and --out")
         points = fluid.burst_absorption_curve(
             args.buffer, args.alpha_l, args.alpha_h,
-            args.r_values, args.counts, scheme=args.scheme,
+            args.r_values, args.counts, scheme=args.scheme or "fb",
         )
         os.makedirs(args.out, exist_ok=True)
         fluid.curve_to_csv(points, os.path.join(args.out, "curve.csv"))
@@ -262,11 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--alpha-h", dest="alpha_h", help="high-priority alpha")
     p_an.add_argument("--r", help="burst arrival rate (inline mode)")
     p_an.add_argument("--t", help="burst duration for alpha bounds")
-    p_an.add_argument("--n-low", dest="n_low", type=int, default=1,
-                      help="pre-occupied low ports (inline mode)")
-    p_an.add_argument("--low-per-port", dest="low_per_port", type=int, default=1)
-    p_an.add_argument("--n-new", dest="n_new", type=int, default=1)
-    p_an.add_argument("--scheme", choices=("fb", "dt"), default="fb")
+    p_an.add_argument("--n-low", dest="n_low", type=int,
+                      help="pre-occupied low ports (inline mode, default 1)")
+    p_an.add_argument("--low-per-port", dest="low_per_port", type=int, help="default 1")
+    p_an.add_argument("--n-new", dest="n_new", type=int, help="default 1")
+    p_an.add_argument("--scheme", choices=("fb", "dt"), help="default fb")
     p_an.add_argument("--curve", action="store_true",
                       help="emit the burst-absorption curve CSV")
     p_an.add_argument("--r-values", dest="r_values",

@@ -13,18 +13,21 @@ Unit conventions used throughout the package:
 All types in this module, ``PolicyKind`` (the four admission policies a
 scenario can name; their rules live in ``fbsim.engine``) among them, are
 immutable value objects and safe to share across threads.  The module owns
-the one field rule ``convert_fields`` and its converters ``as_fraction``
-and ``as_whole``, and how a result is written out: the value-to-JSON rule
-``jsonable``, the JSON text and files, and CSV tables.
+the one field rule ``convert_fields``, which makes each field of every value
+type the kind its annotation states, and how a result is written out: the
+value-to-JSON rule ``jsonable``, the JSON text and files, and CSV tables.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import csv
+import functools
 import json
 import math
+import typing
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, EnumMeta
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -43,12 +46,70 @@ def as_whole(x: Number) -> int:
     raise ValueError(f"expected a whole number, got {x!r}")
 
 
-def convert_fields(obj, convert: Callable, *names: str) -> None:
-    """The frozen value types' one field-conversion rule: each named field
-    of ``obj`` becomes ``convert(value)``, and None stays None."""
-    for name in names:
-        if (value := getattr(obj, name)) is not None:
-            object.__setattr__(obj, name, convert(value))
+class FrozenDict(dict):
+    """A dict that refuses every change.  It equals a plain dict and, unlike
+    ``types.MappingProxyType``, pickles (a parallel sweep pickles configs)."""
+
+    def _refuse(self, *_args, **_kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+def _kind_rule(kind) -> Callable:
+    """The converter to an annotated kind: ``int`` by ``as_whole``,
+    ``Fraction`` by ``as_fraction``, ``float`` and an Enum by their
+    constructors, ``Optional[X]`` as X, ``tuple[X, ...]`` item by item (a
+    tuple whose items all stay is kept), ``Mapping[K, V]`` key by key and
+    value by value into a FrozenDict, and any other class, or a Union of
+    classes, by an instance check."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    kinds = tuple(a for a in args if a is not type(None)) if origin is typing.Union else (kind,)
+    if kind in (int, Fraction, float) or isinstance(kind, EnumMeta):
+        return {int: as_whole, Fraction: as_fraction}.get(kind, kind)
+    if len(kinds) == 1 and kinds[0] is not kind:
+        return _kind_rule(kinds[0])
+    if origin is tuple and args[1:] == (...,):
+        item = _kind_rule(args[0])
+        return lambda value: (value if type(value) is tuple and all(item(v) is v for v in value)
+                              else tuple(map(item, value)))
+    if origin is collections.abc.Mapping:
+        key, item = map(_kind_rule, args)
+        return lambda table: FrozenDict({key(k): item(v) for k, v in dict(table).items()})
+    kinds = tuple(typing.get_origin(k) or k for k in kinds)
+
+    def instance(value):
+        if isinstance(value, kinds):
+            return value
+        raise ValueError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    return instance
+
+
+@functools.cache  # each class's (field, converter, admits None), read when it is first built
+def _rules(cls) -> tuple[tuple[str, Callable, bool], ...]:
+    return tuple((name, _kind_rule(kind), type(None) in typing.get_args(kind))
+                 for name, kind in typing.get_type_hints(cls).items())
+
+
+def convert_fields(obj, **before: Callable) -> None:
+    """The value types' one field rule: each field of ``obj`` becomes its
+    annotated kind (``_kind_rule``), None only where that kind admits it; a
+    keyword ``name=f`` passes that field through ``f`` first.  A value that
+    does not convert raises a ValueError, or its own subclass, naming the field."""
+    for name, convert, optional in _rules(type(obj)):
+        if (value := getattr(obj, name)) is None and optional:
+            continue
+        try:
+            value = convert(before[name](value) if name in before else value)
+        except ValueError as exc:
+            exc.args = (f"{name}: {exc}",)
+            raise
+        except (TypeError, ArithmeticError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        object.__setattr__(obj, name, value)
 
 
 class PolicyKind(Enum):
@@ -69,8 +130,7 @@ class TrafficClass:
     priority_id: int
 
     def __post_init__(self) -> None:
-        convert_fields(self, as_whole, "class_id", "priority_id")
-        convert_fields(self, as_fraction, "alpha")
+        convert_fields(self)
         if self.alpha <= 0:
             raise ValueError(f"class {self.class_id}: alpha must be > 0, got {self.alpha}")
 
@@ -83,7 +143,7 @@ class QueueId:
     class_id: int
 
     def __post_init__(self) -> None:
-        convert_fields(self, as_whole, "port", "class_id")
+        convert_fields(self)
 
     def __str__(self) -> str:  # used in CSV/JSON keys
         return f"{self.port}:{self.class_id}"

@@ -34,10 +34,8 @@ private rational ``_Q``, summing through ``_qsum``, so the two routes share
 no arithmetic.  The solver returns its first crossings as
 Fractions and builds the Fraction series from its breakpoints when read.
 
-The value types convert their fields through ``core.convert_fields``: every
-weight, drain, fill rate and ``r`` becomes a Fraction, and a transient
-scenario's buffer a whole int (``60.0`` is 60; ``60.5`` is refused), so both
-routes see exact numbers only.
+Each value type's field is its annotated kind (``core.convert_fields``), so
+both routes see exact numbers only: a buffer of ``60.0`` is 60, ``60.5`` an error.
 """
 
 from __future__ import annotations
@@ -170,7 +168,7 @@ class OldQueue:
     fill_rate: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        convert_fields(self, as_fraction, "omega", "gamma", "omega_before", "fill_rate")
+        convert_fields(self)
         if self.omega <= 0 or not 0 < self.gamma <= 1:
             raise ValueError(f"{self.queue}: need omega > 0 and gamma in (0,1]")
 
@@ -199,7 +197,7 @@ class NewQueue:
     factor: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        convert_fields(self, as_fraction, "omega", "gamma", "factor")
+        convert_fields(self)
         if self.omega <= 0 or not 0 < self.gamma <= 1 or not 0 < self.factor <= 1:
             raise ValueError(f"{self.queue}: need omega > 0, gamma and factor in (0,1]")
 
@@ -214,8 +212,7 @@ class TransientScenario:
     r: Fraction
 
     def __post_init__(self) -> None:
-        convert_fields(self, as_whole, "buffer_size")
-        convert_fields(self, as_fraction, "r")
+        convert_fields(self)
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
         if self.r <= 0:
@@ -244,15 +241,15 @@ def two_priority_incast(
     queues each; the ``n_new`` new queues land on otherwise empty ports and
     form their own priority group.  ``scheme`` selects FB weights
     (alpha * beta * gamma) or DT weights (omega = alpha).  Low queues form
-    priority 0, new queues priority 1.
+    priority 0, new queues priority 1.  The counts are whole numbers.
     """
-    if n_low_ports < 0 or low_queues_per_port < 1 or n_new < 1:
+    n_low_ports, m, n_new = as_whole(n_low_ports), as_whole(low_queues_per_port), as_whole(n_new)
+    if n_low_ports < 0 or m < 1 or n_new < 1:
         raise ValueError(
             "need n_low_ports >= 0, low_queues_per_port >= 1 and n_new >= 1"
         )
     if scheme not in ("fb", "dt"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    m = low_queues_per_port
     # queues sharing a port carry distinct class ids (one queue per
     # (port, class) pair); new queues sit on ports 0..n_new-1, low ports
     # from 100 on, or past the new ports if there are more than 100
@@ -381,12 +378,12 @@ def alpha_L_for_zero_transient(r: Number, num_congested_ports: int = 1) -> Bound
     burst of rate r, given at least ``num_congested_ports`` congested ports:
     alpha_L <= 1 / (r - (NUM + 1)).  Unconstrained when r <= NUM + 1.
     """
-    rf = as_fraction(r)
+    rf, num = as_fraction(r), as_whole(num_congested_ports)
     if rf <= 0:
         raise ValueError("r must be > 0")
-    if num_congested_ports < 1:
+    if num < 1:
         raise ValueError("NUM must be >= 1")
-    denom = rf - (num_congested_ports + 1)
+    denom = rf - (num + 1)
     if denom <= 0:
         return UNCONSTRAINED
     return 1 / denom
@@ -844,7 +841,7 @@ def burst_absorption_curve(
     """
     rates = tuple(r_values)  # read once: every count walks the same rates
     points: list[CurvePoint] = []
-    for count in low_queue_counts:
+    for count in map(as_whole, low_queue_counts):
         if count < 1:
             raise ValueError("low-queue count must be >= 1")
         # the queues depend on the count only; each rate reuses them

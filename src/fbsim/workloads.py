@@ -5,11 +5,9 @@ layout, traffic classes with their alphas and priorities, the admission
 policy, open-loop sources, and run controls (horizon, seed, sampling).
 Configs serialize to a sectioned text file ([switch] / [classes] /
 [policy] / [sources], plus optional [initial] and [alpha_overrides]);
-parse -> serialize -> parse is the identity.  Every config and source
-converts its number fields through ``core.convert_fields`` when it is built
-(counts, ids and the seed whole ints, the run controls floats, rates, times
-and alphas Fractions), so a config built from any kind of number writes a
-file that reads back equal to it.
+parse -> serialize -> parse is the identity.  Each field of a config or
+source is its annotated kind (``core.convert_fields``), so a config built
+from any kind of number writes a file that reads back equal to it.
 
 This module also bridges configs into the fluid model (steady-state
 weights and transient scenarios), so the analyzer and the packet engine
@@ -31,7 +29,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .core import PolicyKind, QueueId, TrafficClass, as_fraction, as_whole, convert_fields
+from .core import PolicyKind, QueueId, TrafficClass, as_fraction, convert_fields
 from .fluid import NewQueue, OldQueue, TransientScenario, congested_weights
 
 
@@ -111,8 +109,7 @@ class ConstantRate:
     stop: Optional[Fraction] = None
 
     def __post_init__(self):
-        convert_fields(self, as_whole, "class_id", "port")
-        convert_fields(self, as_fraction, "rate", "start", "stop")
+        convert_fields(self)
         if self.rate <= 0 or self.start < 0:
             raise ConfigError("constant source needs rate > 0 and start >= 0")
         if self.stop is not None and self.stop <= self.start:
@@ -137,8 +134,7 @@ class Burst:
         return self.start + self.duration
 
     def __post_init__(self):
-        convert_fields(self, as_whole, "class_id", "port")
-        convert_fields(self, as_fraction, "r", "duration", "start")
+        convert_fields(self)
         if self.r <= 0 or self.duration <= 0 or self.start < 0:
             raise ConfigError("burst needs r > 0, duration > 0, start >= 0")
 
@@ -162,15 +158,12 @@ class PoissonFlows:
     size_cdf: Union[None, str, tuple[tuple[int, float], ...]] = None
 
     def __post_init__(self):
-        convert_fields(self, as_whole, "class_id", "port")
-        convert_fields(self, as_fraction, "mean_interarrival", "flow_rate", "start", "stop")
+        convert_fields(self, size_cdf=lambda cdf: load_size_cdf(cdf) if isinstance(cdf, str) else cdf)
         if self.mean_interarrival <= 0 or self.flow_rate <= 0 or self.start < 0:
             raise ConfigError("poisson source needs positive interarrival and flow_rate")
         if self.stop is not None and self.stop <= self.start:
             raise ConfigError(f"poisson source stop {self.stop} must be after its start {self.start}")
-        if isinstance(self.size_cdf, str):
-            convert_fields(self, load_size_cdf, "size_cdf")
-        elif self.size_cdf is not None and (fault := _cdf_fault(self.size_cdf)):
+        if self.size_cdf is not None and (fault := _cdf_fault(self.size_cdf)):
             raise ScenarioParseError(f"size CDF {fault[1]}")
 
 
@@ -268,48 +261,13 @@ def grid_steps(horizon: float, period: float) -> int:
     return int(math.floor(horizon / period + 1e-9))
 
 
-class FrozenDict(dict):
-    """A dict that refuses every change.  It equals a plain dict and, unlike
-    ``types.MappingProxyType``, pickles (a parallel sweep pickles configs)."""
-
-    def _refuse(self, *_args, **_kwargs):
-        raise TypeError(f"{type(self).__name__} is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
-
-
-def _known_sources(sources) -> tuple[SourceSpec, ...]:
-    """``sources`` as a tuple; anything that is not a source type is refused."""
-    sources = tuple(sources)
-    for src in sources:
-        if not isinstance(src, (ConstantRate, Burst, PoissonFlows)):
-            raise ConfigError(f"unknown source spec {src!r}")
-    return sources
-
-
-#: ScenarioConfig's converters: the counts and the seed are whole ints, the
-#: run controls floats, and the two maps read-only copies of whole initial
-#: lengths and Fraction alpha overrides.
-_CONFIG_FIELDS = (
-    (as_whole, ("buffer_size", "n_ports", "seed", "congestion_threshold")),
-    (float, ("horizon", "fba_period", "sample_interval", "snapshot_staleness")),
-    (_known_sources, ("sources",)),
-    (lambda table: FrozenDict({q: as_whole(n) for q, n in dict(table).items()}), ("initial_lengths",)),
-    (lambda table: FrozenDict({q: as_fraction(a) for q, a in dict(table).items()}), ("alpha_overrides",)),
-)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulation, checked when it is built: the constructor, and so
     ``dataclasses.replace``, ``loads_scenario``, ``preset`` and ``sweep``,
-    raise ConfigError for a config that no run or analysis could use.  The
-    constructor converts each number field by ``_CONFIG_FIELDS`` (a value
-    that does not convert is a ConfigError) and copies ``initial_lengths``
-    and ``alpha_overrides`` into read-only ``FrozenDict`` maps, so a checked
+    raise ConfigError for a config that no run or analysis could use.  Each
+    field becomes its annotated kind (a value that does not convert is a
+    ConfigError), the two maps read-only ``FrozenDict`` copies, so a checked
     config cannot change."""
 
     buffer_size: int
@@ -338,12 +296,10 @@ class ScenarioConfig:
         return override if override is not None else self.class_by_id(queue.class_id).alpha
 
     def __post_init__(self) -> None:
-        for convert, names in _CONFIG_FIELDS:
-            for name in names:
-                try:
-                    convert_fields(self, convert, name)
-                except (TypeError, ValueError, ArithmeticError) as exc:
-                    raise ConfigError(f"{name}: {exc}") from None
+        try:
+            convert_fields(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.buffer_size < 1:
             raise ConfigError(f"buffer size must be >= 1 packet, got {self.buffer_size}")
         if not 0 <= self.seed < 2**64:

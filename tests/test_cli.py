@@ -258,20 +258,26 @@ def test_analyze_takes_no_run_overrides(flag, capsys):
     (["--preset", "fig5_incast", "--r", "99"], "--r is the inline burst rate"),
     *((["--preset", "fig4_incast", flag, "3"], f"{flag} sets the inline scenario or the --curve")
       for flag in ("--buffer", "--alpha-l", "--alpha-h")),
+    (["--preset", "fig4_incast", "--scheme", "dt"], "--scheme sets the inline scenario or the --curve"),
+    *((["--preset", "fig4_incast", flag, value], f"{flag} sets the inline scenario;")
+      for flag, value in (("--n-low", "3"), ("--n-low", "0"), ("--low-per-port", "2"), ("--n-new", "2"))),
 ])
 def test_analyze_refuses_flags_it_would_not_read(flags, message, capsys):
     # a steady scenario has no burst to bound the alphas for, a scenario's
-    # bursts carry their own rate, and its buffer and alphas are its own
-    # unless --curve reads them: each flag would be dropped
+    # bursts carry their own rate, and its buffer, alphas and scheme are its
+    # own unless --curve reads them, and its queue counts always: each flag
+    # would be dropped (the counts and the scheme once were, with exit 0)
     assert main(["analyze", *flags]) == 3
     assert f"validation error: {message}" in capsys.readouterr().err
 
 
-def test_analyze_scenario_takes_curve_flags_with_curve(tmp_path, capsys):
+@pytest.mark.parametrize("scheme", [[], ["--scheme", "dt"]])
+def test_analyze_scenario_takes_curve_flags_with_curve(scheme, tmp_path, capsys):
     assert main(["analyze", "--preset", "fig4_incast", "--buffer", "60", "--alpha-l", "1/2",
-                 "--alpha-h", "20", "--curve", "--out", str(tmp_path / "out")]) == 0
+                 "--alpha-h", "20", *scheme, "--curve", "--out", str(tmp_path / "out")]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["t1"] == 2 and (tmp_path / "out" / "curve.csv").exists()
+    rows = (tmp_path / "out" / "curve.csv").read_text().splitlines()
+    assert payload["t1"] == 2 and rows[1].startswith(f"{scheme[-1] if scheme else 'fb'},")
 
 
 def test_analyze_scenario_file_refuses_an_inline_rate(tmp_path, capsys):
@@ -742,6 +748,32 @@ def test_only_the_core_rule_sets_a_frozen_field():
         writes += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr == "__setattr__"]
     assert writes == [("core.py", "convert_fields")]
+
+
+def test_every_value_type_converts_its_fields_by_their_annotations():
+    # every frozen dataclass with a __post_init__ calls convert_fields(self),
+    # and no call names a field: each field's kind is written only in its
+    # annotation, so no hand-kept list can miss one
+    def frozen(cls):
+        return any(k.arg == "frozen" and ast.literal_eval(k.value) is True
+                   for d in cls.decorator_list if isinstance(d, ast.Call) for k in d.keywords)
+
+    def rule_calls(node):
+        return [[ast.unparse(a) for a in call.args] for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "convert_fields"]
+
+    value_types = []
+    for path in sorted((SRC / "fbsim").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        assert all(args == ["self"] for args in rule_calls(tree)), path.name
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and frozen(node)):
+            for post in (f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"):
+                value_types.append(cls.name)
+                assert rule_calls(post) == [["self"]], cls.name
+    assert sorted(value_types) == sorted([
+        "TrafficClass", "QueueId", "OldQueue", "NewQueue", "TransientScenario",
+        "ConstantRate", "Burst", "PoissonFlows", "ScenarioConfig",
+    ])
 
 
 def test_sources_never_read_the_decoded_trace_views():

@@ -79,6 +79,32 @@ def test_a_whole_buffer_of_any_kind_is_an_int(buffer):
         assert first_threshold_crossing(built) == min(integrate_transient(built).first_crossing.values())
 
 
+def test_a_queue_of_another_type_is_refused():
+    with pytest.raises(ValueError, match="old: expected OldQueue, got 'x'"):
+        TransientScenario(60, ("x",), (), 2)
+
+
+@pytest.mark.parametrize("count", [2.5, F(5, 2), math.inf, math.nan])
+def test_a_count_that_is_not_whole_is_refused(count):
+    # a count once reached range() and raised TypeError, or, as NUM, gave
+    # the bound for "2.5 congested ports"
+    for call in (lambda: two_priority_incast(60, 1, 2, 5, n_low_ports=count),
+                 lambda: two_priority_incast(60, 1, 2, 5, low_queues_per_port=count),
+                 lambda: two_priority_incast(60, 1, 2, 5, n_new=count),
+                 lambda: burst_absorption_curve(60, 1, 2, [3], [count]),
+                 lambda: alpha_L_for_zero_transient(5, count)):
+        with pytest.raises(ValueError, match="expected a whole number"):
+            call()
+
+
+@pytest.mark.parametrize("count", [2.0, F(4, 2)])
+def test_a_whole_count_of_any_kind_is_an_int(count):
+    shape = dict(n_low_ports=count, low_queues_per_port=count, n_new=count)
+    assert two_priority_incast(60, 1, 2, 5, **shape) == two_priority_incast(60, 1, 2, 5, 2, 2, 2)
+    assert burst_absorption_curve(60, 1, 2, [3], [count]) == burst_absorption_curve(60, 1, 2, [3], [2])
+    assert alpha_L_for_zero_transient(5, count) == alpha_L_for_zero_transient(5, 2)
+
+
 class TestClassification:
     def test_rate_bound_value(self):
         assert case_rate_bound(scenario_case1()) == 7

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.engine import run
+from fbsim.metrics import compute
 from fbsim.fluid import (
     CaseKind, analyze_transient, classify_case, first_threshold_crossing, two_priority_incast,
 )
@@ -400,8 +401,9 @@ class TestConfigFile:
         # an alpha override and a Poisson source with an inline CDF, and
         # every number in another kind: counts and ids as int, Fraction or
         # whole float, the run controls as float, Fraction or int, the
-        # override and the rates as Fraction, float or int.  Each converts
-        # when the config is built, so its lock reads back equal, and the
+        # override and the rates as Fraction, float or int; the classes
+        # come as a list and the policy as its text.  Each converts when
+        # the config is built, so its lock reads back equal, and the
         # re-read config analyzes and runs as it does (a whole-float seed
         # once seeded the Poisson draws with "7.0" and its lock with "7")
         base = preset("fig4_incast")
@@ -410,8 +412,9 @@ class TestConfigFile:
             base, buffer_size=whole(90), n_ports=whole(3), seed=whole(7),
             congestion_threshold=whole(2), horizon=horizon, fba_period=fba_period,
             sample_interval=sample_interval, snapshot_staleness=staleness,
-            classes=tuple(TrafficClass(whole(c.class_id), c.alpha, whole(c.priority_id))
-                          for c in base.classes),
+            classes=[TrafficClass(whole(c.class_id), c.alpha, whole(c.priority_id))
+                     for c in base.classes],
+            policy=base.policy.value,
             sources=tuple(
                 replace(s, class_id=whole(s.class_id), port=whole(s.port), rate=rate)
                 if isinstance(s, ConstantRate) else replace(s, port=whole(s.port), r=rate)
@@ -426,6 +429,13 @@ class TestConfigFile:
         assert again == cfg and dumps_scenario(again) == text
         assert analyze_transient(transient_scenario(again)) == analyze_transient(transient_scenario(cfg))
         assert run(again).packed == run(cfg).packed
+
+    def test_a_policy_given_as_text_runs_as_that_policy(self):
+        # "fb" once stayed a string: the engine ran it as DT, with 17 burst
+        # drops, while its own lock read back as FB, with none
+        cfg = replace(preset("fig5_incast"), policy="fb")
+        assert cfg == loads_scenario(dumps_scenario(cfg)) == preset("fig5_incast")
+        assert compute(run(cfg), cfg).per_queue["0:5"]["dropped"] == 0
 
     def test_fb_single_lock_loads_as_fb(self):
         # scenario.lock files written before fb_single became an alias of
@@ -459,14 +469,21 @@ class TestConfigFile:
             loads_scenario(text)
 
     @pytest.mark.parametrize("changes,message", [
-        # each of these once built, and failed in run or in its own lock
+        # each of these once built, and failed in run or in its own lock, or
+        # raised AttributeError or TypeError inside the constructor
         (dict(initial_lengths={QueueId(1, 0): 2.5}), "initial_lengths: expected a whole number, got 2.5"),
         (dict(n_ports=2.5), "n_ports: expected a whole number, got 2.5"),
         (dict(buffer_size=F(121, 2)), "buffer_size: expected a whole number"),
         (dict(seed=math.nan), "seed: expected a whole number, got nan"),
         (dict(congestion_threshold="2"), "congestion_threshold: expected a whole number"),
         (dict(alpha_overrides={QueueId(1, 0): math.inf}), "alpha_overrides: cannot convert Infinity"),
-    ], ids=["initial_length", "ports", "buffer", "seed", "threshold", "override"])
+        (dict(policy="nonsense"), "policy: 'nonsense' is not a valid PolicyKind"),
+        (dict(classes=(object(),)), "classes: expected TrafficClass, got <object"),
+        (dict(initial_lengths={(1, 0): 5}), r"initial_lengths: expected QueueId, got \(1, 0\)"),
+        (dict(alpha_overrides={(1, 0): 2}), r"alpha_overrides: expected QueueId, got \(1, 0\)"),
+        (dict(buffer_size=None), "buffer_size: expected a whole number, got None"),
+    ], ids=["initial_length", "ports", "buffer", "seed", "threshold", "override",
+            "policy", "classes", "initial_key", "override_key", "no_buffer"])
     def test_a_number_that_does_not_convert_is_refused(self, changes, message):
         with pytest.raises(ConfigError, match=message):
             replace(preset("fig4_incast"), **changes)
@@ -476,7 +493,7 @@ class TestConfigFile:
         # duck-typed source built and was refused only when the run started
         duck = type("Duck", (), dict(class_id=0, port=0, rate=F(1), start=F(0), stop=None))()
         for stranger in (object(), duck):
-            with pytest.raises(ConfigError, match="sources: unknown source spec"):
+            with pytest.raises(ConfigError, match="sources: expected ConstantRate or Burst or PoissonFlows, got "):
                 replace(preset("fig2"), sources=(stranger,))
 
     def test_validation_catches_bad_references(self):
