@@ -17,15 +17,12 @@ from .fluid import (
     NewQueue,
     OldQueue,
     TransientScenario,
-    alpha_H_for_burst,
-    alpha_L_for_burst,
     alpha_L_for_zero_transient,
     alpha_bounds_general,
     analyze_transient,
     burst_absorption_curve,
     first_threshold_crossing,
     integrate_transient,
-    multi_priority_alpha_H,
     steady_state,
     two_priority_incast,
 )

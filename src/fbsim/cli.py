@@ -189,32 +189,44 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_configure_alpha(args) -> int:
-    r, t = args.r, args.t
+    b, r, t = args.buffer, args.r, args.t
+    if b < 1:
+        raise ConfigError(f"--buffer must be >= 1, got {b}")
     if t is None and (args.alpha_l is not None or args.alphas is not None):
         raise ConfigError("--alpha-l and --alphas apply only with --t")
     if args.alpha_l is not None and args.alphas is not None:
         raise ConfigError("give --alpha-l or --alphas, not both")
-    payload: dict = {"buffer": args.buffer, "r": r}
+    payload: dict = {"buffer": b, "r": r}
     payload["alpha_L_zero_transient"] = fluid.alpha_L_for_zero_transient(r, args.num)
     payload["num_congested_ports"] = args.num
     if t is not None:
+        if r <= 1:
+            raise ConfigError("r must exceed the port drain rate (r > 1)")
         payload["t"] = t
-        alpha_l_bound = fluid.alpha_L_for_burst(args.buffer, r, t)
-        payload["alpha_L_max_for_burst"] = alpha_l_bound
+
+        def bounds(alpha_l):  # at alpha_L 0 no low port: OldQueue refuses a weight of 0
+            if alpha_l < 0:
+                raise ConfigError(f"the low alpha must be >= 0, got {alpha_l}")
+            ts = fluid.two_priority_incast(b, alpha_l, 1, r, n_low_ports=1 if alpha_l else 0)
+            return fluid.alpha_bounds_general(ts, t)
+
+        # the frontier does not depend on alpha_L, so any positive one reads it
+        frontier = bounds(1).alpha_L_max_for_burst
+        payload["alpha_L_max_for_burst"] = frontier
         if args.alphas:
-            payload["alpha_H_min"] = fluid.multi_priority_alpha_H(args.alphas, args.buffer, r, t)
+            payload["alpha_H_min"] = bounds(sum(args.alphas)).alpha_H_min
             payload["lower_priority_alphas"] = args.alphas
         else:
             if args.alpha_l is not None:
                 chosen = args.alpha_l
-            elif isinstance(alpha_l_bound, Fraction):
+            elif isinstance(frontier, Fraction):
                 # a sound default: also satisfy the zero-transient bound
                 zt = payload["alpha_L_zero_transient"]
-                chosen = min(alpha_l_bound, zt) if isinstance(zt, Fraction) else alpha_l_bound
+                chosen = min(frontier, zt) if isinstance(zt, Fraction) else frontier
             else:
                 chosen = Fraction(0)
             payload["alpha_L_used"] = chosen
-            payload["alpha_H_min"] = fluid.alpha_H_for_burst(args.buffer, r, t, chosen)
+            payload["alpha_H_min"] = bounds(chosen).alpha_H_min
     print(json_text(payload))
     return EXIT_OK
 

@@ -183,14 +183,14 @@ def json_text(value, compact: bool = False) -> str:
 
 def write_json(path, value) -> None:
     """Write ``json_text(value)`` and a trailing newline to ``path``."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_text(value) + "\n")
 
 
 def write_table(path, header: Sequence, rows: Iterable[Sequence]) -> None:
     """Write a CSV table (the csv module's default dialect): the header row,
     then every row."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

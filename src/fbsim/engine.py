@@ -595,7 +595,7 @@ THRESHOLD_CACHE_SIZE = 64
 def _write_csv(path, columns: Iterable[str], rows: Iterator[str]) -> None:
     """A header and preformatted ``\r\n``-terminated rows (the csv module's
     default dialect), written ``EXPORT_CHUNK_ROWS`` rows at a time."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\r\n")
         while chunk := "".join(islice(rows, EXPORT_CHUNK_ROWS)):
             fh.write(chunk)

@@ -279,7 +279,9 @@ class _ClosedForm:
 
     case: CaseKind
     rate_bound: Value  # r*, +inf without old queues
-    fill: Fraction  # Q'
+    fill: Fraction  # Q' in the scenario's case
+    fill1: Fraction  # Q' in Case-1
+    fill2: Fraction  # Q' in Case-2
     w_old: Fraction  # the old queues' pre-transient omega sum
     t1_per_queue: dict[QueueId, Value]
     t1: Value  # the earliest t1
@@ -332,8 +334,9 @@ def _closed_form(ts: TransientScenario) -> _ClosedForm:
     case = CaseKind.CASE1 if ts.r <= rate_bound else CaseKind.CASE2
 
     net_fill = n_new * ts.r - drain_new  # F
-    fill = ((net_fill - drain_e) / (1 + w_ne) if case is CaseKind.CASE1
-            else net_fill - drain_e - drain_ne)
+    after_e = net_fill - drain_e
+    fill1, fill2 = after_e / (1 + w_ne), after_e - drain_ne
+    fill = fill1 if case is CaseKind.CASE1 else fill2
     gap = ts.buffer_size / (1 + w_old)
     per_queue: dict[QueueId, Value] = {}
     for q in ts.new:
@@ -341,7 +344,8 @@ def _closed_form(ts: TransientScenario) -> _ClosedForm:
         per_queue[q.queue] = q.omega * gap / speed if speed > 0 else math.inf
     t1 = min(per_queue.values())
     burst = math.inf if t1 == math.inf else ts.r * t1
-    return _ClosedForm(case, rate_bound, fill, w_old, per_queue, t1, burst, first, g_star, ne_empty)
+    return _ClosedForm(case, rate_bound, fill, fill1, fill2, w_old, per_queue, t1, burst,
+                       first, g_star, ne_empty)
 
 
 def case_rate_bound(ts: TransientScenario) -> Value:
@@ -389,52 +393,6 @@ def alpha_L_for_zero_transient(r: Number, num_congested_ports: int = 1) -> Bound
     return 1 / denom
 
 
-def alpha_L_for_burst(buffer_size: Number, r: Number, t: Number) -> Bound:
-    """Largest low-priority alpha allowing a worst-case (r, t) burst through:
-    alpha_L <= B / ((r-2)*t) - 1.  Unconstrained for r <= 2; infeasible when
-    the bound is not positive."""
-    b, rf, tf = as_fraction(buffer_size), as_fraction(r), as_fraction(t)
-    if b <= 0 or tf <= 0:
-        raise ValueError("need B > 0 and t > 0")
-    if rf <= 2:
-        return UNCONSTRAINED
-    bound = b / ((rf - 2) * tf) - 1
-    return bound if bound > 0 else INFEASIBLE
-
-
-def alpha_H_for_burst(buffer_size: Number, r: Number, t: Number, alpha_L: Number) -> Bound:
-    """Smallest high-priority alpha (strict lower bound) absorbing a
-    worst-case (r, t) burst given alpha_L:
-
-        alpha_H > 1 / (B / ((r-1)*t*(1+alpha_L)) - (r-2)/(r-1))
-
-    Infeasible when the inner denominator is not positive (no alpha_H works).
-    """
-    b, rf, tf, al = as_fraction(buffer_size), as_fraction(r), as_fraction(t), as_fraction(alpha_L)
-    if rf <= 1:
-        raise ValueError("r must exceed the port drain rate (r > 1)")
-    if tf <= 0 or al < 0:
-        raise ValueError("need t > 0 and alpha_L >= 0")
-    inner = b / ((rf - 1) * tf * (1 + al)) - (rf - 2) / (rf - 1)
-    if inner <= 0:
-        return INFEASIBLE
-    return 1 / inner
-
-
-def multi_priority_alpha_H(
-    lower_priority_alpha_maxes: Sequence[Number],
-    buffer_size: Number,
-    r: Number,
-    t: Number,
-) -> Bound:
-    """Highest-priority alpha bound with several lower priorities: their
-    alpha maxima simply sum into the alpha_L slot."""
-    if not lower_priority_alpha_maxes:
-        raise ValueError("need at least one lower-priority alpha")
-    alpha_x = _fsum([as_fraction(a) for a in lower_priority_alpha_maxes])
-    return alpha_H_for_burst(buffer_size, r, t, alpha_x)
-
-
 @dataclass(frozen=True)
 class GeneralAlphaBounds:
     """Scenario-shaped alpha bounds.
@@ -442,8 +400,10 @@ class GeneralAlphaBounds:
     ``alpha_L_case_bound`` is the low-priority weight sum at the Case-1/
     Case-2 boundary (the scenario stays Case-1 at or below it -- relation
     '<=' -- and is Case-2 above it -- relation '>').
-    ``alpha_L_max_for_burst`` is the feasibility frontier as alpha_H grows
-    without bound (the duration-aware alpha_L limit).
+    ``alpha_L_max_for_burst`` is the feasibility frontier on W_old, the old
+    queues' pre-transient weight sum (alpha_L itself on the one-low-port
+    incast), as alpha_H grows without bound; ``alpha_bounds_general`` derives
+    its rule.
     ``alpha_H_min`` inverts t <= t1 for the scenario's case: the largest
     t * (r-gamma_q) * (1+W_old) / (B - t * (1+W_old) * Q') / factor_q over
     the new queues q (omega_q = alpha_H * factor_q), so no new queue
@@ -458,17 +418,37 @@ class GeneralAlphaBounds:
 
 
 def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds:
-    """Generalized alpha bounds for an arbitrary transient scenario.
+    """Alpha bounds for an arbitrary transient scenario: the one route from a
+    burst of rate r and duration t to the alphas that absorb it.
 
-    On the canonical worst case (one congested low port, one new queue with
-    factor 1 and gamma 1, Case-2 rate) these reduce exactly to the
-    two-priority closed forms of alpha_L_for_burst / alpha_H_for_burst.
+    The frontier, one rule for both regimes.  As omega_q grows, t1 rises to
+    B / ((1+W_old) * Q'), so some alpha_H absorbs the burst exactly while
+    B > t * (1+W_old) * Q'.  Write F for the new queues' sum of r - gamma,
+    Q'_1 = (F - G_e drain) / (1 + W_ne) and Q'_2 = F - NUM for the fills of
+    Case-1 and Case-2.  Without an affected old queue, (1+W_old) * Q'_1 = F
+    for every weight, so Case-1 absorbs the burst iff B > t*F.  Case-1 holds
+    up to the boundary weight, where Q'_1 = Q'_2 and so (1+W_old) * Q'_2 = F;
+    past it (1+W_old) * Q'_2 grows with W_old when Q'_2 > 0, and there is no
+    boundary when Q'_2 <= 0.  So the frontier is
+
+        infeasible                 when B <= t * (1+W_old) * Q'_1,
+        unconstrained              else when Q'_2 <= 0,
+        W_old < B / (t*Q'_2) - 1   else.
+
+    On the one-low-port incast (F = r-1, NUM = 1) that is: infeasible when
+    B <= (r-1)*t, else B/((r-2)*t) - 1 for r > 2, and unconstrained for
+    r <= 2.  There alpha_H_min is t*(r-1)*(1+alpha_L) / (B - t*(r-1)) in
+    Case-1 (alpha_L <= 1/(r-2)) and the paper's
+    t*(r-1)*(1+alpha_L) / (B - t*(r-2)*(1+alpha_L)) in Case-2.  With an
+    affected old queue (1+W_old) * Q'_1 depends on how W_old splits between
+    G_e and G_ne; the rule reads it at the scenario's own weights, so it
+    assumes that a change of alpha_L keeps that split.
     """
     tf = as_fraction(t)
     if tf <= 0:
         raise ValueError("t must be > 0")
     cf = _closed_form(ts)
-    case, fill, w_old = cf.case, cf.fill, cf.w_old
+    case, w_old, b = cf.case, cf.w_old, ts.buffer_size
 
     # case-boundary alpha_L, unconstrained without old queues: solve r = r*
     # for W*, which is W_ne when G_ne is not empty and leaves W_ne = 0 otherwise
@@ -476,19 +456,16 @@ def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds
              if ts.old else 0)
     boundary: Bound = 1 / inner if inner > 0 else UNCONSTRAINED
 
-    denom = ts.buffer_size - tf * (1 + w_old) * fill
+    denom = b - tf * (1 + w_old) * cf.fill
     alpha_h: Bound = max(
         tf * (ts.r - q.gamma) * (1 + w_old) / denom / q.factor for q in ts.new
     ) if denom > 0 else INFEASIBLE
-    # the alpha_L frontier: Case-2 solves denom > 0 for W_old = alpha_L,
-    # Case-1 keeps only the sign of denom
-    if case is CaseKind.CASE1:
-        frontier: Bound = UNCONSTRAINED if denom > 0 else INFEASIBLE
-    elif fill <= 0:
+    if b <= tf * (1 + w_old) * cf.fill1:
+        frontier: Bound = INFEASIBLE
+    elif cf.fill2 <= 0:
         frontier = UNCONSTRAINED
     else:
-        limit = ts.buffer_size / (tf * fill) - 1
-        frontier = limit if limit > 0 else INFEASIBLE
+        frontier = b / (tf * cf.fill2) - 1
 
     return GeneralAlphaBounds(
         case=case,

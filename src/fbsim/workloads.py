@@ -54,12 +54,15 @@ DEFAULT_SIZE_CDF: tuple[tuple[int, float], ...] = (
 
 
 def _read_text(path) -> str:
-    """An input file's text; an unreadable file is a parse error."""
+    """An input file's UTF-8 text; an unreadable file, or one that is not
+    UTF-8, is a parse error."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
 
 
 def load_size_cdf(path) -> tuple[tuple[int, float], ...]:
@@ -546,7 +549,7 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def dump_scenario(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_scenario(cfg))
 
 

@@ -10,6 +10,11 @@ the tests check it against, and one helper the tests share.
   triples, written out here rather than read from ``fbsim.fluid``, so the
   scenario bridge's weights are checked against a second statement of the
   rule.
+- ``alpha_L_for_burst``, ``alpha_H_for_burst`` and
+  ``multi_priority_alpha_H`` are the paper's alpha bounds for a burst of
+  rate r and duration t, in their Case-2 form only (the low queue drains
+  flat out), where ``fbsim.fluid.alpha_bounds_general`` must agree with
+  them.  A bound is a Fraction, or the text "unconstrained" or "infeasible".
 
 pytest's default import mode puts ``tests/`` on ``sys.path``, so a test
 file imports these with ``from oracles import ...``.
@@ -109,3 +114,43 @@ def fb_omegas(queues: Mapping[QueueId, tuple[Number, int, Number]]) -> dict[Queu
     per_priority = Counter(prio for _, prio, _ in queues.values())
     return {q: as_fraction(alpha) * as_fraction(gamma) / per_priority[prio]
             for q, (alpha, prio, gamma) in queues.items()}
+
+
+def alpha_L_for_burst(buffer_size: Number, r: Number, t: Number):
+    """Largest low-priority alpha allowing a worst-case (r, t) burst through:
+    alpha_L <= B / ((r-2)*t) - 1.  Unconstrained for r <= 2; infeasible when
+    the bound is not positive."""
+    b, rf, tf = as_fraction(buffer_size), as_fraction(r), as_fraction(t)
+    if b <= 0 or tf <= 0:
+        raise ValueError("need B > 0 and t > 0")
+    if rf <= 2:
+        return "unconstrained"
+    bound = b / ((rf - 2) * tf) - 1
+    return bound if bound > 0 else "infeasible"
+
+
+def alpha_H_for_burst(buffer_size: Number, r: Number, t: Number, alpha_L: Number):
+    """Smallest high-priority alpha (strict lower bound) absorbing a
+    worst-case (r, t) burst given alpha_L:
+
+        alpha_H > 1 / (B / ((r-1)*t*(1+alpha_L)) - (r-2)/(r-1))
+
+    Infeasible when the inner denominator is not positive (no alpha_H works).
+    """
+    b, rf, tf, al = as_fraction(buffer_size), as_fraction(r), as_fraction(t), as_fraction(alpha_L)
+    if rf <= 1:
+        raise ValueError("r must exceed the port drain rate (r > 1)")
+    if tf <= 0 or al < 0:
+        raise ValueError("need t > 0 and alpha_L >= 0")
+    inner = b / ((rf - 1) * tf * (1 + al)) - (rf - 2) / (rf - 1)
+    return 1 / inner if inner > 0 else "infeasible"
+
+
+def multi_priority_alpha_H(lower_priority_alpha_maxes: Sequence[Number], buffer_size: Number,
+                           r: Number, t: Number):
+    """Highest-priority alpha bound with several lower priorities: their
+    alpha maxima simply sum into the alpha_L slot."""
+    if not lower_priority_alpha_maxes:
+        raise ValueError("need at least one lower-priority alpha")
+    alpha_x = sum((as_fraction(a) for a in lower_priority_alpha_maxes), Fraction(0))
+    return alpha_H_for_burst(buffer_size, r, t, alpha_x)

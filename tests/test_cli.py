@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,6 +17,17 @@ import pytest
 from fbsim import cli, engine, workloads
 from fbsim.cli import main
 from fbsim.core import QueueId
+from fbsim.fluid import (
+    INFEASIBLE,
+    UNCONSTRAINED,
+    NewQueue,
+    OldQueue,
+    TransientScenario,
+    alpha_bounds_general,
+    congested_weights,
+    integrate_transient,
+    two_priority_incast,
+)
 from fbsim.workloads import MAX_RUN_STEPS, dumps_scenario, preset
 
 GOLDEN_SCENARIOS = Path(__file__).parent / "golden" / "scenarios"
@@ -148,6 +160,24 @@ def test_unreadable_input_file_exits_2_before_the_run(missing, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("parse error: ")
     assert f"cannot read {absent}: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["scenario", "cdf"])
+def test_input_file_that_is_not_utf8_exits_2_before_the_run(where, tmp_path, capsys):
+    # a scenario file or a size-CDF file that does not decode as UTF-8 is a
+    # parse error naming the file, like one that cannot be read
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\x00")
+    path = binary
+    if where == "cdf":
+        path = tmp_path / "poisson.ini"
+        path.write_text(_poisson_scenario_text(binary))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    assert f"cannot read {binary}: not UTF-8" in err
     assert not out.exists()
 
 
@@ -562,6 +592,153 @@ def test_configure_alpha_refuses_flags_it_would_not_read(flags, message, capsys)
     assert message in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--buffer", "0", "--r", "4"], "--buffer must be >= 1, got 0"),
+    (["--buffer", "-5", "--r", "4"], "--buffer must be >= 1, got -5"),
+    (["--buffer", "0", "--r", "4", "--t", "5"], "--buffer must be >= 1, got 0"),
+    (["--buffer", "100", "--r", "1", "--t", "5"], "r must exceed the port drain rate (r > 1)"),
+    (["--buffer", "60", "--r", "4", "--t", "5", "--alpha-l", "-1"],
+     "the low alpha must be >= 0, got -1"),
+    (["--buffer", "60", "--r", "4", "--t", "5", "--alphas", "1,-2"],
+     "the low alpha must be >= 0, got -1"),
+], ids=["zero_buffer", "negative_buffer", "zero_buffer_with_t", "r_of_one", "negative_alpha_l",
+        "negative_alphas"])
+def test_configure_alpha_refuses_out_of_range_input(flags, message, capsys):
+    assert main(["configure-alpha", *flags]) == 3
+    captured = capsys.readouterr()
+    assert f"validation error: {message}\n" == captured.err and captured.out == ""
+
+
+def _printed(monkeypatch, argv):
+    """The payload a command hands to json_text: the numbers it prints, as
+    the exact Fractions they round."""
+    printed = []
+    monkeypatch.setattr(cli, "json_text", lambda value, compact=False: printed.append(value) or "")
+    assert main([str(a) for a in argv]) == 0
+    return printed[-1]
+
+
+def _solver_t1(ts):
+    return min(integrate_transient(ts).first_crossing.values())
+
+
+def _incast(buffer_size, alpha_l, alpha_h, r):
+    """configure-alpha's incast: one low port at alpha_L, none at alpha_L 0."""
+    return two_priority_incast(buffer_size, alpha_l, alpha_h, r, n_low_ports=1 if alpha_l else 0)
+
+
+def _with_old_weight(ts, w_old, alpha_h):
+    """``ts`` with its old weights scaled to sum to ``w_old`` and its new
+    queues at ``alpha_h``."""
+    scale = w_old / sum(q.omega for q in ts.old)
+    return replace(ts, old=tuple(replace(q, omega=q.omega * scale) for q in ts.old),
+                   new=tuple(replace(q, omega=alpha_h * q.factor) for q in ts.new))
+
+
+def test_configure_alpha_plugged_back_meets_t_in_both_regimes(monkeypatch):
+    # seeded two-priority incasts in both regimes, r <= 2 among them, with
+    # alpha_L from 0 to 95% of the frontier or left to the default: the
+    # printed alpha_H_min, put into the exact solver, meets t exactly; an
+    # infeasible one loses the burst even at alpha_H = 10**6, as does an
+    # alpha_L 1% past the frontier; and the frontier is infeasible when
+    # B <= (r-1)t, else B/((r-2)t) - 1 for r > 2, unconstrained for r <= 2
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(400):
+        b, r = rng.randint(60, 3000), Fraction(rng.randint(11, 60), 10)
+        t = Fraction(rng.randint(5, 150), 100) * b / r
+        frontier = (INFEASIBLE if b <= (r - 1) * t else
+                    b / ((r - 2) * t) - 1 if r > 2 else UNCONSTRAINED)
+        flags = ["--buffer", b, "--r", r, "--t", t]
+        if rng.random() < 0.8:
+            top = frontier if isinstance(frontier, Fraction) else Fraction(rng.randint(1, 40), 4)
+            flags += ["--alpha-l", top * Fraction(rng.randint(0, 95), 100)]
+        payload = _printed(monkeypatch, ["configure-alpha", *flags])
+        assert payload["alpha_L_max_for_burst"] == frontier
+        alpha_l, alpha_h = payload["alpha_L_used"], payload["alpha_H_min"]
+        if alpha_h is INFEASIBLE:
+            assert _solver_t1(_incast(b, alpha_l, 10**6, r)) < t
+        else:
+            assert _solver_t1(_incast(b, alpha_l, alpha_h, r)) == t
+        if isinstance(frontier, Fraction):
+            assert _solver_t1(_incast(b, frontier * Fraction(101, 100), 10**6, r)) < t
+        seen |= {("case1", r <= 2 or alpha_l <= 1 / (r - 2)), ("r<=2", r <= 2),
+                 ("alpha_L 0", alpha_l == 0), ("infeasible", alpha_h is INFEASIBLE)}
+    assert seen == {(kind, value) for kind in ("case1", "r<=2", "alpha_L 0", "infeasible")
+                    for value in (False, True)}
+
+
+def test_configure_alpha_multi_priority_plugged_back_never_crosses_before_t(monkeypatch):
+    # seeded layouts with 1-3 lower priorities, each with 1-3 queues over
+    # 1-3 shared ports (one at the priority's alpha maximum, the others at
+    # 1/4 to all of it), under FB weights, and a burst on its own port and
+    # priority: the alpha_H_min printed for --alphas holds on every layout
+    rng = random.Random(31)
+    solved = exact = 0
+    burst = QueueId(0, 99)
+    for _ in range(200):
+        b, r, t = rng.randint(60, 400), Fraction(rng.randint(21, 80), 10), Fraction(rng.randint(1, 40), 4)
+        low, maxima, ports = {}, [], rng.randint(1, 3)
+        for prio in range(rng.randint(1, 3)):
+            maxima.append(Fraction(rng.randint(1, 12), 4))
+            for k in range(rng.randint(1, 3)):
+                alpha = maxima[-1] * (1 if k == 0 else Fraction(rng.randint(1, 4), 4))
+                low[QueueId(100 + rng.randrange(ports), 10 * prio + k)] = (prio, alpha)
+        payload = _printed(monkeypatch, ["configure-alpha", "--buffer", b, "--r", r, "--t", t,
+                                         "--alphas", ",".join(map(str, maxima))])
+        alpha_h = payload["alpha_H_min"]
+        if alpha_h is INFEASIBLE:
+            continue
+        weights = congested_weights({**low, burst: (99, alpha_h)}, fb=True)
+        ts = TransientScenario(b, tuple(OldQueue(q, *weights[q][:2]) for q in low),
+                               (NewQueue(burst, *weights[burst]),), r)
+        t1 = _solver_t1(ts)
+        assert t1 >= t, (b, r, t, maxima)
+        solved += 1
+        exact += t1 == t
+    assert solved >= 150 and exact >= 10
+
+
+@pytest.mark.parametrize("flags, alpha_l, alpha_h", [
+    (["--buffer", 79, "--r", "11/5", "--t", "13/2", "--alpha-l", "1/2"],
+     Fraction(1, 2), Fraction(117, 712)),
+    (["--buffer", 60, "--r", "3/2", "--t", 5], 0, Fraction(1, 23)),
+    (["--buffer", 50, "--r", 2, "--t", 100, "--alpha-l", 1], 1, INFEASIBLE),
+    (["--buffer", 25, "--r", 4, "--t", 10, "--alpha-l", "1/8"], Fraction(1, 8), INFEASIBLE),
+], ids=["case1_alpha_l", "default_below_r_2", "window_r_2", "infeasible_case1"])
+def test_configure_alpha_case1_bounds_hold(flags, alpha_l, alpha_h, monkeypatch):
+    # Case-1 incasts where the paper's Case-2 forms let the burst cross
+    # early (alpha_H_min 234/1541, 0.04, 4 and 13.5): each bound meets t
+    # exactly, or no alpha_H of 10**6 saves the burst
+    payload = _printed(monkeypatch, ["configure-alpha", *flags])
+    b, r, t = (Fraction(str(flags[i])) for i in (1, 3, 5))
+    assert (payload["alpha_L_used"], payload["alpha_H_min"]) == (alpha_l, alpha_h)
+    if alpha_h is INFEASIBLE:
+        assert _solver_t1(_incast(b, alpha_l, 10**6, r)) < t
+    else:
+        assert _solver_t1(_incast(b, alpha_l, alpha_h, r)) == t
+
+
+@pytest.mark.parametrize("argv, ts, t, frontier", [
+    (["--preset", "fig5_incast", "--t", 3],
+     workloads.transient_scenario(preset("fig5_incast")), 3, Fraction(17, 3)),
+    (["--buffer", 120, "--alpha-l", 1, "--alpha-h", 2, "--n-low", 2, "--low-per-port", 3,
+      "--n-new", 2, "--r", 4, "--t", 5],
+     two_priority_incast(120, 1, 2, 4, n_low_ports=2, low_queues_per_port=3, n_new=2), 5, 5),
+], ids=["fig5_incast", "inline_fb_case1"])
+def test_analyze_frontier_holds_from_case1(argv, ts, t, frontier, monkeypatch):
+    # both scenarios are Case-1 at their own alpha_L, where the frontier
+    # read "unconstrained": past it even alpha_H = 10**6 loses the burst,
+    # and just inside it alpha_H_min meets t exactly
+    bounds = _printed(monkeypatch, ["analyze", *argv])["alpha_bounds"]
+    assert bounds["case"].value == "case1"
+    assert bounds["alpha_L_max_for_burst"] == frontier
+    assert _solver_t1(_with_old_weight(ts, frontier * Fraction(101, 100), 10**6)) < t
+    inside = _with_old_weight(ts, frontier * Fraction(99, 100), 1)
+    alpha_h = alpha_bounds_general(inside, t).alpha_H_min
+    assert _solver_t1(_with_old_weight(inside, frontier * Fraction(99, 100), alpha_h)) == t
+
+
 def test_sweep_writes_index_and_run_dirs(tmp_path):
     out = tmp_path / "sweep"
     assert main([
@@ -726,8 +903,7 @@ def test_the_two_fluid_routes_share_no_arithmetic():
         return names
 
     closed_forms = ("_closed_form", "steady_state", "analyze_transient",
-                    "alpha_L_for_zero_transient", "alpha_L_for_burst", "alpha_H_for_burst",
-                    "multi_priority_alpha_H", "alpha_bounds_general", "burst_absorption_curve")
+                    "alpha_L_for_zero_transient", "alpha_bounds_general", "burst_absorption_curve")
     solver = {"_Q", "_EXACT", "_qsum", "_solve_total_rate", "integrate_transient"}
     for name in closed_forms:
         assert not reached(name) & solver, name
@@ -878,6 +1054,21 @@ def test_sources_parse_under_the_oldest_promised_python():
     assert oldest == (3, 10)
     for path in sorted((SRC / "fbsim").glob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
         ast.parse(path.read_text(), str(path), feature_version=oldest)
+
+
+def test_every_text_open_names_its_encoding():
+    # artifacts are byte-identical and inputs read alike on any locale only
+    # while no text-mode open falls back to the locale's encoding
+    opens = 0
+    for path in sorted((SRC / "fbsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                mode = node.args[1] if len(node.args) > 1 else None
+                binary = isinstance(mode, ast.Constant) and "b" in mode.value
+                assert binary or "encoding" in {k.arg for k in node.keywords}, \
+                    f"{path.name}:{node.lineno}"
+                opens += 1
+    assert opens >= 5  # write_json, write_table, _write_csv, dump_scenario, _read_text
 
 
 def test_poisson_run_loads_only_the_standard_library(tmp_path):

@@ -23,8 +23,6 @@ from fbsim.fluid import (
     _fsum,
     _qsum,
     _solve_total_rate,
-    alpha_H_for_burst,
-    alpha_L_for_burst,
     alpha_L_for_zero_transient,
     alpha_bounds_general,
     analyze_transient,
@@ -34,10 +32,10 @@ from fbsim.fluid import (
     first_threshold_crossing,
     integrate_first_crossing,
     integrate_transient,
-    multi_priority_alpha_H,
     two_priority_incast,
 )
 from fbsim.workloads import loads_scenario, preset, transient_scenario
+from oracles import alpha_H_for_burst, alpha_L_for_burst, multi_priority_alpha_H
 
 F = Fraction
 
@@ -250,16 +248,16 @@ class TestAlphaSolvers:
         assert alpha_L_for_burst(60, 4, 10) == 2
 
     def test_alpha_l_infeasible(self):
-        assert alpha_L_for_burst(60, 4, 30) is INFEASIBLE
+        assert alpha_L_for_burst(60, 4, 30) == "infeasible"
 
     def test_alpha_l_unconstrained_below_two(self):
-        assert alpha_L_for_burst(60, 2, 10) is UNCONSTRAINED
+        assert alpha_L_for_burst(60, 2, 10) == "unconstrained"
 
     def test_alpha_h_for_burst(self):
         assert alpha_H_for_burst(60, 4, 5, 2) == F(3, 2)
 
     def test_alpha_h_infeasible_at_frontier(self):
-        assert alpha_H_for_burst(60, 4, 10, 2) is INFEASIBLE
+        assert alpha_H_for_burst(60, 4, 10, 2) == "infeasible"
 
     def test_alpha_h_vanishing_burst(self):
         bound = alpha_H_for_burst(60, 4, F(1, 100), 0)
@@ -861,32 +859,36 @@ def _paper_t1(ts, case):
 
 def _paper_alpha_bounds(ts, t, case):
     """(alpha_L_max_for_burst, alpha_H_min): Case-1 inverts its t1 formula
-    with the (1+W_ne) factors; Case-2 inverts its own and keeps the frontier
-    B / (t*(F - NUM)) - 1.  alpha_H is the largest over the new queues of
-    the queue's omega bound over its weight factor (beta * gamma under FB,
-    1 under DT), so that no new queue crosses before t."""
+    with the (1+W_ne) factors, Case-2 inverts its own.  alpha_H is the
+    largest over the new queues of the queue's omega bound over its weight
+    factor (beta * gamma under FB, 1 under DT), so that no new queue crosses
+    before t.  The frontier is one rule in either case: infeasible when
+    Case-1's fill reaches B by t at the scenario's weights, B * (1+W_ne) <=
+    t * (1+W_old) * (F - G_e drain); else Case-2's B / (t*(F - NUM)) - 1,
+    unconstrained when F <= NUM."""
     w_old = sum((q.pre_omega for q in ts.old), F(0))
     w_ne = sum((q.omega for q in ts.old if not q.affected), F(0))
     drain_e = sum((q.gamma for q in ts.old if q.affected), F(0))
     num = sum((q.gamma for q in ts.old), F(0))
     fill = sum((ts.r - q.gamma for q in ts.new), F(0))
     b = ts.buffer_size
-    if case is CaseKind.CASE1:
-        denom = b * (1 + w_ne) - t * (1 + w_old) * (fill - drain_e)
-        if denom <= 0:
-            return INFEASIBLE, INFEASIBLE
-        return UNCONSTRAINED, max(
-            t * (ts.r - q.gamma) * (1 + w_old) * (1 + w_ne) / denom / q.factor for q in ts.new)
     drift = fill - num
-    if drift <= 0:
+    if b * (1 + w_ne) <= t * (1 + w_old) * (fill - drain_e):
+        frontier = INFEASIBLE
+    elif drift <= 0:
         frontier = UNCONSTRAINED
     else:
-        limit = b / (t * drift) - 1
-        frontier = limit if limit > 0 else INFEASIBLE
-    denom = b - t * (1 + w_old) * drift
+        frontier = b / (t * drift) - 1
+    if case is CaseKind.CASE1:
+        denom = b * (1 + w_ne) - t * (1 + w_old) * (fill - drain_e)
+        scale = 1 + w_ne
+    else:
+        denom = b - t * (1 + w_old) * drift
+        scale = 1
     if denom <= 0:
         return frontier, INFEASIBLE
-    return frontier, max(t * (ts.r - q.gamma) * (1 + w_old) / denom / q.factor for q in ts.new)
+    return frontier, max(t * (ts.r - q.gamma) * (1 + w_old) * scale / denom / q.factor
+                         for q in ts.new)
 
 
 def _paper_rate_bound(ts, w):
