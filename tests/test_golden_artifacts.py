@@ -7,8 +7,9 @@ the analyzer's outputs, stay byte-identical.
 ``golden/scenarios/<s>.ini`` run with ``--scenario``.  The scenarios cover
 what the presets do not: single-queue mode, FBA at periods 0 and 2, FBA on
 a shared queue, FB with a stale snapshot, a congestion threshold and an
-alpha override, and FBA at period 1 on a snapshot synced every 1.5 with a
-congestion threshold.  ``golden/analyzer_artifacts.sha256`` holds the stdout and
+alpha override, FBA at period 1 on a snapshot synced every 1.5 with a
+congestion threshold, Complete Sharing, and DT with a Poisson source, a
+constant source that stops before the horizon and a burst.  ``golden/analyzer_artifacts.sha256`` holds the stdout and
 every written file of the ``analyze`` and ``configure-alpha`` commands in
 ``ANALYZER_RUNS``: presets with alpha bounds, inline FB scenarios at a
 Case-1 and a Case-2 rate, an inline DT scenario, both curve schemes and
