@@ -220,9 +220,12 @@ def cmd_configure_alpha(args) -> int:
             if args.alpha_l is not None:
                 chosen = args.alpha_l
             elif isinstance(frontier, Fraction):
-                # a sound default: also satisfy the zero-transient bound
+                # the frontier is strict, so default to half of it, or to the
+                # zero-transient bound where that is smaller
                 zt = payload["alpha_L_zero_transient"]
-                chosen = min(frontier, zt) if isinstance(zt, Fraction) else frontier
+                chosen = frontier / 2
+                if isinstance(zt, Fraction) and zt < chosen:
+                    chosen = zt
             else:
                 chosen = Fraction(0)
             payload["alpha_L_used"] = chosen

@@ -10,21 +10,27 @@ grows with the number of sources, not of arrivals.  Simultaneous events
 are ordered snapshot syncs -> arrivals -> service completions ->
 controller ticks; equal-time arrivals then go in source order (their index
 in the config) and other events by sequence number, so identical
-configurations always produce bit-identical traces.
+configurations always produce bit-identical traces.  The loop reads the
+head event in place and does one heap operation per event: a source's next
+arrival or a port's next completion replaces it, and it is popped only when
+nothing follows it (every key is unique, so the pop order is that of
+pop-then-push).
 
 ``SwitchState`` resolves each run's admission rule once, and ``queue_mode``
-only shapes the queue layout.  ``cs`` (Complete Sharing) admits while the
-buffer has room; every other rule admits below ``alphas[port, class] *
-(B - Q)`` from the run's one alpha table.  Thresholds are real-valued and
-queue lengths integers, and the comparison is strict in double precision
-with a ``THRESHOLD_EPS`` = 1e-9 tolerance: a length within 1e-9 of its
-threshold is *not* below it.  ``dt`` (Dynamic Thresholds) reads the
-configured alphas.  ``fb`` (in either mode; scenario files may also say
-``fb_single``) reads FB's factors ``alpha * (1/N_p) * gamma``: N_p counts
-the congested queues of the class's priority and gamma is 1 over the
-congested queues on the port, both counting the target queue, so a
-priority group cannot monopolize the buffer and slow-draining queues get
-less of it.  The table is refreshed before a decision after any
+only shapes the queue layout.  It numbers the (port, class) slots once, and
+the run resolves each source's slot and queue index once, so a packet's
+path does no keyed lookup.  ``cs`` (Complete Sharing) admits while the
+buffer has room; every other rule admits below ``alphas[slot] * (B - Q)``
+from the run's one alpha table, a list indexed by slot.  Thresholds are
+real-valued and queue lengths integers, and the comparison is strict in
+double precision with a ``THRESHOLD_EPS`` = 1e-9 tolerance: a length
+within 1e-9 of its threshold is *not* below it.  ``dt`` (Dynamic
+Thresholds) reads the configured alphas.  ``fb`` (in either mode; scenario
+files may also say ``fb_single``) reads FB's factors ``alpha * (1/N_p) *
+gamma``: N_p counts the congested queues of the class's priority and
+gamma is 1 over the congested queues on the port, both counting the target
+queue, so a priority group cannot monopolize the buffer and slow-draining
+queues get less of it.  The table is refreshed before a decision after any
 congestion-threshold crossing (it depends on nothing else).  ``fba`` runs
 FB on DT-only hardware: a controller re-emits FB's factors as DT alphas,
 so it reads the same table refreshed at its ticks.  So ``fba`` at
@@ -58,7 +64,7 @@ import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice, product, repeat
 from typing import Iterable, Iterator, Optional
 
 from .core import PolicyKind, QueueId, write_json
@@ -224,8 +230,10 @@ class SwitchState:
     mode is the same model with one shared queue per port, all in one
     priority group: N counts every congested queue and gamma is 1.
 
-    ``alphas`` maps a packet's (port, class_id) to its threshold's alpha.
-    Under DT it *is* ``slot_alpha``, the configured alphas.  Under FB and
+    ``slot`` numbers the (port, class_id) slots port by port in class
+    order; ``slot_queue`` and ``slot_alpha`` hold each slot's queue index
+    and configured alpha.  ``alphas``, a list indexed by slot, holds each
+    slot's threshold alpha.  Under DT it *is* ``slot_alpha``.  Under FB and
     FBA ``refresh`` rebuilds it from ``view()``; ``built_at`` is the view's
     ``cong_changes`` (congestion-threshold crossings so far) it was built
     at, and ``emitted`` the FBA table keyed by QueueId as last emitted.
@@ -259,20 +267,17 @@ class SwitchState:
             QueueId(p, qc) for p in range(config.n_ports) for qc in queue_classes
         )
         self.q_index = {q: i for i, q in enumerate(self.queue_ids)}
-        # queue index of a packet by (port, class_id)
+        # the (port, class_id) slots numbered port by port in class order, so
+        # in multi mode slot s is queue s: each slot's queue index and
+        # configured alpha (overrides applied)
         self.slot = {
-            (p, c.class_id): self.q_index[
-                QueueId(p, SHARED_QUEUE_CLASS if single else c.class_id)
-            ]
-            for p in range(config.n_ports)
-            for c in config.classes
+            (p, c.class_id): s
+            for s, (p, c) in enumerate(product(range(config.n_ports), config.classes))
         }
-        # alpha of a packet by (port, class_id), overrides applied
-        self.slot_alpha = {
-            (p, c.class_id): float(config.alpha_of(QueueId(p, c.class_id)))
-            for p in range(config.n_ports)
-            for c in config.classes
-        }
+        self.slot_queue = [
+            self.q_index[QueueId(p, SHARED_QUEUE_CLASS if single else c)] for p, c in self.slot
+        ]
+        self.slot_alpha = [float(config.alpha_of(QueueId(p, c))) for p, c in self.slot]
         n = len(self.queue_ids)
         self.q_prio = [prio_index[self.class_prio[q.class_id]] for q in self.queue_ids]
         self.q_port = [q.port for q in self.queue_ids]
@@ -298,7 +303,7 @@ class SwitchState:
         self.fifo = [deque() for _ in range(n)]
 
         for q, length in sorted(config.initial_lengths.items()):
-            qi = self.slot[q.port, q.class_id]
+            qi = self.slot_queue[self.slot[q.port, q.class_id]]
             for _ in range(length):
                 self._bump(qi, +1)
             self.fifo[qi].extend([(q.class_id, -1)] * length)
@@ -374,34 +379,38 @@ class SwitchState:
         if changes == self.built_at:
             return False
         self.built_at = changes
-        thr, q_prio, slot_alpha = self.cong_thr, self.q_prio, self.slot_alpha
-        table = {}
-        for (port, class_id), qi in self.slot.items():
+        thr, q_prio, q_port = self.cong_thr, self.q_prio, self.q_port
+        table = []
+        for qi, alpha in zip(self.slot_queue, self.slot_alpha):
             # both counts include the slot's own queue, so n_p >= 1 and
             # gamma lies in (0, 1]
             joins = 0 if lengths[qi] > thr else 1
             n_p = cong_prio[q_prio[qi]] + joins
-            gamma = 1.0 / (active_port[port] + joins)
-            table[port, class_id] = slot_alpha[port, class_id] * (1.0 / n_p) * gamma
+            gamma = 1.0 / (active_port[q_port[qi]] + joins)
+            table.append(alpha * (1.0 / n_p) * gamma)
         changed = table != self.alphas
         self.alphas = table
         return changed
 
     def _emit(self) -> dict[QueueId, float]:
-        """The FBA table as emitted: the alpha of each queue's own class."""
-        return {q: self.alphas[q.port, q.class_id] for q in self.queue_ids}
+        """The FBA table as emitted: the alpha of each queue's own class
+        (FBA runs in multi mode, where slot s is queue s)."""
+        return dict(zip(self.queue_ids, self.alphas))
 
 
 def enqueue_arrival(
     state: SwitchState,
+    slot: int,
+    qi: int,
     class_id: int,
     port: int,
     time: float,
     source_id: int,
-    trace: EventTrace,
+    packed: bytearray,
 ) -> bool:
-    """Admit or drop one arriving packet; returns True when admitted."""
-    qi = state.slot[port, class_id]
+    """Admit or drop one packet arriving at ``slot`` (the one of ``port``
+    and ``class_id``, queue index ``qi``) and append its record to
+    ``packed``; returns True when admitted."""
     stale = state.stale
     if stale is None:
         length, total_v, changes = state.lengths[qi], state.total, state.cong_changes
@@ -415,7 +424,7 @@ def enqueue_arrival(
     else:
         if rule is _FB and changes != state.built_at:
             state.refresh()
-        threshold = state.alphas[port, class_id] * (state.buffer_size - total_v)
+        threshold = state.alphas[slot] * (state.buffer_size - total_v)
         admit = threshold - length > THRESHOLD_EPS
     admit = admit and state.total < state.buffer_size
 
@@ -429,12 +438,13 @@ def enqueue_arrival(
         if time < state.first_drop[qi]:
             state.first_drop[qi] = time
         code = DROP
-    trace.packed += _pack(time, threshold, port, class_id, code, length, state.total, source_id)
+    packed += _pack(time, threshold, port, class_id, code, length, state.total, source_id)
     return admit
 
 
-def service_port(state: SwitchState, port: int, time: float, trace: EventTrace) -> bool:
-    """Serve one packet from the round-robin-next nonempty queue of ``port``.
+def service_port(state: SwitchState, port: int, time: float, packed: bytearray) -> bool:
+    """Serve one packet from the round-robin-next nonempty queue of ``port``
+    and append its record to ``packed``.
 
     Empty queues are skipped without consuming a turn.  The port must hold
     a packet: a completion is pending only while it does.  Returns True when
@@ -452,7 +462,7 @@ def service_port(state: SwitchState, port: int, time: float, trace: EventTrace) 
     state.departed[qi] += 1
     state.src_departed[source_id] += 1
     state.src_last_departure[source_id] = time
-    trace.packed += _pack(time, 0.0, port, class_id, DEPART, lengths[qi], state.total, source_id)
+    packed += _pack(time, 0.0, port, class_id, DEPART, lengths[qi], state.total, source_id)
     return state.nonempty_port[port] > 0
 
 
@@ -468,29 +478,34 @@ def controller_tick(state: SwitchState, trace: EventTrace) -> None:
 def run(config: ScenarioConfig) -> EventTrace:
     """Simulate the scenario to its horizon and return the full trace."""
     state = SwitchState(config)
-    queues = state.queue_ids
+    queues, slot_queue = state.queue_ids, state.slot_queue
     trace = EventTrace(
         queue_ids=queues,
-        queue_of={key: queues[qi] for key, qi in state.slot.items()},
+        queue_of={key: queues[slot_queue[s]] for key, s in state.slot.items()},
         initial_lengths={q: n for q, n in zip(queues, state.lengths) if n},
         sample_interval=config.sample_interval,
         fba_period=config.fba_period,
         horizon=config.horizon,
     )
 
-    # one pending arrival per source, its seq the source index: at equal
-    # times arrivals pop in source order
+    # each source's (slot, queue index, class_id, port), resolved once; one
+    # pending arrival per source, its seq the source index: at equal times
+    # arrivals pop in source order
+    targets = []
+    for src in config.sources:
+        slot = state.slot[src.port, src.class_id]
+        targets.append((slot, slot_queue[slot], src.class_id, src.port))
     streams = [
         source_stream(src, idx, config.seed, config.horizon)
         for idx, src in enumerate(config.sources)
     ]
     events: list[tuple] = []
     seq = 0
-    for source_id, (stream, src) in enumerate(zip(streams, config.sources)):
+    for source_id, (stream, src, target) in enumerate(zip(streams, config.sources, targets)):
         first = next(stream, None)
         if first is not None:
-            events.append((first, _ARRIVAL, source_id, (src.class_id, src.port)))
-        payload = (src.class_id, src.port, source_id)
+            events.append((first, _ARRIVAL, source_id, target))
+        payload = (*target, source_id)
         events.append((float(src.start), _SOURCE_CHANGE, seq, payload))
         seq += 1
         if src.stop is not None and float(src.stop) <= config.horizon:
@@ -512,8 +527,13 @@ def run(config: ScenarioConfig) -> EventTrace:
             seq += 1
     heapq.heapify(events)
 
-    # the three layer functions stay module-global lookups (so wrappable)
-    heappop, heappush = heapq.heappop, heapq.heappush
+    # the three layer functions stay module-global lookups (so wrappable).
+    # The loop reads the head event in place: a source's next arrival or a
+    # port's next completion replaces it in one heap operation, and it is
+    # popped only when nothing follows it.  Keys (time, rank, seq) are
+    # unique, so the pop order is that of pop-then-push.
+    heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
+    packed = trace.packed
     end = config.horizon + 1e-12
     nonempty_port = state.nonempty_port
     # sample k, due at k * interval, sees every event up to 1e-12 after it
@@ -521,7 +541,7 @@ def run(config: ScenarioConfig) -> EventTrace:
     steps = grid_steps(config.horizon, interval)
     sample, due = 0, 1e-12
     while events:
-        time, rank, key, payload = heappop(events)
+        time, rank, key, payload = events[0]
         if time > end:
             break
         while time > due:
@@ -530,33 +550,38 @@ def run(config: ScenarioConfig) -> EventTrace:
             due = sample * interval + 1e-12 if sample <= steps else math.inf
         if rank == _ARRIVAL:
             following = next(streams[key], None)
-            if following is not None:
-                heappush(events, (following, _ARRIVAL, key, payload))
-            class_id, port = payload
+            if following is None:
+                heappop(events)
+            else:
+                heapreplace(events, (following, _ARRIVAL, key, payload))
+            slot, qi, class_id, port = payload
             idle = nonempty_port[port] == 0
-            if enqueue_arrival(state, class_id, port, time, key, trace) and idle:
+            if enqueue_arrival(state, slot, qi, class_id, port, time, key, packed) and idle:
                 heappush(events, (time + 1.0, _COMPLETION, seq, port))
                 seq += 1
         elif rank == _COMPLETION:
-            if service_port(state, payload, time, trace):
-                heappush(events, (time + 1.0, _COMPLETION, seq, payload))
+            if service_port(state, payload, time, packed):
+                heapreplace(events, (time + 1.0, _COMPLETION, seq, payload))
                 seq += 1
-        elif rank == _TICK:
-            controller_tick(state, trace)
-            if key < ticks:
-                heappush(events, ((key + 1) * period, _TICK, key + 1, None))
-        elif rank == _SYNC:
-            state.sync()
-            # nothing changes before the next event, so the syncs due up to
-            # it would copy this state: skip to the last one due at or before it
-            if events:
-                k = max(key + 1, int(events[0][0] / staleness))
-                heappush(events, (k * staleness, _SYNC, k, None))
-        else:  # source on/off: bookkeeping only
-            class_id, port, source_id = payload
-            qi = state.slot[port, class_id]
-            trace.packed += _pack(time, 0.0, port, class_id, SOURCE_CHANGE,
-                                  state.lengths[qi], state.total, source_id)
+            else:
+                heappop(events)
+        else:
+            heappop(events)
+            if rank == _TICK:
+                controller_tick(state, trace)
+                if key < ticks:
+                    heappush(events, ((key + 1) * period, _TICK, key + 1, None))
+            elif rank == _SYNC:
+                state.sync()
+                # nothing changes before the next event, so the syncs due up to
+                # it would copy this state: skip to the last one due at or before it
+                if events:
+                    k = max(key + 1, int(events[0][0] / staleness))
+                    heappush(events, (k * staleness, _SYNC, k, None))
+            else:  # source on/off: bookkeeping only
+                _slot, qi, class_id, port, source_id = payload
+                packed += _pack(time, 0.0, port, class_id, SOURCE_CHANGE,
+                                state.lengths[qi], state.total, source_id)
 
     # the grid allows 1e-9 of a period past the horizon, beyond ``end``: the
     # samples and ticks still due there see the final state (``tick_tables``
@@ -575,8 +600,8 @@ def run(config: ScenarioConfig) -> EventTrace:
     ]
     # each source feeds one queue, so a queue's totals sum its sources' rows
     counts = [{"arrivals": 0, "admitted": 0, "dropped": 0, "departed": d} for d in state.departed]
-    for src, a, d in zip(config.sources, state.src_admitted, state.src_dropped):
-        c = counts[state.slot[src.port, src.class_id]]
+    for (_slot, qi, _class, _port), a, d in zip(targets, state.src_admitted, state.src_dropped):
+        c = counts[qi]
         c["arrivals"] += a + d
         c["admitted"] += a
         c["dropped"] += d

@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
+from operator import truediv
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import PolicyKind, QueueId, TrafficClass, as_fraction, convert_fields
@@ -173,9 +174,21 @@ class PoissonFlows:
 SourceSpec = Union[ConstantRate, Burst, PoissonFlows]
 
 
+def _stream_end(src: SourceSpec, hz: Fraction) -> Fraction:
+    """Where source ``src``'s packets end: its stop clipped to the horizon ``hz``."""
+    return hz if src.stop is None else min(src.stop, hz)
+
+
+def _packet_count(start: Fraction, rate: Fraction, end: Fraction) -> int:
+    """ceil((end - start) * rate), at least 0, in integer arithmetic: the
+    packets at spacing 1/rate from ``start`` that fall before ``end``."""
+    num = (end.numerator * start.denominator - start.numerator * end.denominator) * rate.numerator
+    return max(0, -(-num // (end.denominator * start.denominator * rate.denominator)))
+
+
 def _rational_times(start: Fraction, rate: Fraction, end: Fraction) -> Iterator[float]:
-    """float(start + k/rate) for k < ceil((end - start) * rate), in integer
-    arithmetic.
+    """float(start + k/rate) for k < _packet_count(start, rate, end), in
+    integer arithmetic.
 
     Over the common denominator D the k-th time is (A + k*C) / D, and int/int
     true division is correctly rounded, exactly as Fraction.__float__ is, so
@@ -184,8 +197,8 @@ def _rational_times(start: Fraction, rate: Fraction, end: Fraction) -> Iterator[
     denom = start.denominator * spacing.denominator
     a = start.numerator * spacing.denominator
     c = spacing.numerator * start.denominator
-    for k in range(max(0, math.ceil((end - start) * rate))):
-        yield (a + k * c) / denom
+    numerators = range(a, a + _packet_count(start, rate, end) * c, c)
+    return map(truediv, numerators, itertools.repeat(denom))
 
 
 def _poisson_flows(
@@ -238,8 +251,7 @@ def source_stream(
     k/rate) for k < ceil(span * rate), the span ending at the source's stop
     clipped to the horizon; Poisson times use Random.seed and .random alone,
     whose sequence Python keeps in every version (see _poisson_flows)."""
-    hz = Fraction(horizon)
-    end = hz if src.stop is None else min(src.stop, hz)
+    end = _stream_end(src, Fraction(horizon))
     if isinstance(src, ConstantRate):
         return _rational_times(src.start, src.rate, end)
     if isinstance(src, Burst):
@@ -247,11 +259,31 @@ def source_stream(
     return _poisson_times(src, seed, idx, float(end))
 
 
+def _mean_flow_size(cdf: tuple[tuple[int, float], ...]) -> Fraction:
+    """The exact mean of a size CDF, a flow of size 0 or less counted as 0."""
+    return sum(max(size, 0) * (Fraction(p) - Fraction(below))
+               for (size, p), (_, below) in zip(cdf, ((0, 0.0), *cdf)))
+
+
+def _arrival_bound(src: SourceSpec, hz: Fraction) -> Union[int, Fraction]:
+    """The packets ``src`` sends before the horizon ``hz``: exactly the
+    count of its stream for a constant or burst source, and for a Poisson
+    source the expected flows over its span times the mean flow size."""
+    end = _stream_end(src, hz)
+    if isinstance(src, ConstantRate):
+        return _packet_count(src.start, src.rate, end)
+    if isinstance(src, Burst):
+        return _packet_count(src.start, src.r, end)
+    flows = (end - src.start) / src.mean_interarrival
+    return flows * _mean_flow_size(src.size_cdf or DEFAULT_SIZE_CDF)
+
+
 # ---------------------------------------------------------------------------
 # scenario configuration
 # ---------------------------------------------------------------------------
 
-#: Most samples or FBA ticks (horizon over either period) a valid run implies.
+#: Most samples or FBA ticks (horizon over either period), and most packet
+#: arrivals (``_arrival_bound`` summed over the sources), a valid run implies.
 MAX_RUN_STEPS = 10**7
 #: Largest buffer size, port or source count and class id: the trace stores 4-byte ints.
 MAX_RECORD_INT = 2**31 - 1
@@ -298,11 +330,29 @@ class ScenarioConfig:
         override = self.alpha_overrides.get(queue)
         return override if override is not None else self.class_by_id(queue.class_id).alpha
 
+    def _too_large(self) -> Optional[str]:
+        """The name of the first exact rational the config holds (a field of
+        a class or a source, or an alpha override) that no float can hold,
+        or None."""
+        tables = [(f"class {c.class_id} ", vars(c)) for c in self.classes]
+        tables += [(f"source {i} ", vars(src)) for i, src in enumerate(self.sources)]
+        tables.append(("alpha override ", self.alpha_overrides))
+        for prefix, table in tables:
+            for name, value in table.items():
+                if isinstance(value, Fraction):
+                    try:  # the int division that float(value) does
+                        value.numerator / value.denominator
+                    except OverflowError:
+                        return f"{prefix}{name}"
+        return None
+
     def __post_init__(self) -> None:
         try:
             convert_fields(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if name := self._too_large():
+            raise ConfigError(f"{name} is too large for a float")
         if self.buffer_size < 1:
             raise ConfigError(f"buffer size must be >= 1 packet, got {self.buffer_size}")
         if not 0 <= self.seed < 2**64:
@@ -342,6 +392,10 @@ class ScenarioConfig:
                 raise ConfigError(f"source references invalid port {src.port}")
             if float(src.start) >= self.horizon:
                 raise ConfigError(f"source start {src.start} at or beyond horizon {self.horizon}")
+        hz = Fraction(self.horizon)
+        if sum(_arrival_bound(src, hz) for src in self.sources) > MAX_RUN_STEPS:
+            raise ConfigError(f"the sources send more than {MAX_RUN_STEPS} packets before the "
+                              "horizon (a Poisson source counts its expected packets)")
         total0 = 0
         for q, length in self.initial_lengths.items():
             if q.class_id not in known or not 0 <= q.port < self.n_ports:

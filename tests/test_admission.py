@@ -40,7 +40,9 @@ def state(kind, lengths, alphas=None, priorities=None, queue_mode="multi"):
 def decide(switch, class_id, port):
     """(admitted, threshold, queue length in the record) for one packet."""
     trace = EventTrace(queue_ids=switch.queue_ids)
-    admitted = enqueue_arrival(switch, class_id, port, 0.0, 0, trace)
+    slot = switch.slot[port, class_id]
+    admitted = enqueue_arrival(switch, slot, switch.slot_queue[slot], class_id, port, 0.0, 0,
+                               trace.packed)
     _time, _port, _cls, _action, qlen, threshold, _occ, _src = trace.records[-1]
     return admitted, threshold, qlen
 

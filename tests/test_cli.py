@@ -506,6 +506,36 @@ def test_missing_scenario_exits_3(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("rate=1 start=0 stop=inf", "rate=1 start=1e400 stop=inf", "source 0 start"),
+    ("duration=5 start=3", "duration=1e400 start=3", "source 2 duration"),
+    ("start=1/8 stop=inf", "start=1/8 stop=1e400", "source 1 stop"),
+    ("2 = alpha=2 priority=1", "2 = alpha=1e400 priority=1", "class 2 alpha"),
+], ids=["start", "duration", "stop", "alpha"])
+def test_a_number_too_large_for_a_float_exits_3(old, new, field, tmp_path, capsys):
+    text = (GOLDEN_SCENARIOS / "fba_period_0.ini").read_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"validation error: {field} is too large for a float\n"
+    assert not out.exists()
+
+
+def test_a_run_over_the_arrival_cap_exits_3_before_writing(tmp_path, capsys):
+    # a rate-10**7 constant source over horizon 30 sends 3 * 10**8 packets
+    text = (GOLDEN_SCENARIOS / "fba_period_0.ini").read_text()
+    old = "0 = constant class=0 port=1 rate=1 start=0"
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text.replace(old, "0 = constant class=0 port=1 rate=10000000 start=0"))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 3
+    assert f"more than {MAX_RUN_STEPS} packets" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_inline_case2(capsys):
     assert main([
         "analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2",
@@ -562,6 +592,18 @@ def test_configure_alpha_bounds(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["alpha_L_zero_transient"] == 0.5
     assert payload["alpha_H_min"] == 1.5
+
+
+def test_configure_alpha_default_lies_below_the_frontier(monkeypatch):
+    # the frontier 5 is a strict bound and the zero-transient bound is
+    # unconstrained at NUM 3, so the default is half the frontier, which
+    # leaves a finite alpha_H_min
+    payload = _printed(monkeypatch, ["configure-alpha", "--buffer", "60", "--r", "4",
+                                     "--t", "5", "--num", "3"])
+    assert payload["alpha_L_max_for_burst"] == 5
+    assert payload["alpha_L_zero_transient"] is UNCONSTRAINED
+    assert payload["alpha_L_used"] == Fraction(5, 2)
+    assert isinstance(payload["alpha_H_min"], Fraction)
 
 
 def test_configure_alpha_infeasible(capsys):
@@ -640,8 +682,9 @@ def test_configure_alpha_plugged_back_meets_t_in_both_regimes(monkeypatch):
     # alpha_L from 0 to 95% of the frontier or left to the default: the
     # printed alpha_H_min, put into the exact solver, meets t exactly; an
     # infeasible one loses the burst even at alpha_H = 10**6, as does an
-    # alpha_L 1% past the frontier; and the frontier is infeasible when
-    # B <= (r-1)t, else B/((r-2)t) - 1 for r > 2, unconstrained for r <= 2
+    # alpha_L 1% past the frontier; the frontier is infeasible when
+    # B <= (r-1)t, else B/((r-2)t) - 1 for r > 2, unconstrained for r <= 2;
+    # and below a positive frontier the default alpha_L is always feasible
     rng = random.Random(77)
     seen = set()
     for _ in range(400):
@@ -649,8 +692,9 @@ def test_configure_alpha_plugged_back_meets_t_in_both_regimes(monkeypatch):
         t = Fraction(rng.randint(5, 150), 100) * b / r
         frontier = (INFEASIBLE if b <= (r - 1) * t else
                     b / ((r - 2) * t) - 1 if r > 2 else UNCONSTRAINED)
-        flags = ["--buffer", b, "--r", r, "--t", t]
-        if rng.random() < 0.8:
+        flags = ["--buffer", b, "--r", r, "--t", t, "--num", rng.randint(1, 3)]
+        default = rng.random() >= 0.8
+        if not default:
             top = frontier if isinstance(frontier, Fraction) else Fraction(rng.randint(1, 40), 4)
             flags += ["--alpha-l", top * Fraction(rng.randint(0, 95), 100)]
         payload = _printed(monkeypatch, ["configure-alpha", *flags])
@@ -662,6 +706,8 @@ def test_configure_alpha_plugged_back_meets_t_in_both_regimes(monkeypatch):
             assert _solver_t1(_incast(b, alpha_l, alpha_h, r)) == t
         if isinstance(frontier, Fraction):
             assert _solver_t1(_incast(b, frontier * Fraction(101, 100), 10**6, r)) < t
+            if default:
+                assert 0 < alpha_l < frontier and alpha_h is not INFEASIBLE
         seen |= {("case1", r <= 2 or alpha_l <= 1 / (r - 2)), ("r<=2", r <= 2),
                  ("alpha_L 0", alpha_l == 0), ("infeasible", alpha_h is INFEASIBLE)}
     assert seen == {(kind, value) for kind in ("case1", "r<=2", "alpha_L 0", "infeasible")

@@ -38,6 +38,7 @@ from fbsim.workloads import (
     steady_omegas,
     sweep,
     transient_scenario,
+    _arrival_bound,
 )
 
 F = Fraction
@@ -142,6 +143,15 @@ class TestSourceStream:
         expected = [float(start + F(k) / rate) for k in range(math.ceil((end - start) * rate))]
         got = list(source_stream(src, 0, 1, horizon))
         assert [t.hex() for t in got] == [t.hex() for t in expected]
+        assert _arrival_bound(src, F(horizon)) == len(got)  # the cap counts the same stream
+
+    def test_a_poisson_source_is_bounded_by_its_expected_packets(self):
+        # 200 flows expected over 2000 time units, each of the default CDF's
+        # mean size 11.14 packets; a stop ends the span early
+        src = PoissonFlows(class_id=0, port=0, mean_interarrival=F(10))
+        assert float(_arrival_bound(src, F(2000))) == pytest.approx(200 * 11.14)
+        stopped = replace(src, start=F(500), stop=F(1000))
+        assert float(_arrival_bound(stopped, F(2000))) == pytest.approx(50 * 11.14)
 
     def test_overlapping_poisson_flows_merge_in_draw_order(self):
         src = PoissonFlows(class_id=0, port=0, mean_interarrival=F(1, 2), flow_rate=F(1, 3))
@@ -321,14 +331,16 @@ _TIMES = st.floats(1e-3, 1e4)
 @st.composite
 def every_field_set(draw) -> ScenarioConfig:
     """A config with every ScenarioConfig field away from its default and a
-    source of each kind, the Poisson one with an inline CDF and a stop.
+    source of each kind, the constant one with a stop and the Poisson one
+    with an inline CDF and a stop.
 
     The constructor must accept it, and it again with any one field set back
     to its default.  So each bound comes from values already drawn: every
     source starts before the default horizon of 100, the horizon lies in
     (100, 9e5) so the default sample interval stays under MAX_RUN_STEPS,
-    both periods are at least horizon / 10**6, and the buffer holds the
-    initial lengths."""
+    both periods are at least horizon / 10**6, the buffer holds the
+    initial lengths, and each source's span is at most 400, so the sources
+    send fewer than MAX_RUN_STEPS packets (at most about 5.5e6)."""
     n_ports = draw(st.integers(1, 6))
     ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True))
     queues = st.builds(QueueId, st.integers(0, n_ports - 1), st.sampled_from(ids))
@@ -343,9 +355,9 @@ def every_field_set(draw) -> ScenarioConfig:
     sizes = sorted(draw(st.sets(st.integers(1, 500), min_size=1, max_size=5)))
     probs = sorted(draw(st.lists(st.floats(1e-6, 1.0), min_size=len(sizes) - 1,
                                  max_size=len(sizes) - 1))) + [1.0]
-    t0 = draw(start)
+    t0, t1 = draw(start), draw(start)
     sources = (
-        ConstantRate(*where(), rate=draw(_FRACS), start=draw(start)),
+        ConstantRate(*where(), rate=draw(_FRACS), start=t1, stop=t1 + draw(_FRACS)),
         Burst(*where(), r=draw(_FRACS), duration=draw(_FRACS), start=draw(start)),
         PoissonFlows(*where(), mean_interarrival=draw(_FRACS), flow_rate=draw(_FRACS), start=t0,
                      stop=t0 + draw(_FRACS), size_cdf=tuple(zip(sizes, probs))),
@@ -539,7 +551,11 @@ class TestConfigFile:
         dict(buffer_size=MAX_RECORD_INT + 1),
         dict(n_ports=MAX_RECORD_INT + 1),
         dict(classes=preset("fig2").classes + (TrafficClass(MAX_RECORD_INT + 1, F(1), LOW),)),
-    ], ids=["samples", "samples_at_bound", "ticks", "ticks_at_bound", "buffer", "ports", "class"])
+        dict(sources=(ConstantRate(0, 0, F(MAX_RUN_STEPS + 1, 60)),)),
+        dict(sources=(ConstantRate(0, 0, F(MAX_RUN_STEPS, 120)),) * 2 + (Burst(1, 1, F(1), F(1)),)),
+        dict(sources=(PoissonFlows(0, 0, mean_interarrival=F(1, 10**6)),)),
+    ], ids=["samples", "samples_at_bound", "ticks", "ticks_at_bound", "buffer", "ports", "class",
+            "arrivals", "arrivals_summed", "poisson_arrivals"])
     def test_validation_bounds_what_a_run_stores(self, changes):
         # fig2 runs 60 time units; no config here is ever run
         with pytest.raises(ConfigError):
@@ -550,7 +566,9 @@ class TestConfigFile:
         dict(policy=PolicyKind.FBA, fba_period=60.0 / (MAX_RUN_STEPS - 2)),
         dict(fba_period=1e-9),  # no controller ticks under DT
         dict(buffer_size=MAX_RECORD_INT),
-    ], ids=["samples", "ticks", "dt_period", "buffer"])
+        dict(sources=(ConstantRate(0, 0, F(MAX_RUN_STEPS, 60)),)),
+        dict(sources=(ConstantRate(0, 0, F(MAX_RUN_STEPS, 30), stop=F(30)),)),
+    ], ids=["samples", "ticks", "dt_period", "buffer", "arrivals", "arrivals_to_stop"])
     def test_validation_admits_up_to_the_bounds(self, changes):
         replace(preset("fig2"), **changes)
 
