@@ -68,7 +68,7 @@ def _load_config(args) -> workloads.ScenarioConfig:
         raise ConfigError("provide --scenario PATH or --preset NAME")
     overrides = {name: value for name in ("seed", "fba_period")
                  if (value := getattr(args, name, None)) is not None}
-    return replace(cfg, **overrides)
+    return replace(cfg, **overrides) if overrides else cfg  # a config is checked once built
 
 
 def _run_one(cfg: workloads.ScenarioConfig, out_dir: str, fmt: str) -> dict:

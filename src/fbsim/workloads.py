@@ -260,9 +260,14 @@ def source_stream(
 
 
 def _mean_flow_size(cdf: tuple[tuple[int, float], ...]) -> Fraction:
-    """The exact mean of a size CDF, a flow of size 0 or less counted as 0."""
-    return sum(max(size, 0) * (Fraction(p) - Fraction(below))
-               for (size, p), (_, below) in zip(cdf, ((0, 0.0), *cdf)))
+    """The exact mean of a size CDF, a flow of size 0 or less counted as 0:
+    sum(p_i * (size_i - size_{i+1})), summed by parts in integers over the
+    common denominator of the cumulative probabilities."""
+    sizes = [max(size, 0) for size, _ in cdf] + [0]
+    ratios = [p.as_integer_ratio() for _, p in cdf]
+    denom = math.lcm(*(d for _, d in ratios))
+    return Fraction(sum(n * (denom // d) * (size - after) for (n, d), size, after
+                        in zip(ratios, sizes, sizes[1:])), denom)
 
 
 def _arrival_bound(src: SourceSpec, hz: Fraction) -> Union[int, Fraction]:

@@ -145,13 +145,21 @@ class TestSourceStream:
         assert [t.hex() for t in got] == [t.hex() for t in expected]
         assert _arrival_bound(src, F(horizon)) == len(got)  # the cap counts the same stream
 
-    def test_a_poisson_source_is_bounded_by_its_expected_packets(self):
-        # 200 flows expected over 2000 time units, each of the default CDF's
-        # mean size 11.14 packets; a stop ends the span early
-        src = PoissonFlows(class_id=0, port=0, mean_interarrival=F(10))
-        assert float(_arrival_bound(src, F(2000))) == pytest.approx(200 * 11.14)
+    @pytest.mark.parametrize("cdf", [None, ((-3, 0.25), (0, 0.5), (7, 0.75), (40, 1.0)),
+                                     ((2, F(1, 3)), (5, 1))], ids=["default", "sizes_0_and_less", "exact"])
+    def test_a_poisson_source_is_bounded_by_its_expected_packets(self, cdf):
+        # 200 flows expected over 2000 time units, each of the CDF's exact
+        # mean size (a flow of size 0 or less sends nothing); a stop ends
+        # the span early
+        rows = cdf or DEFAULT_SIZE_CDF
+        mean = sum(max(size, 0) * (F(p) - F(below))
+                   for (size, p), (_, below) in zip(rows, ((0, 0.0), *rows)))
+        src = PoissonFlows(class_id=0, port=0, mean_interarrival=F(10), size_cdf=cdf)
+        assert _arrival_bound(src, F(2000)) == 200 * mean
         stopped = replace(src, start=F(500), stop=F(1000))
-        assert float(_arrival_bound(stopped, F(2000))) == pytest.approx(50 * 11.14)
+        assert _arrival_bound(stopped, F(2000)) == 50 * mean
+        if cdf is None:
+            assert float(mean) == pytest.approx(11.14)
 
     def test_overlapping_poisson_flows_merge_in_draw_order(self):
         src = PoissonFlows(class_id=0, port=0, mean_interarrival=F(1, 2), flow_rate=F(1, 3))
