@@ -528,10 +528,8 @@ def run(config: ScenarioConfig) -> EventTrace:
     heapq.heapify(events)
 
     # the three layer functions stay module-global lookups (so wrappable).
-    # The loop reads the head event in place: a source's next arrival or a
-    # port's next completion replaces it in one heap operation, and it is
-    # popped only when nothing follows it.  Keys (time, rank, seq) are
-    # unique, so the pop order is that of pop-then-push.
+    # The head event is replaced by what follows it, or else popped; keys
+    # (time, rank, seq) are unique, so the pop order is that of pop-then-push
     heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
     packed = trace.packed
     end = config.horizon + 1e-12
