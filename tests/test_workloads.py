@@ -145,8 +145,9 @@ class TestSourceStream:
         assert [t.hex() for t in got] == [t.hex() for t in expected]
         assert _arrival_bound(src, F(horizon)) == len(got)  # the cap counts the same stream
 
-    @pytest.mark.parametrize("cdf", [None, ((-3, 0.25), (0, 0.5), (7, 0.75), (40, 1.0)),
-                                     ((2, F(1, 3)), (5, 1))], ids=["default", "sizes_0_and_less", "exact"])
+    @pytest.mark.parametrize("cdf", [
+        None, ((-3, 0.25), (0, 0.5), (7, 0.75), (40, 1.0)), ((2, F(1, 3)), (5, 1)),
+    ], ids=["default", "sizes_0_and_less", "exact"])
     def test_a_poisson_source_is_bounded_by_its_expected_packets(self, cdf):
         # 200 flows expected over 2000 time units, each of the CDF's exact
         # mean size (a flow of size 0 or less sends nothing); a stop ends
