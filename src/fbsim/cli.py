@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
 import os
 import sys
@@ -85,6 +86,9 @@ def _run_one(cfg: workloads.ScenarioConfig, out_dir: str, fmt: str) -> dict:
         write_table(os.path.join(out_dir, "metrics.csv"), ("metric", "value"), (
             (key, payload[key]) for key in sorted(payload) if not isinstance(payload[key], dict)
         ))
+    else:  # an earlier csv run's table would contradict metrics.json
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(os.path.join(out_dir, "metrics.csv"))
     return payload
 
 
@@ -184,6 +188,9 @@ def cmd_analyze(args) -> int:
             write_table(os.path.join(args.out, "analysis.csv"), ("key", "value"), (
                 (key, json_text(payload[key], compact=True)) for key in sorted(payload)
             ))
+        stale = "analysis.csv" if args.format == "json" else "analysis.json"
+        with contextlib.suppress(FileNotFoundError):  # an earlier run's other format
+            os.unlink(os.path.join(args.out, stale))
     print(json_text(payload))
     return EXIT_OK
 

@@ -25,13 +25,33 @@ only ``Q'``, the rate at which the buffer fills, depends on the case:
 
     t1 = omega * B / (1 + W_old) / ((r - gamma) + omega * Q')
 
+The old queues split into G_e (omega changed by the burst) and G_ne.  With
+F = n_new * r - new drains and NUM all old drains, Case-1's
+Q' = (F - G_e drain) / (1 + W_ne) -- each unaffected old queue tracks
+omega * (B - Q) and so sheds omega * Q' -- and Case-2's Q' = F - NUM give
+the paper's two forms:
+
+    Case-1: t1 = omega*B*(1+W_ne) / ((1+W_old) * ((r-gamma)*(1+W_ne) + omega*(F - G_e drain)))
+    Case-2: t1 = omega*B / ((1+W_old) * ((r-gamma) + omega*(F - NUM)))
+
+``_closed_form`` evaluates them in ints.  Over the least common denominator
+d of r and of every weight and drain, each value v is V / d (capitals are
+scaled values), so with AE = d * (F - G_e drain) = n_new*R - G_new - G_e,
+multiplying out d gives
+
+    t1 = O*B*den / ((d + W_old) * sp)
+    Case-1: sp = (R - G)*(d + W_ne) + O*AE,   den = d*(d + W_ne)
+    Case-2: sp = (R - G)*d + O*(AE - G_ne),  den = d*d
+
+with t1 = +inf when sp <= 0, i.e. when the new queue never closes its gap.
+
 Between regime changes every queue drains, tracks or fills at a constant
 rate, so the transient trajectory is piecewise linear.  The event-driven
 solver (``integrate_transient``) follows it from breakpoint to breakpoint
 and is the closed forms' independent cross-check.  Both are exact: the
-closed forms on Fraction, summing through ``_fsum``, the solver on the
-private rational ``_Q``, summing through ``_qsum``, so the two routes share
-no arithmetic.  The solver returns its first crossings as
+closed forms in ints over one common denominator (``_scaled``), the solver
+on the private rational ``_Q``, summing through ``_qsum``, so the two routes
+share no arithmetic.  The solver returns its first crossings as
 Fractions and builds the Fraction series from its breakpoints when read.
 
 Each value type's field is its annotated kind (``core.convert_fields``), so
@@ -100,19 +120,13 @@ def congested_weights(
     return weights
 
 
-def _fsum(values: Iterable[Fraction]) -> Fraction:
-    """The closed forms' exact sum, ``sum(values, Fraction(0))`` with one
-    normalization: the numerators are accumulated as ints over a running
-    common denominator in one pass, and Fraction reduces the result once."""
-    n, d = 0, 1
-    for v in values:
-        vd = v.denominator
-        if vd == d:
-            n += v.numerator
-        else:
-            n = n * vd + v.numerator * d
-            d *= vd
-    return Fraction(n, d)
+def _scaled(values: list[Fraction]) -> tuple[int, list[int]]:
+    """The closed forms' exact arithmetic: ``(d, [v * d for v in values])``,
+    with d the lcm of the values' denominators, so every scaled value is an
+    int and every sum of them an int sum over the one denominator d."""
+    dens = [v.denominator for v in values]
+    d = math.lcm(*dens)
+    return d, [v.numerator * (d // den) for v, den in zip(values, dens)]
 
 
 @dataclass(frozen=True)
@@ -131,17 +145,19 @@ class AnalysisResult:
 def steady_state(omegas: Mapping[QueueId, Number], buffer_size: Number) -> AnalysisResult:
     """Steady-state occupancy, remaining space and per-queue thresholds
     from {queue: omega}, every queue congested; each weight becomes a
-    Fraction, so every result is exact."""
-    weights = {q: as_fraction(w) for q, w in omegas.items()}
-    if any(w <= 0 for w in weights.values()):
+    Fraction and then an int over the weights' common denominator
+    (``_scaled``), so every result is exact."""
+    d, weights = _scaled([as_fraction(w) for w in omegas.values()])
+    if any(w <= 0 for w in weights):
         raise ValueError("all omegas must be > 0 for congested queues")
     b = as_fraction(buffer_size)
-    w_total = _fsum(weights.values())
-    share = b / (1 + w_total)
+    w_total = sum(weights)
+    # over d: share = B / (1 + W) = B*d / (d + W), and T_q = omega_q * share
+    low = b.denominator * (d + w_total)
     return AnalysisResult(
-        steady_occupancy=b * w_total / (1 + w_total),
-        steady_remaining=share,
-        steady_thresholds={q: w * share for q, w in weights.items()},
+        steady_occupancy=Fraction(b.numerator * w_total, low),
+        steady_remaining=Fraction(b.numerator * d, low),
+        steady_thresholds={q: Fraction(b.numerator * w, low) for q, w in zip(omegas, weights)},
     )
 
 
@@ -293,22 +309,23 @@ class _ClosedForm:
 
 
 def _closed_form(ts: TransientScenario) -> _ClosedForm:
-    """The one closed-form evaluation.  One pass splits the old queues into
-    G_e and G_ne; then each of the six sums (W_old, W_e, W_ne and the G_e,
-    G_ne and new-queue drains) is taken once, through ``_fsum``.
+    """The one closed-form evaluation, in ints over one denominator (the
+    module docstring derives the int t1 from the paper's two forms).
 
-    Case-1 holds while r <= r* = first + G* * (1 + W_ne) / (W* * n_new),
-    with first = (new gammas + G_e drain) / n_new and G*, W* the gamma and
-    omega sums of G_ne (of G_e when G_ne is empty); r* is +inf without old
-    queues.  The new queues add F = sum(r - gamma).  In Case-2 every old
-    queue drains, so Q' = F - NUM (NUM: all old drain, the congested port
-    count).  In Case-1 only G_e drains, while each unaffected queue tracks
-    omega * (B - Q) and so sheds omega * Q': Q' = (F - G_e_drain) / (1 + W_ne).
-    The module's t1 (+inf when the closing speed is <= 0) then gives the
-    paper's Case-1 form
-    omega*B*(1+W_ne) / ((1+W_old) * ((r-gamma)*(1+W_ne) + omega*(F - G_e_drain)))
-    and its Case-2 form omega*B / ((1+W_old) * ((r-gamma) + omega*(F - NUM))),
-    which agree at the case boundary.
+    ``_scaled`` writes r and every queue's pre-transient omega, omega and
+    gamma as V / d, so each of the six sums (W_old, W_e, W_ne and the G_e,
+    G_ne and new drains) is an int sum, and each field is one Fraction of two
+    ints; only the burst r * t1 multiplies Fractions.
+
+    Case-1 holds while r <= r* = first + G* * (1 + W_ne) / (W* * n_new), with
+    first = (new drains + G_e drain) / n_new and G*, W* the drain and omega
+    sums of G_ne (of G_e when G_ne is empty); r* is +inf without old queues.
+    Over d, r* = ((G_new + G_e) * W* + G* * (d + W_ne)) / (d * W* * n_new),
+    so multiplying r <= r* by d * W* * n_new > 0 gives the int case test
+
+        R * W* * n_new <= (G_new + G_e) * W* + G* * (d + W_ne)
+
+    At equality both forms give the same t1.
 
     The aggregate bound assumes the unaffected old queues share one
     gamma/omega ratio, as every symmetric scenario built here does.  Outside
@@ -319,33 +336,56 @@ def _closed_form(ts: TransientScenario) -> _ClosedForm:
     """
     if not ts.new:
         raise ValueError("scenario has no new queues, nothing transient to classify")
-    n_new = len(ts.new)
-    old_e, old_ne = [], []  # G_e and G_ne
+    n_new, n_old = len(ts.new), len(ts.old)
+    values = [ts.r]
     for q in ts.old:
-        (old_e if q.affected else old_ne).append(q)
-    w_old = _fsum([q.pre_omega for q in ts.old])
-    w_e, drain_e = _fsum([q.omega for q in old_e]), _fsum([q.gamma for q in old_e])
-    w_ne, drain_ne = _fsum([q.omega for q in old_ne]), _fsum([q.gamma for q in old_ne])
-    drain_new = _fsum([q.gamma for q in ts.new])
-    first = (drain_new + drain_e) / n_new
-    ne_empty = w_ne == 0  # every omega is > 0
-    g_star, w_star = (drain_e, w_e) if ne_empty else (drain_ne, w_ne)
-    rate_bound = first + g_star * (1 + w_ne) / (w_star * n_new) if ts.old else math.inf
-    case = CaseKind.CASE1 if ts.r <= rate_bound else CaseKind.CASE2
-
-    net_fill = n_new * ts.r - drain_new  # F
-    after_e = net_fill - drain_e
-    fill1, fill2 = after_e / (1 + w_ne), after_e - drain_ne
-    fill = fill1 if case is CaseKind.CASE1 else fill2
-    gap = ts.buffer_size / (1 + w_old)
-    per_queue: dict[QueueId, Value] = {}
+        values += (q.pre_omega, q.omega, q.gamma)
     for q in ts.new:
-        speed = (ts.r - q.gamma) + q.omega * fill
-        per_queue[q.queue] = q.omega * gap / speed if speed > 0 else math.inf
-    t1 = min(per_queue.values())
-    burst = math.inf if t1 == math.inf else ts.r * t1
-    return _ClosedForm(case, rate_bound, fill, fill1, fill2, w_old, per_queue, t1, burst,
-                       first, g_star, ne_empty)
+        values += (q.omega, q.gamma)
+    d, scaled = _scaled(values)
+    r = scaled[0]
+    w_old = w_e = g_e = w_ne = g_ne = 0
+    for i in range(1, 3 * n_old, 3):
+        pre, w, g = scaled[i], scaled[i + 1], scaled[i + 2]
+        w_old += pre
+        if pre == w:  # G_ne: the burst left this omega as it was
+            w_ne += w
+            g_ne += g
+        else:
+            w_e += w
+            g_e += g
+    new_at = 3 * n_old + 1  # the new queues' (omega, gamma) pairs start here
+    g_new = sum(scaled[new_at + 1::2])
+
+    first = g_new + g_e  # first = (G_new + G_e) / (n_new * d)
+    ne_empty = not w_ne  # every omega is > 0
+    g_star, w_star = (g_e, w_e) if ne_empty else (g_ne, w_ne)
+    d_ne = d + w_ne
+    if n_old:
+        bound = first * w_star + g_star * d_ne  # r* = bound / (d * W* * n_new)
+        case1 = r * w_star * n_new <= bound
+        rate_bound: Value = Fraction(bound, d * w_star * n_new)
+    else:
+        case1, rate_bound = True, math.inf
+    ae = n_new * r - first
+    fill1, fill2 = Fraction(ae, d_ne), Fraction(ae - g_ne, d)
+    if case1:
+        scale, excess, den = d_ne, ae, d * d_ne
+    else:
+        scale, excess, den = d, ae - g_ne, d * d
+    top, low = ts.buffer_size * den, d + w_old
+    per_queue: dict[QueueId, Value] = {}
+    for q, i in zip(ts.new, range(new_at, len(scaled), 2)):
+        o = scaled[i]
+        sp = (r - scaled[i + 1]) * scale + o * excess
+        per_queue[q.queue] = Fraction(o * top, low * sp) if sp > 0 else math.inf
+    t1 = min(per_queue.values())  # one of the values: math.inf itself when none is finite
+    burst = math.inf if t1 is math.inf else ts.r * t1
+    return _ClosedForm(
+        CaseKind.CASE1 if case1 else CaseKind.CASE2, rate_bound, fill1 if case1 else fill2,
+        fill1, fill2, Fraction(w_old, d), per_queue, t1, burst,
+        Fraction(first, n_new * d), Fraction(g_star, d), ne_empty,
+    )
 
 
 def case_rate_bound(ts: TransientScenario) -> Value:

@@ -335,20 +335,24 @@ class ScenarioConfig:
         override = self.alpha_overrides.get(queue)
         return override if override is not None else self.class_by_id(queue.class_id).alpha
 
-    def _too_large(self) -> Optional[str]:
-        """The name of the first exact rational the config holds (a field of
-        a class or a source, or an alpha override) that no float can hold,
-        or None."""
+    def _float_fault(self) -> Optional[str]:
+        """Why the first exact rational the config holds (a field of a class
+        or a source, a source's stop, or an alpha override) has no faithful
+        float, or None: no float holds it, or it is positive but rounds to
+        0.0 (the engine divides by a Poisson source's float flow_rate)."""
         tables = [(f"class {c.class_id} ", vars(c)) for c in self.classes]
-        tables += [(f"source {i} ", vars(src)) for i, src in enumerate(self.sources)]
+        tables += [(f"source {i} ", {**vars(src), "stop": src.stop})
+                   for i, src in enumerate(self.sources)]
         tables.append(("alpha override ", self.alpha_overrides))
         for prefix, table in tables:
             for name, value in table.items():
                 if isinstance(value, Fraction):
                     try:  # the int division that float(value) does
-                        value.numerator / value.denominator
+                        as_float = value.numerator / value.denominator
                     except OverflowError:
-                        return f"{prefix}{name}"
+                        return f"{prefix}{name} is too large for a float"
+                    if not as_float and value > 0:
+                        return f"{prefix}{name} is too small for a float: it rounds to 0.0"
         return None
 
     def __post_init__(self) -> None:
@@ -356,8 +360,8 @@ class ScenarioConfig:
             convert_fields(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if name := self._too_large():
-            raise ConfigError(f"{name} is too large for a float")
+        if fault := self._float_fault():
+            raise ConfigError(fault)
         if self.buffer_size < 1:
             raise ConfigError(f"buffer size must be >= 1 packet, got {self.buffer_size}")
         if not 0 <= self.seed < 2**64:

@@ -15,6 +15,9 @@ the tests check it against, and one helper the tests share.
   rate r and duration t, in their Case-2 form only (the low queue drains
   flat out), where ``fbsim.fluid.alpha_bounds_general`` must agree with
   them.  A bound is a Fraction, or the text "unconstrained" or "infeasible".
+- ``aggregate_closed_form`` states the aggregate transient closed form on
+  plain Fraction arithmetic, field by field as ``fbsim.fluid._closed_form``
+  reports it, so the package's integer evaluation is checked against it.
 
 pytest's default import mode puts ``tests/`` on ``sys.path``, so a test
 file imports these with ``from oracles import ...``.
@@ -22,6 +25,7 @@ file imports these with ``from oracles import ...``.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -154,3 +158,45 @@ def multi_priority_alpha_H(lower_priority_alpha_maxes: Sequence[Number], buffer_
         raise ValueError("need at least one lower-priority alpha")
     alpha_x = sum((as_fraction(a) for a in lower_priority_alpha_maxes), Fraction(0))
     return alpha_H_for_burst(buffer_size, r, t, alpha_x)
+
+
+def aggregate_closed_form(ts) -> dict:
+    """The aggregate closed form of a transient scenario, every field named
+    as in ``fbsim.fluid._closed_form`` (the case as its text), summed with
+    ``sum(..., Fraction(0))``.
+
+    The old queues split into G_e (omega changed by the burst) and G_ne.
+    Case-1 holds while r <= r* = first + G* * (1 + W_ne) / (W* * n_new),
+    with first = (new drains + G_e drains) / n_new and G*, W* the drain and
+    omega sums of G_ne (of G_e when G_ne is empty); r* is +inf without old
+    queues.  With F = n_new*r - new drains, Q' is (F - G_e drains) /
+    (1 + W_ne) in Case-1 and F - G_e drains - G_ne drains in Case-2, and
+    each new queue's t1 = omega*B/(1+W_old) / ((r-gamma) + omega*Q'), +inf
+    when that speed is not positive.
+    """
+    zero = Fraction(0)
+    n_new = len(ts.new)
+    old_e = [q for q in ts.old if q.affected]
+    old_ne = [q for q in ts.old if not q.affected]
+    w_old = sum((q.pre_omega for q in ts.old), zero)
+    w_e, drain_e = sum((q.omega for q in old_e), zero), sum((q.gamma for q in old_e), zero)
+    w_ne, drain_ne = sum((q.omega for q in old_ne), zero), sum((q.gamma for q in old_ne), zero)
+    drain_new = sum((q.gamma for q in ts.new), zero)
+    first = (drain_new + drain_e) / n_new
+    ne_empty = not old_ne
+    g_star, w_star = (drain_e, w_e) if ne_empty else (drain_ne, w_ne)
+    rate_bound = first + g_star * (1 + w_ne) / (w_star * n_new) if ts.old else math.inf
+    case1 = ts.r <= rate_bound
+    after_e = n_new * ts.r - drain_new - drain_e
+    fill1, fill2 = after_e / (1 + w_ne), after_e - drain_ne
+    fill = fill1 if case1 else fill2
+    gap = ts.buffer_size / (1 + w_old)
+    per_queue = {}
+    for q in ts.new:
+        speed = (ts.r - q.gamma) + q.omega * fill
+        per_queue[q.queue] = q.omega * gap / speed if speed > 0 else math.inf
+    t1 = min(per_queue.values())
+    return dict(case="case1" if case1 else "case2", rate_bound=rate_bound, fill=fill,
+                fill1=fill1, fill2=fill2, w_old=w_old, t1_per_queue=per_queue, t1=t1,
+                burst=math.inf if t1 == math.inf else ts.r * t1,
+                first=first, g_star=g_star, ne_empty=ne_empty)

@@ -52,6 +52,24 @@ def test_run_preset_fig2_artifacts(tmp_path, capsys):
     assert abs(summary["queues"]["1:1"]["final"] - 30) <= 1
 
 
+def test_a_rerun_in_the_other_format_leaves_no_stale_metrics_table(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--preset", "fig2", "--out", str(out), "--format", "csv"]) == 0
+    assert (out / "metrics.csv").exists()
+    assert main(["run", "--preset", "fig5_incast", "--out", str(out)]) == 0
+    assert not (out / "metrics.csv").exists()
+
+
+def test_an_analysis_in_the_other_format_leaves_no_stale_file(tmp_path, capsys):
+    out = tmp_path / "analysis"
+    inline = ["analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "4",
+              "--out", str(out)]
+    for fmt, other in (("csv", "json"), ("json", "csv"), ("csv", "json")):
+        assert main([*inline, "--format", fmt]) == 0
+        assert (out / f"analysis.{fmt}").exists()
+        assert not (out / f"analysis.{other}").exists(), fmt
+
+
 def test_run_is_byte_identical_across_invocations(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--preset", "fig4_incast", "--out", str(a), "--seed", "9"]) == 0
@@ -523,6 +541,33 @@ def test_a_number_too_large_for_a_float_exits_3(old, new, field, tmp_path, capsy
     assert not out.exists()
 
 
+def _huge_burst_stop(text):
+    # start and duration each fit a float, but their sum does not
+    text = text.replace("horizon = 30.0", "horizon = 1e308")
+    text = text.replace("sample_interval = 0.5", "sample_interval = 1e302")
+    head, _, tail = text.partition("[sources]\n")
+    return (head + "[sources]\n0 = burst class=0 port=0 r=1e-307 duration=1e308 start=9e307\n"
+            + tail[tail.index("\n[initial]"):])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace(
+        "[initial]", "3 = poisson class=0 port=1 mean_interarrival=5 flow_rate=1e-400\n\n[initial]"),
+     "source 3 flow_rate is too small for a float: it rounds to 0.0"),
+    (_huge_burst_stop, "source 0 stop is too large for a float"),
+], ids=["poisson_flow_rate_rounds_to_0", "burst_stop"])
+def test_a_number_without_a_faithful_float_exits_3_before_writing(edit, message, tmp_path,
+                                                                   capsys):
+    text = (GOLDEN_SCENARIOS / "fba_period_0.ini").read_text()
+    bad = tmp_path / "bad.ini"
+    bad.write_text(edit(text))
+    assert bad.read_text() != text
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out.exists()
+
+
 def test_a_run_over_the_arrival_cap_exits_3_before_writing(tmp_path, capsys):
     # a rate-10**7 constant source over horizon 30 sends 3 * 10**8 packets
     text = (GOLDEN_SCENARIOS / "fba_period_0.ini").read_text()
@@ -934,9 +979,9 @@ def test_only_the_fluid_module_names_the_solver_rational():
 
 def test_the_two_fluid_routes_share_no_arithmetic():
     # the closed forms and the solver check each other only while neither
-    # computes through the other's code, so each has its own exact sum: no
-    # closed-form function reaches a solver name, through the module's
-    # functions it calls, and no solver function reaches _fsum
+    # computes through the other's code, so each has its own exact
+    # arithmetic: no closed-form function reaches a solver name, through the
+    # module's functions it calls, and no solver function reaches _scaled
     tree = ast.parse((SRC / "fbsim" / "fluid.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
@@ -953,9 +998,10 @@ def test_the_two_fluid_routes_share_no_arithmetic():
     solver = {"_Q", "_EXACT", "_qsum", "_solve_total_rate", "integrate_transient"}
     for name in closed_forms:
         assert not reached(name) & solver, name
-    assert "_fsum" in reached("_closed_form")
+    for name in ("_closed_form", "steady_state"):
+        assert "_scaled" in reached(name), name
     for name in ("integrate_transient", "_solve_total_rate"):
-        assert "_fsum" not in reached(name), name
+        assert "_scaled" not in reached(name), name
     assert "_qsum" in reached("integrate_transient")
 
 

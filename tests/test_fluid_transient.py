@@ -3,7 +3,7 @@ and the exact event-driven solver as the independent cross-check."""
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
@@ -20,8 +20,8 @@ from fbsim.fluid import (
     OldQueue,
     TransientScenario,
     _Q,
-    _fsum,
     _qsum,
+    _scaled,
     _solve_total_rate,
     alpha_L_for_zero_transient,
     alpha_bounds_general,
@@ -35,7 +35,12 @@ from fbsim.fluid import (
     two_priority_incast,
 )
 from fbsim.workloads import loads_scenario, preset, transient_scenario
-from oracles import alpha_H_for_burst, alpha_L_for_burst, multi_priority_alpha_H
+from oracles import (
+    aggregate_closed_form,
+    alpha_H_for_burst,
+    alpha_L_for_burst,
+    multi_priority_alpha_H,
+)
 
 F = Fraction
 
@@ -725,14 +730,19 @@ class TestSolverRational:
     @example(values=[F(1, 6), F(-1, 6), F(5, 6), F(1, 6)])
     @example(values=[F(1, 10**30), F(-3, 7), F(1, 10**30 - 1)])
     def test_each_route_sums_to_the_reduced_fraction_sum(self, values):
-        # _fsum is the closed forms' sum and _qsum the solver's (on _Q, and
-        # on Fraction when the reference solve sets _EXACT to it); each
-        # gives sum(values, Fraction(0)) as the same reduced pair
+        # _scaled is the closed forms' arithmetic (ints over the values' lcm
+        # denominator d) and _qsum the solver's sum (on _Q, and on Fraction
+        # when the reference solve sets _EXACT to it); each gives
+        # sum(values, Fraction(0)) as the same reduced pair
         expected = sum(values, F(0))
         pair = (expected.numerator, expected.denominator)
+        d, scaled = _scaled(values)
+        assert all(type(v) is int for v in scaled)
+        assert [F(v, d) for v in scaled] == values
+        assert all(d % v.denominator == 0 for v in values)
         with mock.patch.object(fluid, "_EXACT", Fraction):
             reference = _qsum(values)
-        for total, kind in ((_fsum(values), Fraction), (_qsum([_Q(v) for v in values]), _Q),
+        for total, kind in ((F(sum(scaled), d), Fraction), (_qsum([_Q(v) for v in values]), _Q),
                             (reference, Fraction)):
             assert type(total) is kind
             assert (total.numerator, total.denominator) == pair
@@ -974,3 +984,71 @@ def test_closed_forms_match_the_paper_formulas():
     assert seen >= {CaseKind.CASE1, CaseKind.CASE2, ("old", False), ("g_e", True),
                     ("inf", True), ("inf", False), ("boundary", True),
                     ("case_bound", True), ("case_bound", False)}
+
+
+def assert_closed_form_is_the_fraction_statement(ts):
+    """Every field of ``_closed_form(ts)``, value and type, equals the
+    aggregate closed form stated on plain Fractions in ``tests/oracles.py``."""
+    cf = fluid._closed_form(ts)
+    got = {f.name: getattr(cf, f.name) for f in fields(cf)}
+    got["case"] = cf.case.value
+    expected = aggregate_closed_form(ts)
+    assert got == expected
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}
+    assert {k: type(v) for k, v in cf.t1_per_queue.items()} == \
+        {k: type(v) for k, v in expected["t1_per_queue"].items()}
+    return cf
+
+
+def test_the_integer_closed_form_equals_its_fraction_statement():
+    # the benchmark's recipes, incasts under FB and DT with 0, 1 and 3 low
+    # ports (none: no old queue), and rates at or below a drain (t1 = +inf)
+    rng = random.Random(33)
+    scenarios = symmetric_recipe(rng, 60) + asymmetric_recipe(rng, 60) + dynamics_recipe(rng, 60)
+    scenarios += [_formula_scenario(rng) for _ in range(120)]
+    for scheme in ("fb", "dt"):
+        for n_low in (0, 1, 3):
+            for _ in range(12):
+                ts = two_priority_incast(
+                    rng.randint(20, 300), F(rng.randint(1, 8), rng.randint(1, 4)),
+                    F(rng.randint(1, 16), rng.randint(1, 4)),
+                    F(rng.randint(1, 64), rng.choice([4, 8, 3])), n_low_ports=n_low,
+                    low_queues_per_port=rng.randint(1, 3), n_new=rng.randint(1, 3), scheme=scheme)
+                scenarios.append(with_new_gamma(ts, rng.choice([1, F(1, 2), F(1, 3)]), scheme))
+    seen = set()
+    for ts in scenarios:
+        cf = assert_closed_form_is_the_fraction_statement(ts)
+        seen.update({cf.case, ("old", bool(ts.old)), ("g_e", any(q.affected for q in ts.old)),
+                     ("inf", cf.t1 == math.inf)})
+    assert seen >= {CaseKind.CASE1, CaseKind.CASE2, ("old", False), ("old", True),
+                    ("g_e", True), ("inf", True), ("inf", False)}
+
+
+_huge = st.integers(10**30 - 10**6, 10**30 + 10**6)
+_positive_rationals = st.builds(F, st.integers(1, 10**6), st.one_of(st.integers(1, 12), _huge))
+_drains = st.builds(lambda n, extra: F(n, n + extra), st.integers(1, 10**6),
+                    st.one_of(st.integers(0, 12), _huge))  # in (0, 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(buffer=st.integers(1, 10**4), r=_positive_rationals,
+       old=st.lists(st.tuples(_positive_rationals, _drains, st.none() | _positive_rationals),
+                    max_size=4),
+       new=st.lists(st.tuples(_positive_rationals, _drains), min_size=1, max_size=3))
+@example(buffer=97, r=F(7 * 10**30 + 1, 10**30),
+         old=[(F(1, 10**30 - 1), F(10**30 - 7, 10**30), F(3, 10**30 + 1)),
+              (F(5, 3), F(1, 2), None)],
+         new=[(F(10**30 + 3, 10**30), F(1, 3)), (F(2), F(10**30 - 1, 10**30))])
+@example(buffer=60, r=F(1, 10**30), old=[], new=[(F(1), F(1))])
+@example(buffer=60, r=F(10**30 + 1, 10**30 - 1), old=[(F(1, 10**30 + 1), F(1), None)],
+         new=[(F(3, 10**30 - 3), F(1))])
+def test_the_integer_closed_form_equals_its_fraction_statement_on_huge_denominators(
+        buffer, r, old, new):
+    ts = TransientScenario(
+        buffer,
+        tuple(OldQueue(QueueId(100 + i, 0), omega=w, gamma=g, omega_before=before)
+              for i, (w, g, before) in enumerate(old)),
+        tuple(NewQueue(QueueId(i, 1), omega=w, gamma=g) for i, (w, g) in enumerate(new)),
+        r,
+    )
+    assert_closed_form_is_the_fraction_statement(ts)
