@@ -6,10 +6,10 @@ burst curves), configure-alpha (alpha bounds for a target burst),
 preset-list.
 
 Exit codes: 0 success, 2 parse error (an unreadable file too), 3
-validation error, 1 when a reader closes stdout early.  Every output is
-reproducible from the scenario file and seed; each run directory holds
-scenario.lock (the resolved config), trace.csv, samples.csv, metrics.json
-and summary.json.
+validation error (an ``--out`` that cannot be a directory too), 1 when a
+reader closes stdout early.  Every output is reproducible from the scenario
+file and seed; each run directory holds scenario.lock (the resolved
+config), trace.csv, samples.csv, metrics.json and summary.json.
 """
 
 from __future__ import annotations
@@ -72,9 +72,20 @@ def _load_config(args) -> workloads.ScenarioConfig:
     return replace(cfg, **overrides) if overrides else cfg  # a config is checked once built
 
 
+def _out_dir(path: str) -> None:
+    """Make the output directory ``path``; a path that cannot be a
+    directory (an existing file, a path through one, the empty text) is a
+    ConfigError naming --out, raised before any file is written."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot make the directory {path!r}: "
+                          f"{exc.strerror or exc}") from None
+
+
 def _run_one(cfg: workloads.ScenarioConfig, out_dir: str, fmt: str) -> dict:
     """Run ``cfg`` into ``out_dir`` and return the metrics.json payload."""
-    os.makedirs(out_dir, exist_ok=True)
+    _out_dir(out_dir)
     workloads.dump_scenario(cfg, os.path.join(out_dir, "scenario.lock"))
     trace = engine.run(cfg)
     engine.write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
@@ -107,6 +118,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values lists no value to sweep")
     cfg = _load_config(args)
     configs = workloads.sweep(cfg, args.axis, args.values)
+    _out_dir(args.out)  # before the runs, so a bad --out writes nothing
     jobs = (configs, [os.path.join(args.out, f"run_{i:03d}") for i in range(len(configs))],
             [args.format] * len(configs))
     workers = min(args.parallel, len(configs))  # the pool forks all its workers up front
@@ -115,7 +127,6 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(_run_one, *jobs))
     else:
         results = list(map(_run_one, *jobs))
-    os.makedirs(args.out, exist_ok=True)
     index = os.path.join(args.out, "index.csv")
     columns = ("total_admitted", "total_drops", "burst_admitted_fraction",
                "throughput_total", "occupancy_p99")
@@ -176,12 +187,12 @@ def cmd_analyze(args) -> int:
             args.buffer, args.alpha_l, args.alpha_h,
             args.r_values, args.counts, scheme=args.scheme or "fb",
         )
-        os.makedirs(args.out, exist_ok=True)
+        _out_dir(args.out)
         fluid.curve_to_csv(points, os.path.join(args.out, "curve.csv"))
         payload["curve"] = os.path.join(args.out, "curve.csv")
 
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
+    if args.out is not None:
+        _out_dir(args.out)
         if args.format == "json":
             write_json(os.path.join(args.out, "analysis.json"), payload)
         else:

@@ -48,11 +48,13 @@ with t1 = +inf when sp <= 0, i.e. when the new queue never closes its gap.
 Between regime changes every queue drains, tracks or fills at a constant
 rate, so the transient trajectory is piecewise linear.  The event-driven
 solver (``integrate_transient``) follows it from breakpoint to breakpoint
-and is the closed forms' independent cross-check.  Both are exact: the
-closed forms in ints over one common denominator (``_scaled``), the solver
-on the private rational ``_Q``, summing through ``_qsum``, so the two routes
-share no arithmetic.  The solver returns its first crossings as
-Fractions and builds the Fraction series from its breakpoints when read.
+and is the closed forms' independent cross-check.  Both are exact and
+compute in ints, each with its own code, so the two routes share no
+arithmetic: the closed forms over one common denominator (``_scaled``), the
+solver over the lcm E of its inputs' denominators (``_over_lcm``), with
+every queue length over one running denominator.  The solver returns its
+first crossings as Fractions and builds the Fraction series from its rows
+of ints when read.
 
 Each value type's field is its annotated kind (``core.convert_fields``), so
 both routes see exact numbers only: a buffer of ``60.0`` is 60, ``60.5`` an error.
@@ -66,7 +68,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import Number, QueueId, as_fraction, as_whole, convert_fields, jsonable, write_table
@@ -521,118 +522,12 @@ def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds
 # ---------------------------------------------------------------------------
 
 
-# the _Q operators' two calls, bound once as module names
-_gcd = math.gcd
-_new = object.__new__
-
-
-class _Q:
-    """The solver's exact rational: a reduced int numerator over a positive
-    int denominator, with only what the solver uses (``+ - * /``, unary minus,
-    ``< <= ==`` between _Q values; the sign is the numerator's) and none of
-    Fraction's operator dispatch.  ``_Q(x)`` converts an int or a Fraction;
-    ``_Q(n, d)`` takes Fraction's constructor shape, ints with d != 0, and
-    reduces them once.
-
-    Each operator computes its result and reduces it by one gcd inline.
-    ``+`` and ``-`` skip the cross products when the denominators are equal,
-    and unary minus copies the pair, which is already reduced.
-    """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: Union[int, Fraction], denominator: Optional[int] = None) -> None:
-        if denominator is None:
-            self.numerator, self.denominator = numerator.numerator, numerator.denominator
-            return
-        if denominator == 0:
-            raise ZeroDivisionError("division by zero")
-        g = _gcd(numerator, denominator)
-        if denominator < 0:
-            g = -g
-        self.numerator, self.denominator = numerator // g, denominator // g
-
-    def __add__(self, other: _Q) -> _Q:
-        d, od = self.denominator, other.denominator
-        if d == od:
-            n = self.numerator + other.numerator
-        else:
-            n = self.numerator * od + other.numerator * d
-            d *= od
-        g = _gcd(n, d)
-        q = _new(_Q)
-        q.numerator, q.denominator = n // g, d // g
-        return q
-
-    def __sub__(self, other: _Q) -> _Q:
-        d, od = self.denominator, other.denominator
-        if d == od:
-            n = self.numerator - other.numerator
-        else:
-            n = self.numerator * od - other.numerator * d
-            d *= od
-        g = _gcd(n, d)
-        q = _new(_Q)
-        q.numerator, q.denominator = n // g, d // g
-        return q
-
-    def __mul__(self, other: _Q) -> _Q:
-        n = self.numerator * other.numerator
-        d = self.denominator * other.denominator
-        g = _gcd(n, d)
-        q = _new(_Q)
-        q.numerator, q.denominator = n // g, d // g
-        return q
-
-    def __truediv__(self, other: _Q) -> _Q:
-        n = self.numerator * other.denominator
-        d = self.denominator * other.numerator
-        if d <= 0:
-            if d == 0:
-                raise ZeroDivisionError("division by zero")
-            n, d = -n, -d
-        g = _gcd(n, d)
-        q = _new(_Q)
-        q.numerator, q.denominator = n // g, d // g
-        return q
-
-    def __neg__(self) -> _Q:
-        q = _new(_Q)
-        q.numerator, q.denominator = -self.numerator, self.denominator
-        return q
-
-    def __lt__(self, other: _Q) -> bool:
-        return self.numerator * other.denominator < other.numerator * self.denominator
-
-    def __le__(self, other: _Q) -> bool:
-        return self.numerator * other.denominator <= other.numerator * self.denominator
-
-    def __eq__(self, other: _Q) -> bool:
-        return self.numerator == other.numerator and self.denominator == other.denominator
-
-
-#: The solver's number type, chosen in this one place: a test sets it to
-#: Fraction to run the very same solver as its reference.
-_EXACT = _Q
-
-
-def _qsum(values: Iterable) -> _Q:
-    """The solver's exact sum of ``_EXACT`` values: the numerators are
-    accumulated as ints over a running common denominator in one pass, and
-    the result is reduced once, by the ``_EXACT`` constructor."""
-    n, d = 0, 1
-    for v in values:
-        vd = v.denominator
-        if vd == d:
-            n += v.numerator
-        else:
-            n = n * vd + v.numerator * d
-            d *= vd
-    return _EXACT(n, d)
-
-
-def _fraction(v: _Q) -> Fraction:
-    return Fraction(v.numerator, v.denominator)
+def _over_lcm(values: list[Fraction]) -> tuple[int, list[int]]:
+    """The solver's exact arithmetic: ``(e, [v * e for v in values])`` with e
+    the lcm of the values' denominators, so each value is an int over e."""
+    ratios = [v.as_integer_ratio() for v in values]
+    e = math.lcm(*[den for _, den in ratios])
+    return e, [num * (e // den) for num, den in ratios]
 
 
 class TransientTrajectories:
@@ -642,64 +537,70 @@ class TransientTrajectories:
     so the series pin the whole piecewise-linear trajectory.
     ``first_crossing`` holds each new queue's first fill-to-threshold hit
     (+inf when it never happens).  Every finite value is a Fraction.  The
-    solver keeps one ``(t, lengths, thresholds)`` row per breakpoint;
-    ``times``, ``lengths`` and ``thresholds`` are built from those rows on
-    first read, so a caller that reads only ``first_crossing`` never pays
-    for them.
+    solver keeps one row of ints per breakpoint, ``(t numerator, t
+    denominator, D, rho, length numerators)``; ``times``, ``lengths`` and
+    ``thresholds`` are built from those rows on first read, so a caller that
+    reads only ``first_crossing`` never pays for them.
     """
 
-    def __init__(self, queues: Sequence[QueueId], rows: list[tuple],
-                 first_crossing: dict[QueueId, Value]) -> None:
+    def __init__(self, queues: Sequence[QueueId], weights: list[int], one: int,
+                 rows: list[tuple], first_crossing: dict[QueueId, Value]) -> None:
         self.first_crossing = first_crossing
         self._queues = queues
+        self._weights = weights  # omega_i * one
+        self._one = one
         self._rows = rows
 
     @cached_property
     def times(self) -> list[Fraction]:
-        return [_fraction(row[0]) for row in self._rows]
+        return [Fraction(tn, td) for tn, td, *_ in self._rows]
 
     @cached_property
     def lengths(self) -> dict[QueueId, list[Fraction]]:
-        return self._series(1)
+        return {q: [Fraction(row[4][i], row[2]) for row in self._rows]
+                for i, q in enumerate(self._queues)}
 
     @cached_property
     def thresholds(self) -> dict[QueueId, list[Fraction]]:
-        return self._series(2)
-
-    def _series(self, column: int) -> dict[QueueId, list[Fraction]]:
-        per_queue = zip(*(row[column] for row in self._rows))
-        return {q: [_fraction(v) for v in values] for q, values in zip(self._queues, per_queue)}
+        one = self._one
+        return {q: [Fraction(w * rho, one * d) for _, _, d, rho, _ in self._rows]
+                for q, w in zip(self._queues, self._weights)}
 
 
-def _solve_total_rate(base, tracked: list[tuple]):
-    """Solve S = base + sum_i clamp(-omega_i*S, lo_i, hi_i); a bound of None
-    leaves that side unbounded.
+def _solve_total_rate(one: int, base: int, tracked: list[tuple]) -> tuple[int, int]:
+    """Solve S = base + sum_i clamp(-omega_i*S, lo_i, hi_i) in ints: every
+    value is an int numerator over the denominator ``one`` (omega_i = w_i /
+    one) and a bound of None leaves that side unbounded.  Returns S as
+    ``(c, k)``, S = c / k with k > 0.
 
     The right side is piecewise linear and non-increasing in S, so the root
-    is unique.  Sweep the sorted clamp breakpoints from S = -inf, where every
-    finite ``hi`` applies and every unbounded one is linear, keeping the
-    segment's right side as ``const - slope * S``; the root lies in the
-    first segment whose right end p has ``const - slope * p <= p``.  The
-    arithmetic keeps the exact type of its inputs (``_Q`` in the solver).
+    is unique.  Sweep the clamp breakpoints a / w (a = -hi or -lo) in
+    increasing order, sorted on the exact int key a * (L // w) with L the
+    lcm of the weights, from S = -inf, where every finite ``hi`` applies
+    and every unbounded one is linear.  The segment's right side is
+    ``const - slope * S``; with c = one * const and k = one * (1 + slope),
+    the root lies in the first segment whose right end p = a / w has
+    ``const - slope * p <= p``, i.e. ``c * w <= k * a``, and there S = c / k.
     """
-    const = base
-    scale = type(base)(1)  # 1 + slope
-    steps = []  # (breakpoint, slope change, const change), as S increases
-    for omega, lo, hi in tracked:
+    c, k = base, one
+    steps = []  # (a, w, change of k, change of c), a breakpoint a / w
+    for w, lo, hi in tracked:
         if hi is None:
-            scale += omega
+            k += w
         else:
-            const += hi
-            steps.append((-hi / omega, omega, -hi))
+            c += hi
+            steps.append((-hi, w, w, -hi))
         if lo is not None:
-            steps.append((-lo / omega, -omega, lo))
-    steps.sort(key=itemgetter(0))
-    for p, d_slope, d_const in steps:
-        if const <= scale * p:
-            break
-        scale += d_slope
-        const += d_const
-    return const / scale
+            steps.append((-lo, w, -w, lo))
+    if steps:
+        lcm = math.lcm(*[w for w, _, _ in tracked])
+        steps.sort(key=lambda step: step[0] * (lcm // step[1]))
+        for a, w, d_k, d_c in steps:
+            if c * w <= k * a:
+                break
+            k += d_k
+            c += d_c
+    return c, k
 
 
 def integrate_transient(
@@ -717,13 +618,30 @@ def integrate_transient(
     pass solves the total rate once and jumps to the next instant at which
     a closing gap reaches zero.
 
-    The solve runs on ``_EXACT`` (``_Q``), converting the scenario once on
-    entry.  Each sum over the queues (the pre-transient weights, the lengths
-    at every breakpoint, the fixed rates) is one ``_qsum``, and omega_i * S
-    is computed once per breakpoint for both the clamp and the slope.  It
-    keeps one row of lengths and thresholds per breakpoint and returns the
-    first crossings as Fractions; the series are converted to Fraction when
-    first read.  The values are exactly those of the same solve on Fraction.
+    The solve runs in ints.  ``_over_lcm`` writes r and every queue's
+    pre-transient omega, omega, gamma and fill rate as V / E (omega_i =
+    W_i / E), and each length is an int L_i over one running denominator
+    D, reduced by one gcd per breakpoint.  With rho = B*D - sum L, the
+    remaining space is rho / D, so
+
+        threshold_i = W_i * rho / (E*D),   gap_i = (E*L_i - W_i*rho) / (E*D).
+
+    ``_solve_total_rate`` gives the total rate S = c / k over the fixed
+    rates and the clamps, all ints over E.  Each rate is then an int v_i
+    over E*k: a fixed one scaled by k, a tracked one
+    min(max(-W_i*c, -G_i*k), C_i*k) for its drain G_i and fill cap C_i.
+    The gap moves at rate_i + omega_i*S = s_i / (E*k), s_i = v_i + W_i*c,
+    and closes when s_i and its numerator g_i = E*L_i - W_i*rho differ in
+    sign, hitting zero after
+
+        dt_i = (|g_i| / (E*D)) / (|s_i| / (E*k)) = k * |g_i| / (D * |s_i|).
+
+    The smallest |g_i| / |s_i| (compared by cross-multiplying) is the next
+    breakpoint, and a new queue crosses there when its ratio equals it.  A
+    step dt = k*u / (D*w) takes each length to (L_i*E*w + v_i*u) / (E*D*w):
+    u, w = |g_i|, |s_i| at a hit, and u / w = (end - t) * D / k at the
+    horizon.  Only the first crossings are Fractions on return; the series
+    are built from the rows of ints when first read.
 
     Without a ``horizon`` the solve stops at the last new queue's first
     crossing, or as soon as no gap is closing; with one it runs to the
@@ -731,83 +649,102 @@ def integrate_transient(
     """
     if horizon is not None and not 0 <= horizon < math.inf:
         raise ValueError(f"horizon must be None or a finite number >= 0, got {horizon!r}")
-    num = _EXACT
-    zero = num(0)
-    b = num(ts.buffer_size)
-    end = None if horizon is None else num(as_fraction(horizon))
-    entries = (*ts.old, *ts.new)
-    n_old = len(ts.old)
-    omega = [num(q.omega) for q in entries]
-    drain = [-num(q.gamma) for q in entries]  # the rate above the threshold
-    r = num(ts.r)
-    fill_cap = [None if q.fill_rate is None else num(q.fill_rate) + drain[i]
-                for i, q in enumerate(ts.old)] + [r + v for v in drain[n_old:]]
-    backlogged = [i for i in range(n_old) if fill_cap[i] is None]
+    if horizon is not None:
+        en, ed = as_fraction(horizon).as_integer_ratio()  # the horizon is en / ed
+    old, new = ts.old, ts.new
+    n_old, n_new = len(old), len(new)
+    values = [ts.r]
+    for q in old:
+        values += (q.pre_omega, q.omega, q.gamma)
+    for q in new:
+        values += (q.omega, q.gamma)
+    e, ints = _over_lcm(values + [q.fill_rate for q in old if q.fill_rate is not None])
+    r, split = ints[0], 3 * n_old + 1  # the new queues' (omega, gamma) pairs start at split
+    pre = ints[1:split:3]
+    weights = ints[2:split:3] + ints[split:split + 2 * n_new:2]
+    drain = [-g for g in ints[3:split:3] + ints[split + 1:split + 2 * n_new:2]]
+    fill_at = iter(ints[split + 2 * n_new:])  # the rate-limited old queues' fill rates
+    # the rate below the threshold; None for a backlogged old queue
+    cap = [None if q.fill_rate is None else next(fill_at) + v for q, v in zip(old, drain)]
+    cap += [r + v for v in drain[n_old:]]
+    b = ts.buffer_size
 
-    pre = [num(q.pre_omega) for q in ts.old]
-    share = b / (_qsum(pre) + num(1))
-    lengths = [w * share for w in pre] + [zero] * len(ts.new)
-    remaining = b - _qsum(lengths)
-    if any(lengths[i] < omega[i] * remaining for i in backlogged):
+    # the steady share B / (1 + W_old) = B*E / (E + sum pre), so L_i = pre_i * B
+    d = e + sum(pre)
+    lengths = [p * b for p in pre] + [0] * n_new
+    rho = b * d - sum(lengths)
+    backlogged = [i for i in range(n_old) if cap[i] is None]
+    if any(e * lengths[i] < weights[i] * rho for i in backlogged):
         # backlogged old queues below their thresholds fill up to them at
         # once; the thresholds fall as they fill, so solve for the remaining
-        # space R in R = B - Q_others - sum_i max(L_i, omega_i * R)
-        others = _qsum(lengths[i] for i in range(len(entries)) if i not in backlogged)
-        remaining = _solve_total_rate(
-            b - others, [(omega[i], None, -lengths[i]) for i in backlogged]
-        )
+        # space R in R = B - Q_others - sum_i max(L_i, omega_i * R), over E*D
+        others = sum(x for x, v in zip(lengths, cap) if v is not None)
+        c, k = _solve_total_rate(e * d, (b * d - others) * e,
+                                 [(weights[i] * d, None, -lengths[i] * e) for i in backlogged])
+        # R = c / k, so over D*E*k each L_i is L_i*E*k, raised to W_i*c*D
+        lengths = [x * e * k for x in lengths]
         for i in backlogged:
-            lengths[i] = max(lengths[i], omega[i] * remaining)
+            lengths[i] = max(lengths[i], weights[i] * c * d)
+        d *= e * k
 
-    crossing: dict[int, _Q] = {}  # entry index of a new queue -> first crossing
-    rows: list[tuple] = []  # (t, lengths, thresholds) per breakpoint
-
-    t = zero
+    queues = range(n_old + n_new)
+    crossing: dict[int, tuple[int, int]] = {}  # entry index of a new queue -> first crossing
+    rows: list[tuple] = []  # (t numerator, t denominator, D, rho, lengths) per breakpoint
+    tn, td = 0, 1
     while True:
-        remaining = b - _qsum(lengths)
-        thr = [w * remaining for w in omega]
-        rows.append((t, lengths, thr))
-        if (len(crossing) == len(ts.new) and end is None) or (end is not None and end <= t):
+        rho = b * d - sum(lengths)
+        rows.append((tn, td, d, rho, lengths))
+        if (len(crossing) == n_new if horizon is None else en * td <= tn * ed):
             break
+        g = math.gcd(d, *lengths)  # then rho is a multiple of g too
+        if g > 1:
+            d, rho = d // g, rho // g
+            lengths = [x // g for x in lengths]
 
-        gaps = [lengths[i] - thr[i] for i in range(len(entries))]
+        gaps = [e * x - w * rho for x, w in zip(lengths, weights)]
         # drain and fill rates are fixed; tracked queues (None) follow S
-        rates = [drain[i] if gap.numerator > 0 else fill_cap[i] if gap.numerator < 0 else None
-                 for i, gap in enumerate(gaps)]
-        s_total = _solve_total_rate(
-            _qsum(v for v in rates if v is not None),
-            [(omega[i], drain[i], fill_cap[i]) for i, v in enumerate(rates) if v is None],
-        )
-        shed = [w * s_total for w in omega]  # omega_i * S, for the clamp and the slope
-        for i, v in enumerate(rates):
-            if v is None:  # clamp(-omega * S, -gamma, fill cap)
-                v = max(-shed[i], drain[i])
-                rates[i] = v if fill_cap[i] is None else min(v, fill_cap[i])
+        rates = [v if gap > 0 else f if gap < 0 else None for gap, v, f in zip(gaps, drain, cap)]
+        tracked = [i for i in queues if rates[i] is None]
+        c, k = _solve_total_rate(e, sum(v for v in rates if v is not None),
+                                 [(weights[i], drain[i], cap[i]) for i in tracked])
+        rates = [0 if v is None else v * k for v in rates]  # each rate an int over E*k
+        for i in tracked:  # clamp(-omega * S, -gamma, fill cap)
+            v = max(-weights[i] * c, drain[i] * k)
+            rates[i] = v if cap[i] is None else min(v, cap[i] * k)
 
-        # gap_i changes at rate_i + omega_i * S; it closes when that slope
-        # has the opposite sign of the gap
-        hits = {}
-        for i, gap in enumerate(gaps):
-            slope = rates[i] + shed[i]
-            if gap.numerator * slope.numerator < 0:
-                hits[i] = -gap / slope
-        dt = min(hits.values(), default=None)
-        if end is not None and (dt is None or end < t + dt):
-            dt = end - t
-        elif dt is None:
+        # gap_i closes at |s_i| / (E*k), s_i = v_i + W_i*c, when s_i has the
+        # gap's opposite sign; keep the smallest |g_i| / |s_i| as u / w
+        # (w = 0 while no gap is closing)
+        closing = {}
+        u = w = 0
+        for i, gap, v, wi in zip(queues, gaps, rates, weights):
+            slope = v + wi * c
+            if gap > 0 > slope or gap < 0 < slope:
+                gap, slope = abs(gap), abs(slope)
+                closing[i] = gap, slope
+                if not w or gap * w < u * slope:
+                    u, w = gap, slope
+        if w:  # t + k*u / (D*w)
+            next_n, next_d = tn * d * w + k * u * td, td * d * w
+        if horizon is not None and (not w or en * next_d < next_n * ed):
+            u, w = (en * td - tn * ed) * d, ed * td * k
+            tn, td = en, ed
+        elif not w:
             break
+        else:
+            g = math.gcd(next_n, next_d)
+            tn, td = next_n // g, next_d // g
+            for i, (gap, slope) in closing.items():
+                if i >= n_old and i not in crossing and gap * w == u * slope:
+                    crossing[i] = (tn, td)
 
-        # a new list, so the row just kept stays as it was
-        lengths = [q + v * dt for q, v in zip(lengths, rates)]
-        t += dt
-        for i, hit in hits.items():
-            if hit == dt and i >= n_old and i not in crossing:
-                crossing[i] = t
+        lengths = [x * e * w + v * u for x, v in zip(lengths, rates)]
+        d *= e * w
 
     return TransientTrajectories(
-        [q.queue for q in entries], rows,
-        {q.queue: _fraction(crossing[i]) if i in crossing else math.inf
-         for i, q in enumerate(ts.new, n_old)},
+        [q.queue for q in (*old, *new)], weights, e, rows,
+        {q.queue: Fraction(*crossing[i]) if i in crossing else math.inf
+         for i, q in enumerate(new, n_old)},
     )
 
 

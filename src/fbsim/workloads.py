@@ -391,7 +391,9 @@ class ScenarioConfig:
         if self.sample_interval <= 0:
             raise ConfigError("sample_interval must be > 0")
         periods = [self.sample_interval] + [self.fba_period] * (self.policy is PolicyKind.FBA)
-        if any(grid_steps(self.horizon, p) >= MAX_RUN_STEPS for p in periods if p):
+        # grid_steps >= MAX_RUN_STEPS, compared before the floor: a huge
+        # horizon's quotient is inf, which the floor cannot make an int
+        if any(self.horizon / p + 1e-9 >= MAX_RUN_STEPS for p in periods if p):
             raise ConfigError(f"horizon implies more than {MAX_RUN_STEPS} samples or ticks")
         known = set(ids)
         for src in self.sources:

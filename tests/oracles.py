@@ -18,6 +18,10 @@ the tests check it against, and one helper the tests share.
 - ``aggregate_closed_form`` states the aggregate transient closed form on
   plain Fraction arithmetic, field by field as ``fbsim.fluid._closed_form``
   reports it, so the package's integer evaluation is checked against it.
+- ``reference_transient`` and ``reference_total_rate`` are the exact
+  event-driven solver on plain Fraction arithmetic, breakpoint by
+  breakpoint as ``fbsim.fluid.integrate_transient`` walks it, so the
+  package's integer solve is checked against it.
 
 pytest's default import mode puts ``tests/`` on ``sys.path``, so a test
 file imports these with ``from oracles import ...``.
@@ -29,7 +33,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Mapping, Optional, Sequence
 
 from fbsim.core import Number, QueueId, as_fraction
 
@@ -200,3 +205,120 @@ def aggregate_closed_form(ts) -> dict:
                 fill1=fill1, fill2=fill2, w_old=w_old, t1_per_queue=per_queue, t1=t1,
                 burst=math.inf if t1 == math.inf else ts.r * t1,
                 first=first, g_star=g_star, ne_empty=ne_empty)
+
+
+def reference_total_rate(base: Fraction, tracked: list[tuple]) -> Fraction:
+    """Solve S = base + sum_i clamp(-omega_i*S, lo_i, hi_i) on Fractions; a
+    bound of None leaves that side unbounded.
+
+    The right side is piecewise linear and non-increasing in S, so the root
+    is unique.  Sweep the sorted clamp breakpoints from S = -inf, where every
+    finite ``hi`` applies and every unbounded one is linear, keeping the
+    segment's right side as ``const - slope * S``; the root lies in the
+    first segment whose right end p has ``const - slope * p <= p``.
+    """
+    const, scale = base, Fraction(1)  # scale = 1 + slope
+    steps = []  # (breakpoint, slope change, const change), as S increases
+    for omega, lo, hi in tracked:
+        if hi is None:
+            scale += omega
+        else:
+            const += hi
+            steps.append((-hi / omega, omega, -hi))
+        if lo is not None:
+            steps.append((-lo / omega, -omega, lo))
+    steps.sort(key=itemgetter(0))
+    for p, d_slope, d_const in steps:
+        if const <= scale * p:
+            break
+        scale += d_slope
+        const += d_const
+    return const / scale
+
+
+def reference_transient(ts, horizon: Optional[Number] = None) -> dict:
+    """The exact fluid trajectory of a transient scenario on Fractions:
+    ``{"times": [...], "lengths": {queue: [...]}, "thresholds": {queue:
+    [...]}, "first_crossing": {new queue: t or math.inf}}``.
+
+    Thresholds are omega * (B - Q_total).  Above its threshold a queue
+    drains at gamma; at it, it tracks the threshold's rate clamped to
+    [-gamma, fill - gamma]; below it, new and rate-limited old queues fill
+    at their fill rate.  Backlogged old queues (no ``fill_rate``) below
+    their thresholds snap up to them at t = 0.  Each pass solves the total
+    rate S once and jumps to the next instant at which a closing gap
+    reaches zero, or to the horizon.  Without one it stops at the last new
+    queue's first crossing, or once no gap is closing.
+    """
+    zero = Fraction(0)
+    b = Fraction(ts.buffer_size)
+    end = None if horizon is None else as_fraction(horizon)
+    entries = (*ts.old, *ts.new)
+    n_old = len(ts.old)
+    omega = [q.omega for q in entries]
+    drain = [-q.gamma for q in entries]  # the rate above the threshold
+    fill_cap = [None if q.fill_rate is None else q.fill_rate + drain[i]
+                for i, q in enumerate(ts.old)] + [ts.r + v for v in drain[n_old:]]
+    backlogged = [i for i in range(n_old) if fill_cap[i] is None]
+
+    share = b / (1 + sum((q.pre_omega for q in ts.old), zero))
+    lengths = [q.pre_omega * share for q in ts.old] + [zero] * len(ts.new)
+    remaining = b - sum(lengths, zero)
+    if any(lengths[i] < omega[i] * remaining for i in backlogged):
+        # solve for the remaining space R = B - Q_others - sum_i max(L_i, omega_i * R)
+        others = sum((lengths[i] for i in range(len(entries)) if i not in backlogged), zero)
+        remaining = reference_total_rate(
+            b - others, [(omega[i], None, -lengths[i]) for i in backlogged])
+        for i in backlogged:
+            lengths[i] = max(lengths[i], omega[i] * remaining)
+
+    crossing: dict[int, Fraction] = {}
+    times, length_rows, threshold_rows = [], [], []
+    t = zero
+    while True:
+        remaining = b - sum(lengths, zero)
+        thr = [w * remaining for w in omega]
+        times.append(t)
+        length_rows.append(lengths)
+        threshold_rows.append(thr)
+        if (len(crossing) == len(ts.new) and end is None) or (end is not None and end <= t):
+            break
+
+        gaps = [lengths[i] - thr[i] for i in range(len(entries))]
+        rates = [drain[i] if gap > 0 else fill_cap[i] if gap < 0 else None
+                 for i, gap in enumerate(gaps)]
+        s_total = reference_total_rate(
+            sum((v for v in rates if v is not None), zero),
+            [(omega[i], drain[i], fill_cap[i]) for i, v in enumerate(rates) if v is None],
+        )
+        for i, v in enumerate(rates):
+            if v is None:  # clamp(-omega * S, -gamma, fill cap)
+                v = max(-omega[i] * s_total, drain[i])
+                rates[i] = v if fill_cap[i] is None else min(v, fill_cap[i])
+
+        # gap_i changes at rate_i + omega_i * S; it closes when that slope
+        # has the opposite sign of the gap
+        hits = {}
+        for i, gap in enumerate(gaps):
+            slope = rates[i] + omega[i] * s_total
+            if gap * slope < 0:
+                hits[i] = -gap / slope
+        dt = min(hits.values(), default=None)
+        if end is not None and (dt is None or end < t + dt):
+            dt = end - t
+        elif dt is None:
+            break
+
+        lengths = [q + v * dt for q, v in zip(lengths, rates)]
+        t += dt
+        for i, hit in hits.items():
+            if hit == dt and i >= n_old and i not in crossing:
+                crossing[i] = t
+
+    queues = [q.queue for q in entries]
+    return dict(
+        times=times,
+        lengths={q: list(col) for q, col in zip(queues, zip(*length_rows))},
+        thresholds={q: list(col) for q, col in zip(queues, zip(*threshold_rows))},
+        first_crossing={q.queue: crossing.get(i, math.inf) for i, q in enumerate(ts.new, n_old)},
+    )

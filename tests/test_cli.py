@@ -252,6 +252,42 @@ def test_implied_samples_or_ticks_past_the_bound_exit_3(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_a_horizon_whose_sample_count_overflows_exits_3_before_writing(command, tmp_path, capsys):
+    # 9e307 / 0.5 is inf as a float: the cap on samples once took its floor
+    # and ended in OverflowError
+    text = (GOLDEN_SCENARIOS / "fba_period_0.ini").read_text()
+    assert "horizon = 30.0" in text and "sample_interval = 0.5" in text
+    huge = tmp_path / "huge.ini"
+    huge.write_text(text.replace("horizon = 30.0", "horizon = 9e307"))
+    out = tmp_path / "o"
+    assert main([command, "--scenario", str(huge), "--out", str(out)]) == 3
+    assert f"more than {MAX_RUN_STEPS} samples or ticks" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["run", "--preset", "fig2"], "F"),
+    (["run", "--preset", "fig2"], "F/sub"),
+    (["run", "--preset", "fig2"], ""),
+    (["analyze", "--preset", "fig4_incast"], "F"),
+    (["analyze", "--preset", "fig4_incast"], ""),
+    (["analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "4", "--curve"], "F"),
+    (["sweep", "--preset", "fig4_incast", "--axis", "burst_size", "--values", "0.2,0.5"], "F"),
+], ids=["run_file", "run_below_file", "run_empty", "analyze_file", "analyze_empty", "curve_file",
+        "sweep_file"])
+def test_an_out_that_cannot_be_a_directory_exits_3_before_writing(
+        argv, out, tmp_path, monkeypatch, capsys):
+    # F is an existing file; each command once ended in an OSError traceback,
+    # except analyze with an empty --out, which wrote nothing and exited 0
+    monkeypatch.chdir(tmp_path)  # so a file written under '' would land here
+    (tmp_path / "F").write_text("kept\n")
+    assert main([*argv, "--out", out]) == 3
+    assert "--out" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["F"]
+    assert (tmp_path / "F").read_text() == "kept\n"
+
+
 def _fresh_process(argv):
     """(exit code, stdout, stderr) of ``fbsim <argv>`` in a new interpreter."""
     proc = subprocess.run(
@@ -971,12 +1007,6 @@ def _names_in(tree):
     return names
 
 
-def test_only_the_fluid_module_names_the_solver_rational():
-    # fluid._Q stays inside the solver: every other module sees Fractions
-    for path in sorted((SRC / "fbsim").glob("*.py")):
-        assert ("_Q" in _names_read(path)) == (path.name == "fluid.py"), path.name
-
-
 def test_the_two_fluid_routes_share_no_arithmetic():
     # the closed forms and the solver check each other only while neither
     # computes through the other's code, so each has its own exact
@@ -995,14 +1025,14 @@ def test_the_two_fluid_routes_share_no_arithmetic():
 
     closed_forms = ("_closed_form", "steady_state", "analyze_transient",
                     "alpha_L_for_zero_transient", "alpha_bounds_general", "burst_absorption_curve")
-    solver = {"_Q", "_EXACT", "_qsum", "_solve_total_rate", "integrate_transient"}
+    solver = {"_over_lcm", "_solve_total_rate", "integrate_transient", "TransientTrajectories"}
     for name in closed_forms:
         assert not reached(name) & solver, name
     for name in ("_closed_form", "steady_state"):
         assert "_scaled" in reached(name), name
     for name in ("integrate_transient", "_solve_total_rate"):
         assert "_scaled" not in reached(name), name
-    assert "_qsum" in reached("integrate_transient")
+    assert "_over_lcm" in reached("integrate_transient")
 
 
 def test_only_the_core_rule_sets_a_frozen_field():

@@ -4,7 +4,6 @@ and the exact event-driven solver as the independent cross-check."""
 import math
 import random
 from dataclasses import fields, replace
-from unittest import mock
 
 import pytest
 from fractions import Fraction
@@ -19,8 +18,7 @@ from fbsim.fluid import (
     NewQueue,
     OldQueue,
     TransientScenario,
-    _Q,
-    _qsum,
+    _over_lcm,
     _scaled,
     _solve_total_rate,
     alpha_L_for_zero_transient,
@@ -40,6 +38,8 @@ from oracles import (
     alpha_H_for_burst,
     alpha_L_for_burst,
     multi_priority_alpha_H,
+    reference_total_rate,
+    reference_transient,
 )
 
 F = Fraction
@@ -484,17 +484,19 @@ class TestSolveTotalRate:
     @example(base=F(-5), tracked=[(F(1), None, F(0)), (F(2), None, F(0))])
     @example(base=F(7), tracked=[(F(1), F(-1), None), (F(3), None, None)])
     def test_sweep_matches_the_breakpoint_walk(self, base, tracked):
-        # the root is unique, so the exact sweep equals the walk and solves
-        # S = base + sum clamp(-omega * S, lo, hi) exactly, on Fraction and
-        # on the solver's _Q alike
-        s = _solve_total_rate(base, tracked)
+        # the root is unique, so the solver's int sweep, fed every value as
+        # an int over one common denominator, equals the walk and solves
+        # S = base + sum clamp(-omega * S, lo, hi) exactly; so does the
+        # Fraction sweep of the reference solver
         expected, rhs = clamp_walk(base, tracked)
-        assert isinstance(s, Fraction)
-        assert s == expected
-        assert rhs(s) == s
-        q = _solve_total_rate(_Q(base), [tuple(v if v is None else _Q(v) for v in clamp)
-                                         for clamp in tracked])
-        assert type(q) is _Q and F(q.numerator, q.denominator) == expected
+        assert rhs(expected) == expected
+        one = math.lcm(base.denominator, *(v.denominator for clamp in tracked
+                                           for v in clamp if v is not None))
+        c, k = _solve_total_rate(one, int(base * one), [
+            tuple(None if v is None else int(v * one) for v in clamp) for clamp in tracked])
+        assert type(c) is int and type(k) is int and k > 0
+        assert F(c, k) == expected
+        assert reference_total_rate(base, tracked) == expected
 
 
 class TestIntegrator:
@@ -670,6 +672,17 @@ def dynamics_recipe(rng, n):
     return out
 
 
+def assert_equals_the_reference(ts, horizon, res):
+    """Every series and crossing of ``res`` equals the reference solve's,
+    and holds only Fractions."""
+    reference = reference_transient(ts, horizon)
+    assert res.times == reference["times"]
+    assert res.lengths == reference["lengths"]
+    assert res.thresholds == reference["thresholds"]
+    assert res.first_crossing == reference["first_crossing"]
+    assert_all_fractions(res)
+
+
 def assert_all_fractions(res):
     series = [res.times, *res.lengths.values(), *res.thresholds.values()]
     assert all(type(v) is Fraction for values in series for v in values)
@@ -682,47 +695,6 @@ _rationals = st.builds(F, st.integers(-10**6, 10**6),
 
 
 class TestSolverRational:
-    @settings(max_examples=400, deadline=None)
-    @given(a=_rationals, b=_rationals)
-    @example(a=F(0), b=F(0))
-    @example(a=F(-3, 7), b=F(3, 7))
-    @example(a=F(5, 10**30 - 1), b=F(-5, 10**30 - 1))
-    @example(a=F(1, 6), b=F(5, 6))  # equal denominators, a sum that reduces to 1
-    @example(a=F(1, 6), b=F(1, 6))  # equal denominators, a difference of 0
-    @example(a=F(0), b=F(1, 6))  # -0 keeps the reduced pair (0, 1)
-    def test_every_operation_matches_fraction(self, a, b):
-        qa, qb = _Q(a), _Q(b)
-        results = {"+": (qa + qb, a + b), "-": (qa - qb, a - b), "*": (qa * qb, a * b),
-                   "neg": (-qa, -a), "convert": (qa, a)}
-        if b:
-            results["/"] = (qa / qb, a / b)
-        else:
-            with pytest.raises(ZeroDivisionError):
-                qa / qb
-        for name, (q, expected) in results.items():
-            # reduced, with a positive denominator: the same pair as Fraction's
-            assert type(q) is _Q, name
-            assert (q.numerator, q.denominator) == (expected.numerator, expected.denominator), name
-        assert (qa < qb, qa <= qb, qa == qb) == (a < b, a <= b, a == b)
-        # > and >= (reached through min and max) reflect onto < and <=
-        assert (qa > qb, qa >= qb, qa != qb) == (a > b, a >= b, a != b)
-        for pick in (max, min):
-            q = pick(qa, qb)
-            assert F(q.numerator, q.denominator) == pick(a, b)
-
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(-10**6, 10**6), d=st.integers(-10**30, 10**30))
-    @example(n=0, d=-7)
-    @example(n=6, d=-4)
-    @example(n=3, d=0)
-    def test_the_pair_constructor_reduces_as_fraction_does(self, n, d):
-        if d == 0:
-            with pytest.raises(ZeroDivisionError):
-                _Q(n, d)
-            return
-        q, expected = _Q(n, d), F(n, d)
-        assert (q.numerator, q.denominator) == (expected.numerator, expected.denominator)
-
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(_rationals, max_size=8))
     @example(values=[])
@@ -730,41 +702,29 @@ class TestSolverRational:
     @example(values=[F(1, 6), F(-1, 6), F(5, 6), F(1, 6)])
     @example(values=[F(1, 10**30), F(-3, 7), F(1, 10**30 - 1)])
     def test_each_route_sums_to_the_reduced_fraction_sum(self, values):
-        # _scaled is the closed forms' arithmetic (ints over the values' lcm
-        # denominator d) and _qsum the solver's sum (on _Q, and on Fraction
-        # when the reference solve sets _EXACT to it); each gives
-        # sum(values, Fraction(0)) as the same reduced pair
+        # _scaled is the closed forms' arithmetic and _over_lcm the solver's:
+        # each writes the values as ints over their lcm denominator, so each
+        # int sum gives sum(values, Fraction(0)) as the same reduced pair
         expected = sum(values, F(0))
-        pair = (expected.numerator, expected.denominator)
-        d, scaled = _scaled(values)
-        assert all(type(v) is int for v in scaled)
-        assert [F(v, d) for v in scaled] == values
-        assert all(d % v.denominator == 0 for v in values)
-        with mock.patch.object(fluid, "_EXACT", Fraction):
-            reference = _qsum(values)
-        for total, kind in ((F(sum(scaled), d), Fraction), (_qsum([_Q(v) for v in values]), _Q),
-                            (reference, Fraction)):
-            assert type(total) is kind
-            assert (total.numerator, total.denominator) == pair
+        for d, scaled in (_scaled(values), _over_lcm(values)):
+            assert all(type(v) is int for v in scaled)
+            assert [F(v, d) for v in scaled] == values
+            assert d == math.lcm(*(v.denominator for v in values))
+            total = F(sum(scaled), d)
+            assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
 
-    def test_solver_on_q_equals_the_same_solver_on_fraction(self, monkeypatch):
-        # the very same solver body, once on Fraction (the reference) and
-        # once on _Q: every breakpoint, length, threshold and crossing agrees
+    def test_the_int_solver_equals_the_fraction_reference(self):
+        # the solver in ints and the reference solver on Fractions
+        # (tests/oracles.py): every breakpoint, length, threshold and
+        # crossing agrees
         rng = random.Random(14)
         runs = [(ts, None) for ts in symmetric_recipe(rng, 100) + asymmetric_recipe(rng, 80)]
         runs += [(ts, 400) for ts in dynamics_recipe(rng, 120)]
         runs += [(ts, F(rng.randint(1, 40), 4)) for ts in symmetric_recipe(rng, 20)]
         snapped = limited = 0
         for ts, horizon in runs:
-            with monkeypatch.context() as m:
-                m.setattr(fluid, "_EXACT", Fraction)
-                reference = integrate_transient(ts, horizon)
             res = integrate_transient(ts, horizon)
-            assert res.times == reference.times
-            assert res.lengths == reference.lengths
-            assert res.thresholds == reference.thresholds
-            assert res.first_crossing == reference.first_crossing
-            assert_all_fractions(res)
+            assert_equals_the_reference(ts, horizon, res)
             share = ts.buffer_size / (1 + sum((q.pre_omega for q in ts.old), F(0)))
             snapped += any(q.fill_rate is None and res.lengths[q.queue][0] > q.pre_omega * share
                            for q in ts.old)
@@ -1052,3 +1012,29 @@ def test_the_integer_closed_form_equals_its_fraction_statement_on_huge_denominat
         r,
     )
     assert_closed_form_is_the_fraction_statement(ts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(buffer=st.integers(1, 10**4), r=_positive_rationals,
+       old=st.lists(st.tuples(_positive_rationals, _drains, st.none() | _positive_rationals,
+                              st.none() | _positive_rationals), max_size=3),
+       new=st.lists(st.tuples(_positive_rationals, _drains), min_size=1, max_size=2),
+       horizon=st.none() | _positive_rationals)
+@example(buffer=97, r=F(7 * 10**30 + 1, 10**30),
+         old=[(F(1, 10**30 - 1), F(10**30 - 7, 10**30), F(3, 10**30 + 1), None),
+              (F(5, 3), F(1, 2), None, F(10**30 + 9, 10**30))],
+         new=[(F(10**30 + 3, 10**30), F(1, 3)), (F(2), F(10**30 - 1, 10**30))], horizon=None)
+@example(buffer=60, r=F(3, 1), old=[(F(10**30 + 1, 10**30), F(1, 2), F(3 * 10**30 - 1, 10**30), None),
+                                     (F(2, 10**30 - 3), F(1), None, None)],
+         new=[(F(3, 10**30 - 3), F(1))], horizon=F(10**31 + 7, 10**30))
+def test_the_int_solver_equals_the_fraction_reference_on_huge_denominators(
+        buffer, r, old, new, horizon):
+    # weights, drains, fill rates and horizons over denominators near 10**30
+    ts = TransientScenario(
+        buffer,
+        tuple(OldQueue(QueueId(100 + i, 0), omega=w, gamma=g, omega_before=before, fill_rate=fill)
+              for i, (w, g, before, fill) in enumerate(old)),
+        tuple(NewQueue(QueueId(i, 1), omega=w, gamma=g) for i, (w, g) in enumerate(new)),
+        r,
+    )
+    assert_equals_the_reference(ts, horizon, integrate_transient(ts, horizon))

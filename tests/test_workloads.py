@@ -582,6 +582,56 @@ class TestConfigFile:
         replace(preset("fig2"), **changes)
 
 
+#: The texts the fuzz test edits: the golden scenario files and the presets.
+_FUZZ_TEXTS = tuple(p.read_text() for p in sorted(GOLDEN_SCENARIOS.glob("*.ini"))) + tuple(
+    dumps_scenario(preset(name)) for name in preset_names())
+_FUZZ_TOKENS = ("nan", "inf", "1e400", "1e-400", "9e307", "1/0", "0x10", "\u0661", "1_000", "-1",
+                "=", "[")
+
+
+@st.composite
+def edited_scenario_texts(draw) -> str:
+    """A golden scenario text or a preset's with 1-3 line edits: a token, or
+    the value of a ``key=value`` token, replaced by one of _FUZZ_TOKENS, or
+    a line duplicated, deleted or cut."""
+    lines = draw(st.sampled_from(_FUZZ_TEXTS)).split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line, edit = lines[i], draw(st.sampled_from(("token", "value", "duplicate", "delete", "cut")))
+        parts = line.split(" ")
+        pairs = [j for j, part in enumerate(parts) if "=" in part and part != "="]
+        if edit == "token":
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(_FUZZ_TOKENS))
+            lines[i] = " ".join(parts)
+        elif edit == "value" and pairs:
+            j = draw(st.sampled_from(pairs))
+            parts[j] = parts[j].partition("=")[0] + "=" + draw(st.sampled_from(_FUZZ_TOKENS))
+            lines[i] = " ".join(parts)
+        elif edit == "duplicate":
+            lines.insert(i, line)
+        elif edit == "delete" and len(lines) > 1:
+            del lines[i]
+        elif edit == "cut":
+            lines[i] = line[:draw(st.integers(0, len(line)))]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edited_scenario_texts())
+# 9e307 / sample_interval 0.5 is inf as a float: the sample cap once took
+# its floor and raised OverflowError
+@example(text=(GOLDEN_SCENARIOS / "fba_period_0.ini").read_text().replace(
+    "horizon = 30.0", "horizon = 9e307"))
+def test_an_edited_scenario_text_loads_or_raises_a_documented_error(text):
+    # a parse error (exit 2) or a validation error (exit 3), nothing else;
+    # and a text that loads gives a config that reads back equal
+    try:
+        cfg = loads_scenario(text)
+    except (ScenarioParseError, ConfigError):
+        return
+    assert loads_scenario(dumps_scenario(cfg)) == cfg
+
+
 def misfit_incast(layout: str) -> ScenarioConfig:
     """fig4_incast in a layout that the fluid bridge cannot describe."""
     base = preset("fig4_incast")
