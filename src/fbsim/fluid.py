@@ -25,7 +25,7 @@ only ``Q'``, the rate at which the buffer fills, depends on the case:
 
     t1 = omega * B / (1 + W_old) / ((r - gamma) + omega * Q')
 
-The old queues split into G_e (omega changed by the burst) and G_ne.  With
+The old queues split into G_e (omega lowered by the burst) and G_ne.  With
 F = n_new * r - new drains and NUM all old drains, Case-1's
 Q' = (F - G_e drain) / (1 + W_ne) -- each unaffected old queue tracks
 omega * (B - Q) and so sheds omega * Q' -- and Case-2's Q' = F - NUM give
@@ -171,11 +171,14 @@ def steady_state(omegas: Mapping[QueueId, Number], buffer_size: Number) -> Analy
 class OldQueue:
     """A pre-existing congested queue.
 
-    ``omega`` is the weight during the transient; ``omega_before`` the weight
-    in the preceding steady state (defaults to ``omega``; a smaller pre/post
-    difference marks the queue as omega-affected, i.e. a member of G_e).
-    ``fill_rate`` is the queue's own arrival rate for the solver; None
-    means fully backlogged (it can always refill up to its threshold).
+    ``omega`` is the weight during the transient.  ``omega_before``, when
+    given, is the weight in the preceding steady state and at least
+    ``omega``: a burst only adds queues, and adding queues never raises a
+    weight (``congested_weights``).  A larger value marks the queue as
+    omega-affected, a member of G_e; None means the weight did not change.
+    So every old queue starts at or above its threshold.  ``fill_rate`` is
+    the queue's own arrival rate for the solver, >= 0 (0: it only drains);
+    None means fully backlogged (it can always refill up to its threshold).
     """
 
     queue: QueueId
@@ -188,6 +191,10 @@ class OldQueue:
         convert_fields(self)
         if self.omega <= 0 or not 0 < self.gamma <= 1:
             raise ValueError(f"{self.queue}: need omega > 0 and gamma in (0,1]")
+        if self.omega_before is not None and self.omega_before < self.omega:
+            raise ValueError(f"{self.queue}: need omega_before >= omega")
+        if self.fill_rate is not None and self.fill_rate < 0:
+            raise ValueError(f"{self.queue}: need fill_rate >= 0")
 
     @property
     def pre_omega(self) -> Fraction:
@@ -195,7 +202,7 @@ class OldQueue:
 
     @property
     def affected(self) -> bool:
-        """True when the new queues changed this queue's omega (G_e member)."""
+        """True when the new queues lowered this queue's omega (G_e member)."""
         return self.omega_before is not None and self.omega_before != self.omega
 
 
@@ -422,6 +429,10 @@ def alpha_L_for_zero_transient(r: Number, num_congested_ports: int = 1) -> Bound
     """Largest low-priority alpha guaranteeing zero transient losses for a
     burst of rate r, given at least ``num_congested_ports`` congested ports:
     alpha_L <= 1 / (r - (NUM + 1)).  Unconstrained when r <= NUM + 1.
+
+    The rule assumes DT weights (omega = alpha) for NUM low queues, one per
+    port.  Under FB each weighs alpha / NUM, so FB's bound, which
+    ``alpha_bounds_general`` gives, is NUM times this one.
     """
     rf, num = as_fraction(r), as_whole(num_congested_ports)
     if rf <= 0:
@@ -570,8 +581,8 @@ class TransientTrajectories:
 def _solve_total_rate(one: int, base: int, tracked: list[tuple]) -> tuple[int, int]:
     """Solve S = base + sum_i clamp(-omega_i*S, lo_i, hi_i) in ints: every
     value is an int numerator over the denominator ``one`` (omega_i = w_i /
-    one) and a bound of None leaves that side unbounded.  Returns S as
-    ``(c, k)``, S = c / k with k > 0.
+    one), each ``lo`` is finite and a ``hi`` of None leaves that side
+    unbounded.  Returns S as ``(c, k)``, S = c / k with k > 0.
 
     The right side is piecewise linear and non-increasing in S, so the root
     is unique.  Sweep the clamp breakpoints a / w (a = -hi or -lo) in
@@ -590,16 +601,14 @@ def _solve_total_rate(one: int, base: int, tracked: list[tuple]) -> tuple[int, i
         else:
             c += hi
             steps.append((-hi, w, w, -hi))
-        if lo is not None:
-            steps.append((-lo, w, -w, lo))
-    if steps:
-        lcm = math.lcm(*[w for w, _, _ in tracked])
-        steps.sort(key=lambda step: step[0] * (lcm // step[1]))
-        for a, w, d_k, d_c in steps:
-            if c * w <= k * a:
-                break
-            k += d_k
-            c += d_c
+        steps.append((-lo, w, -w, lo))
+    lcm = math.lcm(*[w for w, _, _ in tracked])
+    steps.sort(key=lambda step: step[0] * (lcm // step[1]))
+    for a, w, d_k, d_c in steps:
+        if c * w <= k * a:
+            break
+        k += d_k
+        c += d_c
     return c, k
 
 
@@ -612,11 +621,11 @@ def integrate_transient(
     queue is in one of three regimes: above its threshold it drains at
     gamma; at its threshold it tracks the threshold's rate clamped to
     [-gamma, fill - gamma]; below it, new and rate-limited old queues fill
-    at their fill rate.  Backlogged old queues (no ``fill_rate``) below
-    their thresholds snap up to them at t = 0 and never fall below again.
-    All rates are then constant and the thresholds linear in t, so each
-    pass solves the total rate once and jumps to the next instant at which
-    a closing gap reaches zero.
+    at their fill rate.  Every old queue starts at or above its threshold
+    (``OldQueue`` refuses omega_before < omega), and a backlogged one never
+    falls below it.  All rates are then constant and the thresholds linear
+    in t, so each pass solves the total rate once and jumps to the next
+    instant at which a closing gap reaches zero.
 
     The solve runs in ints.  ``_over_lcm`` writes r and every queue's
     pre-transient omega, omega, gamma and fill rate as V / E (omega_i =
@@ -672,20 +681,6 @@ def integrate_transient(
     # the steady share B / (1 + W_old) = B*E / (E + sum pre), so L_i = pre_i * B
     d = e + sum(pre)
     lengths = [p * b for p in pre] + [0] * n_new
-    rho = b * d - sum(lengths)
-    backlogged = [i for i in range(n_old) if cap[i] is None]
-    if any(e * lengths[i] < weights[i] * rho for i in backlogged):
-        # backlogged old queues below their thresholds fill up to them at
-        # once; the thresholds fall as they fill, so solve for the remaining
-        # space R in R = B - Q_others - sum_i max(L_i, omega_i * R), over E*D
-        others = sum(x for x, v in zip(lengths, cap) if v is not None)
-        c, k = _solve_total_rate(e * d, (b * d - others) * e,
-                                 [(weights[i] * d, None, -lengths[i] * e) for i in backlogged])
-        # R = c / k, so over D*E*k each L_i is L_i*E*k, raised to W_i*c*D
-        lengths = [x * e * k for x in lengths]
-        for i in backlogged:
-            lengths[i] = max(lengths[i], weights[i] * c * d)
-        d *= e * k
 
     queues = range(n_old + n_new)
     crossing: dict[int, tuple[int, int]] = {}  # entry index of a new queue -> first crossing

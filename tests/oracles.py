@@ -208,8 +208,8 @@ def aggregate_closed_form(ts) -> dict:
 
 
 def reference_total_rate(base: Fraction, tracked: list[tuple]) -> Fraction:
-    """Solve S = base + sum_i clamp(-omega_i*S, lo_i, hi_i) on Fractions; a
-    bound of None leaves that side unbounded.
+    """Solve S = base + sum_i clamp(-omega_i*S, lo_i, hi_i) on Fractions;
+    each ``lo`` is finite and a ``hi`` of None leaves that side unbounded.
 
     The right side is piecewise linear and non-increasing in S, so the root
     is unique.  Sweep the sorted clamp breakpoints from S = -inf, where every
@@ -225,8 +225,7 @@ def reference_total_rate(base: Fraction, tracked: list[tuple]) -> Fraction:
         else:
             const += hi
             steps.append((-hi / omega, omega, -hi))
-        if lo is not None:
-            steps.append((-lo / omega, -omega, lo))
+        steps.append((-lo / omega, -omega, lo))
     steps.sort(key=itemgetter(0))
     for p, d_slope, d_const in steps:
         if const <= scale * p:
@@ -244,9 +243,9 @@ def reference_transient(ts, horizon: Optional[Number] = None) -> dict:
     Thresholds are omega * (B - Q_total).  Above its threshold a queue
     drains at gamma; at it, it tracks the threshold's rate clamped to
     [-gamma, fill - gamma]; below it, new and rate-limited old queues fill
-    at their fill rate.  Backlogged old queues (no ``fill_rate``) below
-    their thresholds snap up to them at t = 0.  Each pass solves the total
-    rate S once and jumps to the next instant at which a closing gap
+    at their fill rate.  Every old queue starts at or above its threshold,
+    since ``OldQueue`` refuses omega_before < omega.  Each pass solves the
+    total rate S once and jumps to the next instant at which a closing gap
     reaches zero, or to the horizon.  Without one it stops at the last new
     queue's first crossing, or once no gap is closing.
     """
@@ -259,18 +258,9 @@ def reference_transient(ts, horizon: Optional[Number] = None) -> dict:
     drain = [-q.gamma for q in entries]  # the rate above the threshold
     fill_cap = [None if q.fill_rate is None else q.fill_rate + drain[i]
                 for i, q in enumerate(ts.old)] + [ts.r + v for v in drain[n_old:]]
-    backlogged = [i for i in range(n_old) if fill_cap[i] is None]
 
     share = b / (1 + sum((q.pre_omega for q in ts.old), zero))
     lengths = [q.pre_omega * share for q in ts.old] + [zero] * len(ts.new)
-    remaining = b - sum(lengths, zero)
-    if any(lengths[i] < omega[i] * remaining for i in backlogged):
-        # solve for the remaining space R = B - Q_others - sum_i max(L_i, omega_i * R)
-        others = sum((lengths[i] for i in range(len(entries)) if i not in backlogged), zero)
-        remaining = reference_total_rate(
-            b - others, [(omega[i], None, -lengths[i]) for i in backlogged])
-        for i in backlogged:
-            lengths[i] = max(lengths[i], omega[i] * remaining)
 
     crossing: dict[int, Fraction] = {}
     times, length_rows, threshold_rows = [], [], []

@@ -690,6 +690,34 @@ class TestFluidBridges:
             )
             assert_same_fluid_scenario(transient_scenario(cfg), built)
 
+    @pytest.mark.parametrize("kind", [PolicyKind.DYNAMIC_THRESHOLDS, PolicyKind.FB, PolicyKind.FBA])
+    def test_a_burst_never_raises_an_old_queues_weight(self, kind):
+        # bursts land on the old queues' ports and in their priorities, so
+        # under FB they cut old queues' gamma and beta; every old queue the
+        # bridge builds keeps or lowers its pre-burst weight (OldQueue
+        # refuses a rising one), and under FB and FBA some lower it
+        rng = random.Random(35)
+        affected = 0
+        for _ in range(60):
+            n_ports, n_classes = rng.randint(1, 3), rng.randint(2, 4)
+            classes = tuple(TrafficClass(c, F(rng.randint(1, 8), 4), rng.randint(0, 1))
+                            for c in range(n_classes))
+            queues = [(p, c) for p in range(n_ports) for c in range(n_classes)]
+            rng.shuffle(queues)
+            n_old = rng.randint(1, len(queues) - 1)
+            r, start = F(rng.randint(2, 20), 2), F(rng.randint(0, 8))
+            sources = tuple(ConstantRate(c, p, F(rng.randint(1, 8), 4)) for p, c in queues[:n_old])
+            sources += tuple(Burst(c, p, r=r, duration=F(4), start=start)
+                             for p, c in queues[n_old:n_old + rng.randint(1, len(queues) - n_old)])
+            cfg = ScenarioConfig(buffer_size=rng.randint(20, 200), n_ports=n_ports, policy=kind,
+                                 horizon=20.0, classes=classes, sources=sources)
+            before = steady_omegas(cfg)
+            for q in transient_scenario(cfg).old:
+                assert q.omega_before is None or q.omega_before > q.omega
+                assert before[q.queue] == q.pre_omega >= q.omega
+                affected += q.affected
+        assert (affected > 0) is (kind is not PolicyKind.DYNAMIC_THRESHOLDS)
+
     def test_fig4_incast_transient(self):
         ts = transient_scenario(preset("fig4_incast"))
         assert classify_case(ts) is CaseKind.CASE2
