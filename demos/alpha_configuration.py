@@ -19,26 +19,23 @@ from fractions import Fraction
 
 from fbsim import compute, run
 from fbsim.core import PolicyKind, QueueId, TrafficClass
-from fbsim.fluid import (
-    alpha_bounds_general,
-    alpha_L_for_zero_transient,
-    first_threshold_crossing,
-    two_priority_incast,
-)
+from fbsim.fluid import alpha_bounds_general, first_threshold_crossing, two_priority_incast
 from fbsim.workloads import Burst, ConstantRate, ScenarioConfig
 
 B, r, t = 2000, Fraction(4), Fraction(150)
 
 
 def bounds(buffer_size, rate, duration, alpha_l):
-    """The incast's alpha bounds at a low alpha; alpha_H does not enter them."""
+    """The incast's alpha bounds at a low alpha; alpha_H does not enter them,
+    and without a duration only the case bound is read."""
     return alpha_bounds_general(two_priority_incast(buffer_size, alpha_l, 1, rate), duration)
 
 
 print(f"target: absorb a rate-{r} burst lasting {t} time units "
       f"({r * t} packets) in a {B}-packet buffer\n")
 
-zero_loss = alpha_L_for_zero_transient(r, num_congested_ports=1)
+# the Case-1 boundary 1/(r-2): up to it the low queue only tracks its threshold
+zero_loss = bounds(B, r, None, 1).alpha_L_case_bound
 print(f"rate-only rule: alpha_L <= {zero_loss} keeps any rate-{r} burst "
       "loss-free until its fair share fills")
 

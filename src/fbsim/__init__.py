@@ -17,7 +17,6 @@ from .fluid import (
     NewQueue,
     OldQueue,
     TransientScenario,
-    alpha_L_for_zero_transient,
     alpha_bounds_general,
     analyze_transient,
     burst_absorption_curve,

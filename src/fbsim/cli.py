@@ -207,30 +207,32 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_configure_alpha(args) -> int:
-    b, r, t = args.buffer, args.r, args.t
+    b, r, t, num = args.buffer, args.r, args.t, args.num
     if b < 1:
         raise ConfigError(f"--buffer must be >= 1, got {b}")
+    if num < 1:
+        raise ConfigError(f"--num must be >= 1, got {num}")
     if t is None and (args.alpha_l is not None or args.alphas is not None):
         raise ConfigError("--alpha-l and --alphas apply only with --t")
     if args.alpha_l is not None and args.alphas is not None:
         raise ConfigError("give --alpha-l or --alphas, not both")
-    payload: dict = {"buffer": b, "r": r}
-    payload["alpha_L_zero_transient"] = fluid.alpha_L_for_zero_transient(r, args.num)
-    payload["num_congested_ports"] = args.num
+    if t is not None and r <= 1:
+        raise ConfigError("r must exceed the port drain rate (r > 1)")
+
+    def bounds(alpha_l):  # at alpha_L 0 no low port: OldQueue refuses a weight of 0
+        if alpha_l < 0:
+            raise ConfigError(f"the low alpha must be >= 0, got {alpha_l}")
+        ts = fluid.two_priority_incast(b, alpha_l, 1, r, n_low_ports=num if alpha_l else 0)
+        return fluid.alpha_bounds_general(ts, t)
+
+    # the case bound and the frontier do not depend on alpha_L, so any
+    # positive one reads them
+    layout = bounds(1)
+    payload: dict = {"buffer": b, "r": r, "alpha_L_zero_transient": layout.alpha_L_case_bound,
+                     "num_congested_ports": num}
     if t is not None:
-        if r <= 1:
-            raise ConfigError("r must exceed the port drain rate (r > 1)")
         payload["t"] = t
-
-        def bounds(alpha_l):  # at alpha_L 0 no low port: OldQueue refuses a weight of 0
-            if alpha_l < 0:
-                raise ConfigError(f"the low alpha must be >= 0, got {alpha_l}")
-            ts = fluid.two_priority_incast(b, alpha_l, 1, r, n_low_ports=1 if alpha_l else 0)
-            return fluid.alpha_bounds_general(ts, t)
-
-        # the frontier does not depend on alpha_L, so any positive one reads it
-        frontier = bounds(1).alpha_L_max_for_burst
-        payload["alpha_L_max_for_burst"] = frontier
+        frontier = payload["alpha_L_max_for_burst"] = layout.alpha_L_max_for_burst
         if args.alphas:
             payload["alpha_H_min"] = bounds(sum(args.alphas)).alpha_H_min
             payload["lower_priority_alphas"] = args.alphas
@@ -317,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cfg.add_argument("--r", required=True)
     p_cfg.add_argument("--t", help="burst duration")
     p_cfg.add_argument("--num", type=int, default=1,
-                       help="congested-port count for the zero-transient bound")
+                       help="congested low ports, one FB queue each, that every bound "
+                            "assumes; the bounds hold on NUM or more (default 1)")
     p_cfg.add_argument("--alpha-l", dest="alpha_l", help="low alpha to plug into the high bound")
     p_cfg.add_argument("--alphas", help="comma-separated lower-priority alpha maxima")
     p_cfg.set_defaults(func=cmd_configure_alpha)

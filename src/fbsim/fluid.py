@@ -91,6 +91,10 @@ INFEASIBLE = BoundStatus.INFEASIBLE
 
 Bound = Union[Fraction, BoundStatus]
 
+#: The most queues ``two_priority_incast`` builds: it makes one object per
+#: queue, so a larger count is refused before any is made.
+MAX_INCAST_QUEUES = 4096
+
 #: Class ids of ``two_priority_incast``'s queues: low queues count up from
 #: _LOW_CLASS on their port, new queues are _HIGH_CLASS.
 _LOW_CLASS, _HIGH_CLASS = 0, 1
@@ -265,13 +269,17 @@ def two_priority_incast(
     queues each; the ``n_new`` new queues land on otherwise empty ports and
     form their own priority group.  ``scheme`` selects FB weights
     (alpha * beta * gamma) or DT weights (omega = alpha).  Low queues form
-    priority 0, new queues priority 1.  The counts are whole numbers.
+    priority 0, new queues priority 1.  The counts are whole numbers, and
+    the queues number at most ``MAX_INCAST_QUEUES``.
     """
     n_low_ports, m, n_new = as_whole(n_low_ports), as_whole(low_queues_per_port), as_whole(n_new)
     if n_low_ports < 0 or m < 1 or n_new < 1:
         raise ValueError(
             "need n_low_ports >= 0, low_queues_per_port >= 1 and n_new >= 1"
         )
+    if n_low_ports * m + n_new > MAX_INCAST_QUEUES:
+        raise ValueError(f"the incast has {n_low_ports * m + n_new} queues, "
+                         f"more than {MAX_INCAST_QUEUES}")
     if scheme not in ("fb", "dt"):
         raise ValueError(f"unknown scheme {scheme!r}")
     # queues sharing a port carry distinct class ids (one queue per
@@ -425,26 +433,6 @@ def analyze_transient(ts: TransientScenario) -> AnalysisResult:
 # ---------------------------------------------------------------------------
 
 
-def alpha_L_for_zero_transient(r: Number, num_congested_ports: int = 1) -> Bound:
-    """Largest low-priority alpha guaranteeing zero transient losses for a
-    burst of rate r, given at least ``num_congested_ports`` congested ports:
-    alpha_L <= 1 / (r - (NUM + 1)).  Unconstrained when r <= NUM + 1.
-
-    The rule assumes DT weights (omega = alpha) for NUM low queues, one per
-    port.  Under FB each weighs alpha / NUM, so FB's bound, which
-    ``alpha_bounds_general`` gives, is NUM times this one.
-    """
-    rf, num = as_fraction(r), as_whole(num_congested_ports)
-    if rf <= 0:
-        raise ValueError("r must be > 0")
-    if num < 1:
-        raise ValueError("NUM must be >= 1")
-    denom = rf - (num + 1)
-    if denom <= 0:
-        return UNCONSTRAINED
-    return 1 / denom
-
-
 @dataclass(frozen=True)
 class GeneralAlphaBounds:
     """Scenario-shaped alpha bounds.
@@ -453,25 +441,31 @@ class GeneralAlphaBounds:
     Case-2 boundary (the scenario stays Case-1 at or below it -- relation
     '<=' -- and is Case-2 above it -- relation '>').
     ``alpha_L_max_for_burst`` is the feasibility frontier on W_old, the old
-    queues' pre-transient weight sum (alpha_L itself on the one-low-port
-    incast), as alpha_H grows without bound; ``alpha_bounds_general`` derives
-    its rule.
+    queues' pre-transient weight sum (alpha_L itself on an FB incast of one
+    queue per low port), as alpha_H grows without bound;
+    ``alpha_bounds_general`` derives its rule.
     ``alpha_H_min`` inverts t <= t1 for the scenario's case: the largest
     t * (r-gamma_q) * (1+W_old) / (B - t * (1+W_old) * Q') / factor_q over
     the new queues q (omega_q = alpha_H * factor_q), so no new queue
-    crosses before t.
+    crosses before t.  The last two are None when no duration t is given.
     """
 
     case: CaseKind
     alpha_L_case_bound: Bound
     alpha_L_relation: str
-    alpha_L_max_for_burst: Bound
-    alpha_H_min: Bound
+    alpha_L_max_for_burst: Optional[Bound]
+    alpha_H_min: Optional[Bound]
 
 
-def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds:
+def alpha_bounds_general(ts: TransientScenario, t: Optional[Number]) -> GeneralAlphaBounds:
     """Alpha bounds for an arbitrary transient scenario: the one route from a
-    burst of rate r and duration t to the alphas that absorb it.
+    burst of rate r and duration t to the alphas that absorb it; with t None,
+    the case bound alone.
+
+    The case bound solves r = r* for W*.  On NUM low ports of one FB queue
+    each, beside one new queue, it is W_old <= NUM / (r - (NUM+1)), and
+    W_old is alpha_L itself; DT weighs each low queue alpha_L, so there the
+    bound is the paper's per-queue rule alpha_L <= 1 / (r - (NUM+1)).
 
     The frontier, one rule for both regimes.  As omega_q grows, t1 rises to
     B / ((1+W_old) * Q'), so some alpha_H absorbs the burst exactly while
@@ -496,9 +490,6 @@ def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds
     G_e and G_ne; the rule reads it at the scenario's own weights, so it
     assumes that a change of alpha_L keeps that split.
     """
-    tf = as_fraction(t)
-    if tf <= 0:
-        raise ValueError("t must be > 0")
     cf = _closed_form(ts)
     case, w_old, b = cf.case, cf.w_old, ts.buffer_size
 
@@ -507,6 +498,12 @@ def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds
     inner = (len(ts.new) / cf.g_star * (ts.r - cf.first) - (0 if cf.ne_empty else 1)
              if ts.old else 0)
     boundary: Bound = 1 / inner if inner > 0 else UNCONSTRAINED
+    relation = "<=" if case is CaseKind.CASE1 else ">"
+    if t is None:
+        return GeneralAlphaBounds(case, boundary, relation, None, None)
+    tf = as_fraction(t)
+    if tf <= 0:
+        raise ValueError("t must be > 0")
 
     denom = b - tf * (1 + w_old) * cf.fill
     alpha_h: Bound = max(
@@ -519,13 +516,7 @@ def alpha_bounds_general(ts: TransientScenario, t: Number) -> GeneralAlphaBounds
     else:
         frontier = b / (tf * cf.fill2) - 1
 
-    return GeneralAlphaBounds(
-        case=case,
-        alpha_L_case_bound=boundary,
-        alpha_L_relation="<=" if case is CaseKind.CASE1 else ">",
-        alpha_L_max_for_burst=frontier,
-        alpha_H_min=alpha_h,
-    )
+    return GeneralAlphaBounds(case, boundary, relation, frontier, alpha_h)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ the tests check it against, and one helper the tests share.
   ``multi_priority_alpha_H`` are the paper's alpha bounds for a burst of
   rate r and duration t, in their Case-2 form only (the low queue drains
   flat out), where ``fbsim.fluid.alpha_bounds_general`` must agree with
-  them.  A bound is a Fraction, or the text "unconstrained" or "infeasible".
+  them.  ``alpha_L_for_zero_transient`` is the paper's rate-only bound,
+  stated for DT weights, which the case bound of
+  ``alpha_bounds_general`` must reproduce.  A bound is a Fraction, or the
+  text "unconstrained" or "infeasible".
 - ``aggregate_closed_form`` states the aggregate transient closed form on
   plain Fraction arithmetic, field by field as ``fbsim.fluid._closed_form``
   reports it, so the package's integer evaluation is checked against it.
@@ -123,6 +126,18 @@ def fb_omegas(queues: Mapping[QueueId, tuple[Number, int, Number]]) -> dict[Queu
     per_priority = Counter(prio for _, prio, _ in queues.values())
     return {q: as_fraction(alpha) * as_fraction(gamma) / per_priority[prio]
             for q, (alpha, prio, gamma) in queues.items()}
+
+
+def alpha_L_for_zero_transient(r: Number, num_congested_ports: int = 1):
+    """Largest low-priority alpha keeping a burst of rate r free of
+    transient loss on NUM congested ports, one DT queue (omega = alpha)
+    each: alpha_L <= 1 / (r - (NUM+1)).  Unconstrained when r <= NUM + 1.
+    """
+    rf = as_fraction(r)
+    if rf <= 0 or num_congested_ports < 1:
+        raise ValueError("need r > 0 and NUM >= 1")
+    denom = rf - (num_congested_ports + 1)
+    return 1 / denom if denom > 0 else "unconstrained"
 
 
 def alpha_L_for_burst(buffer_size: Number, r: Number, t: Number):

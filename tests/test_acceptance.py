@@ -15,7 +15,6 @@ from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.engine import run
 from fbsim.fluid import (
     CaseKind,
-    alpha_L_for_zero_transient,
     burst_absorption_curve,
     case_rate_bound,
     classify_case,
@@ -32,7 +31,13 @@ from fbsim.workloads import (
     preset,
     transient_scenario,
 )
-from oracles import alpha_H_for_burst, alpha_L_for_burst, fb_omegas, occupancy_bound
+from oracles import (
+    alpha_H_for_burst,
+    alpha_L_for_burst,
+    alpha_L_for_zero_transient,
+    fb_omegas,
+    occupancy_bound,
+)
 
 F = Fraction
 LOW, HIGH = 0, 1

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fbsim import cli, engine, workloads
+from fbsim import cli, engine, fluid, workloads
 from fbsim.cli import main
 from fbsim.core import QueueId
 from fbsim.fluid import (
@@ -453,6 +453,25 @@ def test_out_of_range_sweep_value_exits_3(axis, value, preset_name, tmp_path, ca
     assert "validation error" in capsys.readouterr().err
 
 
+_LIMIT = str(fluid.MAX_INCAST_QUEUES)  # one low port or new queue past it overflows
+
+
+@pytest.mark.parametrize("flags", [
+    ["analyze", "--n-low", _LIMIT],
+    ["analyze", "--low-per-port", _LIMIT],
+    ["analyze", "--n-new", _LIMIT],
+    ["analyze", "--curve", "--counts", f"1,{_LIMIT}", "--out", "curve"],
+    ["configure-alpha", "--num", _LIMIT, "--t", "5"],
+], ids=["n_low", "low_per_port", "n_new", "curve_counts", "num"])
+def test_an_incast_past_the_queue_limit_exits_3(flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    inline = ["--alpha-l", "1", "--alpha-h", "2"] if flags[0] == "analyze" else []
+    assert main([*flags, "--buffer", "60", "--r", "4", *inline]) == 3
+    captured = capsys.readouterr()
+    assert f"more than {_LIMIT}\n" in captured.err and captured.out == ""
+    assert not (tmp_path / "curve").exists()
+
+
 def test_out_of_range_r_exits_3(capsys):
     assert main(["configure-alpha", "--buffer", "100", "--r", "1", "--t", "5"]) == 3
     assert "validation error" in capsys.readouterr().err
@@ -675,16 +694,24 @@ def test_configure_alpha_bounds(capsys):
     assert payload["alpha_H_min"] == 1.5
 
 
-def test_configure_alpha_default_lies_below_the_frontier(monkeypatch):
-    # the frontier 5 is a strict bound and the zero-transient bound is
-    # unconstrained at NUM 3, so the default is half the frontier, which
-    # leaves a finite alpha_H_min
-    payload = _printed(monkeypatch, ["configure-alpha", "--buffer", "60", "--r", "4",
-                                     "--t", "5", "--num", "3"])
-    assert payload["alpha_L_max_for_burst"] == 5
-    assert payload["alpha_L_zero_transient"] is UNCONSTRAINED
-    assert payload["alpha_L_used"] == Fraction(5, 2)
-    assert isinstance(payload["alpha_H_min"], Fraction)
+@pytest.mark.parametrize("flags, frontier, zero_transient, used, alpha_h", [
+    (["--buffer", 200, "--r", 6, "--t", 20, "--num", 3], 4, Fraction(3, 2), Fraction(3, 2),
+     Fraction(5, 2)),
+    (["--buffer", 60, "--r", 4, "--t", 17], Fraction(13, 17), Fraction(1, 2), Fraction(13, 34),
+     Fraction(47, 6)),
+    (["--buffer", 60, "--r", 4, "--t", 5, "--num", 3], UNCONSTRAINED, UNCONSTRAINED, 0,
+     Fraction(1, 3)),
+], ids=["zero_transient_smaller", "half_frontier_smaller", "both_unconstrained"])
+def test_configure_alpha_default_lies_below_the_frontier(flags, frontier, zero_transient, used,
+                                                         alpha_h, monkeypatch):
+    # the frontier is a strict bound, so the default is half of it or the
+    # zero-transient bound, whichever is smaller; on FB's NUM-port incast
+    # both are unconstrained exactly when r <= NUM + 1, where the default
+    # is 0
+    payload = _printed(monkeypatch, ["configure-alpha", *flags])
+    assert payload["alpha_L_max_for_burst"] == frontier
+    assert payload["alpha_L_zero_transient"] == zero_transient
+    assert (payload["alpha_L_used"], payload["alpha_H_min"]) == (used, alpha_h)
 
 
 def test_configure_alpha_infeasible(capsys):
@@ -720,12 +747,16 @@ def test_configure_alpha_refuses_flags_it_would_not_read(flags, message, capsys)
     (["--buffer", "-5", "--r", "4"], "--buffer must be >= 1, got -5"),
     (["--buffer", "0", "--r", "4", "--t", "5"], "--buffer must be >= 1, got 0"),
     (["--buffer", "100", "--r", "1", "--t", "5"], "r must exceed the port drain rate (r > 1)"),
+    (["--buffer", "60", "--r", "4", "--num", "0"], "--num must be >= 1, got 0"),
+    (["--buffer", "60", "--r", "4", "--num", "-2"], "--num must be >= 1, got -2"),
+    (["--buffer", "60", "--r", "0"], "arrival rate r must be > 0"),
+    (["--buffer", "60", "--r", "-1"], "arrival rate r must be > 0"),
     (["--buffer", "60", "--r", "4", "--t", "5", "--alpha-l", "-1"],
      "the low alpha must be >= 0, got -1"),
     (["--buffer", "60", "--r", "4", "--t", "5", "--alphas", "1,-2"],
      "the low alpha must be >= 0, got -1"),
-], ids=["zero_buffer", "negative_buffer", "zero_buffer_with_t", "r_of_one", "negative_alpha_l",
-        "negative_alphas"])
+], ids=["zero_buffer", "negative_buffer", "zero_buffer_with_t", "r_of_one", "zero_num",
+        "negative_num", "zero_r", "negative_r", "negative_alpha_l", "negative_alphas"])
 def test_configure_alpha_refuses_out_of_range_input(flags, message, capsys):
     assert main(["configure-alpha", *flags]) == 3
     captured = capsys.readouterr()
@@ -745,9 +776,10 @@ def _solver_t1(ts):
     return min(integrate_transient(ts).first_crossing.values())
 
 
-def _incast(buffer_size, alpha_l, alpha_h, r):
-    """configure-alpha's incast: one low port at alpha_L, none at alpha_L 0."""
-    return two_priority_incast(buffer_size, alpha_l, alpha_h, r, n_low_ports=1 if alpha_l else 0)
+def _incast(buffer_size, alpha_l, alpha_h, r, num=1):
+    """configure-alpha's incast: NUM low FB ports at alpha_L, none at alpha_L 0."""
+    return two_priority_incast(buffer_size, alpha_l, alpha_h, r,
+                               n_low_ports=num if alpha_l else 0)
 
 
 def _with_old_weight(ts, w_old, alpha_h):
@@ -759,40 +791,48 @@ def _with_old_weight(ts, w_old, alpha_h):
 
 
 def test_configure_alpha_plugged_back_meets_t_in_both_regimes(monkeypatch):
-    # seeded two-priority incasts in both regimes, r <= 2 among them, with
-    # alpha_L from 0 to 95% of the frontier or left to the default: the
-    # printed alpha_H_min, put into the exact solver, meets t exactly; an
+    # seeded incasts of NUM = 1-4 low FB ports in both regimes, r <= NUM+1
+    # among them, with alpha_L from 0 to 95% of the frontier or left to the
+    # default: the printed alpha_H_min, put into the exact solver, meets t
+    # exactly on NUM ports and never crosses before t on NUM+1 and NUM+2; an
     # infeasible one loses the burst even at alpha_H = 10**6, as does an
     # alpha_L 1% past the frontier; the frontier is infeasible when
-    # B <= (r-1)t, else B/((r-2)t) - 1 for r > 2, unconstrained for r <= 2;
-    # and below a positive frontier the default alpha_L is always feasible
+    # B <= (r-1)t, else B/((r-1-NUM)t) - 1 for r > NUM+1, unconstrained for
+    # r <= NUM+1; the zero-transient bound is NUM/(r-(NUM+1)); and below a
+    # positive frontier the default alpha_L is always feasible
     rng = random.Random(77)
     seen = set()
     for _ in range(400):
         b, r = rng.randint(60, 3000), Fraction(rng.randint(11, 60), 10)
         t = Fraction(rng.randint(5, 150), 100) * b / r
+        num = rng.randint(1, 4)
+        fill = r - 1 - num  # Q' in Case-2
         frontier = (INFEASIBLE if b <= (r - 1) * t else
-                    b / ((r - 2) * t) - 1 if r > 2 else UNCONSTRAINED)
-        flags = ["--buffer", b, "--r", r, "--t", t, "--num", rng.randint(1, 3)]
+                    b / (fill * t) - 1 if fill > 0 else UNCONSTRAINED)
+        flags = ["--buffer", b, "--r", r, "--t", t, "--num", num]
         default = rng.random() >= 0.8
         if not default:
             top = frontier if isinstance(frontier, Fraction) else Fraction(rng.randint(1, 40), 4)
             flags += ["--alpha-l", top * Fraction(rng.randint(0, 95), 100)]
         payload = _printed(monkeypatch, ["configure-alpha", *flags])
         assert payload["alpha_L_max_for_burst"] == frontier
+        assert payload["alpha_L_zero_transient"] == (num / fill if fill > 0 else UNCONSTRAINED)
         alpha_l, alpha_h = payload["alpha_L_used"], payload["alpha_H_min"]
         if alpha_h is INFEASIBLE:
-            assert _solver_t1(_incast(b, alpha_l, 10**6, r)) < t
+            assert _solver_t1(_incast(b, alpha_l, 10**6, r, num)) < t
         else:
-            assert _solver_t1(_incast(b, alpha_l, alpha_h, r)) == t
+            assert _solver_t1(_incast(b, alpha_l, alpha_h, r, num)) == t
+            for more in (num + 1, num + 2):
+                assert _solver_t1(_incast(b, alpha_l, alpha_h, r, more)) >= t
         if isinstance(frontier, Fraction):
-            assert _solver_t1(_incast(b, frontier * Fraction(101, 100), 10**6, r)) < t
+            assert _solver_t1(_incast(b, frontier * Fraction(101, 100), 10**6, r, num)) < t
             if default:
                 assert 0 < alpha_l < frontier and alpha_h is not INFEASIBLE
-        seen |= {("case1", r <= 2 or alpha_l <= 1 / (r - 2)), ("r<=2", r <= 2),
-                 ("alpha_L 0", alpha_l == 0), ("infeasible", alpha_h is INFEASIBLE)}
-    assert seen == {(kind, value) for kind in ("case1", "r<=2", "alpha_L 0", "infeasible")
-                    for value in (False, True)}
+        seen |= {("case1", fill <= 0 or alpha_l <= num / fill), ("r<=NUM+1", fill <= 0),
+                 ("alpha_L 0", alpha_l == 0), ("infeasible", alpha_h is INFEASIBLE),
+                 ("NUM", num)}
+    assert seen == {(kind, value) for kind in ("case1", "r<=NUM+1", "alpha_L 0", "infeasible")
+                    for value in (False, True)} | {("NUM", num) for num in range(1, 5)}
 
 
 def test_configure_alpha_multi_priority_plugged_back_never_crosses_before_t(monkeypatch):
@@ -1023,8 +1063,8 @@ def test_the_two_fluid_routes_share_no_arithmetic():
             names |= read
         return names
 
-    closed_forms = ("_closed_form", "steady_state", "analyze_transient",
-                    "alpha_L_for_zero_transient", "alpha_bounds_general", "burst_absorption_curve")
+    closed_forms = ("_closed_form", "steady_state", "analyze_transient", "alpha_bounds_general",
+                    "burst_absorption_curve")
     solver = {"_over_lcm", "_solve_total_rate", "integrate_transient", "TransientTrajectories"}
     for name in closed_forms:
         assert not reached(name) & solver, name

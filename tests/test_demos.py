@@ -1,5 +1,5 @@
-"""Smoke test: every narrative demo runs to completion; the incast and
-steady-state stories' outputs are pinned exactly."""
+"""Smoke test: every narrative demo runs to completion; the incast,
+steady-state and alpha-configuration stories' outputs are pinned exactly."""
 
 import os
 import shutil
@@ -76,3 +76,25 @@ how the DT high-queue share decays as low queues multiply (FB's stays put):
 
 def test_steady_state_story_stdout_is_pinned(tmp_path):
     assert _run_demo(ROOT / "demos" / "steady_state_story.py", tmp_path) == STEADY_STATE_STDOUT
+
+
+ALPHA_CONFIGURATION_STDOUT = """\
+target: absorb a rate-4 burst lasting 150 time units (600 packets) in a 2000-packet buffer
+
+rate-only rule: alpha_L <= 1/2 keeps any rate-4 burst loss-free until its fair share fills
+duration-aware rule: alpha_L <= 17/3 (5.67)
+picking alpha_L = 17/6: need alpha_H > 69/34 (2.029)
+with alpha_H = 3.044: first possible drop at t1 = 174.8 > 150 needed
+
+packet sim against the worst case (low queue pre-filled to 1478): 100% of 600 burst packets admitted, burst queue never dropped
+
+the same machinery scales to more priority levels: their alpha maxima simply sum into the low slot
+  lower-priority alphas [1]: top priority needs alpha > 3/4
+  lower-priority alphas [1, 1]: top priority needs alpha > 3/2
+  lower-priority alphas [2, 1]: top priority needs alpha > 3
+"""
+
+
+def test_alpha_configuration_stdout_is_pinned(tmp_path):
+    stdout = _run_demo(ROOT / "demos" / "alpha_configuration.py", tmp_path)
+    assert stdout == ALPHA_CONFIGURATION_STDOUT

@@ -21,7 +21,6 @@ from fbsim.fluid import (
     _over_lcm,
     _scaled,
     _solve_total_rate,
-    alpha_L_for_zero_transient,
     alpha_bounds_general,
     analyze_transient,
     burst_absorption_curve,
@@ -37,6 +36,7 @@ from oracles import (
     aggregate_closed_form,
     alpha_H_for_burst,
     alpha_L_for_burst,
+    alpha_L_for_zero_transient,
     multi_priority_alpha_H,
     reference_total_rate,
     reference_transient,
@@ -119,13 +119,11 @@ def test_a_zero_fill_rate_only_drains():
 
 @pytest.mark.parametrize("count", [2.5, F(5, 2), math.inf, math.nan])
 def test_a_count_that_is_not_whole_is_refused(count):
-    # a count once reached range() and raised TypeError, or, as NUM, gave
-    # the bound for "2.5 congested ports"
+    # a count once reached range() and raised TypeError
     for call in (lambda: two_priority_incast(60, 1, 2, 5, n_low_ports=count),
                  lambda: two_priority_incast(60, 1, 2, 5, low_queues_per_port=count),
                  lambda: two_priority_incast(60, 1, 2, 5, n_new=count),
-                 lambda: burst_absorption_curve(60, 1, 2, [3], [count]),
-                 lambda: alpha_L_for_zero_transient(5, count)):
+                 lambda: burst_absorption_curve(60, 1, 2, [3], [count])):
         with pytest.raises(ValueError, match="expected a whole number"):
             call()
 
@@ -135,7 +133,22 @@ def test_a_whole_count_of_any_kind_is_an_int(count):
     shape = dict(n_low_ports=count, low_queues_per_port=count, n_new=count)
     assert two_priority_incast(60, 1, 2, 5, **shape) == two_priority_incast(60, 1, 2, 5, 2, 2, 2)
     assert burst_absorption_curve(60, 1, 2, [3], [count]) == burst_absorption_curve(60, 1, 2, [3], [2])
-    assert alpha_L_for_zero_transient(5, count) == alpha_L_for_zero_transient(5, 2)
+
+
+@pytest.mark.parametrize("shape", [
+    dict(n_low_ports=fluid.MAX_INCAST_QUEUES),
+    dict(low_queues_per_port=fluid.MAX_INCAST_QUEUES),
+    dict(n_low_ports=0, n_new=fluid.MAX_INCAST_QUEUES + 1),
+    dict(n_low_ports=64, low_queues_per_port=64),
+], ids=["low_ports", "per_port", "new", "product"])
+def test_an_incast_one_queue_past_the_limit_is_refused_before_it_is_built(shape, monkeypatch):
+    # each shape holds MAX_INCAST_QUEUES + 1 queues; no QueueId is made
+    # before the refusal
+    monkeypatch.setattr(fluid, "QueueId", lambda *a: pytest.fail("a queue was built"))
+    with pytest.raises(ValueError, match=f"the incast has {fluid.MAX_INCAST_QUEUES + 1} queues"):
+        two_priority_incast(60, 1, 2, 5, **shape)
+    with pytest.raises(ValueError, match="more than"):
+        burst_absorption_curve(60, 1, 2, [3], [fluid.MAX_INCAST_QUEUES])
 
 
 class TestClassification:
@@ -269,15 +282,45 @@ def test_each_closed_form_call_evaluates_once(monkeypatch):
     assert len(calls) == len(points) == 6
 
 
+def test_fb_tolerance_never_falls_as_low_ports_are_added():
+    # at fixed alphas FB splits the low priority's weight over its queues,
+    # so a burst's exact first crossing never comes earlier as low ports go
+    # from 1 to 5: configure-alpha's bounds for NUM ports hold on more, and
+    # every FB column of demos/burst_tolerance_curves.py sits on or above
+    # its n=1 column; the closed form equals the solver at every point
+    rng = random.Random(36)
+    for _ in range(300):
+        b, r = rng.randint(60, 400), F(rng.randint(11, 80), 10)
+        alpha_l, alpha_h = (F(rng.randint(1, 8), rng.choice([1, 2, 4])) for _ in range(2))
+        previous = 0
+        for n in range(1, 6):
+            ts = two_priority_incast(b, alpha_l, alpha_h, r, n_low_ports=n)
+            t1 = min(integrate_transient(ts).first_crossing.values())
+            assert t1 == first_threshold_crossing(ts)
+            assert t1 >= previous, (b, r, alpha_l, alpha_h, n)
+            previous = t1
+
+
+def _case_bound(r, num):
+    """configure-alpha's zero-transient bound: the case bound of NUM low FB
+    ports beside one new queue, read without a t."""
+    ts = two_priority_incast(60, 1, 1, r, n_low_ports=num)
+    return alpha_bounds_general(ts, None).alpha_L_case_bound
+
+
 class TestAlphaSolvers:
+    # the paper's hand examples of the zero-transient rule: the oracle
+    # states it for DT weights, and FB's bound is NUM times it
     def test_zero_transient_single_port(self):
-        assert alpha_L_for_zero_transient(4, 1) == F(1, 2)
+        assert alpha_L_for_zero_transient(4, 1) == F(1, 2) == _case_bound(4, 1)
 
     def test_zero_transient_unconstrained(self):
-        assert alpha_L_for_zero_transient(2, 1) is UNCONSTRAINED
+        assert alpha_L_for_zero_transient(2, 1) == "unconstrained"
+        assert _case_bound(2, 1) is UNCONSTRAINED
 
     def test_zero_transient_two_ports(self):
         assert alpha_L_for_zero_transient(4, 2) == 1
+        assert _case_bound(4, 2) == 2
 
     def test_alpha_l_for_burst(self):
         assert alpha_L_for_burst(60, 4, 10) == 2
@@ -349,11 +392,13 @@ class TestAlphaBoundsGeneral:
         # FB's bound on alpha_L is NUM times the rule's (r=6, NUM=3: 3/2)
         zt = alpha_L_for_zero_transient(r, num)
         ts = two_priority_incast(60, 1, 1, r, n_low_ports=num, scheme=scheme)
-        bound = alpha_bounds_general(ts, 1).alpha_L_case_bound
-        if zt is UNCONSTRAINED:
-            assert bound is UNCONSTRAINED
+        bounds = alpha_bounds_general(ts, 1)
+        assert alpha_bounds_general(ts, None) == replace(
+            bounds, alpha_L_max_for_burst=None, alpha_H_min=None)
+        if zt == "unconstrained":
+            assert bounds.alpha_L_case_bound is UNCONSTRAINED
         else:
-            assert bound == num * zt
+            assert bounds.alpha_L_case_bound == num * zt
 
     def test_affected_old_queues_use_ge_sums(self):
         # all old queues affected (omega halved by the newcomers): the

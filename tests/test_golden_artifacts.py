@@ -12,9 +12,10 @@ congestion threshold, Complete Sharing, and DT with a Poisson source, a
 constant source that stops before the horizon and a burst.  ``golden/analyzer_artifacts.sha256`` holds the stdout and
 every written file of the ``analyze`` and ``configure-alpha`` commands in
 ``ANALYZER_RUNS``: presets with alpha bounds, inline FB scenarios at a
-Case-1 and a Case-2 rate, an inline DT scenario, both curve schemes and
-both ``configure-alpha`` forms.  A change that moves an artifact says why
-in CHANGES.md before the files are regenerated with
+Case-1 and a Case-2 rate, an inline DT scenario, both curve schemes, both
+``configure-alpha`` forms and ``configure-alpha`` on three low ports.  A
+change that moves an artifact says why in CHANGES.md before the files are
+regenerated with
 ``PYTHONPATH=src python tests/test_golden_artifacts.py``, which prints
 every entry whose digest changed, appeared or vanished, one per line.
 """
@@ -62,6 +63,9 @@ ANALYZER_RUNS = {
                           "--alpha-l", "1/2"],
     "configure_alphas": ["configure-alpha", "--buffer", "60", "--r", "4", "--t", "5",
                          "--alphas", "1,1/2"],
+    # three low FB ports: zero-transient bound 3/2, frontier 4, alpha_H_min 5/2
+    "configure_alpha_num3": ["configure-alpha", "--buffer", "200", "--r", "6", "--t", "20",
+                             "--num", "3"],
 }
 
 
