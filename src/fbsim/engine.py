@@ -14,7 +14,11 @@ configurations always produce bit-identical traces.  The loop reads the
 head event in place and does one heap operation per event: a source's next
 arrival or a port's next completion replaces it, and it is popped only when
 nothing follows it (every key is unique, so the pop order is that of
-pop-then-push).
+pop-then-push).  The loop owns the arrival and completion paths: it
+decides each arrival and serves each completion inline, on the state's
+tables hoisted once per run, through ``SwitchState._bump`` (the one writer
+of the per-queue counts) and ``SwitchState.refresh`` (the one statement of
+FB's factor); ``controller_tick`` is called once per tick.
 
 ``SwitchState`` resolves each run's admission rule once, and ``queue_mode``
 only shapes the queue layout.  It numbers the (port, class) slots once, and
@@ -102,10 +106,6 @@ _ARRIVAL = 2
 _COMPLETION = 3
 _TICK = 4
 
-# the admission rules, bound once for the per-packet comparisons
-_CS = PolicyKind.COMPLETE_SHARING
-_FB = PolicyKind.FB
-
 
 @dataclass
 class EventTrace:
@@ -147,14 +147,6 @@ class EventTrace:
     occupancy_peak: int = 0
     source_counts: list[dict] = field(default_factory=list)
     horizon: float = 0.0
-
-    @classmethod
-    def from_rows(cls, records: Iterable[tuple] = (), occupancy=(), **fields) -> EventTrace:
-        """A trace of ``records`` view rows and ``occupancy`` samples."""
-        packed = bytearray().join(
-            _pack(t, 0.0 if thr is None else thr, port, c, ACTIONS.index(action), qlen, occ, src)
-            for t, port, c, action, qlen, thr, occ, src in records)
-        return cls(packed=packed, occupancy=array("i", occupancy), **fields)
 
     def rows(self) -> Iterator[tuple]:
         """The records decoded, in order, as RECORD tuples."""
@@ -398,74 +390,6 @@ class SwitchState:
         return dict(zip(self.queue_ids, self.alphas))
 
 
-def enqueue_arrival(
-    state: SwitchState,
-    slot: int,
-    qi: int,
-    class_id: int,
-    port: int,
-    time: float,
-    source_id: int,
-    packed: bytearray,
-) -> bool:
-    """Admit or drop one packet arriving at ``slot`` (the one of ``port``
-    and ``class_id``, queue index ``qi``) and append its record to
-    ``packed``; returns True when admitted."""
-    stale = state.stale
-    if stale is None:
-        length, total_v, changes = state.lengths[qi], state.total, state.cong_changes
-    else:
-        length, total_v, changes = stale[0][qi], stale[1], stale[4]
-
-    rule = state.rule
-    if rule is _CS:
-        threshold = math.inf
-        admit = total_v < state.buffer_size
-    else:
-        if rule is _FB and changes != state.built_at:
-            state.refresh()
-        threshold = state.alphas[slot] * (state.buffer_size - total_v)
-        admit = threshold - length > THRESHOLD_EPS
-    admit = admit and state.total < state.buffer_size
-
-    if admit:
-        state._bump(qi, +1)
-        state.src_admitted[source_id] += 1
-        state.fifo[qi].append((class_id, source_id))
-        code, length = ADMIT, state.lengths[qi]
-    else:
-        state.src_dropped[source_id] += 1
-        if time < state.first_drop[qi]:
-            state.first_drop[qi] = time
-        code = DROP
-    packed += _pack(time, threshold, port, class_id, code, length, state.total, source_id)
-    return admit
-
-
-def service_port(state: SwitchState, port: int, time: float, packed: bytearray) -> bool:
-    """Serve one packet from the round-robin-next nonempty queue of ``port``
-    and append its record to ``packed``.
-
-    Empty queues are skipped without consuming a turn.  The port must hold
-    a packet: a completion is pending only while it does.  Returns True when
-    the port still has packets afterwards (caller reschedules)."""
-    queues = state.port_queues[port]
-    lengths = state.lengths
-    j = state.rr_cursor[port]
-    while not lengths[queues[j]]:
-        j += 1
-    qi = queues[j]
-    j += 1
-    state.rr_cursor[port] = j - len(queues) if j >= 0 else j
-    class_id, source_id = state.fifo[qi].popleft()
-    state._bump(qi, -1)
-    state.departed[qi] += 1
-    state.src_departed[source_id] += 1
-    state.src_last_departure[source_id] = time
-    packed += _pack(time, 0.0, port, class_id, DEPART, lengths[qi], state.total, source_id)
-    return state.nonempty_port[port] > 0
-
-
 def controller_tick(state: SwitchState, trace: EventTrace) -> None:
     """Emit the FBA alpha table in force at the next tick: the run's table,
     refreshed on the view.  An unchanged table re-emits the dict already in
@@ -527,13 +451,20 @@ def run(config: ScenarioConfig) -> EventTrace:
             seq += 1
     heapq.heapify(events)
 
-    # the three layer functions stay module-global lookups (so wrappable).
-    # The head event is replaced by what follows it, or else popped; keys
-    # (time, rank, seq) are unique, so the pop order is that of pop-then-push
+    # the state's tables, hoisted once for the inline arrival and completion
+    # paths.  The head event is replaced by what follows it, or else popped;
+    # keys (time, rank, seq) are unique, so the pop order is that of
+    # pop-then-push
     heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
-    packed = trace.packed
+    packed, pack, bump = trace.packed, _pack, state._bump
+    lengths, fifo = state.lengths, state.fifo
+    departed, first_drop = state.departed, state.first_drop
+    port_queues, rr_cursor, nonempty_port = state.port_queues, state.rr_cursor, state.nonempty_port
+    src_admitted, src_dropped = state.src_admitted, state.src_dropped
+    src_departed, src_last_departure = state.src_departed, state.src_last_departure
+    buffer_size = state.buffer_size
+    cs, fb = state.rule is PolicyKind.COMPLETE_SHARING, state.rule is PolicyKind.FB
     end = config.horizon + 1e-12
-    nonempty_port = state.nonempty_port
     # sample k, due at k * interval, sees every event up to 1e-12 after it
     occupancy, interval = trace.occupancy, config.sample_interval
     steps = grid_steps(config.horizon, interval)
@@ -546,19 +477,61 @@ def run(config: ScenarioConfig) -> EventTrace:
             occupancy.append(state.total)
             sample += 1
             due = sample * interval + 1e-12 if sample <= steps else math.inf
-        if rank == _ARRIVAL:
+        if rank == _ARRIVAL:  # key is the source
             following = next(streams[key], None)
             if following is None:
                 heappop(events)
             else:
                 heapreplace(events, (following, _ARRIVAL, key, payload))
             slot, qi, class_id, port = payload
-            idle = nonempty_port[port] == 0
-            if enqueue_arrival(state, slot, qi, class_id, port, time, key, packed) and idle:
-                heappush(events, (time + 1.0, _COMPLETION, seq, port))
-                seq += 1
+            # admission sees the stale copy, if any; the buffer's room is live
+            stale = state.stale
+            if stale is None:
+                length, seen, changes = lengths[qi], state.total, state.cong_changes
+            else:
+                length, seen, changes = stale[0][qi], stale[1], stale[4]
+            if cs:
+                threshold = math.inf
+                admit = seen < buffer_size
+            else:
+                if fb and changes != state.built_at:
+                    state.refresh()
+                threshold = state.alphas[slot] * (buffer_size - seen)
+                admit = threshold - length > THRESHOLD_EPS
+            if admit and state.total < buffer_size:
+                idle = not nonempty_port[port]
+                bump(qi, +1)
+                src_admitted[key] += 1
+                fifo[qi].append((class_id, key))
+                packed += pack(time, threshold, port, class_id, ADMIT, lengths[qi], state.total,
+                               key)
+                if idle:
+                    heappush(events, (time + 1.0, _COMPLETION, seq, port))
+                    seq += 1
+            else:
+                src_dropped[key] += 1
+                if time < first_drop[qi]:
+                    first_drop[qi] = time
+                packed += pack(time, threshold, port, class_id, DROP, length, state.total, key)
         elif rank == _COMPLETION:
-            if service_port(state, payload, time, packed):
+            # serve the round-robin-next nonempty queue of the port, skipping
+            # empty ones without consuming a turn; a completion is pending
+            # only while the port holds a packet
+            port_qs = port_queues[payload]
+            j = rr_cursor[payload]
+            while not lengths[port_qs[j]]:
+                j += 1
+            qi = port_qs[j]
+            j += 1
+            rr_cursor[payload] = j - len(port_qs) if j >= 0 else j
+            class_id, source_id = fifo[qi].popleft()
+            bump(qi, -1)
+            departed[qi] += 1
+            src_departed[source_id] += 1
+            src_last_departure[source_id] = time
+            packed += pack(time, 0.0, payload, class_id, DEPART, lengths[qi], state.total,
+                           source_id)
+            if nonempty_port[payload]:
                 heapreplace(events, (time + 1.0, _COMPLETION, seq, payload))
                 seq += 1
             else:
@@ -578,8 +551,8 @@ def run(config: ScenarioConfig) -> EventTrace:
                     heappush(events, (k * staleness, _SYNC, k, None))
             else:  # source on/off: bookkeeping only
                 _slot, qi, class_id, port, source_id = payload
-                packed += _pack(time, 0.0, port, class_id, SOURCE_CHANGE,
-                                state.lengths[qi], state.total, source_id)
+                packed += pack(time, 0.0, port, class_id, SOURCE_CHANGE,
+                               lengths[qi], state.total, source_id)
 
     # the grid allows 1e-9 of a period past the horizon, beyond ``end``: the
     # samples and ticks still due there see the final state (``tick_tables``

@@ -1,20 +1,21 @@
 """Admission policies: the engine's thresholds, decisions and FBA tables.
 
-Each test pre-fills a buffer, sends one packet through the engine's single
-policy dispatch (``enqueue_arrival``) or runs one controller tick, and
-checks the threshold, decision or emitted table against the paper's rule
-``alpha * (1/N_p) * gamma * (B - Q(t))``.
+Each test pre-fills a buffer and either runs the engine on one arriving
+packet, so the decision comes from the run's own admission path, or runs
+one controller tick, and checks the threshold, decision or emitted table
+against the paper's rule ``alpha * (1/N_p) * gamma * (B - Q(t))``.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fbsim.core import PolicyKind, QueueId, TrafficClass
-from fbsim.engine import EventTrace, SwitchState, controller_tick, enqueue_arrival
-from fbsim.workloads import ConstantRate, ScenarioConfig
+from fbsim.engine import EventTrace, SwitchState, controller_tick, run
+from fbsim.workloads import ConfigError, ConstantRate, ScenarioConfig
 
 LOW, HIGH = 0, 1
 
@@ -22,36 +23,36 @@ LOW, HIGH = 0, 1
 def state(kind, lengths, alphas=None, priorities=None, queue_mode="multi"):
     """A 60-packet, 4-port switch pre-filled with ``lengths`` (keyed by
     (port, class) queue; the class picks the shared queue's port in
-    single-queue mode).  Classes 0 (low, alpha 1) and 1 (high, alpha 2)
-    unless ``alphas``/``priorities`` say otherwise.  Its one source, 0, is
-    the one ``decide`` names."""
+    single-queue mode), as a one-time-unit scenario.  Classes 0 (low,
+    alpha 1) and 1 (high, alpha 2) unless ``alphas``/``priorities`` say
+    otherwise.  ``decide`` replaces its one source."""
     alphas = {0: 1, 1: 2, **(alphas or {})}
     priorities = {0: LOW, 1: HIGH, **(priorities or {})}
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         buffer_size=60, n_ports=4,
         classes=tuple(TrafficClass(c, Fraction(a), priorities[c]) for c, a in alphas.items()),
         policy=kind, queue_mode=queue_mode,
         sources=(ConstantRate(class_id=0, port=0, rate=Fraction(1)),),
         initial_lengths=lengths, horizon=1.0,
     )
-    return SwitchState(cfg)
 
 
-def decide(switch, class_id, port):
-    """(admitted, threshold, queue length in the record) for one packet."""
-    trace = EventTrace(queue_ids=switch.queue_ids)
-    slot = switch.slot[port, class_id]
-    admitted = enqueue_arrival(switch, slot, switch.slot_queue[slot], class_id, port, 0.0, 0,
-                               trace.packed)
-    _time, _port, _cls, _action, qlen, threshold, _occ, _src = trace.records[-1]
-    return admitted, threshold, qlen
+def decide(config, class_id, port):
+    """(admitted, threshold, queue length in the record) for one packet of
+    ``class_id`` arriving at ``port`` at t = 0, as the run decided it."""
+    one = ConstantRate(class_id, port, rate=1, start=0, stop=Fraction(1, 2))
+    trace = run(replace(config, sources=(one,)))
+    _time, _port, _cls, action, qlen, threshold, _occ, _src = next(
+        r for r in trace.records if r[3] in ("admit", "drop"))
+    return action == "admit", threshold, qlen
 
 
 def threshold(kind, lengths, class_id, port, **kw):
     return decide(state(kind, lengths, **kw), class_id, port)[1]
 
 
-def tick(switch):
+def tick(config):
+    switch = SwitchState(config)
     trace = EventTrace(queue_ids=switch.queue_ids)
     controller_tick(switch, trace)
     return trace.ticks[-1][1]
@@ -171,7 +172,7 @@ class TestAdmit:
         assert high[0] and high[1] == 20 * 40
 
     def test_unknown_class_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="source references unknown class 9"):
             decide(state(FB, {}), 9, 0)
 
 
@@ -201,17 +202,18 @@ class TestFba:
     def test_single_queue_mode_returns_base(self):
         # a shared queue cannot carry per-class thresholds: the run's rule
         # is DT and admission keeps the configured alphas
-        switch = state(PolicyKind.FBA, {QueueId(0, 0): 3}, alphas={0: Fraction(1, 2)},
+        config = state(PolicyKind.FBA, {QueueId(0, 0): 3}, alphas={0: Fraction(1, 2)},
                        queue_mode="single")
-        assert switch.rule is PolicyKind.DYNAMIC_THRESHOLDS
-        assert decide(switch, 0, 0)[1] == 0.5 * 57
+        assert SwitchState(config).rule is PolicyKind.DYNAMIC_THRESHOLDS
+        assert decide(config, 0, 0)[1] == 0.5 * 57
 
     def test_fba_table_reproduces_fb_thresholds_exactly(self):
         alphas = {0: Fraction(3, 2), 1: 2, 2: 1}
         for q in list(self.LENGTHS) + [QueueId(0, 0)]:
             fb = decide(self.fba(alphas, kind=FB), q.class_id, q.port)
             fba = self.fba(alphas)
-            tick(fba)
+            # the run admits on the table its controller emits at t = 0
+            assert fb[1] == tick(fba)[q] * (60 - 30)
             assert fb[:2] == decide(fba, q.class_id, q.port)[:2]  # thresholds bitwise
 
     def test_fba_without_table_is_continuous_fb(self):

@@ -6,6 +6,7 @@ import math
 import struct
 import tempfile
 import tracemalloc
+from array import array
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -304,30 +305,25 @@ def test_engine_decisions_match_the_replayed_rule(case):
 
 
 def test_run_calls_the_traced_layers_by_module_name(monkeypatch):
-    # run looks enqueue_arrival, service_port and controller_tick up as
-    # module globals, once per arrival, departure and tick after t = 0, so
-    # a wrapper placed on the module sees every call
-    calls = {}
-
-    def counting(name):
-        original = getattr(engine, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(engine, name, wrapper)
-
-    for name in ("enqueue_arrival", "service_port", "controller_tick"):
-        counting(name)
+    # the loop owns the arrival and completion paths: its per-source and
+    # per-queue counters equal the admit, drop and departure records, and
+    # controller_tick stays a module global, called once per tick after
+    # t = 0, so a wrapper placed on the module sees every tick
+    calls = []
+    original = engine.controller_tick
+    monkeypatch.setattr(engine, "controller_tick",
+                        lambda *args: calls.append(args) or original(*args))
     trace = run(replace(preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=2.0))
     actions = [r[3] for r in trace.records]
-    assert calls == {
-        "enqueue_arrival": actions.count("admit") + actions.count("drop"),
-        "service_port": actions.count("depart"),
-        "controller_tick": len(trace.ticks) - 1,
-    }
-    assert min(calls.values()) > 20
+    admits, drops, departs = (actions.count(a) for a in ("admit", "drop", "depart"))
+    sources, queues = trace.source_counts, trace.counts.values()
+    assert sum(row["admitted"] + row["dropped"] for row in sources) == admits + drops
+    assert sum(c["arrivals"] for c in queues) == admits + drops
+    assert sum(c["admitted"] for c in queues) == sum(row["admitted"] for row in sources) == admits
+    assert sum(c["dropped"] for c in queues) == sum(row["dropped"] for row in sources) == drops
+    assert sum(c["departed"] for c in queues) == departs
+    assert len(calls) == len(trace.ticks) - 1
+    assert min(admits, departs, len(calls)) > 20
 
 
 def test_coinciding_sources_arrive_in_source_order():
@@ -655,6 +651,15 @@ def test_capacity_invariant_error_is_guarded():
 ACTIONS = ("admit", "drop", "depart", "source_change")
 
 
+def trace_from_rows(records=(), occupancy=(), **fields):
+    """A trace of ``records`` view rows and ``occupancy`` samples, built
+    without running a scenario."""
+    packed = bytearray().join(
+        RECORD.pack(t, 0.0 if thr is None else thr, port, c, ACTIONS.index(action), qlen, occ, src)
+        for t, port, c, action, qlen, thr, occ, src in records)
+    return EventTrace(packed=packed, occupancy=array("i", occupancy), **fields)
+
+
 def _samples_oracle(records, interval, horizon, initial):
     """Occupancy samples with one record scan per sample instant."""
     samples, occupancy, idx = [], initial, 0
@@ -788,7 +793,7 @@ _PINNED = [
          n=len(_PINNED) + 1)
 def test_csv_writers_match_the_csv_module(distinct, samples, n):
     # sample times are k * interval, the interval the first drawn time
-    trace = EventTrace.from_rows(
+    trace = trace_from_rows(
         [distinct[i % len(distinct)] for i in range(n)],
         [samples[i % len(samples)][1] for i in range(n)],
         queue_ids=(),
@@ -823,7 +828,7 @@ def test_trace_csv_caches_only_what_prints_alike(tmp_path):
                for thr in (math.inf, math.nan, math.nan, math.inf, -0.0)
                for a in ("drop", "admit")]
     departures = [(62.0, 1, 1, a, 0, None, 0, 0) for a in ("depart", "source_change", "admit")]
-    trace = EventTrace.from_rows(cycled + signed + special + departures + cycled, queue_ids=())
+    trace = trace_from_rows(cycled + signed + special + departures + cycled, queue_ids=())
     _assert_trace_csv_matches_oracle(trace, tmp_path)
 
 
@@ -864,14 +869,14 @@ def test_trace_export_streams_in_bounded_memory(tmp_path):
         (i * 0.1, i % 6, i % 9, ACTIONS[i % 4], i % 50, i * 0.37, i % 2000, i % 10)
         for i in range(40_000)
     ]
-    trace = EventTrace.from_rows(records, queue_ids=())
+    trace = trace_from_rows(records, queue_ids=())
     peak = _export_peak(write_trace_csv, trace, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").stat().st_size > 1_000_000
     assert peak < 100_000
 
 
 def test_samples_export_streams_in_bounded_memory(tmp_path):
-    trace = EventTrace.from_rows((), [i % 2000 for i in range(40_000)], queue_ids=())
+    trace = trace_from_rows((), [i % 2000 for i in range(40_000)], queue_ids=())
     peak = _export_peak(write_samples_csv, trace, tmp_path / "samples.csv")
     assert (tmp_path / "samples.csv").stat().st_size > 500_000
     assert peak < 100_000
@@ -904,7 +909,7 @@ def _bits(rows):
     for a, thr in (("admit", math.inf), ("drop", -0.0), ("depart", None), ("source_change", None))
 ])
 def test_records_view_returns_the_stored_values_bitwise(rows):
-    assert _bits(EventTrace.from_rows(rows, queue_ids=()).records) == _bits(rows)
+    assert _bits(trace_from_rows(rows, queue_ids=()).records) == _bits(rows)
 
 
 def test_complete_sharing_run_at_the_largest_buffer_round_trips():
@@ -924,7 +929,7 @@ def test_complete_sharing_run_at_the_largest_buffer_round_trips():
     assert [r[7] for r in records if r[3] == "depart"][:4] == [-1, -1, -1, 0]
     assert {r[5] for r in records if r[3] in ("depart", "source_change")} == {None}
     assert sum(r[3] == "source_change" for r in records) == 2
-    assert EventTrace.from_rows(records, queue_ids=()).packed == trace.packed
+    assert trace_from_rows(records, queue_ids=()).packed == trace.packed
 
 
 def test_trace_holds_at_most_80_bytes_per_record():
@@ -943,7 +948,7 @@ def test_trace_holds_at_most_80_bytes_per_record():
 def test_occupancy_samples_are_4_byte_ints():
     # validation keeps every occupancy within MAX_RECORD_INT
     assert run(two_class_config()).occupancy.itemsize == 4
-    trace = EventTrace.from_rows((), [0, MAX_RECORD_INT], queue_ids=(), sample_interval=0.5)
+    trace = trace_from_rows((), [0, MAX_RECORD_INT], queue_ids=(), sample_interval=0.5)
     assert trace.occupancy.itemsize == 4
     assert trace.samples == [(0.0, 0), (0.5, MAX_RECORD_INT)]
 
