@@ -15,7 +15,8 @@ scenario can name; their rules live in ``fbsim.engine``) among them, are
 immutable value objects and safe to share across threads.  The module owns
 the one field rule ``convert_fields``, which makes each field of every value
 type the kind its annotation states, and how a result is written out: the
-value-to-JSON rule ``jsonable``, the JSON text and files, and CSV tables.
+value-to-JSON rule ``jsonable``, the JSON text and files, CSV tables, and
+``open_output``, the one way a file is opened for output.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from __future__ import annotations
 import collections.abc
 import csv
 import functools
+import io
 import json
 import math
+import os
 import typing
 from dataclasses import dataclass
 from enum import Enum, EnumMeta
@@ -160,6 +163,11 @@ class QueueId:
 def jsonable(x):
     """A value as JSON sees it: a Fraction becomes a float, +-inf becomes
     "inf", an Enum its value, dict keys strings and tuples lists."""
+    kind = type(x)
+    if kind is str or kind is int or kind is bool or x is None:  # exact types: no ABC check
+        return x
+    if kind is float:
+        return "inf" if math.isinf(x) else x
     if isinstance(x, Fraction):
         return float(x)
     if isinstance(x, float) and math.isinf(x):
@@ -181,16 +189,38 @@ def json_text(value, compact: bool = False) -> str:
     return json.dumps(jsonable(value), indent=2, sort_keys=True)
 
 
+class _Output(io.TextIOWrapper):
+    """A text file that, on closing, cuts the file at its position."""
+
+    def close(self) -> None:
+        if not self.closed:
+            try:
+                self.truncate()  # flushes, then cuts at the position
+            finally:
+                super().close()
+
+
+def open_output(path, newline=None) -> io.TextIOWrapper:
+    """``path`` opened for UTF-8 text output, created if missing and
+    written over in place: the file is cut to the written length when it
+    closes, also when the writer raised.  Opening with ``"w"`` truncates an
+    existing file to zero bytes first, and ext4's default ``auto_da_alloc``
+    then starts writeback of the new data at close, several times the
+    cost of the write itself for a small artifact."""
+    return _Output(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb"),
+                   encoding="utf-8", newline=newline)
+
+
 def write_json(path, value) -> None:
     """Write ``json_text(value)`` and a trailing newline to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(json_text(value) + "\n")
 
 
 def write_table(path, header: Sequence, rows: Iterable[Sequence]) -> None:
     """Write a CSV table (the csv module's default dialect): the header row,
     then every row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

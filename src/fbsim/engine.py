@@ -57,7 +57,9 @@ happens (first drops, occupancy peak, per-source counts), and
 ``write_trace_csv`` and ``write_samples_csv`` stream it to CSV in writes of
 ``EXPORT_CHUNK_ROWS`` rows, formatting each distinct text once (threshold
 texts from a bounded cache; zeros, which print two ways, never cached);
-``write_run_summary`` writes the per-queue totals as JSON.
+``write_run_summary`` writes the per-queue totals as JSON.  Every file is
+opened by ``core.open_output``, which writes an existing artifact over in
+place and cuts it to its new length.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from dataclasses import dataclass, field
 from itertools import islice, product, repeat
 from typing import Iterable, Iterator, Optional
 
-from .core import PolicyKind, QueueId, write_json
+from .core import PolicyKind, QueueId, open_output, write_json
 from .workloads import ScenarioConfig, grid_steps, source_stream
 
 #: Tolerance of the strict "length below threshold" comparison.
@@ -591,7 +593,7 @@ THRESHOLD_CACHE_SIZE = 64
 def _write_csv(path, columns: Iterable[str], rows: Iterator[str]) -> None:
     """A header and preformatted ``\r\n``-terminated rows (the csv module's
     default dialect), written ``EXPORT_CHUNK_ROWS`` rows at a time."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path, newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
         while chunk := "".join(islice(rows, EXPORT_CHUNK_ROWS)):
             fh.write(chunk)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from operator import truediv
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .core import PolicyKind, QueueId, TrafficClass, as_fraction, convert_fields
+from .core import PolicyKind, QueueId, TrafficClass, as_fraction, convert_fields, open_output
 from .fluid import NewQueue, OldQueue, TransientScenario, congested_weights
 
 
@@ -614,7 +614,7 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def dump_scenario(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(dumps_scenario(cfg))
 
 

@@ -70,6 +70,38 @@ def test_an_analysis_in_the_other_format_leaves_no_stale_file(tmp_path, capsys):
         assert not (out / f"analysis.{other}").exists(), fmt
 
 
+def _artifacts(directory) -> dict:
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+def test_a_rerun_into_a_used_out_writes_what_a_fresh_out_gets(tmp_path, monkeypatch, capsys):
+    # artifacts are written over in place and cut to length, so a shorter
+    # run into a directory that holds a longer run's files leaves no tail
+    fig2 = preset("fig2")
+    longer = tmp_path / "longer.ini"
+    longer.write_text(dumps_scenario(replace(fig2, horizon=2 * fig2.horizon)))
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    assert main(["run", "--scenario", str(longer), "--out", str(used), "--format", "csv"]) == 0
+    assert main(["run", "--preset", "fig2", "--out", str(used), "--format", "csv"]) == 0
+    assert main(["run", "--preset", "fig2", "--out", str(fresh), "--format", "csv"]) == 0
+    assert _artifacts(used) == _artifacts(fresh)
+
+    # analyze writes its --out's curve path into the payload, so both runs
+    # name the same relative --out, each from its own working directory
+    inline = ["analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "4",
+              "--curve", "--out", "o"]
+    for fmt in ("json", "csv"):
+        used, fresh = tmp_path / f"used_{fmt}", tmp_path / f"fresh_{fmt}"
+        used.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(used)
+        assert main([*inline, "--t", "5", "--counts", "1,2,3,4,5,6", "--format", fmt]) == 0
+        for cwd in (used, fresh):
+            monkeypatch.chdir(cwd)
+            assert main([*inline, "--counts", "1,2", "--format", fmt]) == 0
+        assert _artifacts(used / "o") == _artifacts(fresh / "o"), fmt
+
+
 def test_run_is_byte_identical_across_invocations(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--preset", "fig4_incast", "--out", str(a), "--seed", "9"]) == 0
@@ -1138,9 +1170,27 @@ def test_metrics_compute_reads_no_trace_record():
     assert not names & {"rows", "packed"}
 
 
+def _opens_for_writing(node) -> bool:
+    """Whether ``node`` is an ``open`` call whose mode writes, or an
+    ``os.open`` call whose flags write, to any path but ``os.devnull``."""
+    if not isinstance(node, ast.Call):
+        return False
+    if getattr(node.func, "id", None) == "open":
+        mode = node.args[1] if len(node.args) > 1 else \
+            next((k.value for k in node.keywords if k.arg == "mode"), None)
+        return mode is not None and not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+    if ast.unparse(node.func) == "os.open":
+        if node.args and ast.unparse(node.args[0]) == "os.devnull":
+            return False  # writes no file (the closed-pipe recipe)
+        flags = ast.unparse(node.args[1]) if len(node.args) > 1 else ""
+        return any(f in flags for f in ("O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"))
+    return False
+
+
 def test_only_the_core_module_writes_json_and_csv():
     # core owns how a result is spelled: jsonable, the JSON text and files,
-    # and the csv.writer tables (engine's streamed trace CSV uses no csv)
+    # and the csv.writer tables (engine's streamed trace CSV uses no csv);
+    # and core.open_output is the one way a file is opened for output
     banned = {("json", "dump"), ("json", "dumps"), ("csv", "writer")}
     for path in sorted((SRC / "fbsim").glob("*.py")):
         if path.name == "core.py":
@@ -1151,6 +1201,11 @@ def test_only_the_core_module_writes_json_and_csv():
             elif isinstance(node, ast.ImportFrom) and node.module in ("json", "csv"):
                 names = {(node.module, alias.name) for alias in node.names}
                 assert not names & banned, f"{path.name}:{node.lineno}"
+            assert not _opens_for_writing(node), f"{path.name}:{node.lineno}"
+    core = ast.parse((SRC / "fbsim" / "core.py").read_text())
+    writers = [f.name for f in ast.walk(core) if isinstance(f, ast.FunctionDef)
+               and any(_opens_for_writing(n) for n in ast.walk(f))]
+    assert writers == ["open_output"]
 
 
 def test_no_module_reads_a_private_name_of_another():
@@ -1230,7 +1285,7 @@ def test_every_text_open_names_its_encoding():
                 assert binary or "encoding" in {k.arg for k in node.keywords}, \
                     f"{path.name}:{node.lineno}"
                 opens += 1
-    assert opens >= 5  # write_json, write_table, _write_csv, dump_scenario, _read_text
+    assert opens >= 2  # core.open_output (binary, wrapped as UTF-8 text) and _read_text
 
 
 def test_poisson_run_loads_only_the_standard_library(tmp_path):

@@ -1,15 +1,17 @@
 """Core types: the unit conventions, the traffic class's alpha check and the
-whole-number converter.
+whole-number converter; the value-to-JSON rule and the output file.
 
 The snapshot-derivation oracle and its tests live in ``tests/oracles.py``
 and ``tests/test_oracles.py``."""
 
+import enum
 import math
+import os
 
 import pytest
 from fractions import Fraction
 
-from fbsim.core import PolicyKind, QueueId, TrafficClass, as_whole
+from fbsim.core import FrozenDict, PolicyKind, QueueId, TrafficClass, as_whole, jsonable, open_output
 from fbsim.workloads import ConfigError, ScenarioConfig
 
 LOW = 0
@@ -56,3 +58,114 @@ def test_ids_are_whole_ints():
     for build in (lambda: TrafficClass(0, 1, 0.5), lambda: QueueId(0.5, 0), lambda: QueueId(0, math.nan)):
         with pytest.raises(ValueError, match="expected a whole number"):
             build()
+
+
+# -- jsonable ------------------------------------------------------------------
+
+
+def _old_jsonable(x):
+    """The value-to-JSON rule as it was before its exact-type shortcuts."""
+    if isinstance(x, Fraction):
+        return float(x)
+    if isinstance(x, float) and math.isinf(x):
+        return "inf"
+    if isinstance(x, enum.Enum):
+        return x.value
+    if isinstance(x, dict):
+        return {str(k): _old_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_old_jsonable(v) for v in x]
+    return x
+
+
+def _same(a, b) -> bool:
+    """Equal values of the same type, all the way down (nan equals nan, and
+    -0.0 only -0.0)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+    return a == b
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Level(enum.IntEnum):
+    HIGH = 1
+
+
+class _Tag(str, enum.Enum):
+    RED = "red"
+
+
+_LEAVES = ["", "text", 0, -7, 2**80, True, False, None, 0.0, -0.0, 1.5, math.inf, -math.inf,
+           math.nan, _Float(2.5), _Float(math.inf), _Float(-math.inf), _Int(3), _Level.HIGH,
+           _Tag.RED, PolicyKind.FB, Fraction(1, 3), Fraction(-4)]
+
+
+@pytest.mark.parametrize("value", [
+    *_LEAVES,
+    tuple(_LEAVES),
+    [list(_LEAVES), (1, (2.0, [Fraction(1, 2), (math.inf,)])), []],
+    FrozenDict({QueueId(0, 1): Fraction(3, 2), "k": (math.inf, _Level.HIGH)}),
+    {1: {"nested": [(None, _Tag.RED)], 2.5: FrozenDict({True: _Float(-math.inf)})}},
+])
+def test_jsonable_matches_the_rule_before_its_shortcuts(value):
+    assert _same(jsonable(value), _old_jsonable(value))
+
+
+# -- open_output ---------------------------------------------------------------
+
+
+def test_open_output_writes_utf8_text_and_creates_the_file(tmp_path):
+    path = tmp_path / "new.txt"
+    with open_output(path) as fh:
+        fh.write("\u00e9\n")
+    with open_output(tmp_path / "rows.csv", newline="") as fh:
+        fh.write("a,b\r\n")
+    assert path.read_bytes() == b"\xc3\xa9\n"
+    assert (tmp_path / "rows.csv").read_bytes() == b"a,b\r\n"
+
+
+def test_open_output_leaves_exactly_the_new_bytes_over_a_longer_file(tmp_path):
+    path = tmp_path / "artifact.json"
+    path.write_bytes(b"x" * 10_000)
+    with open_output(path) as fh:
+        fh.write("short\n")
+    assert path.read_bytes() == b"short\n"
+
+
+def test_open_output_writes_in_place_so_a_hard_link_sees_the_new_bytes(tmp_path):
+    path, link = tmp_path / "a.csv", tmp_path / "b.csv"
+    path.write_bytes(b"old, and longer than the new text\n")
+    os.link(path, link)
+    inode = path.stat().st_ino
+    with open_output(path) as fh:
+        fh.write("new\n")
+    assert path.stat().st_ino == inode
+    assert link.read_bytes() == b"new\n"
+
+
+def test_open_output_cuts_the_file_where_a_raising_writer_stopped(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"0123456789" * 2000)
+    with pytest.raises(RuntimeError):
+        with open_output(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("writer failed")
+    assert path.read_bytes() == b"partial"
+
+
+def test_open_output_refuses_a_directory(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        open_output(tmp_path)
