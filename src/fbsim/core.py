@@ -181,12 +181,39 @@ def jsonable(x):
     return x
 
 
+_ascii = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
+_SPELL = {  # each JSON leaf kind and how json spells it
+    str: _ascii, int: int.__repr__, float: lambda x: _FLOAT_WORDS.get(text := float.__repr__(x), text),
+    bool: {True: "true", False: "false"}.get, type(None): lambda _: "null",
+}
+
+
+def _indented(x, pad: str) -> str:
+    """``x``, a value that ``jsonable`` returned, as ``json.dumps(x,
+    indent=2, sort_keys=True)`` spells it, each line after the first led by
+    ``pad`` (a newline and the spaces of ``x``'s depth)."""
+    if (spell := _SPELL.get(type(x))) is not None:
+        return spell(x)
+    inner = pad + "  "
+    if isinstance(x, (list, tuple)):
+        return "[" + inner + f",{inner}".join([_indented(v, inner) for v in x]) + pad + "]" if x else "[]"
+    if isinstance(x, dict):  # jsonable made every key a str
+        items = [f"{_ascii(k)}: {_indented(v, inner)}" for k, v in sorted(x.items())]
+        return "{" + inner + f",{inner}".join(items) + pad + "}" if x else "{}"
+    for kind, spell in _SPELL.items():  # a subclass of str, int or float
+        if isinstance(x, kind):
+            return spell(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def json_text(value, compact: bool = False) -> str:
-    """``value`` as JSON text: indented with sorted keys, or compact (one
-    line, keys in insertion order) for a table cell."""
+    """``value`` as JSON text: indented with sorted keys, as one walk
+    (``json.dumps`` with ``indent`` runs the stdlib's pure-Python encoder),
+    or compact (one line, keys in insertion order) for a table cell."""
     if compact:
         return json.dumps(jsonable(value))
-    return json.dumps(jsonable(value), indent=2, sort_keys=True)
+    return _indented(jsonable(value), "\n")
 
 
 class _Output(io.TextIOWrapper):

@@ -20,7 +20,6 @@ describe is a ConfigError.
 
 from __future__ import annotations
 
-import configparser
 import heapq
 import itertools
 import math
@@ -55,11 +54,11 @@ DEFAULT_SIZE_CDF: tuple[tuple[int, float], ...] = (
 
 
 def _read_text(path) -> str:
-    """An input file's UTF-8 text; an unreadable file, or one that is not
-    UTF-8, is a parse error."""
+    """An input file's UTF-8 text, without a leading byte-order mark; an
+    unreadable file, or one that is not UTF-8, is a parse error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")  # a byte-order mark is not text
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -547,22 +546,56 @@ def _queue_table(section: str, items: Mapping[str, str], parse: Callable) -> dic
     return table
 
 
+def _read_sections(text: str) -> dict[str, dict[str, str]]:
+    """``text`` as ``{section: {key: value}}``, read as ConfigParser reads
+    it with ``delimiters=("=",)``, ``inline_comment_prefixes=("#",)``, no
+    interpolation or default section and keys as written (README, "Scenario
+    files").  A section or key given twice, a key before any section and a
+    line without ``key =`` are parse errors that name the line."""
+    sections: dict[str, dict[str, list[str]]] = {}
+    table = lines = None  # the open section's {key: value lines}, the open key's lines
+    indent = 0  # the indent of the open key's line
+    for number, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            if not stripped and lines is not None:
+                lines.append("")
+            continue
+        cut = line.find("#")
+        while cut > 0 and not line[cut - 1].isspace():
+            cut = line.find("#", cut + 1)
+        value = stripped if cut < 0 else line[:cut].strip()
+        depth = len(line) - len(line.lstrip())
+        if lines is not None and depth > indent:
+            lines.append(value)
+            continue
+        indent, lines = depth, None
+        if value[0] == "[" and (end := value.rfind("]")) > 1:  # a section header
+            name = value[1:end]
+            problem = f"section [{name}] given twice" if name in sections else ""
+            table = sections.setdefault(name, {})
+        else:
+            key, sep, rest = value.partition("=")
+            key = key.rstrip()
+            problem = ("a key before any section" if table is None
+                       else "expected key = value" if not (sep and key)
+                       else f"key {key!r} given twice in [{name}]" if key in table else "")
+            if not problem:
+                lines = table[key] = [rest.strip()]
+        if problem:
+            raise ScenarioParseError(f"bad scenario file: line {number}: {problem}: {stripped!r}")
+    return {name: {key: "\n".join(lines).rstrip() for key, lines in table.items()}
+            for name, table in sections.items()}
+
+
 def loads_scenario(text: str) -> ScenarioConfig:
-    parser = configparser.ConfigParser(
-        delimiters=("=",), inline_comment_prefixes=("#",), interpolation=None,
-        default_section="",  # so [DEFAULT] is an unknown section, not keys every section shares
-    )
-    parser.optionxform = str
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ScenarioParseError(f"bad scenario file: {exc}") from exc
+    read = _read_sections(text)
     sections = {name: {} for name in _SECTIONS}
-    for name in parser.sections():
+    for name, items in read.items():
         if name not in sections:
             raise ScenarioParseError(f"unknown section [{name}]")
-        sections[name] = dict(parser.items(name, raw=True))
-    if not parser.has_section("classes"):
+        sections[name] = items
+    if "classes" not in read:
         raise ScenarioParseError("missing section [classes]")
     alias = sections["policy"].get("kind") == "fb_single"  # FB on a shared per-port queue
     if alias:

@@ -231,6 +231,20 @@ def test_input_file_that_is_not_utf8_exits_2_before_the_run(where, tmp_path, cap
     assert not out.exists()
 
 
+def test_a_scenario_file_with_a_byte_order_mark_runs_as_the_plain_file(tmp_path, capsys):
+    # a UTF-8 file may start with a byte-order mark; it once read as text
+    # before the first section header, and the run exited 2
+    plain = GOLDEN_SCENARIOS / "cs_overload.ini"
+    marked = tmp_path / "bom.ini"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for path, out in ((plain, "plain"), (marked, "marked")):
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / out)]) == 0
+    written = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "marked").iterdir())
+    for name in written:
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+
+
 def test_cdf_file_is_read_once_and_the_lock_carries_its_table(tmp_path, monkeypatch):
     table = tmp_path / "cdf.txt"
     table.write_text("# size cumprob\n1 0.25\n3 0.75\n6 1.0\n")
@@ -1206,6 +1220,21 @@ def test_only_the_core_module_writes_json_and_csv():
     writers = [f.name for f in ast.walk(core) if isinstance(f, ast.FunctionDef)
                and any(_opens_for_writing(n) for n in ast.walk(f))]
     assert writers == ["open_output"]
+
+
+def test_no_module_reads_with_configparser_or_indents_with_json_dumps():
+    # scenario text has its own reader (workloads._read_sections) and the
+    # indented JSON its own writer (core.json_text): a ConfigParser costs
+    # more to build than a small file costs to read, and json.dumps with
+    # indent runs the stdlib's pure-Python encoder
+    for path in sorted((SRC / "fbsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                assert "configparser" not in {a.name for a in node.names}, f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "configparser", f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps":
+                assert "indent" not in {k.arg for k in node.keywords}, f"{path.name}:{node.lineno}"
 
 
 def test_no_module_reads_a_private_name_of_another():

@@ -1,18 +1,25 @@
 """Core types: the unit conventions, the traffic class's alpha check and the
-whole-number converter; the value-to-JSON rule and the output file.
+whole-number converter; the value-to-JSON rule, the indented JSON text and
+the output file.
 
 The snapshot-derivation oracle and its tests live in ``tests/oracles.py``
 and ``tests/test_oracles.py``."""
 
 import enum
+import json
 import math
 import os
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
-from fbsim.core import FrozenDict, PolicyKind, QueueId, TrafficClass, as_whole, jsonable, open_output
+from fbsim import cli, core
+from fbsim.core import (
+    FrozenDict, PolicyKind, QueueId, TrafficClass, as_whole, json_text, jsonable, open_output,
+)
 from fbsim.workloads import ConfigError, ScenarioConfig
+from test_golden_artifacts import ANALYZER_RUNS
 
 LOW = 0
 
@@ -100,6 +107,15 @@ class _Int(int):
     pass
 
 
+class _Spelled(int):
+    """An int that spells itself otherwise; json spells it as an int."""
+
+    def __repr__(self):
+        return "spelled"
+
+    __str__ = __repr__
+
+
 class _Level(enum.IntEnum):
     HIGH = 1
 
@@ -122,6 +138,62 @@ _LEAVES = ["", "text", 0, -7, 2**80, True, False, None, 0.0, -0.0, 1.5, math.inf
 ])
 def test_jsonable_matches_the_rule_before_its_shortcuts(value):
     assert _same(jsonable(value), _old_jsonable(value))
+
+
+# -- json_text ---------------------------------------------------------------
+
+
+def _dumps(value) -> str:
+    """The oracle: the indented JSON text as the stdlib's encoder writes it."""
+    return json.dumps(jsonable(value), indent=2, sort_keys=True)
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(), st.sampled_from(PolicyKind),
+    st.fractions(min_value=-10**9, max_value=10**9), st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324, *_LEAVES]),
+)
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.fractions(min_value=-9, max_value=9),
+                       st.builds(QueueId, st.integers(0, 9), st.integers(0, 9)))
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_JSON_KEYS, children, max_size=4),
+), max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value={"\u00e9\x00\n\"": [(), {}, [[]], FrozenDict({QueueId(1, 2): Fraction(1, 3)})]})
+@example(value=[_Float(2.5), _Int(3), _Spelled(4), _Level.HIGH, _Tag.RED])
+def test_json_text_spells_what_json_dumps_spells(value):
+    assert json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [object(), [1, {2, 3}], {"k": {"nested": b"bytes"}}, {"k": range(2)}])
+def test_json_text_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError, match="is not JSON serializable") as expected:
+        _dumps(value)
+    with pytest.raises(TypeError) as got:
+        json_text(value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZER_RUNS))
+def test_json_text_spells_every_golden_analyzer_payload_as_json_dumps_does(name, tmp_path, monkeypatch):
+    # every indented payload an analyzer command writes or prints
+    payloads = []
+
+    def record(value, compact=False):
+        if not compact:
+            payloads.append(value)
+        return json_text(value, compact)
+    monkeypatch.setattr(core, "json_text", record)
+    monkeypatch.setattr(cli, "json_text", record)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(ANALYZER_RUNS[name]) == 0
+    assert payloads
+    for value in payloads:
+        assert json_text(value) == _dumps(value)
 
 
 # -- open_output ---------------------------------------------------------------

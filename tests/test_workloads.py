@@ -1,5 +1,6 @@
 """Sources, scenario configs, presets, sweeps, file round-trips."""
 
+import configparser
 import heapq
 import math
 import pickle
@@ -39,6 +40,8 @@ from fbsim.workloads import (
     sweep,
     transient_scenario,
     _arrival_bound,
+    _read_sections,
+    _read_text,
 )
 
 F = Fraction
@@ -592,12 +595,14 @@ _FUZZ_TOKENS = ("nan", "inf", "1e400", "1e-400", "9e307", "1/0", "0x10", "\u0661
 @st.composite
 def edited_scenario_texts(draw) -> str:
     """A golden scenario text or a preset's with 1-3 line edits: a token, or
-    the value of a ``key=value`` token, replaced by one of _FUZZ_TOKENS, or
-    a line duplicated, deleted or cut."""
+    the value of a ``key=value`` token, replaced by one of _FUZZ_TOKENS, a
+    line duplicated, deleted or cut, led by a space, a tab or ``;``, ended
+    by ``\\r``, or a ``[DEFAULT]`` line put before it."""
     lines = draw(st.sampled_from(_FUZZ_TEXTS)).split("\n")
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
-        line, edit = lines[i], draw(st.sampled_from(("token", "value", "duplicate", "delete", "cut")))
+        line, edit = lines[i], draw(st.sampled_from(
+            ("token", "value", "duplicate", "delete", "cut", "prefix", "crlf", "default")))
         parts = line.split(" ")
         pairs = [j for j, part in enumerate(parts) if "=" in part and part != "="]
         if edit == "token":
@@ -613,6 +618,12 @@ def edited_scenario_texts(draw) -> str:
             del lines[i]
         elif edit == "cut":
             lines[i] = line[:draw(st.integers(0, len(line)))]
+        elif edit == "prefix":  # a continuation line or a comment
+            lines[i] = draw(st.sampled_from((" ", "\t", ";"))) + line
+        elif edit == "crlf":
+            lines[i] = line + "\r"
+        elif edit == "default":
+            lines.insert(i, "[DEFAULT]")
     return "\n".join(lines)
 
 
@@ -630,6 +641,80 @@ def test_an_edited_scenario_text_loads_or_raises_a_documented_error(text):
     except (ScenarioParseError, ConfigError):
         return
     assert loads_scenario(dumps_scenario(cfg)) == cfg
+
+
+def _configparser_sections(text: str):
+    """The oracle: ``{section: {key: value}}`` as the ConfigParser that once
+    read scenario files reads ``text`` (its settings as they were), or None
+    where it refuses the text."""
+    parser = configparser.ConfigParser(
+        delimiters=("=",), inline_comment_prefixes=("#",), interpolation=None, default_section="",
+    )
+    parser.optionxform = str
+    try:
+        parser.read_string(text)
+    except configparser.Error:
+        return None
+    return {name: dict(parser.items(name, raw=True)) for name in parser.sections()}
+
+
+def _sections_or_none(text: str):
+    try:
+        return _read_sections(text)
+    except ScenarioParseError as exc:
+        assert str(exc).startswith("bad scenario file: line ")
+        return None
+
+
+#: Fragments of the texts that exercise the reader's every rule.
+_READER_FRAGMENTS = ("[", "]", "=", "#", ";", " ", "\t", "\n", "\r", "\x0c", "\xa0", "DEFAULT",
+                     "a", "b", "1", "[a]", "\nk = v")
+
+
+@st.composite
+def _reader_texts(draw) -> str:
+    """Fragments joined at random, or a golden or preset text with 1-3
+    fragment runs put into its lines."""
+    fragments = st.lists(st.sampled_from(_READER_FRAGMENTS), max_size=12).map("".join)
+    if draw(st.booleans()):
+        return draw(fragments)
+    lines = draw(st.sampled_from(_FUZZ_TEXTS)).split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + draw(fragments) + lines[i][at:]
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_reader_texts())
+@example(text="[a]\nk = v # c\n  more\n\n\t;x\n  last\n\n[b]junk\nx=y#z\n")
+def test_the_reader_reads_as_configparser_did(text):
+    assert _sections_or_none(text) == _configparser_sections(text)
+
+
+@pytest.mark.parametrize("text,number,problem", [
+    ("# c\nbuffer = 60\n[switch]\n", 2, "a key before any section"),
+    ("[switch]\nbuffer = 60\n\n[switch]\n", 4, "section [switch] given twice"),
+    ("[switch]\nbuffer = 60\nbuffer= 70\n", 3, "key 'buffer' given twice in [switch]"),
+    ("[switch]\nbuffer 60\n", 2, "expected key = value"),
+    ("[switch]\n= 60\n", 2, "expected key = value"),
+])
+def test_each_refusal_of_the_reader_names_its_line(text, number, problem):
+    assert _configparser_sections(text) is None
+    with pytest.raises(ScenarioParseError) as exc:
+        loads_scenario(text)
+    assert str(exc.value).startswith(f"bad scenario file: line {number}: {problem}: ")
+
+
+def test_a_byte_order_mark_is_not_text_but_a_bad_byte_keeps_its_offset(tmp_path):
+    cdf, bom_cdf, bad = tmp_path / "cdf.txt", tmp_path / "bom_cdf.txt", tmp_path / "bad.txt"
+    cdf.write_text("# size cumprob\n2 0.5\n10 1.0\n")
+    bom_cdf.write_bytes(b"\xef\xbb\xbf" + cdf.read_bytes())
+    assert load_size_cdf(bom_cdf) == load_size_cdf(cdf)
+    bad.write_bytes(b"[switch]\n\xff")
+    with pytest.raises(ScenarioParseError, match="not UTF-8 at byte 9$"):
+        _read_text(bad)
 
 
 def misfit_incast(layout: str) -> ScenarioConfig:
