@@ -24,7 +24,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import engine, fluid, metrics, workloads
-from .core import json_text, write_json, write_table
+from .core import json_text, jsonable, write_json, write_table
 from .workloads import ConfigError, ScenarioParseError
 
 EXIT_OK = 0
@@ -194,7 +194,7 @@ def cmd_analyze(args) -> int:
     if args.out is not None:
         _out_dir(args.out)
         if args.format == "json":
-            write_json(os.path.join(args.out, "analysis.json"), payload)
+            write_json(os.path.join(args.out, "analysis.json"), jsonable(payload))
         else:
             write_table(os.path.join(args.out, "analysis.csv"), ("key", "value"), (
                 (key, json_text(payload[key], compact=True)) for key in sorted(payload)

@@ -239,9 +239,11 @@ def open_output(path, newline=None) -> io.TextIOWrapper:
 
 
 def write_json(path, value) -> None:
-    """Write ``json_text(value)`` and a trailing newline to ``path``."""
+    """Write ``value``, a value as ``jsonable`` returns it, to ``path`` as
+    ``json_text`` spells it, with a trailing newline.  The caller converts:
+    a run's metrics payload is converted once, by ``metrics.to_jsonable``."""
     with open_output(path) as fh:
-        fh.write(json_text(value) + "\n")
+        fh.write(_indented(value, "\n") + "\n")
 
 
 def write_table(path, header: Sequence, rows: Iterable[Sequence]) -> None:

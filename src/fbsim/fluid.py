@@ -44,6 +44,8 @@ multiplying out d gives
     Case-2: sp = (R - G)*d + O*(AE - G_ne),  den = d*d
 
 with t1 = +inf when sp <= 0, i.e. when the new queue never closes its gap.
+``_closed_form`` keeps these ints and builds no Fraction; its record builds
+each reported value, one Fraction of two ints, when it is read.
 
 Between regime changes every queue drains, tracks or fills at a constant
 rate, so the transient trajectory is piecewise linear.  The event-driven
@@ -305,23 +307,83 @@ def two_priority_incast(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _ClosedForm:
-    """What ``_closed_form`` returns."""
+    """What ``_closed_form`` returns: the ints it computed over its one
+    denominator d, from which each reported value is built when it is read.
 
-    case: CaseKind
-    rate_bound: Value  # r*, +inf without old queues
-    fill: Fraction  # Q' in the scenario's case
-    fill1: Fraction  # Q' in Case-1
-    fill2: Fraction  # Q' in Case-2
-    w_old: Fraction  # the old queues' pre-transient omega sum
-    t1_per_queue: dict[QueueId, Value]
-    t1: Value  # the earliest t1
-    burst: Value  # r * t1
-    # r*'s terms that alpha_bounds_general inverts for its boundary alpha_L
-    first: Fraction
-    g_star: Fraction  # G*
-    ne_empty: bool  # G_ne is empty
+    Reported, each a Fraction of two ints normalized once unless noted:
+    ``case`` (a ``CaseKind``), ``rate_bound`` (r*, +inf without old queues),
+    ``fill`` (Q' in the scenario's case), ``fill1`` and ``fill2`` (Q' in
+    Case-1 and Case-2), ``w_old`` (the old queues' pre-transient omega sum),
+    ``t1_per_queue``, ``t1`` (the earliest t1), ``burst`` (r * t1), and r*'s
+    terms that alpha_bounds_general inverts: ``first``, ``g_star`` (G*) and
+    ``ne_empty`` (a bool: G_ne is empty).  A t1 that never comes is
+    ``math.inf`` itself, so ``t1 is math.inf`` tests for it.
+    """
+
+    __slots__ = ("_d", "_r", "_n_new", "_w_old", "_w_ne", "_g_ne", "_first", "_g_star",
+                 "_w_star", "_bound", "_case1", "_top", "_low", "_speeds", "_o1", "_sp1")
+
+    def __init__(self, d, r, n_new, w_old, w_ne, g_ne, first, g_star, w_star, bound, case1,
+                 top, low, speeds, o1, sp1) -> None:
+        self._d, self._r, self._n_new, self._w_old = d, r, n_new, w_old
+        self._w_ne, self._g_ne, self._first, self._g_star = w_ne, g_ne, first, g_star
+        self._w_star, self._bound, self._case1, self._top, self._low = w_star, bound, case1, top, low
+        self._speeds = speeds  # (queue, O, sp) per new queue
+        self._o1, self._sp1 = o1, sp1  # the earliest crossing's (O, sp); sp1 = 0: none
+
+    @property
+    def case(self) -> CaseKind:
+        return CaseKind.CASE1 if self._case1 else CaseKind.CASE2
+
+    @property
+    def ne_empty(self) -> bool:
+        return not self._w_ne  # every omega is > 0
+
+    @property
+    def rate_bound(self) -> Value:
+        if not self._w_old:  # no old queue
+            return math.inf
+        return Fraction(self._bound, self._d * self._w_star * self._n_new)
+
+    @property
+    def fill1(self) -> Fraction:
+        return Fraction(self._n_new * self._r - self._first, self._d + self._w_ne)
+
+    @property
+    def fill2(self) -> Fraction:
+        return Fraction(self._n_new * self._r - self._first - self._g_ne, self._d)
+
+    @property
+    def fill(self) -> Fraction:
+        return self.fill1 if self._case1 else self.fill2
+
+    @property
+    def w_old(self) -> Fraction:
+        return Fraction(self._w_old, self._d)
+
+    @property
+    def first(self) -> Fraction:
+        return Fraction(self._first, self._n_new * self._d)
+
+    @property
+    def g_star(self) -> Fraction:
+        return Fraction(self._g_star, self._d)
+
+    @property
+    def t1_per_queue(self) -> dict[QueueId, Value]:
+        top, low = self._top, self._low
+        return {q: Fraction(o * top, low * sp) if sp > 0 else math.inf for q, o, sp in self._speeds}
+
+    @property
+    def t1(self) -> Value:
+        return Fraction(self._o1 * self._top, self._low * self._sp1) if self._sp1 else math.inf
+
+    @property
+    def burst(self) -> Value:
+        if not self._sp1:
+            return math.inf
+        return Fraction(self._r * self._o1 * self._top, self._d * self._low * self._sp1)
 
 
 def _closed_form(ts: TransientScenario) -> _ClosedForm:
@@ -330,8 +392,12 @@ def _closed_form(ts: TransientScenario) -> _ClosedForm:
 
     ``_scaled`` writes r and every queue's pre-transient omega, omega and
     gamma as V / d, so each of the six sums (W_old, W_e, W_ne and the G_e,
-    G_ne and new drains) is an int sum, and each field is one Fraction of two
-    ints; only the burst r * t1 multiplies Fractions.
+    G_ne and new drains) is an int sum.  It returns those ints, the case
+    test's result and each new queue's (O, sp), and builds no Fraction: each
+    reported value is one Fraction of two ints, built by the record when it
+    is read.  The earliest t1 is picked by cross-multiplying, O1 * sp2 <
+    O2 * sp1 over the queues with sp > 0, and the burst r * t1 is one
+    Fraction of R * O * top over d * low * sp.
 
     Case-1 holds while r <= r* = first + G* * (1 + W_ne) / (W* * n_new), with
     first = (new drains + G_e drain) / n_new and G*, W* the drain and omega
@@ -341,7 +407,8 @@ def _closed_form(ts: TransientScenario) -> _ClosedForm:
 
         R * W* * n_new <= (G_new + G_e) * W* + G* * (d + W_ne)
 
-    At equality both forms give the same t1.
+    At equality both forms give the same t1.  Without old queues both sides
+    are 0, so the test reads Case-1.
 
     The aggregate bound assumes the unaffected old queues share one
     gamma/omega ratio, as every symmetric scenario built here does.  Outside
@@ -374,34 +441,26 @@ def _closed_form(ts: TransientScenario) -> _ClosedForm:
     g_new = sum(scaled[new_at + 1::2])
 
     first = g_new + g_e  # first = (G_new + G_e) / (n_new * d)
-    ne_empty = not w_ne  # every omega is > 0
-    g_star, w_star = (g_e, w_e) if ne_empty else (g_ne, w_ne)
+    g_star, w_star = (g_ne, w_ne) if w_ne else (g_e, w_e)  # W_ne = 0: G_ne is empty
     d_ne = d + w_ne
-    if n_old:
-        bound = first * w_star + g_star * d_ne  # r* = bound / (d * W* * n_new)
-        case1 = r * w_star * n_new <= bound
-        rate_bound: Value = Fraction(bound, d * w_star * n_new)
-    else:
-        case1, rate_bound = True, math.inf
+    bound = first * w_star + g_star * d_ne  # r* = bound / (d * W* * n_new)
+    case1 = r * w_star * n_new <= bound
     ae = n_new * r - first
-    fill1, fill2 = Fraction(ae, d_ne), Fraction(ae - g_ne, d)
     if case1:
         scale, excess, den = d_ne, ae, d * d_ne
     else:
         scale, excess, den = d, ae - g_ne, d * d
     top, low = ts.buffer_size * den, d + w_old
-    per_queue: dict[QueueId, Value] = {}
+    speeds, o1, sp1 = [], 0, 0
     for q, i in zip(ts.new, range(new_at, len(scaled), 2)):
         o = scaled[i]
         sp = (r - scaled[i + 1]) * scale + o * excess
-        per_queue[q.queue] = Fraction(o * top, low * sp) if sp > 0 else math.inf
-    t1 = min(per_queue.values())  # one of the values: math.inf itself when none is finite
-    burst = math.inf if t1 is math.inf else ts.r * t1
-    return _ClosedForm(
-        CaseKind.CASE1 if case1 else CaseKind.CASE2, rate_bound, fill1 if case1 else fill2,
-        fill1, fill2, Fraction(w_old, d), per_queue, t1, burst,
-        Fraction(first, n_new * d), Fraction(g_star, d), ne_empty,
-    )
+        speeds.append((q.queue, o, sp))
+        # t1 = O*top / (low*sp): the earlier of two has the smaller O/sp
+        if sp > 0 and (not sp1 or o * sp1 < o1 * sp):
+            o1, sp1 = o, sp
+    return _ClosedForm(d, r, n_new, w_old, w_ne, g_ne, first, g_star, w_star, bound, case1,
+                       top, low, speeds, o1, sp1)
 
 
 def case_rate_bound(ts: TransientScenario) -> Value:

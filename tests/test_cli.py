@@ -1121,6 +1121,36 @@ def test_the_two_fluid_routes_share_no_arithmetic():
     assert "_over_lcm" in reached("integrate_transient")
 
 
+def test_the_closed_form_builds_no_fraction_itself():
+    # _closed_form returns the ints it computed and each reported Fraction is
+    # built by the record when read, so a reader pays only for what it reads:
+    # its body names no Fraction and does no arithmetic on a scenario field
+    # that holds one (a field or property of the three scenario types whose
+    # annotation names Fraction)
+    tree = ast.parse((SRC / "fbsim" / "fluid.py").read_text())
+    exact = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name in ("OldQueue", "NewQueue", "TransientScenario"):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and "Fraction" in ast.unparse(node.annotation):
+                    exact.add(node.target.id)
+                elif isinstance(node, ast.FunctionDef) and "Fraction" in ast.unparse(node.returns):
+                    exact.add(node.name)
+    assert {"r", "omega", "gamma", "pre_omega"} <= exact
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_closed_form")
+    assert "Fraction" not in _names_in(body)
+    for node in ast.walk(body):
+        if isinstance(node, ast.BinOp):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign):
+            operands = (node.target, node.value)
+        else:
+            continue
+        assert not [o for o in operands if isinstance(o, ast.Attribute) and o.attr in exact], \
+            f"fluid.py:{node.lineno}: {ast.unparse(node)}"
+
+
 def test_only_the_core_rule_sets_a_frozen_field():
     # every frozen value type converts its fields through core.convert_fields,
     # so __setattr__, the way round a frozen dataclass, is written there alone

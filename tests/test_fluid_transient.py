@@ -3,7 +3,7 @@ and the exact event-driven solver as the independent cross-check."""
 
 import math
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 from fractions import Fraction
@@ -1032,14 +1032,21 @@ def test_closed_forms_match_the_paper_formulas():
                     ("case_bound", True), ("case_bound", False)}
 
 
+REPORTED = ("case", "rate_bound", "fill", "fill1", "fill2", "w_old", "t1_per_queue", "t1",
+            "burst", "first", "g_star", "ne_empty")
+
+
 def assert_closed_form_is_the_fraction_statement(ts):
-    """Every field of ``_closed_form(ts)``, value and type, equals the
-    aggregate closed form stated on plain Fractions in ``tests/oracles.py``."""
+    """Every value ``_closed_form(ts)`` reports, value and type, equals the
+    aggregate closed form stated on plain Fractions in ``tests/oracles.py``,
+    and its t1 is ``math.inf`` itself exactly when the oracle's is inf."""
     cf = fluid._closed_form(ts)
-    got = {f.name: getattr(cf, f.name) for f in fields(cf)}
+    got = {name: getattr(cf, name) for name in REPORTED}
     got["case"] = cf.case.value
     expected = aggregate_closed_form(ts)
+    assert got.keys() == expected.keys()
     assert got == expected
+    assert (cf.t1 is math.inf) == (expected["t1"] == math.inf)
     assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}
     assert {k: type(v) for k, v in cf.t1_per_queue.items()} == \
         {k: type(v) for k, v in expected["t1_per_queue"].items()}
@@ -1092,6 +1099,8 @@ def _before(omega, fall):
               (F(5, 3), F(1, 2), None)],
          new=[(F(10**30 + 3, 10**30), F(1, 3)), (F(2), F(10**30 - 1, 10**30))])
 @example(buffer=60, r=F(1, 10**30), old=[], new=[(F(1), F(1))])
+@example(buffer=80, r=F(3), old=[(F(1, 2), F(1), None)],  # two new queues of one t1
+         new=[(F(2), F(1, 2)), (F(2), F(1, 2))])
 @example(buffer=60, r=F(10**30 + 1, 10**30 - 1), old=[(F(1, 10**30 + 1), F(1), None)],
          new=[(F(3, 10**30 - 3), F(1))])
 def test_the_integer_closed_form_equals_its_fraction_statement_on_huge_denominators(
