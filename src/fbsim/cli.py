@@ -15,7 +15,6 @@ config), trace.csv, samples.csv, metrics.json and summary.json.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import functools
 import os
@@ -123,6 +122,8 @@ def cmd_sweep(args) -> int:
             [args.format] * len(configs))
     workers = min(args.parallel, len(configs))  # the pool forks all its workers up front
     if workers > 1:
+        import concurrent.futures  # only a parallel sweep pays for loading it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, *jobs))
     else:

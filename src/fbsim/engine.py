@@ -48,11 +48,12 @@ the packet's source, plus controller ticks and periodic occupancy samples.
 Each record is one 40-byte ``RECORD`` in one bytearray: time, threshold,
 port, class, action code (ADMIT 0, DROP 1, DEPART 2, SOURCE_CHANGE 3),
 queue_len, occupancy, source; the loop stores the occupancy at each
-sample instant as it passes, as one 4-byte int, and each tick's table,
-whose time k * ``fba_period`` is implied.  ``EventTrace.rows()`` decodes
-the records, and the ``records``, ``samples`` and ``ticks`` views decode
-to tuples.  The loop also keeps each fact ``metrics.compute`` reads as it
-happens (first drops, occupancy peak, per-source counts), and
+sample instant as it passes, as one 4-byte int, and at each tick the
+controller's table, the very list of alphas admission reads, whose time
+k * ``fba_period`` is implied.  ``EventTrace.rows()`` decodes the records,
+and the ``records``, ``samples`` and ``ticks`` views decode to tuples.
+The loop also keeps each fact ``metrics.compute`` reads as it happens
+(first drops, occupancy peak, per-source counts), and
 ``verify_conservation`` checks them against a rescan of the records.
 ``write_trace_csv`` and ``write_samples_csv`` stream it to CSV in writes of
 ``EXPORT_CHUNK_ROWS`` rows, formatting each distinct text once (threshold
@@ -119,13 +120,15 @@ class EventTrace:
     threshold means nothing for DEPART and SOURCE_CHANGE.  A departure names
     the packet's source, or -1 for one pre-filled from ``initial_lengths``.
     ``occupancy[k]``, a 4-byte int, is the occupancy at k *
-    ``sample_interval``, and ``tick_tables[k]`` the FBA controller's
-    {queue: effective alpha} emission at k * ``fba_period`` (none under
-    another rule); while the table is unchanged consecutive ticks share one
-    dict object, so the tables are read-only.  The ``records`` view decodes
-    to (time, port, class_id, action name, queue_len, threshold or None,
-    occupancy_after, source_id) tuples, ``samples`` to (time, occupancy)
-    and ``ticks`` to (time, table).
+    ``sample_interval``, and ``tick_tables[k]`` the FBA controller's table
+    of effective alphas at k * ``fba_period`` (none under another rule): the
+    list admission read, indexed like ``queue_ids`` (FBA runs in multi mode,
+    where slot s is queue s).  While the table is unchanged consecutive
+    ticks share one list object, so the tables are read-only.  The
+    ``records`` view decodes to (time, port, class_id, action name,
+    queue_len, threshold or None, occupancy_after, source_id) tuples,
+    ``samples`` to (time, occupancy) and ``ticks`` to (time, {queue:
+    alpha}).
     ``queue_of`` maps a record's (port, class_id) to its engine queue (the
     shared per-port queue in single-queue mode).  ``counts`` holds the
     engine's per-queue arrival/admit/drop/departure totals, ``first_drop``
@@ -138,7 +141,7 @@ class EventTrace:
     queue_ids: tuple[QueueId, ...]
     queue_of: dict[tuple[int, int], QueueId] = field(default_factory=dict)
     packed: bytearray = field(default_factory=bytearray)
-    tick_tables: list[dict[QueueId, float]] = field(default_factory=list)
+    tick_tables: list[list[float]] = field(default_factory=list)
     fba_period: float = 1.0
     occupancy: array = field(default_factory=lambda: array("i"))
     sample_interval: float = 0.1
@@ -165,7 +168,8 @@ class EventTrace:
 
     @property
     def ticks(self) -> list[tuple[float, dict[QueueId, float]]]:
-        return [(k * self.fba_period, table) for k, table in enumerate(self.tick_tables)]
+        return [(k * self.fba_period, dict(zip(self.queue_ids, table)))
+                for k, table in enumerate(self.tick_tables)]
 
     def verify_conservation(self) -> None:
         """Check the engine's facts (per-queue counters and first drops,
@@ -228,9 +232,10 @@ class SwitchState:
     order; ``slot_queue`` and ``slot_alpha`` hold each slot's queue index
     and configured alpha.  ``alphas``, a list indexed by slot, holds each
     slot's threshold alpha.  Under DT it *is* ``slot_alpha``.  Under FB and
-    FBA ``refresh`` rebuilds it from ``view()``; ``built_at`` is the view's
-    ``cong_changes`` (congestion-threshold crossings so far) it was built
-    at, and ``emitted`` the FBA table keyed by QueueId as last emitted.
+    FBA ``refresh`` rebuilds it on the state admission sees, and replaces
+    the list only when a value changed, so the FBA ticks that find it
+    unchanged record one list; ``built_at`` is the seen ``cong_changes``
+    (congestion-threshold crossings so far) it was built at.
 
     ``stale`` is None, or under a snapshot staleness s the copy ``sync``
     took just before the last k * s, which admission sees instead of the
@@ -251,16 +256,16 @@ class SwitchState:
         self.rule = rule
 
         # priority of a queue's class, the shared queue in its own group
-        self.class_prio = {c.class_id: c.priority_id for c in config.classes}
+        class_prio = {c.class_id: c.priority_id for c in config.classes}
         if single:
-            self.class_prio[SHARED_QUEUE_CLASS] = SHARED_QUEUE_CLASS
-        prio_index = {p: i for i, p in enumerate(sorted(set(self.class_prio.values())))}
+            class_prio[SHARED_QUEUE_CLASS] = SHARED_QUEUE_CLASS
+        prio_index = {p: i for i, p in enumerate(sorted(set(class_prio.values())))}
 
         queue_classes = (SHARED_QUEUE_CLASS,) if single else [c.class_id for c in config.classes]
         self.queue_ids = tuple(
             QueueId(p, qc) for p in range(config.n_ports) for qc in queue_classes
         )
-        self.q_index = {q: i for i, q in enumerate(self.queue_ids)}
+        q_index = {q: i for i, q in enumerate(self.queue_ids)}
         # the (port, class_id) slots numbered port by port in class order, so
         # in multi mode slot s is queue s: each slot's queue index and
         # configured alpha (overrides applied)
@@ -269,11 +274,11 @@ class SwitchState:
             for s, (p, c) in enumerate(product(range(config.n_ports), config.classes))
         }
         self.slot_queue = [
-            self.q_index[QueueId(p, SHARED_QUEUE_CLASS if single else c)] for p, c in self.slot
+            q_index[QueueId(p, SHARED_QUEUE_CLASS if single else c)] for p, c in self.slot
         ]
         self.slot_alpha = [float(config.alpha_of(QueueId(p, c))) for p, c in self.slot]
         n = len(self.queue_ids)
-        self.q_prio = [prio_index[self.class_prio[q.class_id]] for q in self.queue_ids]
+        self.q_prio = [prio_index[class_prio[q.class_id]] for q in self.queue_ids]
         self.q_port = [q.port for q in self.queue_ids]
 
         self.lengths = [0] * n
@@ -312,7 +317,6 @@ class SwitchState:
         self.built_at: Optional[int] = None
         if rule is PolicyKind.FB or rule is PolicyKind.FBA:
             self.refresh()
-        self.emitted: dict[QueueId, float] = self._emit() if rule is PolicyKind.FBA else {}
 
     # -- incremental counter maintenance ------------------------------------
 
@@ -354,24 +358,19 @@ class SwitchState:
             self.cong_changes,
         )
 
-    def view(self) -> tuple:
-        """(lengths, total, cong_prio, active_port, cong_changes) as seen by
-        the admission logic: the last synced copy, or the live state."""
-        if self.stale is not None:
-            return self.stale
-        return (self.lengths, self.total, self.cong_prio, self.active_port, self.cong_changes)
-
     # -- the alpha table ----------------------------------------------------
 
-    def refresh(self) -> bool:
+    def refresh(self) -> None:
         """Rebuild ``alphas`` as FB's factor ``alpha * (1/N_p) * gamma`` per
-        slot on ``view()``, counting the slot's queue as congested; returns
-        whether any value changed.  The table depends only on which queues
-        are congested, so it returns at once when the view's
-        ``cong_changes`` is the one the table was built at."""
-        lengths, _, cong_prio, active_port, changes = self.view()
+        slot on the state admission sees (the stale copy, if any), counting
+        the slot's queue as congested.  The table depends only on which
+        queues are congested, so it returns at once when the seen
+        ``cong_changes`` is the one the table was built at, and it replaces
+        ``alphas`` only with a table that differs."""
+        lengths, _, cong_prio, active_port, changes = self.stale or (
+            self.lengths, self.total, self.cong_prio, self.active_port, self.cong_changes)
         if changes == self.built_at:
-            return False
+            return
         self.built_at = changes
         thr, q_prio, q_port = self.cong_thr, self.q_prio, self.q_port
         table = []
@@ -382,23 +381,16 @@ class SwitchState:
             n_p = cong_prio[q_prio[qi]] + joins
             gamma = 1.0 / (active_port[q_port[qi]] + joins)
             table.append(alpha * (1.0 / n_p) * gamma)
-        changed = table != self.alphas
-        self.alphas = table
-        return changed
-
-    def _emit(self) -> dict[QueueId, float]:
-        """The FBA table as emitted: the alpha of each queue's own class
-        (FBA runs in multi mode, where slot s is queue s)."""
-        return dict(zip(self.queue_ids, self.alphas))
+        if table != self.alphas:
+            self.alphas = table
 
 
 def controller_tick(state: SwitchState, trace: EventTrace) -> None:
     """Emit the FBA alpha table in force at the next tick: the run's table,
-    refreshed on the view.  An unchanged table re-emits the dict already in
-    force."""
-    if state.refresh():
-        state.emitted = state._emit()
-    trace.tick_tables.append(state.emitted)
+    refreshed on the state admission sees, recorded as the list admission
+    reads.  An unchanged table stays the list already in force."""
+    state.refresh()
+    trace.tick_tables.append(state.alphas)
 
 
 def run(config: ScenarioConfig) -> EventTrace:
@@ -440,7 +432,7 @@ def run(config: ScenarioConfig) -> EventTrace:
     period = config.fba_period  # one pending tick, k at k * period
     ticks = 0
     if state.rule is PolicyKind.FBA:
-        trace.tick_tables.append(state.emitted)  # table in force from the start
+        trace.tick_tables.append(state.alphas)  # table in force from the start
         ticks = grid_steps(config.horizon, period)
         if ticks:
             events.append((period, _TICK, 1, None))

@@ -1,6 +1,7 @@
 """CLI: subcommands, artifacts, exit codes, reproducibility."""
 
 import ast
+import concurrent.futures
 import json
 import os
 import random
@@ -1022,7 +1023,9 @@ def test_sweep_without_a_value_exits_3(values, tmp_path, capsys):
 
 def test_sweep_pool_has_no_more_workers_than_runs(monkeypatch, tmp_path):
     # the pool starts every worker at its first submit, so 64 asked for two
-    # runs must start two; the fake maps in this process and starts none
+    # runs must start two; the fake maps in this process and starts none.
+    # The sweep imports concurrent.futures when it forks, so the fake goes
+    # on that module
     sizes = []
 
     class SerialPool:
@@ -1038,7 +1041,7 @@ def test_sweep_pool_has_no_more_workers_than_runs(monkeypatch, tmp_path):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     assert main([
         "sweep", "--preset", "fig4_incast", "--axis", "r", "--values", "2,6",
         "--parallel", "64", "--out", str(tmp_path / "p"),
@@ -1296,7 +1299,7 @@ def test_library_layout_names_exactly_the_modules():
 #: Exported names that no other module or demo reads: each is a type or value
 #: that a caller of an exported function only receives or builds.
 RECEIVED_ONLY = {
-    "SwitchState": "the state engine's event handlers step; a caller driving them builds it",
+    "SwitchState": "the state engine.run builds and steps and controller_tick receives",
     "AnalysisResult": "what steady_state and analyze_transient return",
     "RunMetrics": "what compute returns; the CLI reads its metrics.json payload",
     "CaseKind": "the case in analyze_transient's result and in each curve point",
@@ -1349,13 +1352,15 @@ def test_every_text_open_names_its_encoding():
 
 def test_poisson_run_loads_only_the_standard_library(tmp_path):
     # a cold start that runs a Poisson scenario adds no module from outside
-    # the standard library and fbsim to the interpreter
+    # the standard library and fbsim to the interpreter, and does not load
+    # concurrent.futures, which only a parallel sweep needs
     scenario = tmp_path / "poisson.ini"
     scenario.write_text(_poisson_scenario_text("default"))
     code = (
         "import sys; before = set(sys.modules)\n"
         "from fbsim.cli import main\n"
         f"assert main(['run', '--scenario', {str(scenario)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "assert 'concurrent.futures' not in set(sys.modules) - before\n"
         "added = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
         "print(sorted(added - sys.stdlib_module_names - {'fbsim'}))\n"
     )

@@ -382,8 +382,9 @@ def test_conservation_check_catches_counter_drift():
 def test_engine_snapshot_matches_incremental_counters():
     cfg = preset("fig4_incast")
     state = SwitchState(cfg)
+    prios = {c.class_id: c.priority_id for c in cfg.classes}
     snap = derive_aggregates(
-        dict(zip(state.queue_ids, state.lengths)), state.class_prio, state.buffer_size, state.cong_thr
+        dict(zip(state.queue_ids, state.lengths)), prios, cfg.buffer_size, cfg.congestion_threshold
     )
     assert snap.occupancy == state.total == 50
     assert snap.congested_per_priority[LOW] == 5
@@ -400,15 +401,15 @@ def test_fba_controller_ticks_recorded():
 
 @pytest.mark.parametrize("name", ["fig5_steady", "fig5_incast"])
 def test_fba_ticks_share_unchanged_tables(name):
-    # a tick that leaves the table unchanged re-emits the dict in force, so
-    # there is one dict object per table change plus the initial one
+    # a tick that leaves the table unchanged records the list in force, so
+    # the trace holds one list object per table change plus the initial one
     trace = run(replace(preset(name), policy=PolicyKind.FBA, fba_period=2.0))
-    tables = [table for _t, table in trace.ticks]
+    tables = trace.tick_tables
     changes = sum(a != b for a, b in zip(tables, tables[1:]))
     assert 0 < changes < len(tables) - 1
     for a, b in zip(tables, tables[1:]):
         assert (a is b) == (a == b)
-    assert len({id(table) for table in tables}) == changes + 1
+    assert len({id(table) for table in tables}) == changes + 1 < len(tables)
 
 
 @pytest.mark.parametrize("horizon", [0.3, 0.7, 2.3])
@@ -642,7 +643,7 @@ def test_fluid_agreement_on_large_buffer():
 def test_capacity_invariant_error_is_guarded():
     cfg = two_class_config()
     state = SwitchState(cfg)
-    qi = state.q_index[QueueId(0, 1)]
+    qi = state.queue_ids.index(QueueId(0, 1))
     with pytest.raises(EngineInvariantError):
         for _ in range(61):
             state._bump(qi, +1)
@@ -957,14 +958,18 @@ def test_occupancy_samples_are_4_byte_ints():
 @pytest.mark.parametrize("name", ["fig5_steady", "fig5_incast"])
 def test_fba_trace_keeps_one_table_per_tick_and_no_tick_time(name, period):
     # tick k is due at exactly k * period, so the trace keeps the tables
-    # alone and ``ticks`` derives each time bit for bit
+    # alone and ``ticks`` derives each time bit for bit; each table is a
+    # list of alphas indexed like queue_ids, which ``ticks`` keys by queue
     cfg = replace(preset(name), policy=PolicyKind.FBA, fba_period=period)
     trace = run(cfg)
     ticks = trace.ticks
     grid = [0.0] + [k * period for k in range(1, round(cfg.horizon / period) + 1)]
-    assert _bits(ticks) == _bits(list(zip(grid, trace.tick_tables, strict=True)))
-    assert all(t is table for (_, t), table in zip(ticks, trace.tick_tables))
-    # unchanged tables stay one shared dict
+    assert _bits((t,) for t, _ in ticks) == _bits((t,) for t in grid)
+    for (_t, decoded), table in zip(ticks, trace.tick_tables, strict=True):
+        assert type(table) is list and len(table) == len(trace.queue_ids)
+        assert all(type(alpha) is float for alpha in table)
+        assert _bits(decoded.items()) == _bits(zip(trace.queue_ids, table, strict=True))
+    # unchanged tables stay one shared list
     assert len({id(table) for table in trace.tick_tables}) < len(trace.tick_tables)
     # no field holds a float, or a tuple carrying one, per tick
     for value in vars(trace).values():
