@@ -644,17 +644,18 @@ def _solve_total_rate(one: int, base: int, tracked: list[tuple]) -> tuple[int, i
     ``const - slope * p <= p``, i.e. ``c * w <= k * a``, and there S = c / k.
     """
     c, k = base, one
-    steps = []  # (a, w, change of k, change of c), a breakpoint a / w
+    lcm = math.lcm(*[w for w, _, _ in tracked])
+    steps = []  # (sort key, a, w, change of k, change of c), a breakpoint a / w
     for w, lo, hi in tracked:
+        m = lcm // w
         if hi is None:
             k += w
         else:
             c += hi
-            steps.append((-hi, w, w, -hi))
-        steps.append((-lo, w, -w, lo))
-    lcm = math.lcm(*[w for w, _, _ in tracked])
-    steps.sort(key=lambda step: step[0] * (lcm // step[1]))
-    for a, w, d_k, d_c in steps:
+            steps.append((-hi * m, -hi, w, w, -hi))
+        steps.append((-lo * m, -lo, w, -w, lo))
+    steps.sort()
+    for _, a, w, d_k, d_c in steps:
         if c * w <= k * a:
             break
         k += d_k
@@ -674,7 +675,7 @@ def integrate_transient(
     at their fill rate.  Every old queue starts at or above its threshold
     (``OldQueue`` refuses omega_before < omega), and a backlogged one never
     falls below it.  All rates are then constant and the thresholds linear
-    in t, so each pass solves the total rate once and jumps to the next
+    in t, so each step solves the total rate once and jumps to the next
     instant at which a closing gap reaches zero.
 
     The solve runs in ints.  ``_over_lcm`` writes r and every queue's
@@ -685,22 +686,23 @@ def integrate_transient(
 
         threshold_i = W_i * rho / (E*D),   gap_i = (E*L_i - W_i*rho) / (E*D).
 
-    ``_solve_total_rate`` gives the total rate S = c / k over the fixed
-    rates and the clamps, all ints over E.  Each rate is then an int v_i
-    over E*k: a fixed one scaled by k, a tracked one
-    min(max(-W_i*c, -G_i*k), C_i*k) for its drain G_i and fill cap C_i.
-    The gap moves at rate_i + omega_i*S = s_i / (E*k), s_i = v_i + W_i*c,
-    and closes when s_i and its numerator g_i = E*L_i - W_i*rho differ in
-    sign, hitting zero after
+    Each step walks the queues twice.  Pass 1 takes each gap's numerator
+    g_i = E*L_i - W_i*rho and the fixed rate of a queue off its threshold
+    (drain -G_i above, fill cap C_i below); ``_solve_total_rate`` solves
+    the total rate S = c / k over those and the clamps of the queues on it,
+    all ints over E.  Pass 2 makes each rate an int v_i over E*k, a fixed
+    one scaled by k and a tracked one min(max(-W_i*c, -G_i*k), C_i*k); the
+    gap moves at rate_i + omega_i*S = s_i / (E*k), s_i = v_i + W_i*c, and
+    closes when s_i and g_i differ in sign, hitting zero after
 
         dt_i = (|g_i| / (E*D)) / (|s_i| / (E*k)) = k * |g_i| / (D * |s_i|).
 
-    The smallest |g_i| / |s_i| (compared by cross-multiplying) is the next
-    breakpoint, and a new queue crosses there when its ratio equals it.  A
-    step dt = k*u / (D*w) takes each length to (L_i*E*w + v_i*u) / (E*D*w):
-    u, w = |g_i|, |s_i| at a hit, and u / w = (end - t) * D / k at the
-    horizon.  Only the first crossings are Fractions on return; the series
-    are built from the rows of ints when first read.
+    Pass 2 keeps the smallest |g_i| / |s_i| (compared by cross-multiplying)
+    as the next breakpoint; a new queue crosses there when its ratio equals
+    it.  A step dt = k*u / (D*w) takes each length to (L_i*E*w + v_i*u) /
+    (E*D*w): u, w = |g_i|, |s_i| at a hit, and u / w = (end - t) * D / k at
+    the horizon.  Only the first crossings are Fractions on return; the
+    series are built from the rows of ints when first read.
 
     Without a ``horizon`` the solve stops at the last new queue's first
     crossing, or as soon as no gap is closing; with one it runs to the
@@ -712,27 +714,31 @@ def integrate_transient(
         en, ed = as_fraction(horizon).as_integer_ratio()  # the horizon is en / ed
     old, new = ts.old, ts.new
     n_old, n_new = len(old), len(new)
-    values = [ts.r]
+    # one read per queue: (initial share, omega, gamma[, fill rate]); a new one
+    # starts at 0 and fills at r, and a backlogged old one has no fill cap
+    values, limited = [], []
     for q in old:
-        values += (q.pre_omega, q.omega, q.gamma)
+        omega, before, fill = q.omega, q.omega_before, q.fill_rate
+        values += (omega if before is None else before, omega, q.gamma)
+        if fill is not None:
+            values.append(fill)
+        limited.append(fill is not None)
     for q in new:
-        values += (q.omega, q.gamma)
-    e, ints = _over_lcm(values + [q.fill_rate for q in old if q.fill_rate is not None])
-    r, split = ints[0], 3 * n_old + 1  # the new queues' (omega, gamma) pairs start at split
-    pre = ints[1:split:3]
-    weights = ints[2:split:3] + ints[split:split + 2 * n_new:2]
-    drain = [-g for g in ints[3:split:3] + ints[split + 1:split + 2 * n_new:2]]
-    fill_at = iter(ints[split + 2 * n_new:])  # the rate-limited old queues' fill rates
-    # the rate below the threshold; None for a backlogged old queue
-    cap = [None if q.fill_rate is None else next(fill_at) + v for q, v in zip(old, drain)]
-    cap += [r + v for v in drain[n_old:]]
+        values += (0, q.omega, q.gamma, ts.r)
+    e, ints = _over_lcm(values + [ts.r])  # E covers r with no new queue too
+    at = iter(ints)
+    pre, weights, drain, cap = [], [], [], []
+    for has_fill in limited + [True] * n_new:
+        pre.append(next(at))
+        weights.append(next(at))
+        drain.append(-next(at))
+        cap.append(next(at) + drain[-1] if has_fill else None)
     b = ts.buffer_size
 
     # the steady share B / (1 + W_old) = B*E / (E + sum pre), so L_i = pre_i * B
     d = e + sum(pre)
-    lengths = [p * b for p in pre] + [0] * n_new
+    lengths = [p * b for p in pre]
 
-    queues = range(n_old + n_new)
     crossing: dict[int, tuple[int, int]] = {}  # entry index of a new queue -> first crossing
     rows: list[tuple] = []  # (t numerator, t denominator, D, rho, lengths) per breakpoint
     tn, td = 0, 1
@@ -746,27 +752,34 @@ def integrate_transient(
             d, rho = d // g, rho // g
             lengths = [x // g for x in lengths]
 
-        gaps = [e * x - w * rho for x, w in zip(lengths, weights)]
-        # drain and fill rates are fixed; tracked queues (None) follow S
-        rates = [v if gap > 0 else f if gap < 0 else None for gap, v, f in zip(gaps, drain, cap)]
-        tracked = [i for i in queues if rates[i] is None]
-        c, k = _solve_total_rate(e, sum(v for v in rates if v is not None),
-                                 [(weights[i], drain[i], cap[i]) for i in tracked])
-        rates = [0 if v is None else v * k for v in rates]  # each rate an int over E*k
-        for i in tracked:  # clamp(-omega * S, -gamma, fill cap)
-            v = max(-weights[i] * c, drain[i] * k)
-            rates[i] = v if cap[i] is None else min(v, cap[i] * k)
+        # pass 1: each gap numerator g_i and fixed rate, None on the threshold
+        gaps, clamps, base = [], [], 0
+        for x, wi, lo, hi in zip(lengths, weights, drain, cap):
+            gap = e * x - wi * rho
+            v = lo if gap > 0 else hi if gap < 0 else None
+            gaps.append((gap, v))
+            if v is None:
+                clamps.append((wi, lo, hi))
+            else:
+                base += v
+        c, k = _solve_total_rate(e, base, clamps)
 
-        # gap_i closes at |s_i| / (E*k), s_i = v_i + W_i*c, when s_i has the
-        # gap's opposite sign; keep the smallest |g_i| / |s_i| as u / w
-        # (w = 0 while no gap is closing)
-        closing = {}
+        # pass 2: each rate v_i over E*k, and the closing gaps' smallest
+        # |g_i| / |s_i| as u / w (w = 0 while no gap is closing)
+        rates, closing = [], []
         u = w = 0
-        for i, gap, v, wi in zip(queues, gaps, rates, weights):
+        for i, ((gap, v), wi, lo, hi) in enumerate(zip(gaps, weights, drain, cap)):
+            if v is None:
+                v = max(-wi * c, lo * k)
+                if hi is not None:
+                    v = min(v, hi * k)
+            else:
+                v *= k
+            rates.append(v)
             slope = v + wi * c
             if gap > 0 > slope or gap < 0 < slope:
                 gap, slope = abs(gap), abs(slope)
-                closing[i] = gap, slope
+                closing.append((i, gap, slope))
                 if not w or gap * w < u * slope:
                     u, w = gap, slope
         if w:  # t + k*u / (D*w)
@@ -779,12 +792,13 @@ def integrate_transient(
         else:
             g = math.gcd(next_n, next_d)
             tn, td = next_n // g, next_d // g
-            for i, (gap, slope) in closing.items():
+            for i, gap, slope in closing:
                 if i >= n_old and i not in crossing and gap * w == u * slope:
                     crossing[i] = (tn, td)
 
-        lengths = [x * e * w + v * u for x, v in zip(lengths, rates)]
-        d *= e * w
+        ew = e * w
+        lengths = [x * ew + v * u for x, v in zip(lengths, rates)]
+        d *= ew
 
     return TransientTrajectories(
         [q.queue for q in (*old, *new)], weights, e, rows,

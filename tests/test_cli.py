@@ -1154,6 +1154,20 @@ def test_the_closed_form_builds_no_fraction_itself():
             f"fluid.py:{node.lineno}: {ast.unparse(node)}"
 
 
+def test_the_solver_builds_fractions_only_on_return():
+    # the solver stays in ints from _over_lcm until it returns its first
+    # crossings: neither its breakpoint loop nor the total-rate solve names
+    # Fraction
+    tree = ast.parse((SRC / "fbsim" / "fluid.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    loops = [node for node in ast.walk(functions["integrate_transient"])
+             if isinstance(node, ast.While)]
+    assert len(loops) == 1
+    for body in (*loops, functions["_solve_total_rate"]):
+        assert "Fraction" not in _names_in(body), getattr(body, "name", "the breakpoint loop")
+    assert "Fraction" in _names_in(functions["integrate_transient"])
+
+
 def test_only_the_core_rule_sets_a_frozen_field():
     # every frozen value type converts its fields through core.convert_fields,
     # so __setattr__, the way round a frozen dataclass, is written there alone

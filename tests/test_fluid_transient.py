@@ -662,6 +662,21 @@ class TestIntegrator:
         assert res.times == [0]
         assert res.first_crossing == {QueueId(0, 1): math.inf}
 
+    def test_a_horizon_at_the_crossing_keeps_each_breakpoint_once(self):
+        # the next hit and the horizon tie: the step stops there once and
+        # still reports the crossing; half way, nothing has crossed yet
+        ts = two_priority_incast(100, F(1, 2), 2, 6, n_low_ports=2)
+        t1 = F(80, 7)
+        assert analyze_transient(ts).t1 == t1
+        res = integrate_transient(ts, t1)
+        assert res.times == [0, t1]
+        assert res.first_crossing == {QueueId(0, 1): t1}
+        assert_equals_the_reference(ts, t1, res)
+        half = integrate_transient(ts, t1 / 2)
+        assert half.times == [0, t1 / 2]
+        assert half.first_crossing == {QueueId(0, 1): math.inf}
+        assert_equals_the_reference(ts, t1 / 2, half)
+
     def test_first_crossing_is_exact(self):
         t1, resolution = integrate_first_crossing(scenario_case2())
         assert (t1, resolution) == (20 / 7, 0.0)
