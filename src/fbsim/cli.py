@@ -41,15 +41,18 @@ def _number(name: str, text: str, kind=Fraction):
 def _parse_numbers(args) -> None:
     """Turn the text of the numeric flags into numbers, in place.
 
-    The rational flags become Fractions and the comma-separated lists become
-    lists; sweep ``--values`` become ints on the n_low_queues axis and
+    Each scalar flag becomes a Fraction, an int or a float and each list a
+    list; sweep ``--values`` become ints on the n_low_queues axis and
     Fractions on the others, their text kept in ``value_texts`` for the
     index.  Malformed text raises ScenarioParseError (exit code 2), while
     range checks stay with the analysis and the sweep (exit code 3).
     """
-    for name in ("r", "t", "alpha_l", "alpha_h"):
+    for name, kind in (("r", Fraction), ("t", Fraction), ("alpha_l", Fraction),
+                       ("alpha_h", Fraction), ("buffer", int), ("n_low", int),
+                       ("low_per_port", int), ("n_new", int), ("num", int), ("seed", int),
+                       ("parallel", int), ("fba_period", float)):
         if getattr(args, name, None) is not None:
-            setattr(args, name, _number(name, getattr(args, name)))
+            setattr(args, name, _number(name, getattr(args, name), kind))
     for name, kind in (("alphas", Fraction), ("r_values", Fraction), ("counts", int)):
         if getattr(args, name, None) is not None:
             setattr(args, name, [_number(name, v, kind) for v in getattr(args, name).split(",")])
@@ -273,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help="preset name (see preset-list)")
 
     def add_run_overrides(p):  # read by the simulator only, not by analyze
-        p.add_argument("--seed", type=int, help="override the scenario seed")
-        p.add_argument("--fba-period", dest="fba_period", type=float,
+        p.add_argument("--seed", help="override the scenario seed")
+        p.add_argument("--fba-period", dest="fba_period",
                        help="override the FBA controller period")
 
     p_run = sub.add_parser("run", help="simulate one scenario")
@@ -290,21 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--axis", required=True, choices=workloads.SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
-    p_sweep.add_argument("--parallel", type=int, default=1)
+    p_sweep.add_argument("--parallel", default="1")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="json")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_an = sub.add_parser("analyze", help="closed-form steady/transient analysis")
     add_scenario_args(p_an)
-    p_an.add_argument("--buffer", type=int, help="buffer size in packets (inline mode)")
+    p_an.add_argument("--buffer", help="buffer size in packets (inline mode)")
     p_an.add_argument("--alpha-l", dest="alpha_l", help="low-priority alpha")
     p_an.add_argument("--alpha-h", dest="alpha_h", help="high-priority alpha")
     p_an.add_argument("--r", help="burst arrival rate (inline mode)")
     p_an.add_argument("--t", help="burst duration for alpha bounds")
-    p_an.add_argument("--n-low", dest="n_low", type=int,
+    p_an.add_argument("--n-low", dest="n_low",
                       help="pre-occupied low ports (inline mode, default 1)")
-    p_an.add_argument("--low-per-port", dest="low_per_port", type=int, help="default 1")
-    p_an.add_argument("--n-new", dest="n_new", type=int, help="default 1")
+    p_an.add_argument("--low-per-port", dest="low_per_port", help="default 1")
+    p_an.add_argument("--n-new", dest="n_new", help="default 1")
     p_an.add_argument("--scheme", choices=("fb", "dt"), help="default fb")
     p_an.add_argument("--curve", action="store_true",
                       help="emit the burst-absorption curve CSV")
@@ -316,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_cfg = sub.add_parser("configure-alpha", help="alpha bounds for a target burst")
-    p_cfg.add_argument("--buffer", type=int, required=True)
+    p_cfg.add_argument("--buffer", required=True)
     p_cfg.add_argument("--r", required=True)
     p_cfg.add_argument("--t", help="burst duration")
-    p_cfg.add_argument("--num", type=int, default=1,
+    p_cfg.add_argument("--num", default="1",
                        help="congested low ports, one FB queue each, that every bound "
                             "assumes; the bounds hold on NUM or more (default 1)")
     p_cfg.add_argument("--alpha-l", dest="alpha_l", help="low alpha to plug into the high bound")

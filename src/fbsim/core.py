@@ -30,6 +30,7 @@ import math
 import os
 import typing
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum, EnumMeta
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -162,14 +163,19 @@ class QueueId:
 
 def jsonable(x):
     """A value as JSON sees it: a Fraction becomes a float, +-inf becomes
-    "inf", an Enum its value, dict keys strings and tuples lists."""
+    "inf", an Enum its value, dict keys strings and tuples lists.  A
+    Fraction too large for a float is a ValueError naming it."""
     kind = type(x)
     if kind is str or kind is int or kind is bool or x is None:  # exact types: no ABC check
         return x
     if kind is float:
         return "inf" if math.isinf(x) else x
     if isinstance(x, Fraction):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:
+            raise ValueError(f"{Decimal(x.numerator) / x.denominator:.3e} "
+                             "is too large for a float") from None
     if isinstance(x, float) and math.isinf(x):
         return "inf"
     if isinstance(x, Enum):

@@ -181,7 +181,8 @@ class OldQueue:
     given, is the weight in the preceding steady state and at least
     ``omega``: a burst only adds queues, and adding queues never raises a
     weight (``congested_weights``).  A larger value marks the queue as
-    omega-affected, a member of G_e; None means the weight did not change.
+    omega-affected, a member of G_e (``_closed_form`` splits the old queues
+    by ``pre_omega == omega``); None means the weight did not change.
     So every old queue starts at or above its threshold.  ``fill_rate`` is
     the queue's own arrival rate for the solver, >= 0 (0: it only drains);
     None means fully backlogged (it can always refill up to its threshold).
@@ -205,11 +206,6 @@ class OldQueue:
     @property
     def pre_omega(self) -> Fraction:
         return self.omega if self.omega_before is None else self.omega_before
-
-    @property
-    def affected(self) -> bool:
-        """True when the new queues lowered this queue's omega (G_e member)."""
-        return self.omega_before is not None and self.omega_before != self.omega
 
 
 @dataclass(frozen=True)
@@ -313,12 +309,11 @@ class _ClosedForm:
 
     Reported, each a Fraction of two ints normalized once unless noted:
     ``case`` (a ``CaseKind``), ``rate_bound`` (r*, +inf without old queues),
-    ``fill`` (Q' in the scenario's case), ``fill1`` and ``fill2`` (Q' in
-    Case-1 and Case-2), ``w_old`` (the old queues' pre-transient omega sum),
-    ``t1_per_queue``, ``t1`` (the earliest t1), ``burst`` (r * t1), and r*'s
-    terms that alpha_bounds_general inverts: ``first``, ``g_star`` (G*) and
-    ``ne_empty`` (a bool: G_ne is empty).  A t1 that never comes is
-    ``math.inf`` itself, so ``t1 is math.inf`` tests for it.
+    ``t1_per_queue``, ``t1`` (the earliest t1) and ``burst`` (r * t1).  A t1
+    that never comes is ``math.inf`` itself, so ``t1 is math.inf`` tests for
+    it.  ``alpha_bounds_general`` builds its bounds from the ints themselves:
+    d, R (``_r``), n_new, W_old, W_ne, G_ne, G_new + G_e (``_first``), G*
+    (``_g_star``) and the case test's result.
     """
 
     __slots__ = ("_d", "_r", "_n_new", "_w_old", "_w_ne", "_g_ne", "_first", "_g_star",
@@ -337,38 +332,10 @@ class _ClosedForm:
         return CaseKind.CASE1 if self._case1 else CaseKind.CASE2
 
     @property
-    def ne_empty(self) -> bool:
-        return not self._w_ne  # every omega is > 0
-
-    @property
     def rate_bound(self) -> Value:
         if not self._w_old:  # no old queue
             return math.inf
         return Fraction(self._bound, self._d * self._w_star * self._n_new)
-
-    @property
-    def fill1(self) -> Fraction:
-        return Fraction(self._n_new * self._r - self._first, self._d + self._w_ne)
-
-    @property
-    def fill2(self) -> Fraction:
-        return Fraction(self._n_new * self._r - self._first - self._g_ne, self._d)
-
-    @property
-    def fill(self) -> Fraction:
-        return self.fill1 if self._case1 else self.fill2
-
-    @property
-    def w_old(self) -> Fraction:
-        return Fraction(self._w_old, self._d)
-
-    @property
-    def first(self) -> Fraction:
-        return Fraction(self._first, self._n_new * self._d)
-
-    @property
-    def g_star(self) -> Fraction:
-        return Fraction(self._g_star, self._d)
 
     @property
     def t1_per_queue(self) -> dict[QueueId, Value]:
@@ -548,34 +515,34 @@ def alpha_bounds_general(ts: TransientScenario, t: Optional[Number]) -> GeneralA
     affected old queue (1+W_old) * Q'_1 depends on how W_old splits between
     G_e and G_ne; the rule reads it at the scenario's own weights, so it
     assumes that a change of alpha_L keeps that split.
+
+    Each term is built from ``_closed_form``'s ints over its denominator d
+    (the module docstring's capitals), with AE = n_new*R - (G_new + G_e):
+    1 + W_old = (d + W_old)/d, Q'_1 = AE/(d + W_ne), Q'_2 = (AE - G_ne)/d,
+    and the case bound W* = G*/(AE - G*), G*/AE when G_ne is empty,
+    unconstrained without old queues or when that denominator is <= 0.
     """
     cf = _closed_form(ts)
-    case, w_old, b = cf.case, cf.w_old, ts.buffer_size
-
-    # case-boundary alpha_L, unconstrained without old queues: solve r = r*
-    # for W*, which is W_ne when G_ne is not empty and leaves W_ne = 0 otherwise
-    inner = (len(ts.new) / cf.g_star * (ts.r - cf.first) - (0 if cf.ne_empty else 1)
-             if ts.old else 0)
-    boundary: Bound = 1 / inner if inner > 0 else UNCONSTRAINED
-    relation = "<=" if case is CaseKind.CASE1 else ">"
+    d, b = cf._d, ts.buffer_size
+    ae = cf._n_new * cf._r - cf._first
+    den = ae - (cf._g_star if cf._w_ne else 0)  # W_ne = 0: G_ne is empty
+    boundary: Bound = Fraction(cf._g_star, den) if ts.old and den > 0 else UNCONSTRAINED
+    relation = "<=" if cf._case1 else ">"
     if t is None:
-        return GeneralAlphaBounds(case, boundary, relation, None, None)
+        return GeneralAlphaBounds(cf.case, boundary, relation, None, None)
     tf = as_fraction(t)
     if tf <= 0:
         raise ValueError("t must be > 0")
 
-    denom = b - tf * (1 + w_old) * cf.fill
-    alpha_h: Bound = max(
-        tf * (ts.r - q.gamma) * (1 + w_old) / denom / q.factor for q in ts.new
-    ) if denom > 0 else INFEASIBLE
-    if b <= tf * (1 + w_old) * cf.fill1:
-        frontier: Bound = INFEASIBLE
-    elif cf.fill2 <= 0:
-        frontier = UNCONSTRAINED
-    else:
-        frontier = b / (tf * cf.fill2) - 1
+    lift = Fraction(d + cf._w_old, d)  # 1 + W_old
+    fill1, fill2 = Fraction(ae, d + cf._w_ne), Fraction(ae - cf._g_ne, d)  # Q'_1, Q'_2
+    denom = b - tf * lift * (fill1 if cf._case1 else fill2)
+    alpha_h: Bound = max(tf * (ts.r - q.gamma) * lift / denom / q.factor
+                         for q in ts.new) if denom > 0 else INFEASIBLE
+    frontier: Bound = (INFEASIBLE if b <= tf * lift * fill1
+                       else UNCONSTRAINED if fill2 <= 0 else b / (tf * fill2) - 1)
 
-    return GeneralAlphaBounds(case, boundary, relation, frontier, alpha_h)
+    return GeneralAlphaBounds(cf.case, boundary, relation, frontier, alpha_h)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,13 @@ the tests check it against, and one helper the tests share.
   stated for DT weights, which the case bound of
   ``alpha_bounds_general`` must reproduce.  A bound is a Fraction, or the
   text "unconstrained" or "infeasible".
+- ``affected`` tells whether a burst lowered an old queue's omega, the
+  G_e/G_ne split, read from the queue's fields alone.
 - ``aggregate_closed_form`` states the aggregate transient closed form on
   plain Fraction arithmetic, field by field as ``fbsim.fluid._closed_form``
-  reports it, so the package's integer evaluation is checked against it.
+  reports it, and ``aggregate_alpha_bounds`` the three alpha bounds that
+  ``fbsim.fluid.alpha_bounds_general`` builds from the same ints, so the
+  package's integer evaluation is checked against both.
 - ``reference_transient`` and ``reference_total_rate`` are the exact
   event-driven solver on plain Fraction arithmetic, breakpoint by
   breakpoint as ``fbsim.fluid.integrate_transient`` walks it, so the
@@ -180,46 +184,89 @@ def multi_priority_alpha_H(lower_priority_alpha_maxes: Sequence[Number], buffer_
     return alpha_H_for_burst(buffer_size, r, t, alpha_x)
 
 
-def aggregate_closed_form(ts) -> dict:
-    """The aggregate closed form of a transient scenario, every field named
-    as in ``fbsim.fluid._closed_form`` (the case as its text), summed with
-    ``sum(..., Fraction(0))``.
+def affected(q) -> bool:
+    """True when the burst lowered old queue ``q``'s omega: a G_e member."""
+    return q.omega_before is not None and q.omega_before != q.omega
+
+
+def _aggregates(ts) -> dict:
+    """The sums and terms both aggregate statements read, on Fractions
+    summed with ``sum(..., Fraction(0))``.
 
     The old queues split into G_e (omega changed by the burst) and G_ne.
     Case-1 holds while r <= r* = first + G* * (1 + W_ne) / (W* * n_new),
     with first = (new drains + G_e drains) / n_new and G*, W* the drain and
     omega sums of G_ne (of G_e when G_ne is empty); r* is +inf without old
     queues.  With F = n_new*r - new drains, Q' is (F - G_e drains) /
-    (1 + W_ne) in Case-1 and F - G_e drains - G_ne drains in Case-2, and
-    each new queue's t1 = omega*B/(1+W_old) / ((r-gamma) + omega*Q'), +inf
-    when that speed is not positive.
+    (1 + W_ne) in Case-1 and F - G_e drains - G_ne drains in Case-2.
     """
     zero = Fraction(0)
     n_new = len(ts.new)
-    old_e = [q for q in ts.old if q.affected]
-    old_ne = [q for q in ts.old if not q.affected]
+    old_e = [q for q in ts.old if affected(q)]
+    old_ne = [q for q in ts.old if not affected(q)]
     w_old = sum((q.pre_omega for q in ts.old), zero)
     w_e, drain_e = sum((q.omega for q in old_e), zero), sum((q.gamma for q in old_e), zero)
     w_ne, drain_ne = sum((q.omega for q in old_ne), zero), sum((q.gamma for q in old_ne), zero)
     drain_new = sum((q.gamma for q in ts.new), zero)
     first = (drain_new + drain_e) / n_new
-    ne_empty = not old_ne
-    g_star, w_star = (drain_e, w_e) if ne_empty else (drain_ne, w_ne)
+    g_star, w_star = (drain_ne, w_ne) if old_ne else (drain_e, w_e)
     rate_bound = first + g_star * (1 + w_ne) / (w_star * n_new) if ts.old else math.inf
-    case1 = ts.r <= rate_bound
     after_e = n_new * ts.r - drain_new - drain_e
-    fill1, fill2 = after_e / (1 + w_ne), after_e - drain_ne
-    fill = fill1 if case1 else fill2
-    gap = ts.buffer_size / (1 + w_old)
+    return dict(n_new=n_new, ne_empty=not old_ne, w_old=w_old, first=first, g_star=g_star,
+                rate_bound=rate_bound, case1=ts.r <= rate_bound,
+                fill1=after_e / (1 + w_ne), fill2=after_e - drain_ne)
+
+
+def aggregate_closed_form(ts) -> dict:
+    """The aggregate closed form of a transient scenario, every field named
+    as in ``fbsim.fluid._closed_form`` (the case as its text): Q' in the
+    scenario's case (``_aggregates``) gives each new queue's
+    t1 = omega*B/(1+W_old) / ((r-gamma) + omega*Q'), +inf when that speed is
+    not positive.
+    """
+    agg = _aggregates(ts)
+    fill = agg["fill1"] if agg["case1"] else agg["fill2"]
+    gap = ts.buffer_size / (1 + agg["w_old"])
     per_queue = {}
     for q in ts.new:
         speed = (ts.r - q.gamma) + q.omega * fill
         per_queue[q.queue] = q.omega * gap / speed if speed > 0 else math.inf
     t1 = min(per_queue.values())
-    return dict(case="case1" if case1 else "case2", rate_bound=rate_bound, fill=fill,
-                fill1=fill1, fill2=fill2, w_old=w_old, t1_per_queue=per_queue, t1=t1,
-                burst=math.inf if t1 == math.inf else ts.r * t1,
-                first=first, g_star=g_star, ne_empty=ne_empty)
+    return dict(case="case1" if agg["case1"] else "case2", rate_bound=agg["rate_bound"],
+                t1_per_queue=per_queue, t1=t1, burst=math.inf if t1 == math.inf else ts.r * t1)
+
+
+def aggregate_alpha_bounds(ts, t) -> dict:
+    """The three bounds of ``fbsim.fluid.alpha_bounds_general``, named as its
+    fields, over the terms of ``_aggregates``; a bound is a Fraction or the
+    text "unconstrained" or "infeasible", and the two burst bounds are None
+    when ``t`` is None.
+
+    The case bound solves r = r* for W*: G* / (n_new*(r - first) - G*), or
+    G* / (n_new*(r - first)) when G_ne is empty, unconstrained without old
+    queues or when that denominator is not positive.  The frontier is
+    infeasible when B <= t*(1+W_old)*Q'_1, else unconstrained when
+    Q'_2 <= 0, else B/(t*Q'_2) - 1.  alpha_H_min is the largest
+    t*(r-gamma)*(1+W_old) / (B - t*(1+W_old)*Q') / factor over the new
+    queues, with Q' of the scenario's case, infeasible when that
+    denominator is not positive.
+    """
+    agg = _aggregates(ts)
+    fill1, fill2 = agg["fill1"], agg["fill2"]
+    den = agg["n_new"] * (ts.r - agg["first"]) - (0 if agg["ne_empty"] else agg["g_star"])
+    bounds = dict(alpha_L_case_bound=agg["g_star"] / den if ts.old and den > 0
+                  else "unconstrained", alpha_L_max_for_burst=None, alpha_H_min=None)
+    if t is None:
+        return bounds
+    t, b, lift = as_fraction(t), ts.buffer_size, 1 + agg["w_old"]
+    denom = b - t * lift * (fill1 if agg["case1"] else fill2)
+    bounds["alpha_H_min"] = max(t * (ts.r - q.gamma) * lift / denom / q.factor
+                                for q in ts.new) if denom > 0 else "infeasible"
+    if b <= t * lift * fill1:
+        bounds["alpha_L_max_for_burst"] = "infeasible"
+    else:
+        bounds["alpha_L_max_for_burst"] = "unconstrained" if fill2 <= 0 else b / (t * fill2) - 1
+    return bounds
 
 
 def reference_total_rate(base: Fraction, tracked: list[tuple]) -> Fraction:

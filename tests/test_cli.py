@@ -483,12 +483,45 @@ def test_bad_alpha_exits_3_with_field_message(tmp_path, capsys):
     ["sweep", "--preset", "fig4_incast", "--axis", "load", "--values", "1/0"],
     ["sweep", "--preset", "fig4_incast", "--axis", "load", "--values", "1,abc"],
     ["sweep", "--preset", "dt_scaling", "--axis", "n_low_queues", "--values", "2.5"],
+    ["analyze", "--buffer", "abc", "--alpha-l", "1", "--alpha-h", "2", "--r", "4"],
+    ["analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "4", "--n-low", "x"],
+    ["analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "4",
+     "--low-per-port", "1.5"],
+    ["analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "4", "--n-new", "x"],
+    ["configure-alpha", "--buffer", "60.5", "--r", "4"],
+    ["configure-alpha", "--buffer", "60", "--r", "4", "--num", "x"],
+    ["run", "--preset", "fig2", "--seed", "x"],
+    ["run", "--preset", "fig2", "--fba-period", "x"],
+    ["sweep", "--preset", "fig4_incast", "--axis", "load", "--values", "1", "--parallel", "x"],
 ], ids=["abc", "one_over_zero", "alphas", "zero_over_zero", "counts",
-        "sweep_one_over_zero", "sweep_abc", "sweep_fractional_count"])
+        "sweep_one_over_zero", "sweep_abc", "sweep_fractional_count", "buffer", "n_low",
+        "low_per_port", "n_new", "configure_buffer", "num", "seed", "fba_period", "parallel"])
 def test_malformed_number_exits_2(argv, tmp_path, capsys):
-    needs_out = argv[0] == "sweep" or "--curve" in argv
+    # every numeric flag, the counts included, is read by one parser: a
+    # malformed one returns 2 with the flag named, not argparse's usage text
+    needs_out = argv[0] in ("run", "sweep") or "--curve" in argv
     assert main(argv + (["--out", str(tmp_path)] if needs_out else [])) == 2
-    assert "parse error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: --") and "usage" not in err
+
+
+_OVERFLOW = ["--buffer", "60", "--r", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--buffer", "60", "--alpha-l", "1", "--alpha-h", "2", "--r", "4", "--t", "1e-308"],
+    ["configure-alpha", *_OVERFLOW, "--t", "1e-308"],
+    ["configure-alpha", "--buffer", "60", "--r", "1e400"],
+    ["configure-alpha", *_OVERFLOW, "--t", "5", "--alpha-l", "1e400"],
+    ["configure-alpha", *_OVERFLOW, "--t", "5", "--alphas", "1e400"],
+], ids=["analyze_t", "configure_t", "configure_r", "configure_alpha_l", "configure_alphas"])
+def test_a_result_past_float_range_exits_3(argv, capsys):
+    # an exact result that no float holds is a validation error, not an
+    # OverflowError out of the JSON writer (once a traceback and exit 1)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"validation error: \S+ is too large for a float\n", captured.err)
 
 
 @pytest.mark.parametrize("axis,value,preset_name", [

@@ -14,6 +14,7 @@ from fbsim.core import QueueId
 from fbsim.fluid import (
     INFEASIBLE,
     UNCONSTRAINED,
+    BoundStatus,
     CaseKind,
     NewQueue,
     OldQueue,
@@ -33,6 +34,8 @@ from fbsim.fluid import (
 )
 from fbsim.workloads import loads_scenario, preset, transient_scenario
 from oracles import (
+    affected,
+    aggregate_alpha_bounds,
     aggregate_closed_form,
     alpha_H_for_burst,
     alpha_L_for_burst,
@@ -96,9 +99,9 @@ def test_a_rising_omega_is_refused(before):
 
 
 def test_an_unchanged_or_lowered_omega_is_kept():
-    for before, affected in ((None, False), (F(3, 4), False), (F(3, 2), True)):
+    for before, lowered in ((None, False), (F(3, 4), False), (F(3, 2), True)):
         q = OldQueue(QueueId(100, 0), omega=F(3, 4), gamma=1, omega_before=before)
-        assert q.affected is affected
+        assert affected(q) is lowered
 
 
 def test_a_negative_fill_rate_is_refused():
@@ -406,7 +409,7 @@ class TestAlphaBoundsGeneral:
         old = (OldQueue(QueueId(9, 0), omega=F(1, 2), gamma=1, omega_before=F(1)),)
         new = (NewQueue(QueueId(0, 1), omega=F(2), gamma=1),)
         ts = TransientScenario(60, old, new, F(4))
-        assert all(q.affected for q in ts.old)
+        assert all(affected(q) for q in ts.old)
         # bound = sum_new gamma / 1 + Gamma_e * (1 + W_e) / (W_e * 1)
         assert case_rate_bound(ts) == 1 + 1 * (1 + F(1, 2)) / F(1, 2)
         bounds = alpha_bounds_general(ts, 2)
@@ -912,8 +915,8 @@ def _paper_t1(ts, case):
     Case-2: omega*B / ((1+W_old) * ((r-gamma) + omega*(F - NUM))).  +inf when
     the bracket is not positive."""
     w_old = sum((q.pre_omega for q in ts.old), F(0))
-    w_ne = sum((q.omega for q in ts.old if not q.affected), F(0))
-    drain_e = sum((q.gamma for q in ts.old if q.affected), F(0))
+    w_ne = sum((q.omega for q in ts.old if not affected(q)), F(0))
+    drain_e = sum((q.gamma for q in ts.old if affected(q)), F(0))
     num = sum((q.gamma for q in ts.old), F(0))
     fill = sum((ts.r - q.gamma for q in ts.new), F(0))
     out = {}
@@ -938,8 +941,8 @@ def _paper_alpha_bounds(ts, t, case):
     t * (1+W_old) * (F - G_e drain); else Case-2's B / (t*(F - NUM)) - 1,
     unconstrained when F <= NUM."""
     w_old = sum((q.pre_omega for q in ts.old), F(0))
-    w_ne = sum((q.omega for q in ts.old if not q.affected), F(0))
-    drain_e = sum((q.gamma for q in ts.old if q.affected), F(0))
+    w_ne = sum((q.omega for q in ts.old if not affected(q)), F(0))
+    drain_e = sum((q.gamma for q in ts.old if affected(q)), F(0))
     num = sum((q.gamma for q in ts.old), F(0))
     fill = sum((ts.r - q.gamma for q in ts.new), F(0))
     b = ts.buffer_size
@@ -969,8 +972,8 @@ def _paper_rate_bound(ts, w):
     empty, and W_ne is W itself when G_ne is not empty and 0 otherwise.
     r*(W) falls as W grows; ``w = math.inf`` gives its infimum."""
     n = len(ts.new)
-    g_e = [q for q in ts.old if q.affected]
-    g_ne = [q for q in ts.old if not q.affected]
+    g_e = [q for q in ts.old if affected(q)]
+    g_ne = [q for q in ts.old if not affected(q)]
     first = (sum((q.gamma for q in ts.new), F(0)) + sum((q.gamma for q in g_e), F(0))) / n
     g_star = sum((q.gamma for q in g_ne or g_e), F(0))
     if w == math.inf:
@@ -1018,7 +1021,7 @@ def test_closed_forms_match_the_paper_formulas():
         at_bound = ts.old and ts.r == case_rate_bound(ts)
         expected = _paper_t1(ts, case)
         t1 = min(expected.values())
-        seen.update({case, ("old", bool(ts.old)), ("g_e", any(q.affected for q in ts.old)),
+        seen.update({case, ("old", bool(ts.old)), ("g_e", any(affected(q) for q in ts.old)),
                      ("inf", t1 == math.inf), ("boundary", bool(at_bound))})
         assert first_threshold_crossing(ts) == t1
         if at_bound:  # where the two cases meet, their forms agree
@@ -1033,7 +1036,7 @@ def test_closed_forms_match_the_paper_formulas():
             assert (bounds.alpha_L_max_for_burst, bounds.alpha_H_min) == \
                 _paper_alpha_bounds(ts, t, case)
         if ts.old:  # the case-boundary alpha_L inverts r* = r
-            starred = [q for q in ts.old if not q.affected] or ts.old  # G_ne, else G_e
+            starred = [q for q in ts.old if not affected(q)] or ts.old  # G_ne, else G_e
             assert case_rate_bound(ts) == _paper_rate_bound(ts, sum(q.omega for q in starred))
             w_bound = bounds.alpha_L_case_bound
             if w_bound is UNCONSTRAINED:  # r <= r*(W) for every W, its infimum included
@@ -1047,8 +1050,7 @@ def test_closed_forms_match_the_paper_formulas():
                     ("case_bound", True), ("case_bound", False)}
 
 
-REPORTED = ("case", "rate_bound", "fill", "fill1", "fill2", "w_old", "t1_per_queue", "t1",
-            "burst", "first", "g_star", "ne_empty")
+REPORTED = ("case", "rate_bound", "t1_per_queue", "t1", "burst")
 
 
 def assert_closed_form_is_the_fraction_statement(ts):
@@ -1068,9 +1070,36 @@ def assert_closed_form_is_the_fraction_statement(ts):
     return cf
 
 
+def assert_alpha_bounds_are_the_fraction_statement(ts, t):
+    """The three bounds ``alpha_bounds_general(ts, t)`` builds from the
+    closed form's ints equal, value and type, those ``aggregate_alpha_bounds``
+    states on plain Fractions in ``tests/oracles.py``, whose text status is
+    the BoundStatus of that value."""
+    expected = {name: BoundStatus(v) if isinstance(v, str) else v
+                for name, v in aggregate_alpha_bounds(ts, t).items()}
+    bounds = vars(alpha_bounds_general(ts, t))
+    got = {name: bounds[name] for name in expected}
+    assert got == expected
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}
+    return got
+
+
+def _frontier_edge(ts):
+    """The duration at which Case-1's fill reaches B by the end of the
+    burst, B * (1+W_ne) / ((1+W_old) * (F - G_e drain)): the frontier is
+    infeasible from there on.  None when that fill is not positive."""
+    w_old = sum((q.pre_omega for q in ts.old), F(0))
+    w_ne = sum((q.omega for q in ts.old if not affected(q)), F(0))
+    fill = sum((ts.r - q.gamma for q in ts.new), F(0)) - \
+        sum((q.gamma for q in ts.old if affected(q)), F(0))
+    return ts.buffer_size * (1 + w_ne) / ((1 + w_old) * fill) if fill > 0 else None
+
+
 def test_the_integer_closed_form_equals_its_fraction_statement():
     # the benchmark's recipes, incasts under FB and DT with 0, 1 and 3 low
-    # ports (none: no old queue), and rates at or below a drain (t1 = +inf)
+    # ports (none: no old queue), and rates at or below a drain (t1 = +inf);
+    # the alpha bounds with no duration, with short, middling and long
+    # bursts, and with a burst that just fills the buffer
     rng = random.Random(33)
     scenarios = symmetric_recipe(rng, 60) + asymmetric_recipe(rng, 60) + dynamics_recipe(rng, 60)
     scenarios += [_formula_scenario(rng) for _ in range(120)]
@@ -1086,10 +1115,22 @@ def test_the_integer_closed_form_equals_its_fraction_statement():
     seen = set()
     for ts in scenarios:
         cf = assert_closed_form_is_the_fraction_statement(ts)
-        seen.update({cf.case, ("old", bool(ts.old)), ("g_e", any(q.affected for q in ts.old)),
+        seen.update({cf.case, ("old", bool(ts.old)), ("g_e", any(affected(q) for q in ts.old)),
+                     ("ne_empty", bool(ts.old) and all(affected(q) for q in ts.old)),
                      ("inf", cf.t1 == math.inf)})
+        for t in (None, F(1, 2), F(3), F(40), _frontier_edge(ts)):
+            got = assert_alpha_bounds_are_the_fraction_statement(ts, t)
+            seen.update((name, v if isinstance(v, BoundStatus) else type(v))
+                        for name, v in got.items())
+            seen.add(("edge", t is not None and t == _frontier_edge(ts)
+                      and got["alpha_L_max_for_burst"] is INFEASIBLE))
     assert seen >= {CaseKind.CASE1, CaseKind.CASE2, ("old", False), ("old", True),
-                    ("g_e", True), ("inf", True), ("inf", False)}
+                    ("g_e", True), ("ne_empty", True), ("inf", True), ("inf", False),
+                    ("edge", True), ("alpha_L_case_bound", UNCONSTRAINED),
+                    ("alpha_L_case_bound", F), ("alpha_L_max_for_burst", type(None)),
+                    ("alpha_L_max_for_burst", F), ("alpha_L_max_for_burst", UNCONSTRAINED),
+                    ("alpha_L_max_for_burst", INFEASIBLE), ("alpha_H_min", type(None)),
+                    ("alpha_H_min", F), ("alpha_H_min", INFEASIBLE)}
 
 
 _huge = st.integers(10**30 - 10**6, 10**30 + 10**6)
@@ -1108,27 +1149,35 @@ def _before(omega, fall):
 @given(buffer=st.integers(1, 10**4), r=_positive_rationals,
        old=st.lists(st.tuples(_positive_rationals, _drains, st.none() | _positive_rationals),
                     max_size=4),
-       new=st.lists(st.tuples(_positive_rationals, _drains), min_size=1, max_size=3))
+       new=st.lists(st.tuples(_positive_rationals, _drains), min_size=1, max_size=3),
+       t=st.none() | _positive_rationals)
 @example(buffer=97, r=F(7 * 10**30 + 1, 10**30),
          old=[(F(1, 10**30 - 1), F(10**30 - 7, 10**30), F(3, 10**30 + 1)),
               (F(5, 3), F(1, 2), None)],
-         new=[(F(10**30 + 3, 10**30), F(1, 3)), (F(2), F(10**30 - 1, 10**30))])
-@example(buffer=60, r=F(1, 10**30), old=[], new=[(F(1), F(1))])
+         new=[(F(10**30 + 3, 10**30), F(1, 3)), (F(2), F(10**30 - 1, 10**30))],
+         t=F(10**30 + 7, 10**30))
+@example(buffer=60, r=F(1, 10**30), old=[], new=[(F(1), F(1))], t=F(5))
 @example(buffer=80, r=F(3), old=[(F(1, 2), F(1), None)],  # two new queues of one t1
-         new=[(F(2), F(1, 2)), (F(2), F(1, 2))])
+         new=[(F(2), F(1, 2)), (F(2), F(1, 2))], t=None)
 @example(buffer=60, r=F(10**30 + 1, 10**30 - 1), old=[(F(1, 10**30 + 1), F(1), None)],
-         new=[(F(3, 10**30 - 3), F(1))])
+         new=[(F(3, 10**30 - 3), F(1))], t=F(3))
+@example(buffer=60, r=F(4), old=[(F(1, 10**30 + 1), F(1), F(1, 3))],  # G_ne empty
+         new=[(F(3, 10**30 - 3), F(1, 2))], t=F(10**30 - 1, 10**29))
 def test_the_integer_closed_form_equals_its_fraction_statement_on_huge_denominators(
-        buffer, r, old, new):
-    # an old queue's third entry is None or how far the burst lowered its omega
+        buffer, r, old, new, t):
+    # an old queue's third entry is None or how far the burst lowered its
+    # omega; each new queue's weight factor is its drain (FB's beta*gamma
+    # with beta 1), and the alpha bounds take the duration t
     ts = TransientScenario(
         buffer,
         tuple(OldQueue(QueueId(100 + i, 0), omega=w, gamma=g, omega_before=_before(w, fall))
               for i, (w, g, fall) in enumerate(old)),
-        tuple(NewQueue(QueueId(i, 1), omega=w, gamma=g) for i, (w, g) in enumerate(new)),
+        tuple(NewQueue(QueueId(i, 1), omega=w, gamma=g, factor=g)
+              for i, (w, g) in enumerate(new)),
         r,
     )
     assert_closed_form_is_the_fraction_statement(ts)
+    assert_alpha_bounds_are_the_fraction_statement(ts, t)
 
 
 @settings(max_examples=80, deadline=None)

@@ -43,6 +43,7 @@ from fbsim.workloads import (
     _read_sections,
     _read_text,
 )
+from oracles import affected
 
 F = Fraction
 LOW, HIGH = 0, 1
@@ -782,7 +783,7 @@ class TestFluidBridges:
         # bridge builds keeps or lowers its pre-burst weight (OldQueue
         # refuses a rising one), and under FB and FBA some lower it
         rng = random.Random(35)
-        affected = 0
+        lowered = 0
         for _ in range(60):
             n_ports, n_classes = rng.randint(1, 3), rng.randint(2, 4)
             classes = tuple(TrafficClass(c, F(rng.randint(1, 8), 4), rng.randint(0, 1))
@@ -800,8 +801,8 @@ class TestFluidBridges:
             for q in transient_scenario(cfg).old:
                 assert q.omega_before is None or q.omega_before > q.omega
                 assert before[q.queue] == q.pre_omega >= q.omega
-                affected += q.affected
-        assert (affected > 0) is (kind is not PolicyKind.DYNAMIC_THRESHOLDS)
+                lowered += affected(q)
+        assert (lowered > 0) is (kind is not PolicyKind.DYNAMIC_THRESHOLDS)
 
     def test_fig4_incast_transient(self):
         ts = transient_scenario(preset("fig4_incast"))
