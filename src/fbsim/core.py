@@ -15,8 +15,8 @@ scenario can name; their rules live in ``fbsim.engine``) among them, are
 immutable value objects and safe to share across threads.  The module owns
 the one field rule ``convert_fields``, which makes each field of every value
 type the kind its annotation states, and how a result is written out: the
-value-to-JSON rule ``jsonable``, the JSON text and files, CSV tables, and
-``open_output``, the one way a file is opened for output.
+value-to-JSON rule ``jsonable`` and ``faithful_float``, the JSON text and
+files, CSV tables, and ``open_output``, the one way a file is opened for output.
 """
 
 from __future__ import annotations
@@ -161,10 +161,22 @@ class QueueId:
 # -- result files --------------------------------------------------------------
 
 
+def faithful_float(x: Fraction) -> float:
+    """``float(x)``, or a ValueError saying why no float is faithful to
+    ``x``: no float holds it, or it is positive but rounds to 0.0."""
+    try:  # the int division that float(x) does
+        as_float = x.numerator / x.denominator
+    except OverflowError:
+        raise ValueError("too large for a float") from None
+    if not as_float and x > 0:
+        raise ValueError("too small for a float: it rounds to 0.0")
+    return as_float
+
+
 def jsonable(x):
     """A value as JSON sees it: a Fraction becomes a float, +-inf becomes
     "inf", an Enum its value, dict keys strings and tuples lists.  A
-    Fraction too large for a float is a ValueError naming it."""
+    Fraction without a faithful float is a ValueError naming it."""
     kind = type(x)
     if kind is str or kind is int or kind is bool or x is None:  # exact types: no ABC check
         return x
@@ -172,10 +184,9 @@ def jsonable(x):
         return "inf" if math.isinf(x) else x
     if isinstance(x, Fraction):
         try:
-            return float(x)
-        except OverflowError:
-            raise ValueError(f"{Decimal(x.numerator) / x.denominator:.3e} "
-                             "is too large for a float") from None
+            return faithful_float(x)
+        except ValueError as exc:
+            raise ValueError(f"{Decimal(x.numerator) / x.denominator:.3e} is {exc}") from None
     if isinstance(x, float) and math.isinf(x):
         return "inf"
     if isinstance(x, Enum):

@@ -40,10 +40,11 @@ scaled values), so with AE = d * (F - G_e drain) = n_new*R - G_new - G_e,
 multiplying out d gives
 
     t1 = O*B*den / ((d + W_old) * sp)
-    Case-1: sp = (R - G)*(d + W_ne) + O*AE,   den = d*(d + W_ne)
-    Case-2: sp = (R - G)*d + O*(AE - G_ne),  den = d*d
+    sp = (R - G)*(d + W_T) + O*(AE - G_D),  den = d*(d + W_T)
 
-with t1 = +inf when sp <= 0, i.e. when the new queue never closes its gap.
+where T and D are the unaffected old queues that track their thresholds and
+those that drain: (T, D) = (G_ne, {}) in Case-1 and ({}, G_ne) in Case-2.
+t1 = +inf when sp <= 0, i.e. when the new queue never closes its gap.
 ``_closed_form`` keeps these ints and builds no Fraction; its record builds
 each reported value, one Fraction of two ints, when it is read.
 
@@ -409,15 +410,11 @@ def _closed_form(ts: TransientScenario) -> _ClosedForm:
 
     first = g_new + g_e  # first = (G_new + G_e) / (n_new * d)
     g_star, w_star = (g_ne, w_ne) if w_ne else (g_e, w_e)  # W_ne = 0: G_ne is empty
-    d_ne = d + w_ne
-    bound = first * w_star + g_star * d_ne  # r* = bound / (d * W* * n_new)
+    bound = first * w_star + g_star * (d + w_ne)  # r* = bound / (d * W* * n_new)
     case1 = r * w_star * n_new <= bound
-    ae = n_new * r - first
-    if case1:
-        scale, excess, den = d_ne, ae, d * d_ne
-    else:
-        scale, excess, den = d, ae - g_ne, d * d
-    top, low = ts.buffer_size * den, d + w_old
+    w_t, g_d = (w_ne, 0) if case1 else (0, g_ne)  # (T, D) = (G_ne, {}) or ({}, G_ne)
+    scale, excess = d + w_t, n_new * r - first - g_d  # d + W_T and AE - G_D
+    top, low = ts.buffer_size * d * scale, d + w_old
     speeds, o1, sp1 = [], 0, 0
     for q, i in zip(ts.new, range(new_at, len(scaled), 2)):
         o = scaled[i]

@@ -29,7 +29,8 @@ from fractions import Fraction
 from operator import truediv
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .core import PolicyKind, QueueId, TrafficClass, as_fraction, convert_fields, open_output
+from .core import (PolicyKind, QueueId, TrafficClass, as_fraction, convert_fields,
+                   faithful_float, open_output)
 from .fluid import NewQueue, OldQueue, TransientScenario, congested_weights
 
 
@@ -346,12 +347,10 @@ class ScenarioConfig:
         for prefix, table in tables:
             for name, value in table.items():
                 if isinstance(value, Fraction):
-                    try:  # the int division that float(value) does
-                        as_float = value.numerator / value.denominator
-                    except OverflowError:
-                        return f"{prefix}{name} is too large for a float"
-                    if not as_float and value > 0:
-                        return f"{prefix}{name} is too small for a float: it rounds to 0.0"
+                    try:
+                        faithful_float(value)
+                    except ValueError as exc:
+                        return f"{prefix}{name} is {exc}"
         return None
 
     def __post_init__(self) -> None:
@@ -774,6 +773,16 @@ def preset_names() -> tuple[str, ...]:
 
 SWEEP_AXES = ("load", "burst_size", "n_low_queues", "r")
 
+#: axis -> (source kind, its name in messages, value rule, its message, edit of one source)
+_SOURCE_AXES = {
+    "load": (ConstantRate, "constant-rate", lambda v: v > 0, "load multiplier must be > 0",
+             lambda s, v, base: replace(s, rate=s.rate * v)),
+    "burst_size": (Burst, "burst", lambda v: 0 < v <= 1, "burst_size fraction must be in (0, 1]",
+                   lambda s, v, base: replace(s, duration=v * base.buffer_size / s.r)),
+    "r": (Burst, "burst", lambda v: v > 0, "burst rate must be > 0",
+          lambda s, v, base: replace(s, r=v)),
+}
+
 
 def sweep(base: ScenarioConfig, axis: str, values: Iterable) -> list[ScenarioConfig]:
     """One config per value, everything but the swept axis fixed.
@@ -792,62 +801,35 @@ def sweep(base: ScenarioConfig, axis: str, values: Iterable) -> list[ScenarioCon
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{axis} value must be finite, got {value}")
         v = as_fraction(value)
-        if axis == "load":
-            if v <= 0:
-                raise ConfigError("load multiplier must be > 0")
-            if not any(isinstance(s, ConstantRate) for s in base.sources):
-                raise ConfigError("load axis needs at least one constant-rate source")
-            sources = tuple(
-                replace(s, rate=s.rate * v) if isinstance(s, ConstantRate) else s
-                for s in base.sources
-            )
-            out.append(replace(base, sources=sources))
-        elif axis == "burst_size":
-            if not 0 < v <= 1:
-                raise ConfigError("burst_size fraction must be in (0, 1]")
-            if not any(isinstance(s, Burst) for s in base.sources):
-                raise ConfigError("burst_size axis needs at least one burst source")
-            sources = tuple(
-                replace(s, duration=v * base.buffer_size / s.r) if isinstance(s, Burst) else s
-                for s in base.sources
-            )
-            out.append(replace(base, sources=sources))
-        elif axis == "r":
-            if v <= 0:
-                raise ConfigError("burst rate must be > 0")
-            if not any(isinstance(s, Burst) for s in base.sources):
-                raise ConfigError("r axis needs at least one burst source")
-            sources = tuple(
-                replace(s, r=v) if isinstance(s, Burst) else s for s in base.sources
-            )
-            out.append(replace(base, sources=sources))
-        else:  # n_low_queues
+        if axis == "n_low_queues":
             if v.denominator != 1:
                 raise ConfigError(f"n_low_queues must be a whole number, got {value}")
             out.append(_with_n_low_queues(base, int(v)))
+            continue
+        kind, kind_name, rule, message, edit = _SOURCE_AXES[axis]
+        if not rule(v):
+            raise ConfigError(message)
+        if not any(isinstance(s, kind) for s in base.sources):
+            raise ConfigError(f"{axis} axis needs at least one {kind_name} source")
+        sources = tuple(edit(s, v, base) if isinstance(s, kind) else s for s in base.sources)
+        out.append(replace(base, sources=sources))
     return out
 
 
 def _with_n_low_queues(base: ScenarioConfig, n: int) -> ScenarioConfig:
     if n < 1:
         raise ConfigError("n_low_queues must be >= 1")
-    groups: dict[int, Fraction] = {}
-    for c in base.classes:
-        groups[c.priority_id] = max(groups.get(c.priority_id, Fraction(0)), c.alpha)
-    low_prio = min(groups, key=lambda p: groups[p])
-    low_classes = [c for c in base.classes if c.priority_id == low_prio]
-    low_sources = [
-        s for s in base.sources
-        if isinstance(s, ConstantRate) and any(c.class_id == s.class_id for c in low_classes)
-    ]
-    if len(low_classes) != 1 or len(low_sources) != 1:
+    low_prio = min(dict.fromkeys(c.priority_id for c in base.classes),  # first seen wins a tie
+                   key=lambda p: max(c.alpha for c in base.classes if c.priority_id == p))
+    low_ids = {c.class_id for c in base.classes if c.priority_id == low_prio}
+    low_sources = [s for s in base.sources if isinstance(s, ConstantRate) and s.class_id in low_ids]
+    if len(low_ids) != 1 or len(low_sources) != 1:
         raise ConfigError(
             "n_low_queues axis needs exactly one low-priority class fed by one constant source"
         )
     template = low_sources[0]
     others = tuple(s for s in base.sources if s is not template)
-    other_ports = {s.port for s in others}
-    first = max(other_ports) + 1 if other_ports else 0
+    first = max((s.port + 1 for s in others), default=0)
     replicas = tuple(replace(template, port=first + i) for i in range(n))
     return replace(base, sources=others + replicas, n_ports=first + n)
 

@@ -524,6 +524,19 @@ def test_a_result_past_float_range_exits_3(argv, capsys):
     assert re.fullmatch(r"validation error: \S+ is too large for a float\n", captured.err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["configure-alpha", *_OVERFLOW, "--t", "5", "--alpha-l", "1e-400"],
+    ["configure-alpha", *_OVERFLOW, "--t", "5", "--alphas", "1e-400"],
+], ids=["configure_alpha_l", "configure_alphas"])
+def test_a_positive_result_that_rounds_to_0_exits_3(argv, capsys):
+    # a positive exact result below float range is a validation error, not a
+    # silent 0.0 in the JSON, as a scenario file's field would be
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation error: 1.000e-400 is too small for a float: it rounds to 0.0\n"
+
+
 @pytest.mark.parametrize("axis,value,preset_name", [
     ("load", "0", "fig4_incast"), ("n_low_queues", "0", "dt_scaling"),
 ])

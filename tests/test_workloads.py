@@ -326,6 +326,33 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(preset("fig2"), "bogus", [1])
 
+    @pytest.mark.parametrize("base_name, axis, value, message", [
+        ("fig4_incast", "bogus", 1, "unknown sweep axis 'bogus'; known: load, burst_size, "
+                                    "n_low_queues, r"),
+        ("fig4_incast", "load", 0, "load multiplier must be > 0"),
+        ("fig4_incast", "burst_size", 0, "burst_size fraction must be in (0, 1]"),
+        ("fig4_incast", "burst_size", F(11, 10), "burst_size fraction must be in (0, 1]"),
+        ("fig4_incast", "r", -1, "burst rate must be > 0"),
+        ("poisson_only", "load", 2, "load axis needs at least one constant-rate source"),
+        ("fig4_steady", "burst_size", F(1, 2), "burst_size axis needs at least one burst source"),
+        ("fig4_steady", "r", 2, "r axis needs at least one burst source"),
+        ("dt_scaling", "n_low_queues", 0, "n_low_queues must be >= 1"),
+        ("fig4_incast", "n_low_queues", 2,
+         "n_low_queues axis needs exactly one low-priority class fed by one constant source"),
+        ("fig4_steady", "n_low_queues", 2,
+         "n_low_queues axis needs exactly one low-priority class fed by one constant source"),
+    ])
+    def test_each_refusal_states_its_exact_message(self, base_name, axis, value, message):
+        # one message per rule and per axis, so no axis's rule drifts from its text
+        if base_name == "poisson_only":
+            base = replace(preset("fig2"), sources=(
+                PoissonFlows(class_id=0, port=0, mean_interarrival=F(2)),))
+        else:
+            base = preset(base_name)
+        with pytest.raises(ConfigError) as exc:
+            sweep(base, axis, [value])
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("axis", ["load", "burst_size", "r", "n_low_queues"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_values_are_refused_on_every_axis(self, axis, value):
