@@ -53,6 +53,6 @@ def at(t, values):
 for t in (Fraction(k, 2) for k in range(6)):  # every half time unit
     q, thr = at(t, traj.lengths[burst_q]), at(t, traj.thresholds[burst_q])
     print(f"  t={float(t):4.1f}  burst queue {float(q):5.2f}  threshold {float(thr):5.2f}")
-t1 = min(traj.first_crossing.values())
+t1 = traj.t1
 print(f"  queue meets threshold at t={float(t1):.3f} "
       f"holding {float(4 * t1):.1f} packets")

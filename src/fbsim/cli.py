@@ -182,7 +182,7 @@ def cmd_analyze(args) -> int:
     if ts is not None and args.t is not None:
         payload["alpha_bounds"] = vars(fluid.alpha_bounds_general(ts, args.t))
     if ts is not None:
-        payload["ode_t1"] = min(fluid.integrate_transient(ts).first_crossing.values())
+        payload["ode_t1"] = fluid.integrate_transient(ts).t1
 
     if args.curve:
         if None in (args.alpha_l, args.alpha_h, args.buffer, args.out):
@@ -222,6 +222,8 @@ def cmd_configure_alpha(args) -> int:
         raise ConfigError("give --alpha-l or --alphas, not both")
     if t is not None and r <= 1:
         raise ConfigError("r must exceed the port drain rate (r > 1)")
+    if t is not None and jsonable(r) <= 1:  # the printed r could not be told from 1
+        raise ConfigError("r must exceed the port drain rate (r > 1) as a float: it rounds to 1.0")
 
     def bounds(alpha_l):  # at alpha_L 0 no low port: OldQueue refuses a weight of 0
         if alpha_l < 0:

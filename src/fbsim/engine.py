@@ -261,22 +261,16 @@ class SwitchState:
             class_prio[SHARED_QUEUE_CLASS] = SHARED_QUEUE_CLASS
         prio_index = {p: i for i, p in enumerate(sorted(set(class_prio.values())))}
 
-        queue_classes = (SHARED_QUEUE_CLASS,) if single else [c.class_id for c in config.classes]
-        self.queue_ids = tuple(
-            QueueId(p, qc) for p in range(config.n_ports) for qc in queue_classes
-        )
-        q_index = {q: i for i, q in enumerate(self.queue_ids)}
         # the (port, class_id) slots numbered port by port in class order, so
-        # in multi mode slot s is queue s: each slot's queue index and
-        # configured alpha (overrides applied)
-        self.slot = {
-            (p, c.class_id): s
-            for s, (p, c) in enumerate(product(range(config.n_ports), config.classes))
-        }
-        self.slot_queue = [
-            q_index[QueueId(p, SHARED_QUEUE_CLASS if single else c)] for p, c in self.slot
-        ]
-        self.slot_alpha = [float(config.alpha_of(QueueId(p, c))) for p, c in self.slot]
+        # in multi mode slot s is queue s, and in single mode a slot's queue
+        # index is its port: each slot's queue index and configured alpha
+        # (overrides applied)
+        slots = [QueueId(p, c.class_id) for p, c in product(range(config.n_ports), config.classes)]
+        self.queue_ids = (tuple(QueueId(p, SHARED_QUEUE_CLASS) for p in range(config.n_ports))
+                          if single else tuple(slots))
+        self.slot = {(q.port, q.class_id): s for s, q in enumerate(slots)}
+        self.slot_queue = [q.port for q in slots] if single else list(range(len(slots)))
+        self.slot_alpha = [float(config.alpha_of(q)) for q in slots]
         n = len(self.queue_ids)
         self.q_prio = [prio_index[class_prio[q.class_id]] for q in self.queue_ids]
         self.q_port = [q.port for q in self.queue_ids]

@@ -55,9 +55,9 @@ and is the closed forms' independent cross-check.  Both are exact and
 compute in ints, each with its own code, so the two routes share no
 arithmetic: the closed forms over one common denominator (``_scaled``), the
 solver over the lcm E of its inputs' denominators (``_over_lcm``), with
-every queue length over one running denominator.  The solver returns its
-first crossings as Fractions and builds the Fraction series from its rows
-of ints when read.
+every queue length over one running denominator.  The solver's record keeps
+its crossings and rows as ints: it builds the earliest crossing ``t1`` as a
+Fraction at once, and the other crossings and the series when read.
 
 Each value type's field is its annotated kind (``core.convert_fields``), so
 both routes see exact numbers only: a buffer of ``60.0`` is 60, ``60.5`` an error.
@@ -132,9 +132,9 @@ def _scaled(values: list[Fraction]) -> tuple[int, list[int]]:
     """The closed forms' exact arithmetic: ``(d, [v * d for v in values])``,
     with d the lcm of the values' denominators, so every scaled value is an
     int and every sum of them an int sum over the one denominator d."""
-    dens = [v.denominator for v in values]
-    d = math.lcm(*dens)
-    return d, [v.numerator * (d // den) for v, den in zip(values, dens)]
+    ratios = [v.as_integer_ratio() for v in values]  # one call reads both ints
+    d = math.lcm(*[den for _, den in ratios])
+    return d, [num * (d // den) for num, den in ratios]
 
 
 @dataclass(frozen=True)
@@ -389,8 +389,9 @@ def _closed_form(ts: TransientScenario) -> _ClosedForm:
         raise ValueError("scenario has no new queues, nothing transient to classify")
     n_new, n_old = len(ts.new), len(ts.old)
     values = [ts.r]
-    for q in ts.old:
-        values += (q.pre_omega, q.omega, q.gamma)
+    for q in ts.old:  # pre_omega, read without the property call
+        omega, before = q.omega, q.omega_before
+        values += (omega if before is None else before, omega, q.gamma)
     for q in ts.new:
         values += (q.omega, q.gamma)
     d, scaled = _scaled(values)
@@ -561,20 +562,32 @@ class TransientTrajectories:
     Between consecutive ``times`` every length and threshold is linear in t,
     so the series pin the whole piecewise-linear trajectory.
     ``first_crossing`` holds each new queue's first fill-to-threshold hit
-    (+inf when it never happens).  Every finite value is a Fraction.  The
-    solver keeps one row of ints per breakpoint, ``(t numerator, t
-    denominator, D, rho, length numerators)``; ``times``, ``lengths`` and
-    ``thresholds`` are built from those rows on first read, so a caller that
-    reads only ``first_crossing`` never pays for them.
+    (``math.inf`` itself when it never happens), and ``t1`` the earliest.
+    Every finite value is a Fraction.  The solver keeps its ints: each
+    crossing as a ``(t numerator, t denominator)`` pair and one row per
+    breakpoint, ``(t numerator, t denominator, D, rho, length numerators)``.
+    ``t1``, picked from the pairs by cross-multiplying, is built at once;
+    the rest are built on first read, so a caller pays only for what it reads.
     """
 
-    def __init__(self, queues: Sequence[QueueId], weights: list[int], one: int,
-                 rows: list[tuple], first_crossing: dict[QueueId, Value]) -> None:
-        self.first_crossing = first_crossing
-        self._queues = queues
+    def __init__(self, queues: Sequence[QueueId], n_old: int, weights: list[int], one: int,
+                 rows: list[tuple], crossings: dict[int, tuple[int, int]]) -> None:
+        self._queues = queues  # the old queues, then the new ones
+        self._n_old = n_old
         self._weights = weights  # omega_i * one
         self._one = one
         self._rows = rows
+        self._crossings = crossings  # queue index -> first crossing (tn, td)
+        tn1, td1 = 1, 0  # the earliest crossing so far, 1/0 standing for +inf
+        for tn, td in crossings.values():
+            if tn * td1 < tn1 * td:
+                tn1, td1 = tn, td
+        self.t1: Value = Fraction(tn1, td1) if td1 else math.inf
+
+    @cached_property
+    def first_crossing(self) -> dict[QueueId, Value]:
+        return {q: Fraction(*self._crossings[i]) if i in self._crossings else math.inf
+                for i, q in enumerate(self._queues[self._n_old:], self._n_old)}
 
     @cached_property
     def times(self) -> list[Fraction]:
@@ -665,8 +678,8 @@ def integrate_transient(
     as the next breakpoint; a new queue crosses there when its ratio equals
     it.  A step dt = k*u / (D*w) takes each length to (L_i*E*w + v_i*u) /
     (E*D*w): u, w = |g_i|, |s_i| at a hit, and u / w = (end - t) * D / k at
-    the horizon.  Only the first crossings are Fractions on return; the
-    series are built from the rows of ints when first read.
+    the horizon.  The loop builds no Fraction: the record it returns builds
+    each from the rows and crossings it keeps as ints.
 
     Without a ``horizon`` the solve stops at the last new queue's first
     crossing, or as soon as no gap is closing; with one it runs to the
@@ -678,30 +691,31 @@ def integrate_transient(
         en, ed = as_fraction(horizon).as_integer_ratio()  # the horizon is en / ed
     old, new = ts.old, ts.new
     n_old, n_new = len(old), len(new)
-    # one read per queue: (initial share, omega, gamma[, fill rate]); a new one
-    # starts at 0 and fills at r, and a backlogged old one has no fill cap
-    values, limited = [], []
-    for q in old:
+    # each value read once, at a fixed stride: r, (initial share, omega, gamma) per
+    # old queue, (omega, gamma) per new one, then the rate-limited old queues' fill
+    # rates; a new queue starts at 0 and fills at r, a backlogged old one has no cap
+    values, fills, limited = [ts.r], [], []
+    for i, q in enumerate(old):
         omega, before, fill = q.omega, q.omega_before, q.fill_rate
         values += (omega if before is None else before, omega, q.gamma)
         if fill is not None:
-            values.append(fill)
-        limited.append(fill is not None)
+            fills.append(fill)
+            limited.append(i)
     for q in new:
-        values += (0, q.omega, q.gamma, ts.r)
-    e, ints = _over_lcm(values + [ts.r])  # E covers r with no new queue too
-    at = iter(ints)
-    pre, weights, drain, cap = [], [], [], []
-    for has_fill in limited + [True] * n_new:
-        pre.append(next(at))
-        weights.append(next(at))
-        drain.append(-next(at))
-        cap.append(next(at) + drain[-1] if has_fill else None)
+        values += (q.omega, q.gamma)
+    e, ints = _over_lcm(values + fills)
+    new_at, fill_at = 1 + 3 * n_old, 1 + 3 * n_old + 2 * n_new
+    pre = ints[1:new_at:3]
+    weights = ints[2:new_at:3] + ints[new_at:fill_at:2]
+    drain = [-g for g in ints[3:new_at:3] + ints[new_at + 1:fill_at:2]]
+    cap = [None] * n_old + [ints[0] + lo for lo in drain[n_old:]]
+    for i, fill in zip(limited, ints[fill_at:]):
+        cap[i] = fill + drain[i]
     b = ts.buffer_size
 
     # the steady share B / (1 + W_old) = B*E / (E + sum pre), so L_i = pre_i * B
     d = e + sum(pre)
-    lengths = [p * b for p in pre]
+    lengths = [p * b for p in pre] + [0] * n_new
 
     crossing: dict[int, tuple[int, int]] = {}  # entry index of a new queue -> first crossing
     rows: list[tuple] = []  # (t numerator, t denominator, D, rho, lengths) per breakpoint
@@ -764,11 +778,8 @@ def integrate_transient(
         lengths = [x * ew + v * u for x, v in zip(lengths, rates)]
         d *= ew
 
-    return TransientTrajectories(
-        [q.queue for q in (*old, *new)], weights, e, rows,
-        {q.queue: Fraction(*crossing[i]) if i in crossing else math.inf
-         for i, q in enumerate(new, n_old)},
-    )
+    return TransientTrajectories([q.queue for q in (*old, *new)], n_old, weights, e, rows,
+                                 crossing)
 
 
 def integrate_first_crossing(ts: TransientScenario) -> tuple[float, float]:
@@ -781,8 +792,7 @@ def integrate_first_crossing(ts: TransientScenario) -> tuple[float, float]:
     export it, and ``bench/cases.py`` and ``bench/spans.py`` reach it as
     ``fbsim.fluid.integrate_first_crossing``.
     """
-    t1 = min(integrate_transient(ts).first_crossing.values())
-    return float(t1), 0.0
+    return float(integrate_transient(ts).t1), 0.0
 
 
 # ---------------------------------------------------------------------------

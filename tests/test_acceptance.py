@@ -115,8 +115,9 @@ def test_criterion_03_dt_incast_first_drop_at_eight():
 
     ts = transient_scenario(cfg)
     assert first_threshold_crossing(ts) == 2  # exact closed form
-    t1 = min(integrate_transient(ts).first_crossing.values())
-    assert t1 == 2  # exact fluid solver
+    res = integrate_transient(ts)
+    t1 = res.t1
+    assert t1 == 2 and res.first_crossing == {ts.new[0].queue: 2}  # exact fluid solver
     _report(3, f"DT incast first drop at {first[4]} pkts (8 +/- 1), fluid t1 = {t1}")
 
 
@@ -224,8 +225,10 @@ def test_criterion_06_t1_oracle_equivalence():
         )
         case = classify_case(ts)
         closed = first_threshold_crossing(ts)
-        solved = min(integrate_transient(ts).first_crossing.values())
+        res = integrate_transient(ts)
+        solved = res.t1
         assert isinstance(solved, Fraction) and closed == solved, (ts.r, case, closed, solved)
+        assert res.first_crossing == {q.queue: solved for q in ts.new}  # symmetric new queues
         done[case] += 1
     elapsed = time.monotonic() - started
     assert elapsed < 60.0

@@ -840,6 +840,8 @@ def test_configure_alpha_refuses_flags_it_would_not_read(flags, message, capsys)
     (["--buffer", "-5", "--r", "4"], "--buffer must be >= 1, got -5"),
     (["--buffer", "0", "--r", "4", "--t", "5"], "--buffer must be >= 1, got 0"),
     (["--buffer", "100", "--r", "1", "--t", "5"], "r must exceed the port drain rate (r > 1)"),
+    (["--buffer", "60", "--r", "1.0000000000000000000000001", "--t", "5"],
+     "r must exceed the port drain rate (r > 1) as a float: it rounds to 1.0"),
     (["--buffer", "60", "--r", "4", "--num", "0"], "--num must be >= 1, got 0"),
     (["--buffer", "60", "--r", "4", "--num", "-2"], "--num must be >= 1, got -2"),
     (["--buffer", "60", "--r", "0"], "arrival rate r must be > 0"),
@@ -848,8 +850,9 @@ def test_configure_alpha_refuses_flags_it_would_not_read(flags, message, capsys)
      "the low alpha must be >= 0, got -1"),
     (["--buffer", "60", "--r", "4", "--t", "5", "--alphas", "1,-2"],
      "the low alpha must be >= 0, got -1"),
-], ids=["zero_buffer", "negative_buffer", "zero_buffer_with_t", "r_of_one", "zero_num",
-        "negative_num", "zero_r", "negative_r", "negative_alpha_l", "negative_alphas"])
+], ids=["zero_buffer", "negative_buffer", "zero_buffer_with_t", "r_of_one",
+        "r_whose_float_is_1", "zero_num", "negative_num", "zero_r", "negative_r",
+        "negative_alpha_l", "negative_alphas"])
 def test_configure_alpha_refuses_out_of_range_input(flags, message, capsys):
     assert main(["configure-alpha", *flags]) == 3
     captured = capsys.readouterr()
@@ -866,7 +869,7 @@ def _printed(monkeypatch, argv):
 
 
 def _solver_t1(ts):
-    return min(integrate_transient(ts).first_crossing.values())
+    return integrate_transient(ts).t1
 
 
 def _incast(buffer_size, alpha_l, alpha_h, r, num=1):
@@ -1201,17 +1204,19 @@ def test_the_closed_form_builds_no_fraction_itself():
 
 
 def test_the_solver_builds_fractions_only_on_return():
-    # the solver stays in ints from _over_lcm until it returns its first
-    # crossings: neither its breakpoint loop nor the total-rate solve names
-    # Fraction
+    # the solver stays in ints from _over_lcm to the record it returns:
+    # neither integrate_transient, its breakpoint loop included, nor the
+    # total-rate solve names Fraction; the record builds the Fractions, t1
+    # at construction and the first crossings when read
     tree = ast.parse((SRC / "fbsim" / "fluid.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    loops = [node for node in ast.walk(functions["integrate_transient"])
-             if isinstance(node, ast.While)]
-    assert len(loops) == 1
-    for body in (*loops, functions["_solve_total_rate"]):
-        assert "Fraction" not in _names_in(body), getattr(body, "name", "the breakpoint loop")
-    assert "Fraction" in _names_in(functions["integrate_transient"])
+    for name in ("integrate_transient", "_solve_total_rate"):
+        assert "Fraction" not in _names_in(functions[name]), name
+    record = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "TransientTrajectories")
+    methods = {node.name: node for node in record.body if isinstance(node, ast.FunctionDef)}
+    for name in ("__init__", "first_crossing"):
+        assert "Fraction" in _names_in(methods[name]), name
 
 
 def test_only_the_core_rule_sets_a_frozen_field():

@@ -298,7 +298,9 @@ def test_fb_tolerance_never_falls_as_low_ports_are_added():
         previous = 0
         for n in range(1, 6):
             ts = two_priority_incast(b, alpha_l, alpha_h, r, n_low_ports=n)
-            t1 = min(integrate_transient(ts).first_crossing.values())
+            res = integrate_transient(ts)
+            t1 = res.t1
+            assert res.first_crossing == {ts.new[0].queue: t1}
             assert t1 == first_threshold_crossing(ts)
             assert t1 >= previous, (b, r, alpha_l, alpha_h, n)
             previous = t1
@@ -858,6 +860,30 @@ class TestLazySeries:
         res = integrate_transient(scenario_case1())
         assert res.first_crossing == {QueueId(0, 1): 10}
         assert not {"times", "lengths", "thresholds"} & set(vars(res))
+
+    @pytest.mark.parametrize("horizon", [None, 40])
+    def test_t1_is_the_earliest_first_crossing(self, horizon):
+        # t1 is picked from the record's int pairs: it equals the smallest
+        # first crossing in value and type, a Fraction or math.inf itself,
+        # over ties among new queues, crossings at distinct times and a
+        # burst that never crosses; reading t1 alone builds no crossing dict
+        rng = random.Random(46)
+        scenarios = symmetric_recipe(rng, 60) + asymmetric_recipe(rng, 60) + dynamics_recipe(rng, 60)
+        scenarios.append(two_priority_incast(60, 1, 2, 1, n_low_ports=3))  # r = gamma
+        ties = distinct = never = 0
+        for ts in scenarios:
+            res = integrate_transient(ts, horizon)
+            t1 = res.t1
+            assert "first_crossing" not in vars(res)
+            crossings = list(res.first_crossing.values())
+            earliest = min(crossings)
+            assert t1 == earliest and type(t1) is type(earliest)
+            assert type(t1) is Fraction or t1 is math.inf
+            finite = [t for t in crossings if t != math.inf]
+            ties += len(finite) > len(set(finite))
+            distinct += len(set(finite)) > 1
+            never += t1 is math.inf
+        assert ties and distinct and never
 
     def test_first_crossing_route_matches_the_full_result(self):
         rng = random.Random(15)
