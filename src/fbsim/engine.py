@@ -44,14 +44,16 @@ controller runs).  Under ``snapshot_staleness = s`` admission and ticks
 see the state just before the last k * s.
 
 The trace records every admit/drop/departure with the threshold used and
-the packet's source, plus controller ticks and periodic occupancy samples.
-Each record is one 40-byte ``RECORD`` in one bytearray: time, threshold,
-port, class, action code (ADMIT 0, DROP 1, DEPART 2, SOURCE_CHANGE 3),
-queue_len, occupancy, source; the loop stores the occupancy at each
-sample instant as it passes, as one 4-byte int, and at each tick the
-controller's table, the very list of alphas admission reads, whose time
-k * ``fba_period`` is implied.  ``EventTrace.rows()`` decodes the records,
-and the ``records``, ``samples`` and ``ticks`` views decode to tuples.
+the packet's origin, plus controller ticks and periodic occupancy samples.
+Each record is one 28-byte ``RECORD`` in one bytearray: time, threshold,
+origin, action code (ADMIT 0, DROP 1, DEPART 2, SOURCE_CHANGE 3) and
+queue_len.  The origin indexes ``EventTrace.origins`` (port, class, source),
+so those and the occupancy, a running sum, are derived on decode.  The
+loop stores the occupancy at each sample instant as it passes, as one
+4-byte int, and at each tick the controller's table, the very list of
+alphas admission reads, whose time k * ``fba_period`` is implied.
+``EventTrace.rows()`` decodes the records, and the ``records``,
+``samples`` and ``ticks`` views decode to tuples.
 The loop also keeps each fact ``metrics.compute`` reads as it happens
 (first drops, occupancy peak, per-source counts), and
 ``verify_conservation`` checks them against a rescan of the records.
@@ -87,9 +89,10 @@ SHARED_QUEUE_CLASS = -1
 ADMIT, DROP, DEPART, SOURCE_CHANGE = range(4)
 ACTIONS = ("admit", "drop", "depart", "source_change")
 _ACTION_FIELDS = tuple(f",{name}," for name in ACTIONS)
-#: One trace record: time, threshold, port, class_id, action code, queue_len,
-#: occupancy, source_id; validation keeps every int within MAX_RECORD_INT.
-RECORD = struct.Struct("<2d6i")
+#: One trace record: time, threshold, origin, action code, queue_len.  The
+#: origin indexes ``EventTrace.origins``; validation keeps the ints within
+#: MAX_RECORD_INT, so an origin (below sources + buffer) fits 4 unsigned bytes.
+RECORD = struct.Struct("<2dI2i")
 _pack = RECORD.pack
 
 TRACE_COLUMNS = ("time", "port", "class", "queue_len", "action", "threshold")
@@ -114,11 +117,14 @@ _TICK = 4
 class EventTrace:
     """Time-ordered record of everything a run did.
 
-    ``packed`` holds one 40-byte ``RECORD`` per admit, drop, departure and
-    source on/off, in event order, and ``rows()`` decodes them.  queue_len
-    is the length after an admit/depart and at the decision for a drop; the
-    threshold means nothing for DEPART and SOURCE_CHANGE.  A departure names
-    the packet's source, or -1 for one pre-filled from ``initial_lengths``.
+    ``packed`` holds one 28-byte ``RECORD`` (time, threshold, origin, action
+    code, queue_len) per admit, drop, departure and source on/off, in event
+    order, and ``rows()`` decodes them.  queue_len is the length after an
+    admit/depart and at the decision for a drop; the threshold means nothing
+    for DEPART and SOURCE_CHANGE.  ``origins[origin]`` is the record's
+    (port, class_id, source): the sources in config order, then each
+    pre-filled queue in key order (source -1).  Decoding derives those and
+    the occupancy, as the running sum from ``initial_lengths``.
     ``occupancy[k]``, a 4-byte int, is the occupancy at k *
     ``sample_interval``, and ``tick_tables[k]`` the FBA controller's table
     of effective alphas at k * ``fba_period`` (none under another rule): the
@@ -140,6 +146,7 @@ class EventTrace:
 
     queue_ids: tuple[QueueId, ...]
     queue_of: dict[tuple[int, int], QueueId] = field(default_factory=dict)
+    origins: tuple[tuple[int, int, int], ...] = ()
     packed: bytearray = field(default_factory=bytearray)
     tick_tables: list[list[float]] = field(default_factory=list)
     fba_period: float = 1.0
@@ -154,8 +161,13 @@ class EventTrace:
     horizon: float = 0.0
 
     def rows(self) -> Iterator[tuple]:
-        """The records decoded, in order, as RECORD tuples."""
-        return RECORD.iter_unpack(self.packed)
+        """The records decoded, in order, as (time, threshold, port, class_id,
+        action code, queue_len, occupancy after, source_id) tuples."""
+        origins, occ = self.origins, sum(self.initial_lengths.values())
+        for time, thr, origin, code, qlen in RECORD.iter_unpack(self.packed):
+            port, class_id, source = origins[origin]
+            occ += (1, 0, -1, 0)[code]  # an admit adds a packet, a departure takes one
+            yield time, thr, port, class_id, code, qlen, occ, source
 
     @property
     def records(self) -> list[tuple]:
@@ -175,8 +187,9 @@ class EventTrace:
         """Check the engine's facts (per-queue counters and first drops,
         occupancy peak, per-source rows) against an independent rescan of
         the records, then arrivals = admitted + dropped and admitted +
-        initial = departed + final length, per queue.  Raises
-        EngineInvariantError on mismatch."""
+        initial = departed + final length, per queue.  The peak check
+        compares the engine's live peak with the decoded running sum.
+        Raises EngineInvariantError on mismatch."""
         counts = {q: dict.fromkeys(("arrivals", "admitted", "dropped", "departed"), 0)
                   for q in self.queue_ids}
         first_drop = dict.fromkeys(self.queue_ids, math.inf)
@@ -218,10 +231,10 @@ class EventTrace:
 class SwitchState:
     """Mutable per-run switch state: queue lengths, congestion counters,
     the run's facts as they happen (per-queue departures and first drop,
-    occupancy peak, per-source counts and last departure; departures of
-    pre-filled packets, source -1, land in an extra last row), one packet
-    FIFO per queue of (class_id, source_id) in service order, round-robin
-    cursors, and the run's one alpha table.
+    occupancy peak, per-source counts and last departure; departures count
+    per origin, so each pre-filled queue has a row after the sources'), the
+    trace's ``origins``, one packet FIFO per queue of origin ids in service
+    order, round-robin cursors, and the run's one alpha table.
 
     ``rule`` is the run's admission rule, resolved once from the policy, the
     queue mode and the FBA period (see the module docstring).  Single-queue
@@ -282,8 +295,6 @@ class SwitchState:
         self.first_drop = [math.inf] * n
         self.src_admitted = [0] * len(config.sources)
         self.src_dropped = [0] * len(config.sources)
-        self.src_departed = [0] * (len(config.sources) + 1)
-        self.src_last_departure: list[Optional[float]] = [None] * (len(config.sources) + 1)
         self.cong_prio = [0] * len(prio_index)
         self.active_port = [0] * config.n_ports
         self.cong_changes = 0
@@ -295,11 +306,18 @@ class SwitchState:
         self.rr_cursor = [-len(qs) for qs in self.port_queues]
         self.fifo = [deque() for _ in range(n)]
 
+        # the packets' origins: the sources, then each pre-filled queue
+        origins = [(src.port, src.class_id, i) for i, src in enumerate(config.sources)]
         for q, length in sorted(config.initial_lengths.items()):
-            qi = self.slot_queue[self.slot[q.port, q.class_id]]
-            for _ in range(length):
-                self._bump(qi, +1)
-            self.fifo[qi].extend([(q.class_id, -1)] * length)
+            if length:
+                qi = self.slot_queue[self.slot[q.port, q.class_id]]
+                for _ in range(length):
+                    self._bump(qi, +1)
+                self.fifo[qi].extend(repeat(len(origins), length))
+                origins.append((q.port, q.class_id, -1))
+        self.origins = tuple(origins)
+        self.src_departed = [0] * len(origins)
+        self.src_last_departure: list[Optional[float]] = [None] * len(origins)
 
         # optional fixed snapshot staleness (hardware-sync modelling): the
         # copy due at k = 0 is the state at construction
@@ -394,19 +412,20 @@ def run(config: ScenarioConfig) -> EventTrace:
     trace = EventTrace(
         queue_ids=queues,
         queue_of={key: queues[slot_queue[s]] for key, s in state.slot.items()},
+        origins=state.origins,
         initial_lengths={q: n for q, n in zip(queues, state.lengths) if n},
         sample_interval=config.sample_interval,
         fba_period=config.fba_period,
         horizon=config.horizon,
     )
 
-    # each source's (slot, queue index, class_id, port), resolved once; one
-    # pending arrival per source, its seq the source index: at equal times
-    # arrivals pop in source order
+    # each source's (slot, queue index, port), resolved once; one pending
+    # arrival per source, its seq the source index: at equal times arrivals
+    # pop in source order
     targets = []
     for src in config.sources:
         slot = state.slot[src.port, src.class_id]
-        targets.append((slot, slot_queue[slot], src.class_id, src.port))
+        targets.append((slot, slot_queue[slot], src.port))
     streams = [
         source_stream(src, idx, config.seed, config.horizon)
         for idx, src in enumerate(config.sources)
@@ -417,7 +436,7 @@ def run(config: ScenarioConfig) -> EventTrace:
         first = next(stream, None)
         if first is not None:
             events.append((first, _ARRIVAL, source_id, target))
-        payload = (*target, source_id)
+        payload = (target[1], source_id)
         events.append((float(src.start), _SOURCE_CHANGE, seq, payload))
         seq += 1
         if src.stop is not None and float(src.stop) <= config.horizon:
@@ -471,7 +490,7 @@ def run(config: ScenarioConfig) -> EventTrace:
                 heappop(events)
             else:
                 heapreplace(events, (following, _ARRIVAL, key, payload))
-            slot, qi, class_id, port = payload
+            slot, qi, port = payload
             # admission sees the stale copy, if any; the buffer's room is live
             stale = state.stale
             if stale is None:
@@ -490,9 +509,8 @@ def run(config: ScenarioConfig) -> EventTrace:
                 idle = not nonempty_port[port]
                 bump(qi, +1)
                 src_admitted[key] += 1
-                fifo[qi].append((class_id, key))
-                packed += pack(time, threshold, port, class_id, ADMIT, lengths[qi], state.total,
-                               key)
+                fifo[qi].append(key)
+                packed += pack(time, threshold, key, ADMIT, lengths[qi])
                 if idle:
                     heappush(events, (time + 1.0, _COMPLETION, seq, port))
                     seq += 1
@@ -500,7 +518,7 @@ def run(config: ScenarioConfig) -> EventTrace:
                 src_dropped[key] += 1
                 if time < first_drop[qi]:
                     first_drop[qi] = time
-                packed += pack(time, threshold, port, class_id, DROP, length, state.total, key)
+                packed += pack(time, threshold, key, DROP, length)
         elif rank == _COMPLETION:
             # serve the round-robin-next nonempty queue of the port, skipping
             # empty ones without consuming a turn; a completion is pending
@@ -512,13 +530,12 @@ def run(config: ScenarioConfig) -> EventTrace:
             qi = port_qs[j]
             j += 1
             rr_cursor[payload] = j - len(port_qs) if j >= 0 else j
-            class_id, source_id = fifo[qi].popleft()
+            origin = fifo[qi].popleft()
             bump(qi, -1)
             departed[qi] += 1
-            src_departed[source_id] += 1
-            src_last_departure[source_id] = time
-            packed += pack(time, 0.0, payload, class_id, DEPART, lengths[qi], state.total,
-                           source_id)
+            src_departed[origin] += 1
+            src_last_departure[origin] = time
+            packed += pack(time, 0.0, origin, DEPART, lengths[qi])
             if nonempty_port[payload]:
                 heapreplace(events, (time + 1.0, _COMPLETION, seq, payload))
                 seq += 1
@@ -538,9 +555,8 @@ def run(config: ScenarioConfig) -> EventTrace:
                     k = max(key + 1, int(events[0][0] / staleness))
                     heappush(events, (k * staleness, _SYNC, k, None))
             else:  # source on/off: bookkeeping only
-                _slot, qi, class_id, port, source_id = payload
-                packed += pack(time, 0.0, port, class_id, SOURCE_CHANGE,
-                               lengths[qi], state.total, source_id)
+                qi, source_id = payload
+                packed += pack(time, 0.0, source_id, SOURCE_CHANGE, lengths[qi])
 
     # the grid allows 1e-9 of a period past the horizon, beyond ``end``: the
     # samples and ticks still due there see the final state (``tick_tables``
@@ -552,14 +568,14 @@ def run(config: ScenarioConfig) -> EventTrace:
     trace.final_lengths = dict(zip(queues, state.lengths))
     trace.first_drop = dict(zip(queues, state.first_drop))
     trace.occupancy_peak = state.peak
-    trace.source_counts = [  # zip drops the pre-filled packets' row
+    trace.source_counts = [  # zip drops the pre-filled queues' rows
         {"admitted": a, "dropped": d, "departed": p, "last_departure": t}
         for a, d, p, t in zip(state.src_admitted, state.src_dropped, state.src_departed,
                               state.src_last_departure)
     ]
     # each source feeds one queue, so a queue's totals sum its sources' rows
     counts = [{"arrivals": 0, "admitted": 0, "dropped": 0, "departed": d} for d in state.departed]
-    for (_slot, qi, _class, _port), a, d in zip(targets, state.src_admitted, state.src_dropped):
+    for (_slot, qi, _port), a, d in zip(targets, state.src_admitted, state.src_dropped):
         c = counts[qi]
         c["arrivals"] += a + d
         c["admitted"] += a
@@ -590,7 +606,8 @@ def _trace_lines(trace: EventTrace) -> Iterator[str]:
     # few; 0.0 == -0.0 prints two ways, so a zero skips both caches
     cache: dict[float, str] = {}
     last = time_text = None
-    for time, thr, port, class_id, code, qlen, _occ, _src in trace.rows():
+    prefixes = [f",{port},{class_id}," for port, class_id, _src in trace.origins]
+    for time, thr, origin, code, qlen in RECORD.iter_unpack(trace.packed):
         if time != last or not time:
             last, time_text = time, repr(time)
         if code > DROP:
@@ -601,7 +618,7 @@ def _trace_lines(trace: EventTrace) -> Iterator[str]:
             if len(cache) == THRESHOLD_CACHE_SIZE:
                 cache.clear()
             thr_text = cache[thr] = repr(thr)
-        yield f"{time_text},{port},{class_id},{qlen}{_ACTION_FIELDS[code]}{thr_text}\r\n"
+        yield f"{time_text}{prefixes[origin]}{qlen}{_ACTION_FIELDS[code]}{thr_text}\r\n"
 
 
 def write_trace_csv(trace: EventTrace, path) -> None:

@@ -1260,7 +1260,7 @@ def test_every_value_type_converts_its_fields_by_their_annotations():
 
 def test_sources_never_read_the_decoded_trace_views():
     # records and samples decode the whole packed trace into tuples; the
-    # package reads it through EventTrace.rows() and the occupancy array
+    # package reads the records themselves, or rows(), and the occupancy array
     for path in sorted((SRC / "fbsim").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute):

@@ -652,13 +652,30 @@ def test_capacity_invariant_error_is_guarded():
 ACTIONS = ("admit", "drop", "depart", "source_change")
 
 
-def trace_from_rows(records=(), occupancy=(), **fields):
+def trace_from_rows(records=(), occupancy=(), origins=None, **fields):
     """A trace of ``records`` view rows and ``occupancy`` samples, built
-    without running a scenario."""
+    without running a scenario.  Each row is stored with the index of its
+    (port, class, source) in ``origins``, by default the rows' own in
+    first-seen order; a row's occupancy is not stored, since decoding
+    derives it as the running sum."""
+    if origins is None:
+        origins = tuple(dict.fromkeys((port, c, src) for _, port, c, *_, src in records))
+    index = {origin: i for i, origin in enumerate(origins)}
     packed = bytearray().join(
-        RECORD.pack(t, 0.0 if thr is None else thr, port, c, ACTIONS.index(action), qlen, occ, src)
-        for t, port, c, action, qlen, thr, occ, src in records)
-    return EventTrace(packed=packed, occupancy=array("i", occupancy), **fields)
+        RECORD.pack(t, 0.0 if thr is None else thr, index[port, c, src], ACTIONS.index(action),
+                    qlen)
+        for t, port, c, action, qlen, thr, _occ, src in records)
+    return EventTrace(origins=origins, packed=packed, occupancy=array("i", occupancy), **fields)
+
+
+def with_running_occupancy(rows, occupancy=0):
+    """``rows`` with each occupancy replaced by the running sum of admits
+    and departures from ``occupancy``, as decoding derives it."""
+    out = []
+    for t, port, c, action, qlen, thr, _occ, src in rows:
+        occupancy += {"admit": 1, "depart": -1}.get(action, 0)
+        out.append((t, port, c, action, qlen, thr, occupancy, src))
+    return out
 
 
 def _samples_oracle(records, interval, horizon, initial):
@@ -886,12 +903,13 @@ def test_samples_export_streams_in_bounded_memory(tmp_path):
 # -- the packed trace --------------------------------------------------------
 
 _ints = st.one_of(st.sampled_from([-1, 0, MAX_RECORD_INT]), st.integers(-1, MAX_RECORD_INT))
-# decisions carry a threshold, inf under CS; departures and source changes none
+# decisions carry a threshold, inf under CS; departures and source changes
+# none; the occupancy, derived on decode, is filled in by the test
 _stored = st.one_of(
     st.tuples(_times, _ints, _ints, st.sampled_from(ACTIONS[:2]), _ints,
-              st.one_of(st.just(math.inf), _times), _ints, _ints),
+              st.one_of(st.just(math.inf), _times), st.just(0), _ints),
     st.tuples(_times, _ints, _ints, st.sampled_from(ACTIONS[2:]), _ints,
-              st.none(), _ints, _ints),
+              st.none(), st.just(0), _ints),
 )
 
 
@@ -905,11 +923,12 @@ def _bits(rows):
 @settings(max_examples=50, deadline=None)
 @given(rows=st.lists(_stored, max_size=20))
 @example(rows=[
-    (t, MAX_RECORD_INT, MAX_RECORD_INT, a, MAX_RECORD_INT, thr, MAX_RECORD_INT, -1)
+    (t, MAX_RECORD_INT, MAX_RECORD_INT, a, MAX_RECORD_INT, thr, 0, -1)
     for t in SPECIAL_FLOATS
     for a, thr in (("admit", math.inf), ("drop", -0.0), ("depart", None), ("source_change", None))
 ])
 def test_records_view_returns_the_stored_values_bitwise(rows):
+    rows = with_running_occupancy(rows)
     assert _bits(trace_from_rows(rows, queue_ids=()).records) == _bits(rows)
 
 
@@ -930,10 +949,15 @@ def test_complete_sharing_run_at_the_largest_buffer_round_trips():
     assert [r[7] for r in records if r[3] == "depart"][:4] == [-1, -1, -1, 0]
     assert {r[5] for r in records if r[3] in ("depart", "source_change")} == {None}
     assert sum(r[3] == "source_change" for r in records) == 2
-    assert trace_from_rows(records, queue_ids=()).packed == trace.packed
+    # the source, then the pre-filled queue, whose packets depart as -1
+    assert trace.origins == ((0, 0, 0), (0, 0, -1))
+    assert records == with_running_occupancy(records, 3)
+    again = trace_from_rows(records, origins=trace.origins, queue_ids=(),
+                            initial_lengths=trace.initial_lengths)
+    assert again.packed == trace.packed and again.records == records
 
 
-def test_trace_holds_at_most_80_bytes_per_record():
+def test_trace_holds_at_most_40_bytes_per_record():
     cfg = two_class_config(horizon=4000.0, sample_interval=10.0)
     tracemalloc.start()
     try:
@@ -943,7 +967,7 @@ def test_trace_holds_at_most_80_bytes_per_record():
         tracemalloc.stop()
     n_records = len(trace.packed) // RECORD.size
     assert n_records >= 20_000
-    assert held / n_records <= 80
+    assert held / n_records <= 40
 
 
 def test_occupancy_samples_are_4_byte_ints():
