@@ -101,13 +101,17 @@ def _rules(cls) -> tuple[tuple[str, Callable, bool], ...]:
 def convert_fields(obj, **before: Callable) -> None:
     """The value types' one field rule: each field of ``obj`` becomes its
     annotated kind (``_kind_rule``), None only where that kind admits it; a
-    keyword ``name=f`` passes that field through ``f`` first.  A value that
-    does not convert raises a ValueError, or its own subclass, naming the field."""
+    keyword ``name=f`` passes that field, None included, through ``f``
+    first.  A value that does not convert raises a ValueError, or its own
+    subclass, naming the field."""
     for name, convert, optional in _rules(type(obj)):
-        if (value := getattr(obj, name)) is None and optional:
-            continue
+        value = getattr(obj, name)
         try:
-            value = convert(before[name](value) if name in before else value)
+            if name in before:
+                value = before[name](value)
+            if value is None and optional:
+                continue
+            value = convert(value)
         except ValueError as exc:
             exc.args = (f"{name}: {exc}",)
             raise

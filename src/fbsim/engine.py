@@ -52,8 +52,8 @@ so those and the occupancy, a running sum, are derived on decode.  The
 loop stores the occupancy at each sample instant as it passes, as one
 4-byte int, and at each tick the controller's table, the very list of
 alphas admission reads, whose time k * ``fba_period`` is implied.
-``EventTrace.rows()`` decodes the records, and the ``records``,
-``samples`` and ``ticks`` views decode to tuples.
+``EventTrace.rows()`` decodes the records, and the ``records`` and
+``samples`` views decode to tuples.
 The loop also keeps each fact ``metrics.compute`` reads as it happens
 (first drops, occupancy peak, per-source counts), and
 ``verify_conservation`` checks them against a rescan of the records.
@@ -132,9 +132,8 @@ class EventTrace:
     where slot s is queue s).  While the table is unchanged consecutive
     ticks share one list object, so the tables are read-only.  The
     ``records`` view decodes to (time, port, class_id, action name,
-    queue_len, threshold or None, occupancy_after, source_id) tuples,
-    ``samples`` to (time, occupancy) and ``ticks`` to (time, {queue:
-    alpha}).
+    queue_len, threshold or None, occupancy_after, source_id) tuples and
+    ``samples`` to (time, occupancy).
     ``queue_of`` maps a record's (port, class_id) to its engine queue (the
     shared per-port queue in single-queue mode).  ``counts`` holds the
     engine's per-queue arrival/admit/drop/departure totals, ``first_drop``
@@ -177,11 +176,6 @@ class EventTrace:
     @property
     def samples(self) -> list[tuple[float, int]]:
         return [(k * self.sample_interval, occ) for k, occ in enumerate(self.occupancy)]
-
-    @property
-    def ticks(self) -> list[tuple[float, dict[QueueId, float]]]:
-        return [(k * self.fba_period, dict(zip(self.queue_ids, table)))
-                for k, table in enumerate(self.tick_tables)]
 
     def verify_conservation(self) -> None:
         """Check the engine's facts (per-queue counters and first drops,

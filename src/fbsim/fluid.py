@@ -178,15 +178,16 @@ def steady_state(omegas: Mapping[QueueId, Number], buffer_size: Number) -> Analy
 class OldQueue:
     """A pre-existing congested queue.
 
-    ``omega`` is the weight during the transient.  ``omega_before``, when
-    given, is the weight in the preceding steady state and at least
-    ``omega``: a burst only adds queues, and adding queues never raises a
-    weight (``congested_weights``).  A larger value marks the queue as
+    ``omega`` is the weight during the transient.  ``omega_before`` is the
+    weight in the preceding steady state and at least ``omega``: a burst
+    only adds queues, and adding queues never raises a weight
+    (``congested_weights``).  It defaults to ``omega`` (a None given is
+    read as ``omega`` too); a larger value marks the queue as
     omega-affected, a member of G_e (``_closed_form`` splits the old queues
-    by ``pre_omega == omega``); None means the weight did not change.
-    So every old queue starts at or above its threshold.  ``fill_rate`` is
-    the queue's own arrival rate for the solver, >= 0 (0: it only drains);
-    None means fully backlogged (it can always refill up to its threshold).
+    by ``omega_before == omega``).  So every old queue starts at or above
+    its threshold.  ``fill_rate`` is the queue's own arrival rate for the
+    solver, >= 0 (0: it only drains); None means fully backlogged (it can
+    always refill up to its threshold).
     """
 
     queue: QueueId
@@ -196,17 +197,13 @@ class OldQueue:
     fill_rate: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        convert_fields(self)
+        convert_fields(self, omega_before=lambda before: self.omega if before is None else before)
         if self.omega <= 0 or not 0 < self.gamma <= 1:
             raise ValueError(f"{self.queue}: need omega > 0 and gamma in (0,1]")
-        if self.omega_before is not None and self.omega_before < self.omega:
+        if self.omega_before < self.omega:
             raise ValueError(f"{self.queue}: need omega_before >= omega")
         if self.fill_rate is not None and self.fill_rate < 0:
             raise ValueError(f"{self.queue}: need fill_rate >= 0")
-
-    @property
-    def pre_omega(self) -> Fraction:
-        return self.omega if self.omega_before is None else self.omega_before
 
 
 @dataclass(frozen=True)
@@ -389,9 +386,8 @@ def _closed_form(ts: TransientScenario) -> _ClosedForm:
         raise ValueError("scenario has no new queues, nothing transient to classify")
     n_new, n_old = len(ts.new), len(ts.old)
     values = [ts.r]
-    for q in ts.old:  # pre_omega, read without the property call
-        omega, before = q.omega, q.omega_before
-        values += (omega if before is None else before, omega, q.gamma)
+    for q in ts.old:
+        values += (q.omega_before, q.omega, q.gamma)
     for q in ts.new:
         values += (q.omega, q.gamma)
     d, scaled = _scaled(values)
@@ -471,7 +467,9 @@ class GeneralAlphaBounds:
     ``alpha_H_min`` inverts t <= t1 for the scenario's case: the largest
     t * (r-gamma_q) * (1+W_old) / (B - t * (1+W_old) * Q') / factor_q over
     the new queues q (omega_q = alpha_H * factor_q), so no new queue
-    crosses before t.  The last two are None when no duration t is given.
+    crosses before t.  A new queue with r <= gamma_q never fills and sets
+    no bound; when none sets one, alpha_H_min is unconstrained.  The last
+    two are None when no duration t is given.
     """
 
     case: CaseKind
@@ -535,8 +533,10 @@ def alpha_bounds_general(ts: TransientScenario, t: Optional[Number]) -> GeneralA
     lift = Fraction(d + cf._w_old, d)  # 1 + W_old
     fill1, fill2 = Fraction(ae, d + cf._w_ne), Fraction(ae - cf._g_ne, d)  # Q'_1, Q'_2
     denom = b - tf * lift * (fill1 if cf._case1 else fill2)
-    alpha_h: Bound = max(tf * (ts.r - q.gamma) * lift / denom / q.factor
-                         for q in ts.new) if denom > 0 else INFEASIBLE
+    # a new queue with r <= gamma never fills, so it sets no bound
+    alpha_h: Bound = max((tf * (ts.r - q.gamma) * lift / denom / q.factor
+                          for q in ts.new if ts.r > q.gamma),
+                         default=UNCONSTRAINED) if denom > 0 else INFEASIBLE
     frontier: Bound = (INFEASIBLE if b <= tf * lift * fill1
                        else UNCONSTRAINED if fill2 <= 0 else b / (tf * fill2) - 1)
 
@@ -696,10 +696,9 @@ def integrate_transient(
     # rates; a new queue starts at 0 and fills at r, a backlogged old one has no cap
     values, fills, limited = [ts.r], [], []
     for i, q in enumerate(old):
-        omega, before, fill = q.omega, q.omega_before, q.fill_rate
-        values += (omega if before is None else before, omega, q.gamma)
-        if fill is not None:
-            fills.append(fill)
+        values += (q.omega_before, q.omega, q.gamma)
+        if q.fill_rate is not None:
+            fills.append(q.fill_rate)
             limited.append(i)
     for q in new:
         values += (q.omega, q.gamma)

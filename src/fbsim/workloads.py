@@ -899,6 +899,6 @@ def transient_scenario(cfg: ScenarioConfig) -> TransientScenario:
     for q, (before, _, _) in pre.items():
         omega, gamma, _ = post[q]
         rates = [s.rate for s in feeds.get(q, ()) if isinstance(s, ConstantRate)]
-        old.append(OldQueue(q, omega, gamma, before if before != omega else None, sum(rates) if rates else None))
+        old.append(OldQueue(q, omega, gamma, before, sum(rates) if rates else None))
     new = tuple(NewQueue(q, *post[q]) for q in bursts)
     return TransientScenario(cfg.buffer_size, tuple(old), new, next(iter(bursts.values())).r)

@@ -29,6 +29,8 @@ the tests check it against, and one helper the tests share.
   event-driven solver on plain Fraction arithmetic, breakpoint by
   breakpoint as ``fbsim.fluid.integrate_transient`` walks it, so the
   package's integer solve is checked against it.
+- ``ticks`` decodes an FBA run's controller tables to (time, {queue:
+  alpha}) pairs; the package reads the tables themselves.
 
 pytest's default import mode puts ``tests/`` on ``sys.path``, so a test
 file imports these with ``from oracles import ...``.
@@ -44,6 +46,14 @@ from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from fbsim.core import Number, QueueId, as_fraction
+
+
+def ticks(trace) -> list[tuple[float, dict[QueueId, float]]]:
+    """An ``fbsim.engine.EventTrace``'s FBA ticks as (time, {queue: alpha}):
+    tick k is at k * ``fba_period``, and its table is indexed like
+    ``queue_ids``."""
+    return [(k * trace.fba_period, dict(zip(trace.queue_ids, table)))
+            for k, table in enumerate(trace.tick_tables)]
 
 
 class CapacityError(ValueError):
@@ -186,7 +196,7 @@ def multi_priority_alpha_H(lower_priority_alpha_maxes: Sequence[Number], buffer_
 
 def affected(q) -> bool:
     """True when the burst lowered old queue ``q``'s omega: a G_e member."""
-    return q.omega_before is not None and q.omega_before != q.omega
+    return q.omega_before != q.omega
 
 
 def _aggregates(ts) -> dict:
@@ -204,7 +214,7 @@ def _aggregates(ts) -> dict:
     n_new = len(ts.new)
     old_e = [q for q in ts.old if affected(q)]
     old_ne = [q for q in ts.old if not affected(q)]
-    w_old = sum((q.pre_omega for q in ts.old), zero)
+    w_old = sum((q.omega_before for q in ts.old), zero)
     w_e, drain_e = sum((q.omega for q in old_e), zero), sum((q.gamma for q in old_e), zero)
     w_ne, drain_ne = sum((q.omega for q in old_ne), zero), sum((q.gamma for q in old_ne), zero)
     drain_new = sum((q.gamma for q in ts.new), zero)
@@ -249,7 +259,8 @@ def aggregate_alpha_bounds(ts, t) -> dict:
     Q'_2 <= 0, else B/(t*Q'_2) - 1.  alpha_H_min is the largest
     t*(r-gamma)*(1+W_old) / (B - t*(1+W_old)*Q') / factor over the new
     queues, with Q' of the scenario's case, infeasible when that
-    denominator is not positive.
+    denominator is not positive.  A new queue with r <= gamma never fills,
+    so it sets no bound; when none sets one, alpha_H_min is unconstrained.
     """
     agg = _aggregates(ts)
     fill1, fill2 = agg["fill1"], agg["fill2"]
@@ -260,8 +271,9 @@ def aggregate_alpha_bounds(ts, t) -> dict:
         return bounds
     t, b, lift = as_fraction(t), ts.buffer_size, 1 + agg["w_old"]
     denom = b - t * lift * (fill1 if agg["case1"] else fill2)
-    bounds["alpha_H_min"] = max(t * (ts.r - q.gamma) * lift / denom / q.factor
-                                for q in ts.new) if denom > 0 else "infeasible"
+    bounds["alpha_H_min"] = max((t * (ts.r - q.gamma) * lift / denom / q.factor
+                                 for q in ts.new if ts.r > q.gamma),
+                                default="unconstrained") if denom > 0 else "infeasible"
     if b <= t * lift * fill1:
         bounds["alpha_L_max_for_burst"] = "infeasible"
     else:
@@ -321,8 +333,8 @@ def reference_transient(ts, horizon: Optional[Number] = None) -> dict:
     fill_cap = [None if q.fill_rate is None else q.fill_rate + drain[i]
                 for i, q in enumerate(ts.old)] + [ts.r + v for v in drain[n_old:]]
 
-    share = b / (1 + sum((q.pre_omega for q in ts.old), zero))
-    lengths = [q.pre_omega * share for q in ts.old] + [zero] * len(ts.new)
+    share = b / (1 + sum((q.omega_before for q in ts.old), zero))
+    lengths = [q.omega_before * share for q in ts.old] + [zero] * len(ts.new)
 
     crossing: dict[int, Fraction] = {}
     times, length_rows, threshold_rows = [], [], []

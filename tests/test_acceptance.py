@@ -37,6 +37,7 @@ from oracles import (
     alpha_L_for_zero_transient,
     fb_omegas,
     occupancy_bound,
+    ticks,
 )
 
 F = Fraction
@@ -349,11 +350,11 @@ def test_criterion_10_fba_consistency():
 
     cfg = replace(preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=1.0)
     trace = run(cfg)
-    ticks = trace.ticks
+    rows = ticks(trace)
 
     def table_in_force(t):
-        current = ticks[0][1]
-        for tick_time, table in ticks:
+        current = rows[0][1]
+        for tick_time, table in rows:
             if tick_time < t or tick_time == 0.0:
                 current = table
             else:

@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.engine import EventTrace, SwitchState, controller_tick, run
 from fbsim.workloads import ConfigError, ConstantRate, ScenarioConfig
+from oracles import ticks
 
 LOW, HIGH = 0, 1
 
@@ -55,7 +56,7 @@ def tick(config):
     switch = SwitchState(config)
     trace = EventTrace(queue_ids=switch.queue_ids)
     controller_tick(switch, trace)
-    return trace.ticks[-1][1]
+    return ticks(trace)[-1][1]
 
 
 DT = PolicyKind.DYNAMIC_THRESHOLDS

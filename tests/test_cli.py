@@ -740,6 +740,16 @@ def test_analyze_inline_case2(capsys):
     assert payload["burst_tolerance"] == pytest.approx(200 / 7)
 
 
+@pytest.mark.parametrize("r", ["1/2", "1"])
+def test_analyze_a_burst_the_new_queue_drains_needs_no_alpha_h(r, capsys):
+    # the new queue drains at 1, so at r <= 1 it never fills and no alpha_H
+    # is needed; the bound once printed -6/203 at r = 1/2 and 0 at r = 1
+    assert main(["analyze", "--buffer", "100", "--alpha-l", "1", "--alpha-h", "2",
+                 "--r", r, "--t", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha_bounds"]["alpha_H_min"] == "unconstrained"
+    assert _solver_t1(two_priority_incast(100, 1, Fraction(1, 10**6), Fraction(r))) == float("inf")
+
+
 def test_analyze_preset_steady_values(capsys):
     assert main(["analyze", "--preset", "fig4_steady"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -879,10 +889,11 @@ def _incast(buffer_size, alpha_l, alpha_h, r, num=1):
 
 
 def _with_old_weight(ts, w_old, alpha_h):
-    """``ts`` with its old weights scaled to sum to ``w_old`` and its new
-    queues at ``alpha_h``."""
+    """``ts`` with its old weights, before and during the burst, scaled to
+    sum to ``w_old`` and its new queues at ``alpha_h``."""
     scale = w_old / sum(q.omega for q in ts.old)
-    return replace(ts, old=tuple(replace(q, omega=q.omega * scale) for q in ts.old),
+    return replace(ts, old=tuple(replace(q, omega=q.omega * scale, omega_before=q.omega_before * scale)
+                                 for q in ts.old),
                    new=tuple(replace(q, omega=alpha_h * q.factor) for q in ts.new))
 
 
@@ -1188,7 +1199,7 @@ def test_the_closed_form_builds_no_fraction_itself():
                     exact.add(node.target.id)
                 elif isinstance(node, ast.FunctionDef) and "Fraction" in ast.unparse(node.returns):
                     exact.add(node.name)
-    assert {"r", "omega", "gamma", "pre_omega"} <= exact
+    assert {"r", "omega", "gamma", "omega_before"} <= exact
     body = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "_closed_form")
     assert "Fraction" not in _names_in(body)

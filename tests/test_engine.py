@@ -38,7 +38,7 @@ from fbsim.workloads import (
     preset,
     source_stream,
 )
-from oracles import derive_aggregates
+from oracles import derive_aggregates, ticks
 
 F = Fraction
 LOW, HIGH = 0, 1
@@ -72,7 +72,7 @@ def test_identical_runs_are_bit_identical():
     a, b = run(cfg), run(cfg)
     assert a.records == b.records
     assert a.samples == b.samples
-    assert a.ticks == b.ticks
+    assert ticks(a) == ticks(b)
     assert a.final_lengths == b.final_lengths
 
 
@@ -211,7 +211,7 @@ def _replay(cfg, trace):
             due += 1
         return derive_aggregates(seen, prios, cfg.buffer_size, cfg.congestion_threshold)
 
-    pending = deque(trace.ticks)
+    pending = deque(ticks(trace))
     table = None
     checked = {"admit": 0, "drop": 0, "tick": 0}
 
@@ -322,7 +322,7 @@ def test_run_calls_the_traced_layers_by_module_name(monkeypatch):
     assert sum(c["admitted"] for c in queues) == sum(row["admitted"] for row in sources) == admits
     assert sum(c["dropped"] for c in queues) == sum(row["dropped"] for row in sources) == drops
     assert sum(c["departed"] for c in queues) == departs
-    assert len(calls) == len(trace.ticks) - 1
+    assert len(calls) == len(ticks(trace)) - 1
     assert min(admits, departs, len(calls)) > 20
 
 
@@ -393,7 +393,7 @@ def test_engine_snapshot_matches_incremental_counters():
 def test_fba_controller_ticks_recorded():
     cfg = replace(preset("fig5_steady"), policy=PolicyKind.FBA, fba_period=2.0)
     trace = run(cfg)
-    times = [t for t, _ in trace.ticks]
+    times = [t for t, _ in ticks(trace)]
     assert times[0] == 0.0
     assert times[1:3] == [2.0, 4.0]
     assert len(times) == 1 + int(cfg.horizon / 2.0)
@@ -421,7 +421,7 @@ def test_fba_ticks_and_samples_share_one_grid(horizon):
                   horizon=horizon, sources=tuple(s for s in base.sources if s.start < horizon))
     trace = run(cfg)
     grid = [k * 0.1 for k in range(round(horizon / 0.1) + 1)]
-    assert [t for t, _ in trace.ticks] == grid
+    assert [t for t, _ in ticks(trace)] == grid
     assert len(trace.occupancy) == len(grid)
 
 
@@ -432,7 +432,7 @@ def test_fba_fires_every_tick_the_grid_counts(horizon):
     cfg = replace(preset("fig5_steady"), policy=PolicyKind.FBA, fba_period=1.0,
                   sample_interval=1.0, horizon=horizon)
     trace = run(cfg)
-    assert [t for t, _ in trace.ticks] == [0.0, 1.0, 2.0, 3.0]
+    assert [t for t, _ in ticks(trace)] == [0.0, 1.0, 2.0, 3.0]
     assert len(trace.occupancy) == 4
     assert _replay(cfg, trace)["tick"] == 4
 
@@ -440,13 +440,13 @@ def test_fba_fires_every_tick_the_grid_counts(horizon):
 def test_fba_period_beyond_horizon_keeps_initial_table():
     cfg = replace(preset("fig5_steady"), policy=PolicyKind.FBA, fba_period=1000.0)
     trace = run(cfg)
-    assert len(trace.ticks) == 1
+    assert len(ticks(trace)) == 1
 
 
 def test_fba_table_converges_once_congestion_is_stable():
     cfg = replace(preset("fig5_steady"), policy=PolicyKind.FBA, fba_period=2.0)
     trace = run(cfg)
-    tail = [table for t, table in trace.ticks if t >= 60.0]
+    tail = [table for t, table in ticks(trace) if t >= 60.0]
     assert len(tail) > 3
     assert all(table == tail[0] for table in tail)
 
@@ -986,10 +986,10 @@ def test_fba_trace_keeps_one_table_per_tick_and_no_tick_time(name, period):
     # list of alphas indexed like queue_ids, which ``ticks`` keys by queue
     cfg = replace(preset(name), policy=PolicyKind.FBA, fba_period=period)
     trace = run(cfg)
-    ticks = trace.ticks
+    rows = ticks(trace)
     grid = [0.0] + [k * period for k in range(1, round(cfg.horizon / period) + 1)]
-    assert _bits((t,) for t, _ in ticks) == _bits((t,) for t in grid)
-    for (_t, decoded), table in zip(ticks, trace.tick_tables, strict=True):
+    assert _bits((t,) for t, _ in rows) == _bits((t,) for t in grid)
+    for (_t, decoded), table in zip(rows, trace.tick_tables, strict=True):
         assert type(table) is list and len(table) == len(trace.queue_ids)
         assert all(type(alpha) is float for alpha in table)
         assert _bits(decoded.items()) == _bits(zip(trace.queue_ids, table, strict=True))

@@ -102,6 +102,7 @@ def test_an_unchanged_or_lowered_omega_is_kept():
     for before, lowered in ((None, False), (F(3, 4), False), (F(3, 2), True)):
         q = OldQueue(QueueId(100, 0), omega=F(3, 4), gamma=1, omega_before=before)
         assert affected(q) is lowered
+        assert q.omega_before == (F(3, 4) if before is None else before)  # None: unchanged
 
 
 def test_a_negative_fill_rate_is_refused():
@@ -940,7 +941,7 @@ def _paper_t1(ts, case):
     """Case-1: omega*B*(1+W_ne) / ((1+W_old) * ((r-gamma)*(1+W_ne) + omega*(F - G_e drain)));
     Case-2: omega*B / ((1+W_old) * ((r-gamma) + omega*(F - NUM))).  +inf when
     the bracket is not positive."""
-    w_old = sum((q.pre_omega for q in ts.old), F(0))
+    w_old = sum((q.omega_before for q in ts.old), F(0))
     w_ne = sum((q.omega for q in ts.old if not affected(q)), F(0))
     drain_e = sum((q.gamma for q in ts.old if affected(q)), F(0))
     num = sum((q.gamma for q in ts.old), F(0))
@@ -962,11 +963,12 @@ def _paper_alpha_bounds(ts, t, case):
     with the (1+W_ne) factors, Case-2 inverts its own.  alpha_H is the
     largest over the new queues of the queue's omega bound over its weight
     factor (beta * gamma under FB, 1 under DT), so that no new queue crosses
-    before t.  The frontier is one rule in either case: infeasible when
+    before t; a new queue with r <= gamma never fills and sets no bound,
+    and with none that fills alpha_H is unconstrained.  The frontier is one rule in either case: infeasible when
     Case-1's fill reaches B by t at the scenario's weights, B * (1+W_ne) <=
     t * (1+W_old) * (F - G_e drain); else Case-2's B / (t*(F - NUM)) - 1,
     unconstrained when F <= NUM."""
-    w_old = sum((q.pre_omega for q in ts.old), F(0))
+    w_old = sum((q.omega_before for q in ts.old), F(0))
     w_ne = sum((q.omega for q in ts.old if not affected(q)), F(0))
     drain_e = sum((q.gamma for q in ts.old if affected(q)), F(0))
     num = sum((q.gamma for q in ts.old), F(0))
@@ -987,8 +989,8 @@ def _paper_alpha_bounds(ts, t, case):
         scale = 1
     if denom <= 0:
         return frontier, INFEASIBLE
-    return frontier, max(t * (ts.r - q.gamma) * (1 + w_old) * scale / denom / q.factor
-                         for q in ts.new)
+    return frontier, max((t * (ts.r - q.gamma) * (1 + w_old) * scale / denom / q.factor
+                          for q in ts.new if ts.r > q.gamma), default=UNCONSTRAINED)
 
 
 def _paper_rate_bound(ts, w):
@@ -1114,7 +1116,7 @@ def _frontier_edge(ts):
     """The duration at which Case-1's fill reaches B by the end of the
     burst, B * (1+W_ne) / ((1+W_old) * (F - G_e drain)): the frontier is
     infeasible from there on.  None when that fill is not positive."""
-    w_old = sum((q.pre_omega for q in ts.old), F(0))
+    w_old = sum((q.omega_before for q in ts.old), F(0))
     w_ne = sum((q.omega for q in ts.old if not affected(q)), F(0))
     fill = sum((ts.r - q.gamma for q in ts.new), F(0)) - \
         sum((q.gamma for q in ts.old if affected(q)), F(0))

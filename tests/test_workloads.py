@@ -826,8 +826,7 @@ class TestFluidBridges:
                                  horizon=20.0, classes=classes, sources=sources)
             before = steady_omegas(cfg)
             for q in transient_scenario(cfg).old:
-                assert q.omega_before is None or q.omega_before > q.omega
-                assert before[q.queue] == q.pre_omega >= q.omega
+                assert before[q.queue] == q.omega_before >= q.omega
                 lowered += affected(q)
         assert (lowered > 0) is (kind is not PolicyKind.DYNAMIC_THRESHOLDS)
 
@@ -887,10 +886,10 @@ class TestFluidBridges:
 
     @pytest.mark.parametrize("kind,old,new", [
         # under FB the burst halves 0:0's beta * gamma and leaves 1:0's alone
-        ("fb", {QueueId(0, 0): (F(1, 4), F(1, 2), F(1, 2), 2), QueueId(1, 0): (F(1, 2), 1, None, 2)},
+        ("fb", {QueueId(0, 0): (F(1, 4), F(1, 2), F(1, 2), 2), QueueId(1, 0): (F(1, 2), 1, F(1, 2), 2)},
          {QueueId(0, 1): (1, F(1, 2), F(1, 2))}),
         # under DT every weight is its alpha, so no old queue is affected
-        ("dt", {QueueId(0, 0): (1, F(1, 2), None, 2), QueueId(1, 0): (1, 1, None, 2)},
+        ("dt", {QueueId(0, 0): (1, F(1, 2), 1, 2), QueueId(1, 0): (1, 1, 1, 2)},
          {QueueId(0, 1): (2, F(1, 2), 1)}),
     ])
     def test_pre_and_post_burst_weights(self, kind, old, new):
@@ -905,4 +904,4 @@ class TestFluidBridges:
     ])
     def test_steady_omegas_are_the_pre_burst_weights(self, name):
         cfg = load_scenario(GOLDEN_SCENARIOS / name) if name.endswith(".ini") else preset(name)
-        assert steady_omegas(cfg) == {q.queue: q.pre_omega for q in transient_scenario(cfg).old}
+        assert steady_omegas(cfg) == {q.queue: q.omega_before for q in transient_scenario(cfg).old}
