@@ -44,16 +44,16 @@ controller runs).  Under ``snapshot_staleness = s`` admission and ticks
 see the state just before the last k * s.
 
 The trace records every admit/drop/departure with the threshold used and
-the packet's origin, plus controller ticks and periodic occupancy samples.
-Each record is one 28-byte ``RECORD`` in one bytearray: time, threshold,
-origin, action code (ADMIT 0, DROP 1, DEPART 2, SOURCE_CHANGE 3) and
-queue_len.  The origin indexes ``EventTrace.origins`` (port, class, source),
-so those and the occupancy, a running sum, are derived on decode.  The
-loop stores the occupancy at each sample instant as it passes, as one
-4-byte int, and at each tick the controller's table, the very list of
-alphas admission reads, whose time k * ``fba_period`` is implied.
-``EventTrace.rows()`` decodes the records, and the ``records`` and
-``samples`` views decode to tuples.
+the packet's origin, plus periodic occupancy samples; it keeps nothing per
+controller tick.  Each record is one 24-byte ``RECORD`` in one bytearray:
+time, threshold, tag and queue_len, the tag ``origin << 2 | code`` with the
+action code ADMIT 0, DROP 1, DEPART 2 or SOURCE_CHANGE 3.  The origin
+indexes ``EventTrace.origins`` (port, class, source), so those and the
+occupancy, a running sum, are derived on decode from one entry per tag.
+Each source's target carries its tag base ``source << 2``, so an arrival
+packs its tag with no shift.  The loop stores the occupancy at each sample
+instant as it passes, as one 4-byte int.  ``EventTrace.rows()`` decodes
+the records, and the ``records`` and ``samples`` views decode to tuples.
 The loop also keeps each fact ``metrics.compute`` reads as it happens
 (first drops, occupancy peak, per-source counts), and
 ``verify_conservation`` checks them against a rescan of the records.
@@ -89,10 +89,11 @@ SHARED_QUEUE_CLASS = -1
 ADMIT, DROP, DEPART, SOURCE_CHANGE = range(4)
 ACTIONS = ("admit", "drop", "depart", "source_change")
 _ACTION_FIELDS = tuple(f",{name}," for name in ACTIONS)
-#: One trace record: time, threshold, origin, action code, queue_len.  The
-#: origin indexes ``EventTrace.origins``; validation keeps the ints within
-#: MAX_RECORD_INT, so an origin (below sources + buffer) fits 4 unsigned bytes.
-RECORD = struct.Struct("<2dI2i")
+#: One trace record: time, threshold, tag (origin << 2 | action code),
+#: queue_len.  The origin indexes ``EventTrace.origins``; validation keeps
+#: the ints within MAX_RECORD_INT, so a tag (an origin below sources +
+#: buffer) fits 4 unsigned bytes.
+RECORD = struct.Struct("<2dIi")
 _pack = RECORD.pack
 
 TRACE_COLUMNS = ("time", "port", "class", "queue_len", "action", "threshold")
@@ -117,20 +118,16 @@ _TICK = 4
 class EventTrace:
     """Time-ordered record of everything a run did.
 
-    ``packed`` holds one 28-byte ``RECORD`` (time, threshold, origin, action
-    code, queue_len) per admit, drop, departure and source on/off, in event
-    order, and ``rows()`` decodes them.  queue_len is the length after an
-    admit/depart and at the decision for a drop; the threshold means nothing
-    for DEPART and SOURCE_CHANGE.  ``origins[origin]`` is the record's
+    ``packed`` holds one 24-byte ``RECORD`` (time, threshold, tag ``origin
+    << 2 | action code``, queue_len) per admit, drop, departure and source
+    on/off, in event order, and ``rows()`` decodes them.  queue_len is the
+    length after an admit/depart and at the decision for a drop; the
+    threshold means nothing for DEPART and SOURCE_CHANGE.  ``origins[origin]`` is the record's
     (port, class_id, source): the sources in config order, then each
     pre-filled queue in key order (source -1).  Decoding derives those and
     the occupancy, as the running sum from ``initial_lengths``.
     ``occupancy[k]``, a 4-byte int, is the occupancy at k *
-    ``sample_interval``, and ``tick_tables[k]`` the FBA controller's table
-    of effective alphas at k * ``fba_period`` (none under another rule): the
-    list admission read, indexed like ``queue_ids`` (FBA runs in multi mode,
-    where slot s is queue s).  While the table is unchanged consecutive
-    ticks share one list object, so the tables are read-only.  The
+    ``sample_interval``; no field grows with the FBA ticks.  The
     ``records`` view decodes to (time, port, class_id, action name,
     queue_len, threshold or None, occupancy_after, source_id) tuples and
     ``samples`` to (time, occupancy).
@@ -147,8 +144,6 @@ class EventTrace:
     queue_of: dict[tuple[int, int], QueueId] = field(default_factory=dict)
     origins: tuple[tuple[int, int, int], ...] = ()
     packed: bytearray = field(default_factory=bytearray)
-    tick_tables: list[list[float]] = field(default_factory=list)
-    fba_period: float = 1.0
     occupancy: array = field(default_factory=lambda: array("i"))
     sample_interval: float = 0.1
     initial_lengths: dict[QueueId, int] = field(default_factory=dict)
@@ -162,10 +157,14 @@ class EventTrace:
     def rows(self) -> Iterator[tuple]:
         """The records decoded, in order, as (time, threshold, port, class_id,
         action code, queue_len, occupancy after, source_id) tuples."""
-        origins, occ = self.origins, sum(self.initial_lengths.values())
-        for time, thr, origin, code, qlen in RECORD.iter_unpack(self.packed):
-            port, class_id, source = origins[origin]
-            occ += (1, 0, -1, 0)[code]  # an admit adds a packet, a departure takes one
+        # per tag: port, class, code, source and the occupancy step (an
+        # admit adds a packet, a departure takes one)
+        decode = [(port, class_id, code, source, step) for port, class_id, source in self.origins
+                  for code, step in enumerate((1, 0, -1, 0))]
+        occ = sum(self.initial_lengths.values())
+        for time, thr, tag, qlen in RECORD.iter_unpack(self.packed):
+            port, class_id, code, source, step = decode[tag]
+            occ += step
             yield time, thr, port, class_id, code, qlen, occ, source
 
     @property
@@ -241,7 +240,7 @@ class SwitchState:
     slot's threshold alpha.  Under DT it *is* ``slot_alpha``.  Under FB and
     FBA ``refresh`` rebuilds it on the state admission sees, and replaces
     the list only when a value changed, so the FBA ticks that find it
-    unchanged record one list; ``built_at`` is the seen ``cong_changes``
+    unchanged keep one list; ``built_at`` is the seen ``cong_changes``
     (congestion-threshold crossings so far) it was built at.
 
     ``stale`` is None, or under a snapshot staleness s the copy ``sync``
@@ -391,12 +390,11 @@ class SwitchState:
             self.alphas = table
 
 
-def controller_tick(state: SwitchState, trace: EventTrace) -> None:
-    """Emit the FBA alpha table in force at the next tick: the run's table,
-    refreshed on the state admission sees, recorded as the list admission
-    reads.  An unchanged table stays the list already in force."""
+def controller_tick(state: SwitchState) -> None:
+    """Emit the FBA alpha table in force from this tick: the run's table,
+    refreshed on the state admission sees.  An unchanged table stays the
+    list already in force."""
     state.refresh()
-    trace.tick_tables.append(state.alphas)
 
 
 def run(config: ScenarioConfig) -> EventTrace:
@@ -409,17 +407,16 @@ def run(config: ScenarioConfig) -> EventTrace:
         origins=state.origins,
         initial_lengths={q: n for q, n in zip(queues, state.lengths) if n},
         sample_interval=config.sample_interval,
-        fba_period=config.fba_period,
         horizon=config.horizon,
     )
 
-    # each source's (slot, queue index, port), resolved once; one pending
-    # arrival per source, its seq the source index: at equal times arrivals
-    # pop in source order
+    # each source's (slot, queue index, port, tag base), resolved once; one
+    # pending arrival per source, its seq the source index: at equal times
+    # arrivals pop in source order
     targets = []
-    for src in config.sources:
+    for source_id, src in enumerate(config.sources):
         slot = state.slot[src.port, src.class_id]
-        targets.append((slot, slot_queue[slot], src.port))
+        targets.append((slot, slot_queue[slot], src.port, source_id << 2))
     streams = [
         source_stream(src, idx, config.seed, config.horizon)
         for idx, src in enumerate(config.sources)
@@ -430,7 +427,7 @@ def run(config: ScenarioConfig) -> EventTrace:
         first = next(stream, None)
         if first is not None:
             events.append((first, _ARRIVAL, source_id, target))
-        payload = (target[1], source_id)
+        payload = (target[1], target[3] | SOURCE_CHANGE)
         events.append((float(src.start), _SOURCE_CHANGE, seq, payload))
         seq += 1
         if src.stop is not None and float(src.stop) <= config.horizon:
@@ -438,8 +435,7 @@ def run(config: ScenarioConfig) -> EventTrace:
             seq += 1
     period = config.fba_period  # one pending tick, k at k * period
     ticks = 0
-    if state.rule is PolicyKind.FBA:
-        trace.tick_tables.append(state.alphas)  # table in force from the start
+    if state.rule is PolicyKind.FBA:  # tick 0 is the table built with the state
         ticks = grid_steps(config.horizon, period)
         if ticks:
             events.append((period, _TICK, 1, None))
@@ -484,7 +480,7 @@ def run(config: ScenarioConfig) -> EventTrace:
                 heappop(events)
             else:
                 heapreplace(events, (following, _ARRIVAL, key, payload))
-            slot, qi, port = payload
+            slot, qi, port, tag = payload
             # admission sees the stale copy, if any; the buffer's room is live
             stale = state.stale
             if stale is None:
@@ -504,7 +500,7 @@ def run(config: ScenarioConfig) -> EventTrace:
                 bump(qi, +1)
                 src_admitted[key] += 1
                 fifo[qi].append(key)
-                packed += pack(time, threshold, key, ADMIT, lengths[qi])
+                packed += pack(time, threshold, tag, lengths[qi])
                 if idle:
                     heappush(events, (time + 1.0, _COMPLETION, seq, port))
                     seq += 1
@@ -512,7 +508,7 @@ def run(config: ScenarioConfig) -> EventTrace:
                 src_dropped[key] += 1
                 if time < first_drop[qi]:
                     first_drop[qi] = time
-                packed += pack(time, threshold, key, DROP, length)
+                packed += pack(time, threshold, tag | DROP, length)
         elif rank == _COMPLETION:
             # serve the round-robin-next nonempty queue of the port, skipping
             # empty ones without consuming a turn; a completion is pending
@@ -529,7 +525,7 @@ def run(config: ScenarioConfig) -> EventTrace:
             departed[qi] += 1
             src_departed[origin] += 1
             src_last_departure[origin] = time
-            packed += pack(time, 0.0, origin, DEPART, lengths[qi])
+            packed += pack(time, 0.0, origin << 2 | DEPART, lengths[qi])
             if nonempty_port[payload]:
                 heapreplace(events, (time + 1.0, _COMPLETION, seq, payload))
                 seq += 1
@@ -538,7 +534,7 @@ def run(config: ScenarioConfig) -> EventTrace:
         else:
             heappop(events)
             if rank == _TICK:
-                controller_tick(state, trace)
+                controller_tick(state)
                 if key < ticks:
                     heappush(events, ((key + 1) * period, _TICK, key + 1, None))
             elif rank == _SYNC:
@@ -549,16 +545,13 @@ def run(config: ScenarioConfig) -> EventTrace:
                     k = max(key + 1, int(events[0][0] / staleness))
                     heappush(events, (k * staleness, _SYNC, k, None))
             else:  # source on/off: bookkeeping only
-                qi, source_id = payload
-                packed += pack(time, 0.0, source_id, SOURCE_CHANGE, lengths[qi])
+                qi, tag = payload
+                packed += pack(time, 0.0, tag, lengths[qi])
 
     # the grid allows 1e-9 of a period past the horizon, beyond ``end``: the
-    # samples and ticks still due there see the final state (``tick_tables``
-    # holds tick 0 and each tick fired so far)
+    # samples still due there see the final state (a tick due there would
+    # precede no admission, so none fires)
     occupancy.extend(repeat(state.total, steps + 1 - sample))
-    if state.rule is PolicyKind.FBA:
-        for _ in range(len(trace.tick_tables), ticks + 1):
-            controller_tick(state, trace)
     trace.final_lengths = dict(zip(queues, state.lengths))
     trace.first_drop = dict(zip(queues, state.first_drop))
     trace.occupancy_peak = state.peak
@@ -569,7 +562,7 @@ def run(config: ScenarioConfig) -> EventTrace:
     ]
     # each source feeds one queue, so a queue's totals sum its sources' rows
     counts = [{"arrivals": 0, "admitted": 0, "dropped": 0, "departed": d} for d in state.departed]
-    for (_slot, qi, _port), a, d in zip(targets, state.src_admitted, state.src_dropped):
+    for (_slot, qi, _port, _base), a, d in zip(targets, state.src_admitted, state.src_dropped):
         c = counts[qi]
         c["arrivals"] += a + d
         c["admitted"] += a
@@ -600,11 +593,14 @@ def _trace_lines(trace: EventTrace) -> Iterator[str]:
     # few; 0.0 == -0.0 prints two ways, so a zero skips both caches
     cache: dict[float, str] = {}
     last = time_text = None
-    prefixes = [f",{port},{class_id}," for port, class_id, _src in trace.origins]
-    for time, thr, origin, code, qlen in RECORD.iter_unpack(trace.packed):
+    # per tag, origin << 2 | code: the origin's ",port,class," and the code's action
+    prefixes = [text for port, class_id, _src in trace.origins
+                for text in repeat(f",{port},{class_id},", len(ACTIONS))]
+    actions = _ACTION_FIELDS * len(trace.origins)
+    for time, thr, tag, qlen in RECORD.iter_unpack(trace.packed):
         if time != last or not time:
             last, time_text = time, repr(time)
-        if code > DROP:
+        if tag & DEPART:  # DEPART and SOURCE_CHANGE carry no threshold
             thr_text = ""
         elif not thr:
             thr_text = repr(thr)
@@ -612,7 +608,7 @@ def _trace_lines(trace: EventTrace) -> Iterator[str]:
             if len(cache) == THRESHOLD_CACHE_SIZE:
                 cache.clear()
             thr_text = cache[thr] = repr(thr)
-        yield f"{time_text}{prefixes[origin]}{qlen}{_ACTION_FIELDS[code]}{thr_text}\r\n"
+        yield f"{time_text}{prefixes[tag]}{qlen}{actions[tag]}{thr_text}\r\n"
 
 
 def write_trace_csv(trace: EventTrace, path) -> None:

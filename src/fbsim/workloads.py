@@ -290,8 +290,10 @@ def _arrival_bound(src: SourceSpec, hz: Fraction) -> Union[int, Fraction]:
 #: Most samples or FBA ticks (horizon over either period), and most packet
 #: arrivals (``_arrival_bound`` summed over the sources), a valid run implies.
 MAX_RUN_STEPS = 10**7
-#: Largest buffer size, port or source count and class id: the trace stores 4-byte ints.
-MAX_RECORD_INT = 2**31 - 1
+#: Largest buffer size, port or source count and class id: the trace stores
+#: 4-byte ints, and a tag ``origin << 2 | code`` over at most sources +
+#: buffer origins fits 4 unsigned bytes.
+MAX_RECORD_INT = 2**29 - 1
 
 
 def grid_steps(horizon: float, period: float) -> int:

@@ -1,5 +1,5 @@
 """Test-only code that the package does not run: the independent oracles
-the tests check it against, and one helper the tests share.
+the tests check it against.
 
 - ``derive_aggregates`` rebuilds a buffer's aggregates (occupancy,
   remaining space, the congested set and N_p per priority) from raw
@@ -29,8 +29,6 @@ the tests check it against, and one helper the tests share.
   event-driven solver on plain Fraction arithmetic, breakpoint by
   breakpoint as ``fbsim.fluid.integrate_transient`` walks it, so the
   package's integer solve is checked against it.
-- ``ticks`` decodes an FBA run's controller tables to (time, {queue:
-  alpha}) pairs; the package reads the tables themselves.
 
 pytest's default import mode puts ``tests/`` on ``sys.path``, so a test
 file imports these with ``from oracles import ...``.
@@ -46,14 +44,6 @@ from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from fbsim.core import Number, QueueId, as_fraction
-
-
-def ticks(trace) -> list[tuple[float, dict[QueueId, float]]]:
-    """An ``fbsim.engine.EventTrace``'s FBA ticks as (time, {queue: alpha}):
-    tick k is at k * ``fba_period``, and its table is indexed like
-    ``queue_ids``."""
-    return [(k * trace.fba_period, dict(zip(trace.queue_ids, table)))
-            for k, table in enumerate(trace.tick_tables)]
 
 
 class CapacityError(ValueError):

@@ -37,8 +37,8 @@ from oracles import (
     alpha_L_for_zero_transient,
     fb_omegas,
     occupancy_bound,
-    ticks,
 )
+from test_engine import ticks
 
 F = Fraction
 LOW, HIGH = 0, 1
@@ -350,7 +350,7 @@ def test_criterion_10_fba_consistency():
 
     cfg = replace(preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=1.0)
     trace = run(cfg)
-    rows = ticks(trace)
+    rows = ticks(cfg)
 
     def table_in_force(t):
         current = rows[0][1]

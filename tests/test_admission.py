@@ -1,9 +1,10 @@
 """Admission policies: the engine's thresholds, decisions and FBA tables.
 
 Each test pre-fills a buffer and either runs the engine on one arriving
-packet, so the decision comes from the run's own admission path, or runs
-one controller tick, and checks the threshold, decision or emitted table
-against the paper's rule ``alpha * (1/N_p) * gamma * (B - Q(t))``.
+packet, so the decision comes from the run's own admission path, or reads
+the FBA table in force from t = 0, and checks the threshold, decision or
+emitted table against the paper's rule
+``alpha * (1/N_p) * gamma * (B - Q(t))``.
 """
 
 import math
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fbsim.core import PolicyKind, QueueId, TrafficClass
-from fbsim.engine import EventTrace, SwitchState, controller_tick, run
+from fbsim.engine import SwitchState, run
 from fbsim.workloads import ConfigError, ConstantRate, ScenarioConfig
-from oracles import ticks
+from test_engine import ticks
 
 LOW, HIGH = 0, 1
 
@@ -53,10 +54,8 @@ def threshold(kind, lengths, class_id, port, **kw):
 
 
 def tick(config):
-    switch = SwitchState(config)
-    trace = EventTrace(queue_ids=switch.queue_ids)
-    controller_tick(switch, trace)
-    return ticks(trace)[-1][1]
+    """The FBA table in force from t = 0 (tick 0) on the pre-filled state."""
+    return ticks(config)[0][1]
 
 
 DT = PolicyKind.DYNAMIC_THRESHOLDS

@@ -20,6 +20,7 @@ from fbsim import engine
 from fbsim.core import PolicyKind, QueueId, TrafficClass
 from fbsim.engine import (
     RECORD,
+    SOURCE_CHANGE,
     EngineInvariantError,
     EventTrace,
     SwitchState,
@@ -38,7 +39,7 @@ from fbsim.workloads import (
     preset,
     source_stream,
 )
-from oracles import derive_aggregates, ticks
+from oracles import derive_aggregates
 
 F = Fraction
 LOW, HIGH = 0, 1
@@ -60,6 +61,38 @@ def two_class_config(**kw):
     return ScenarioConfig(**defaults)
 
 
+def tick_tables(config):
+    """The alpha tables of a run of ``config`` under an FBA controller, none
+    under another rule: tick 0's is ``SwitchState(config).alphas``, the table
+    in force from the start, and tick k's the list the state holds after the
+    k-th ``engine.controller_tick`` call.  The trace keeps no tables, so the
+    tests read them from the hook (oracles.py imports no engine code)."""
+    start = SwitchState(config)
+    if start.rule is not PolicyKind.FBA:
+        return []
+    tables = [start.alphas]
+    original = engine.controller_tick
+
+    def hook(state):
+        original(state)
+        tables.append(state.alphas)
+
+    engine.controller_tick = hook
+    try:
+        run(config)
+    finally:
+        engine.controller_tick = original
+    return tables
+
+
+def ticks(config):
+    """``tick_tables(config)`` as (time, {queue: alpha}) pairs: tick k is at
+    k * ``fba_period``, and a table is indexed like ``queue_ids``."""
+    queue_ids = SwitchState(config).queue_ids
+    return [(k * config.fba_period, dict(zip(queue_ids, table)))
+            for k, table in enumerate(tick_tables(config))]
+
+
 def test_zero_traffic_gives_empty_trace():
     cfg = two_class_config(sources=())
     trace = run(cfg)
@@ -72,7 +105,7 @@ def test_identical_runs_are_bit_identical():
     a, b = run(cfg), run(cfg)
     assert a.records == b.records
     assert a.samples == b.samples
-    assert ticks(a) == ticks(b)
+    assert ticks(cfg) == ticks(cfg)
     assert a.final_lengths == b.final_lengths
 
 
@@ -211,7 +244,7 @@ def _replay(cfg, trace):
             due += 1
         return derive_aggregates(seen, prios, cfg.buffer_size, cfg.congestion_threshold)
 
-    pending = deque(ticks(trace))
+    pending = deque(ticks(cfg))
     table = None
     checked = {"admit": 0, "drop": 0, "tick": 0}
 
@@ -309,11 +342,13 @@ def test_run_calls_the_traced_layers_by_module_name(monkeypatch):
     # per-queue counters equal the admit, drop and departure records, and
     # controller_tick stays a module global, called once per tick after
     # t = 0, so a wrapper placed on the module sees every tick
+    cfg = replace(preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=2.0)
+    tick_rows = ticks(cfg)
     calls = []
     original = engine.controller_tick
     monkeypatch.setattr(engine, "controller_tick",
                         lambda *args: calls.append(args) or original(*args))
-    trace = run(replace(preset("fig5_incast"), policy=PolicyKind.FBA, fba_period=2.0))
+    trace = run(cfg)
     actions = [r[3] for r in trace.records]
     admits, drops, departs = (actions.count(a) for a in ("admit", "drop", "depart"))
     sources, queues = trace.source_counts, trace.counts.values()
@@ -322,7 +357,7 @@ def test_run_calls_the_traced_layers_by_module_name(monkeypatch):
     assert sum(c["admitted"] for c in queues) == sum(row["admitted"] for row in sources) == admits
     assert sum(c["dropped"] for c in queues) == sum(row["dropped"] for row in sources) == drops
     assert sum(c["departed"] for c in queues) == departs
-    assert len(calls) == len(ticks(trace)) - 1
+    assert len(calls) == len(tick_rows) - 1
     assert min(admits, departs, len(calls)) > 20
 
 
@@ -392,8 +427,7 @@ def test_engine_snapshot_matches_incremental_counters():
 
 def test_fba_controller_ticks_recorded():
     cfg = replace(preset("fig5_steady"), policy=PolicyKind.FBA, fba_period=2.0)
-    trace = run(cfg)
-    times = [t for t, _ in ticks(trace)]
+    times = [t for t, _ in ticks(cfg)]
     assert times[0] == 0.0
     assert times[1:3] == [2.0, 4.0]
     assert len(times) == 1 + int(cfg.horizon / 2.0)
@@ -401,10 +435,9 @@ def test_fba_controller_ticks_recorded():
 
 @pytest.mark.parametrize("name", ["fig5_steady", "fig5_incast"])
 def test_fba_ticks_share_unchanged_tables(name):
-    # a tick that leaves the table unchanged records the list in force, so
-    # the trace holds one list object per table change plus the initial one
-    trace = run(replace(preset(name), policy=PolicyKind.FBA, fba_period=2.0))
-    tables = trace.tick_tables
+    # a tick that leaves the table unchanged keeps the list in force, so the
+    # hook sees one list object per table change plus the initial one
+    tables = tick_tables(replace(preset(name), policy=PolicyKind.FBA, fba_period=2.0))
     changes = sum(a != b for a, b in zip(tables, tables[1:]))
     assert 0 < changes < len(tables) - 1
     for a, b in zip(tables, tables[1:]):
@@ -421,32 +454,31 @@ def test_fba_ticks_and_samples_share_one_grid(horizon):
                   horizon=horizon, sources=tuple(s for s in base.sources if s.start < horizon))
     trace = run(cfg)
     grid = [k * 0.1 for k in range(round(horizon / 0.1) + 1)]
-    assert [t for t, _ in ticks(trace)] == grid
+    assert [t for t, _ in ticks(cfg)] == grid
     assert len(trace.occupancy) == len(grid)
 
 
 @pytest.mark.parametrize("horizon", [2.99999999999, 2.9999999995])
 def test_fba_fires_every_tick_the_grid_counts(horizon):
     # the grid counts k = 3 within 1e-9 of a period, past the event loop's
-    # horizon + 1e-12: tick 3 fires on the final state, as sample 3 is taken
+    # horizon + 1e-12: sample 3 is taken on the final state, but the fired
+    # ticks stop at the loop's end, 2, since no admission would follow tick 3
     cfg = replace(preset("fig5_steady"), policy=PolicyKind.FBA, fba_period=1.0,
                   sample_interval=1.0, horizon=horizon)
     trace = run(cfg)
-    assert [t for t, _ in ticks(trace)] == [0.0, 1.0, 2.0, 3.0]
+    assert [t for t, _ in ticks(cfg)] == [0.0, 1.0, 2.0]
     assert len(trace.occupancy) == 4
-    assert _replay(cfg, trace)["tick"] == 4
+    assert _replay(cfg, trace)["tick"] == 3
 
 
 def test_fba_period_beyond_horizon_keeps_initial_table():
     cfg = replace(preset("fig5_steady"), policy=PolicyKind.FBA, fba_period=1000.0)
-    trace = run(cfg)
-    assert len(ticks(trace)) == 1
+    assert len(ticks(cfg)) == 1
 
 
 def test_fba_table_converges_once_congestion_is_stable():
     cfg = replace(preset("fig5_steady"), policy=PolicyKind.FBA, fba_period=2.0)
-    trace = run(cfg)
-    tail = [table for t, table in ticks(trace) if t >= 60.0]
+    tail = [table for t, table in ticks(cfg) if t >= 60.0]
     assert len(tail) > 3
     assert all(table == tail[0] for table in tail)
 
@@ -662,8 +694,8 @@ def trace_from_rows(records=(), occupancy=(), origins=None, **fields):
         origins = tuple(dict.fromkeys((port, c, src) for _, port, c, *_, src in records))
     index = {origin: i for i, origin in enumerate(origins)}
     packed = bytearray().join(
-        RECORD.pack(t, 0.0 if thr is None else thr, index[port, c, src], ACTIONS.index(action),
-                    qlen)
+        RECORD.pack(t, 0.0 if thr is None else thr,
+                    index[port, c, src] << 2 | ACTIONS.index(action), qlen)
         for t, port, c, action, qlen, thr, _occ, src in records)
     return EventTrace(origins=origins, packed=packed, occupancy=array("i", occupancy), **fields)
 
@@ -957,8 +989,19 @@ def test_complete_sharing_run_at_the_largest_buffer_round_trips():
     assert again.packed == trace.packed and again.records == records
 
 
-def test_trace_holds_at_most_40_bytes_per_record():
-    cfg = two_class_config(horizon=4000.0, sample_interval=10.0)
+def test_record_is_24_bytes_and_holds_the_largest_tag():
+    # origins number at most sources + pre-filled queues, each at most
+    # MAX_RECORD_INT, so the largest tag still fits the unsigned 4 bytes
+    assert RECORD.size == 24
+    tag = (2 * MAX_RECORD_INT - 1) << 2 | SOURCE_CHANGE
+    record = (1.5, 0.0, tag, MAX_RECORD_INT)
+    assert RECORD.unpack(RECORD.pack(*record)) == record
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.DYNAMIC_THRESHOLDS, PolicyKind.FBA], ids=["dt", "fba"])
+def test_trace_holds_at_most_28_bytes_per_record(policy):
+    # FBA ticks every 0.1, 40 000 times, and keeps nothing per tick
+    cfg = two_class_config(horizon=4000.0, sample_interval=10.0, policy=policy, fba_period=0.1)
     tracemalloc.start()
     try:
         trace = run(cfg)
@@ -967,7 +1010,7 @@ def test_trace_holds_at_most_40_bytes_per_record():
         tracemalloc.stop()
     n_records = len(trace.packed) // RECORD.size
     assert n_records >= 20_000
-    assert held / n_records <= 40
+    assert held / n_records <= 28
 
 
 def test_occupancy_samples_are_4_byte_ints():
@@ -981,21 +1024,25 @@ def test_occupancy_samples_are_4_byte_ints():
 @pytest.mark.parametrize("period", [0.1, 1.0, 2.0, 2.5])
 @pytest.mark.parametrize("name", ["fig5_steady", "fig5_incast"])
 def test_fba_trace_keeps_one_table_per_tick_and_no_tick_time(name, period):
-    # tick k is due at exactly k * period, so the trace keeps the tables
-    # alone and ``ticks`` derives each time bit for bit; each table is a
-    # list of alphas indexed like queue_ids, which ``ticks`` keys by queue
+    # tick k is due at exactly k * period, so ``ticks`` derives each time
+    # bit for bit; the hook sees one table per tick, a list of alphas indexed
+    # like queue_ids, which ``ticks`` keys by queue
     cfg = replace(preset(name), policy=PolicyKind.FBA, fba_period=period)
+    rows, tables = ticks(cfg), tick_tables(cfg)
     trace = run(cfg)
-    rows = ticks(trace)
     grid = [0.0] + [k * period for k in range(1, round(cfg.horizon / period) + 1)]
     assert _bits((t,) for t, _ in rows) == _bits((t,) for t in grid)
-    for (_t, decoded), table in zip(rows, trace.tick_tables, strict=True):
+    for (_t, decoded), table in zip(rows, tables, strict=True):
         assert type(table) is list and len(table) == len(trace.queue_ids)
         assert all(type(alpha) is float for alpha in table)
         assert _bits(decoded.items()) == _bits(zip(trace.queue_ids, table, strict=True))
     # unchanged tables stay one shared list
-    assert len({id(table) for table in trace.tick_tables}) < len(trace.tick_tables)
-    # no field holds a float, or a tuple carrying one, per tick
-    for value in vars(trace).values():
-        if isinstance(value, list):
-            assert not any(isinstance(item, (float, tuple)) for item in value)
+    assert len({id(table) for table in tables}) < len(tables)
+    # no trace field grows with the tick count: the records and the samples
+    # have their own, and every other field is sized by the scenario
+    assert len(trace.packed) == RECORD.size * len(trace.records)
+    assert len(trace.occupancy) == round(cfg.horizon / cfg.sample_interval) + 1
+    scenario = max(len(trace.origins), len(trace.queue_ids))
+    for attr, value in vars(trace).items():
+        if attr not in ("packed", "occupancy") and hasattr(value, "__len__"):
+            assert len(value) <= scenario < len(rows), attr
