@@ -5,17 +5,16 @@ analyze (fluid closed forms cross-checked by the exact fluid solver, and
 burst curves), configure-alpha (alpha bounds for a target burst),
 preset-list.
 
-Exit codes: 0 success, 2 parse error (an unreadable file too), 3
-validation error (an ``--out`` that cannot be a directory too), 1 when a
-reader closes stdout early.  Every output is reproducible from the scenario
-file and seed; each run directory holds scenario.lock (the resolved
-config), trace.csv, samples.csv, metrics.json and summary.json.
+Exit codes: 0 success, 2 parse error (an unreadable file too), 3 validation error
+(an ``--out`` that cannot be a directory, or a file in it that cannot be written or
+removed, too), 1 when a reader closes stdout early.  Every output is reproducible
+from the scenario file and seed; each run directory holds scenario.lock (the
+resolved config), trace.csv, samples.csv, metrics.json and summary.json.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
@@ -85,6 +84,15 @@ def _out_dir(path: str) -> None:
                           f"{exc.strerror or exc}") from None
 
 
+def _remove_stale(path: str) -> None:
+    """Remove an earlier run's ``path``; one that cannot go is a ConfigError."""
+    try:
+        os.unlink(path)
+    except OSError as exc:
+        if not isinstance(exc, FileNotFoundError):  # no such file is nothing to remove
+            raise ConfigError(f"cannot remove the stale {path!r}: {exc.strerror or exc}") from None
+
+
 def _run_one(cfg: workloads.ScenarioConfig, out_dir: str, fmt: str) -> dict:
     """Run ``cfg`` into ``out_dir`` and return the metrics.json payload."""
     _out_dir(out_dir)
@@ -100,8 +108,7 @@ def _run_one(cfg: workloads.ScenarioConfig, out_dir: str, fmt: str) -> dict:
             (key, payload[key]) for key in sorted(payload) if not isinstance(payload[key], dict)
         ))
     else:  # an earlier csv run's table would contradict metrics.json
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(os.path.join(out_dir, "metrics.csv"))
+        _remove_stale(os.path.join(out_dir, "metrics.csv"))
     return payload
 
 
@@ -204,8 +211,7 @@ def cmd_analyze(args) -> int:
                 (key, json_text(payload[key], compact=True)) for key in sorted(payload)
             ))
         stale = "analysis.csv" if args.format == "json" else "analysis.json"
-        with contextlib.suppress(FileNotFoundError):  # an earlier run's other format
-            os.unlink(os.path.join(args.out, stale))
+        _remove_stale(os.path.join(args.out, stale))  # an earlier run's other format
     print(json_text(payload))
     return EXIT_OK
 

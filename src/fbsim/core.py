@@ -16,24 +16,25 @@ immutable value objects and safe to share across threads.  The module owns
 the one field rule ``convert_fields``, which makes each field of every value
 type the kind its annotation states, and how a result is written out: the
 value-to-JSON rule ``jsonable`` and ``faithful_float``, the JSON text and
-files, CSV tables, and ``open_output``, the one way a file is opened for output.
+files, the one CSV writer ``write_csv`` and ``open_output``, the one opener.
 """
 
 from __future__ import annotations
 
 import collections.abc
-import csv
 import functools
 import io
 import json
 import math
 import os
+import re
 import typing
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum, EnumMeta
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -208,6 +209,8 @@ _SPELL = {  # each JSON leaf kind and how json spells it
     str: _ascii, int: int.__repr__, float: lambda x: _FLOAT_WORDS.get(text := float.__repr__(x), text),
     bool: {True: "true", False: "false"}.get, type(None): lambda _: "null",
 }
+EXPORT_CHUNK_ROWS = 256  # rows joined per text-layer write of write_csv
+_ESCAPED = re.compile('["\r\n]')  # a cell holding one of these, or ",", is quoted
 
 
 def _indented(x, pad: str) -> str:
@@ -249,14 +252,15 @@ class _Output(io.TextIOWrapper):
 
 
 def open_output(path, newline=None) -> io.TextIOWrapper:
-    """``path`` opened for UTF-8 text output, created if missing and
-    written over in place: the file is cut to the written length when it
-    closes, also when the writer raised.  Opening with ``"w"`` truncates an
-    existing file to zero bytes first, and ext4's default ``auto_da_alloc``
-    then starts writeback of the new data at close, several times the
-    cost of the write itself for a small artifact."""
-    return _Output(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb"),
-                   encoding="utf-8", newline=newline)
+    """``path`` opened for UTF-8 text output, created if missing and written over in place,
+    cut to the written length when it closes, also when the writer raised (``"w"`` would
+    truncate first, and ext4's ``auto_da_alloc`` then starts a writeback at close costing
+    several times a small artifact's write).  A path it cannot open is a ValueError naming it."""
+    try:
+        return _Output(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb"),
+                       encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ValueError(f"cannot write {os.fspath(path)!r}: {exc.strerror or exc}") from None
 
 
 def write_json(path, value) -> None:
@@ -267,10 +271,26 @@ def write_json(path, value) -> None:
         fh.write(_indented(value, "\n") + "\n")
 
 
-def write_table(path, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """Write a CSV table (the csv module's default dialect): the header row,
-    then every row."""
+def write_csv(path, header: Sequence, lines: Iterator[str]) -> None:
+    """The one CSV writer: ``header``, then CRLF-ended rows, ``EXPORT_CHUNK_ROWS`` per write."""
     with open_output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_line(header))
+        while chunk := "".join(islice(lines, EXPORT_CHUNK_ROWS)):
+            fh.write(chunk)
+
+
+def _csv_line(row: Sequence) -> str:
+    """``row`` and its CRLF; cell by cell only if a cell may need quoting or is None."""
+    line = ",".join(map(str, row))
+    if not line or _ESCAPED.search(line) or line.count(",") != len(row) - 1 or None in row:
+        cells = ["" if x is None else str(x) for x in row]
+        line = ",".join(['"' + c.replace('"', '""') + '"' if "," in c or _ESCAPED.search(c) else c
+                         for c in cells]) or ('""' if row else "")
+    return line + "\r\n"
+
+
+def write_table(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a CSV table through ``write_csv`` in the csv module's default dialect: a cell
+    is its ``str``, None empty, one holding ``,``, ``"``, CR or LF quoted with each inner
+    ``"`` doubled, and a row of one empty cell ``""``; a row with no cells is a bare CRLF."""
+    write_csv(path, header, map(_csv_line, rows))

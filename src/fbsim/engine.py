@@ -57,12 +57,10 @@ the records, and the ``records`` and ``samples`` views decode to tuples.
 The loop also keeps each fact ``metrics.compute`` reads as it happens
 (first drops, occupancy peak, per-source counts), and
 ``verify_conservation`` checks them against a rescan of the records.
-``write_trace_csv`` and ``write_samples_csv`` stream it to CSV in writes of
-``EXPORT_CHUNK_ROWS`` rows, formatting each distinct text once (threshold
-texts from a bounded cache; zeros, which print two ways, never cached);
-``write_run_summary`` writes the per-queue totals as JSON.  Every file is
-opened by ``core.open_output``, which writes an existing artifact over in
-place and cuts it to its new length.
+``write_trace_csv`` and ``write_samples_csv`` spell its rows, each distinct
+text once (threshold texts from a bounded cache; zeros, which print two
+ways, never cached), and stream them through ``core.write_csv``, the one
+CSV writer; ``write_run_summary`` writes the per-queue totals as JSON.
 """
 
 from __future__ import annotations
@@ -73,10 +71,10 @@ import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice, product, repeat
-from typing import Iterable, Iterator, Optional
+from itertools import product, repeat
+from typing import Iterator, Optional
 
-from .core import PolicyKind, QueueId, open_output, write_json
+from .core import PolicyKind, QueueId, write_csv, write_json
 from .workloads import ScenarioConfig, grid_steps, source_stream
 
 #: Tolerance of the strict "length below threshold" comparison.
@@ -573,19 +571,7 @@ def run(config: ScenarioConfig) -> EventTrace:
 
 # -- export ------------------------------------------------------------------
 
-
-#: Rows joined per text-layer write, and entries of the threshold-text cache.
-EXPORT_CHUNK_ROWS = 256
-THRESHOLD_CACHE_SIZE = 64
-
-
-def _write_csv(path, columns: Iterable[str], rows: Iterator[str]) -> None:
-    """A header and preformatted ``\r\n``-terminated rows (the csv module's
-    default dialect), written ``EXPORT_CHUNK_ROWS`` rows at a time."""
-    with open_output(path, newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
-        while chunk := "".join(islice(rows, EXPORT_CHUNK_ROWS)):
-            fh.write(chunk)
+THRESHOLD_CACHE_SIZE = 64  # entries of the threshold-text cache
 
 
 def _trace_lines(trace: EventTrace) -> Iterator[str]:
@@ -614,14 +600,14 @@ def _trace_lines(trace: EventTrace) -> Iterator[str]:
 def write_trace_csv(trace: EventTrace, path) -> None:
     """Trace rows as CSV: time, port, class, queue_len, action, threshold
     (floats as ``repr``, no threshold on departures and source changes)."""
-    _write_csv(path, TRACE_COLUMNS, _trace_lines(trace))
+    write_csv(path, TRACE_COLUMNS, _trace_lines(trace))
 
 
 def write_samples_csv(trace: EventTrace, path) -> None:
     """Occupancy samples as CSV: time, occupancy."""
     interval = trace.sample_interval
     rows = (f"{k * interval!r},{occ}\r\n" for k, occ in enumerate(trace.occupancy))
-    _write_csv(path, ("time", "occupancy"), rows)
+    write_csv(path, ("time", "occupancy"), rows)
 
 
 def run_summary(trace: EventTrace) -> dict:

@@ -1,11 +1,13 @@
 """Core types: the unit conventions, the traffic class's alpha check and the
-whole-number converter; the value-to-JSON rule, the indented JSON text and
-the output file.
+whole-number converter; the value-to-JSON rule, the indented JSON text, the
+CSV table and the output file.
 
 The snapshot-derivation oracle and its tests live in ``tests/oracles.py``
 and ``tests/test_oracles.py``."""
 
+import csv
 import enum
+import io
 import json
 import math
 import os
@@ -17,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from fbsim import cli, core
 from fbsim.core import (
     FrozenDict, PolicyKind, QueueId, TrafficClass, as_whole, json_text, jsonable, open_output,
+    write_table,
 )
 from fbsim.workloads import ConfigError, ScenarioConfig
 from test_golden_artifacts import ANALYZER_RUNS
@@ -239,5 +242,45 @@ def test_open_output_cuts_the_file_where_a_raising_writer_stopped(tmp_path):
 
 
 def test_open_output_refuses_a_directory(tmp_path):
-    with pytest.raises(IsADirectoryError):
+    # a ValueError, so that the CLI exits 3 with a message naming the path
+    with pytest.raises(ValueError, match=f"cannot write {str(tmp_path)!r}: Is a directory"):
         open_output(tmp_path)
+
+
+# -- write_table -----------------------------------------------------------------
+# The csv module is the reference here only: write_table spells each row itself.
+
+
+def _csv_module_bytes(header, rows) -> bytes:
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode()
+
+
+_CELLS = st.one_of(
+    st.text(alphabet=',"\r\n abXY', max_size=8), st.just(""), st.none(), st.booleans(),
+    st.integers(), st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+_ROWS = st.lists(st.lists(_CELLS, max_size=6).map(tuple), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.lists(_CELLS, max_size=6), rows=_ROWS)
+# a row of one empty cell is "", of one None too; a row of two empty cells is ","
+@example(header=["metric", "value"], rows=[("",), (None,), ("", ""), (None, None), ("a", None)])
+# quoting: a delimiter, a quote, CR, LF, CRLF, and the comma count off by quoting alone
+@example(header=["k", "v"], rows=[("a,b", 'say "hi"'), ("\r", "\n"), ("x\r\ny", ","), ('"',)])
+@example(header=["x"], rows=[(True, False, 0, -7, 0.1, -0.0, math.inf, -math.inf, math.nan)])
+# a row with no cells: csv writes a bare CRLF, and so does write_table
+@example(header=[], rows=[(), ("a",), ()])
+def test_write_table_writes_the_bytes_of_the_csv_module(header, rows, tmp_path_factory):
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    write_table(path, header, rows)
+    assert path.read_bytes() == _csv_module_bytes(header, rows)
+
+
+def test_write_table_streams_rows_from_a_generator_and_writes_a_row_with_no_cells(tmp_path):
+    write_table(tmp_path / "t.csv", ("a", "b"), (r for r in [(1, 2), (), ("",)]))
+    assert (tmp_path / "t.csv").read_bytes() == b'a,b\r\n1,2\r\n\r\n""\r\n'
