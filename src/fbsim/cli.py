@@ -101,7 +101,7 @@ def _run_one(cfg: workloads.ScenarioConfig, out_dir: str, fmt: str) -> dict:
     engine.write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
     engine.write_samples_csv(trace, os.path.join(out_dir, "samples.csv"))
     engine.write_run_summary(trace, os.path.join(out_dir, "summary.json"))
-    payload = metrics.to_jsonable(metrics.compute(trace, cfg))
+    payload = jsonable(vars(metrics.compute(trace, cfg)))
     write_json(os.path.join(out_dir, "metrics.json"), payload)
     if fmt == "csv":  # the nested fields live in metrics.json only
         write_table(os.path.join(out_dir, "metrics.csv"), ("metric", "value"), (
@@ -161,6 +161,29 @@ def _inline_transient(args) -> fluid.TransientScenario:
     )
 
 
+def _transient_report(ts: fluid.TransientScenario, t) -> dict:
+    """``analyze``'s payload for a transient: the closed form's analysis where
+    the exact solver finds the same t1, the solver's answer where not.
+
+    ``closed_form_t1`` is always the formula's t1 and ``closed_form_valid``
+    whether the solver's equals it.  Where it does not, ``t1`` and
+    ``t1_per_queue`` are the solver's first crossings, ``burst_tolerance``
+    is r * t1, and with ``t`` the alpha bounds, which invert the closed
+    form, are reported unavailable; ``case`` stays the closed form's."""
+    closed = fluid.analyze_transient(ts)
+    solved = fluid.integrate_transient(ts)
+    valid = solved.t1 == closed.t1
+    payload = dict(vars(closed), closed_form_t1=closed.t1, closed_form_valid=valid)
+    if not valid:
+        payload.update(t1=solved.t1, t1_per_queue=solved.first_crossing,
+                       burst_tolerance=ts.r * solved.t1)
+    if t is not None:
+        bounds = vars(fluid.alpha_bounds_general(ts, t))  # also refuses a t <= 0
+        payload["alpha_bounds"] = bounds if valid else (
+            "unavailable: the bounds invert the closed form, whose t1 the exact solver contradicts")
+    return payload
+
+
 def cmd_analyze(args) -> int:
     if args.scenario or args.preset:
         if args.r is not None:
@@ -174,22 +197,14 @@ def cmd_analyze(args) -> int:
         cfg = _load_config(args)
         has_burst = any(isinstance(s, workloads.Burst) for s in cfg.sources)
         if has_burst:
-            ts = workloads.transient_scenario(cfg)
-            result = fluid.analyze_transient(ts)
+            payload = _transient_report(workloads.transient_scenario(cfg), args.t)
         elif args.t is not None:
             raise ConfigError("--t bounds the alphas for a burst; the scenario has none")
         else:
-            ts = None
-            result = fluid.steady_state(workloads.steady_omegas(cfg), cfg.buffer_size)
+            steady = fluid.steady_state(workloads.steady_omegas(cfg), cfg.buffer_size)
+            payload = dict(vars(steady))  # a copy: the keys below are added to it
     else:
-        ts = _inline_transient(args)
-        result = fluid.analyze_transient(ts)
-
-    payload = dict(vars(result))  # a copy: the keys below are added to it
-    if ts is not None and args.t is not None:
-        payload["alpha_bounds"] = vars(fluid.alpha_bounds_general(ts, args.t))
-    if ts is not None:
-        payload["ode_t1"] = fluid.integrate_transient(ts).t1
+        payload = _transient_report(_inline_transient(args), args.t)
 
     if args.curve:
         if None in (args.alpha_l, args.alpha_h, args.buffer, args.out):

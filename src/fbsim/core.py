@@ -34,7 +34,7 @@ from decimal import Decimal
 from enum import Enum, EnumMeta
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -266,13 +266,14 @@ def open_output(path, newline=None) -> io.TextIOWrapper:
 def write_json(path, value) -> None:
     """Write ``value``, a value as ``jsonable`` returns it, to ``path`` as
     ``json_text`` spells it, with a trailing newline.  The caller converts:
-    a run's metrics payload is converted once, by ``metrics.to_jsonable``."""
+    a run's metrics payload is converted once, by ``jsonable`` over its fields."""
     with open_output(path) as fh:
         fh.write(_indented(value, "\n") + "\n")
 
 
-def write_csv(path, header: Sequence, lines: Iterator[str]) -> None:
+def write_csv(path, header: Sequence, lines: Iterable[str]) -> None:
     """The one CSV writer: ``header``, then CRLF-ended rows, ``EXPORT_CHUNK_ROWS`` per write."""
+    lines = iter(lines)  # a list or tuple would restart at its head each chunk
     with open_output(path, newline="") as fh:
         fh.write(_csv_line(header))
         while chunk := "".join(islice(lines, EXPORT_CHUNK_ROWS)):

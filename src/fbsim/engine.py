@@ -71,7 +71,7 @@ import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import product, repeat, zip_longest
 from typing import Iterator, Optional
 
 from .core import PolicyKind, QueueId, write_csv, write_json
@@ -221,9 +221,9 @@ class EventTrace:
 
 class SwitchState:
     """Mutable per-run switch state: queue lengths, congestion counters,
-    the run's facts as they happen (per-queue departures and first drop,
-    occupancy peak, per-source counts and last departure; departures count
-    per origin, so each pre-filled queue has a row after the sources'), the
+    the run's facts as they happen (per-queue first drop, occupancy peak,
+    per-source counts and last departure; departures count only per origin,
+    so each pre-filled queue has a row after the sources'), the
     trace's ``origins``, one packet FIFO per queue of origin ids in service
     order, round-robin cursors, and the run's one alpha table.
 
@@ -236,10 +236,10 @@ class SwitchState:
     order; ``slot_queue`` and ``slot_alpha`` hold each slot's queue index
     and configured alpha.  ``alphas``, a list indexed by slot, holds each
     slot's threshold alpha.  Under DT it *is* ``slot_alpha``.  Under FB and
-    FBA ``refresh`` rebuilds it on the state admission sees, and replaces
-    the list only when a value changed, so the FBA ticks that find it
-    unchanged keep one list; ``built_at`` is the seen ``cong_changes``
-    (congestion-threshold crossings so far) it was built at.
+    FBA ``refresh`` rebuilds it on the state admission sees when that state's
+    ``cong_changes`` (congestion-threshold crossings so far) moved since
+    ``built_at``, the count it was built at, so the FBA ticks between two
+    crossings keep one list.
 
     ``stale`` is None, or under a snapshot staleness s the copy ``sync``
     took just before the last k * s, which admission sees instead of the
@@ -282,7 +282,6 @@ class SwitchState:
         self.lengths = [0] * n
         self.total = 0
         self.peak = 0
-        self.departed = [0] * n
         self.first_drop = [math.inf] * n
         self.src_admitted = [0] * len(config.sources)
         self.src_dropped = [0] * len(config.sources)
@@ -367,9 +366,8 @@ class SwitchState:
         """Rebuild ``alphas`` as FB's factor ``alpha * (1/N_p) * gamma`` per
         slot on the state admission sees (the stale copy, if any), counting
         the slot's queue as congested.  The table depends only on which
-        queues are congested, so it returns at once when the seen
-        ``cong_changes`` is the one the table was built at, and it replaces
-        ``alphas`` only with a table that differs."""
+        queues are congested, so it returns at once, keeping the list, when
+        the seen ``cong_changes`` is the one the table was built at."""
         lengths, _, cong_prio, active_port, changes = self.stale or (
             self.lengths, self.total, self.cong_prio, self.active_port, self.cong_changes)
         if changes == self.built_at:
@@ -384,14 +382,13 @@ class SwitchState:
             n_p = cong_prio[q_prio[qi]] + joins
             gamma = 1.0 / (active_port[q_port[qi]] + joins)
             table.append(alpha * (1.0 / n_p) * gamma)
-        if table != self.alphas:
-            self.alphas = table
+        self.alphas = table
 
 
 def controller_tick(state: SwitchState) -> None:
     """Emit the FBA alpha table in force from this tick: the run's table,
-    refreshed on the state admission sees.  An unchanged table stays the
-    list already in force."""
+    refreshed on the state admission sees.  A tick that sees no congestion
+    change since the last refresh keeps the list already in force."""
     state.refresh()
 
 
@@ -452,8 +449,7 @@ def run(config: ScenarioConfig) -> EventTrace:
     # pop-then-push
     heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
     packed, pack, bump = trace.packed, _pack, state._bump
-    lengths, fifo = state.lengths, state.fifo
-    departed, first_drop = state.departed, state.first_drop
+    lengths, fifo, first_drop = state.lengths, state.fifo, state.first_drop
     port_queues, rr_cursor, nonempty_port = state.port_queues, state.rr_cursor, state.nonempty_port
     src_admitted, src_dropped = state.src_admitted, state.src_dropped
     src_departed, src_last_departure = state.src_departed, state.src_last_departure
@@ -520,7 +516,6 @@ def run(config: ScenarioConfig) -> EventTrace:
             rr_cursor[payload] = j - len(port_qs) if j >= 0 else j
             origin = fifo[qi].popleft()
             bump(qi, -1)
-            departed[qi] += 1
             src_departed[origin] += 1
             src_last_departure[origin] = time
             packed += pack(time, 0.0, origin << 2 | DEPART, lengths[qi])
@@ -558,14 +553,17 @@ def run(config: ScenarioConfig) -> EventTrace:
         for a, d, p, t in zip(state.src_admitted, state.src_dropped, state.src_departed,
                               state.src_last_departure)
     ]
-    # each source feeds one queue, so a queue's totals sum its sources' rows
-    counts = [{"arrivals": 0, "admitted": 0, "dropped": 0, "departed": d} for d in state.departed]
-    for (_slot, qi, _port, _base), a, d in zip(targets, state.src_admitted, state.src_dropped):
-        c = counts[qi]
+    # each origin feeds one queue, so a queue's totals sum its origins' rows
+    # (a pre-filled queue's origin only departs)
+    counts = trace.counts = {q: {"arrivals": 0, "admitted": 0, "dropped": 0, "departed": 0}
+                             for q in queues}
+    for (port, class_id, _), p, a, d in zip_longest(
+            state.origins, state.src_departed, state.src_admitted, state.src_dropped, fillvalue=0):
+        c = counts[trace.queue_of[port, class_id]]
         c["arrivals"] += a + d
         c["admitted"] += a
         c["dropped"] += d
-    trace.counts = dict(zip(queues, counts))
+        c["departed"] += p
     return trace
 
 

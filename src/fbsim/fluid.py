@@ -375,12 +375,17 @@ def _closed_form(ts: TransientScenario) -> _ClosedForm:
     At equality both forms give the same t1.  Without old queues both sides
     are 0, so the test reads Case-1.
 
-    The aggregate bound assumes the unaffected old queues share one
-    gamma/omega ratio, as every symmetric scenario built here does.  Outside
-    that assumption t1 can be wrong: on 300 random scenarios with unequal
-    ratios (2-4 old queues, omega in [1/4, 3], gamma in {1, 1/2, 1/3}, r in
-    [1.1, 8], B in 50-200, seed 3) it differs from the exact solver by more
-    than 1% in 57, by up to 32%.
+    The aggregate form keeps one regime per old queue up to t1, and t1 is
+    wrong, on either side, where that fails: (a) the unaffected old queues
+    (G_ne) all track or all drain, which holds when they share one
+    gamma/omega ratio, as every symmetric scenario built here does, but with
+    unequal ratios some track while others drain; (b) each affected queue
+    (G_e) drains its excess up to t1, but one may close it earlier and then
+    track.  On the benchmark's asymmetric family (300 scenarios at seed 3:
+    2-4 old queues, omega in [1/4, 3], gamma in {1, 1/2, 1/3}, r in [1.1, 8],
+    B in 50-200) t1 equals the exact solver's in 233, with a worst error of
+    31.9%, by cause (a); README's unsafe-side example is cause (b).  So
+    ``analyze`` reports the solver's t1 wherever the two differ.
     """
     if not ts.new:
         raise ValueError("scenario has no new queues, nothing transient to classify")

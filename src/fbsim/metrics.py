@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import QueueId, jsonable
+from .core import QueueId
 from .engine import ADMIT, DEPART, EventTrace, run_summary
 from .workloads import Burst, ScenarioConfig
 
@@ -31,18 +31,14 @@ class RunMetrics:
     occupancy_p99: int
     occupancy_max: int
     partial: bool = False
+    total_drops: int = field(init=False)
+    total_admitted: int = field(init=False)
+    throughput_total: float = field(init=False)
 
-    @property
-    def total_drops(self) -> int:
-        return sum(c["dropped"] for c in self.per_queue.values())
-
-    @property
-    def total_admitted(self) -> int:
-        return sum(c["admitted"] for c in self.per_queue.values())
-
-    @property
-    def throughput_total(self) -> float:
-        return sum(self.throughput_per_port.values())
+    def __post_init__(self) -> None:
+        self.total_drops = sum(c["dropped"] for c in self.per_queue.values())
+        self.total_admitted = sum(c["admitted"] for c in self.per_queue.values())
+        self.throughput_total = sum(self.throughput_per_port.values())
 
 
 def _nearest_rank(values: Sequence[int], quantile: float) -> int:
@@ -124,13 +120,3 @@ def trailing_steady_lengths(
         else:
             maxima[q], occ_max = max(maxima[q], qlen), max(occ_max, occ)
     return maxima, occ_max
-
-
-def to_jsonable(metrics: RunMetrics) -> dict:
-    """The metrics.json payload: every field plus the three totals."""
-    return jsonable({
-        **vars(metrics),
-        "throughput_total": metrics.throughput_total,
-        "total_drops": metrics.total_drops,
-        "total_admitted": metrics.total_admitted,
-    })

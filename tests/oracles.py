@@ -29,6 +29,9 @@ the tests check it against.
   event-driven solver on plain Fraction arithmetic, breakpoint by
   breakpoint as ``fbsim.fluid.integrate_transient`` walks it, so the
   package's integer solve is checked against it.
+- ``csv_module_bytes`` is a table as the csv module's default writer
+  spells it, the bytes that ``fbsim.core.write_csv`` must write for every
+  CSV artifact (the package does not import csv).
 
 pytest's default import mode puts ``tests/`` on ``sys.path``, so a test
 file imports these with ``from oracles import ...``.
@@ -36,6 +39,8 @@ file imports these with ``from oracles import ...``.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -376,3 +381,12 @@ def reference_transient(ts, horizon: Optional[Number] = None) -> dict:
         thresholds={q: list(col) for q, col in zip(queues, zip(*threshold_rows))},
         first_crossing={q.queue: crossing.get(i, math.inf) for i, q in enumerate(ts.new, n_old)},
     )
+
+
+def csv_module_bytes(header, rows) -> bytes:
+    """``header`` and ``rows`` as ``csv.writer`` writes them, UTF-8 encoded."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode()

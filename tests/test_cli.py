@@ -30,6 +30,7 @@ from fbsim.fluid import (
     two_priority_incast,
 )
 from fbsim.workloads import MAX_RUN_STEPS, dumps_scenario, preset
+from test_reach import UNSAFE_SIDE
 
 GOLDEN_SCENARIOS = Path(__file__).parent / "golden" / "scenarios"
 ROOT = Path(__file__).resolve().parent.parent
@@ -802,20 +803,42 @@ def test_analyze_with_integrator_cross_check(capsys):
             "--r", "4", "--n-low", "3"]
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["t1"] == payload["ode_t1"] == 10
+    assert payload["t1"] == payload["closed_form_t1"] == 10 and payload["closed_form_valid"]
+    assert "ode_t1" not in payload and "solver_t1" not in payload
     with pytest.raises(SystemExit) as exc:  # the step knob is gone
         main(argv + ["--step", "0.01"])
     assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("name,t1", [("fig4_incast", 2.0), ("fig5_incast", 75 / 8)])
-def test_analyze_scenario_reports_a_plain_ode_t1(name, t1, tmp_path, capsys):
-    # the solver's private rational never reaches the JSON: ode_t1 is a number
+def test_analyze_scenario_reports_plain_numbers_for_both_t1s(name, t1, tmp_path, capsys):
+    # no private rational reaches the JSON: each t1 is a number
     path = tmp_path / f"{name}.ini"
     path.write_text(dumps_scenario(preset(name)))
     assert main(["analyze", "--scenario", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert type(payload["ode_t1"]) is float and payload["ode_t1"] == payload["t1"] == t1
+    assert type(payload["t1"]) is float and payload["t1"] == payload["closed_form_t1"] == t1
+    assert payload["closed_form_valid"] is True
+
+
+def test_analyze_reports_the_solver_where_it_contradicts_the_closed_form(tmp_path, capsys):
+    # README's unsafe-side example: the affected queue 3:2 closes its excess
+    # at 955/152 = 6.283, before t1, so the closed form's 955/88 = 10.852
+    # is late; analyze reports the solver's 955/92 = 10.380 and its answer
+    path = tmp_path / "unsafe_side.ini"
+    path.write_text(UNSAFE_SIDE)
+    assert main(["analyze", "--scenario", str(path), "--t", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    t1 = Fraction(955, 92)
+    assert payload["t1"] == float(t1) == pytest.approx(10.380, abs=5e-4)
+    assert payload["closed_form_t1"] == float(Fraction(955, 88)) == pytest.approx(10.852, abs=5e-4)
+    assert payload["closed_form_valid"] is False
+    assert payload["t1_per_queue"] == {"0:3": float(t1)}
+    assert payload["burst_tolerance"] == float(Fraction(21, 5) * t1)
+    assert payload["alpha_bounds"].startswith("unavailable: ")
+    assert payload["case"] == "case1"
+    ts = workloads.transient_scenario(workloads.load_scenario(str(path)))
+    assert integrate_transient(ts).times[1] == Fraction(955, 152) < t1
 
 
 def test_analyze_curve(tmp_path, capsys):

@@ -5,9 +5,7 @@ CSV table and the output file.
 The snapshot-derivation oracle and its tests live in ``tests/oracles.py``
 and ``tests/test_oracles.py``."""
 
-import csv
 import enum
-import io
 import json
 import math
 import os
@@ -22,6 +20,7 @@ from fbsim.core import (
     write_table,
 )
 from fbsim.workloads import ConfigError, ScenarioConfig
+from oracles import csv_module_bytes
 from test_golden_artifacts import ANALYZER_RUNS
 
 LOW = 0
@@ -251,14 +250,6 @@ def test_open_output_refuses_a_directory(tmp_path):
 # The csv module is the reference here only: write_table spells each row itself.
 
 
-def _csv_module_bytes(header, rows) -> bytes:
-    text = io.StringIO(newline="")
-    writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return text.getvalue().encode()
-
-
 _CELLS = st.one_of(
     st.text(alphabet=',"\r\n abXY', max_size=8), st.just(""), st.none(), st.booleans(),
     st.integers(), st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
@@ -278,9 +269,34 @@ _ROWS = st.lists(st.lists(_CELLS, max_size=6).map(tuple), max_size=12)
 def test_write_table_writes_the_bytes_of_the_csv_module(header, rows, tmp_path_factory):
     path = tmp_path_factory.mktemp("table") / "t.csv"
     write_table(path, header, rows)
-    assert path.read_bytes() == _csv_module_bytes(header, rows)
+    assert path.read_bytes() == csv_module_bytes(header, rows)
 
 
 def test_write_table_streams_rows_from_a_generator_and_writes_a_row_with_no_cells(tmp_path):
     write_table(tmp_path / "t.csv", ("a", "b"), (r for r in [(1, 2), (), ("",)]))
     assert (tmp_path / "t.csv").read_bytes() == b'a,b\r\n1,2\r\n\r\n""\r\n'
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_write_csv_writes_a_list_or_a_tuple_of_lines_once(kind, tmp_path, monkeypatch):
+    # islice restarts a list or a tuple at its head, so each chunk once
+    # rewrote the first rows without end; a write past the lines fails here
+    lines = kind(f"{i}\r\n" for i in range(2 * core.EXPORT_CHUNK_ROWS + 1))
+    expected = "n\r\n" + "".join(lines)
+    opened, written = core.open_output, []
+
+    def capped(path, newline=None):
+        fh = opened(path, newline)
+        write = fh.write
+
+        def counted(text):
+            written.append(len(text))
+            assert sum(written) <= len(expected), "write_csv wrote past its lines"
+            return write(text)
+
+        fh.write = counted
+        return fh
+
+    monkeypatch.setattr(core, "open_output", capped)
+    core.write_csv(tmp_path / "t.csv", ("n",), lines)
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()

@@ -1,6 +1,5 @@
 """Packet engine: determinism, conservation, scheduling, policy consistency."""
 
-import csv
 import heapq
 import math
 import struct
@@ -39,7 +38,7 @@ from fbsim.workloads import (
     preset,
     source_stream,
 )
-from oracles import derive_aggregates
+from oracles import csv_module_bytes, derive_aggregates
 
 F = Fraction
 LOW, HIGH = 0, 1
@@ -438,8 +437,10 @@ def test_fba_controller_ticks_recorded():
 
 @pytest.mark.parametrize("name", ["fig5_steady", "fig5_incast"])
 def test_fba_ticks_share_unchanged_tables(name):
-    # a tick that leaves the table unchanged keeps the list in force, so the
-    # hook sees one list object per table change plus the initial one
+    # a tick that sees no congestion change keeps the list in force, and on
+    # these presets every congestion change between two ticks moves the
+    # table, so the hook sees one list object per table change plus the
+    # initial one
     tables = tick_tables(replace(preset(name), policy=PolicyKind.FBA, fba_period=2.0))
     changes = sum(a != b for a, b in zip(tables, tables[1:]))
     assert 0 < changes < len(tables) - 1
@@ -787,14 +788,6 @@ def test_occupancy_samples_match_a_scan_per_instant(points, windows, interval, h
 SPECIAL_FLOATS = (1e-07, 1e+16, -0.0, 0.0, 0.1, 2.5e-300, 1.7976931348623157e+308)
 
 
-def _csv_writer_oracle(path, header, rows):
-    """The writers' reference route: csv.writer, one row per record."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _oracle_trace_rows(records):
     for time, port, class_id, action, qlen, threshold, _occ, _src in records:
         thr = "" if threshold is None else ("inf" if threshold == math.inf else repr(threshold))
@@ -803,10 +796,9 @@ def _oracle_trace_rows(records):
 
 def _assert_trace_csv_matches_oracle(trace, out):
     write_trace_csv(trace, out / "trace.csv")
-    _csv_writer_oracle(out / "trace_oracle.csv",
-                       ("time", "port", "class", "queue_len", "action", "threshold"),
-                       _oracle_trace_rows(trace.records))
-    assert (out / "trace.csv").read_bytes() == (out / "trace_oracle.csv").read_bytes()
+    assert (out / "trace.csv").read_bytes() == csv_module_bytes(
+        ("time", "port", "class", "queue_len", "action", "threshold"),
+        _oracle_trace_rows(trace.records))
 
 
 _times = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
@@ -857,9 +849,8 @@ def test_csv_writers_match_the_csv_module(distinct, samples, n):
         _assert_trace_csv_matches_oracle(trace, out)
 
         write_samples_csv(trace, out / "samples.csv")
-        _csv_writer_oracle(out / "samples_oracle.csv", ("time", "occupancy"),
-                           ([repr(t), occ] for t, occ in trace.samples))
-        assert (out / "samples.csv").read_bytes() == (out / "samples_oracle.csv").read_bytes()
+        assert (out / "samples.csv").read_bytes() == csv_module_bytes(
+            ("time", "occupancy"), ([repr(t), occ] for t, occ in trace.samples))
 
 
 def test_trace_csv_caches_only_what_prints_alike(tmp_path):

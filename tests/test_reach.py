@@ -44,8 +44,6 @@ ALLOWLIST = {
         "read by bench/cases.py's determinism check; goes with ROADMAP item 23",
     "engine.EventTrace.verify_conservation":
         "kept oracle: the rescan of the records that README's conservation promise names",
-    "fluid.TransientTrajectories.first_crossing":
-        "kept oracle: the solver's per-queue answer that criterion 06 compares with t1_per_queue",
     "core.FrozenDict._refuse":
         "refusal path: no command writes to a read-only table",
 }
@@ -61,13 +59,39 @@ _ANALYZE_REFUSES = {"cs_overload", "fb_single_mode", "fba_single_mode", "fba_sta
 _INLINE = ["--buffer", "100", "--alpha-l", "1", "--alpha-h", "2", "--r", "4"]
 _POISSON = ("0 = poisson class=0 port=1 mean_interarrival=3 flow_rate=1 start=0 stop=inf "
             "cdf=default")
+#: README's unsafe-side example, where analyze reports the solver's t1: the
+#: burst lowers every old queue's omega, and queue 3:2 closes its excess
+#: before the closed form's t1
+UNSAFE_SIDE = """\
+[switch]
+buffer = 191
+ports = 4
+congestion_threshold = 0
+horizon = 400
+
+[classes]
+0 = alpha=2 priority=0
+1 = alpha=2 priority=0
+2 = alpha=1 priority=0
+3 = alpha=2 priority=0
+
+[policy]
+kind = fb
+
+[sources]
+0 = constant class=0 port=1 rate=3 start=0 stop=inf
+1 = constant class=1 port=2 rate=3/2 start=0 stop=inf
+2 = constant class=2 port=3 rate=3 start=0 stop=inf
+3 = burst class=3 port=0 r=21/5 duration=150 start=1371/10
+"""
 
 
 def catalogue(tmp: Path) -> list[tuple[int, list[str]]]:
     """(expected exit code, argv) of every command form, writing under ``tmp``.
 
     The two Poisson scenarios copy the golden DT one with its size CDF read
-    from a file and given inline, which no golden scenario does."""
+    from a file and given inline, which no golden scenario does; the
+    unsafe-side one is a burst whose closed-form t1 the solver contradicts."""
     base = next(p for p in SCENARIOS if p.stem == "dt_poisson_stop").read_text()
     assert _POISSON in base
     (tmp / "sizes.cdf").write_text("# size cumprob\n1 0.5\n4, 1.0\n")
@@ -75,6 +99,7 @@ def catalogue(tmp: Path) -> list[tuple[int, list[str]]]:
     for name, cdf in (("cdf_file", tmp / "sizes.cdf"), ("cdf_inline", "1:0.25,3:1.0")):
         cdfs.append(tmp / f"{name}.ini")
         cdfs[-1].write_text(base.replace(_POISSON, _POISSON.replace("default", str(cdf))))
+    (tmp / "unsafe_side.ini").write_text(UNSAFE_SIDE)
     out = str(tmp / "out")
     forms = []
     for name in preset_names():
@@ -94,6 +119,7 @@ def catalogue(tmp: Path) -> list[tuple[int, list[str]]]:
                       "--parallel", "2", "--out", out]))
     forms += [
         (0, ["analyze", *_INLINE, "--t", "3"]),
+        (0, ["analyze", "--scenario", str(tmp / "unsafe_side.ini"), "--t", "3"]),
         (0, ["analyze", *_INLINE, "--scheme", "dt", "--n-low", "2", "--low-per-port", "2",
              "--n-new", "2"]),
         (0, ["analyze", *_INLINE, "--curve", "--r-values", "2,8", "--counts", "1,2",
