@@ -163,16 +163,17 @@ def _inline_transient(args) -> fluid.TransientScenario:
 
 def _transient_report(ts: fluid.TransientScenario, t) -> dict:
     """``analyze``'s payload for a transient: the closed form's analysis where
-    the exact solver finds the same t1, the solver's answer where not.
+    the exact solver finds the same crossings, the solver's answer where not.
 
     ``closed_form_t1`` is always the formula's t1 and ``closed_form_valid``
-    whether the solver's equals it.  Where it does not, ``t1`` and
+    whether the solver's crossing of every new queue equals the formula's.
+    Where one does not, ``t1`` and
     ``t1_per_queue`` are the solver's first crossings, ``burst_tolerance``
     is r * t1, and with ``t`` the alpha bounds, which invert the closed
     form, are reported unavailable; ``case`` stays the closed form's."""
     closed = fluid.analyze_transient(ts)
     solved = fluid.integrate_transient(ts)
-    valid = solved.t1 == closed.t1
+    valid = solved.first_crossing == closed.t1_per_queue
     payload = dict(vars(closed), closed_form_t1=closed.t1, closed_form_valid=valid)
     if not valid:
         payload.update(t1=solved.t1, t1_per_queue=solved.first_crossing,
@@ -180,7 +181,7 @@ def _transient_report(ts: fluid.TransientScenario, t) -> dict:
     if t is not None:
         bounds = vars(fluid.alpha_bounds_general(ts, t))  # also refuses a t <= 0
         payload["alpha_bounds"] = bounds if valid else (
-            "unavailable: the bounds invert the closed form, whose t1 the exact solver contradicts")
+            "unavailable: the bounds invert the closed form, which the exact solver contradicts")
     return payload
 
 

@@ -16,9 +16,10 @@ arrival or a port's next completion replaces it, and it is popped only when
 nothing follows it (every key is unique, so the pop order is that of
 pop-then-push).  The loop owns the arrival and completion paths: it
 decides each arrival and serves each completion inline, on the state's
-tables hoisted once per run, through ``SwitchState._bump`` (the one writer
-of the per-queue counts) and ``SwitchState.refresh`` (the one statement of
-FB's factor); ``controller_tick`` is called once per tick.
+tables hoisted once per run, as the one writer of the per-queue lengths
+and congestion counters, which it keeps in locals and writes back to the
+state before it calls ``SwitchState.refresh`` (the one statement of FB's
+factor), ``SwitchState.sync`` or ``controller_tick`` (once per tick).
 
 ``SwitchState`` resolves each run's admission rule once, and ``queue_mode``
 only shapes the queue layout.  It numbers the (port, class) slots once, and
@@ -243,8 +244,9 @@ class SwitchState:
 
     ``stale`` is None, or under a snapshot staleness s the copy ``sync``
     took just before the last k * s, which admission sees instead of the
-    live state.  Counters are maintained incrementally; the engine tests
-    check them against the aggregates that the independent oracle in
+    live state.  The constructor derives the counters from the pre-filled
+    lengths, and ``run`` writes them from then on; the engine tests check
+    them against the aggregates that the independent oracle in
     ``tests/oracles.py`` derives from the raw lengths.
     """
 
@@ -280,14 +282,11 @@ class SwitchState:
         self.q_port = [q.port for q in self.queue_ids]
 
         self.lengths = [0] * n
-        self.total = 0
-        self.peak = 0
         self.first_drop = [math.inf] * n
         self.src_admitted = [0] * len(config.sources)
         self.src_dropped = [0] * len(config.sources)
         self.cong_prio = [0] * len(prio_index)
         self.active_port = [0] * config.n_ports
-        self.cong_changes = 0
         self.nonempty_port = [0] * config.n_ports
         self.port_queues = [[] for _ in range(config.n_ports)]
         for i, q in enumerate(self.queue_ids):
@@ -301,11 +300,21 @@ class SwitchState:
         for q, length in sorted(config.initial_lengths.items()):
             if length:
                 qi = self.slot_queue[self.slot[q.port, q.class_id]]
-                for _ in range(length):
-                    self._bump(qi, +1)
+                self.lengths[qi] += length
                 self.fifo[qi].extend(repeat(len(origins), length))
                 origins.append((q.port, q.class_id, -1))
         self.origins = tuple(origins)
+        # the counters of the final lengths: in single mode one shared queue
+        # sums several classes' fills
+        self.total = self.peak = sum(self.lengths)
+        if self.total > self.buffer_size:
+            raise EngineInvariantError(f"occupancy {self.total} exceeds buffer {self.buffer_size}")
+        for qi, length in enumerate(self.lengths):
+            self.nonempty_port[self.q_port[qi]] += length > 0
+            if length > self.cong_thr:
+                self.cong_prio[self.q_prio[qi]] += 1
+                self.active_port[self.q_port[qi]] += 1
+        self.cong_changes = sum(self.cong_prio)  # one per pre-filled congested queue
         self.src_departed = [0] * len(origins)
         self.src_last_departure: list[Optional[float]] = [None] * len(origins)
 
@@ -319,36 +328,6 @@ class SwitchState:
         self.built_at: Optional[int] = None
         if rule is PolicyKind.FB or rule is PolicyKind.FBA:
             self.refresh()
-
-    # -- incremental counter maintenance ------------------------------------
-
-    def _bump(self, qi: int, delta: int) -> None:
-        old = self.lengths[qi]
-        new = old + delta
-        self.lengths[qi] = new
-        self.total += delta
-        port = self.q_port[qi]
-        if delta > 0:
-            if old == 0:
-                self.nonempty_port[port] += 1
-            if old == self.cong_thr:
-                self.cong_prio[self.q_prio[qi]] += 1
-                self.active_port[port] += 1
-                self.cong_changes += 1
-            # occupancy can pass the buffer only by rising past its peak
-            if self.total > self.peak:
-                self.peak = self.total
-                if self.peak > self.buffer_size:
-                    raise EngineInvariantError(
-                        f"occupancy {self.total} exceeds buffer {self.buffer_size}"
-                    )
-        else:
-            if new == 0:
-                self.nonempty_port[port] -= 1
-            if new == self.cong_thr:
-                self.cong_prio[self.q_prio[qi]] -= 1
-                self.active_port[port] -= 1
-                self.cong_changes += 1
 
     def sync(self) -> None:
         """Take the stale copy of the state as it is now."""
@@ -444,16 +423,20 @@ def run(config: ScenarioConfig) -> EventTrace:
     heapq.heapify(events)
 
     # the state's tables, hoisted once for the inline arrival and completion
-    # paths.  The head event is replaced by what follows it, or else popped;
-    # keys (time, rank, seq) are unique, so the pop order is that of
-    # pop-then-push
+    # paths, which write the counters: the scalars live here and go back to
+    # the state before each call that reads them.  The head event is
+    # replaced by what follows it, or else popped; keys (time, rank, seq)
+    # are unique, so the pop order is that of pop-then-push
     heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
-    packed, pack, bump = trace.packed, _pack, state._bump
+    packed, pack = trace.packed, _pack
     lengths, fifo, first_drop = state.lengths, state.fifo, state.first_drop
     port_queues, rr_cursor, nonempty_port = state.port_queues, state.rr_cursor, state.nonempty_port
+    cong_prio, active_port, q_prio = state.cong_prio, state.active_port, state.q_prio
     src_admitted, src_dropped = state.src_admitted, state.src_dropped
     src_departed, src_last_departure = state.src_departed, state.src_last_departure
-    buffer_size = state.buffer_size
+    buffer_size, cong_thr = state.buffer_size, state.cong_thr
+    total, peak, cong_changes = state.total, state.peak, state.cong_changes
+    stale, alphas, built_at = state.stale, state.alphas, state.built_at
     cs, fb = state.rule is PolicyKind.COMPLETE_SHARING, state.rule is PolicyKind.FB
     end = config.horizon + 1e-12
     # sample k, due at k * interval, sees every event up to 1e-12 after it
@@ -465,7 +448,7 @@ def run(config: ScenarioConfig) -> EventTrace:
         if time > end:
             break
         while time > due:
-            occupancy.append(state.total)
+            occupancy.append(total)
             sample += 1
             due = sample * interval + 1e-12 if sample <= steps else math.inf
         if rank == _ARRIVAL:  # key is the source
@@ -476,28 +459,41 @@ def run(config: ScenarioConfig) -> EventTrace:
                 heapreplace(events, (following, _ARRIVAL, key, payload))
             slot, qi, port, tag = payload
             # admission sees the stale copy, if any; the buffer's room is live
-            stale = state.stale
             if stale is None:
-                length, seen, changes = lengths[qi], state.total, state.cong_changes
+                length, seen, changes = lengths[qi], total, cong_changes
             else:
                 length, seen, changes = stale[0][qi], stale[1], stale[4]
             if cs:
                 threshold = math.inf
                 admit = seen < buffer_size
             else:
-                if fb and changes != state.built_at:
+                if fb and changes != built_at:
+                    state.total, state.cong_changes = total, cong_changes
                     state.refresh()
-                threshold = state.alphas[slot] * (buffer_size - seen)
+                    alphas, built_at = state.alphas, state.built_at
+                threshold = alphas[slot] * (buffer_size - seen)
                 admit = threshold - length > THRESHOLD_EPS
-            if admit and state.total < buffer_size:
-                idle = not nonempty_port[port]
-                bump(qi, +1)
+            if admit and total < buffer_size:
+                old = lengths[qi]
+                lengths[qi] = old + 1
+                total += 1
+                if not old:
+                    if not nonempty_port[port]:  # the port was idle
+                        heappush(events, (time + 1.0, _COMPLETION, seq, port))
+                        seq += 1
+                    nonempty_port[port] += 1
+                if old == cong_thr:
+                    cong_prio[q_prio[qi]] += 1
+                    active_port[port] += 1
+                    cong_changes += 1
+                # occupancy can pass the buffer only by rising past its peak
+                if total > peak:
+                    peak = total
+                    if peak > buffer_size:
+                        raise EngineInvariantError(f"occupancy {total} exceeds buffer {buffer_size}")
                 src_admitted[key] += 1
                 fifo[qi].append(key)
-                packed += pack(time, threshold, tag, lengths[qi])
-                if idle:
-                    heappush(events, (time + 1.0, _COMPLETION, seq, port))
-                    seq += 1
+                packed += pack(time, threshold, tag, old + 1)
             else:
                 src_dropped[key] += 1
                 if time < first_drop[qi]:
@@ -514,11 +510,19 @@ def run(config: ScenarioConfig) -> EventTrace:
             qi = port_qs[j]
             j += 1
             rr_cursor[payload] = j - len(port_qs) if j >= 0 else j
+            new = lengths[qi] - 1
+            lengths[qi] = new
+            total -= 1
+            if not new:
+                nonempty_port[payload] -= 1
+            if new == cong_thr:
+                cong_prio[q_prio[qi]] -= 1
+                active_port[payload] -= 1
+                cong_changes += 1
             origin = fifo[qi].popleft()
-            bump(qi, -1)
             src_departed[origin] += 1
             src_last_departure[origin] = time
-            packed += pack(time, 0.0, origin << 2 | DEPART, lengths[qi])
+            packed += pack(time, 0.0, origin << 2 | DEPART, new)
             if nonempty_port[payload]:
                 heapreplace(events, (time + 1.0, _COMPLETION, seq, payload))
                 seq += 1
@@ -526,12 +530,15 @@ def run(config: ScenarioConfig) -> EventTrace:
                 heappop(events)
         else:
             heappop(events)
+            state.total, state.cong_changes = total, cong_changes
             if rank == _TICK:
                 controller_tick(state)
+                alphas, built_at = state.alphas, state.built_at
                 if key < ticks:
                     heappush(events, ((key + 1) * period, _TICK, key + 1, None))
             elif rank == _SYNC:
                 state.sync()
+                stale = state.stale
                 # nothing changes before the next event, so the syncs due up to
                 # it would copy this state: skip to the last one due at or before it
                 if events:
@@ -544,10 +551,11 @@ def run(config: ScenarioConfig) -> EventTrace:
     # the grid allows 1e-9 of a period past the horizon, beyond ``end``: the
     # samples still due there see the final state (a tick due there would
     # precede no admission, so none fires)
-    occupancy.extend(repeat(state.total, steps + 1 - sample))
+    state.total, state.cong_changes = total, cong_changes
+    occupancy.extend(repeat(total, steps + 1 - sample))
     trace.final_lengths = dict(zip(queues, state.lengths))
     trace.first_drop = dict(zip(queues, state.first_drop))
-    trace.occupancy_peak = state.peak
+    trace.occupancy_peak = peak
     trace.source_counts = [  # zip drops the pre-filled queues' rows
         {"admitted": a, "dropped": d, "departed": p, "last_departure": t}
         for a, d, p, t in zip(state.src_admitted, state.src_dropped, state.src_departed,

@@ -841,6 +841,42 @@ def test_analyze_reports_the_solver_where_it_contradicts_the_closed_form(tmp_pat
     assert integrate_transient(ts).times[1] == Fraction(955, 152) < t1
 
 
+UNEQUAL_NEW_QUEUES = """\
+[switch]
+buffer = 120
+ports = 4
+horizon = 200
+
+[classes]
+0 = alpha=1 priority=0
+1 = alpha=2 priority=1
+2 = alpha=6 priority=1
+
+[policy]
+kind = fb
+
+[sources]
+0 = constant class=0 port=2 rate=3 start=0 stop=inf
+1 = burst class=1 port=0 r=4 duration=100 start=50
+2 = burst class=2 port=1 r=4 duration=100 start=50
+"""
+
+
+def test_analyze_checks_every_new_queues_crossing(tmp_path, capsys):
+    # both routes give t1 = 15/2, but the closed form's crossing of queue
+    # 1:2 (10) is not the solver's (15): the report is the solver's
+    path = tmp_path / "unequal_new_queues.ini"
+    path.write_text(UNEQUAL_NEW_QUEUES)
+    assert main(["analyze", "--scenario", str(path), "--t", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["t1"] == payload["closed_form_t1"] == 7.5
+    assert payload["closed_form_valid"] is False
+    assert payload["t1_per_queue"] == {"0:1": 7.5, "1:2": 15.0}
+    assert payload["alpha_bounds"].startswith("unavailable: ")
+    ts = workloads.transient_scenario(workloads.load_scenario(str(path)))
+    assert integrate_transient(ts).first_crossing[QueueId(1, 2)] == 15
+
+
 def test_analyze_curve(tmp_path, capsys):
     assert main([
         "analyze", "--buffer", "60", "--alpha-l", "0.5", "--alpha-h", "20",

@@ -19,6 +19,7 @@ from fbsim import engine
 from fbsim.core import PolicyKind, QueueId, TrafficClass, write_table
 from fbsim.engine import (
     RECORD,
+    SHARED_QUEUE_CLASS,
     SOURCE_CHANGE,
     EngineInvariantError,
     EventTrace,
@@ -416,15 +417,53 @@ def test_conservation_check_catches_counter_drift():
             trace.verify_conservation()
 
 
-def test_engine_snapshot_matches_incremental_counters():
-    cfg = preset("fig4_incast")
-    state = SwitchState(cfg)
+def _assert_counters_derived(state, cfg):
+    """The state's counters equal the oracle's aggregates of its lengths."""
     prios = {c.class_id: c.priority_id for c in cfg.classes}
+    if cfg.queue_mode == "single":
+        prios[SHARED_QUEUE_CLASS] = SHARED_QUEUE_CLASS
     snap = derive_aggregates(
         dict(zip(state.queue_ids, state.lengths)), prios, cfg.buffer_size, cfg.congestion_threshold
     )
-    assert snap.occupancy == state.total == 50
-    assert snap.congested_per_priority[LOW] == 5
+    ports = range(cfg.n_ports)
+    assert state.total == snap.occupancy
+    assert state.cong_changes >= len(snap.congested)
+    assert state.cong_prio == [snap.congested_per_priority[p] for p in sorted(set(prios.values()))]
+    assert state.active_port == [sum(q.port == p for q in snap.congested) for p in ports]
+    assert state.nonempty_port == [sum(q.port == p and n > 0 for q, n in snap.lengths.items())
+                                   for p in ports]
+    return snap
+
+
+@pytest.mark.parametrize("cfg", [
+    preset("fig4_incast"),
+    # pre-filled queues below, at and above the congestion threshold
+    two_class_config(congestion_threshold=3, initial_lengths={
+        QueueId(0, 0): 2, QueueId(0, 1): 5, QueueId(1, 0): 3, QueueId(1, 1): 4}),
+    # one shared queue filled by two classes, congested only by their sum
+    two_class_config(queue_mode="single", congestion_threshold=3, initial_lengths={
+        QueueId(0, 0): 2, QueueId(0, 1): 2, QueueId(1, 0): 3}),
+], ids=["fig4_incast", "multi", "single"])
+def test_engine_snapshot_matches_incremental_counters(cfg, monkeypatch):
+    state = SwitchState(cfg)
+    snap = _assert_counters_derived(state, cfg)
+    # the constructor derives the counters from the final lengths: each
+    # pre-filled congested queue is one congestion change
+    assert state.total == state.peak == sum(cfg.initial_lengths.values())
+    assert state.cong_changes == len(snap.congested) > 0
+    # the loop keeps them as it runs, and hands them to every snapshot sync
+    syncs = 0
+    sync = SwitchState.sync
+
+    def checking(self):
+        nonlocal syncs
+        syncs += 1
+        _assert_counters_derived(self, cfg)
+        sync(self)
+
+    monkeypatch.setattr(SwitchState, "sync", checking)
+    run(replace(cfg, snapshot_staleness=0.5))
+    assert syncs > 10
 
 
 def test_fba_controller_ticks_recorded():
@@ -678,11 +717,10 @@ def test_fluid_agreement_on_large_buffer():
 
 def test_capacity_invariant_error_is_guarded():
     cfg = two_class_config()
-    state = SwitchState(cfg)
-    qi = state.queue_ids.index(QueueId(0, 1))
-    with pytest.raises(EngineInvariantError):
-        for _ in range(61):
-            state._bump(qi, +1)
+    # forced past validation, which refuses a fill beyond the buffer
+    object.__setattr__(cfg, "initial_lengths", {QueueId(0, 1): 61})
+    with pytest.raises(EngineInvariantError, match="occupancy 61 exceeds buffer 60"):
+        SwitchState(cfg)
 
 
 ACTIONS = ("admit", "drop", "depart", "source_change")
