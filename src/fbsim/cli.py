@@ -162,22 +162,20 @@ def _inline_transient(args) -> fluid.TransientScenario:
 
 
 def _transient_report(ts: fluid.TransientScenario, t) -> dict:
-    """``analyze``'s payload for a transient: the closed form's analysis where
-    the exact solver finds the same crossings, the solver's answer where not.
+    """``analyze``'s payload for a transient: the closed form's analysis, with
+    ``t1`` and ``t1_per_queue`` always the exact solver's first crossings
+    and ``burst_tolerance`` r * t1.
 
     ``closed_form_t1`` is always the formula's t1 and ``closed_form_valid``
     whether the solver's crossing of every new queue equals the formula's.
-    Where one does not, ``t1`` and
-    ``t1_per_queue`` are the solver's first crossings, ``burst_tolerance``
-    is r * t1, and with ``t`` the alpha bounds, which invert the closed
-    form, are reported unavailable; ``case`` stays the closed form's."""
+    Where one does not, with ``t`` the alpha bounds, which invert the
+    closed form, are reported unavailable; ``case`` stays the closed form's."""
     closed = fluid.analyze_transient(ts)
     solved = fluid.integrate_transient(ts)
     valid = solved.first_crossing == closed.t1_per_queue
-    payload = dict(vars(closed), closed_form_t1=closed.t1, closed_form_valid=valid)
-    if not valid:
-        payload.update(t1=solved.t1, t1_per_queue=solved.first_crossing,
-                       burst_tolerance=ts.r * solved.t1)
+    payload = dict(vars(closed), t1=solved.t1, t1_per_queue=solved.first_crossing,
+                   burst_tolerance=ts.r * solved.t1, closed_form_t1=closed.t1,
+                   closed_form_valid=valid)
     if t is not None:
         bounds = vars(fluid.alpha_bounds_general(ts, t))  # also refuses a t <= 0
         payload["alpha_bounds"] = bounds if valid else (

@@ -20,6 +20,8 @@ tables hoisted once per run, as the one writer of the per-queue lengths
 and congestion counters, which it keeps in locals and writes back to the
 state before it calls ``SwitchState.refresh`` (the one statement of FB's
 factor), ``SwitchState.sync`` or ``controller_tick`` (once per tick).
+``SwitchState`` holds only the switch; ``run`` keeps the run's facts in
+locals and builds its ``EventTrace`` once, when the loop ends.
 
 ``SwitchState`` resolves each run's admission rule once, and ``queue_mode``
 only shapes the queue layout.  It numbers the (port, class) slots once, and
@@ -55,8 +57,8 @@ Each source's target carries its tag base ``source << 2``, so an arrival
 packs its tag with no shift.  The loop stores the occupancy at each sample
 instant as it passes, as one 4-byte int.  ``EventTrace.rows()`` decodes
 the records, and the ``records`` and ``samples`` views decode to tuples.
-The loop also keeps each fact ``metrics.compute`` reads as it happens
-(first drops, occupancy peak, per-source counts), and
+The loop keeps each fact ``metrics.compute`` reads as it happens (first
+drops, occupancy peak, per-source counts) in locals, and
 ``verify_conservation`` checks them against a rescan of the records.
 ``write_trace_csv`` and ``write_samples_csv`` spell its rows, each distinct
 text once (threshold texts from a bounded cache; zeros, which print two
@@ -221,12 +223,11 @@ class EventTrace:
 
 
 class SwitchState:
-    """Mutable per-run switch state: queue lengths, congestion counters,
-    the run's facts as they happen (per-queue first drop, occupancy peak,
-    per-source counts and last departure; departures count only per origin,
-    so each pre-filled queue has a row after the sources'), the
-    trace's ``origins``, one packet FIFO per queue of origin ids in service
-    order, round-robin cursors, and the run's one alpha table.
+    """Mutable per-run switch state, and only the switch: queue lengths,
+    congestion counters, the trace's ``origins``, one packet FIFO per queue
+    of origin ids in service order, round-robin cursors, and the run's one
+    alpha table.  The run's facts (first drops, occupancy peak, per-origin
+    counts) are ``run``'s locals, not the switch's.
 
     ``rule`` is the run's admission rule, resolved once from the policy, the
     queue mode and the FBA period (see the module docstring).  Single-queue
@@ -282,9 +283,6 @@ class SwitchState:
         self.q_port = [q.port for q in self.queue_ids]
 
         self.lengths = [0] * n
-        self.first_drop = [math.inf] * n
-        self.src_admitted = [0] * len(config.sources)
-        self.src_dropped = [0] * len(config.sources)
         self.cong_prio = [0] * len(prio_index)
         self.active_port = [0] * config.n_ports
         self.nonempty_port = [0] * config.n_ports
@@ -306,7 +304,7 @@ class SwitchState:
         self.origins = tuple(origins)
         # the counters of the final lengths: in single mode one shared queue
         # sums several classes' fills
-        self.total = self.peak = sum(self.lengths)
+        self.total = sum(self.lengths)
         if self.total > self.buffer_size:
             raise EngineInvariantError(f"occupancy {self.total} exceeds buffer {self.buffer_size}")
         for qi, length in enumerate(self.lengths):
@@ -315,8 +313,6 @@ class SwitchState:
                 self.cong_prio[self.q_prio[qi]] += 1
                 self.active_port[self.q_port[qi]] += 1
         self.cong_changes = sum(self.cong_prio)  # one per pre-filled congested queue
-        self.src_departed = [0] * len(origins)
-        self.src_last_departure: list[Optional[float]] = [None] * len(origins)
 
         # optional fixed snapshot staleness (hardware-sync modelling): the
         # copy due at k = 0 is the state at construction
@@ -374,31 +370,19 @@ def controller_tick(state: SwitchState) -> None:
 def run(config: ScenarioConfig) -> EventTrace:
     """Simulate the scenario to its horizon and return the full trace."""
     state = SwitchState(config)
-    queues, slot_queue = state.queue_ids, state.slot_queue
-    trace = EventTrace(
-        queue_ids=queues,
-        queue_of={key: queues[slot_queue[s]] for key, s in state.slot.items()},
-        origins=state.origins,
-        initial_lengths={q: n for q, n in zip(queues, state.lengths) if n},
-        sample_interval=config.sample_interval,
-        horizon=config.horizon,
-    )
+    queues, slot_queue, origins = state.queue_ids, state.slot_queue, state.origins
+    initial_lengths = {q: n for q, n in zip(queues, state.lengths) if n}
 
-    # each source's (slot, queue index, port, tag base), resolved once; one
-    # pending arrival per source, its seq the source index: at equal times
-    # arrivals pop in source order
-    targets = []
+    # each source's target (slot, queue index, port, tag base), resolved
+    # once, its stream and its first events; one pending arrival per source,
+    # its seq the source index: at equal times arrivals pop in source order
+    events: list[tuple] = []
+    streams, seq = [], 0
     for source_id, src in enumerate(config.sources):
         slot = state.slot[src.port, src.class_id]
-        targets.append((slot, slot_queue[slot], src.port, source_id << 2))
-    streams = [
-        source_stream(src, idx, config.seed, config.horizon)
-        for idx, src in enumerate(config.sources)
-    ]
-    events: list[tuple] = []
-    seq = 0
-    for source_id, (stream, src, target) in enumerate(zip(streams, config.sources, targets)):
-        first = next(stream, None)
+        target = (slot, slot_queue[slot], src.port, source_id << 2)
+        streams.append(source_stream(src, source_id, config.seed, config.horizon))
+        first = next(streams[-1], None)
         if first is not None:
             events.append((first, _ARRIVAL, source_id, target))
         payload = (target[1], target[3] | SOURCE_CHANGE)
@@ -424,23 +408,25 @@ def run(config: ScenarioConfig) -> EventTrace:
 
     # the state's tables, hoisted once for the inline arrival and completion
     # paths, which write the counters: the scalars live here and go back to
-    # the state before each call that reads them.  The head event is
-    # replaced by what follows it, or else popped; keys (time, rank, seq)
-    # are unique, so the pop order is that of pop-then-push
+    # the state before each call that reads them.  The run's facts live here
+    # only; departures count per origin, so each pre-filled queue has a row
+    # after the sources'.  The head event is replaced by what follows it, or
+    # else popped; keys (time, rank, seq) are unique, so the pop order is
+    # that of pop-then-push
     heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
-    packed, pack = trace.packed, _pack
-    lengths, fifo, first_drop = state.lengths, state.fifo, state.first_drop
+    packed, pack = bytearray(), _pack
+    lengths, fifo, first_drop = state.lengths, state.fifo, [math.inf] * len(queues)
     port_queues, rr_cursor, nonempty_port = state.port_queues, state.rr_cursor, state.nonempty_port
     cong_prio, active_port, q_prio = state.cong_prio, state.active_port, state.q_prio
-    src_admitted, src_dropped = state.src_admitted, state.src_dropped
-    src_departed, src_last_departure = state.src_departed, state.src_last_departure
+    src_admitted, src_dropped = [0] * len(config.sources), [0] * len(config.sources)
+    src_departed, src_last_departure = [0] * len(origins), [None] * len(origins)
     buffer_size, cong_thr = state.buffer_size, state.cong_thr
-    total, peak, cong_changes = state.total, state.peak, state.cong_changes
+    total, peak, cong_changes = state.total, state.total, state.cong_changes
     stale, alphas, built_at = state.stale, state.alphas, state.built_at
     cs, fb = state.rule is PolicyKind.COMPLETE_SHARING, state.rule is PolicyKind.FB
     end = config.horizon + 1e-12
     # sample k, due at k * interval, sees every event up to 1e-12 after it
-    occupancy, interval = trace.occupancy, config.sample_interval
+    occupancy, interval = array("i"), config.sample_interval
     steps = grid_steps(config.horizon, interval)
     sample, due = 0, 1e-12
     while events:
@@ -551,28 +537,27 @@ def run(config: ScenarioConfig) -> EventTrace:
     # the grid allows 1e-9 of a period past the horizon, beyond ``end``: the
     # samples still due there see the final state (a tick due there would
     # precede no admission, so none fires)
-    state.total, state.cong_changes = total, cong_changes
     occupancy.extend(repeat(total, steps + 1 - sample))
-    trace.final_lengths = dict(zip(queues, state.lengths))
-    trace.first_drop = dict(zip(queues, state.first_drop))
-    trace.occupancy_peak = peak
-    trace.source_counts = [  # zip drops the pre-filled queues' rows
-        {"admitted": a, "dropped": d, "departed": p, "last_departure": t}
-        for a, d, p, t in zip(state.src_admitted, state.src_dropped, state.src_departed,
-                              state.src_last_departure)
-    ]
     # each origin feeds one queue, so a queue's totals sum its origins' rows
     # (a pre-filled queue's origin only departs)
-    counts = trace.counts = {q: {"arrivals": 0, "admitted": 0, "dropped": 0, "departed": 0}
-                             for q in queues}
+    queue_of = {key: queues[slot_queue[s]] for key, s in state.slot.items()}
+    counts = {q: {"arrivals": 0, "admitted": 0, "dropped": 0, "departed": 0} for q in queues}
     for (port, class_id, _), p, a, d in zip_longest(
-            state.origins, state.src_departed, state.src_admitted, state.src_dropped, fillvalue=0):
-        c = counts[trace.queue_of[port, class_id]]
+            origins, src_departed, src_admitted, src_dropped, fillvalue=0):
+        c = counts[queue_of[port, class_id]]
         c["arrivals"] += a + d
         c["admitted"] += a
         c["dropped"] += d
         c["departed"] += p
-    return trace
+    return EventTrace(
+        queue_ids=queues, queue_of=queue_of, origins=origins, packed=packed,
+        occupancy=occupancy, sample_interval=interval, initial_lengths=initial_lengths,
+        final_lengths=dict(zip(queues, lengths)), counts=counts,
+        first_drop=dict(zip(queues, first_drop)), occupancy_peak=peak,
+        source_counts=[  # zip drops the pre-filled queues' rows
+            {"admitted": a, "dropped": d, "departed": p, "last_departure": t}
+            for a, d, p, t in zip(src_admitted, src_dropped, src_departed, src_last_departure)],
+        horizon=config.horizon)
 
 
 # -- export ------------------------------------------------------------------

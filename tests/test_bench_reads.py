@@ -3,13 +3,17 @@
 ``bench/spans.py`` wraps fbsim functions by name, and ``Tracer.wrap`` skips
 a name the package no longer has, so its per-layer metrics would read 0
 without a word; ``bench/cases.py`` and ``bench/run.py`` read
-``fbsim.<module>.<name>`` attributes.  This reads both from the bench's
-source by AST, without importing it, and resolves each name in fbsim.
+``fbsim.<module>.<name>`` attributes, and ``bench/cases.py`` attributes of
+the trace ``engine.run`` returns.  This reads them from the bench's source
+by AST, without importing it, and resolves each name in fbsim.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+from fbsim.engine import run
+from fbsim.workloads import preset
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -86,3 +90,18 @@ def test_the_bench_reads_only_names_fbsim_has():
         reads = module_reads(filename)
         assert reads, filename
         assert [name for name in sorted(reads) if not _exists(name)] == [], filename
+
+
+def trace_reads() -> set[str]:
+    """Every attribute ``bench/cases.py`` reads off a run's trace: the reads
+    on the names ``trace`` and ``fb``, each bound to an ``engine.run``."""
+    tree = ast.parse((BENCH / "cases.py").read_text())
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in ("trace", "fb")}
+
+
+def test_the_bench_reads_only_trace_attributes_a_run_returns():
+    reads = trace_reads()
+    assert {"records", "samples", "final_lengths", "verify_conservation"} <= reads
+    trace = run(preset("fig2"))
+    assert [name for name in sorted(reads) if not hasattr(trace, name)] == []

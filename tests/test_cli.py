@@ -680,6 +680,73 @@ def test_nonpositive_alpha_override_exits_3(alpha, tmp_path, capsys):
     assert f"alpha override for 0:0 must be > 0, got {alpha}" in capsys.readouterr().err
 
 
+_FIG2 = dumps_scenario(preset("fig2"))
+_FIG2_SOURCE = "0 = constant class=0 port=0 rate=2 start=0 stop=inf"
+
+
+# each documented refusal with the command that reaches it: a scenario
+# edit (old text, new text) run through ``run`` or ``analyze --scenario``,
+# or a bare argv; the exit code and a fragment of its message
+@pytest.mark.parametrize("edit,argv,code,message", [
+    (("ports = 2", "ports = 0"), None, 3, "need at least one port"),
+    (("0 = alpha=1 priority=0\n1 = alpha=2 priority=1\n", ""), None, 3,
+     "need at least one traffic class"),
+    (("1 = alpha=2 priority=1", "00 = alpha=2 priority=1"), None, 3, "duplicate class ids"),
+    (("1 = alpha=2 priority=1", "-1 = alpha=2 priority=1"), None, 3, "class ids must be >= 0"),
+    (("horizon = 60.0", "horizon = 0"), None, 3, "horizon must be > 0"),
+    (("congestion_threshold = 0", "congestion_threshold = -1"), None, 3,
+     "congestion_threshold, fba_period, snapshot_staleness must be >= 0"),
+    (("sample_interval = 0.1", "sample_interval = 0"), None, 3, "sample_interval must be > 0"),
+    (("0:0 = 30", "0:5 = 30"), None, 3, "initial length references unknown queue 0:5"),
+    (("0:0 = 30", "0:0 = -1"), None, 3, "initial length for 0:0 must be >= 0"),
+    (("0:0 = 30", "0:0 = 30\n\n[alpha_overrides]\n0:7 = 1"), None, 3,
+     "alpha override references unknown queue 0:7"),
+    ((_FIG2_SOURCE, "0 = constant class=0 port=0 rate=0"), None, 3,
+     "constant source needs rate > 0"),
+    ((_FIG2_SOURCE, "0 = burst class=0 port=0 r=0 duration=5"), None, 3,
+     "burst needs r > 0"),
+    ((_FIG2_SOURCE, "0 = poisson class=0 port=0 mean_interarrival=0"), None, 3,
+     "poisson source needs positive interarrival"),
+    ((_FIG2_SOURCE, "0 = constant class=0 port=0 start=0"), None, 2, "missing key 'rate'"),
+    (("[sources]\n" + _FIG2_SOURCE + "\n1 = constant class=1 port=1 rate=4 start=10 stop=inf\n"
+      "\n[initial]\n0:0 = 30", "[sources]"), ["analyze"], 3, "no congested queues to analyze"),
+    (None, _INLINE[:-2], 3, "inline analysis needs --r"),  # no "--r", "4"
+    (None, [*_INLINE, "--t", "0"], 3, "t must be > 0"),
+    (None, ["configure-alpha", "--buffer", "60", "--r", "4", "--t", "0"], 3, "t must be > 0"),
+    (None, [*_INLINE, "--curve", "--out", "curve", "--counts", "0"], 3,
+     "low-queue count must be >= 1"),
+], ids=["no_ports", "no_classes", "class_0_and_00", "class_minus_1", "horizon_0",
+        "negative_congestion_threshold", "sample_interval_0", "fill_unknown_queue",
+        "negative_fill", "override_unknown_queue", "constant_rate_0", "burst_r_0",
+        "poisson_interarrival_0", "source_without_rate", "analyze_nothing_congested",
+        "inline_without_r", "analyze_t_0", "configure_alpha_t_0", "curve_counts_0"])
+def test_documented_refusals_exit_with_their_code_and_message(edit, argv, code, message,
+                                                              tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if edit is not None:
+        old, new = edit
+        assert old in _FIG2
+        Path("bad.ini").write_text(_FIG2.replace(old, new, 1))
+        argv = [*(argv or ["run", "--out", "o"]), "--scenario", "bad.ini"]
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert not any(Path(name).exists() for name in ("o", "curve"))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: OldQueue(QueueId(0, 0), omega=0, gamma=1), "need omega > 0 and gamma in (0,1]"),
+    (lambda: NewQueue(QueueId(0, 0), omega=1, gamma=1, factor=2),
+     "need omega > 0, gamma and factor in (0,1]"),
+    (lambda: TransientScenario(0, (), (NewQueue(QueueId(0, 0), 1, 1),), 1),
+     "buffer_size must be >= 1"),
+    (lambda: TransientScenario(60, (OldQueue(QueueId(0, 0), 1, 1),),
+                               (NewQueue(QueueId(0, 0), 1, 1),), 1), "duplicate queue 0:0"),
+], ids=["old_omega_0", "new_factor_2", "buffer_0", "duplicate_queue"])
+def test_fluid_value_types_refuse_bad_fields(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 def _fb_single_mode_text(kind: str, queue_mode_line: str = "queue_mode = single\n") -> str:
     """The golden single-queue FB scenario under ``kind`` and queue mode line."""
     text = (GOLDEN_SCENARIOS / "fb_single_mode.ini").read_text()

@@ -417,6 +417,21 @@ def test_conservation_check_catches_counter_drift():
             trace.verify_conservation()
 
 
+def test_conservation_check_catches_a_wrong_final_length():
+    trace = run(preset("fig4_incast"))
+    trace.final_lengths[QueueId(0, 5)] += 1
+    with pytest.raises(EngineInvariantError, match="departed \\+ final"):
+        trace.verify_conservation()
+
+
+def test_occupancy_peak_starts_at_the_prefilled_occupancy():
+    # no sources: the pre-filled queues only drain, so the peak is the start
+    fills = {QueueId(0, 0): 4, QueueId(1, 1): 3}
+    trace = run(two_class_config(sources=(), initial_lengths=fills, horizon=5.0))
+    assert trace.occupancy_peak == sum(fills.values()) > trace.occupancy[-1]
+    trace.verify_conservation()
+
+
 def _assert_counters_derived(state, cfg):
     """The state's counters equal the oracle's aggregates of its lengths."""
     prios = {c.class_id: c.priority_id for c in cfg.classes}
@@ -449,7 +464,7 @@ def test_engine_snapshot_matches_incremental_counters(cfg, monkeypatch):
     snap = _assert_counters_derived(state, cfg)
     # the constructor derives the counters from the final lengths: each
     # pre-filled congested queue is one congestion change
-    assert state.total == state.peak == sum(cfg.initial_lengths.values())
+    assert state.total == sum(cfg.initial_lengths.values())
     assert state.cong_changes == len(snap.congested) > 0
     # the loop keeps them as it runs, and hands them to every snapshot sync
     syncs = 0
